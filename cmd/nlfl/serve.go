@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"time"
 
@@ -16,13 +17,86 @@ import (
 	"nlfl/internal/service"
 )
 
-// serveState is the HTTP façade over one long-lived Fleet: it keeps the
-// handles of every admitted job so clients can poll them by id.
+const (
+	// retainFinished is how many finished jobs stay pollable: 1<<14 flat
+	// status records (≈65 s of history at 250 jobs/s, under 5 MB). A
+	// constant, not a flag — it bounds the server's memory, not a job.
+	retainFinished = 1 << 14
+	// maxServeN caps the job size the front door admits: the N×N float64
+	// output of n = 4096 is 128 MiB, allocated under the fleet mutex. The
+	// in-process Fleet API accepts any N.
+	maxServeN = 4096
+	// maxSubmitBytes bounds a POST /jobs body.
+	maxSubmitBytes = 64 << 10
+)
+
+// serveState is the HTTP façade over one long-lived Fleet. It keeps a
+// two-tier job table so memory stays bounded on an unbounded stream of
+// jobs: the handles of unfinished jobs (admission bounds them by -queue),
+// and the flat status records of the most recent finished ones in a FIFO
+// ring. A job moves from the first tier to the second exactly once, when
+// its Done channel closes; from then on nothing here references its
+// output matrix, timeline or engine state.
 type serveState struct {
 	fleet *service.Fleet
 
-	mu   sync.Mutex
-	jobs map[int64]*service.JobHandle
+	mu       sync.Mutex
+	active   map[int64]*service.JobHandle
+	finished []jobStatus   // FIFO ring of records; overwritten oldest-first once full
+	head     int           // ring slot the next record takes
+	slot     map[int64]int // finished id → ring index
+	maxID    int64         // highest id registered: below it, not retained ⇒ 410
+	evicted  int
+
+	// waiters counts the retire goroutines, one per unfinished job.
+	waiters sync.WaitGroup
+}
+
+// newServeState builds the table; retain is the finished-ring capacity
+// (the CLI passes retainFinished).
+func newServeState(fleet *service.Fleet, retain int) *serveState {
+	if retain < 1 {
+		panic("nlfl serve: finished-job ring needs a capacity of at least 1")
+	}
+	return &serveState{
+		fleet:    fleet,
+		active:   map[int64]*service.JobHandle{},
+		finished: make([]jobStatus, 0, retain),
+		slot:     map[int64]int{},
+	}
+}
+
+// track registers an admitted job and starts its waiter.
+func (st *serveState) track(h *service.JobHandle) {
+	st.mu.Lock()
+	st.active[h.ID()] = h
+	st.maxID = max(st.maxID, h.ID())
+	st.mu.Unlock()
+	st.waiters.Add(1)
+	go st.retire(h)
+}
+
+// retire waits for the job to become terminal, then swaps its handle for
+// a status record in one critical section, so a concurrent poll finds
+// the job in one tier or the other. Fleet.Close finalizes every job,
+// which is what ends the last waiters.
+func (st *serveState) retire(h *service.JobHandle) {
+	defer st.waiters.Done()
+	<-h.Done()
+	s := statusOf(h.ID(), h.Report())
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	delete(st.active, s.ID)
+	i := st.head
+	if len(st.finished) < cap(st.finished) {
+		st.finished = append(st.finished, s)
+	} else {
+		delete(st.slot, st.finished[i].ID)
+		st.evicted++
+		st.finished[i] = s
+	}
+	st.slot[s.ID] = i
+	st.head = (i + 1) % cap(st.finished)
 }
 
 // submitRequest is the POST /jobs body.
@@ -37,7 +111,7 @@ type submitRequest struct {
 
 // jobStatus is the GET /jobs?id= body: the job ledger minus the output
 // matrix and trace (poll state until "done" or "failed", then read the
-// volumes; the matrix itself stays server-side).
+// volumes; the matrix itself is released once the job is terminal).
 type jobStatus struct {
 	ID      int64  `json:"id"`
 	State   string `json:"state"` // "running", "done" or "failed"
@@ -56,6 +130,29 @@ type jobStatus struct {
 	Err string `json:"err,omitempty"`
 }
 
+// statusOf is the one builder of a job's status, for the poll of an
+// unfinished job (rep == nil ⇒ "running") and for its finished record
+// alike. It copies the ledger out of the report, so the result keeps the
+// report's matrix and timeline alive no longer than the report itself.
+func statusOf(id int64, rep *service.JobReport) jobStatus {
+	if rep == nil {
+		return jobStatus{ID: id, State: "running"}
+	}
+	s := jobStatus{
+		ID: id, State: "done",
+		Tenant: rep.Tenant, N: rep.N, Workers: rep.Workers,
+		Latency: rep.Latency, Makespan: rep.Makespan,
+		PlanVolume: rep.PlanVolume, ReplannedVolume: rep.ReplannedVolume,
+		CommittedVolume: rep.CommittedVolume, WastedData: rep.WastedData,
+		ReclaimedCells: rep.ReclaimedCells,
+		Err:            rep.Err,
+	}
+	if rep.Failed {
+		s.State = "failed"
+	}
+	return s
+}
+
 // newServeMux wires the fleet API: submit, poll, accounts, health.
 func newServeMux(st *serveState) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -64,9 +161,17 @@ func newServeMux(st *serveState) *http.ServeMux {
 		writeJSON(w, http.StatusOK, st.fleet.Accounting())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		st.mu.Lock()
+		jobs := map[string]int{
+			"active":   len(st.active),
+			"retained": len(st.finished),
+			"evicted":  st.evicted,
+		}
+		st.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"workers": st.fleet.Workers(),
 			"health":  st.fleet.Health(),
+			"jobs":    jobs,
 		})
 	})
 	return mux
@@ -85,8 +190,19 @@ func (st *serveState) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (st *serveState) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), code)
+		return
+	}
+	if req.N > maxServeN {
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("n = %d exceeds this server's limit of %d", req.N, maxServeN),
+		})
 		return
 	}
 	h, err := st.fleet.Submit(service.JobSpec{
@@ -121,43 +237,41 @@ func (st *serveState) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
-	st.mu.Lock()
-	st.jobs[h.ID()] = h
-	st.mu.Unlock()
+	st.track(h)
 	writeJSON(w, http.StatusAccepted, map[string]int64{"id": h.ID()})
 }
 
+// handleGet answers a poll from whichever tier holds the job. The fleet
+// numbers jobs 1, 2, … and gives a number only to a job it admits
+// (buildJobLocked increments seq after its last error return), and every
+// admitted job is tracked before its id is written to the client: so an
+// id in [1, maxID] that is in neither tier was issued and has been
+// evicted (410), and any other id was never issued (404).
 func (st *serveState) handleGet(w http.ResponseWriter, r *http.Request) {
-	var id int64
-	if _, err := fmt.Sscanf(r.URL.Query().Get("id"), "%d", &id); err != nil {
+	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+	if err != nil {
 		http.Error(w, "missing or malformed id", http.StatusBadRequest)
 		return
 	}
 	st.mu.Lock()
-	h := st.jobs[id]
+	h := st.active[id]
+	i, retained := st.slot[id]
+	var s jobStatus
+	if retained {
+		s = st.finished[i]
+	}
+	issued := id >= 1 && id <= st.maxID
 	st.mu.Unlock()
-	if h == nil {
+	switch {
+	case h != nil:
+		writeJSON(w, http.StatusOK, statusOf(id, h.Report()))
+	case retained:
+		writeJSON(w, http.StatusOK, s)
+	case issued:
+		http.Error(w, "job no longer retained", http.StatusGone)
+	default:
 		http.Error(w, "unknown job id", http.StatusNotFound)
-		return
 	}
-	rep := h.Report()
-	if rep == nil {
-		writeJSON(w, http.StatusOK, jobStatus{ID: id, State: "running"})
-		return
-	}
-	s := jobStatus{
-		ID: id, State: "done",
-		Tenant: rep.Tenant, N: rep.N, Workers: rep.Workers,
-		Latency: rep.Latency, Makespan: rep.Makespan,
-		PlanVolume: rep.PlanVolume, ReplannedVolume: rep.ReplannedVolume,
-		CommittedVolume: rep.CommittedVolume, WastedData: rep.WastedData,
-		ReclaimedCells: rep.ReclaimedCells,
-		Err:            rep.Err,
-	}
-	if rep.Failed {
-		s.State = "failed"
-	}
-	writeJSON(w, http.StatusOK, s)
 }
 
 // retryAfter turns the fleet's queue depth into a Retry-After hint in
@@ -178,6 +292,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// shutdown is the SIGINT path: admission stops, in-flight jobs get the
+// budget to finish, Close fails the stragglers (so every job is
+// terminal), the listener stops, and the waiters are joined.
+func (st *serveState) shutdown(srv *http.Server, budget time.Duration) {
+	dctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	if err := st.fleet.Drain(dctx); err != nil {
+		fmt.Printf("nlfl serve: drain incomplete: %v\n", err)
+	}
+	st.fleet.Close()
+	_ = srv.Shutdown(context.Background())
+	// No handler is left to track a job, and every tracked job is final.
+	st.waiters.Wait()
 }
 
 // runServe starts the fleet as a long-lived HTTP service. SIGINT drains
@@ -213,7 +342,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
+	st := newServeState(fleet, retainFinished)
 	srv := &http.Server{Handler: newServeMux(st)}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -240,13 +369,7 @@ func runServe(args []string) error {
 	case <-ctx.Done():
 	}
 	fmt.Println("nlfl serve: draining…")
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := fleet.Drain(dctx); err != nil {
-		fmt.Printf("nlfl serve: drain incomplete: %v\n", err)
-	}
-	fleet.Close()
-	_ = srv.Shutdown(context.Background())
+	st.shutdown(srv, *drain)
 	acc := fleet.Accounting()
 	fmt.Printf("nlfl serve: done — %d submitted, %d completed, %d failed, %d rejected\n",
 		acc.Submitted, acc.Completed, acc.Failed, acc.Rejected)

@@ -2,9 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +29,7 @@ func TestServeMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
+	st := newServeState(fleet, retainFinished)
 	ts := httptest.NewServer(newServeMux(st))
 	defer ts.Close()
 
@@ -107,6 +111,7 @@ func TestServeMux(t *testing.T) {
 	var hz struct {
 		Workers int                   `json:"workers"`
 		Health  []service.WorkerState `json:"health"`
+		Jobs    map[string]int64      `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp3.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
@@ -114,6 +119,9 @@ func TestServeMux(t *testing.T) {
 	resp3.Body.Close()
 	if hz.Workers != 2 || len(hz.Health) != 2 {
 		t.Fatalf("healthz: workers %d health %d, want 2", hz.Workers, len(hz.Health))
+	}
+	if _, ok := hz.Jobs["evicted"]; !ok || hz.Jobs["active"]+hz.Jobs["retained"] != 1 {
+		t.Fatalf("healthz jobs block %v, want the one job active or retained and an evicted count", hz.Jobs)
 	}
 }
 
@@ -130,7 +138,7 @@ func TestServeAdmissionSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
+	st := newServeState(fleet, retainFinished)
 	ts := httptest.NewServer(newServeMux(st))
 	defer ts.Close()
 
@@ -212,7 +220,7 @@ func TestServeRejectReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
+	st := newServeState(fleet, retainFinished)
 	ts := httptest.NewServer(newServeMux(st))
 	defer ts.Close()
 
@@ -255,4 +263,290 @@ func TestServeRejectReasons(t *testing.T) {
 func jsonNum(id int64) string {
 	b, _ := json.Marshal(id)
 	return string(b)
+}
+
+// TestJobStatusGolden pins the GET /jobs?id= body for the three states a
+// JobReport can be in. statusOf is the only builder of that body — for
+// the poll of a live handle and for the finished ring alike — so these
+// bytes are what every client sees.
+func TestJobStatusGolden(t *testing.T) {
+	done := &service.JobReport{
+		ID: 7, Tenant: "a", N: 64, Strategy: "het", Workers: []int{0, 2, 3},
+		Latency: 0.25, Makespan: 0.125,
+		PlanVolume: 448, CommittedVolume: 448, DataShipped: 448,
+	}
+	failed := &service.JobReport{
+		ID: 8, Tenant: "chaos", N: 48, Workers: []int{1},
+		Latency: 1.5, Makespan: 1,
+		PlanVolume: 96, ReplannedVolume: 32, CommittedVolume: 64, WastedData: 16,
+		ReclaimedCells: 576,
+		Failed:         true, Err: "service: job failed: worker 1 crashed",
+	}
+	for _, c := range []struct {
+		name string
+		rep  *service.JobReport
+		want string
+	}{
+		{"running", nil, `{"id":9,"state":"running"}`},
+		{"done", done, `{"id":9,"state":"done","tenant":"a","n":64,"workers":[0,2,3],` +
+			`"latency":0.25,"makespan":0.125,"planVolume":448,"committedVolume":448}`},
+		{"failed", failed, `{"id":9,"state":"failed","tenant":"chaos","n":48,"workers":[1],` +
+			`"latency":1.5,"makespan":1,"planVolume":96,"replannedVolume":32,"committedVolume":64,` +
+			`"wastedData":16,"reclaimedCells":576,"err":"service: job failed: worker 1 crashed"}`},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, statusOf(9, c.rep))
+		if got := rec.Body.String(); got != c.want+"\n" {
+			t.Errorf("%s body:\n got %s want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// serveFixture is a fast two-worker fleet behind the mux, driven without
+// a socket so a test can push thousands of requests through it.
+type serveFixture struct {
+	t   *testing.T
+	st  *serveState
+	mux *http.ServeMux
+}
+
+func newServeFixture(t *testing.T, cfg service.Config, retain int) *serveFixture {
+	t.Helper()
+	fleet, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	st := newServeState(fleet, retain)
+	return &serveFixture{t: t, st: st, mux: newServeMux(st)}
+}
+
+func (f *serveFixture) do(method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	f.mux.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// submit posts one job and returns its id.
+func (f *serveFixture) submit(body string) int64 {
+	f.t.Helper()
+	rec := f.do(http.MethodPost, "/jobs", body)
+	if rec.Code != http.StatusAccepted {
+		f.t.Fatalf("submit %s: got %d %s, want 202", body, rec.Code, rec.Body)
+	}
+	var out map[string]int64
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		f.t.Fatal(err)
+	}
+	return out["id"]
+}
+
+func (f *serveFixture) get(id int64) *httptest.ResponseRecorder {
+	return f.do(http.MethodGet, fmt.Sprintf("/jobs?id=%d", id), "")
+}
+
+// finish polls a job until it is terminal and returns the final body.
+func (f *serveFixture) finish(id int64) string {
+	f.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec := f.get(id)
+		if rec.Code != http.StatusOK {
+			f.t.Fatalf("poll %d: got %d %s, want 200", id, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), `"state":"running"`) {
+			return rec.Body.String()
+		}
+		if time.Now().After(deadline) {
+			f.t.Fatalf("job %d did not finish in 10s", id)
+		}
+		runtime.Gosched()
+	}
+}
+
+var fastFleet = service.Config{
+	Speeds:        []float64{1, 2},
+	WorkPerSecond: 1e12,
+	MaxQueue:      64,
+	TenantQuota:   64,
+}
+
+// TestServeJobTableBounded is the retention contract: a long stream of
+// jobs leaves only the ring behind. The heap after 2000 jobs equals the
+// heap after 500 (each job's matrix, timeline and engine state are
+// garbage once it is terminal), an evicted id answers 410, a retained
+// one answers from the ring with the bytes its live handle gave, and an
+// id that was never issued stays 404.
+func TestServeJobTableBounded(t *testing.T) {
+	const (
+		total  = 2000
+		retain = 64
+	)
+	f := newServeFixture(t, fastFleet, retain)
+	heapAfterGC := func() uint64 {
+		f.st.waiters.Wait() // no submit is in flight: every waiter has retired its job
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var heap500 uint64
+	var oldestRetained string
+	for i := 1; i <= total; i++ {
+		id := f.submit(fmt.Sprintf(`{"tenant":"a","n":32,"strategy":"het","seed":%d}`, i))
+		if id != int64(i) {
+			t.Fatalf("job %d got id %d: the test relies on ids counting from 1", i, id)
+		}
+		body := f.finish(id)
+		switch i {
+		case 500:
+			heap500 = heapAfterGC()
+		case total - retain + 1:
+			oldestRetained = body
+		}
+	}
+	heap2000 := heapAfterGC()
+	if grew := int64(heap2000) - int64(heap500); grew > 1<<20 {
+		t.Errorf("heap grew %d bytes between job 500 and job %d, want ≤ 1 MiB", grew, total)
+	}
+	if a, r := len(f.st.active), len(f.st.finished); a != 0 || r != retain {
+		t.Errorf("table holds %d active, %d finished; want 0 and %d", a, r, retain)
+	}
+	if f.st.evicted != total-retain {
+		t.Errorf("evicted = %d, want %d", f.st.evicted, total-retain)
+	}
+
+	for _, c := range []struct {
+		id   int64
+		want int
+	}{
+		{1, http.StatusGone},
+		{total - retain, http.StatusGone},
+		{total - retain + 1, http.StatusOK},
+		{total, http.StatusOK},
+		{total + 1, http.StatusNotFound},
+		{0, http.StatusNotFound},
+		{-3, http.StatusNotFound},
+	} {
+		if rec := f.get(c.id); rec.Code != c.want {
+			t.Errorf("GET /jobs?id=%d: got %d, want %d", c.id, rec.Code, c.want)
+		}
+	}
+	if got := f.get(total - retain + 1).Body.String(); got != oldestRetained {
+		t.Errorf("retained record changed after %d later jobs:\n got %s want %s", retain-1, got, oldestRetained)
+	}
+
+	var hz struct {
+		Jobs map[string]int64 `json:"jobs"`
+	}
+	if err := json.Unmarshal(f.do(http.MethodGet, "/healthz", "").Body.Bytes(), &hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Jobs["active"] != 0 || hz.Jobs["retained"] != retain || hz.Jobs["evicted"] != total-retain {
+		t.Errorf("/healthz jobs = %v, want active 0, retained %d, evicted %d", hz.Jobs, retain, total-retain)
+	}
+}
+
+// TestServePollRacesRetire hammers the newest ids from 16 pollers while
+// jobs finish and move from the active tier to the ring: the move is one
+// critical section, so no poll may fall between the tiers and see 404 or
+// 410. Meaningful under -race.
+func TestServePollRacesRetire(t *testing.T) {
+	const jobs = 300
+	f := newServeFixture(t, fastFleet, jobs)
+	var issued atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < 16; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hi := issued.Load()
+				for id := max(1, hi-3); id <= hi; id++ {
+					if rec := f.get(id); rec.Code != http.StatusOK {
+						t.Errorf("poll of issued job %d: got %d, want 200", id, rec.Code)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	for i := 0; i < jobs; i++ {
+		id := f.submit(`{"tenant":"a","n":32}`)
+		issued.Store(id)
+		f.finish(id)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestServeShutdownJoinsWaiters runs the SIGINT path over jobs too slow
+// to drain: Close fails them, which closes their Done channels, so every
+// waiter retires its job and returns.
+func TestServeShutdownJoinsWaiters(t *testing.T) {
+	f := newServeFixture(t, service.Config{
+		Speeds:        []float64{1},
+		WorkPerSecond: 2e3, // n=48 takes over a second: still running at shutdown
+		MaxQueue:      4,
+		TenantQuota:   4,
+	}, retainFinished)
+	ts := httptest.NewServer(f.mux)
+	defer ts.Close()
+	ids := []int64{f.submit(`{"tenant":"a","n":48}`), f.submit(`{"tenant":"a","n":48}`)}
+
+	joined := make(chan struct{})
+	go func() {
+		f.st.shutdown(ts.Config, 10*time.Millisecond)
+		close(joined)
+	}()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown did not return: a waiter is still blocked")
+	}
+	if n := len(f.st.active); n != 0 {
+		t.Errorf("%d jobs still in the active tier after shutdown", n)
+	}
+	for _, id := range ids {
+		if body := f.get(id).Body.String(); !strings.Contains(body, `"state":"failed"`) {
+			t.Errorf("job %d after shutdown: %s, want a failed record", id, body)
+		}
+	}
+}
+
+// TestServeRequestLimits pins the front door's own checks: a malformed
+// id is a 400 (it used to be read up to the first non-digit), and one
+// request can neither stream an unbounded body nor make the fleet
+// allocate an output matrix of arbitrary size.
+func TestServeRequestLimits(t *testing.T) {
+	f := newServeFixture(t, fastFleet, retainFinished)
+	id := f.submit(`{"tenant":"a","n":32}`)
+	f.finish(id)
+	for _, q := range []string{"1abc", "", "1.0", " 1", "0x1", "99999999999999999999"} {
+		if rec := f.do(http.MethodGet, "/jobs?id="+strings.ReplaceAll(q, " ", "%20"), ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("GET /jobs?id=%q: got %d, want 400", q, rec.Code)
+		}
+	}
+
+	rec := f.do(http.MethodPost, "/jobs", fmt.Sprintf(`{"tenant":"a","n":%d}`, maxServeN+1))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit") {
+		t.Errorf("n over the limit: got %d %s, want 400 naming the limit", rec.Code, rec.Body)
+	}
+	if rec := f.do(http.MethodPost, "/jobs", `{"tenant":"a","n":200000}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("n = 200000: got %d, want 400", rec.Code)
+	}
+	big := `{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","n":32}`
+	if rec := f.do(http.MethodPost, "/jobs", big); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: got %d, want 413", len(big), rec.Code)
+	}
+	if acc := f.st.fleet.Accounting(); acc.Submitted != 1 {
+		t.Errorf("refused requests reached the fleet: %d submitted, want 1", acc.Submitted)
+	}
 }

@@ -79,7 +79,7 @@ func (cw chaosWindow) covers(t float64) bool { return t >= cw.start && t < cw.en
 // which transfer consumes which flip depends on goroutine arrival order
 // (see EXPERIMENTS.md on determinism).
 type chaosState struct {
-	crashAt []float64      // earliest Crash instant per worker (+Inf: none)
+	crashAt []float64       // earliest Crash instant per worker (+Inf: none)
 	slow    [][]chaosWindow // Straggler: compute-speed factors
 	pause   [][]chaosWindow // Transient: full outages
 	lslow   [][]chaosWindow // LinkSlow: bandwidth factors

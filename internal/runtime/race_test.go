@@ -238,8 +238,11 @@ func TestHighParallelismCrashReclaimStress(t *testing.T) {
 		speeds[i] = 1
 	}
 	rep, err := Run(plan, a, b, Options{
-		Speeds:        speeds,
-		WorkPerSecond: 2e6,
+		Speeds: speeds,
+		// The token buckets hold the run to at least n²/(workers·rate) =
+		// 13.6 ms of model time, over twice the last crash: both crashes
+		// land however fast or slow the host is.
+		WorkPerSecond: 1e5,
 		Burst:         1,
 		VerifyEvery:   11,
 		Chaos: Chaos{

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -22,24 +23,43 @@ func checkTiling(n int, chunks []Chunk) error {
 }
 
 // checkTilingBitmap marks every covered cell in a bitset and reports the
-// first double-covered or uncovered cell.
+// first double-covered or uncovered cell. It works a 64-bit word at a
+// time — each chunk row [ColLo,ColHi) is a run of word masks, and the
+// final scan compares words against all-ones — so the cost is n²/64 word
+// operations, not n² bit operations, while the cell and chunk it names
+// are the ones a cell-by-cell walk in the same order would find first.
 func checkTilingBitmap(n int, chunks []Chunk) error {
-	words := (n*n + 63) / 64
-	bits := make([]uint64, words)
+	cells := n * n
+	cover := make([]uint64, (cells+63)/64)
+	if rem := cells % 64; rem != 0 {
+		// The last word's bits past n² belong to no cell: count them covered.
+		cover[len(cover)-1] = ^uint64(0) << rem
+	}
 	for _, c := range chunks {
+		if c.ColHi <= c.ColLo {
+			continue // no cells; also keeps last below from wrapping
+		}
 		for i := c.RowLo; i < c.RowHi; i++ {
-			for j := c.ColLo; j < c.ColHi; j++ {
-				idx := i*n + j
-				w, b := idx/64, uint64(1)<<(idx%64)
-				if bits[w]&b != 0 {
-					return fmt.Errorf("runtime: cell (%d,%d) covered twice (chunk %d overlaps an earlier chunk)", i, j, c.Task)
+			lo, last := uint(i*n+c.ColLo), uint(i*n+c.ColHi-1)
+			for w := lo / 64; w <= last/64; w++ {
+				mask := ^uint64(0)
+				if w == lo/64 {
+					mask <<= lo % 64
 				}
-				bits[w] |= b
+				if w == last/64 {
+					mask &= ^uint64(0) >> (63 - last%64)
+				}
+				if twice := cover[w] & mask; twice != 0 {
+					idx := int(w)*64 + bits.TrailingZeros64(twice)
+					return fmt.Errorf("runtime: cell (%d,%d) covered twice (chunk %d overlaps an earlier chunk)", idx/n, idx%n, c.Task)
+				}
+				cover[w] |= mask
 			}
 		}
 	}
-	for idx := 0; idx < n*n; idx++ {
-		if bits[idx/64]&(uint64(1)<<(idx%64)) == 0 {
+	for w, word := range cover {
+		if word != ^uint64(0) {
+			idx := w*64 + bits.TrailingZeros64(^word)
 			return fmt.Errorf("runtime: cell (%d,%d) uncovered (chunks leave a gap)", idx/n, idx%n)
 		}
 	}
