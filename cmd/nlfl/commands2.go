@@ -263,6 +263,8 @@ func runPolymul(args []string) error {
 
 // runAll reproduces every experiment with paper settings and saves each
 // as a JSON record under -outdir — the one-command reproduction driver.
+// Everything is computed once, by experiments.RunSuite, before anything is
+// written: a failing run leaves no record behind.
 func runAll(args []string) error {
 	fs := newFlagSet("all")
 	outdir := fs.String("outdir", "results", "directory for the JSON records")
@@ -271,109 +273,48 @@ func runAll(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The two records the suite does not hold run beside it: E12 at its
+	// own 50 trials (the suite's copy takes trials/2+1) and the robustness
+	// sweep (crashes vs demand-driven / single-round / re-planning).
+	var quality []experiments.PartitionQualityRow
+	var faultRows []experiments.FaultSweepRow
+	fcfg := experiments.DefaultFaultSweepConfig()
+	fcfg.Seed = *seed
+	suite, err := experiments.RunSuite(experiments.SuiteConfig{Trials: *trials, Seed: *seed},
+		func() (err error) {
+			quality, err = experiments.PartitionQuality([]int{10, 25, 50, 100}, 50, *seed)
+			return err
+		},
+		func() (err error) { faultRows, err = experiments.FaultSweep(fcfg); return err },
+	)
+	if err != nil {
+		return err
+	}
+	s := float64(*seed)
+	sweep := map[string]float64{"trials": float64(*trials), "seed": s}
+	platform10 := map[string]float64{"p": 10, "seed": s}
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
-	save := func(name string, params map[string]float64, data interface{}) error {
-		path := filepath.Join(*outdir, name+".json")
-		if err := results.Save(path, results.Record{Experiment: name, Params: params, Data: data}); err != nil {
+	for _, rec := range []results.Record{
+		{Experiment: "e1-nonlinear", Data: suite.NonLinear},
+		{Experiment: "e3-sort-scaling", Params: map[string]float64{"p": 8, "seed": s}, Data: suite.SortScaling},
+		{Experiment: "e6-rho", Params: map[string]float64{"p": 20}, Data: suite.Rho},
+		{Experiment: "fig4-homogeneous", Params: sweep, Data: suite.Fig4Homogeneous},
+		{Experiment: "fig4-uniform", Params: sweep, Data: suite.Fig4Uniform},
+		{Experiment: "fig4-lognormal", Params: sweep, Data: suite.Fig4LogNormal},
+		{Experiment: "e12-partition-quality", Params: map[string]float64{"trials": 50, "seed": s}, Data: quality},
+		{Experiment: "ext-affinity", Params: platform10, Data: suite.Affinity},
+		{Experiment: "ext-bottleneck", Params: platform10, Data: suite.Bottleneck},
+		{Experiment: "ext-faults", Params: map[string]float64{"p": float64(fcfg.P), "seed": s}, Data: faultRows},
+		// The whole evaluation as one structured record (for `nlfl compare`).
+		{Experiment: "suite", Params: sweep, Data: suite},
+	} {
+		path := filepath.Join(*outdir, rec.Experiment+".json")
+		if err := results.Save(path, rec); err != nil {
 			return err
 		}
 		fmt.Println("wrote", path)
-		return nil
 	}
-
-	// E1: Section 2 fractions.
-	_, rows, err := experiments.NonLinearTable([]int{2, 4, 10, 32, 100}, []float64{1.5, 2, 3}, 1000)
-	if err != nil {
-		return err
-	}
-	if err := save("e1-nonlinear", nil, rows); err != nil {
-		return err
-	}
-
-	// E3: sort scaling.
-	sortRows, err := experiments.SortScaling([]int{1 << 10, 1 << 14, 1 << 17, 1 << 20}, 8, *seed)
-	if err != nil {
-		return err
-	}
-	if err := save("e3-sort-scaling", map[string]float64{"p": 8, "seed": float64(*seed)}, sortRows); err != nil {
-		return err
-	}
-
-	// E6: rho sweep.
-	rho, err := experiments.RhoSweep([]float64{1, 4, 16, 64, 100}, 20, 1000)
-	if err != nil {
-		return err
-	}
-	if err := save("e6-rho", map[string]float64{"p": 20}, rho); err != nil {
-		return err
-	}
-
-	// E8–E10: the three Figure 4 panels.
-	for _, profile := range []platform.SpeedProfile{
-		platform.ProfileHomogeneous, platform.ProfileUniform, platform.ProfileLogNormal,
-	} {
-		cfg := experiments.DefaultFig4Config(profile)
-		cfg.Trials = *trials
-		cfg.Seed = *seed
-		points, err := experiments.Fig4(cfg)
-		if err != nil {
-			return err
-		}
-		name := "fig4-" + profile.String()
-		if err := save(name, map[string]float64{"trials": float64(*trials), "seed": float64(*seed)}, points); err != nil {
-			return err
-		}
-	}
-
-	// E12: partitioner quality.
-	quality, err := experiments.PartitionQuality([]int{10, 25, 50, 100}, 50, *seed)
-	if err != nil {
-		return err
-	}
-	if err := save("e12-partition-quality", map[string]float64{"trials": 50, "seed": float64(*seed)}, quality); err != nil {
-		return err
-	}
-
-	// Extension: affinity sweep.
-	pl, err := platform.Generate(10, stats.Uniform{Lo: 1, Hi: 100}, stats.NewRNG(*seed))
-	if err != nil {
-		return err
-	}
-	aff, err := experiments.AffinitySweep(pl, 1000, []int{10, 20, 40, 80})
-	if err != nil {
-		return err
-	}
-	if err := save("ext-affinity", map[string]float64{"p": 10, "seed": float64(*seed)}, aff); err != nil {
-		return err
-	}
-
-	// Extension: link bottleneck.
-	bott, err := experiments.Bottleneck(pl, 1000, 0.01, []float64{0.01, 0.1, 1, 10, 1000})
-	if err != nil {
-		return err
-	}
-	if err := save("ext-bottleneck", map[string]float64{"p": 10, "seed": float64(*seed)}, bott); err != nil {
-		return err
-	}
-
-	// Ext: the robustness sweep (crashes vs demand-driven / single-round /
-	// re-planning).
-	fcfg := experiments.DefaultFaultSweepConfig()
-	fcfg.Seed = *seed
-	faultRows, err := experiments.FaultSweep(fcfg)
-	if err != nil {
-		return err
-	}
-	if err := save("ext-faults", map[string]float64{"p": float64(fcfg.P), "seed": float64(*seed)}, faultRows); err != nil {
-		return err
-	}
-
-	// The whole evaluation as one structured record (for `nlfl compare`).
-	suite, err := experiments.RunSuite(experiments.SuiteConfig{Trials: *trials, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	return save("suite", map[string]float64{"trials": float64(*trials), "seed": float64(*seed)}, suite)
+	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -600,5 +603,65 @@ func TestCLIAll(t *testing.T) {
 		return run([]string{"compare", dir + "/e6-rho.json", dir + "/e6-rho.json"})
 	}); err != nil {
 		t.Errorf("self-compare failed: %v", err)
+	}
+}
+
+// TestCLIAllFailureWritesNothing: `all` computes everything before it
+// writes anything, so a run that fails leaves no record for `nlfl compare`
+// to mistake for a finished reproduction.
+func TestCLIAllFailureWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := capture(t, func() error {
+		return run([]string{"all", "-outdir", dir, "-trials", "0"})
+	}); err == nil {
+		t.Fatal("all -trials 0 should fail")
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("failing run left %s behind", e.Name())
+	}
+}
+
+// TestCLIAllReproducesResults is the tier-1 golden: `all` at the paper
+// settings rewrites every committed results/*.json byte for byte, on one
+// core and on several.
+func TestCLIAllReproducesResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the paper's whole evaluation twice")
+	}
+	golden, err := os.ReadDir("../../results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		dir := t.TempDir()
+		old := runtime.GOMAXPROCS(procs)
+		out, err := capture(t, func() error { return run([]string{"all", "-outdir", dir}) })
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: all: %v\n%s", procs, err, out)
+		}
+		wrote, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wrote) != len(golden) {
+			t.Errorf("GOMAXPROCS=%d: all wrote %d records, results/ holds %d", procs, len(wrote), len(golden))
+		}
+		for _, e := range golden {
+			want, err := os.ReadFile(filepath.Join("../../results", e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Errorf("GOMAXPROCS=%d: %v", procs, err)
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d: %s differs from the committed results/%s", procs, e.Name(), e.Name())
+			}
+		}
 	}
 }

@@ -84,24 +84,30 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 	root := stats.NewRNG(cfg.Seed)
 	points := make([]Fig4Point, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
-		var het, hom, homk, ks stats.Welford
-		for trial := 0; trial < cfg.Trials; trial++ {
-			pl, err := platform.Generate(p, dist, root.Split())
+		trials, err := perTrial(root, cfg.Trials, func(r *stats.RNG) (t [4]float64, err error) {
+			pl, err := platform.Generate(p, dist, r)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			h, err := outer.Commhet(pl, cfg.N)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			het.Add(h.Ratio)
-			hom.Add(outer.Commhom(pl, cfg.N).Ratio)
 			hk, err := outer.CommhomK(pl, cfg.N, cfg.Eps, 0)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			homk.Add(hk.Ratio)
-			ks.Add(float64(hk.K))
+			return [4]float64{h.Ratio, outer.Commhom(pl, cfg.N).Ratio, hk.Ratio, float64(hk.K)}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		var het, hom, homk, ks stats.Welford
+		for _, t := range trials {
+			het.Add(t[0])
+			hom.Add(t[1])
+			homk.Add(t[2])
+			ks.Add(t[3])
 		}
 		points = append(points, Fig4Point{
 			P:        p,
@@ -144,11 +150,10 @@ func Fig4MatMul(cfg Fig4Config) ([]Fig4MatMulPoint, error) {
 	root := stats.NewRNG(cfg.Seed)
 	points := make([]Fig4MatMulPoint, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
-		var het, hom, homk stats.Welford
-		for trial := 0; trial < cfg.Trials; trial++ {
-			pl, err := platform.Generate(p, dist, root.Split())
+		trials, err := perTrial(root, cfg.Trials, func(r *stats.RNG) (t [3]float64, err error) {
+			pl, err := platform.Generate(p, dist, r)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			// Unit-square footprint costs (per N): C = volume/N from the
 			// outer-product accounting; matmul ratio = (C-2)/(LB-2).
@@ -156,19 +161,26 @@ func Fig4MatMul(cfg Fig4Config) ([]Fig4MatMulPoint, error) {
 			lb := outer.LowerBound(pl, n)
 			h, err := outer.Commhet(pl, n)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			hk, err := outer.CommhomK(pl, n, cfg.Eps, 0)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			den := lb - 2
 			if den <= 0 {
-				return nil, fmt.Errorf("experiments: degenerate matmul bound at p=%d", p)
+				return t, fmt.Errorf("experiments: degenerate matmul bound at p=%d", p)
 			}
-			het.Add((h.Volume - 2) / den)
-			hom.Add((outer.Commhom(pl, n).Volume - 2) / den)
-			homk.Add((hk.Volume - 2) / den)
+			return [3]float64{(h.Volume - 2) / den, (outer.Commhom(pl, n).Volume - 2) / den, (hk.Volume - 2) / den}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		var het, hom, homk stats.Welford
+		for _, t := range trials {
+			het.Add(t[0])
+			hom.Add(t[1])
+			homk.Add(t[2])
 		}
 		points = append(points, Fig4MatMulPoint{
 			P: p, HetMean: het.Mean(), HomMean: hom.Mean(), HomKMean: homk.Mean(),

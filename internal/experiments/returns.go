@@ -32,27 +32,30 @@ func ReturnsSweep(deltas []float64, p, trials int, seed int64) ([]ReturnsRow, er
 		if delta < 0 {
 			return nil, fmt.Errorf("experiments: negative return ratio %v", delta)
 		}
-		row := ReturnsRow{Delta: delta}
-		var gaps stats.Welford
-		for trial := 0; trial < trials; trial++ {
-			r := root.Split()
+		orders, err := perTrial(root, trials, func(r *stats.RNG) (ms [2]float64, err error) {
 			ws := make([]platform.Worker, p)
 			for i := range ws {
 				ws[i] = platform.Worker{Speed: 0.3 + 4*r.Float64(), Bandwidth: 0.3 + 4*r.Float64()}
 			}
 			pl, err := platform.New(ws)
 			if err != nil {
-				return nil, err
+				return ms, err
 			}
 			chunks := make([]dessim.Chunk, p)
 			for i := range chunks {
 				d := 1 + 4*r.Float64()
 				chunks[i] = dessim.Chunk{Worker: i, Data: d, Work: d}
 			}
-			fifo, lifo, err := dessim.CompareReturnOrders(pl, chunks, delta)
-			if err != nil {
-				return nil, err
-			}
+			ms[0], ms[1], err = dessim.CompareReturnOrders(pl, chunks, delta)
+			return ms, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		row := ReturnsRow{Delta: delta}
+		var gaps stats.Welford
+		for _, ms := range orders {
+			fifo, lifo := ms[0], ms[1]
 			switch {
 			case fifo < lifo-1e-9:
 				row.FIFOWins++

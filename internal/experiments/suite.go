@@ -35,72 +35,69 @@ type SuiteResult struct {
 	Returns          []ReturnsRow          `json:"returns"`
 }
 
-// RunSuite executes the whole evaluation with the given configuration.
-func RunSuite(cfg SuiteConfig) (*SuiteResult, error) {
+// RunSuite executes the whole evaluation with the given configuration,
+// its independent experiments side by side on the parallel runner; beside
+// are further steps for the same runner (`nlfl all` adds the two records
+// the suite does not hold). The result is bit-identical at any GOMAXPROCS.
+func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
 	}
-	out := &SuiteResult{}
-	var err error
-
 	ps := []int{2, 4, 10, 32, 100}
 	ns := []int{1 << 10, 1 << 14, 1 << 17, 1 << 20}
-	fig4Ps := []int(nil)
-	for p := 10; p <= 100; p += 10 {
-		fig4Ps = append(fig4Ps, p)
-	}
 	gs := []int{10, 20, 40, 80}
 	quality := []int{10, 25, 50, 100}
 	if cfg.Quick {
 		ps = []int{2, 10, 100}
 		ns = []int{1 << 10, 1 << 14}
-		fig4Ps = []int{10, 30}
 		gs = []int{10, 20}
 		quality = []int{10, 25}
 	}
-
-	if _, out.NonLinear, err = NonLinearTable(ps, []float64{1.5, 2, 3}, 1000); err != nil {
-		return nil, err
-	}
-	if out.SortScaling, err = SortScaling(ns, 8, cfg.Seed); err != nil {
-		return nil, err
-	}
-	if out.Rho, err = RhoSweep([]float64{1, 4, 16, 64, 100}, 20, 1000); err != nil {
-		return nil, err
-	}
-	for _, panel := range []struct {
-		profile platform.SpeedProfile
-		dst     *[]Fig4Point
-	}{
-		{platform.ProfileHomogeneous, &out.Fig4Homogeneous},
-		{platform.ProfileUniform, &out.Fig4Uniform},
-		{platform.ProfileLogNormal, &out.Fig4LogNormal},
-	} {
-		fc := DefaultFig4Config(panel.profile)
-		fc.Trials = cfg.Trials
-		fc.Seed = cfg.Seed
-		fc.Ps = fig4Ps
-		if *panel.dst, err = Fig4(fc); err != nil {
-			return nil, err
-		}
-	}
-	if out.PartitionQuality, err = PartitionQuality(quality, cfg.Trials/2+1, cfg.Seed); err != nil {
-		return nil, err
-	}
+	// Shared read-only by the affinity and bottleneck steps.
 	pl, err := platform.Generate(10, stats.Uniform{Lo: 1, Hi: 100}, stats.NewRNG(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	if out.Affinity, err = AffinitySweep(pl, 1000, gs); err != nil {
-		return nil, err
+	fig4 := func(profile platform.SpeedProfile, dst *[]Fig4Point) func() error {
+		return func() (err error) {
+			fc := DefaultFig4Config(profile)
+			fc.Trials, fc.Seed = cfg.Trials, cfg.Seed
+			if cfg.Quick {
+				fc.Ps = []int{10, 30}
+			}
+			*dst, err = Fig4(fc)
+			return err
+		}
 	}
-	if out.Bottleneck, err = Bottleneck(pl, 1000, 0.01, []float64{0.01, 0.1, 1, 10, 1000}); err != nil {
-		return nil, err
-	}
-	if out.Adaptivity, err = Adaptivity(8, 800, 256, []float64{1, 0.5, 0.1, 0.02}); err != nil {
-		return nil, err
-	}
-	if out.Returns, err = ReturnsSweep([]float64{0, 0.5, 1}, 6, cfg.Trials, cfg.Seed); err != nil {
+	out := &SuiteResult{}
+	// Longest first (measured at the paper settings), so that the runner
+	// ends on short steps; each step writes its own field of out.
+	steps := append([]func() error{
+		func() (err error) { out.SortScaling, err = SortScaling(ns, 8, cfg.Seed); return },
+		func() (err error) { _, out.NonLinear, err = NonLinearTable(ps, []float64{1.5, 2, 3}, 1000); return },
+		fig4(platform.ProfileLogNormal, &out.Fig4LogNormal),
+		fig4(platform.ProfileUniform, &out.Fig4Uniform),
+		func() (err error) { out.Affinity, err = AffinitySweep(pl, 1000, gs); return },
+		fig4(platform.ProfileHomogeneous, &out.Fig4Homogeneous),
+		func() (err error) {
+			out.PartitionQuality, err = PartitionQuality(quality, cfg.Trials/2+1, cfg.Seed)
+			return
+		},
+		func() (err error) {
+			out.Returns, err = ReturnsSweep([]float64{0, 0.5, 1}, 6, cfg.Trials, cfg.Seed)
+			return
+		},
+		func() (err error) {
+			out.Adaptivity, err = Adaptivity(8, 800, 256, []float64{1, 0.5, 0.1, 0.02})
+			return
+		},
+		func() (err error) { out.Rho, err = RhoSweep([]float64{1, 4, 16, 64, 100}, 20, 1000); return },
+		func() (err error) {
+			out.Bottleneck, err = Bottleneck(pl, 1000, 0.01, []float64{0.01, 0.1, 1, 10, 1000})
+			return
+		},
+	}, beside...)
+	if err := parallel(len(steps), func(i int) error { return steps[i]() }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -106,19 +106,24 @@ func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, 
 	var rows []PartitionQualityRow
 	for _, d := range dists {
 		for _, p := range ps {
-			var w stats.Welford
-			for trial := 0; trial < trials; trial++ {
-				r := root.Split()
+			ratios, err := perTrial(root, trials, func(r *stats.RNG) (float64, error) {
 				areas := stats.SampleN(d, r, p)
 				part, err := partition.PeriSum(areas)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				norm, err := partition.Normalize(areas)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
-				w.Add(part.SumHalfPerimeters() / partition.LowerBound(norm))
+				return part.SumHalfPerimeters() / partition.LowerBound(norm), nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			var w stats.Welford
+			for _, ratio := range ratios {
+				w.Add(ratio)
 			}
 			rows = append(rows, PartitionQualityRow{
 				Dist: d.String(), P: p, MeanRatio: w.Mean(), MaxRatio: w.Max(),
