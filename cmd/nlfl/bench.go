@@ -238,7 +238,7 @@ func runBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kernels (autotuned tile %d, GOMAXPROCS %d):\n", kf.AutotunedTile, kf.GOMAXPROCS)
+	fmt.Printf("kernels (GOMAXPROCS %d):\n", kf.GOMAXPROCS)
 	fmt.Printf("  %-16s %6s %5s %4s %12s %10s\n", "kernel", "n", "tile", "wkrs", "seconds", "GFLOPS")
 	for _, e := range kf.Entries {
 		fmt.Printf("  %-16s %6d %5d %4d %12.6f %10.3f\n", e.Kernel, e.N, e.Tile, e.Workers, e.Seconds, e.GFLOPS)

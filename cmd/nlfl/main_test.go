@@ -128,7 +128,7 @@ func TestCLIBench(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bench run: %v", err)
 	}
-	for _, want := range []string{"kernels (autotuned tile", "runtime (rate", "hom/k", "het", "chaos sweep", "topology sweep", "crossover", "iterative sweep", "adaptive/oracle", "wrote"} {
+	for _, want := range []string{"kernels (GOMAXPROCS", "runtime (rate", "hom/k", "het", "chaos sweep", "topology sweep", "crossover", "iterative sweep", "adaptive/oracle", "wrote"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bench output missing %q:\n%s", want, truncate(out, 800))
 		}

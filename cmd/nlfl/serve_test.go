@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -548,5 +550,66 @@ func TestServeRequestLimits(t *testing.T) {
 	}
 	if acc := f.st.fleet.Accounting(); acc.Submitted != 1 {
 		t.Errorf("refused requests reached the fleet: %d submitted, want 1", acc.Submitted)
+	}
+}
+
+// coldStartHelperEnv marks the re-executed test binary of
+// TestServeColdStartAllocation as the helper process.
+const coldStartHelperEnv = "NLFL_TEST_COLD_START_HELPER"
+
+// TestServeColdStartAllocation keeps once-per-process work out of the job
+// path. A fresh process — the re-executed test binary, so nothing has
+// warmed anything — serves one n = 64 job to done on an unthrottled
+// four-worker fleet, then a second, and reports what each allocated
+// (runtime.MemStats.TotalAlloc, which a collection cannot lower). The
+// first job may cost at most 1 MiB more than the second: the regression
+// this pins is the kernel's tile-autotune probe, whose 8 MiB matrix made
+// the first job of every process twice the resident set of the server.
+func TestServeColdStartAllocation(t *testing.T) {
+	if os.Getenv(coldStartHelperEnv) == "1" {
+		cfg := fastFleet
+		cfg.Speeds = []float64{1, 2, 3, 4}
+		f := newServeFixture(t, cfg, retainFinished)
+		totalAlloc := func() uint64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.TotalAlloc
+		}
+		var jobs [2]uint64
+		for i := range jobs {
+			before := totalAlloc()
+			id := f.submit(fmt.Sprintf(`{"tenant":"a","n":64,"strategy":"het","seed":%d}`, i+1))
+			// Wait for the job's retirement, not in a polling loop: every
+			// poll allocates, and how many it takes is the host's business.
+			f.st.waiters.Wait()
+			if body := f.get(id).Body.String(); !strings.Contains(body, `"state":"done"`) {
+				t.Fatalf("job %d: %s", i+1, body)
+			}
+			jobs[i] = totalAlloc() - before
+		}
+		fmt.Printf("cold-start-alloc %d %d\n", jobs[0], jobs[1])
+		return
+	}
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeColdStartAllocation$")
+	cmd.Env = append(os.Environ(), coldStartHelperEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("helper process: %v\n%s", err, out)
+	}
+	var first, second int64
+	line := string(out)
+	if i := strings.Index(line, "cold-start-alloc "); i >= 0 {
+		line = line[i:]
+	}
+	if _, err := fmt.Sscanf(line, "cold-start-alloc %d %d", &first, &second); err != nil {
+		t.Fatalf("helper printed no allocation line: %v\n%s", err, out)
+	}
+	t.Logf("first job allocated %d bytes, second %d", first, second)
+	if first-second > 1<<20 {
+		t.Errorf("the first job of a process allocated %d bytes more than the second, want ≤ 1 MiB: once-per-process work is on the job path",
+			first-second)
 	}
 }

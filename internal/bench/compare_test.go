@@ -18,9 +18,7 @@ func kernelEntry(kernel string, n, workers int, gflops float64) results.KernelBe
 }
 
 func kernelFile(entries ...results.KernelBenchEntry) results.KernelBenchFile {
-	return results.KernelBenchFile{
-		Schema: results.BenchKernelsSchema, AutotunedTile: 64, Entries: entries,
-	}
+	return results.KernelBenchFile{Schema: results.BenchKernelsSchema, Entries: entries}
 }
 
 // TestValidateKernelsThroughputGates pins the two performance floors: the

@@ -69,12 +69,11 @@ func maxAbsDiff(a, b *matmul.Matrix) float64 {
 // cancelled ctx stops the sweep at the next kernel boundary.
 func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error) {
 	file := results.KernelBenchFile{
-		Schema:        results.BenchKernelsSchema,
-		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    maxProcs(),
-		AutotunedTile: matmul.AutotuneTile(),
+		Schema:     results.BenchKernelsSchema,
+		Seed:       cfg.Seed,
+		Quick:      cfg.Quick,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: maxProcs(),
 	}
 	workerCounts := []int{1, 2, 4}
 	for _, n := range kernelSizes(cfg.Quick) {
@@ -123,7 +122,7 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 		if err != nil {
 			return file, err
 		}
-		if err := add("tiled", file.AutotunedTile, 0, tiled,
+		if err := add("tiled", 0, 0, tiled,
 			timeBest(cfg.Quick, func() { matmul.Tiled(a, b) })); err != nil {
 			return file, err
 		}
@@ -136,7 +135,7 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 			if err != nil {
 				return file, err
 			}
-			if err := add("parallel-tiled", file.AutotunedTile, w, par,
+			if err := add("parallel-tiled", 0, w, par,
 				timeBest(cfg.Quick, func() { matmul.ParallelTiled(a, b, w) })); err != nil {
 				return file, err
 			}
@@ -161,7 +160,7 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 		}
 		secs = timeBest(cfg.Quick, func() { matmul.OuterInto(into, av, bv, 0, n, 0, n) })
 		file.Entries = append(file.Entries, results.KernelBenchEntry{
-			Kernel: "outer-into", N: n, Tile: file.AutotunedTile,
+			Kernel: "outer-into", N: n,
 			Seconds: secs, GFLOPS: outerFlops / secs / 1e9, Checked: true,
 		})
 	}

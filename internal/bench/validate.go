@@ -52,9 +52,6 @@ func ValidateKernels(f results.KernelBenchFile) error {
 	if len(f.Entries) == 0 {
 		return invalid(path, "no entries")
 	}
-	if f.AutotunedTile <= 0 {
-		return invalid(path, "non-positive autotuned tile %d", f.AutotunedTile)
-	}
 	naive := map[int]float64{}        // n → naive GFLOPS
 	tiled := map[int]float64{}        // n → tiled GFLOPS
 	bestParallel := map[int]float64{} // n → best parallel-tiled GFLOPS

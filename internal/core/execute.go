@@ -87,8 +87,8 @@ func SnapPlan(plan *Plan, n int) ([]IntRect, error) {
 
 // ExecuteOuterProduct actually computes a̅ᵀ×b̅ following the plan: one
 // goroutine per worker fills exactly the cells of its rectangle through
-// the tiled kernel (matmul.OuterInto), reading only the a- and b-intervals
-// the plan charges it for. It returns the full product and the per-worker
+// matmul.OuterInto, reading only the a- and b-intervals the plan charges
+// it for. It returns the full product and the per-worker
 // element reads (which must match the plan's DataVolume accounting up to
 // integer-grid rounding) — the end-to-end anchor tying the communication
 // model to real computation. A plan rectangle that rounds to zero cells

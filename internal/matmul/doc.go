@@ -6,23 +6,22 @@
 //
 // # Kernels
 //
-// Three tiers of dense kernels share the Matrix type:
+// Three tiers of dense kernels and one rank-1 fill share the Matrix type:
 //
 //   - Naive, OuterProduct and VectorOuter are the reference
 //     implementations — straightforward loops whose output every other
 //     kernel (and every distributed executor) is tested against.
 //   - Blocked is the classic cache-blocked decomposition with an explicit
 //     tile size, kept as the teaching/benchmark baseline.
-//   - Tiled and ParallelTiled are the measured-performance kernels: the
-//     tile size is autotuned once per process by a small timing probe
-//     (AutotuneTile), inputs too small to benefit fall back to the naive
-//     kernel, and OuterInto provides the tiled rectangle fill the
-//     plan executors (internal/core, internal/runtime) run on their
-//     assigned sub-domains.
+//   - Tiled and ParallelTiled are the measured-performance kernels: a
+//     packed GEMM around a 4×8 register-blocked micro-kernel, bit-identical
+//     to Naive; inputs too small to benefit fall back to the naive kernel.
+//   - OuterFill is the one rank-1 fill loop: VectorOuter, OuterInto and
+//     the chunk engines of internal/runtime and internal/service all write
+//     their rectangles through it, full width, untiled.
 //
-// Parallel splits row bands across goroutines and runs the tiled kernel
-// inside each band, so the one exported parallel entry point is also the
-// fast one.
+// Parallel is ParallelTiled under its older name, so the one exported
+// parallel entry point is also the fast one.
 //
 // # Layouts
 //

@@ -232,44 +232,6 @@ func TestRowBandsAlignedAndBalanced(t *testing.T) {
 	}
 }
 
-// TestAutotuneWarmupAbsorbsColdFirstSample is the regression test for the
-// autotune probe: the old probe timed each candidate exactly once on
-// freshly-faulted pages, so an inflated first sample (cold cache, page
-// faults, a scheduler hiccup) could flip the winner. pickTile must warm
-// each candidate up and score it by best-of-three, so a 50× perturbation
-// of the very first sample leaves the true winner standing.
-func TestAutotuneWarmupAbsorbsColdFirstSample(t *testing.T) {
-	truth := map[int]float64{32: 4e-3, 64: 1e-3, 128: 2e-3, 256: 3e-3} // 64 is fastest
-	calls := 0
-	sample := func(bs int) float64 {
-		calls++
-		if calls == 1 {
-			// The very first measurement in the process pays cold pages.
-			return truth[bs] * 50
-		}
-		return truth[bs]
-	}
-	if got := pickTile(tileCandidates, sample); got != 64 {
-		t.Fatalf("perturbed first sample flipped the winner: picked %d, want 64", got)
-	}
-	if want := len(tileCandidates) * 4; calls != want {
-		t.Fatalf("pickTile took %d samples, want %d (1 warm-up + 3 timed per candidate)", calls, want)
-	}
-	// Stronger still: even the true winner must survive having its own
-	// warm-up sample inflated — only the three timed samples may score.
-	calls = 0
-	perturbWinnerOnce := func(bs int) float64 {
-		calls++
-		if bs == 64 && calls == 5 { // 64's warm-up sample (candidate order 32,64,…)
-			return truth[bs] * 50
-		}
-		return truth[bs]
-	}
-	if got := pickTile(tileCandidates, perturbWinnerOnce); got != 64 {
-		t.Fatalf("cold warm-up on the true winner flipped the pick to %d, want 64", got)
-	}
-}
-
 // TestParallelSmallFallsBackToSerial pins the small-size fallback: below
 // parallelMinWork the parallel entry point must not pay goroutine spawn
 // overhead. The fallback is observable through rowBands being bypassed —

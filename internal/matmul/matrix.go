@@ -124,8 +124,8 @@ func Blocked(a, b *Matrix, bs int) (*Matrix, error) {
 }
 
 // Parallel computes C = A·B splitting row bands across `workers`
-// goroutines. Each band runs the tiled kernel at the autotuned tile size
-// (see AutotuneTile), so this is also the fast path.
+// goroutines: an alias of ParallelTiled, so each band runs the packed
+// register-blocked kernel and this is also the fast path.
 func Parallel(a, b *Matrix, workers int) (*Matrix, error) {
 	return ParallelTiled(a, b, workers)
 }
@@ -161,12 +161,7 @@ func OuterProduct(a, b *Matrix) (*Matrix, error) {
 // Section 4.1 workload (N data, N² work).
 func VectorOuter(a, b []float64) *Matrix {
 	m := New(len(a), len(b))
-	for i, av := range a {
-		row := m.Data[i*m.Cols:]
-		for j, bv := range b {
-			row[j] = av * bv
-		}
-	}
+	OuterFill(m.Data, m.Cols, a, b)
 	return m
 }
 

@@ -2,78 +2,9 @@ package matmul
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"sync"
-	"time"
-
-	"nlfl/internal/stats"
 )
-
-// tileCandidates are the column-tile sides the autotune probe races for
-// the outer-product fill kernels (OuterInto and the runtime's chunk
-// fills): the tile bounds the b̅ slice each pass streams against a row
-// strip, so the candidates bracket L1-to-L2-resident working sets.
-var tileCandidates = []int{32, 64, 128, 256}
-
-// probeN is the outer-product side the autotune probe fills. Large enough
-// that the fastest candidate wins by cache behaviour rather than loop
-// overhead, small enough that the one-off probe stays in the tens of
-// milliseconds.
-const probeN = 1024
-
-var (
-	tileOnce sync.Once
-	tileSize int
-)
-
-// pickTile races the candidates through sample (seconds for one run at
-// the given tile side) and returns the fastest. Each candidate gets one
-// discarded warm-up run — the first touch of the probe buffers pays page
-// faults and cache fills that have nothing to do with the tile size, and
-// used to penalize whichever candidate ran first — and is then scored by
-// the best of three timed runs, so a single noisy sample cannot flip the
-// winner.
-func pickTile(cands []int, sample func(bs int) float64) int {
-	best, bestT := cands[0], math.Inf(1)
-	for _, bs := range cands {
-		sample(bs) // warm-up, discarded
-		t := math.Inf(1)
-		for rep := 0; rep < 3; rep++ {
-			if s := sample(bs); s < t {
-				t = s
-			}
-		}
-		if t < bestT {
-			best, bestT = bs, t
-		}
-	}
-	return best
-}
-
-// AutotuneTile returns the column-tile side the outer-product fill kernels
-// use, measuring it once per process: each candidate fills the same seeded
-// probeN×probeN outer product and the fastest side wins (warm-up plus
-// best-of-three per candidate, see pickTile). The result is cached — every
-// later call is a plain load.
-func AutotuneTile() int {
-	tileOnce.Do(func() {
-		r := stats.NewRNG(7)
-		av := make([]float64, probeN)
-		bv := make([]float64, probeN)
-		for i := range av {
-			av[i] = 2*r.Float64() - 1
-			bv[i] = 2*r.Float64() - 1
-		}
-		c := New(probeN, probeN)
-		tileSize = pickTile(tileCandidates, func(bs int) float64 {
-			start := time.Now()
-			outerIntoTile(c, av, bv, 0, probeN, 0, probeN, bs)
-			return time.Since(start).Seconds()
-		})
-	})
-	return tileSize
-}
 
 // smallMulWork is the m·k·n product below which the packed path falls
 // back to the naive reference: at that scale the whole problem is
@@ -170,30 +101,34 @@ func ParallelTiled(a, b *Matrix, workers int) (*Matrix, error) {
 	return c, nil
 }
 
+// OuterFill writes the len(a)×len(b) outer product a̅ᵀ×b̅ into dst, row i
+// at dst[i*stride : i*stride+len(b)] — the one rank-1 fill loop every
+// rectangle writer (OuterInto, VectorOuter, the runtime's and the
+// service's chunk engines) calls. A rank-1 fill reuses nothing but b̅,
+// which stays cache-resident at every admitted size, so the inner loop
+// runs the full width: a column tile only costs passes (see
+// docs/PERFORMANCE.md §1). Each cell is one multiply, so the result is
+// == a[i]·b[j] in any order. Bounds are the caller's responsibility,
+// like a slice expression.
+func OuterFill(dst []float64, stride int, a, b []float64) {
+	for i, av := range a {
+		row := dst[i*stride:][:len(b)]
+		for j, bv := range b {
+			row[j] = av * bv
+		}
+	}
+}
+
 // OuterInto fills the [rowLo,rowHi)×[colLo,colHi) rectangle of c with the
-// outer product a̅ᵀ×b̅, tiling the column range so the touched b̅ slice and
-// output rows stream tile by tile. It is the kernel the plan executors
+// outer product a̅ᵀ×b̅. It is the kernel the plan executors
 // (internal/core, internal/runtime) run on each worker's assigned
 // sub-domain; bounds are the caller's responsibility, like a slice
 // expression. The work performed is (rowHi-rowLo)·(colHi-colLo) cell
 // updates on (rowHi-rowLo)+(colHi-colLo) input elements — the non-linear
 // ratio the paper's communication analysis is about.
 func OuterInto(c *Matrix, a, b []float64, rowLo, rowHi, colLo, colHi int) {
-	outerIntoTile(c, a, b, rowLo, rowHi, colLo, colHi, AutotuneTile())
-}
-
-// outerIntoTile is OuterInto at an explicit tile side — the autotune
-// probe races it directly.
-func outerIntoTile(c *Matrix, a, b []float64, rowLo, rowHi, colLo, colHi, bs int) {
-	for jj := colLo; jj < colHi; jj += bs {
-		jMax := min(jj+bs, colHi)
-		bTile := b[jj:jMax]
-		for i := rowLo; i < rowHi; i++ {
-			av := a[i]
-			cRow := c.Data[i*c.Cols+jj : i*c.Cols+jMax]
-			for j, bv := range bTile {
-				cRow[j] = av * bv
-			}
-		}
+	if rowLo >= rowHi || colLo >= colHi {
+		return
 	}
+	OuterFill(c.Data[rowLo*c.Cols+colLo:], c.Cols, a[rowLo:rowHi], b[colLo:colHi])
 }

@@ -1,31 +1,16 @@
 package matmul
 
 import (
+	"math"
 	"testing"
 
 	"nlfl/internal/stats"
 )
 
-func TestAutotuneTileIsACandidate(t *testing.T) {
-	bs := AutotuneTile()
-	ok := false
-	for _, c := range tileCandidates {
-		if bs == c {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Fatalf("autotuned tile %d is not among the candidates %v", bs, tileCandidates)
-	}
-	if again := AutotuneTile(); again != bs {
-		t.Fatalf("autotune not stable: %d then %d", bs, again)
-	}
-}
-
 // TestTiledMatchesNaiveProperty is the kernel-equivalence property test:
 // across randomized rectangular shapes — deliberately including sides that
-// are not multiples of any tile candidate, sides of 1, and sides larger
-// than one tile — the tiled and parallel kernels must reproduce the naive
+// are not multiples of the micro-tile, sides of 1, and sides larger than
+// one column slab — the tiled and parallel kernels must reproduce the naive
 // kernel element-wise within 1e-12.
 func TestTiledMatchesNaiveProperty(t *testing.T) {
 	r := stats.NewRNG(2024)
@@ -57,9 +42,9 @@ func TestTiledMatchesNaiveProperty(t *testing.T) {
 }
 
 // TestOuterIntoMatchesVectorOuter covers the rectangle fill the plan
-// executors run: random sub-rectangles of a random outer product,
-// including spans that straddle tile boundaries, must match the reference
-// kernel exactly on the rectangle and leave the rest of C untouched.
+// executors run: random sub-rectangles of a random outer product must
+// match the reference kernel exactly on the rectangle and leave the rest
+// of C untouched.
 func TestOuterIntoMatchesVectorOuter(t *testing.T) {
 	r := stats.NewRNG(99)
 	for trial := 0; trial < 30; trial++ {
@@ -90,6 +75,67 @@ func TestOuterIntoMatchesVectorOuter(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOuterFillProperty is the property test of the one rank-1 fill loop:
+// random ragged rectangles (sides 1…300, 1×k and k×1 forced in) written
+// at a random offset and stride inside a NaN-filled buffer. Every cell
+// inside must == a[i]·b[j] and every cell outside must still be NaN.
+func TestOuterFillProperty(t *testing.T) {
+	r := stats.NewRNG(4242)
+	upTo := func(n int) int { return int(r.Float64() * float64(n)) }
+	for trial := 0; trial < 60; trial++ {
+		rows, cols := 1+upTo(300), 1+upTo(300)
+		switch trial % 6 {
+		case 0:
+			rows = 1
+		case 1:
+			cols = 1
+		}
+		off, stride := upTo(50), cols+upTo(40)
+		a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, rows)
+		b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, cols)
+		buf := make([]float64, off+(rows-1)*stride+cols+upTo(50))
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		OuterFill(buf[off:], stride, a, b)
+		for idx, got := range buf {
+			i, j := (idx-off)/stride, (idx-off)%stride
+			if idx >= off && i < rows && j < cols {
+				if got != a[i]*b[j] {
+					t.Fatalf("trial %d (%dx%d off %d stride %d): cell (%d,%d) = %g, want %g",
+						trial, rows, cols, off, stride, i, j, got, a[i]*b[j])
+				}
+			} else if !math.IsNaN(got) {
+				t.Fatalf("trial %d (%dx%d off %d stride %d): index %d outside the rectangle written (%g)",
+					trial, rows, cols, off, stride, idx, got)
+			}
+		}
+	}
+}
+
+// TestOuterIntoEmptyAndAllocFree pins the two edges of the rectangle
+// entry point: an empty rectangle is a no-op wherever it sits (a
+// zero-share worker's rectangle can snap to the far corner, past the last
+// valid row offset), and a fill allocates nothing.
+func TestOuterIntoEmptyAndAllocFree(t *testing.T) {
+	const n = 8
+	a, b := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = float64(i+1), float64(i+2)
+	}
+	c := New(n, n)
+	OuterInto(c, a, b, n, n, 3, n)
+	OuterInto(c, a, b, 2, n, n, n)
+	for i, v := range c.Data {
+		if v != 0 {
+			t.Fatalf("empty rectangle wrote cell %d (%g)", i, v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { OuterInto(c, a, b, 1, n, 2, n) }); allocs != 0 {
+		t.Fatalf("OuterInto allocates %.1f objects per fill, want 0", allocs)
 	}
 }
 

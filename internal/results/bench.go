@@ -22,7 +22,8 @@ type KernelBenchEntry struct {
 	Kernel string `json:"kernel"`
 	// N is the matrix/vector side.
 	N int `json:"n"`
-	// Tile is the block side used (0 when the kernel is untiled).
+	// Tile is the kernel's tile-side argument (0 when it takes none: only
+	// blocked does).
 	Tile int `json:"tile,omitempty"`
 	// Workers is the goroutine count (0 for single-threaded kernels).
 	Workers int `json:"workers,omitempty"`
@@ -46,11 +47,9 @@ type KernelBenchFile struct {
 	// Quick marks the reduced CI configuration.
 	Quick bool `json:"quick"`
 	// GoVersion and GOMAXPROCS pin the measurement environment.
-	GoVersion  string `json:"goVersion"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// AutotunedTile is the tile side the probe selected on this machine.
-	AutotunedTile int                `json:"autotunedTile"`
-	Entries       []KernelBenchEntry `json:"entries"`
+	GoVersion  string             `json:"goVersion"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
+	Entries    []KernelBenchEntry `json:"entries"`
 }
 
 // RuntimeBenchEntry is one measured strategy execution.

@@ -39,7 +39,7 @@ func TestFastPathPerChunkAllocations(t *testing.T) {
 	small := gridPlan(t, n, 4) // 16 chunks
 	big := gridPlan(t, n, 16)  // 256 chunks
 
-	// One throwaway run to warm the autotune probe and lazy runtime state.
+	// One throwaway run to warm lazy runtime state.
 	if _, err := Run(small, a, b, opts); err != nil {
 		t.Fatal(err)
 	}

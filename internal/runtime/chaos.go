@@ -428,7 +428,7 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 				scratch = make([]float64, c.Cells())
 			}
 			scratch = scratch[:c.Cells()]
-			fillChunkInto(scratch, aBuf, bBuf, c)
+			matmul.OuterFill(scratch, len(bBuf), aBuf, bBuf)
 		}
 		t1 := r.live.Now()
 		if !finished || t1 >= cs.crashAt[w] {
@@ -451,24 +451,6 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 		led.committedVolume += data
 		if specWin {
 			led.specWins++
-		}
-	}
-}
-
-// fillChunkInto computes the chunk's rectangle of the outer product into
-// a worker-private scratch (row-major, width ColHi−ColLo), tiling like
-// fillChunk.
-func fillChunkInto(dst []float64, aBuf, bBuf []float64, c Chunk) {
-	bs := matmul.AutotuneTile()
-	wd := c.ColHi - c.ColLo
-	for jj := 0; jj < wd; jj += bs {
-		jMax := min(jj+bs, wd)
-		bTile := bBuf[jj:jMax]
-		for i, av := range aBuf {
-			row := dst[i*wd+jj : i*wd+jMax]
-			for j, bv := range bTile {
-				row[j] = av * bv
-			}
 		}
 	}
 }

@@ -3,15 +3,12 @@ package runtime
 import (
 	"testing"
 
-	"nlfl/internal/matmul"
 	"nlfl/internal/stats"
 	"nlfl/internal/trace"
 )
 
-// linkVectors returns deterministic test vectors of length n, warming
-// the one-time tile-autotune probe so it is not charged to a timed span.
+// linkVectors returns deterministic test vectors of length n.
 func linkVectors(n int) (a, b []float64) {
-	matmul.AutotuneTile()
 	r := stats.NewRNG(17)
 	a = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 	b = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)

@@ -336,7 +336,7 @@ func Run(plan *StrategyPlan, a, b []float64, opts Options) (*Report, error) {
 // intervals into worker-local buffers (the Comm span — paced by the
 // bandwidth model when Options.Link is set, raw memcpy otherwise), pay
 // the chunk's area to their token bucket and fill the output rectangle
-// through the tiled kernel (the Compute span). With Options.Prefetch
+// through matmul.OuterFill (the Compute span). With Options.Prefetch
 // each worker double-buffers: the next chunk's transfer runs while the
 // current chunk computes. With Options.Chaos the pool runs the resilient
 // path instead: scenario faults are injected on the live goroutines and
@@ -696,19 +696,7 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 }
 
 // fillChunk writes the chunk's rectangle of the outer product from the
-// worker-local copies, tiling the column range like matmul.OuterInto.
+// worker-local copies straight into the output.
 func fillChunk(out *matmul.Matrix, aBuf, bBuf []float64, c Chunk) {
-	bs := matmul.AutotuneTile()
-	n := out.Cols
-	for jj := 0; jj < len(bBuf); jj += bs {
-		jMax := min(jj+bs, len(bBuf))
-		bTile := bBuf[jj:jMax]
-		for i, av := range aBuf {
-			base := (c.RowLo+i)*n + c.ColLo
-			row := out.Data[base+jj : base+jMax]
-			for j, bv := range bTile {
-				row[j] = av * bv
-			}
-		}
-	}
+	matmul.OuterFill(out.Data[c.RowLo*out.Cols+c.ColLo:], out.Cols, aBuf, bBuf)
 }

@@ -91,6 +91,49 @@ func TestRunStrategiesEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFillPathsAgreeRagged runs every writer of the outer product over the
+// same ragged rectangles — the het plan at n = 97, a multiple of nothing —
+// and requires each to == a[i]·b[j] cell for cell: the reference
+// (VectorOuter), the in-place rectangle fill (OuterInto), the service's
+// scratch fill and commit (FillRect, CommitRect), Run's fast path and
+// Run's lease engine. All of them execute the one matmul.OuterFill loop.
+func TestFillPathsAgreeRagged(t *testing.T) {
+	pl := snappedPlatform(t)
+	const n = 97
+	r := stats.NewRNG(97)
+	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
+	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
+	plan, err := PlanHet(pl, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	into, rect := matmul.New(n, n), matmul.New(n, n)
+	for _, c := range plan.Chunks {
+		matmul.OuterInto(into, a, b, c.RowLo, c.RowHi, c.ColLo, c.ColHi)
+		scratch := make([]float64, c.Cells())
+		FillRect(scratch, a[c.RowLo:c.RowHi], b[c.ColLo:c.ColHi])
+		CommitRect(rect, scratch, c)
+	}
+	got := map[string]*matmul.Matrix{"VectorOuter": matmul.VectorOuter(a, b), "OuterInto": into, "FillRect": rect}
+	for name, chaos := range map[string]Chaos{"Run": {}, "Run/lease": {SpeculateAfter: 30}} {
+		rep, err := Run(plan, a, b, Options{Speeds: pl.Speeds(), WorkPerSecond: 1e12, Chaos: chaos})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = rep.Out
+	}
+	for name, m := range got {
+		for i, av := range a {
+			for j, bv := range b {
+				if m.At(i, j) != av*bv {
+					t.Fatalf("%s: cell (%d,%d) = %g, want %g", name, i, j, m.At(i, j), av*bv)
+				}
+			}
+		}
+	}
+}
+
 func TestRunHetOwnership(t *testing.T) {
 	pl := snappedPlatform(t)
 	const n = 96

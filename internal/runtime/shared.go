@@ -184,12 +184,12 @@ func (l *SharedLink) Wait(ctx context.Context, end float64) bool {
 	return l.net.Wait(ctx, end)
 }
 
-// FillRect computes the chunk's rectangle of the outer product a̅×b̅ into
-// dst (row-major, width ColHi−ColLo) from the worker-local copies aBuf
-// (the chunk's row interval) and bBuf (its column interval), tiled like
-// the in-pool kernel.
-func FillRect(dst []float64, aBuf, bBuf []float64, c Chunk) {
-	fillChunkInto(dst, aBuf, bBuf, c)
+// FillRect computes a chunk's rectangle of the outer product a̅×b̅ into
+// dst (row-major, width len(bBuf)) from the worker-local copies aBuf (the
+// chunk's row interval) and bBuf (its column interval), through the same
+// matmul.OuterFill the in-pool engines call.
+func FillRect(dst, aBuf, bBuf []float64) {
+	matmul.OuterFill(dst, len(bBuf), aBuf, bBuf)
 }
 
 // CommitRect copies a finished rectangle into the output matrix. Callers

@@ -176,7 +176,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			bufs.scratch = make([]float64, c.Cells())
 		}
 		bufs.scratch = bufs.scratch[:c.Cells()]
-		nrt.FillRect(bufs.scratch, bufs.a, bufs.b, c)
+		nrt.FillRect(bufs.scratch, bufs.a, bufs.b)
 	}
 	t1 := f.now()
 	if !finished || t1-j.startAt >= crashAt {

@@ -21,15 +21,6 @@ import (
 // flops is the classical matmul operation count for an n×n product.
 func flops(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }
 
-// warmTile forces the one-time tile autotuning probe so it is not
-// charged to the first timed iteration.
-func warmTile(b *testing.B) {
-	b.Helper()
-	if matmul.AutotuneTile() <= 0 {
-		b.Fatal("autotune returned a non-positive tile")
-	}
-}
-
 func BenchmarkPerfKernelNaive(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -51,7 +42,6 @@ func BenchmarkPerfKernelTiled(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			a := matmul.Random(n, n, 1)
 			c := matmul.Random(n, n, 2)
-			warmTile(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := matmul.Tiled(a, c); err != nil {
@@ -69,7 +59,6 @@ func BenchmarkPerfKernelParallelTiled(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			a := matmul.Random(n, n, 1)
 			c := matmul.Random(n, n, 2)
-			warmTile(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := matmul.ParallelTiled(a, c, workers); err != nil {
@@ -158,7 +147,6 @@ func BenchmarkPerfRuntimeBandwidth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warmTile(b)
 	r := stats.NewRNG(42)
 	av := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 	bv := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
