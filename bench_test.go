@@ -238,16 +238,9 @@ func BenchmarkKernelMatMul(b *testing.B) {
 			}
 		}
 	})
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := matmul.Blocked(a, m, 32); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matmul.Parallel(a, m, 4); err != nil {
+			if _, err := matmul.ParallelTiled(a, m, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

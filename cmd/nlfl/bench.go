@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime/pprof"
 
 	"nlfl/internal/bench"
@@ -18,58 +19,52 @@ func benchContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt)
 }
 
-// runBench drives the measured-performance harness: tiled kernels, the
-// demand-driven worker-pool runtime across platforms and strategies, the
-// bandwidth-modeled link sweep, the chaos sweep (one injected fault
-// scenario per class, survived with a clean exactly-once ledger), and
-// the multi-tenant fleet-service sweep (Poisson arrivals per policy and
-// load, with a chaos-isolation entry), the network-topology sweep, the
-// capacity-model validation sweep, and the closed-loop iterative sweep
-// (three planning policies on a drifting fleet plus one adaptive run per
-// fault class) — every measured volume cross-checked against the paper's
-// closed forms and every trace audited by the invariant oracle —
-// emitting the eight BENCH_*.json artifacts (see docs/PERFORMANCE.md).
-// Ctrl-C stops the run at the next sweep boundary without writing
-// partial artifacts.
+// runBench drives the measured-performance harness: one sweep per entry
+// of the bench.Artifacts registry (tiled kernels, the worker-pool runtime,
+// the bandwidth-modeled link, chaos, the fleet service, network topology,
+// the capacity model and the closed-loop iterative controller), every
+// measured volume cross-checked against the paper's closed forms and every
+// trace audited by the invariant oracle, emitting one BENCH_<name>.json
+// per artifact (see docs/PERFORMANCE.md). -only narrows the run (or the
+// -validate check) to one artifact. Ctrl-C stops the run at the next sweep
+// boundary without writing partial artifacts.
 func runBench(args []string) error {
 	fs := newFlagSet("bench")
 	seed := fs.Int64("seed", 42, "random seed (identical seeds reproduce identical geometry and volumes)")
 	out := fs.String("out", ".", "directory for the BENCH_*.json artifacts")
 	quick := fs.Bool("quick", false, "reduced CI configuration: smaller sizes, fewer platforms")
 	rate := fs.Float64("rate", 0, "token-bucket rate scale in cells/second for a speed-1 worker (0 = default 2e6)")
-	chaosOnly := fs.Bool("chaos", false, "run (or with -validate, check) only the chaos sweep")
-	serviceOnly := fs.Bool("service", false, "run (or with -validate, check) only the fleet-service sweep")
-	topologyOnly := fs.Bool("topology", false, "run (or with -validate, check) only the network-topology sweep")
-	capacityOnly := fs.Bool("capacity", false, "run (or with -validate, check) only the capacity-model validation sweep")
-	iterativeOnly := fs.Bool("iterative", false, "run (or with -validate, check) only the closed-loop iterative sweep")
+	only := fs.String("only", "", "run (or with -validate, check) only this artifact: one of "+bench.Names())
 	validate := fs.Bool("validate", false, "validate existing BENCH_*.json in -out instead of running")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweeps to this file (inspect with `go tool pprof`)")
 	compare := fs.String("compare", "", "compare a baseline BENCH_kernels.json against a new one (positional arg; defaults to -out's) and print a benchstat-style table instead of running")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	only := 0
-	for _, f := range []bool{*chaosOnly, *serviceOnly, *topologyOnly, *capacityOnly, *iterativeOnly} {
-		if f {
-			only++
-		}
-	}
-	if only > 1 {
-		return fmt.Errorf("bench: -chaos, -service, -topology, -capacity and -iterative are mutually exclusive")
-	}
-	paths := bench.Paths(*out)
-	if *compare != "" {
-		// `nlfl bench -compare old.json [new.json]`: before/after kernel
-		// table, the manual counterpart of the CI comparison step.
-		before, err := results.LoadBenchKernels(*compare)
+	arts := bench.Artifacts
+	if *only != "" {
+		a, err := bench.Lookup(*only)
 		if err != nil {
 			return err
 		}
-		newPath := paths.Kernels
+		arts = []bench.Artifact{a}
+	}
+	if *compare != "" {
+		// `nlfl bench -compare old.json [new.json]`: before/after kernel
+		// table, the manual counterpart of the CI comparison step.
+		before, err := results.LoadJSON[results.KernelBenchFile](*compare)
+		if err != nil {
+			return err
+		}
+		kernels, err := bench.Lookup("kernels")
+		if err != nil {
+			return err
+		}
+		newPath := filepath.Join(*out, kernels.File())
 		if fs.NArg() > 0 {
 			newPath = fs.Arg(0)
 		}
-		after, err := results.LoadBenchKernels(newPath)
+		after, err := results.LoadJSON[results.KernelBenchFile](newPath)
 		if err != nil {
 			return err
 		}
@@ -78,65 +73,12 @@ func runBench(args []string) error {
 		return nil
 	}
 	if *validate {
-		if *chaosOnly {
-			cf, err := results.LoadBenchChaos(paths.Chaos)
-			if err != nil {
-				return err
-			}
-			if err := bench.ValidateChaos(cf); err != nil {
-				return err
-			}
-			fmt.Println("BENCH_chaos.json: schema ok, ledger exact, recovery counters nonzero, zero violations")
-			return nil
-		}
-		if *serviceOnly {
-			sf, err := results.LoadBenchService(paths.Service)
-			if err != nil {
-				return err
-			}
-			if err := bench.ValidateService(sf); err != nil {
-				return err
-			}
-			fmt.Println("BENCH_service.json: schema ok, policy gate holds, chaos isolation exact, zero violations")
-			return nil
-		}
-		if *topologyOnly {
-			tf, err := results.LoadBenchTopology(paths.Topology)
-			if err != nil {
-				return err
-			}
-			if err := bench.ValidateTopology(tf); err != nil {
-				return err
-			}
-			fmt.Println("BENCH_topology.json: schema ok, crossover shift holds (star yes, chain no), edge ledgers exact, zero violations")
-			return nil
-		}
-		if *capacityOnly {
-			capf, err := results.LoadBenchCapacity(paths.Capacity)
-			if err != nil {
-				return err
-			}
-			if err := bench.ValidateCapacity(capf); err != nil {
-				return err
-			}
-			fmt.Println("BENCH_capacity.json: schema ok, predictions within tolerance on both runtimes, knee interior")
-			return nil
-		}
-		if *iterativeOnly {
-			itf, err := results.LoadBenchIterative(paths.Iterative)
-			if err != nil {
-				return err
-			}
-			if err := bench.ValidateIterative(itf); err != nil {
-				return err
-			}
-			fmt.Println("BENCH_iterative.json: schema ok, residuals deterministic across policies, adaptive beats static and tracks the oracle, zero violations")
-			return nil
-		}
-		if err := bench.ValidateFiles(*out); err != nil {
+		if err := bench.ValidateFiles(*out, arts...); err != nil {
 			return err
 		}
-		fmt.Println("BENCH_kernels.json, BENCH_runtime.json, BENCH_link.json, BENCH_chaos.json, BENCH_service.json, BENCH_topology.json, BENCH_capacity.json, BENCH_iterative.json: schema ok, volumes within tolerance, zero violations")
+		for _, a := range arts {
+			fmt.Printf("%s: schema ok, %s\n", a.File(), a.Gates)
+		}
 		return nil
 	}
 
@@ -154,151 +96,77 @@ func runBench(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 	cfg := bench.Config{Seed: *seed, Quick: *quick, WorkPerSecond: *rate}
-	if *chaosOnly {
-		cf, err := bench.RunChaosSweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.ValidateChaos(cf); err != nil {
-			return err
-		}
-		if err := results.SaveBenchChaos(paths.Chaos, cf); err != nil {
-			return err
-		}
-		printChaos(cf)
-		fmt.Printf("\nwrote %s (every scenario survived, ledger exact, zero trace violations)\n", paths.Chaos)
-		return nil
-	}
-	if *serviceOnly {
-		sf, err := bench.RunServiceSweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.ValidateService(sf); err != nil {
-			return err
-		}
-		if err := results.SaveBenchService(paths.Service, sf); err != nil {
-			return err
-		}
-		printService(sf)
-		fmt.Printf("\nwrote %s (policy gate holds, chaos isolation exact, zero trace violations)\n", paths.Service)
-		return nil
-	}
-	if *topologyOnly {
-		tf, err := bench.RunTopologySweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.ValidateTopology(tf); err != nil {
-			return err
-		}
-		if err := results.SaveBenchTopology(paths.Topology, tf); err != nil {
-			return err
-		}
-		printTopology(tf)
-		fmt.Printf("\nwrote %s (crossover shift holds, edge ledgers exact, zero trace violations)\n", paths.Topology)
-		return nil
-	}
-	if *capacityOnly {
-		capf, err := bench.RunCapacitySweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.ValidateCapacity(capf); err != nil {
-			return err
-		}
-		if err := results.SaveBenchCapacity(paths.Capacity, capf); err != nil {
-			return err
-		}
-		printCapacity(capf)
-		fmt.Printf("\nwrote %s (predictions within tolerance on both runtimes, knee interior)\n", paths.Capacity)
-		return nil
-	}
-	if *iterativeOnly {
-		itf, err := bench.RunIterativeSweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if err := bench.ValidateIterative(itf); err != nil {
-			return err
-		}
-		if err := results.SaveBenchIterative(paths.Iterative, itf); err != nil {
-			return err
-		}
-		printIterative(itf)
-		fmt.Printf("\nwrote %s (adaptive beats static, tracks the oracle, residuals deterministic, zero violations)\n", paths.Iterative)
-		return nil
-	}
-
-	if _, err := bench.Run(ctx, cfg, *out); err != nil {
-		return err
-	}
-
-	kf, err := results.LoadBenchKernels(paths.Kernels)
+	files, err := bench.Run(ctx, cfg, *out, arts...)
 	if err != nil {
 		return err
 	}
+	for i, f := range files {
+		if i > 0 {
+			fmt.Println()
+		}
+		printArtifact(f)
+	}
+	fmt.Println()
+	for _, a := range arts {
+		fmt.Printf("wrote %s (%s)\n", filepath.Join(*out, a.File()), a.Gates)
+	}
+	return nil
+}
+
+// printArtifact renders one sweep's payload as its table.
+func printArtifact(f any) {
+	switch f := f.(type) {
+	case results.KernelBenchFile:
+		printKernels(f)
+	case results.RuntimeBenchFile:
+		printRuntime(f)
+	case results.LinkBenchFile:
+		printLink(f)
+	case results.ChaosBenchFile:
+		printChaos(f)
+	case results.ServiceBenchFile:
+		printService(f)
+	case results.TopologyBenchFile:
+		printTopology(f)
+	case results.CapacityBenchFile:
+		printCapacity(f)
+	case results.IterativeBenchFile:
+		printIterative(f)
+	}
+}
+
+// printKernels renders the kernel sweep: per (kernel, n, workers), the
+// best-of timing and the implied throughput.
+func printKernels(kf results.KernelBenchFile) {
 	fmt.Printf("kernels (GOMAXPROCS %d):\n", kf.GOMAXPROCS)
-	fmt.Printf("  %-16s %6s %5s %4s %12s %10s\n", "kernel", "n", "tile", "wkrs", "seconds", "GFLOPS")
+	fmt.Printf("  %-16s %6s %4s %12s %10s\n", "kernel", "n", "wkrs", "seconds", "GFLOPS")
 	for _, e := range kf.Entries {
-		fmt.Printf("  %-16s %6d %5d %4d %12.6f %10.3f\n", e.Kernel, e.N, e.Tile, e.Workers, e.Seconds, e.GFLOPS)
+		fmt.Printf("  %-16s %6d %4d %12.6f %10.3f\n", e.Kernel, e.N, e.Workers, e.Seconds, e.GFLOPS)
 	}
+}
 
-	rf, err := results.LoadBenchRuntime(paths.Runtime)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nruntime (rate %.3g cells/s per unit speed):\n", rf.WorkPerSecond)
+// printRuntime renders the runtime sweep: per (platform, strategy), the
+// measured volume next to its closed form and the realized throughput.
+func printRuntime(rf results.RuntimeBenchFile) {
+	fmt.Printf("runtime (rate %.3g cells/s per unit speed):\n", rf.WorkPerSecond)
 	fmt.Printf("  %-12s %-6s %6s %5s %7s %12s %12s %8s %10s\n",
 		"platform", "strat", "n", "grid", "chunks", "measured", "predicted", "relerr", "cells/s")
 	for _, e := range rf.Entries {
 		fmt.Printf("  %-12s %-6s %6d %5d %7d %12.1f %12.1f %8.5f %10.4g\n",
 			e.Platform, e.Strategy, e.N, e.Grid, e.Chunks, e.MeasuredVolume, e.PredictedVolume, e.RelError, e.CellsPerSec)
 	}
-	lf, err := results.LoadBenchLink(paths.Link)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nlink sweep (one-port master link, double-buffered prefetch):\n")
+}
+
+// printLink renders the link sweep: per (platform, strategy, bandwidth),
+// the shipped volume, the makespan and the comm time hidden by prefetch.
+func printLink(lf results.LinkBenchFile) {
+	fmt.Printf("link sweep (one-port master link, double-buffered prefetch):\n")
 	fmt.Printf("  %-12s %-6s %10s %10s %10s %10s %8s\n",
 		"platform", "strat", "bw", "volume", "makespan", "commTime", "overlap")
 	for _, e := range lf.Entries {
 		fmt.Printf("  %-12s %-6s %10.3g %10.1f %10.4f %10.4f %8.3f\n",
 			e.Platform, e.Strategy, e.Bandwidth, e.MeasuredVolume, e.Makespan, e.CommTime, e.OverlapFraction)
 	}
-	cf, err := results.LoadBenchChaos(paths.Chaos)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	printChaos(cf)
-	sf, err := results.LoadBenchService(paths.Service)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	printService(sf)
-	tf, err := results.LoadBenchTopology(paths.Topology)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	printTopology(tf)
-	capf, err := results.LoadBenchCapacity(paths.Capacity)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	printCapacity(capf)
-	itf, err := results.LoadBenchIterative(paths.Iterative)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	printIterative(itf)
-	fmt.Printf("\nwrote %s, %s, %s, %s, %s, %s, %s and %s (all volumes within tolerance, zero trace violations)\n",
-		paths.Kernels, paths.Runtime, paths.Link, paths.Chaos, paths.Service, paths.Topology, paths.Capacity, paths.Iterative)
-	return nil
 }
 
 // printChaos renders the chaos sweep: per scenario, the degraded plan's

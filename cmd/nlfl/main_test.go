@@ -151,7 +151,7 @@ func TestCLIBench(t *testing.T) {
 
 // TestCLIBenchChaos drives the chaos-only mode: the sweep must survive
 // every fault class (the crash-at-t=0 edge case included), emit a
-// BENCH_chaos.json that round-trips through -chaos -validate, and keep
+// BENCH_chaos.json that round-trips through -only chaos -validate, and keep
 // its volume ledger deterministic across reruns (wall-clock fields and
 // retry counts are free to differ — see EXPERIMENTS.md).
 func TestCLIBenchChaos(t *testing.T) {
@@ -159,17 +159,17 @@ func TestCLIBenchChaos(t *testing.T) {
 	var files [2]results.ChaosBenchFile
 	for i, dir := range dirs {
 		out, err := capture(t, func() error {
-			return run([]string{"bench", "-chaos", "-quick", "-seed", "42", "-out", dir})
+			return run([]string{"bench", "-only", "chaos", "-quick", "-seed", "42", "-out", dir})
 		})
 		if err != nil {
-			t.Fatalf("bench -chaos: %v\n%s", err, out)
+			t.Fatalf("bench -only chaos: %v\n%s", err, out)
 		}
 		for _, want := range []string{"chaos sweep", "crash-t0", "straggler", "flaky-link", "replanned", "wrote"} {
 			if !strings.Contains(out, want) {
-				t.Errorf("bench -chaos output missing %q:\n%s", want, truncate(out, 1200))
+				t.Errorf("bench -only chaos output missing %q:\n%s", want, truncate(out, 1200))
 			}
 		}
-		files[i], err = results.LoadBenchChaos(dir + "/BENCH_chaos.json")
+		files[i], err = results.LoadJSON[results.ChaosBenchFile](dir + "/BENCH_chaos.json")
 		if err != nil {
 			t.Fatalf("emitted chaos artifact unreadable: %v", err)
 		}
@@ -186,24 +186,24 @@ func TestCLIBenchChaos(t *testing.T) {
 	}
 
 	out, err := capture(t, func() error {
-		return run([]string{"bench", "-chaos", "-validate", "-out", dirs[0]})
+		return run([]string{"bench", "-only", "chaos", "-validate", "-out", dirs[0]})
 	})
 	if err != nil {
-		t.Fatalf("bench -chaos -validate on freshly emitted artifact: %v", err)
+		t.Fatalf("bench -only chaos -validate on freshly emitted artifact: %v", err)
 	}
 	if !strings.Contains(out, "BENCH_chaos.json: schema ok") {
 		t.Errorf("chaos validate output missing confirmation:\n%s", truncate(out, 800))
 	}
 	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-chaos", "-validate", "-out", t.TempDir()})
+		return run([]string{"bench", "-only", "chaos", "-validate", "-out", t.TempDir()})
 	}); err == nil {
-		t.Error("bench -chaos -validate on an empty directory should fail")
+		t.Error("bench -only chaos -validate on an empty directory should fail")
 	}
 }
 
 // TestCLIBenchTopology drives the topology-only mode: the sweep must
 // hold the crossover-shift gate (star yes, chain no), emit a
-// BENCH_topology.json that round-trips through -topology -validate, and
+// BENCH_topology.json that round-trips through -only topology -validate, and
 // keep its volume geometry deterministic across reruns (makespans are
 // free to differ — see EXPERIMENTS.md).
 func TestCLIBenchTopology(t *testing.T) {
@@ -211,18 +211,18 @@ func TestCLIBenchTopology(t *testing.T) {
 	var files [2]results.TopologyBenchFile
 	for i, dir := range dirs {
 		out, err := capture(t, func() error {
-			return run([]string{"bench", "-topology", "-quick", "-seed", "42", "-out", dir})
+			return run([]string{"bench", "-only", "topology", "-quick", "-seed", "42", "-out", dir})
 		})
 		if err != nil {
-			t.Fatalf("bench -topology: %v\n%s", err, out)
+			t.Fatalf("bench -only topology: %v\n%s", err, out)
 		}
 		for _, want := range []string{"topology sweep", "star", "chain", "two-source",
 			"crossover star", "crossover chain", "none (het never wins", "wrote"} {
 			if !strings.Contains(out, want) {
-				t.Errorf("bench -topology output missing %q:\n%s", want, truncate(out, 1200))
+				t.Errorf("bench -only topology output missing %q:\n%s", want, truncate(out, 1200))
 			}
 		}
-		files[i], err = results.LoadBenchTopology(dir + "/BENCH_topology.json")
+		files[i], err = results.LoadJSON[results.TopologyBenchFile](dir + "/BENCH_topology.json")
 		if err != nil {
 			t.Fatalf("emitted topology artifact unreadable: %v", err)
 		}
@@ -244,28 +244,25 @@ func TestCLIBenchTopology(t *testing.T) {
 	}
 
 	out, err := capture(t, func() error {
-		return run([]string{"bench", "-topology", "-validate", "-out", dirs[0]})
+		return run([]string{"bench", "-only", "topology", "-validate", "-out", dirs[0]})
 	})
 	if err != nil {
-		t.Fatalf("bench -topology -validate on freshly emitted artifact: %v", err)
+		t.Fatalf("bench -only topology -validate on freshly emitted artifact: %v", err)
 	}
 	if !strings.Contains(out, "BENCH_topology.json: schema ok") {
 		t.Errorf("topology validate output missing confirmation:\n%s", truncate(out, 800))
 	}
 	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-topology", "-validate", "-out", t.TempDir()})
+		return run([]string{"bench", "-only", "topology", "-validate", "-out", t.TempDir()})
 	}); err == nil {
-		t.Error("bench -topology -validate on an empty directory should fail")
+		t.Error("bench -only topology -validate on an empty directory should fail")
 	}
 }
 
 func TestCLIErrors(t *testing.T) {
 	cases := [][]string{
 		{"nope"},
-		{"bench", "-chaos", "-topology"},
-		{"bench", "-service", "-topology"},
-		{"bench", "-capacity", "-chaos"},
-		{"bench", "-iterative", "-capacity"},
+		{"bench", "-only", "bogus"},
 		{"iterate", "-mode", "bogus"},
 		{"iterate", "-n", "0"},
 		{"iterate", "-tie", "2"},
@@ -523,7 +520,7 @@ func TestCLIIterateGolden(t *testing.T) {
 
 // TestCLIBenchIterative drives the iterative-only mode: the sweep must
 // pass its own acceptance gate, emit a BENCH_iterative.json that
-// round-trips through -iterative -validate, and keep the residual
+// round-trips through -only iterative -validate, and keep the residual
 // trajectory deterministic across reruns (makespans are free to differ —
 // see EXPERIMENTS.md).
 func TestCLIBenchIterative(t *testing.T) {
@@ -531,18 +528,18 @@ func TestCLIBenchIterative(t *testing.T) {
 	var files [2]results.IterativeBenchFile
 	for i, dir := range dirs {
 		out, err := capture(t, func() error {
-			return run([]string{"bench", "-iterative", "-quick", "-seed", "42", "-out", dir})
+			return run([]string{"bench", "-only", "iterative", "-quick", "-seed", "42", "-out", dir})
 		})
 		if err != nil {
-			t.Fatalf("bench -iterative: %v\n%s", err, out)
+			t.Fatalf("bench -only iterative: %v\n%s", err, out)
 		}
 		for _, want := range []string{"iterative sweep", "static", "adaptive", "oracle",
 			"adaptive/oracle", "crash", "straggler", "link-slow", "wrote"} {
 			if !strings.Contains(out, want) {
-				t.Errorf("bench -iterative output missing %q:\n%s", want, truncate(out, 1200))
+				t.Errorf("bench -only iterative output missing %q:\n%s", want, truncate(out, 1200))
 			}
 		}
-		files[i], err = results.LoadBenchIterative(dir + "/BENCH_iterative.json")
+		files[i], err = results.LoadJSON[results.IterativeBenchFile](dir + "/BENCH_iterative.json")
 		if err != nil {
 			t.Fatalf("emitted iterative artifact unreadable: %v", err)
 		}
@@ -564,18 +561,18 @@ func TestCLIBenchIterative(t *testing.T) {
 	}
 
 	out, err := capture(t, func() error {
-		return run([]string{"bench", "-iterative", "-validate", "-out", dirs[0]})
+		return run([]string{"bench", "-only", "iterative", "-validate", "-out", dirs[0]})
 	})
 	if err != nil {
-		t.Fatalf("bench -iterative -validate on freshly emitted artifact: %v", err)
+		t.Fatalf("bench -only iterative -validate on freshly emitted artifact: %v", err)
 	}
 	if !strings.Contains(out, "BENCH_iterative.json: schema ok") {
 		t.Errorf("iterative validate output missing confirmation:\n%s", truncate(out, 800))
 	}
 	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-iterative", "-validate", "-out", t.TempDir()})
+		return run([]string{"bench", "-only", "iterative", "-validate", "-out", t.TempDir()})
 	}); err == nil {
-		t.Error("bench -iterative -validate on an empty directory should fail")
+		t.Error("bench -only iterative -validate on an empty directory should fail")
 	}
 }
 

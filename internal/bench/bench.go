@@ -3,10 +3,9 @@
 // (internal/runtime) across problem sizes, worker counts and distribution
 // strategies, cross-checks every measured communication volume against
 // the paper's closed forms (Comm_hom = 2N·√(Σsᵢ/s₁) and friends), audits
-// every runtime trace with the invariant oracle, and emits the
-// machine-readable BENCH_kernels.json / BENCH_runtime.json /
-// BENCH_link.json records that seed the repository's performance
-// trajectory.
+// every runtime trace with the invariant oracle, and emits one
+// machine-readable BENCH_<name>.json record per entry of its Artifacts
+// registry, seeding the repository's performance trajectory.
 //
 // Geometry — grids, chunk counts, per-strategy communication volumes — is
 // deterministic given the seed; wall-clock timings are not, which is why
@@ -17,22 +16,13 @@
 package bench
 
 import (
+	"context"
+	"fmt"
 	"path/filepath"
 	"runtime"
-)
+	"strings"
 
-// KernelsFileName, RuntimeFileName, LinkFileName, ChaosFileName,
-// ServiceFileName, TopologyFileName, CapacityFileName and
-// IterativeFileName are the emitted artifact names.
-const (
-	KernelsFileName   = "BENCH_kernels.json"
-	RuntimeFileName   = "BENCH_runtime.json"
-	LinkFileName      = "BENCH_link.json"
-	ChaosFileName     = "BENCH_chaos.json"
-	ServiceFileName   = "BENCH_service.json"
-	TopologyFileName  = "BENCH_topology.json"
-	CapacityFileName  = "BENCH_capacity.json"
-	IterativeFileName = "BENCH_iterative.json"
+	"nlfl/internal/results"
 )
 
 // Config selects the measurement envelope.
@@ -51,33 +41,109 @@ type Config struct {
 // maxProcs reports the measurement environment's parallelism.
 func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
-// ArtifactPaths names every bench artifact under one output directory.
-type ArtifactPaths struct {
-	Kernels   string
-	Runtime   string
-	Link      string
-	Chaos     string
-	Service   string
-	Topology  string
-	Capacity  string
-	Iterative string
+// Artifact is one BENCH_<Name>.json record: the sweep that measures it
+// and the validator that gates it. The payload type stays behind the
+// generic constructor, so the typed sweeps and validators register as
+// they are.
+type Artifact struct {
+	// Name is the registry key (`nlfl bench -only <Name>`) and the stem
+	// of the file name.
+	Name string
+	// Gates states what a file that passes the validator proves.
+	Gates string
+
+	run      func(context.Context, Config) (any, error)
+	validate func(any) error
+	load     func(path string) (any, error)
 }
 
-// List returns the paths in emission order, for callers that iterate.
-func (a ArtifactPaths) List() []string {
-	return []string{a.Kernels, a.Runtime, a.Link, a.Chaos, a.Service, a.Topology, a.Capacity, a.Iterative}
-}
-
-// Paths returns the artifact paths under dir.
-func Paths(dir string) ArtifactPaths {
-	return ArtifactPaths{
-		Kernels:   filepath.Join(dir, KernelsFileName),
-		Runtime:   filepath.Join(dir, RuntimeFileName),
-		Link:      filepath.Join(dir, LinkFileName),
-		Chaos:     filepath.Join(dir, ChaosFileName),
-		Service:   filepath.Join(dir, ServiceFileName),
-		Topology:  filepath.Join(dir, TopologyFileName),
-		Capacity:  filepath.Join(dir, CapacityFileName),
-		Iterative: filepath.Join(dir, IterativeFileName),
+func artifact[T any](name, gates string, run func(context.Context, Config) (T, error), validate func(T) error) Artifact {
+	return Artifact{
+		Name:     name,
+		Gates:    gates,
+		run:      func(ctx context.Context, cfg Config) (any, error) { return run(ctx, cfg) },
+		validate: func(v any) error { return validate(v.(T)) },
+		load:     func(path string) (any, error) { return results.LoadJSON[T](path) },
 	}
+}
+
+// Artifacts is the registry, in emission order.
+var Artifacts = []Artifact{
+	artifact("kernels", "every kernel equal to naive, throughput floors hold", RunKernels, ValidateKernels),
+	artifact("runtime", "volumes within 1% of the closed forms, zero violations", RunRuntime, ValidateRuntime),
+	artifact("link", "het beats hom on the constrained link, zero violations", RunLinkSweep, ValidateLink),
+	artifact("chaos", "ledger exact, recovery counters nonzero, zero violations", RunChaosSweep, ValidateChaos),
+	artifact("service", "policy gate holds, chaos isolation exact, zero violations", RunServiceSweep, ValidateService),
+	artifact("topology", "crossover shift holds (star yes, chain no), edge ledgers exact, zero violations", RunTopologySweep, ValidateTopology),
+	artifact("capacity", "predictions within tolerance on both runtimes, knee interior", RunCapacitySweep, ValidateCapacity),
+	artifact("iterative", "residuals deterministic across policies, adaptive beats static and tracks the oracle, zero violations", RunIterativeSweep, ValidateIterative),
+}
+
+// File is the artifact's file name.
+func (a Artifact) File() string { return "BENCH_" + a.Name + ".json" }
+
+// check runs the validator, naming the file in the error.
+func (a Artifact) check(v any) error {
+	if err := a.validate(v); err != nil {
+		return fmt.Errorf("%s: %w", a.File(), err)
+	}
+	return nil
+}
+
+// Names lists the registered artifact names, comma-separated in order.
+func Names() string {
+	names := make([]string, len(Artifacts))
+	for i, a := range Artifacts {
+		names[i] = a.Name
+	}
+	return strings.Join(names, ", ")
+}
+
+// Lookup returns the registered artifact called name.
+func Lookup(name string) (Artifact, error) {
+	for _, a := range Artifacts {
+		if a.Name == name {
+			return a, nil
+		}
+	}
+	return Artifact{}, fmt.Errorf("bench: unknown artifact %q (one of %s)", name, Names())
+}
+
+// Run executes the given artifacts' sweeps in order and validates every
+// payload; only when all of them pass does it write them into dir. It
+// returns the payloads in the order given. A failed sweep, a failed gate
+// or a cancelled ctx (sweeps stop at their next boundary) writes nothing.
+func Run(ctx context.Context, cfg Config, dir string, arts ...Artifact) ([]any, error) {
+	files := make([]any, len(arts))
+	for i, a := range arts {
+		f, err := a.run(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := a.check(f); err != nil {
+			return nil, err
+		}
+		files[i] = f
+	}
+	for i, a := range arts {
+		if err := results.SaveJSON(filepath.Join(dir, a.File()), files[i]); err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+}
+
+// ValidateFiles loads the given artifacts from dir and validates each —
+// `nlfl bench -validate`, the one judge CI runs.
+func ValidateFiles(dir string, arts ...Artifact) error {
+	for _, a := range arts {
+		f, err := a.load(filepath.Join(dir, a.File()))
+		if err != nil {
+			return err
+		}
+		if err := a.check(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }

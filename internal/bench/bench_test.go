@@ -1,35 +1,76 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nlfl/internal/results"
 	"nlfl/internal/service"
 )
 
+// payload picks the T-typed payload out of Run's result.
+func payload[T any](t *testing.T, files []any) T {
+	t.Helper()
+	for _, f := range files {
+		if v, ok := f.(T); ok {
+			return v
+		}
+	}
+	var zero T
+	t.Fatalf("Run returned no %T payload", zero)
+	return zero
+}
+
 func TestRunQuickEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Seed: 42, Quick: true}
-	paths, err := Run(context.Background(), cfg, dir)
+	files, err := Run(context.Background(), cfg, dir, Artifacts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateFiles(dir); err != nil {
+	if err := ValidateFiles(dir, Artifacts...); err != nil {
 		t.Fatalf("emitted artifacts fail their own schema gate: %v", err)
 	}
-	kf, err := results.LoadBenchKernels(paths.Kernels)
+	// The returned set is the registry's, in order, and each payload is
+	// byte for byte the file written for it — nothing else lands in dir.
+	if len(files) != len(Artifacts) {
+		t.Fatalf("Run returned %d payloads for %d artifacts", len(files), len(Artifacts))
+	}
+	written, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(written) != len(Artifacts) {
+		t.Errorf("Run wrote %d files for %d artifacts", len(written), len(Artifacts))
+	}
+	for i, a := range Artifacts {
+		got, err := os.ReadFile(filepath.Join(dir, a.File()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(files[i], "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Errorf("%s differs from the payload Run returned for it", a.File())
+		}
+	}
+	kf := payload[results.KernelBenchFile](t, files)
 	if kf.Seed != 42 || !kf.Quick {
 		t.Errorf("kernel file misstamped: seed %d quick %v", kf.Seed, kf.Quick)
 	}
-	rf, err := results.LoadBenchRuntime(paths.Runtime)
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range kf.Entries {
+		if e.Kernel == "blocked" {
+			t.Error("kernel sweep still measures the deleted blocked kernel")
+		}
 	}
+	rf := payload[results.RuntimeBenchFile](t, files)
 	// Quick config: 2 platforms × 3 strategies.
 	if len(rf.Entries) != 6 {
 		t.Fatalf("runtime file has %d entries, want 6", len(rf.Entries))
@@ -40,10 +81,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		}
 	}
 
-	lf, err := results.LoadBenchLink(paths.Link)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf := payload[results.LinkBenchFile](t, files)
 	// Quick config: 1 platform × 2 bandwidths × 3 strategies.
 	if len(lf.Entries) != 6 {
 		t.Fatalf("link file has %d entries, want 6", len(lf.Entries))
@@ -70,10 +108,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		t.Errorf("constrained-bandwidth makespans het=%v hom=%v, want het < hom", het, hom)
 	}
 
-	cf, err := results.LoadBenchChaos(paths.Chaos)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cf := payload[results.ChaosBenchFile](t, files)
 	// Quick config: 1 platform × 4 fault classes.
 	if len(cf.Entries) != 4 {
 		t.Fatalf("chaos file has %d entries, want 4", len(cf.Entries))
@@ -95,10 +130,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		}
 	}
 
-	sf, err := results.LoadBenchService(paths.Service)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := payload[results.ServiceBenchFile](t, files)
 	// Quick config: 3 policies × 2 loads + 1 chaos entry + 1 autoscale entry.
 	if len(sf.Entries) != 8 {
 		t.Fatalf("service file has %d entries, want 8", len(sf.Entries))
@@ -123,10 +155,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		t.Error("no autoscale entry in the quick service sweep")
 	}
 
-	tf, err := results.LoadBenchTopology(paths.Topology)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tf := payload[results.TopologyBenchFile](t, files)
 	// Quick config: 3 topologies × 2 bandwidths × 2 strategies.
 	if len(tf.Entries) != 12 {
 		t.Fatalf("topology file has %d entries, want 12", len(tf.Entries))
@@ -146,10 +175,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		t.Errorf("chain crossover recorded at bw=%v", tf.Crossovers["chain"])
 	}
 
-	capf, err := results.LoadBenchCapacity(paths.Capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
+	capf := payload[results.CapacityBenchFile](t, files)
 	// One entry per slice size of the 8-worker envelope, knee interior.
 	if len(capf.Entries) != len(capf.Speeds) {
 		t.Fatalf("capacity file has %d entries for %d speeds", len(capf.Entries), len(capf.Speeds))
@@ -184,229 +210,306 @@ func TestRuntimeVolumesDeterministic(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsBrokenFiles(t *testing.T) {
-	kf := results.KernelBenchFile{Schema: "wrong"}
-	if err := ValidateKernels(kf); !errors.Is(err, ErrInvalidBench) {
-		t.Errorf("wrong schema accepted: %v", err)
-	}
-	kf.Schema = results.BenchKernelsSchema
-	if err := ValidateKernels(kf); !errors.Is(err, ErrInvalidBench) {
-		t.Errorf("empty entry list accepted: %v", err)
-	}
-
-	good := results.RuntimeBenchEntry{
-		Platform: "p", Strategy: "hom", N: 8, Workers: 1, Chunks: 1,
-		Speeds:         []float64{1},
-		MeasuredVolume: 16, PredictedVolume: 16, RelError: 0,
-		BytesMoved: 128, Makespan: 0.1, CellsPerSec: 640, Utilization: 0.5,
-	}
-	base := results.RuntimeBenchFile{
-		Schema: results.BenchRuntimeSchema, WorkPerSecond: 1e6,
-		Entries: []results.RuntimeBenchEntry{good},
-	}
-	if err := ValidateRuntime(base); err != nil {
+// rejects runs one mutation subtest per broken variant: each mutate gets
+// a fresh well-formed file and the validator must reject what it leaves.
+func rejects[F any](t *testing.T, fresh func() F, validate func(F) error, mutations map[string]func(*F)) {
+	t.Helper()
+	if err := validate(fresh()); err != nil {
 		t.Fatalf("well-formed file rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(*results.RuntimeBenchEntry){
-		"zero-throughput":  func(e *results.RuntimeBenchEntry) { e.CellsPerSec = 0 },
-		"nan-volume":       func(e *results.RuntimeBenchEntry) { e.MeasuredVolume = nan() },
-		"1%-gate":          func(e *results.RuntimeBenchEntry) { e.RelError = 0.02 },
-		"violations":       func(e *results.RuntimeBenchEntry) { e.Violations = 3 },
-		"zero-volume":      func(e *results.RuntimeBenchEntry) { e.MeasuredVolume = 0 },
-		"missing-identity": func(e *results.RuntimeBenchEntry) { e.Strategy = "" },
-	} {
-		f := base
-		e := good
-		mutate(&e)
-		f.Entries = []results.RuntimeBenchEntry{e}
-		if err := ValidateRuntime(f); !errors.Is(err, ErrInvalidBench) {
-			t.Errorf("%s: broken entry accepted: %v", name, err)
-		}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			f := fresh()
+			mutate(&f)
+			if err := validate(f); !errors.Is(err, ErrInvalidBench) {
+				t.Errorf("broken file accepted: %v", err)
+			}
+		})
 	}
+}
 
-	goodLink := func(strategy string, makespan float64) results.LinkBenchEntry {
-		return results.LinkBenchEntry{
-			Platform: "p", Speeds: []float64{1, 3}, Strategy: strategy, N: 8,
-			Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
-			Makespan: makespan, CommTime: makespan / 2, OverlapFraction: 0.4,
-			LinkUtilization: []float64{0.5, 0.5},
-		}
-	}
-	linkBase := results.LinkBenchFile{
-		Schema: results.BenchLinkSchema, WorkPerSecond: 1e6,
-		Entries: []results.LinkBenchEntry{goodLink("hom", 0.2), goodLink("het", 0.1)},
-	}
-	if err := ValidateLink(linkBase); err != nil {
-		t.Fatalf("well-formed link file rejected: %v", err)
-	}
-	for name, mutate := range map[string]func(*results.LinkBenchFile){
-		"wrong-schema":    func(f *results.LinkBenchFile) { f.Schema = "wrong" },
-		"no-entries":      func(f *results.LinkBenchFile) { f.Entries = nil },
-		"zero-bandwidth":  func(f *results.LinkBenchFile) { f.Entries[0].Bandwidth = 0 },
-		"overlap-above-1": func(f *results.LinkBenchFile) { f.Entries[0].OverlapFraction = 1.5 },
-		"util-above-1":    func(f *results.LinkBenchFile) { f.Entries[0].LinkUtilization[0] = 2 },
-		"violations":      func(f *results.LinkBenchFile) { f.Entries[0].Violations = 1 },
-		"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[1].Makespan = 0.3 },
-	} {
-		f := linkBase
-		f.Entries = []results.LinkBenchEntry{goodLink("hom", 0.2), goodLink("het", 0.1)}
-		mutate(&f)
-		if err := ValidateLink(f); !errors.Is(err, ErrInvalidBench) {
-			t.Errorf("link %s: broken file accepted: %v", name, err)
-		}
-	}
+func TestValidateRejectsBrokenFiles(t *testing.T) {
+	t.Run("kernels", func(t *testing.T) {
+		rejects(t, func() results.KernelBenchFile {
+			return kernelFile(
+				kernelEntry("naive", 128, 0, 3.0),
+				kernelEntry("tiled", 128, 0, 18.0),
+				kernelEntry("parallel-tiled", 128, 2, 18.0),
+				kernelEntry("naive", 1024, 0, 2.5),
+				kernelEntry("tiled", 1024, 0, 20.0),
+				kernelEntry("parallel-tiled", 1024, 4, 20.0),
+			)
+		}, ValidateKernels, map[string]func(*results.KernelBenchFile){
+			"wrong-schema":   func(f *results.KernelBenchFile) { f.Schema = "wrong" },
+			"no-entries":     func(f *results.KernelBenchFile) { f.Entries = nil },
+			"unchecked":      func(f *results.KernelBenchFile) { f.Entries[4].Checked = false },
+			"full-no-n1024":  func(f *results.KernelBenchFile) { f.Entries = f.Entries[:3] },
+			"n1024-no-naive": func(f *results.KernelBenchFile) { f.Entries[3].Kernel = "vector-outer" },
+			"n1024-no-tiled": func(f *results.KernelBenchFile) { f.Entries[4].Kernel = "vector-outer" },
+		})
+	})
 
-	goodChaos := results.ChaosBenchEntry{
-		Class: "crash", Platform: "p", Speeds: []float64{1, 3}, Strategy: "het",
-		N: 8, Workers: 2, Chunks: 2,
-		PlanVolume: 32, ReplannedVolume: 40, CommittedVolume: 40,
-		MeasuredVolume: 48, WastedData: 8, Makespan: 0.1,
-		DegradedWorkers: 1, ReclaimedCells: 16,
-	}
-	chaosBase := results.ChaosBenchFile{
-		Schema: results.BenchChaosSchema, WorkPerSecond: 2e4,
-		Entries: []results.ChaosBenchEntry{goodChaos},
-	}
-	if err := ValidateChaos(chaosBase); err != nil {
-		t.Fatalf("well-formed chaos file rejected: %v", err)
-	}
-	for name, mutate := range map[string]func(*results.ChaosBenchEntry){
-		"wrong-class":     func(e *results.ChaosBenchEntry) { e.Class = "gremlins" },
-		"replan-shrank":   func(e *results.ChaosBenchEntry) { e.ReplannedVolume = 30 },
-		"5%-volume-gate":  func(e *results.ChaosBenchEntry) { e.CommittedVolume = 36 },
-		"leaky-ledger":    func(e *results.ChaosBenchEntry) { e.WastedData = 4 },
-		"waste-thrash":    func(e *results.ChaosBenchEntry) { e.WastedData = 48; e.MeasuredVolume = 88 },
-		"nan-makespan":    func(e *results.ChaosBenchEntry) { e.Makespan = nan() },
-		"zero-makespan":   func(e *results.ChaosBenchEntry) { e.Makespan = 0 },
-		"crash-no-trace":  func(e *results.ChaosBenchEntry) { e.DegradedWorkers = 0 },
-		"no-spec-win":     func(e *results.ChaosBenchEntry) { e.Class = "straggler" },
-		"no-retry":        func(e *results.ChaosBenchEntry) { e.Class = "flaky-link" },
-		"violations":      func(e *results.ChaosBenchEntry) { e.Violations = 2 },
-		"missing-class":   func(e *results.ChaosBenchEntry) { e.Class = "" },
-		"speeds-mismatch": func(e *results.ChaosBenchEntry) { e.Speeds = []float64{1} },
-	} {
-		f := chaosBase
-		e := goodChaos
-		mutate(&e)
-		f.Entries = []results.ChaosBenchEntry{e}
-		if err := ValidateChaos(f); !errors.Is(err, ErrInvalidBench) {
-			t.Errorf("chaos %s: broken entry accepted: %v", name, err)
-		}
-	}
+	t.Run("runtime", func(t *testing.T) {
+		rejects(t, func() results.RuntimeBenchFile {
+			return results.RuntimeBenchFile{
+				Schema: results.BenchRuntimeSchema, WorkPerSecond: 1e6,
+				Entries: []results.RuntimeBenchEntry{{
+					Platform: "p", Strategy: "hom", N: 8, Workers: 1, Chunks: 1,
+					Speeds:         []float64{1},
+					MeasuredVolume: 16, PredictedVolume: 16, RelError: 0,
+					BytesMoved: 128, Makespan: 0.1, CellsPerSec: 640, Utilization: 0.5,
+				}},
+			}
+		}, ValidateRuntime, map[string]func(*results.RuntimeBenchFile){
+			"zero-throughput":  func(f *results.RuntimeBenchFile) { f.Entries[0].CellsPerSec = 0 },
+			"nan-volume":       func(f *results.RuntimeBenchFile) { f.Entries[0].MeasuredVolume = nan() },
+			"1%-gate":          func(f *results.RuntimeBenchFile) { f.Entries[0].RelError = 0.02 },
+			"violations":       func(f *results.RuntimeBenchFile) { f.Entries[0].Violations = 3 },
+			"zero-volume":      func(f *results.RuntimeBenchFile) { f.Entries[0].MeasuredVolume = 0 },
+			"missing-identity": func(f *results.RuntimeBenchFile) { f.Entries[0].Strategy = "" },
+		})
+	})
 
-	goodService := func(policy string, chaos bool, p99 float64) results.ServiceBenchEntry {
-		e := results.ServiceBenchEntry{
-			Policy: policy, LoadFactor: 0.9, LambdaJobsPerSec: 50, Chaos: chaos,
-			Jobs: 10, Admitted: 10, Completed: 10,
-			Makespan: 1, ThroughputJobsPerSec: 10,
-			LatencyP50: p99 / 2, LatencyP99: p99, LatencyMean: p99 / 2, LatencyMax: p99,
-			MaxSliceWorkers: 2, MeanSliceWorkers: 2, MeanShippedPerJob: 40,
-			Tenants: []results.ServiceTenantStat{
-				{Tenant: "tenant-a", Submitted: 10, Admitted: 10, Completed: 10, PlanVolume: 100, CommittedVolume: 100},
+	t.Run("link", func(t *testing.T) {
+		goodLink := func(strategy string, makespan float64) results.LinkBenchEntry {
+			return results.LinkBenchEntry{
+				Platform: "p", Speeds: []float64{1, 3}, Strategy: strategy, N: 8,
+				Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
+				Makespan: makespan, CommTime: makespan / 2, OverlapFraction: 0.4,
+				LinkUtilization: []float64{0.5, 0.5},
+			}
+		}
+		rejects(t, func() results.LinkBenchFile {
+			return results.LinkBenchFile{
+				Schema: results.BenchLinkSchema, WorkPerSecond: 1e6,
+				Entries: []results.LinkBenchEntry{goodLink("hom", 0.2), goodLink("het", 0.1)},
+			}
+		}, ValidateLink, map[string]func(*results.LinkBenchFile){
+			"wrong-schema":    func(f *results.LinkBenchFile) { f.Schema = "wrong" },
+			"no-entries":      func(f *results.LinkBenchFile) { f.Entries = nil },
+			"zero-bandwidth":  func(f *results.LinkBenchFile) { f.Entries[0].Bandwidth = 0 },
+			"overlap-above-1": func(f *results.LinkBenchFile) { f.Entries[0].OverlapFraction = 1.5 },
+			"util-above-1":    func(f *results.LinkBenchFile) { f.Entries[0].LinkUtilization[0] = 2 },
+			"violations":      func(f *results.LinkBenchFile) { f.Entries[0].Violations = 1 },
+			"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[1].Makespan = 0.3 },
+			"no-het-hom-pair": func(f *results.LinkBenchFile) { f.Entries[1].Strategy = "hom/k" },
+		})
+	})
+
+	t.Run("chaos", func(t *testing.T) {
+		// One entry per fault class, each with the counter proving it bit;
+		// the mutations break entry 0, the crash scenario.
+		rejects(t, func() results.ChaosBenchFile {
+			f := results.ChaosBenchFile{Schema: results.BenchChaosSchema, WorkPerSecond: 2e4}
+			for _, cc := range chaosCases() {
+				e := results.ChaosBenchEntry{
+					Class: cc.class, Platform: "p", Speeds: []float64{1, 3}, Strategy: cc.strategy,
+					N: 8, Workers: 2, Chunks: 2,
+					PlanVolume: 32, ReplannedVolume: 40, CommittedVolume: 40,
+					MeasuredVolume: 48, WastedData: 8, Makespan: 0.1,
+					DegradedWorkers: 1, ReclaimedCells: 16, SpeculativeWins: 1, RetriedChunks: 1,
+				}
+				f.Entries = append(f.Entries, e)
+			}
+			return f
+		}, ValidateChaos, map[string]func(*results.ChaosBenchFile){
+			"wrong-class":         func(f *results.ChaosBenchFile) { f.Entries[0].Class = "gremlins" },
+			"replan-shrank":       func(f *results.ChaosBenchFile) { f.Entries[0].ReplannedVolume = 30 },
+			"5%-volume-gate":      func(f *results.ChaosBenchFile) { f.Entries[0].CommittedVolume = 36 },
+			"leaky-ledger":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 4 },
+			"waste-thrash":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 48; f.Entries[0].MeasuredVolume = 88 },
+			"nan-makespan":        func(f *results.ChaosBenchFile) { f.Entries[0].Makespan = nan() },
+			"zero-makespan":       func(f *results.ChaosBenchFile) { f.Entries[0].Makespan = 0 },
+			"crash-no-trace":      func(f *results.ChaosBenchFile) { f.Entries[0].DegradedWorkers = 0 },
+			"no-spec-win":         func(f *results.ChaosBenchFile) { f.Entries[2].SpeculativeWins = 0 },
+			"no-retry":            func(f *results.ChaosBenchFile) { f.Entries[3].RetriedChunks = 0 },
+			"violations":          func(f *results.ChaosBenchFile) { f.Entries[0].Violations = 2 },
+			"missing-class":       func(f *results.ChaosBenchFile) { f.Entries[0].Class = "" },
+			"speeds-mismatch":     func(f *results.ChaosBenchFile) { f.Entries[0].Speeds = []float64{1} },
+			"only-crash-entries":  func(f *results.ChaosBenchFile) { f.Entries = f.Entries[:1] },
+			"fault-class-missing": func(f *results.ChaosBenchFile) { f.Entries = f.Entries[:3] },
+		})
+	})
+
+	t.Run("service", func(t *testing.T) {
+		goodService := func(policy string, chaos bool, p99 float64) results.ServiceBenchEntry {
+			e := results.ServiceBenchEntry{
+				Policy: policy, LoadFactor: 0.9, LambdaJobsPerSec: 50, Chaos: chaos,
+				Jobs: 10, Admitted: 10, Completed: 10,
+				Makespan: 1, ThroughputJobsPerSec: 10,
+				LatencyP50: p99 / 2, LatencyP99: p99, LatencyMean: p99 / 2, LatencyMax: p99,
+				MaxSliceWorkers: 2, MeanSliceWorkers: 2, MeanShippedPerJob: 40,
+				Tenants: []results.ServiceTenantStat{
+					{Tenant: "tenant-a", Submitted: 10, Admitted: 10, Completed: 10, PlanVolume: 100, CommittedVolume: 100},
+				},
+			}
+			if chaos {
+				e.Tenants = append(e.Tenants, results.ServiceTenantStat{
+					Tenant: serviceChaosTenant, Submitted: 5, Admitted: 5, Completed: 5,
+					PlanVolume: 50, ReplannedVolume: 10, CommittedVolume: 60, WastedData: 4, ReclaimedCells: 16,
+				})
+			}
+			return e
+		}
+		rejects(t, func() results.ServiceBenchFile {
+			auto := goodService("srpt", false, 0.1)
+			auto.Autoscale = true
+			auto.AutoscaleTheta = 0.05
+			auto.Knees = map[string]int{"8": 1}
+			auto.MaxSliceWorkers, auto.MeanSliceWorkers = 1, 1
+			auto.MeanShippedPerJob = 30
+			return results.ServiceBenchFile{
+				Schema: results.BenchServiceSchema, WorkPerSecond: 3e4, Speeds: []float64{1, 2},
+				Entries: []results.ServiceBenchEntry{
+					goodService("fifo", false, 0.4),
+					goodService("srpt", false, 0.1),
+					goodService("ii", false, 0.2),
+					goodService("srpt", true, 0.1),
+					auto,
+				},
+			}
+		}, ValidateService, map[string]func(*results.ServiceBenchFile){
+			"wrong-schema":   func(f *results.ServiceBenchFile) { f.Schema = "wrong" },
+			"no-entries":     func(f *results.ServiceBenchFile) { f.Entries = nil },
+			"nan-p99":        func(f *results.ServiceBenchFile) { f.Entries[0].LatencyP99 = nan() },
+			"quantile-order": func(f *results.ServiceBenchFile) { f.Entries[0].LatencyP50 = 1 },
+			"admission-math": func(f *results.ServiceBenchFile) { f.Entries[0].Rejected = 3 },
+			"lost-jobs":      func(f *results.ServiceBenchFile) { f.Entries[0].Completed = 9 },
+			"violations":     func(f *results.ServiceBenchFile) { f.Entries[0].Violations = 1 },
+			"srpt-loses":     func(f *results.ServiceBenchFile) { f.Entries[1].LatencyP99 = 0.5 },
+			"ii-loses":       func(f *results.ServiceBenchFile) { f.Entries[2].LatencyP99 = 0.5 },
+			"no-chaos-entry": func(f *results.ServiceBenchFile) { f.Entries = f.Entries[:3] },
+			"chaos-did-not-bite": func(f *results.ServiceBenchFile) {
+				f.Entries[3].Tenants[1].ReclaimedCells = 0
 			},
-		}
-		if chaos {
-			e.Tenants = append(e.Tenants, results.ServiceTenantStat{
-				Tenant: serviceChaosTenant, Submitted: 5, Admitted: 5, Completed: 5,
-				PlanVolume: 50, ReplannedVolume: 10, CommittedVolume: 60, WastedData: 4, ReclaimedCells: 16,
-			})
-		}
-		return e
-	}
-	serviceEntries := func() []results.ServiceBenchEntry {
-		auto := goodService("srpt", false, 0.1)
-		auto.Autoscale = true
-		auto.AutoscaleTheta = 0.05
-		auto.Knees = map[string]int{"8": 1}
-		auto.MaxSliceWorkers, auto.MeanSliceWorkers = 1, 1
-		auto.MeanShippedPerJob = 30
-		return []results.ServiceBenchEntry{
-			goodService("fifo", false, 0.4),
-			goodService("srpt", false, 0.1),
-			goodService("ii", false, 0.2),
-			goodService("srpt", true, 0.1),
-			auto,
-		}
-	}
-	serviceBase := results.ServiceBenchFile{
-		Schema: results.BenchServiceSchema, WorkPerSecond: 3e4, Speeds: []float64{1, 2},
-		Entries: serviceEntries(),
-	}
-	if err := ValidateService(serviceBase); err != nil {
-		t.Fatalf("well-formed service file rejected: %v", err)
-	}
-	for name, mutate := range map[string]func(*results.ServiceBenchFile){
-		"wrong-schema":   func(f *results.ServiceBenchFile) { f.Schema = "wrong" },
-		"no-entries":     func(f *results.ServiceBenchFile) { f.Entries = nil },
-		"nan-p99":        func(f *results.ServiceBenchFile) { f.Entries[0].LatencyP99 = nan() },
-		"quantile-order": func(f *results.ServiceBenchFile) { f.Entries[0].LatencyP50 = 1 },
-		"admission-math": func(f *results.ServiceBenchFile) { f.Entries[0].Rejected = 3 },
-		"lost-jobs":      func(f *results.ServiceBenchFile) { f.Entries[0].Completed = 9 },
-		"violations":     func(f *results.ServiceBenchFile) { f.Entries[0].Violations = 1 },
-		"srpt-loses":     func(f *results.ServiceBenchFile) { f.Entries[1].LatencyP99 = 0.5 },
-		"ii-loses":       func(f *results.ServiceBenchFile) { f.Entries[2].LatencyP99 = 0.5 },
-		"no-chaos-entry": func(f *results.ServiceBenchFile) { f.Entries = f.Entries[:3] },
-		"chaos-did-not-bite": func(f *results.ServiceBenchFile) {
-			f.Entries[3].Tenants[1].ReclaimedCells = 0
-		},
-		"bystander-dirtied": func(f *results.ServiceBenchFile) {
-			f.Entries[3].Tenants[0].WastedData = 8
-		},
-		"bystander-inexact": func(f *results.ServiceBenchFile) {
-			f.Entries[3].Tenants[0].CommittedVolume = 90
-		},
-		"no-autoscale-entry": func(f *results.ServiceBenchFile) { f.Entries = f.Entries[:4] },
-		"zero-slice-stats":   func(f *results.ServiceBenchFile) { f.Entries[0].MaxSliceWorkers = 0 },
-		"slice-over-knee":    func(f *results.ServiceBenchFile) { f.Entries[4].SliceOverKnee = 2 },
-		"knee-out-of-range": func(f *results.ServiceBenchFile) {
-			f.Entries[4].Knees = map[string]int{"8": 3}
-		},
-		"slice-exceeds-knee": func(f *results.ServiceBenchFile) {
-			f.Entries[4].MaxSliceWorkers = 2
-		},
-		"autoscaler-no-dividend": func(f *results.ServiceBenchFile) {
-			f.Entries[4].MeanShippedPerJob = 40
-		},
-	} {
-		f := serviceBase
-		f.Entries = serviceEntries()
-		mutate(&f)
-		if err := ValidateService(f); !errors.Is(err, ErrInvalidBench) {
-			t.Errorf("service %s: broken file accepted: %v", name, err)
-		}
+			"bystander-dirtied": func(f *results.ServiceBenchFile) {
+				f.Entries[3].Tenants[0].WastedData = 8
+			},
+			"bystander-inexact": func(f *results.ServiceBenchFile) {
+				f.Entries[3].Tenants[0].CommittedVolume = 90
+			},
+			// Off by less than any float tolerance: a bystander's ledger
+			// is exact or broken.
+			"bystander-off-by-epsilon": func(f *results.ServiceBenchFile) {
+				f.Entries[3].Tenants[0].CommittedVolume = 100.00001
+			},
+			"no-autoscale-entry": func(f *results.ServiceBenchFile) { f.Entries = f.Entries[:4] },
+			"zero-slice-stats":   func(f *results.ServiceBenchFile) { f.Entries[0].MaxSliceWorkers = 0 },
+			"slice-over-knee":    func(f *results.ServiceBenchFile) { f.Entries[4].SliceOverKnee = 2 },
+			"knee-out-of-range": func(f *results.ServiceBenchFile) {
+				f.Entries[4].Knees = map[string]int{"8": 3}
+			},
+			"slice-exceeds-knee": func(f *results.ServiceBenchFile) {
+				f.Entries[4].MaxSliceWorkers = 2
+			},
+			"autoscaler-no-dividend": func(f *results.ServiceBenchFile) {
+				f.Entries[4].MeanShippedPerJob = 40
+			},
+		})
+	})
+
+	t.Run("capacity", func(t *testing.T) {
+		// Three workers, knee 1: the second worker's 2% gain is below θ.
+		rejects(t, func() results.CapacityBenchFile {
+			entry := func(p int, speedup, gain float64) results.CapacityBenchEntry {
+				return results.CapacityBenchEntry{
+					Workers: p, PredictedVolume: 10, PredictedMakespan: 1 / speedup,
+					SimMakespan: 1 / speedup, MeasuredMakespan: 1 / speedup,
+					Speedup: speedup, MarginalGain: gain,
+				}
+			}
+			return results.CapacityBenchFile{
+				Schema: results.BenchCapacitySchema, Alpha: 2, N: 16, Speeds: []float64{2, 1, 1},
+				WorkPerSecond: 1e4, Bandwidth: 1e4, Theta: 0.05,
+				SimTolerance: 0.05, MeasuredTolerance: 0.25, Reps: 1,
+				Knee: 1, Best: 3, SpeedupBound: 1.5,
+				Entries: []results.CapacityBenchEntry{entry(1, 1, 0), entry(2, 1.02, 0.02), entry(3, 1.03, 0.0098)},
+			}
+		}, ValidateCapacity, map[string]func(*results.CapacityBenchFile){
+			"wrong-schema":      func(f *results.CapacityBenchFile) { f.Schema = "wrong" },
+			"missing-slice":     func(f *results.CapacityBenchFile) { f.Entries = f.Entries[:2] },
+			"knee-not-interior": func(f *results.CapacityBenchFile) { f.Knee = 3 },
+			"sim-off-model":     func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = 0.2 },
+			// Speedups flattened to 1 keep every other gate satisfied.
+			"speedup-bound-1": func(f *results.CapacityBenchFile) {
+				f.SpeedupBound = 1
+				for i := range f.Entries {
+					f.Entries[i].Speedup, f.Entries[i].MarginalGain = 1, 0
+				}
+			},
+			"negative-sim-relerr":      func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = -0.2 },
+			"negative-measured-relerr": func(f *results.CapacityBenchFile) { f.Entries[1].MeasuredRelErr = -0.5 },
+		})
+	})
+}
+
+// TestArtifactsRejectWrongSchemaAndZeroFiles runs every registered
+// validator over the committed artifact (which must pass), the same file
+// under a wrong schema id, and a zero-value file (both must fail).
+func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, a := range Artifacts {
+		t.Run(a.Name, func(t *testing.T) {
+			committed, err := os.ReadFile(filepath.Join("..", "..", a.File()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw map[string]any
+			if err := json.Unmarshal(committed, &raw); err != nil {
+				t.Fatal(err)
+			}
+			raw["schema"] = "nlfl/bench-" + a.Name + "/v0"
+			wrong, err := json.Marshal(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name string
+				body []byte
+				ok   bool
+			}{
+				{"committed", committed, true},
+				{"wrong-schema", wrong, false},
+				{"zero-value", []byte("{}"), false},
+			} {
+				path := filepath.Join(dir, c.name+"-"+a.File())
+				if err := os.WriteFile(path, c.body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				f, err := a.load(path)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				err = a.check(f)
+				if c.ok && err != nil {
+					t.Errorf("%s rejected: %v", c.name, err)
+				}
+				if !c.ok && !errors.Is(err, ErrInvalidBench) {
+					t.Errorf("%s accepted: %v", c.name, err)
+				}
+			}
+		})
 	}
 }
 
 // TestSweepsHonorCancelledContext pins satellite behavior for the CLI's
-// SIGINT handling: every sweep returns promptly with the ctx error
-// instead of grinding through its grid.
+// SIGINT handling: every registered sweep returns promptly with the ctx
+// error instead of grinding through its grid, and Run writes nothing.
 func TestSweepsHonorCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Seed: 1, Quick: true}
-	if _, err := RunKernels(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunKernels under cancelled ctx: %v", err)
+	for _, a := range Artifacts {
+		if _, err := a.run(ctx, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s sweep under cancelled ctx: %v", a.Name, err)
+		}
 	}
-	if _, err := RunRuntime(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunRuntime under cancelled ctx: %v", err)
-	}
-	if _, err := RunLinkSweep(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunLinkSweep under cancelled ctx: %v", err)
-	}
-	if _, err := RunChaosSweep(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunChaosSweep under cancelled ctx: %v", err)
-	}
-	if _, err := RunServiceSweep(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunServiceSweep under cancelled ctx: %v", err)
-	}
-	if _, err := RunTopologySweep(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunTopologySweep under cancelled ctx: %v", err)
-	}
-	if _, err := RunCapacitySweep(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunCapacitySweep under cancelled ctx: %v", err)
-	}
-	if _, err := Run(ctx, cfg, t.TempDir()); !errors.Is(err, context.Canceled) {
+	dir := t.TempDir()
+	if _, err := Run(ctx, cfg, dir, Artifacts...); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run under cancelled ctx: %v", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("cancelled Run left %d files behind", len(left))
 	}
 }
 

@@ -148,17 +148,16 @@ func RunCapacitySweep(ctx context.Context, cfg Config) (results.CapacityBenchFil
 // right schema id, the full 1..P slice coverage, finite fields, both
 // observation columns inside their stated tolerances, a knee that
 // exists strictly inside the fleet and is consistent with the marginal
-// gains, and no speedup above the closed-form ceiling.
+// gains, a closed-form speedup ceiling above 1, and no speedup above it.
 func ValidateCapacity(f results.CapacityBenchFile) error {
-	const path = CapacityFileName
 	if f.Schema != results.BenchCapacitySchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchCapacitySchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchCapacitySchema)
 	}
 	if len(f.Speeds) == 0 {
-		return invalid(path, "no speed profile")
+		return invalid("no speed profile")
 	}
 	if len(f.Entries) != len(f.Speeds) {
-		return invalid(path, "%d entries for %d slice sizes", len(f.Entries), len(f.Speeds))
+		return invalid("%d entries for %d slice sizes", len(f.Entries), len(f.Speeds))
 	}
 	for _, v := range []struct {
 		name  string
@@ -173,23 +172,26 @@ func ValidateCapacity(f results.CapacityBenchFile) error {
 		{"speedupBound", f.SpeedupBound},
 	} {
 		if !finite(v.value) || v.value <= 0 {
-			return invalid(path, "non-positive or non-finite %s %v", v.name, v.value)
+			return invalid("non-positive or non-finite %s %v", v.name, v.value)
 		}
 	}
+	if f.SpeedupBound <= 1 {
+		return invalid("speedup bound %v: a fleet whose ceiling is 1 has nothing to plan", f.SpeedupBound)
+	}
 	if f.N <= 0 || f.Reps <= 0 {
-		return invalid(path, "non-positive n %d or reps %d", f.N, f.Reps)
+		return invalid("non-positive n %d or reps %d", f.N, f.Reps)
 	}
 	if f.Knee < 1 || f.Knee >= len(f.Speeds) {
-		return invalid(path, "knee %d not strictly inside [1, %d) — the envelope must make the planner earn its keep",
+		return invalid("knee %d not strictly inside [1, %d) — the envelope must make the planner earn its keep",
 			f.Knee, len(f.Speeds))
 	}
 	if f.Best < f.Knee || f.Best > len(f.Speeds) {
-		return invalid(path, "best %d inconsistent with knee %d", f.Best, f.Knee)
+		return invalid("best %d inconsistent with knee %d", f.Best, f.Knee)
 	}
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (p=%d)", i, e.Workers)
 		if e.Workers != i+1 {
-			return invalid(path, "%s: slice sizes must cover 1..%d in order", id, len(f.Speeds))
+			return invalid("%s: slice sizes must cover 1..%d in order", id, len(f.Speeds))
 		}
 		for _, v := range []struct {
 			name  string
@@ -202,36 +204,36 @@ func ValidateCapacity(f results.CapacityBenchFile) error {
 			{"speedup", e.Speedup},
 		} {
 			if !finite(v.value) || v.value <= 0 {
-				return invalid(path, "%s: non-positive or non-finite %s %v", id, v.name, v.value)
+				return invalid("%s: non-positive or non-finite %s %v", id, v.name, v.value)
 			}
 		}
-		if !finite(e.SimRelErr) || e.SimRelErr > f.SimTolerance {
-			return invalid(path, "%s: simulator disagrees by %.4f (> %.2f) — the model is wrong or the DES drifted",
+		if !finite(e.SimRelErr) || math.Abs(e.SimRelErr) > f.SimTolerance {
+			return invalid("%s: simulator disagrees by %.4f (> %.2f) — the model is wrong or the DES drifted",
 				id, e.SimRelErr, f.SimTolerance)
 		}
-		if !finite(e.MeasuredRelErr) || e.MeasuredRelErr > f.MeasuredTolerance {
-			return invalid(path, "%s: measured runtime disagrees by %.4f (> %.2f)",
+		if !finite(e.MeasuredRelErr) || math.Abs(e.MeasuredRelErr) > f.MeasuredTolerance {
+			return invalid("%s: measured runtime disagrees by %.4f (> %.2f)",
 				id, e.MeasuredRelErr, f.MeasuredTolerance)
 		}
 		if e.Speedup > f.SpeedupBound*(1+1e-9) {
-			return invalid(path, "%s: speedup %.4f exceeds the closed-form bound %.4f", id, e.Speedup, f.SpeedupBound)
+			return invalid("%s: speedup %.4f exceeds the closed-form bound %.4f", id, e.Speedup, f.SpeedupBound)
 		}
 		if !finite(e.UnprocessedIfChunked) || e.UnprocessedIfChunked < 0 || e.UnprocessedIfChunked >= 1 {
-			return invalid(path, "%s: unprocessed fraction %v outside [0, 1)", id, e.UnprocessedIfChunked)
+			return invalid("%s: unprocessed fraction %v outside [0, 1)", id, e.UnprocessedIfChunked)
 		}
 		if i == 0 {
 			if e.Speedup != 1 || e.MarginalGain != 0 {
-				return invalid(path, "%s: p=1 must anchor speedup 1 with zero marginal gain", id)
+				return invalid("%s: p=1 must anchor speedup 1 with zero marginal gain", id)
 			}
 			continue
 		}
 		// The knee scan's trace must be visible in the file: every step up
 		// to the knee cleared θ, the step past it did not.
 		if e.Workers <= f.Knee && e.MarginalGain < f.Theta {
-			return invalid(path, "%s: marginal gain %.4f below theta %.2f inside the knee", id, e.MarginalGain, f.Theta)
+			return invalid("%s: marginal gain %.4f below theta %.2f inside the knee", id, e.MarginalGain, f.Theta)
 		}
 		if e.Workers == f.Knee+1 && e.MarginalGain >= f.Theta {
-			return invalid(path, "%s: marginal gain %.4f at the knee+1 step should fall below theta %.2f",
+			return invalid("%s: marginal gain %.4f at the knee+1 step should fall below theta %.2f",
 				id, e.MarginalGain, f.Theta)
 		}
 	}

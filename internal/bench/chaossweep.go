@@ -170,29 +170,30 @@ func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, err
 }
 
 // ValidateChaos is the schema check for a BENCH_chaos payload: right
-// schema id, one entry per fault class, finite fields, zero invariant
-// violations, the committed volume within 5% of the survivor-re-planned
-// plan volume, an exact shipped = committed + wasted ledger, and — per
-// class — nonzero recovery counters proving the scenario actually bit
-// (a chaos sweep that injected nothing would pass every other gate).
+// schema id, at least one entry for every fault class, finite fields,
+// zero invariant violations, the committed volume within 5% of the
+// survivor-re-planned plan volume, an exact shipped = committed + wasted
+// ledger, and — per class — nonzero recovery counters proving the
+// scenario actually bit (a chaos sweep that injected nothing would pass
+// every other gate).
 func ValidateChaos(f results.ChaosBenchFile) error {
-	const path = ChaosFileName
 	if f.Schema != results.BenchChaosSchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchChaosSchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchChaosSchema)
 	}
 	if len(f.Entries) == 0 {
-		return invalid(path, "no entries")
+		return invalid("no entries")
 	}
 	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid(path, "non-positive work rate %v", f.WorkPerSecond)
+		return invalid("non-positive work rate %v", f.WorkPerSecond)
 	}
+	seen := map[string]bool{}
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (%s %s/%s n=%d)", i, e.Class, e.Platform, e.Strategy, e.N)
 		if e.Class == "" || e.Platform == "" || e.Strategy == "" || e.N <= 0 || e.Workers <= 0 || e.Chunks <= 0 {
-			return invalid(path, "%s: missing identity fields", id)
+			return invalid("%s: missing identity fields", id)
 		}
 		if len(e.Speeds) != e.Workers {
-			return invalid(path, "%s: %d speeds for %d workers", id, len(e.Speeds), e.Workers)
+			return invalid("%s: %d speeds for %d workers", id, len(e.Speeds), e.Workers)
 		}
 		for _, v := range []struct {
 			name  string
@@ -207,46 +208,52 @@ func ValidateChaos(f results.ChaosBenchFile) error {
 			{"reclaimedCells", e.ReclaimedCells},
 		} {
 			if !finite(v.value) {
-				return invalid(path, "%s: non-finite %s %v", id, v.name, v.value)
+				return invalid("%s: non-finite %s %v", id, v.name, v.value)
 			}
 		}
 		if e.PlanVolume <= 0 {
-			return invalid(path, "%s: zero plan volume", id)
+			return invalid("%s: zero plan volume", id)
 		}
 		if e.ReplannedVolume < e.PlanVolume {
-			return invalid(path, "%s: replanned volume %v below plan volume %v", id, e.ReplannedVolume, e.PlanVolume)
+			return invalid("%s: replanned volume %v below plan volume %v", id, e.ReplannedVolume, e.PlanVolume)
 		}
 		if rel := math.Abs(e.CommittedVolume-e.ReplannedVolume) / e.ReplannedVolume; rel > chaosVolTolerance {
-			return invalid(path, "%s: committed volume off the re-planned plan by %.4f (> %.2f)", id, rel, chaosVolTolerance)
+			return invalid("%s: committed volume off the re-planned plan by %.4f (> %.2f)", id, rel, chaosVolTolerance)
 		}
 		if diff := math.Abs(e.MeasuredVolume - (e.CommittedVolume + e.WastedData)); diff > 1e-6*math.Max(1, e.MeasuredVolume) {
-			return invalid(path, "%s: shipped %v ≠ committed %v + wasted %v", id, e.MeasuredVolume, e.CommittedVolume, e.WastedData)
+			return invalid("%s: shipped %v ≠ committed %v + wasted %v", id, e.MeasuredVolume, e.CommittedVolume, e.WastedData)
 		}
 		if e.WastedData > 0.5*e.MeasuredVolume {
-			return invalid(path, "%s: waste fraction %.2f above 0.5 — recovery thrashing", id, e.WastedData/e.MeasuredVolume)
+			return invalid("%s: waste fraction %.2f above 0.5 — recovery thrashing", id, e.WastedData/e.MeasuredVolume)
 		}
 		if e.Makespan <= 0 {
-			return invalid(path, "%s: zero makespan", id)
+			return invalid("%s: zero makespan", id)
 		}
 		switch e.Class {
 		case "crash", "crash-t0":
 			if e.DegradedWorkers < 1 || e.ReclaimedCells <= 0 {
-				return invalid(path, "%s: crash scenario left no trace (degraded %d, reclaimed %v)",
+				return invalid("%s: crash scenario left no trace (degraded %d, reclaimed %v)",
 					id, e.DegradedWorkers, e.ReclaimedCells)
 			}
 		case "straggler":
 			if e.SpeculativeWins < 1 {
-				return invalid(path, "%s: straggler scenario produced no speculative win", id)
+				return invalid("%s: straggler scenario produced no speculative win", id)
 			}
 		case "flaky-link":
 			if e.RetriedChunks < 1 {
-				return invalid(path, "%s: flaky-link scenario produced no retry", id)
+				return invalid("%s: flaky-link scenario produced no retry", id)
 			}
 		default:
-			return invalid(path, "%s: unknown fault class %q", id, e.Class)
+			return invalid("%s: unknown fault class %q", id, e.Class)
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d invariant violations", id, e.Violations)
+			return invalid("%s: %d invariant violations", id, e.Violations)
+		}
+		seen[e.Class] = true
+	}
+	for _, cc := range chaosCases() {
+		if !seen[cc.class] {
+			return invalid("no %q entry: that fault class went untested", cc.class)
 		}
 	}
 	return nil

@@ -239,7 +239,7 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 }
 
 // ValidateIterative is the acceptance gate for a BENCH_iterative
-// payload: right schema, all three policies present, every run converged
+// payload: right schema, exactly the three policies, every run converged
 // with a clean trace ledger, the deterministic halves (round counts,
 // residual sequences, dominant index) bit-identical across policies —
 // and the headline ranking: adaptive strictly beats static under the
@@ -247,48 +247,50 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 // actually adapted (re-plans after drift detection; a static run that
 // happens to be fast would pass the timing gates without them).
 func ValidateIterative(f results.IterativeBenchFile) error {
-	const path = IterativeFileName
 	if f.Schema != results.BenchIterativeSchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchIterativeSchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchIterativeSchema)
 	}
 	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid(path, "non-positive work rate %v", f.WorkPerSecond)
+		return invalid("non-positive work rate %v", f.WorkPerSecond)
 	}
 	byPolicy := map[string]results.IterativePolicyEntry{}
 	for i, e := range f.Policies {
 		id := fmt.Sprintf("policy entry %d (%s)", i, e.Policy)
 		if e.Policy == "" || e.N <= 0 || len(e.Speeds) == 0 {
-			return invalid(path, "%s: missing identity fields", id)
+			return invalid("%s: missing identity fields", id)
 		}
 		if !e.Converged {
-			return invalid(path, "%s: did not converge", id)
+			return invalid("%s: did not converge", id)
 		}
 		if e.Rounds <= 0 || len(e.Residuals) != e.Rounds || len(e.RoundMakespans) != e.Rounds {
-			return invalid(path, "%s: %d rounds with %d residuals and %d makespans",
+			return invalid("%s: %d rounds with %d residuals and %d makespans",
 				id, e.Rounds, len(e.Residuals), len(e.RoundMakespans))
 		}
 		if !finite(e.TotalMakespan) || e.TotalMakespan <= 0 {
-			return invalid(path, "%s: bad total makespan %v", id, e.TotalMakespan)
+			return invalid("%s: bad total makespan %v", id, e.TotalMakespan)
 		}
 		for _, v := range e.Residuals {
 			if !finite(v) || v < 0 {
-				return invalid(path, "%s: bad residual %v", id, v)
+				return invalid("%s: bad residual %v", id, v)
 			}
 		}
 		for _, v := range e.RoundMakespans {
 			if !finite(v) || v <= 0 {
-				return invalid(path, "%s: bad round makespan %v", id, v)
+				return invalid("%s: bad round makespan %v", id, v)
 			}
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d trace violations", id, e.Violations)
+			return invalid("%s: %d trace violations", id, e.Violations)
 		}
 		byPolicy[e.Policy] = e
 	}
 	for _, want := range []string{"static", "adaptive", "oracle"} {
 		if _, ok := byPolicy[want]; !ok {
-			return invalid(path, "missing %q policy entry", want)
+			return invalid("missing %q policy entry", want)
 		}
+	}
+	if len(f.Policies) != 3 {
+		return invalid("%d policy entries, want exactly static, adaptive and oracle", len(f.Policies))
 	}
 	static, adaptive, oracle := byPolicy["static"], byPolicy["adaptive"], byPolicy["oracle"]
 
@@ -297,15 +299,15 @@ func ValidateIterative(f results.IterativeBenchFile) error {
 	// how the rounds were split.
 	for _, e := range []results.IterativePolicyEntry{adaptive, oracle} {
 		if e.Rounds != static.Rounds {
-			return invalid(path, "%s ran %d rounds, static ran %d — the iterate is not deterministic",
+			return invalid("%s ran %d rounds, static ran %d — the iterate is not deterministic",
 				e.Policy, e.Rounds, static.Rounds)
 		}
 		if e.Dominant != static.Dominant {
-			return invalid(path, "%s converged to index %d, static to %d", e.Policy, e.Dominant, static.Dominant)
+			return invalid("%s converged to index %d, static to %d", e.Policy, e.Dominant, static.Dominant)
 		}
 		for r := range e.Residuals {
 			if e.Residuals[r] != static.Residuals[r] {
-				return invalid(path, "round %d residual differs: %s %v vs static %v",
+				return invalid("round %d residual differs: %s %v vs static %v",
 					r, e.Policy, e.Residuals[r], static.Residuals[r])
 			}
 		}
@@ -313,19 +315,19 @@ func ValidateIterative(f results.IterativeBenchFile) error {
 
 	// The headline ranking.
 	if adaptive.TotalMakespan >= static.TotalMakespan {
-		return invalid(path, "adaptive makespan %.4f not below static %.4f under drift",
+		return invalid("adaptive makespan %.4f not below static %.4f under drift",
 			adaptive.TotalMakespan, static.TotalMakespan)
 	}
 	if adaptive.TotalMakespan > (1+iterOracleTolerance)*oracle.TotalMakespan {
-		return invalid(path, "adaptive makespan %.4f above %.0f%% of oracle %.4f",
+		return invalid("adaptive makespan %.4f above %.0f%% of oracle %.4f",
 			adaptive.TotalMakespan, 100*(1+iterOracleTolerance), oracle.TotalMakespan)
 	}
 	if adaptive.Replans < 1 || adaptive.Reanchors < 1 {
-		return invalid(path, "adaptive policy never adapted (replans %d, reanchors %d)",
+		return invalid("adaptive policy never adapted (replans %d, reanchors %d)",
 			adaptive.Replans, adaptive.Reanchors)
 	}
 	if static.Replans != 0 {
-		return invalid(path, "static policy re-planned %d times", static.Replans)
+		return invalid("static policy re-planned %d times", static.Replans)
 	}
 	for _, r := range []struct {
 		name   string
@@ -337,7 +339,7 @@ func ValidateIterative(f results.IterativeBenchFile) error {
 		{"staticOverAdaptive", f.StaticOverAdaptive, static.TotalMakespan, adaptive.TotalMakespan},
 	} {
 		if !finite(r.stored) || math.Abs(r.stored-r.numer/r.denom) > 1e-9 {
-			return invalid(path, "%s %v inconsistent with makespans (%v/%v)", r.name, r.stored, r.numer, r.denom)
+			return invalid("%s %v inconsistent with makespans (%v/%v)", r.name, r.stored, r.numer, r.denom)
 		}
 	}
 
@@ -347,36 +349,36 @@ func ValidateIterative(f results.IterativeBenchFile) error {
 	for i, e := range f.Chaos {
 		id := fmt.Sprintf("chaos entry %d (%s)", i, e.Class)
 		if !e.Converged {
-			return invalid(path, "%s: did not converge", id)
+			return invalid("%s: did not converge", id)
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d exactly-once violations", id, e.Violations)
+			return invalid("%s: %d exactly-once violations", id, e.Violations)
 		}
 		if !finite(e.TotalMakespan) || e.TotalMakespan <= 0 {
-			return invalid(path, "%s: bad total makespan %v", id, e.TotalMakespan)
+			return invalid("%s: bad total makespan %v", id, e.TotalMakespan)
 		}
 		switch e.Class {
 		case "crash":
 			if len(e.DeadWorkers) < 1 {
-				return invalid(path, "%s: crash scenario killed nobody", id)
+				return invalid("%s: crash scenario killed nobody", id)
 			}
 		case "straggler":
 			if e.Reanchors < 1 || e.Replans < 1 {
-				return invalid(path, "%s: straggler never triggered adaptation (reanchors %d, replans %d)",
+				return invalid("%s: straggler never triggered adaptation (reanchors %d, replans %d)",
 					id, e.Reanchors, e.Replans)
 			}
 		case "link-slow":
 			if !finite(e.CommTime) || e.CommTime <= 0 {
-				return invalid(path, "%s: throttled link left no measured comm time (%v)", id, e.CommTime)
+				return invalid("%s: throttled link left no measured comm time (%v)", id, e.CommTime)
 			}
 		default:
-			return invalid(path, "%s: unknown fault class %q", id, e.Class)
+			return invalid("%s: unknown fault class %q", id, e.Class)
 		}
 		seen[e.Class] = true
 	}
 	for _, want := range []string{"crash", "straggler", "link-slow"} {
 		if !seen[want] {
-			return invalid(path, "missing %q chaos entry", want)
+			return invalid("missing %q chaos entry", want)
 		}
 	}
 	return nil

@@ -46,6 +46,11 @@ func TestIterativeSweepQuickGates(t *testing.T) {
 		{"violations", func(f *results.IterativeBenchFile) { f.Chaos[0].Violations = 2 }, "violations"},
 		{"missing-chaos-class", func(f *results.IterativeBenchFile) { f.Chaos = f.Chaos[:2] }, "missing"},
 		{"stale-ratio", func(f *results.IterativeBenchFile) { f.AdaptiveOverOracle = 0.5 }, "inconsistent"},
+		{"extra-policy", func(f *results.IterativeBenchFile) {
+			extra := f.Policies[0]
+			extra.Policy = "greedy"
+			f.Policies = append(f.Policies, extra)
+		}, "exactly"},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -88,13 +88,13 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 		}
 		flops := 2 * float64(n) * float64(n) * float64(n)
 
-		add := func(kernel string, tile, workers int, out *matmul.Matrix, secs float64) error {
+		add := func(kernel string, workers int, out *matmul.Matrix, secs float64) error {
 			errMax := maxAbsDiff(ref, out)
 			if errMax > 1e-12 {
 				return fmt.Errorf("bench: kernel %s at n=%d deviates from naive by %g", kernel, n, errMax)
 			}
 			file.Entries = append(file.Entries, results.KernelBenchEntry{
-				Kernel: kernel, N: n, Tile: tile, Workers: workers,
+				Kernel: kernel, N: n, Workers: workers,
 				Seconds: secs, GFLOPS: flops / secs / 1e9,
 				MaxAbsErr: errMax, Checked: true,
 			})
@@ -109,20 +109,11 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 		last := &file.Entries[len(file.Entries)-1]
 		last.GFLOPS = flops / last.Seconds / 1e9
 
-		blocked, err := matmul.Blocked(a, b, 64)
-		if err != nil {
-			return file, err
-		}
-		if err := add("blocked", 64, 0, blocked,
-			timeBest(cfg.Quick, func() { matmul.Blocked(a, b, 64) })); err != nil {
-			return file, err
-		}
-
 		tiled, err := matmul.Tiled(a, b)
 		if err != nil {
 			return file, err
 		}
-		if err := add("tiled", 0, 0, tiled,
+		if err := add("tiled", 0, tiled,
 			timeBest(cfg.Quick, func() { matmul.Tiled(a, b) })); err != nil {
 			return file, err
 		}
@@ -135,7 +126,7 @@ func RunKernels(ctx context.Context, cfg Config) (results.KernelBenchFile, error
 			if err != nil {
 				return file, err
 			}
-			if err := add("parallel-tiled", 0, w, par,
+			if err := add("parallel-tiled", w, par,
 				timeBest(cfg.Quick, func() { matmul.ParallelTiled(a, b, w) })); err != nil {
 				return file, err
 			}

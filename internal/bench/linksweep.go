@@ -136,19 +136,18 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 
 // ValidateLink is the schema check for a BENCH_link payload: right
 // schema id, non-empty entries, finite positive fields, overlap and
-// utilization fractions in range, zero violations, and — for every
-// (platform, bandwidth) pair at the lowest swept bandwidth — the het
-// makespan strictly below hom's.
+// utilization fractions in range, zero violations, and at the lowest
+// swept bandwidth at least one platform with both het and hom entries and,
+// on every such platform, the het makespan strictly below hom's.
 func ValidateLink(f results.LinkBenchFile) error {
-	const path = LinkFileName
 	if f.Schema != results.BenchLinkSchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchLinkSchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchLinkSchema)
 	}
 	if len(f.Entries) == 0 {
-		return invalid(path, "no entries")
+		return invalid("no entries")
 	}
 	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid(path, "non-positive work rate %v", f.WorkPerSecond)
+		return invalid("non-positive work rate %v", f.WorkPerSecond)
 	}
 	minBW := f.Entries[0].Bandwidth
 	for _, e := range f.Entries {
@@ -164,7 +163,7 @@ func ValidateLink(f results.LinkBenchFile) error {
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (%s/%s bw=%g)", i, e.Platform, e.Strategy, e.Bandwidth)
 		if e.Platform == "" || e.Strategy == "" || e.N <= 0 {
-			return invalid(path, "%s: missing identity fields", id)
+			return invalid("%s: missing identity fields", id)
 		}
 		for _, v := range []struct {
 			name  string
@@ -178,22 +177,22 @@ func ValidateLink(f results.LinkBenchFile) error {
 			{"overlapFraction", e.OverlapFraction},
 		} {
 			if !finite(v.value) || v.value < 0 {
-				return invalid(path, "%s: negative or non-finite %s %v", id, v.name, v.value)
+				return invalid("%s: negative or non-finite %s %v", id, v.name, v.value)
 			}
 		}
 		if e.Bandwidth <= 0 || e.MeasuredVolume <= 0 || e.Makespan <= 0 {
-			return invalid(path, "%s: zero bandwidth, volume or makespan", id)
+			return invalid("%s: zero bandwidth, volume or makespan", id)
 		}
 		if e.OverlapFraction > 1 {
-			return invalid(path, "%s: overlap fraction %v above 1", id, e.OverlapFraction)
+			return invalid("%s: overlap fraction %v above 1", id, e.OverlapFraction)
 		}
 		for w, u := range e.LinkUtilization {
 			if !finite(u) || u < 0 || u > 1 {
-				return invalid(path, "%s: worker %d link utilization %v outside [0,1]", id, w, u)
+				return invalid("%s: worker %d link utilization %v outside [0,1]", id, w, u)
 			}
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d invariant violations", id, e.Violations)
+			return invalid("%s: %d invariant violations", id, e.Violations)
 		}
 		k := key{e.Platform, e.Bandwidth}
 		if makespans[k] == nil {
@@ -201,16 +200,24 @@ func ValidateLink(f results.LinkBenchFile) error {
 		}
 		makespans[k][e.Strategy] = e.Makespan
 	}
+	pairs := 0
 	for k, ms := range makespans {
 		if k.bw != minBW {
 			continue
 		}
 		het, hasHet := ms["het"]
 		hom, hasHom := ms["hom"]
-		if hasHet && hasHom && het >= hom {
-			return invalid(path, "%s bw=%g: het makespan %v not below hom %v at the constrained bandwidth",
+		if !hasHet || !hasHom {
+			continue
+		}
+		pairs++
+		if het >= hom {
+			return invalid("%s bw=%g: het makespan %v not below hom %v at the constrained bandwidth",
 				k.platform, k.bw, het, hom)
 		}
+	}
+	if pairs == 0 {
+		return invalid("no platform ran both het and hom at the constrained bandwidth %g", minBW)
 	}
 	return nil
 }

@@ -152,99 +152,3 @@ func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, erro
 	}
 	return file, nil
 }
-
-// Run executes the full harness — kernels, runtime strategies, the
-// bandwidth-modeled link sweep, the chaos sweep, the multi-tenant
-// service sweep, the network-topology sweep, the capacity-model
-// validation sweep, and the closed-loop iterative re-planning sweep —
-// and writes the eight artifacts into dir,
-// returning their paths. Every payload is validated before writing; a
-// file that would fail the CI schema gate is never emitted. A
-// cancelled ctx stops at the next sweep boundary with nothing written.
-func Run(ctx context.Context, cfg Config, dir string) (ArtifactPaths, error) {
-	paths := Paths(dir)
-	fail := func(err error) (ArtifactPaths, error) {
-		return ArtifactPaths{}, err
-	}
-	kf, err := RunKernels(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateKernels(kf); err != nil {
-		return fail(err)
-	}
-	rf, err := RunRuntime(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateRuntime(rf); err != nil {
-		return fail(err)
-	}
-	lf, err := RunLinkSweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateLink(lf); err != nil {
-		return fail(err)
-	}
-	cf, err := RunChaosSweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateChaos(cf); err != nil {
-		return fail(err)
-	}
-	sf, err := RunServiceSweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateService(sf); err != nil {
-		return fail(err)
-	}
-	tf, err := RunTopologySweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateTopology(tf); err != nil {
-		return fail(err)
-	}
-	capf, err := RunCapacitySweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateCapacity(capf); err != nil {
-		return fail(err)
-	}
-	itf, err := RunIterativeSweep(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ValidateIterative(itf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchKernels(paths.Kernels, kf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchRuntime(paths.Runtime, rf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchLink(paths.Link, lf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchChaos(paths.Chaos, cf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchService(paths.Service, sf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchTopology(paths.Topology, tf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchCapacity(paths.Capacity, capf); err != nil {
-		return fail(err)
-	}
-	if err := results.SaveBenchIterative(paths.Iterative, itf); err != nil {
-		return fail(err)
-	}
-	return paths, nil
-}

@@ -361,18 +361,17 @@ func runServiceEntry(ctx context.Context, seed int64, pol service.Policy, load, 
 // the knee and shipped strictly less per job than the uncapped baseline
 // at the same policy and load).
 func ValidateService(f results.ServiceBenchFile) error {
-	const path = ServiceFileName
 	if f.Schema != results.BenchServiceSchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchServiceSchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchServiceSchema)
 	}
 	if len(f.Entries) == 0 {
-		return invalid(path, "no entries")
+		return invalid("no entries")
 	}
 	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid(path, "non-positive work rate %v", f.WorkPerSecond)
+		return invalid("non-positive work rate %v", f.WorkPerSecond)
 	}
 	if len(f.Speeds) == 0 {
-		return invalid(path, "no speed profile")
+		return invalid("no speed profile")
 	}
 	topLoad := 0.0
 	for _, e := range f.Entries {
@@ -385,7 +384,7 @@ func ValidateService(f results.ServiceBenchFile) error {
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (%s load=%.2f chaos=%v autoscale=%v)", i, e.Policy, e.LoadFactor, e.Chaos, e.Autoscale)
 		if e.Policy == "" || e.Jobs <= 0 {
-			return invalid(path, "%s: missing identity fields", id)
+			return invalid("%s: missing identity fields", id)
 		}
 		for _, v := range []struct {
 			name  string
@@ -401,21 +400,21 @@ func ValidateService(f results.ServiceBenchFile) error {
 			{"latencyMax", e.LatencyMax},
 		} {
 			if !finite(v.value) || v.value <= 0 {
-				return invalid(path, "%s: non-positive or non-finite %s %v", id, v.name, v.value)
+				return invalid("%s: non-positive or non-finite %s %v", id, v.name, v.value)
 			}
 		}
 		if e.LatencyP50 > e.LatencyP99 || e.LatencyP99 > e.LatencyMax {
-			return invalid(path, "%s: latency quantiles out of order (p50 %v, p99 %v, max %v)",
+			return invalid("%s: latency quantiles out of order (p50 %v, p99 %v, max %v)",
 				id, e.LatencyP50, e.LatencyP99, e.LatencyMax)
 		}
 		if e.MaxSliceWorkers < 1 || e.MaxSliceWorkers > len(f.Speeds) {
-			return invalid(path, "%s: max slice %d outside [1, %d]", id, e.MaxSliceWorkers, len(f.Speeds))
+			return invalid("%s: max slice %d outside [1, %d]", id, e.MaxSliceWorkers, len(f.Speeds))
 		}
 		if !finite(e.MeanSliceWorkers) || e.MeanSliceWorkers <= 0 || e.MeanSliceWorkers > float64(e.MaxSliceWorkers) {
-			return invalid(path, "%s: mean slice %v inconsistent with max %d", id, e.MeanSliceWorkers, e.MaxSliceWorkers)
+			return invalid("%s: mean slice %v inconsistent with max %d", id, e.MeanSliceWorkers, e.MaxSliceWorkers)
 		}
 		if !finite(e.MeanShippedPerJob) || e.MeanShippedPerJob <= 0 {
-			return invalid(path, "%s: non-positive mean shipped volume %v", id, e.MeanShippedPerJob)
+			return invalid("%s: non-positive mean shipped volume %v", id, e.MeanShippedPerJob)
 		}
 		if e.Autoscale {
 			sawAutoscale = true
@@ -424,16 +423,16 @@ func ValidateService(f results.ServiceBenchFile) error {
 			}
 		}
 		if e.Admitted != e.Jobs-e.Rejected {
-			return invalid(path, "%s: admitted %d ≠ jobs %d − rejected %d", id, e.Admitted, e.Jobs, e.Rejected)
+			return invalid("%s: admitted %d ≠ jobs %d − rejected %d", id, e.Admitted, e.Jobs, e.Rejected)
 		}
 		if e.Completed+e.Failed != e.Admitted {
-			return invalid(path, "%s: completed %d + failed %d ≠ admitted %d", id, e.Completed, e.Failed, e.Admitted)
+			return invalid("%s: completed %d + failed %d ≠ admitted %d", id, e.Completed, e.Failed, e.Admitted)
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d invariant violations", id, e.Violations)
+			return invalid("%s: %d invariant violations", id, e.Violations)
 		}
 		if len(e.Tenants) == 0 {
-			return invalid(path, "%s: no tenant breakdown", id)
+			return invalid("%s: no tenant breakdown", id)
 		}
 		if !e.Chaos {
 			// The policy gate compares uncapped runs only: the autoscale
@@ -444,7 +443,7 @@ func ValidateService(f results.ServiceBenchFile) error {
 			}
 			for _, ta := range e.Tenants {
 				if ta.WastedData != 0 || ta.ReclaimedCells != 0 || ta.Failed != 0 {
-					return invalid(path, "%s: fault-free tenant %s shows waste %v / reclaimed %v / failed %d",
+					return invalid("%s: fault-free tenant %s shows waste %v / reclaimed %v / failed %d",
 						id, ta.Tenant, ta.WastedData, ta.ReclaimedCells, ta.Failed)
 				}
 			}
@@ -461,41 +460,41 @@ func ValidateService(f results.ServiceBenchFile) error {
 			// The isolation gate: a bystander tenant's ledger is *exact* —
 			// crash recovery next door moved nothing of theirs.
 			if ta.WastedData != 0 || ta.ReclaimedCells != 0 || ta.Failed != 0 {
-				return invalid(path, "%s: bystander tenant %s dirtied by chaos (waste %v, reclaimed %v, failed %d)",
+				return invalid("%s: bystander tenant %s dirtied by chaos (waste %v, reclaimed %v, failed %d)",
 					id, ta.Tenant, ta.WastedData, ta.ReclaimedCells, ta.Failed)
 			}
-			if d := math.Abs(ta.CommittedVolume - ta.PlanVolume); d > 1e-6*(1+ta.PlanVolume) {
-				return invalid(path, "%s: bystander tenant %s committed %v ≠ planned %v",
+			if ta.CommittedVolume != ta.PlanVolume {
+				return invalid("%s: bystander tenant %s committed %v ≠ planned %v",
 					id, ta.Tenant, ta.CommittedVolume, ta.PlanVolume)
 			}
 		}
 		if hammered == nil {
-			return invalid(path, "%s: chaos entry has no %q tenant", id, serviceChaosTenant)
+			return invalid("%s: chaos entry has no %q tenant", id, serviceChaosTenant)
 		}
 		// ReplannedVolume is the *extra* traffic the survivor re-plans
 		// added (CommittedVolume = PlanVolume + ReplannedVolume).
 		if hammered.ReclaimedCells <= 0 || hammered.ReplannedVolume <= 0 {
-			return invalid(path, "%s: chaos scenario left no trace on tenant %q (reclaimed %v, replanned extra %v)",
+			return invalid("%s: chaos scenario left no trace on tenant %q (reclaimed %v, replanned extra %v)",
 				id, serviceChaosTenant, hammered.ReclaimedCells, hammered.ReplannedVolume)
 		}
 	}
 	if !sawChaos {
-		return invalid(path, "no chaos entry — the isolation gate did not run")
+		return invalid("no chaos entry — the isolation gate did not run")
 	}
 	if !sawAutoscale {
-		return invalid(path, "no autoscale entry — the capacity-model gate did not run")
+		return invalid("no autoscale entry — the capacity-model gate did not run")
 	}
 	fifo, ok := p99["fifo"]
 	if !ok {
-		return invalid(path, "no fifo entry at the top load %.2f", topLoad)
+		return invalid("no fifo entry at the top load %.2f", topLoad)
 	}
 	for _, pol := range []string{"srpt", "ii"} {
 		v, ok := p99[pol]
 		if !ok {
-			return invalid(path, "no %s entry at the top load %.2f", pol, topLoad)
+			return invalid("no %s entry at the top load %.2f", pol, topLoad)
 		}
 		if v >= fifo {
-			return invalid(path, "%s p99 %.4fs does not beat fifo %.4fs at load %.2f — the naive baseline should lose",
+			return invalid("%s p99 %.4fs does not beat fifo %.4fs at load %.2f — the naive baseline should lose",
 				pol, v, fifo, topLoad)
 		}
 	}
@@ -508,40 +507,39 @@ func ValidateService(f results.ServiceBenchFile) error {
 // the same (policy, load) — the measured form of "workers past the knee
 // cost bandwidth without buying speedup".
 func validateAutoscaleEntry(f results.ServiceBenchFile, e results.ServiceBenchEntry, id string) error {
-	const path = ServiceFileName
 	if e.Chaos {
-		return invalid(path, "%s: autoscale entry doubles as the chaos entry — the gates must not share a run", id)
+		return invalid("%s: autoscale entry doubles as the chaos entry — the gates must not share a run", id)
 	}
 	if e.AutoscaleTheta <= 0 || !finite(e.AutoscaleTheta) {
-		return invalid(path, "%s: autoscale entry without a positive theta (%v)", id, e.AutoscaleTheta)
+		return invalid("%s: autoscale entry without a positive theta (%v)", id, e.AutoscaleTheta)
 	}
 	if len(e.Knees) == 0 {
-		return invalid(path, "%s: autoscale entry recorded no knees", id)
+		return invalid("%s: autoscale entry recorded no knees", id)
 	}
 	maxKnee := 0
 	for n, k := range e.Knees {
 		if k < 1 || k > len(f.Speeds) {
-			return invalid(path, "%s: knee %d for n=%s outside [1, %d]", id, k, n, len(f.Speeds))
+			return invalid("%s: knee %d for n=%s outside [1, %d]", id, k, n, len(f.Speeds))
 		}
 		if k > maxKnee {
 			maxKnee = k
 		}
 	}
 	if e.SliceOverKnee != 0 {
-		return invalid(path, "%s: %d jobs sized past the capacity-model knee", id, e.SliceOverKnee)
+		return invalid("%s: %d jobs sized past the capacity-model knee", id, e.SliceOverKnee)
 	}
 	if e.MaxSliceWorkers > maxKnee {
-		return invalid(path, "%s: max slice %d exceeds the largest knee %d", id, e.MaxSliceWorkers, maxKnee)
+		return invalid("%s: max slice %d exceeds the largest knee %d", id, e.MaxSliceWorkers, maxKnee)
 	}
 	for _, b := range f.Entries {
 		if b.Autoscale || b.Chaos || b.Policy != e.Policy || b.LoadFactor != e.LoadFactor {
 			continue
 		}
 		if e.MeanShippedPerJob >= b.MeanShippedPerJob {
-			return invalid(path, "%s: autoscaler shipped %.1f elems/job, not below the uncapped %.1f at the same point — no dividend",
+			return invalid("%s: autoscaler shipped %.1f elems/job, not below the uncapped %.1f at the same point — no dividend",
 				id, e.MeanShippedPerJob, b.MeanShippedPerJob)
 		}
 		return nil
 	}
-	return invalid(path, "%s: no uncapped baseline at (%s, %.2f) to compare against", id, e.Policy, e.LoadFactor)
+	return invalid("%s: no uncapped baseline at (%s, %.2f) to compare against", id, e.Policy, e.LoadFactor)
 }

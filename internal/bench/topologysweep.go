@@ -191,18 +191,17 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 // second independent source, hom at the tightest bandwidth must beat
 // the star's hom, which funnels everything through one port.
 func ValidateTopology(f results.TopologyBenchFile) error {
-	const path = TopologyFileName
 	if f.Schema != results.BenchTopologySchema {
-		return invalid(path, "schema %q, want %q", f.Schema, results.BenchTopologySchema)
+		return invalid("schema %q, want %q", f.Schema, results.BenchTopologySchema)
 	}
 	if len(f.Entries) == 0 {
-		return invalid(path, "no entries")
+		return invalid("no entries")
 	}
 	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid(path, "non-positive work rate %v", f.WorkPerSecond)
+		return invalid("non-positive work rate %v", f.WorkPerSecond)
 	}
 	if !finite(f.CrossoverThreshold) || f.CrossoverThreshold <= 0 || f.CrossoverThreshold >= 1 {
-		return invalid(path, "crossover threshold %v outside (0,1)", f.CrossoverThreshold)
+		return invalid("crossover threshold %v outside (0,1)", f.CrossoverThreshold)
 	}
 	minBW := f.Entries[0].Bandwidth
 	for _, e := range f.Entries {
@@ -218,7 +217,7 @@ func ValidateTopology(f results.TopologyBenchFile) error {
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (%s/%s bw=%g)", i, e.Topology, e.Strategy, e.Bandwidth)
 		if e.Platform == "" || e.Topology == "" || e.Strategy == "" || e.N <= 0 {
-			return invalid(path, "%s: missing identity fields", id)
+			return invalid("%s: missing identity fields", id)
 		}
 		for _, v := range []struct {
 			name  string
@@ -234,48 +233,48 @@ func ValidateTopology(f results.TopologyBenchFile) error {
 			{"overlapFraction", e.OverlapFraction},
 		} {
 			if !finite(v.value) || v.value < 0 {
-				return invalid(path, "%s: negative or non-finite %s %v", id, v.name, v.value)
+				return invalid("%s: negative or non-finite %s %v", id, v.name, v.value)
 			}
 		}
 		if e.Bandwidth <= 0 || e.MeasuredVolume <= 0 || e.Makespan <= 0 {
-			return invalid(path, "%s: zero bandwidth, volume or makespan", id)
+			return invalid("%s: zero bandwidth, volume or makespan", id)
 		}
 		if e.OverlapFraction > 1 {
-			return invalid(path, "%s: overlap fraction %v above 1", id, e.OverlapFraction)
+			return invalid("%s: overlap fraction %v above 1", id, e.OverlapFraction)
 		}
 		if e.Violations != 0 {
-			return invalid(path, "%s: %d invariant violations", id, e.Violations)
+			return invalid("%s: %d invariant violations", id, e.Violations)
 		}
 		if len(e.Edges) == 0 {
-			return invalid(path, "%s: no per-edge rows", id)
+			return invalid("%s: no per-edge rows", id)
 		}
 		edgeSum := 0.0
 		for j, ed := range e.Edges {
 			if ed.Name == "" || !finite(ed.Capacity) || ed.Capacity < 0 {
-				return invalid(path, "%s: edge %d malformed", id, j)
+				return invalid("%s: edge %d malformed", id, j)
 			}
 			if !finite(ed.Volume) || ed.Volume < 0 {
-				return invalid(path, "%s: edge %s volume %v", id, ed.Name, ed.Volume)
+				return invalid("%s: edge %s volume %v", id, ed.Name, ed.Volume)
 			}
 			if !finite(ed.Utilization) || ed.Utilization < 0 || ed.Utilization > 1 {
-				return invalid(path, "%s: edge %s utilization %v outside [0,1]", id, ed.Name, ed.Utilization)
+				return invalid("%s: edge %s utilization %v outside [0,1]", id, ed.Name, ed.Utilization)
 			}
 			if e.Topology == "chain" && j > 0 && ed.Volume > e.Edges[j-1].Volume {
-				return invalid(path, "%s: chain edge volumes not monotone (%s carries %v > %s's %v)",
+				return invalid("%s: chain edge volumes not monotone (%s carries %v > %s's %v)",
 					id, ed.Name, ed.Volume, e.Edges[j-1].Name, e.Edges[j-1].Volume)
 			}
 			edgeSum += ed.Volume
 		}
 		if e.Topology == "chain" {
 			if e.RelayVolume <= 0 {
-				return invalid(path, "%s: chain run shipped no relay traffic", id)
+				return invalid("%s: chain run shipped no relay traffic", id)
 			}
 			if d := edgeSum - (e.MeasuredVolume + e.RelayVolume); math.Abs(d) > 1e-6*(1+edgeSum) {
-				return invalid(path, "%s: edge ledger leaks (Σ %v ≠ delivered %v + relayed %v)",
+				return invalid("%s: edge ledger leaks (Σ %v ≠ delivered %v + relayed %v)",
 					id, edgeSum, e.MeasuredVolume, e.RelayVolume)
 			}
 		} else if e.RelayVolume != 0 {
-			return invalid(path, "%s: single-hop topology recorded relay volume %v", id, e.RelayVolume)
+			return invalid("%s: single-hop topology recorded relay volume %v", id, e.RelayVolume)
 		}
 		k := key{e.Topology, e.Bandwidth}
 		if makespans[k] == nil {
@@ -298,19 +297,19 @@ func ValidateTopology(f results.TopologyBenchFile) error {
 	}
 	for topo, bw := range recomputed {
 		if got, ok := f.Crossovers[topo]; !ok || got != bw {
-			return invalid(path, "crossovers[%s]=%v disagrees with entries (%v)", topo, f.Crossovers[topo], bw)
+			return invalid("crossovers[%s]=%v disagrees with entries (%v)", topo, f.Crossovers[topo], bw)
 		}
 	}
 	if f.Crossovers["star"] <= 0 {
-		return invalid(path, "no star crossover: het never won by the threshold")
+		return invalid("no star crossover: het never won by the threshold")
 	}
 	if f.Crossovers["chain"] != 0 {
-		return invalid(path, "chain crossover at bw=%v: hop forwarding should have erased the het advantage", f.Crossovers["chain"])
+		return invalid("chain crossover at bw=%v: hop forwarding should have erased the het advantage", f.Crossovers["chain"])
 	}
 	ts, hasTS := makespans[key{"two-source", minBW}]["hom"]
 	st, hasST := makespans[key{"star", minBW}]["hom"]
 	if hasTS && hasST && ts >= st {
-		return invalid(path, "two-source hom makespan %v not below star's %v at bw=%v despite a second source", ts, st, minBW)
+		return invalid("two-source hom makespan %v not below star's %v at bw=%v despite a second source", ts, st, minBW)
 	}
 	return nil
 }

@@ -20,11 +20,7 @@ func TestKernelAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocked, err := Blocked(a, b, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Parallel(a, b, 4)
+		par, err := ParallelTiled(a, b, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +28,7 @@ func TestKernelAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, m := range map[string]*Matrix{"blocked": blocked, "parallel": par, "outer": op} {
+		for name, m := range map[string]*Matrix{"parallel": par, "outer": op} {
 			if !ref.Equal(m, 1e-9) {
 				t.Errorf("%v shape %+v disagrees with naive", name, s)
 			}
@@ -64,10 +60,7 @@ func TestShapeValidation(t *testing.T) {
 	if _, err := Naive(a, b); err == nil {
 		t.Error("mismatched shapes should fail")
 	}
-	if _, err := Blocked(New(2, 2), New(2, 2), 0); err == nil {
-		t.Error("zero block size should fail")
-	}
-	if _, err := Parallel(New(2, 2), New(2, 2), 0); err == nil {
+	if _, err := ParallelTiled(New(2, 2), New(2, 2), 0); err == nil {
 		t.Error("zero workers should fail")
 	}
 	defer func() {
@@ -81,7 +74,7 @@ func TestShapeValidation(t *testing.T) {
 func TestParallelMoreWorkersThanRows(t *testing.T) {
 	a, b := Random(3, 3, 4), Random(3, 3, 5)
 	ref, _ := Naive(a, b)
-	par, err := Parallel(a, b, 64)
+	par, err := ParallelTiled(a, b, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +253,7 @@ func TestAssociativityProperty(t *testing.T) {
 		a := Random(m, k, seed)
 		b := Random(k, n, seed+1)
 		c := Random(n, m, seed+2)
-		ab, err := Blocked(a, b, 4)
+		ab, err := Tiled(a, b)
 		if err != nil {
 			return false
 		}
@@ -272,7 +265,7 @@ func TestAssociativityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		abc2, err := Parallel(a, bc, 3)
+		abc2, err := ParallelTiled(a, bc, 3)
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,6 @@
 package matmul
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -91,45 +90,6 @@ func Naive(a, b *Matrix) (*Matrix, error) {
 	return c, nil
 }
 
-// Blocked computes C = A·B with loop blocking (tile size bs), the standard
-// high-performance decomposition (ref [43]).
-func Blocked(a, b *Matrix, bs int) (*Matrix, error) {
-	if err := checkMul(a, b); err != nil {
-		return nil, err
-	}
-	if bs <= 0 {
-		return nil, errors.New("matmul: block size must be positive")
-	}
-	c := New(a.Rows, b.Cols)
-	for ii := 0; ii < a.Rows; ii += bs {
-		iMax := min(ii+bs, a.Rows)
-		for kk := 0; kk < a.Cols; kk += bs {
-			kMax := min(kk+bs, a.Cols)
-			for jj := 0; jj < b.Cols; jj += bs {
-				jMax := min(jj+bs, b.Cols)
-				for i := ii; i < iMax; i++ {
-					for k := kk; k < kMax; k++ {
-						aik := a.Data[i*a.Cols+k]
-						cRow := c.Data[i*c.Cols:]
-						bRow := b.Data[k*b.Cols:]
-						for j := jj; j < jMax; j++ {
-							cRow[j] += aik * bRow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return c, nil
-}
-
-// Parallel computes C = A·B splitting row bands across `workers`
-// goroutines: an alias of ParallelTiled, so each band runs the packed
-// register-blocked kernel and this is also the fast path.
-func Parallel(a, b *Matrix, workers int) (*Matrix, error) {
-	return ParallelTiled(a, b, workers)
-}
-
 // OuterProduct computes C = A·B as a sum of N rank-1 updates
 // C += A[:,k] × B[k,:] — the algorithmic skeleton of the paper's Figure 3:
 // at step k the k-th column of A and the k-th row of B are broadcast and
@@ -163,11 +123,4 @@ func VectorOuter(a, b []float64) *Matrix {
 	m := New(len(a), len(b))
 	OuterFill(m.Data, m.Cols, a, b)
 	return m
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

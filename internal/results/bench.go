@@ -7,7 +7,7 @@ import (
 )
 
 // Bench schema identifiers, bumped on breaking field changes so consumers
-// (CI's bench-smoke job, the performance trajectory) can reject files they
+// (`nlfl bench -validate`, the performance trajectory) can reject files they
 // do not understand.
 const (
 	BenchKernelsSchema = "nlfl/bench-kernels/v1"
@@ -17,14 +17,11 @@ const (
 
 // KernelBenchEntry is one measured kernel configuration.
 type KernelBenchEntry struct {
-	// Kernel names the code path ("naive", "blocked", "tiled",
-	// "parallel-tiled", "vector-outer", "outer-into").
+	// Kernel names the code path ("naive", "tiled", "parallel-tiled",
+	// "vector-outer", "outer-into").
 	Kernel string `json:"kernel"`
 	// N is the matrix/vector side.
 	N int `json:"n"`
-	// Tile is the kernel's tile-side argument (0 when it takes none: only
-	// blocked does).
-	Tile int `json:"tile,omitempty"`
 	// Workers is the goroutine count (0 for single-threaded kernels).
 	Workers int `json:"workers,omitempty"`
 	// Seconds is the best-of-reps wall time of one full kernel run.
@@ -142,43 +139,9 @@ type LinkBenchFile struct {
 	Entries       []LinkBenchEntry `json:"entries"`
 }
 
-// SaveBenchLink writes the link sweep file as indented JSON.
-func SaveBenchLink(path string, f LinkBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchLink reads a link sweep file.
-func LoadBenchLink(path string) (LinkBenchFile, error) {
-	var f LinkBenchFile
-	err := loadJSON(path, &f)
-	return f, err
-}
-
-// SaveBenchKernels writes the kernels bench file as indented JSON.
-func SaveBenchKernels(path string, f KernelBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchKernels reads a kernels bench file.
-func LoadBenchKernels(path string) (KernelBenchFile, error) {
-	var f KernelBenchFile
-	err := loadJSON(path, &f)
-	return f, err
-}
-
-// SaveBenchRuntime writes the runtime bench file as indented JSON.
-func SaveBenchRuntime(path string, f RuntimeBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchRuntime reads a runtime bench file.
-func LoadBenchRuntime(path string) (RuntimeBenchFile, error) {
-	var f RuntimeBenchFile
-	err := loadJSON(path, &f)
-	return f, err
-}
-
-func saveJSON(path string, v interface{}) error {
+// SaveJSON writes v as indented JSON with a trailing newline — the one
+// writer behind every bench artifact and experiment record.
+func SaveJSON(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("results: marshal: %w", err)
@@ -186,13 +149,17 @@ func saveJSON(path string, v interface{}) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-func loadJSON(path string, v interface{}) error {
+// LoadJSON reads a file written by SaveJSON into a T. Decoding is
+// deliberately non-strict: fields a newer schema dropped (the kernels
+// file's old "tile") are ignored, so older files still load.
+func LoadJSON[T any](path string) (T, error) {
+	var v T
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("results: read: %w", err)
+		return v, fmt.Errorf("results: read: %w", err)
 	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return fmt.Errorf("results: parse %s: %w", path, err)
+	if err := json.Unmarshal(b, &v); err != nil {
+		return v, fmt.Errorf("results: parse %s: %w", path, err)
 	}
-	return nil
+	return v, nil
 }

@@ -1,8 +1,8 @@
 package results
 
 // BenchCapacitySchema identifies the BENCH_capacity.json payload,
-// bumped on breaking field changes so consumers (CI's capacity-smoke
-// gate) can reject files they do not understand.
+// bumped on breaking field changes so consumers (`nlfl bench
+// -validate`) can reject files they do not understand.
 const BenchCapacitySchema = "nlfl/bench-capacity/v1"
 
 // CapacityBenchEntry is one slice size of the capacity-model validation
@@ -68,16 +68,4 @@ type CapacityBenchFile struct {
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	// Entries covers every slice size 1..len(Speeds).
 	Entries []CapacityBenchEntry `json:"entries"`
-}
-
-// SaveBenchCapacity writes the capacity sweep file as indented JSON.
-func SaveBenchCapacity(path string, f CapacityBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchCapacity reads a capacity sweep file.
-func LoadBenchCapacity(path string) (CapacityBenchFile, error) {
-	var f CapacityBenchFile
-	err := loadJSON(path, &f)
-	return f, err
 }

@@ -1,7 +1,7 @@
 package results
 
 // BenchChaosSchema identifies the BENCH_chaos.json payload, bumped on
-// breaking field changes so consumers (CI's chaos-smoke gate) can reject
+// breaking field changes so consumers (`nlfl bench -validate`) can reject
 // files they do not understand.
 const BenchChaosSchema = "nlfl/bench-chaos/v1"
 
@@ -62,16 +62,4 @@ type ChaosBenchFile struct {
 	GoVersion     string            `json:"goVersion"`
 	GOMAXPROCS    int               `json:"gomaxprocs"`
 	Entries       []ChaosBenchEntry `json:"entries"`
-}
-
-// SaveBenchChaos writes the chaos sweep file as indented JSON.
-func SaveBenchChaos(path string, f ChaosBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchChaos reads a chaos sweep file.
-func LoadBenchChaos(path string) (ChaosBenchFile, error) {
-	var f ChaosBenchFile
-	err := loadJSON(path, &f)
-	return f, err
 }

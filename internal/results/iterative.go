@@ -1,8 +1,8 @@
 package results
 
 // BenchIterativeSchema identifies the BENCH_iterative.json payload,
-// bumped on breaking field changes so consumers (CI's iterative-smoke
-// gate) can reject files they do not understand.
+// bumped on breaking field changes so consumers (`nlfl bench
+// -validate`) can reject files they do not understand.
 const BenchIterativeSchema = "nlfl/bench-iterative/v1"
 
 // IterativePolicyEntry is one full iterative job (power iteration to
@@ -96,16 +96,4 @@ type IterativeBenchFile struct {
 	// must pay for itself under drift).
 	AdaptiveOverOracle float64 `json:"adaptiveOverOracle"`
 	StaticOverAdaptive float64 `json:"staticOverAdaptive"`
-}
-
-// SaveBenchIterative writes the iterative sweep file as indented JSON.
-func SaveBenchIterative(path string, f IterativeBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchIterative reads an iterative sweep file.
-func LoadBenchIterative(path string) (IterativeBenchFile, error) {
-	var f IterativeBenchFile
-	err := loadJSON(path, &f)
-	return f, err
 }

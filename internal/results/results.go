@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -28,25 +27,13 @@ func Save(path string, rec Record) error {
 	if rec.Experiment == "" {
 		return fmt.Errorf("results: record needs an experiment name")
 	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: marshal: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return SaveJSON(path, rec)
 }
 
 // Load reads a record. The payload comes back as generic JSON values
 // (map[string]interface{}, []interface{}, float64, ...).
 func Load(path string) (Record, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Record{}, fmt.Errorf("results: read: %w", err)
-	}
-	var rec Record
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return Record{}, fmt.Errorf("results: parse %s: %w", path, err)
-	}
-	return rec, nil
+	return LoadJSON[Record](path)
 }
 
 // Diff is one discrepancy between two records.

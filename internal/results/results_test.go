@@ -68,6 +68,26 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadJSONIgnoresDroppedFields pins the non-strict decoding: a
+// kernels file written before "tile" left the schema still loads.
+func TestLoadJSONIgnoresDroppedFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k.json")
+	old := `{"schema": "nlfl/bench-kernels/v1", "entries": [{"kernel": "tiled", "n": 64, "tile": 64, "gflops": 2}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadJSON[KernelBenchFile](path)
+	if err != nil {
+		t.Fatalf("older file with a dropped field rejected: %v", err)
+	}
+	if len(f.Entries) != 1 || f.Entries[0].Kernel != "tiled" || f.Entries[0].GFLOPS != 2 {
+		t.Errorf("decoded %+v", f)
+	}
+	if _, err := LoadJSON[KernelBenchFile](filepath.Join(t.TempDir(), "absent.json")); err == nil {
+		t.Error("missing file should fail")
+	}
+}
+
 func TestCompareTolerance(t *testing.T) {
 	a := Record{Experiment: "e", Data: map[string]float64{"v": 100}}
 	b := Record{Experiment: "e", Data: map[string]float64{"v": 100.4}}

@@ -1,7 +1,7 @@
 package results
 
 // BenchServiceSchema identifies the BENCH_service.json payload, bumped
-// on breaking field changes so consumers (CI's service-smoke gate) can
+// on breaking field changes so consumers (`nlfl bench -validate`) can
 // reject files they do not understand.
 const BenchServiceSchema = "nlfl/bench-service/v1"
 
@@ -98,16 +98,4 @@ type ServiceBenchFile struct {
 	GoVersion     string              `json:"goVersion"`
 	GOMAXPROCS    int                 `json:"gomaxprocs"`
 	Entries       []ServiceBenchEntry `json:"entries"`
-}
-
-// SaveBenchService writes the service sweep file as indented JSON.
-func SaveBenchService(path string, f ServiceBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchService reads a service sweep file.
-func LoadBenchService(path string) (ServiceBenchFile, error) {
-	var f ServiceBenchFile
-	err := loadJSON(path, &f)
-	return f, err
 }

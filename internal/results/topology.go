@@ -73,15 +73,3 @@ type TopologyBenchFile struct {
 	Crossovers map[string]float64   `json:"crossovers"`
 	Entries    []TopologyBenchEntry `json:"entries"`
 }
-
-// SaveBenchTopology writes the topology sweep file as indented JSON.
-func SaveBenchTopology(path string, f TopologyBenchFile) error {
-	return saveJSON(path, f)
-}
-
-// LoadBenchTopology reads a topology sweep file.
-func LoadBenchTopology(path string) (TopologyBenchFile, error) {
-	var f TopologyBenchFile
-	err := loadJSON(path, &f)
-	return f, err
-}
