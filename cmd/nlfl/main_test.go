@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -114,6 +116,23 @@ func TestCLISubcommands(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCLISortGolden pins `nlfl sort` stdout byte for byte: the scaling
+// table and the Theorem B.4 line come from routed bucket counts and must
+// read as they did when every trial was fully sorted.
+func TestCLISortGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/sort-seed7-trials30.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := capture(t, func() error { return run([]string{"sort", "-seed", "7", "-trials", "30"}) })
+	if err != nil {
+		t.Fatalf("sort: %v\n%s", err, got)
+	}
+	if got != string(want) {
+		t.Errorf("nlfl sort -seed 7 -trials 30 drifted from testdata/sort-seed7-trials30.golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -660,5 +679,65 @@ func TestCLIAllReproducesResults(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: %s differs from the committed results/%s", procs, e.Name(), e.Name())
 			}
 		}
+	}
+}
+
+// allPeakRSSHelperEnv marks the re-executed test binary of TestAllPeakRSS
+// as the helper process.
+const allPeakRSSHelperEnv = "NLFL_TEST_ALL_PEAK_RSS_HELPER"
+
+// TestAllPeakRSS guards the resident set of `nlfl all`, which CI never
+// measures otherwise: the benchmark's paper-sweep reports it as
+// peak_rss_mb. A fresh process (the re-executed test binary) runs the
+// paper's whole evaluation and reports its own VmHWM. Not the child's
+// rusage Maxrss: os/exec starts the child on the parent's address space,
+// and Linux folds that space's high-water mark into the child's maxrss at
+// exec, so it would report this test binary's peak. The helper runs at
+// GOMAXPROCS=2, the benchmark host's width, because every extra core runs
+// another experiment's working set beside the others (~31 MB at 4, 40-47
+// MB at 8). At 2 it peaks at 26-29 MB; sorting the 2^20 keys of the E3
+// sweep only to read bucket sizes took it to 49-63 MB. The 40 MB gate
+// leaves 11 MB of margin.
+func TestAllPeakRSS(t *testing.T) {
+	if os.Getenv(allPeakRSSHelperEnv) == "1" {
+		if _, err := capture(t, func() error { return run([]string{"all", "-outdir", t.TempDir()}) }); err != nil {
+			t.Fatal(err)
+		}
+		status, err := os.ReadFile("/proc/self/status")
+		if err != nil {
+			t.Skipf("no /proc/self/status: %v", err)
+		}
+		for _, line := range strings.Split(string(status), "\n") {
+			if kb, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+				fmt.Printf("all-peak-rss-kb %s\n", strings.TrimSuffix(strings.TrimSpace(kb), " kB"))
+				return
+			}
+		}
+		t.Skip("no VmHWM in /proc/self/status")
+	}
+	if testing.Short() {
+		t.Skip("re-executes the test binary to run the paper's whole evaluation")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the resident set")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestAllPeakRSS$")
+	cmd.Env = append(os.Environ(), allPeakRSSHelperEnv+"=1", "GOMAXPROCS=2")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("helper process: %v\n%s", err, out)
+	}
+	line := string(out)
+	i := strings.Index(line, "all-peak-rss-kb ")
+	if i < 0 {
+		t.Skipf("helper could not read its VmHWM:\n%s", out)
+	}
+	var kb int64
+	if _, err := fmt.Sscanf(line[i:], "all-peak-rss-kb %d", &kb); err != nil {
+		t.Fatalf("helper printed no resident-set line: %v\n%s", err, out)
+	}
+	t.Logf("nlfl all peaked at %.1f MB resident", float64(kb)/1024)
+	if kb > 40<<10 {
+		t.Errorf("nlfl all peaked at %.1f MB resident, want ≤ 40 MB: is something holding a sorted copy of the 2^20 keys again?", float64(kb)/1024)
 	}
 }

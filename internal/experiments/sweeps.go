@@ -157,7 +157,8 @@ type SortScalingRow struct {
 
 // SortScaling reproduces the Section 3 analysis: for growing N on p
 // homogeneous workers, the non-divisible fraction and the bucket
-// concentration both improve.
+// concentration both improve. Only bucket sizes are read, so the keys are
+// routed and counted, not sorted.
 func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 	r := stats.NewRNG(seed)
 	rows := make([]SortScalingRow, 0, len(ns))
@@ -166,7 +167,7 @@ func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 		for i := range xs {
 			xs[i] = r.Float64()
 		}
-		_, tr, err := samplesort.Sort(xs, samplesort.Config{Workers: p, Seed: r.Int63(), Sequential: true})
+		tr, err := samplesort.Route(xs, samplesort.Config{Workers: p, Seed: r.Int63()})
 		if err != nil {
 			return nil, err
 		}

@@ -22,11 +22,12 @@
 //
 // # API
 //
-// [Sort] is the real three-step implementation on one machine, with
-// [SortParallelRouting] sharding Step 2 across goroutines;
-// [SortHeterogeneous] and [SortHeterogeneousBalanced] size buckets to
-// worker speeds. [SimulateDistributed] replays the same pipeline on a
-// simulated star platform, and theory.go ([Cost], [TheoremB4Threshold],
-// [NonDivisibleFraction], [CheckConcentration]) holds the closed forms the
-// measurements are compared against.
+// [Sort] is the real three-step implementation on one machine, and
+// [Route] stops after Step 2 with the same [Trace], for callers that read
+// bucket sizes only; [SortHeterogeneous] and [SortHeterogeneousBalanced]
+// size buckets to worker speeds on the same steps. [SimulateDistributed]
+// replays the pipeline on a simulated star platform, and theory.go
+// ([Cost], [TheoremB4Threshold], [NonDivisibleFraction],
+// [CheckConcentration]) holds the closed forms the measurements are
+// compared against.
 package samplesort

@@ -2,14 +2,9 @@ package samplesort
 
 import (
 	"cmp"
-	"errors"
 	"math"
-	"slices"
-	"sort"
-	"sync"
 
 	"nlfl/internal/platform"
-	"nlfl/internal/stats"
 )
 
 // HeteroTrace extends Trace with the speed-aware balance metrics of
@@ -128,96 +123,30 @@ func BalancedShares(speeds []float64, n int) []float64 {
 	return out
 }
 
-// sortWithShares is the shared three-phase implementation: splitters are
-// placed at the cumulative `shares` ranks of the sorted sample.
+// sortWithShares places splitter i at the cumulative share of buckets
+// 0…i-1 of the sorted sample and otherwise runs Sort's three steps.
 func sortWithShares[T cmp.Ordered](xs []T, plat *platform.Platform, shares []float64, cfg Config) ([]T, HeteroTrace, error) {
 	p := plat.P()
 	cfg.Workers = p
-	ht := HeteroTrace{Speeds: plat.Speeds()}
-	ht.Trace = Trace{N: len(xs), Workers: p, Oversampling: cfg.Oversampling}
-	if cfg.Oversampling == 0 {
-		cfg.Oversampling = DefaultOversampling(len(xs))
-		ht.Oversampling = cfg.Oversampling
+	// Summed one share at a time in bucket order: another order can round
+	// cum·m, and so a splitter, to a neighbouring rank.
+	cum := make([]float64, p-1)
+	sum := 0.0
+	for i := range cum {
+		sum += shares[i]
+		cum[i] = sum
 	}
-	if cfg.Oversampling < 1 {
-		return nil, ht, errors.New("samplesort: invalid oversampling")
+	splitters, tr, err := route(xs, cfg, func(i, m int) int { return int(cum[i-1] * float64(m)) })
+	ht := HeteroTrace{Trace: tr, Speeds: plat.Speeds()}
+	if err != nil {
+		return nil, ht, err
+	}
+	ht.SortTimes = make([]float64, p)
+	for i, n := range tr.BucketSizes {
+		ht.SortTimes[i] = sortWork(n) / plat.Worker(i).Speed
 	}
 	if len(xs) == 0 {
-		ht.BucketSizes = make([]int, p)
-		ht.SortTimes = make([]float64, p)
 		return nil, ht, nil
 	}
-
-	// Step 1: sample, then place splitters at cumulative-speed ranks.
-	want := cfg.Oversampling * p
-	if want > len(xs) {
-		want = len(xs)
-	}
-	r := stats.NewRNG(cfg.Seed)
-	sample := make([]T, want)
-	for i := range sample {
-		sample[i] = xs[r.Intn(len(xs))]
-	}
-	slices.Sort(sample)
-	ht.SampleSize = want
-	if want > 1 {
-		ht.ComparisonsSample = float64(want) * math.Log2(float64(want))
-	}
-	splitters := make([]T, 0, p-1)
-	cum := 0.0
-	for i := 0; i < p-1; i++ {
-		cum += shares[i]
-		rank := int(cum * float64(len(sample)))
-		if rank >= len(sample) {
-			rank = len(sample) - 1
-		}
-		splitters = append(splitters, sample[rank])
-	}
-
-	// Step 2: route.
-	buckets := make([][]T, p)
-	for _, x := range xs {
-		b := sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
-		buckets[b] = append(buckets[b], x)
-	}
-	if p > 1 {
-		ht.ComparisonsRouting = float64(len(xs)) * math.Log2(float64(p))
-	}
-
-	// Step 3: per-worker sorts.
-	if cfg.Sequential {
-		for _, b := range buckets {
-			slices.Sort(b)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, b := range buckets {
-			if len(b) < 2 {
-				continue
-			}
-			wg.Add(1)
-			go func(b []T) {
-				defer wg.Done()
-				slices.Sort(b)
-			}(b)
-		}
-		wg.Wait()
-	}
-
-	ht.BucketSizes = make([]int, p)
-	ht.SortTimes = make([]float64, p)
-	out := make([]T, 0, len(xs))
-	for i, b := range buckets {
-		ht.BucketSizes[i] = len(b)
-		if len(b) > ht.MaxBucket {
-			ht.MaxBucket = len(b)
-		}
-		if len(b) > 1 {
-			work := float64(len(b)) * math.Log2(float64(len(b)))
-			ht.ComparisonsBuckets += work
-			ht.SortTimes[i] = work / plat.Worker(i).Speed
-		}
-		out = append(out, b...)
-	}
-	return out, ht, nil
+	return scatterSort(xs, splitters, tr.BucketSizes, cfg.Sequential), ht, nil
 }

@@ -20,8 +20,9 @@ type Config struct {
 	Oversampling int
 	// Seed drives splitter sampling; runs with equal seeds are identical.
 	Seed int64
-	// Parallel enables goroutine-parallel Step 3 (on by default via
-	// Sort; disable for deterministic single-thread profiling).
+	// Sequential sorts the Step 3 buckets one after another on the
+	// calling goroutine instead of one goroutine per bucket, for
+	// single-thread profiling. The output and Trace do not change.
 	Sequential bool
 }
 
@@ -68,190 +69,143 @@ func DefaultOversampling(n int) int {
 	return s
 }
 
+// Route runs Steps 1 and 2 only: it selects the splitters, counts the keys
+// each bucket receives and fills the whole Trace from those counts, Step
+// 3's ComparisonsBuckets included. It copies no key: beyond the Trace it
+// allocates only the s·p sample and the splitters. Its Trace equals Sort's
+// for the same xs and cfg, so callers that read bucket sizes only (the
+// Section 3 balance results) route instead of sorting.
+func Route[T cmp.Ordered](xs []T, cfg Config) (Trace, error) {
+	_, tr, err := route(xs, cfg, evenRank(cfg.Workers))
+	return tr, err
+}
+
 // Sort sample-sorts xs into a new slice using cfg, returning the sorted
 // keys and the phase trace. The input is not modified.
 func Sort[T cmp.Ordered](xs []T, cfg Config) ([]T, Trace, error) {
+	splitters, tr, err := route(xs, cfg, evenRank(cfg.Workers))
+	if err != nil || len(xs) == 0 {
+		return nil, tr, err
+	}
+	return scatterSort(xs, splitters, tr.BucketSizes, cfg.Sequential), tr, nil
+}
+
+// evenRank places splitter i at rank i·m/p of the sorted m-key sample, so
+// every bucket expects N/p keys. One bucket needs no splitter, so for
+// p = 1 it is nil and route draws no sample.
+func evenRank(p int) func(i, m int) int {
+	if p == 1 {
+		return nil
+	}
+	return func(i, m int) int { return i * m / p }
+}
+
+// route is Steps 1 and 2 for every entry point. Step 1 draws min(s·p, N)
+// random keys, sorts them and keeps the keys of ranks rank(1, m), …,
+// rank(p-1, m) of the m-key sample as splitters (clamped to the sample;
+// non-decreasing by construction). Step 2 counts the keys of each bucket.
+// The returned Trace is complete.
+func route[T cmp.Ordered](xs []T, cfg Config, rank func(i, m int) int) ([]T, Trace, error) {
 	tr := Trace{N: len(xs), Workers: cfg.Workers, Oversampling: cfg.Oversampling}
 	if cfg.Workers < 1 {
 		return nil, tr, errors.New("samplesort: need at least one worker")
 	}
-	if cfg.Oversampling == 0 {
-		cfg.Oversampling = DefaultOversampling(len(xs))
-		tr.Oversampling = cfg.Oversampling
+	if tr.Oversampling == 0 {
+		tr.Oversampling = DefaultOversampling(len(xs))
 	}
-	if cfg.Oversampling < 1 {
-		return nil, tr, fmt.Errorf("samplesort: invalid oversampling %d", cfg.Oversampling)
+	if tr.Oversampling < 1 {
+		return nil, tr, fmt.Errorf("samplesort: invalid oversampling %d", tr.Oversampling)
 	}
 	p := cfg.Workers
+	tr.BucketSizes = make([]int, p)
 	if len(xs) == 0 {
-		tr.BucketSizes = make([]int, p)
 		return nil, tr, nil
 	}
 
 	// Step 1: sample and select splitters.
-	splitters, sampleSize := selectSplitters(xs, p, cfg.Oversampling, cfg.Seed)
-	tr.SampleSize = sampleSize
-	if sampleSize > 1 {
-		tr.ComparisonsSample = float64(sampleSize) * math.Log2(float64(sampleSize))
+	var splitters []T
+	if rank != nil {
+		r := stats.NewRNG(cfg.Seed)
+		sample := make([]T, min(tr.Oversampling*p, len(xs)))
+		for i := range sample {
+			sample[i] = xs[r.Intn(len(xs))]
+		}
+		slices.Sort(sample)
+		splitters = make([]T, p-1)
+		for i := range splitters {
+			splitters[i] = sample[min(rank(i+1, len(sample)), len(sample)-1)]
+		}
+		tr.SampleSize = len(sample)
+		if len(sample) > 1 {
+			tr.ComparisonsSample = float64(len(sample)) * math.Log2(float64(len(sample)))
+		}
 	}
 
-	// Step 2: route keys to buckets by binary search over the splitters.
-	buckets := make([][]T, p)
+	// Step 2: count the keys routed to each bucket.
 	for _, x := range xs {
-		b := sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
-		buckets[b] = append(buckets[b], x)
+		tr.BucketSizes[bucketOf(splitters, x)]++
 	}
 	if p > 1 {
 		tr.ComparisonsRouting = float64(len(xs)) * math.Log2(float64(p))
 	}
-
-	// Step 3: sort buckets, one worker per bucket.
-	if cfg.Sequential {
-		for _, b := range buckets {
-			slices.Sort(b)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, b := range buckets {
-			if len(b) < 2 {
-				continue
-			}
-			wg.Add(1)
-			go func(b []T) {
-				defer wg.Done()
-				slices.Sort(b)
-			}(b)
-		}
-		wg.Wait()
+	for _, n := range tr.BucketSizes {
+		tr.MaxBucket = max(tr.MaxBucket, n)
+		tr.ComparisonsBuckets += sortWork(n)
 	}
-
-	tr.BucketSizes = make([]int, p)
-	out := make([]T, 0, len(xs))
-	for i, b := range buckets {
-		tr.BucketSizes[i] = len(b)
-		if len(b) > tr.MaxBucket {
-			tr.MaxBucket = len(b)
-		}
-		if len(b) > 1 {
-			tr.ComparisonsBuckets += float64(len(b)) * math.Log2(float64(len(b)))
-		}
-		out = append(out, b...)
-	}
-	return out, tr, nil
+	return splitters, tr, nil
 }
 
-// selectSplitters draws min(s·p, n) random keys, sorts them, and returns
-// the p-1 splitters of ranks s, 2s, …, (p-1)s (scaled when the sample was
-// clamped). Splitters are non-decreasing by construction.
-func selectSplitters[T cmp.Ordered](xs []T, p, s int, seed int64) ([]T, int) {
-	if p == 1 {
-		return nil, 0
-	}
-	want := s * p
-	if want > len(xs) {
-		want = len(xs)
-	}
-	r := stats.NewRNG(seed)
-	sample := make([]T, want)
-	for i := range sample {
-		sample[i] = xs[r.Intn(len(xs))]
-	}
-	slices.Sort(sample)
-	splitters := make([]T, 0, p-1)
-	for i := 1; i < p; i++ {
-		rank := i * len(sample) / p
-		if rank >= len(sample) {
-			rank = len(sample) - 1
-		}
-		splitters = append(splitters, sample[rank])
-	}
-	return splitters, want
+// bucketOf is the Step 2 routing of one key: the first bucket whose upper
+// splitter exceeds x, by binary search.
+func bucketOf[T cmp.Ordered](splitters []T, x T) int {
+	return sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
 }
 
-// SortParallelRouting is Sort with a goroutine-parallel Step 2: the input
-// is split into shards, each shard routes into its own per-bucket
-// buffers, and the buckets are concatenated shard-by-shard (so the result
-// is identical to Sort's for the same seed). On multicore hosts this
-// removes the serial N·log p routing bottleneck that the Section 3.1 cost
-// model charges to the master.
-func SortParallelRouting[T cmp.Ordered](xs []T, cfg Config, shards int) ([]T, Trace, error) {
-	tr := Trace{N: len(xs), Workers: cfg.Workers, Oversampling: cfg.Oversampling}
-	if cfg.Workers < 1 {
-		return nil, tr, errors.New("samplesort: need at least one worker")
+// sortWork is n·log₂n, the comparisons of sorting an n-key bucket.
+func sortWork(n int) float64 {
+	if n < 2 {
+		return 0
 	}
-	if shards < 1 {
-		return nil, tr, errors.New("samplesort: need at least one shard")
-	}
-	if cfg.Oversampling == 0 {
-		cfg.Oversampling = DefaultOversampling(len(xs))
-		tr.Oversampling = cfg.Oversampling
-	}
-	if cfg.Oversampling < 1 {
-		return nil, tr, fmt.Errorf("samplesort: invalid oversampling %d", cfg.Oversampling)
-	}
-	p := cfg.Workers
-	if len(xs) == 0 {
-		tr.BucketSizes = make([]int, p)
-		return nil, tr, nil
-	}
-	splitters, sampleSize := selectSplitters(xs, p, cfg.Oversampling, cfg.Seed)
-	tr.SampleSize = sampleSize
-	if sampleSize > 1 {
-		tr.ComparisonsSample = float64(sampleSize) * math.Log2(float64(sampleSize))
-	}
+	return float64(n) * math.Log2(float64(n))
+}
 
-	// Step 2, sharded: shard s routes xs[s·len/shards : (s+1)·len/shards].
-	local := make([][][]T, shards)
+// scatterSort is Step 3 on route's counts: their prefix sums give each
+// bucket its range of one output array, every key is routed a second time
+// straight into its range, and each range is sorted in place, one
+// goroutine per bucket unless sequential. Routing twice costs another
+// N·log p comparisons, the cheap step, and no memory beyond the output. A
+// bucket index kept per key would cost 4 bytes a key (half of a float64
+// input again) and a counting loop of its own, apart from Route's.
+func scatterSort[T cmp.Ordered](xs, splitters []T, sizes []int, sequential bool) []T {
+	out := make([]T, len(xs))
+	next := make([]int, len(sizes))
+	for b := 1; b < len(sizes); b++ {
+		next[b] = next[b-1] + sizes[b-1]
+	}
+	for _, x := range xs {
+		b := bucketOf(splitters, x)
+		out[next[b]] = x
+		next[b]++
+	}
+	// next[b] is now the end of bucket b.
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo := s * len(xs) / shards
-		hi := (s + 1) * len(xs) / shards
-		local[s] = make([][]T, p)
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			for _, x := range xs[lo:hi] {
-				b := sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
-				local[s][b] = append(local[s][b], x)
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	if p > 1 {
-		tr.ComparisonsRouting = float64(len(xs)) * math.Log2(float64(p))
-	}
-
-	// Merge shards per bucket (shard order preserves Sort's semantics) and
-	// run Step 3 in parallel.
-	buckets := make([][]T, p)
-	for b := 0; b < p; b++ {
-		for s := 0; s < shards; s++ {
-			buckets[b] = append(buckets[b], local[s][b]...)
+	lo := 0
+	for _, hi := range next {
+		bucket := out[lo:hi]
+		lo = hi
+		if len(bucket) < 2 {
+			continue
 		}
-	}
-	for _, b := range buckets {
-		if len(b) < 2 {
+		if sequential {
+			slices.Sort(bucket)
 			continue
 		}
 		wg.Add(1)
-		go func(b []T) {
+		go func() {
 			defer wg.Done()
-			slices.Sort(b)
-		}(b)
+			slices.Sort(bucket)
+		}()
 	}
 	wg.Wait()
-
-	tr.BucketSizes = make([]int, p)
-	out := make([]T, 0, len(xs))
-	for i, b := range buckets {
-		tr.BucketSizes[i] = len(b)
-		if len(b) > tr.MaxBucket {
-			tr.MaxBucket = len(b)
-		}
-		if len(b) > 1 {
-			tr.ComparisonsBuckets += float64(len(b)) * math.Log2(float64(len(b)))
-		}
-		out = append(out, b...)
-	}
-	return out, tr, nil
+	return out
 }

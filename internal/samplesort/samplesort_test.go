@@ -402,41 +402,3 @@ func TestHeterogeneousSortProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSortParallelRoutingMatchesSort(t *testing.T) {
-	xs := randomFloats(91, 80000)
-	ref, refTr, err := Sort(xs, Config{Workers: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3, 8} {
-		got, tr, err := SortParallelRouting(xs, Config{Workers: 8, Seed: 5}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(ref, got) {
-			t.Fatalf("shards=%d: output differs from Sort", shards)
-		}
-		for b := range tr.BucketSizes {
-			if tr.BucketSizes[b] != refTr.BucketSizes[b] {
-				t.Fatalf("shards=%d: bucket sizes differ", shards)
-			}
-		}
-	}
-}
-
-func TestSortParallelRoutingValidation(t *testing.T) {
-	if _, _, err := SortParallelRouting([]int{1}, Config{Workers: 0}, 2); err == nil {
-		t.Error("zero workers should fail")
-	}
-	if _, _, err := SortParallelRouting([]int{1}, Config{Workers: 2}, 0); err == nil {
-		t.Error("zero shards should fail")
-	}
-	if _, _, err := SortParallelRouting([]int{1}, Config{Workers: 2, Oversampling: -1}, 2); err == nil {
-		t.Error("negative oversampling should fail")
-	}
-	out, tr, err := SortParallelRouting([]float64(nil), Config{Workers: 3}, 2)
-	if err != nil || len(out) != 0 || len(tr.BucketSizes) != 3 {
-		t.Error("empty input mishandled")
-	}
-}
