@@ -119,20 +119,53 @@ func TestCLISubcommands(t *testing.T) {
 	}
 }
 
-// TestCLISortGolden pins `nlfl sort` stdout byte for byte: the scaling
-// table and the Theorem B.4 line come from routed bucket counts and must
-// read as they did when every trial was fully sorted.
-func TestCLISortGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/sort-seed7-trials30.golden")
+// TestCLIGoldens pins what the simulated stack prints, byte for byte:
+// each row runs one command and compares its stdout with its golden, and
+// every testdata/*.golden is a row. The sort row's scaling table and
+// Theorem B.4 line come from routed bucket counts and must read as they
+// did when every trial was fully sorted.
+func TestCLIGoldens(t *testing.T) {
+	rows := []struct {
+		golden string
+		args   []string
+	}{
+		{"sort-seed7-trials30", []string{"sort", "-seed", "7", "-trials", "30"}},
+		{"gantt-p4-w40", []string{"gantt", "-p", "4", "-w", "40"}},
+		{"trace-dlt-p4-tasks16", []string{"trace", "-executor", "dlt", "-p", "4", "-tasks", "16"}},
+		{"trace-demand-p4-tasks16", []string{"trace", "-executor", "demand", "-p", "4", "-tasks", "16"}},
+		{"trace-sort-p4-tasks16", []string{"trace", "-executor", "sort", "-p", "4", "-tasks", "16"}},
+		{"trace-single-round-crash-p4-tasks16-seed7", []string{"trace", "-executor", "single-round",
+			"-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"returns-trials20", []string{"returns", "-trials", "20"}},
+		{"adaptivity-p4-blocks64", []string{"adaptivity", "-p", "4", "-blocks", "64"}},
+	}
+	files, err := filepath.Glob("testdata/*.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := capture(t, func() error { return run([]string{"sort", "-seed", "7", "-trials", "30"}) })
-	if err != nil {
-		t.Fatalf("sort: %v\n%s", err, got)
+	if len(files) != len(rows) {
+		t.Errorf("testdata holds %d goldens, the table %d rows", len(files), len(rows))
 	}
-	if got != string(want) {
-		t.Errorf("nlfl sort -seed 7 -trials 30 drifted from testdata/sort-seed7-trials30.golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	for _, r := range rows {
+		t.Run(r.golden, func(t *testing.T) {
+			path := filepath.Join("testdata", r.golden+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := capture(t, func() error { return run(r.args) })
+			if err != nil {
+				t.Fatalf("%v: %v\n%s", r.args, err, got)
+			}
+			// A written file's path is the run's, not the golden's.
+			if i := strings.Index(got, "\nwrote "); i >= 0 {
+				got = got[:i+1]
+			}
+			if got != string(want) {
+				t.Errorf("nlfl %s drifted from %s:\n--- got ---\n%s--- want ---\n%s",
+					strings.Join(r.args, " "), path, got, want)
+			}
+		})
 	}
 }
 

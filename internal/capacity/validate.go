@@ -79,13 +79,7 @@ func (m Model) SimulateMakespan(p int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("capacity: %w", err)
 	}
-	makespan := 0.0
-	for _, t := range tl.FinishTimes() {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	return makespan, nil
+	return tl.Makespan, nil
 }
 
 // MeasureMakespan executes the same plan on the real worker-pool

@@ -7,8 +7,9 @@
 // chunk distribution behind the Homogeneous Blocks strategy (Section 4.1.1),
 // the one-port sequential-distribution baseline of the non-linear DLT
 // literature (Section 2's references [31–35]), and multi-round linear DLT.
-// This package provides the event engine and the star-network executor
-// they share.
+// This package provides the event engine and the star-network executors
+// they share. Every executor records its run as a *trace.Timeline, the
+// record the trace.Check oracle audits.
 package dessim
 
 import (

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/trace"
 )
 
 // The paper's Section 1.2 model lets every master→worker transfer proceed
@@ -20,6 +21,7 @@ import (
 // fluidTransfer is one in-flight master→worker transfer.
 type fluidTransfer struct {
 	worker    int
+	task      int     // chunk index in the schedule
 	size      float64 // original chunk size
 	remaining float64
 	start     float64
@@ -31,13 +33,14 @@ type fluidTransfer struct {
 // (data units per time unit; math.Inf(1) reproduces ParallelLinks
 // exactly). Each worker receives its chunks in order, one active transfer
 // per worker; active transfers share the egress max-min; computation
-// queues on the worker CPU after each chunk fully arrives.
-func RunSingleRoundBounded(p *platform.Platform, chunks []Chunk, egress float64) (*Timeline, error) {
+// queues on the worker CPU after each chunk fully arrives. Each chunk's
+// spans carry its slice index as the task id.
+func RunSingleRoundBounded(p *platform.Platform, chunks []Chunk, egress float64) (*trace.Timeline, error) {
 	if egress <= 0 || math.IsNaN(egress) {
 		return nil, fmt.Errorf("dessim: invalid egress capacity %v", egress)
 	}
-	tl := NewTimeline(p.P())
-	queues := make([][]Chunk, p.P())
+	tl := trace.New(p.P())
+	queues := make([][]int, p.P()) // chunk indices per worker, in order
 	for idx, ch := range chunks {
 		if ch.Worker < 0 || ch.Worker >= p.P() {
 			return nil, fmt.Errorf("dessim: chunk %d targets unknown worker %d", idx, ch.Worker)
@@ -45,7 +48,7 @@ func RunSingleRoundBounded(p *platform.Platform, chunks []Chunk, egress float64)
 		if ch.Data < 0 || ch.Work < 0 {
 			return nil, fmt.Errorf("dessim: chunk %d has negative size", idx)
 		}
-		queues[ch.Worker] = append(queues[ch.Worker], ch)
+		queues[ch.Worker] = append(queues[ch.Worker], idx)
 	}
 
 	var active []*fluidTransfer
@@ -59,17 +62,18 @@ func RunSingleRoundBounded(p *platform.Platform, chunks []Chunk, egress float64)
 		if len(queues[w]) == 0 {
 			return
 		}
-		ch := queues[w][0]
+		idx := queues[w][0]
 		queues[w] = queues[w][1:]
+		ch := chunks[idx]
 		if ch.Data == 0 {
-			tl.Add(w, Interval{Kind: Receive, Start: now, End: now, Data: 0})
+			tl.Add(w, trace.Span{Kind: trace.Comm, Start: now, End: now, Data: 0, Task: idx})
 			s, e := cpus[w].Book(now, p.Worker(w).LinearCompTime(ch.Work))
-			tl.Add(w, Interval{Kind: Compute, Start: s, End: e, Work: ch.Work})
+			tl.Add(w, trace.Span{Kind: trace.Compute, Start: s, End: e, Work: ch.Work, Task: idx})
 			startNext(w)
 			return
 		}
 		active = append(active, &fluidTransfer{
-			worker: w, size: ch.Data, remaining: ch.Data, start: now, work: ch.Work,
+			worker: w, task: idx, size: ch.Data, remaining: ch.Data, start: now, work: ch.Work,
 		})
 	}
 	for w := range queues {
@@ -104,9 +108,9 @@ func RunSingleRoundBounded(p *platform.Platform, chunks []Chunk, egress float64)
 		sort.Slice(finished, func(a, b int) bool { return finished[a].worker < finished[b].worker })
 		for _, tr := range finished {
 			w := tr.worker
-			tl.Add(w, Interval{Kind: Receive, Start: tr.start, End: now, Data: tr.size})
+			tl.Add(w, trace.Span{Kind: trace.Comm, Start: tr.start, End: now, Data: tr.size, Task: tr.task})
 			s, e := cpus[w].Book(now, p.Worker(w).LinearCompTime(tr.work))
-			tl.Add(w, Interval{Kind: Compute, Start: s, End: e, Work: tr.work})
+			tl.Add(w, trace.Span{Kind: trace.Compute, Start: s, End: e, Work: tr.work, Task: tr.task})
 			startNext(w)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
+	"nlfl/internal/trace"
 )
 
 func TestBoundedInfiniteEgressMatchesParallelLinks(t *testing.T) {
@@ -31,9 +32,7 @@ func TestBoundedInfiniteEgressMatchesParallelLinks(t *testing.T) {
 	if math.Abs(ref.CommVolume()-fluid.CommVolume()) > 1e-9 {
 		t.Errorf("volumes differ: %v vs %v", fluid.CommVolume(), ref.CommVolume())
 	}
-	if err := fluid.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, fluid)
 }
 
 func TestBoundedEgressSharing(t *testing.T) {
@@ -48,8 +47,8 @@ func TestBoundedEgressSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := tl.PerWorker[0][0]
-	if recv.Kind != Receive || math.Abs(recv.End-20) > 1e-9 {
+	recv := tl.Spans[0][0]
+	if recv.Kind != trace.Comm || math.Abs(recv.End-20) > 1e-9 {
 		t.Errorf("shared receive should end at 20, got %+v", recv)
 	}
 	if math.Abs(tl.Makespan-30) > 1e-9 {
@@ -75,13 +74,13 @@ func TestBoundedWaterFilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := tl.PerWorker[1][0]
+	fast := tl.Spans[1][0]
 	if math.Abs(fast.End-4) > 1e-9 {
 		t.Errorf("fast transfer ends at %v, want 4", fast.End)
 	}
 	// After t=4 the slow transfer still runs at its cap 0.5: it had
 	// 5-4·0.5 = 3 left → finishes at 4+6 = 10.
-	slow := tl.PerWorker[0][0]
+	slow := tl.Spans[0][0]
 	if math.Abs(slow.End-10) > 1e-9 {
 		t.Errorf("slow transfer ends at %v, want 10", slow.End)
 	}
@@ -99,9 +98,7 @@ func TestBoundedZeroDataChunks(t *testing.T) {
 	if tl.Makespan != 8 {
 		t.Errorf("makespan = %v, want 8 (two instant deliveries, queued compute)", tl.Makespan)
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, tl)
 }
 
 func TestBoundedValidation(t *testing.T) {
@@ -167,8 +164,8 @@ func TestBoundedProperty(t *testing.T) {
 			return false
 		}
 		return math.Abs(tl.CommVolume()-totData) < 1e-6*(1+totData) &&
-			math.Abs(tl.WorkDone()-totWork) < 1e-6*(1+totWork) &&
-			tl.Validate() == nil &&
+			math.Abs(tl.UsefulWork()-totWork) < 1e-6*(1+totWork) &&
+			len(trace.Check(tl, nil)) == 0 &&
 			tl.Makespan >= ref.Makespan-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

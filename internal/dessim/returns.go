@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/trace"
 )
 
 // The paper's model drops return messages "in order to concentrate on the
@@ -47,9 +48,10 @@ func (o ReturnOrder) String() string {
 // through the master's single ingress port in the chosen order. A result
 // transfer starts when both the worker has finished computing and the
 // port has drained the previous return. The returned timeline records the
-// return transfers as Receive intervals on the master's behalf (worker
-// index preserved); the makespan is when the last result lands.
-func RunSingleRoundWithReturns(p *platform.Platform, chunks []Chunk, delta float64, order ReturnOrder) (*Timeline, error) {
+// return transfers as Comm spans on the worker's row, after its
+// distribution transfer and tagged with the same task id; the makespan
+// is when the last result lands.
+func RunSingleRoundWithReturns(p *platform.Platform, chunks []Chunk, delta float64, order ReturnOrder) (*trace.Timeline, error) {
 	if delta < 0 {
 		return nil, fmt.Errorf("dessim: negative return ratio %v", delta)
 	}
@@ -66,15 +68,15 @@ func RunSingleRoundWithReturns(p *platform.Platform, chunks []Chunk, delta float
 			return nil, fmt.Errorf("dessim: chunk %d has negative size", idx)
 		}
 	}
-	tl := NewTimeline(p.P())
+	tl := trace.New(p.P())
 	port := &Resource{}
 	compDone := make(map[int]float64, len(chunks))
 	for idx, ch := range chunks {
 		w := p.Worker(ch.Worker)
 		recvStart, recvEnd := port.Book(0, w.CommTime(ch.Data))
-		tl.Add(ch.Worker, Interval{Kind: Receive, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
 		compEnd := recvEnd + w.LinearCompTime(ch.Work)
-		tl.Add(ch.Worker, Interval{Kind: Compute, Start: recvEnd, End: compEnd, Work: ch.Work, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Compute, Start: recvEnd, End: compEnd, Work: ch.Work, Task: idx})
 		compDone[idx] = compEnd
 	}
 	// Collection order over chunk indices.
@@ -95,7 +97,7 @@ func RunSingleRoundWithReturns(p *platform.Platform, chunks []Chunk, delta float
 			start = ingress.FreeAt()
 		}
 		s, e := ingress.Book(start, dur)
-		tl.Add(ch.Worker, Interval{Kind: Receive, Start: s, End: e, Data: delta * ch.Data, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Comm, Start: s, End: e, Data: delta * ch.Data, Task: idx})
 	}
 	return tl, nil
 }

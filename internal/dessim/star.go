@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/trace"
 )
 
 // CommMode selects the master's outgoing-communication model.
@@ -48,9 +49,33 @@ type Chunk struct {
 // order; in ParallelLinks mode it is the per-worker emission order. A
 // worker computes each chunk after fully receiving it (no pipelining of a
 // chunk's own communication and computation, per the paper's model), and
-// its CPU processes chunks in arrival order.
-func RunSingleRound(p *platform.Platform, chunks []Chunk, mode CommMode) (*Timeline, error) {
-	tl := NewTimeline(p.P())
+// its CPU processes chunks in arrival order. Each chunk's spans carry its
+// slice index as the task id.
+func RunSingleRound(p *platform.Platform, chunks []Chunk, mode CommMode) (*trace.Timeline, error) {
+	return runStatic(p, chunks, make([]float64, p.P()), mode)
+}
+
+// RunSingleRoundAffine executes a static schedule like RunSingleRound but
+// charges a fixed per-chunk latency on every transfer: receiving a chunk
+// of d units on worker i takes latency[i] + d/bwᵢ. Latencies are what
+// make multi-round scheduling a trade-off — more rounds pipeline better
+// but pay the overhead more often (the classical UMR setting).
+func RunSingleRoundAffine(p *platform.Platform, chunks []Chunk, latency []float64, mode CommMode) (*trace.Timeline, error) {
+	if len(latency) != p.P() {
+		return nil, fmt.Errorf("dessim: %d latencies for %d workers", len(latency), p.P())
+	}
+	for i, l := range latency {
+		if l < 0 {
+			return nil, fmt.Errorf("dessim: negative latency %v for worker %d", l, i)
+		}
+	}
+	return runStatic(p, chunks, latency, mode)
+}
+
+// runStatic is the one static-schedule loop behind RunSingleRound (zero
+// latencies) and RunSingleRoundAffine.
+func runStatic(p *platform.Platform, chunks []Chunk, latency []float64, mode CommMode) (*trace.Timeline, error) {
+	tl := trace.New(p.P())
 	port := &Resource{}              // master's one-port resource
 	links := make([]Resource, p.P()) // per-worker incoming links
 	cpus := make([]Resource, p.P())  // per-worker CPUs
@@ -62,46 +87,6 @@ func RunSingleRound(p *platform.Platform, chunks []Chunk, mode CommMode) (*Timel
 			return nil, fmt.Errorf("dessim: chunk %d has negative size (%v data, %v work)", idx, ch.Data, ch.Work)
 		}
 		w := p.Worker(ch.Worker)
-		commDur := w.CommTime(ch.Data)
-		var recvStart, recvEnd float64
-		if mode == OnePort {
-			recvStart, recvEnd = port.Book(0, commDur)
-		} else {
-			recvStart, recvEnd = links[ch.Worker].Book(0, commDur)
-		}
-		tl.Add(ch.Worker, Interval{Kind: Receive, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
-		compStart, compEnd := cpus[ch.Worker].Book(recvEnd, w.LinearCompTime(ch.Work))
-		tl.Add(ch.Worker, Interval{Kind: Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
-	}
-	return tl, nil
-}
-
-// RunSingleRoundAffine executes a static schedule like RunSingleRound but
-// charges a fixed per-chunk latency on every transfer: receiving a chunk
-// of d units on worker i takes latency[i] + d/bwᵢ. Latencies are what
-// make multi-round scheduling a trade-off — more rounds pipeline better
-// but pay the overhead more often (the classical UMR setting).
-func RunSingleRoundAffine(p *platform.Platform, chunks []Chunk, latency []float64, mode CommMode) (*Timeline, error) {
-	if len(latency) != p.P() {
-		return nil, fmt.Errorf("dessim: %d latencies for %d workers", len(latency), p.P())
-	}
-	for i, l := range latency {
-		if l < 0 {
-			return nil, fmt.Errorf("dessim: negative latency %v for worker %d", l, i)
-		}
-	}
-	tl := NewTimeline(p.P())
-	port := &Resource{}
-	links := make([]Resource, p.P())
-	cpus := make([]Resource, p.P())
-	for idx, ch := range chunks {
-		if ch.Worker < 0 || ch.Worker >= p.P() {
-			return nil, fmt.Errorf("dessim: chunk %d targets unknown worker %d", idx, ch.Worker)
-		}
-		if ch.Data < 0 || ch.Work < 0 {
-			return nil, fmt.Errorf("dessim: chunk %d has negative size", idx)
-		}
-		w := p.Worker(ch.Worker)
 		commDur := latency[ch.Worker] + w.CommTime(ch.Data)
 		var recvStart, recvEnd float64
 		if mode == OnePort {
@@ -109,9 +94,9 @@ func RunSingleRoundAffine(p *platform.Platform, chunks []Chunk, latency []float6
 		} else {
 			recvStart, recvEnd = links[ch.Worker].Book(0, commDur)
 		}
-		tl.Add(ch.Worker, Interval{Kind: Receive, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
 		compStart, compEnd := cpus[ch.Worker].Book(recvEnd, w.LinearCompTime(ch.Work))
-		tl.Add(ch.Worker, Interval{Kind: Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
 	}
 	return tl, nil
 }
@@ -129,14 +114,14 @@ type Task struct {
 // This is the execution model behind the paper's Homogeneous Blocks
 // strategy (Section 4.1.1): "processors ask for new tasks as soon as they
 // end processing one", so faster processors automatically get more chunks.
-func RunDemandDriven(p *platform.Platform, tasks []Task, mode CommMode) (*Timeline, error) {
+func RunDemandDriven(p *platform.Platform, tasks []Task, mode CommMode) (*trace.Timeline, error) {
 	for i, t := range tasks {
 		if t.Data < 0 || t.Work < 0 {
 			return nil, fmt.Errorf("dessim: task %d has negative size (%v data, %v work)", i, t.Data, t.Work)
 		}
 	}
 	eng := NewEngine()
-	tl := NewTimeline(p.P())
+	tl := trace.New(p.P())
 	port := &Resource{}
 	next := 0
 
@@ -156,9 +141,9 @@ func RunDemandDriven(p *platform.Platform, tasks []Task, mode CommMode) (*Timeli
 		} else {
 			recvStart, recvEnd = eng.Now(), eng.Now()+commDur
 		}
-		tl.Add(worker, Interval{Kind: Receive, Start: recvStart, End: recvEnd, Data: task.Data, Task: taskID})
+		tl.Add(worker, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: task.Data, Task: taskID})
 		compEnd := recvEnd + w.LinearCompTime(task.Work)
-		tl.Add(worker, Interval{Kind: Compute, Start: recvEnd, End: compEnd, Work: task.Work, Task: taskID})
+		tl.Add(worker, trace.Span{Kind: trace.Compute, Start: recvEnd, End: compEnd, Work: task.Work, Task: taskID})
 		eng.At(compEnd, func() { assign(worker) })
 	}
 

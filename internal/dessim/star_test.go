@@ -8,6 +8,7 @@ import (
 
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
+	"nlfl/internal/trace"
 )
 
 func mustPlatform(t *testing.T, speeds ...float64) *platform.Platform {
@@ -17,6 +18,39 @@ func mustPlatform(t *testing.T, speeds ...float64) *platform.Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// mustCheck fails the test on any structural violation the trace oracle
+// finds in tl.
+func mustCheck(t *testing.T, tl *trace.Timeline) {
+	t.Helper()
+	if err := trace.Must(trace.Check(tl, nil)); err != nil {
+		t.Error(err)
+	}
+}
+
+// finishTimes returns each worker's last span end (0 for an idle worker).
+func finishTimes(tl *trace.Timeline) []float64 {
+	out := make([]float64, tl.Workers())
+	for w, spans := range tl.Spans {
+		for _, s := range spans {
+			out[w] = math.Max(out[w], s.End)
+		}
+	}
+	return out
+}
+
+// computeCounts returns the number of compute spans on each worker.
+func computeCounts(tl *trace.Timeline) []int {
+	out := make([]int, tl.Workers())
+	for w, spans := range tl.Spans {
+		for _, s := range spans {
+			if s.Kind == trace.Compute {
+				out[w]++
+			}
+		}
+	}
+	return out
 }
 
 func TestSingleRoundParallelLinks(t *testing.T) {
@@ -34,13 +68,11 @@ func TestSingleRoundParallelLinks(t *testing.T) {
 	if tl.Makespan != 8 {
 		t.Errorf("makespan = %v, want 8", tl.Makespan)
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
+	mustCheck(t, tl)
+	if tl.CommVolume() != 8 || tl.UsefulWork() != 8 {
+		t.Errorf("volume=%v work=%v, want 8/8", tl.CommVolume(), tl.UsefulWork())
 	}
-	if tl.CommVolume() != 8 || tl.WorkDone() != 8 {
-		t.Errorf("volume=%v work=%v, want 8/8", tl.CommVolume(), tl.WorkDone())
-	}
-	ft := tl.FinishTimes()
+	ft := finishTimes(tl)
 	if ft[0] != 8 || ft[1] != 8 {
 		t.Errorf("finish times = %v", ft)
 	}
@@ -59,7 +91,7 @@ func TestSingleRoundOnePortSerializesSends(t *testing.T) {
 	if tl.Makespan != 12 {
 		t.Errorf("makespan = %v, want 12", tl.Makespan)
 	}
-	iv := tl.PerWorker[1][0]
+	iv := tl.Spans[1][0]
 	if iv.Start != 4 || iv.End != 8 {
 		t.Errorf("worker 1 receive = [%v,%v], want [4,8]", iv.Start, iv.End)
 	}
@@ -94,9 +126,7 @@ func TestSingleRoundMultipleChunksPerWorkerQueueOnCPU(t *testing.T) {
 	if tl.Makespan != 11 {
 		t.Errorf("makespan = %v, want 11", tl.Makespan)
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, tl)
 }
 
 func TestSingleRoundValidation(t *testing.T) {
@@ -121,14 +151,7 @@ func TestDemandDrivenFasterWorkerGetsMoreTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, 2)
-	for w, ivs := range tl.PerWorker {
-		for _, iv := range ivs {
-			if iv.Kind == Compute {
-				counts[w]++
-			}
-		}
-	}
+	counts := computeCounts(tl)
 	if counts[0]+counts[1] != 40 {
 		t.Fatalf("task counts = %v, want total 40", counts)
 	}
@@ -136,9 +159,7 @@ func TestDemandDrivenFasterWorkerGetsMoreTasks(t *testing.T) {
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Errorf("fast/slow task ratio = %v (counts %v), want ≈3", ratio, counts)
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, tl)
 }
 
 func TestDemandDrivenLoadBalance(t *testing.T) {
@@ -162,7 +183,7 @@ func TestDemandDrivenLoadBalance(t *testing.T) {
 	// so every worker is busy until the pool drains: its slack w.r.t. the
 	// makespan is at most the duration of one task on the slowest worker.
 	maxTask := 1 / p.MinSpeed()
-	for i, ft := range tl.FinishTimes() {
+	for i, ft := range finishTimes(tl) {
 		if slack := tl.Makespan - ft; slack > maxTask+1e-9 {
 			t.Errorf("worker %d finishes %v early (> slowest task %v)", i, slack, maxTask)
 		}
@@ -180,10 +201,10 @@ func TestDemandDrivenAllTasksExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]int{}
-	for _, ivs := range tl.PerWorker {
-		for _, iv := range ivs {
-			if iv.Kind == Compute {
-				seen[iv.Task]++
+	for _, spans := range tl.Spans {
+		for _, s := range spans {
+			if s.Kind == trace.Compute {
+				seen[s.Task]++
 			}
 		}
 	}
@@ -195,9 +216,7 @@ func TestDemandDrivenAllTasksExactlyOnce(t *testing.T) {
 			t.Errorf("task %d computed %d times", id, n)
 		}
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, tl)
 }
 
 func TestDemandDrivenOnePortSerializesMaster(t *testing.T) {
@@ -208,11 +227,11 @@ func TestDemandDrivenOnePortSerializesMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two receives must not overlap anywhere on the master port.
-	var recvs []Interval
-	for _, ivs := range tl.PerWorker {
-		for _, iv := range ivs {
-			if iv.Kind == Receive {
-				recvs = append(recvs, iv)
+	var recvs []trace.Span
+	for _, spans := range tl.Spans {
+		for _, s := range spans {
+			if s.Kind == trace.Comm {
+				recvs = append(recvs, s)
 			}
 		}
 	}
@@ -233,17 +252,17 @@ func TestDemandDrivenRejectsNegativeTask(t *testing.T) {
 }
 
 func TestTimelineMetrics(t *testing.T) {
-	tl := NewTimeline(2)
-	tl.Add(0, Interval{Kind: Receive, Start: 0, End: 1, Data: 3})
-	tl.Add(0, Interval{Kind: Compute, Start: 1, End: 5, Work: 4})
-	tl.Add(1, Interval{Kind: Compute, Start: 0, End: 2, Work: 2})
+	tl := trace.New(2)
+	tl.Add(0, trace.Span{Kind: trace.Comm, Start: 0, End: 1, Data: 3})
+	tl.Add(0, trace.Span{Kind: trace.Compute, Start: 1, End: 5, Work: 4})
+	tl.Add(1, trace.Span{Kind: trace.Compute, Start: 0, End: 2, Work: 2})
 	if tl.Makespan != 5 {
 		t.Errorf("makespan = %v", tl.Makespan)
 	}
-	if tl.CommVolume() != 3 || tl.WorkDone() != 6 {
-		t.Errorf("volume/work = %v/%v", tl.CommVolume(), tl.WorkDone())
+	if tl.CommVolume() != 3 || tl.UsefulWork() != 6 {
+		t.Errorf("volume/work = %v/%v", tl.CommVolume(), tl.UsefulWork())
 	}
-	if got := tl.LoadImbalance(); got != 1 {
+	if got := tl.Imbalance(); got != 1 {
 		t.Errorf("imbalance = %v, want (4-2)/2 = 1", got)
 	}
 	if got := tl.Utilization(); got != 0.6 {
@@ -252,50 +271,50 @@ func TestTimelineMetrics(t *testing.T) {
 }
 
 func TestLoadImbalanceEdgeCases(t *testing.T) {
-	empty := NewTimeline(2)
-	if empty.LoadImbalance() != 0 {
+	empty := trace.New(2)
+	if empty.Imbalance() != 0 {
 		t.Error("empty timeline imbalance should be 0")
 	}
-	oneIdle := NewTimeline(2)
-	oneIdle.Add(0, Interval{Kind: Compute, Start: 0, End: 1, Work: 1})
-	if !math.IsInf(oneIdle.LoadImbalance(), 1) {
+	oneIdle := trace.New(2)
+	oneIdle.Add(0, trace.Span{Kind: trace.Compute, Start: 0, End: 1, Work: 1})
+	if !math.IsInf(oneIdle.Imbalance(), 1) {
 		t.Error("idle worker should give +Inf imbalance")
 	}
 }
 
 func TestTimelineValidateCatchesOverlap(t *testing.T) {
-	tl := NewTimeline(1)
-	tl.Add(0, Interval{Kind: Compute, Start: 0, End: 3})
-	tl.Add(0, Interval{Kind: Compute, Start: 2, End: 4})
-	if tl.Validate() == nil {
+	tl := trace.New(1)
+	tl.Add(0, trace.Span{Kind: trace.Compute, Start: 0, End: 3})
+	tl.Add(0, trace.Span{Kind: trace.Compute, Start: 2, End: 4})
+	if trace.Check(tl, nil) == nil {
 		t.Error("overlapping intervals should fail validation")
 	}
-	bad := NewTimeline(1)
-	bad.Add(0, Interval{Kind: Compute, Start: 3, End: 1})
-	if bad.Validate() == nil {
+	bad := trace.New(1)
+	bad.Add(0, trace.Span{Kind: trace.Compute, Start: 3, End: 1})
+	if trace.Check(bad, nil) == nil {
 		t.Error("negative-duration interval should fail validation")
 	}
 }
 
 func TestGanttRendering(t *testing.T) {
-	tl := NewTimeline(2)
-	tl.Add(0, Interval{Kind: Receive, Start: 0, End: 2, Data: 1})
-	tl.Add(0, Interval{Kind: Compute, Start: 2, End: 10, Work: 1})
-	tl.Add(1, Interval{Kind: Compute, Start: 0, End: 5, Work: 1})
+	tl := trace.New(2)
+	tl.Add(0, trace.Span{Kind: trace.Comm, Start: 0, End: 2, Data: 1})
+	tl.Add(0, trace.Span{Kind: trace.Compute, Start: 2, End: 10, Work: 1})
+	tl.Add(1, trace.Span{Kind: trace.Compute, Start: 0, End: 5, Work: 1})
 	out := tl.Gantt(40)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "-") {
 		t.Errorf("gantt missing glyphs:\n%s", out)
 	}
-	if NewTimeline(1).Gantt(10) != "(empty timeline)\n" {
+	if trace.New(1).Gantt(10) != "(empty timeline)\n" {
 		t.Error("empty gantt mis-rendered")
 	}
 }
 
 func TestIntervalKindString(t *testing.T) {
-	if Receive.String() != "recv" || Compute.String() != "comp" {
+	if trace.Comm.String() != "comm" || trace.Compute.String() != "compute" {
 		t.Error("kind names changed")
 	}
-	if IntervalKind(9).String() == "" {
+	if trace.SpanKind(9).String() == "" {
 		t.Error("unknown kind should render")
 	}
 	if ParallelLinks.String() != "parallel-links" || OnePort.String() != "one-port" {
@@ -333,8 +352,8 @@ func TestDemandDrivenConservationProperty(t *testing.T) {
 			return false
 		}
 		return math.Abs(tl.CommVolume()-totData) < 1e-6 &&
-			math.Abs(tl.WorkDone()-totWork) < 1e-6 &&
-			tl.Validate() == nil
+			math.Abs(tl.UsefulWork()-totWork) < 1e-6 &&
+			len(trace.Check(tl, nil)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -357,18 +376,6 @@ func TestSingleRoundAffineChargesLatency(t *testing.T) {
 	if tl.Makespan != 10 {
 		t.Errorf("makespan = %v, want 10", tl.Makespan)
 	}
-	// Zero latency must reduce to RunSingleRound exactly.
-	plain, err := RunSingleRound(p, chunks, ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noLat, err := RunSingleRoundAffine(p, chunks, []float64{0, 0}, ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(plain.Makespan-noLat.Makespan) > 1e-12 {
-		t.Error("zero latency should match the plain runner")
-	}
 }
 
 func TestSingleRoundAffineValidation(t *testing.T) {
@@ -381,25 +388,5 @@ func TestSingleRoundAffineValidation(t *testing.T) {
 	}
 	if _, err := RunSingleRoundAffine(p, []Chunk{{Worker: 5}}, []float64{0}, OnePort); err == nil {
 		t.Error("unknown worker should fail")
-	}
-}
-
-func TestTimelineSummary(t *testing.T) {
-	p := mustPlatform(t, 1, 2)
-	tl, err := RunSingleRound(p, []Chunk{
-		{Worker: 0, Data: 2, Work: 4},
-		{Worker: 1, Data: 2, Work: 4},
-	}, ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tl.Summary()
-	for _, want := range []string{"makespan", "P1", "P2", "utilization", "idle"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-	if NewTimeline(1).Summary() == "" {
-		t.Error("empty timeline summary should render")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/trace"
 )
 
 // Epoch is one piece of a piecewise-constant speed profile: until time
@@ -83,11 +84,11 @@ func finishAcross(epochs []Epoch, pl *platform.Platform, w int, start, work floa
 // computation slows down. A static schedule cannot react to a slowdown —
 // the slowed worker keeps its whole chunk — which is exactly the
 // fragility the demand-driven runner below avoids.
-func RunSingleRoundVarying(pl *platform.Platform, chunks []Chunk, epochs []Epoch) (*Timeline, error) {
+func RunSingleRoundVarying(pl *platform.Platform, chunks []Chunk, epochs []Epoch) (*trace.Timeline, error) {
 	if err := validateEpochs(epochs, pl.P()); err != nil {
 		return nil, err
 	}
-	tl := NewTimeline(pl.P())
+	tl := trace.New(pl.P())
 	links := make([]Resource, pl.P())
 	cpuFree := make([]float64, pl.P())
 	for idx, ch := range chunks {
@@ -99,7 +100,7 @@ func RunSingleRoundVarying(pl *platform.Platform, chunks []Chunk, epochs []Epoch
 		}
 		w := pl.Worker(ch.Worker)
 		recvStart, recvEnd := links[ch.Worker].Book(0, w.CommTime(ch.Data))
-		tl.Add(ch.Worker, Interval{Kind: Receive, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
 		compStart := recvEnd
 		if cpuFree[ch.Worker] > compStart {
 			compStart = cpuFree[ch.Worker]
@@ -109,7 +110,7 @@ func RunSingleRoundVarying(pl *platform.Platform, chunks []Chunk, epochs []Epoch
 			return nil, fmt.Errorf("dessim: chunk %d starves on frozen worker %d", idx, ch.Worker)
 		}
 		cpuFree[ch.Worker] = compEnd
-		tl.Add(ch.Worker, Interval{Kind: Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
+		tl.Add(ch.Worker, trace.Span{Kind: trace.Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
 	}
 	return tl, nil
 }
@@ -119,7 +120,7 @@ func RunSingleRoundVarying(pl *platform.Platform, chunks []Chunk, epochs []Epoch
 // a platform whose compute speeds follow the piecewise-constant profile.
 // A worker whose effective rate is zero simply stops claiming work until
 // the pool finishes elsewhere.
-func RunDemandDrivenVarying(pl *platform.Platform, tasks []Task, epochs []Epoch) (*Timeline, error) {
+func RunDemandDrivenVarying(pl *platform.Platform, tasks []Task, epochs []Epoch) (*trace.Timeline, error) {
 	if err := validateEpochs(epochs, pl.P()); err != nil {
 		return nil, err
 	}
@@ -129,7 +130,7 @@ func RunDemandDrivenVarying(pl *platform.Platform, tasks []Task, epochs []Epoch)
 		}
 	}
 	eng := NewEngine()
-	tl := NewTimeline(pl.P())
+	tl := trace.New(pl.P())
 	next := 0
 
 	var assign func(worker int)
@@ -148,8 +149,8 @@ func RunDemandDrivenVarying(pl *platform.Platform, tasks []Task, epochs []Epoch)
 			return
 		}
 		next++
-		tl.Add(worker, Interval{Kind: Receive, Start: eng.Now(), End: recvEnd, Data: task.Data, Task: taskID})
-		tl.Add(worker, Interval{Kind: Compute, Start: recvEnd, End: compEnd, Work: task.Work, Task: taskID})
+		tl.Add(worker, trace.Span{Kind: trace.Comm, Start: eng.Now(), End: recvEnd, Data: task.Data, Task: taskID})
+		tl.Add(worker, trace.Span{Kind: trace.Compute, Start: recvEnd, End: compEnd, Work: task.Work, Task: taskID})
 		eng.At(compEnd, func() { assign(worker) })
 	}
 	for i := 0; i < pl.P(); i++ {

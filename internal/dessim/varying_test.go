@@ -30,7 +30,7 @@ func TestVaryingConstantMatchesPlainDemandDriven(t *testing.T) {
 	if math.Abs(plain.Makespan-varying.Makespan) > 1e-9 {
 		t.Errorf("constant profile: %v vs plain %v", varying.Makespan, plain.Makespan)
 	}
-	if math.Abs(plain.WorkDone()-varying.WorkDone()) > 1e-9 {
+	if math.Abs(plain.UsefulWork()-varying.UsefulWork()) > 1e-9 {
 		t.Error("work accounting differs")
 	}
 }
@@ -51,14 +51,7 @@ func TestVaryingSlowdownShiftsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, 2)
-	for w, ivs := range tl.PerWorker {
-		for _, iv := range ivs {
-			if iv.Kind == Compute {
-				counts[w]++
-			}
-		}
-	}
+	counts := computeCounts(tl)
 	if counts[0]+counts[1] != 20 {
 		t.Fatalf("counts %v", counts)
 	}
@@ -67,9 +60,7 @@ func TestVaryingSlowdownShiftsWork(t *testing.T) {
 	if counts[1] < 13 {
 		t.Errorf("healthy worker got %d tasks, expected most of the tail", counts[1])
 	}
-	if err := tl.Validate(); err != nil {
-		t.Error(err)
-	}
+	mustCheck(t, tl)
 }
 
 func TestVaryingFrozenWorkerRetires(t *testing.T) {
@@ -84,8 +75,8 @@ func TestVaryingFrozenWorkerRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tl.PerWorker[0]) != 0 {
-		t.Errorf("frozen worker recorded intervals: %v", tl.PerWorker[0])
+	if len(tl.Spans[0]) != 0 {
+		t.Errorf("frozen worker recorded intervals: %v", tl.Spans[0])
 	}
 	if tl.Makespan != 6 {
 		t.Errorf("makespan = %v, want 6", tl.Makespan)

@@ -76,31 +76,23 @@ func MultiRoundGeometric(a Allocation, n float64, rounds int, ratio float64) ([]
 // from closed-form DLT results to the discrete-event simulator used for
 // cross-validation.
 func SimulatedMakespan(p *platform.Platform, chunks []dessim.Chunk, mode dessim.CommMode) (float64, error) {
-	tl, err := dessim.RunSingleRound(p, chunks, mode)
+	tl, err := SimulatedTimeline(p, chunks, mode)
 	if err != nil {
-		return 0, err
-	}
-	if err := tl.Validate(); err != nil {
 		return 0, err
 	}
 	return tl.Makespan, nil
 }
 
 // SimulatedTimeline executes chunks like SimulatedMakespan but returns the
-// full structured trace, already audited: the dessim record is validated,
-// converted, and passed through the trace invariant checker before being
-// handed back.
+// full structured trace, already passed through the trace invariant
+// checker.
 func SimulatedTimeline(p *platform.Platform, chunks []dessim.Chunk, mode dessim.CommMode) (*trace.Timeline, error) {
 	tl, err := dessim.RunSingleRound(p, chunks, mode)
 	if err != nil {
 		return nil, err
 	}
-	if err := tl.Validate(); err != nil {
+	if err := trace.Must(trace.Check(tl, nil)); err != nil {
 		return nil, err
 	}
-	tr := trace.FromDessim(tl)
-	if err := trace.Must(trace.Check(tr, nil)); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return tl, nil
 }

@@ -58,14 +58,13 @@ func (o ResilientOptions) withDefaults() (ResilientOptions, error) {
 
 // Report is the full fault accounting of one resilient run.
 type Report struct {
-	// Timeline records every interval, including transfers that were
-	// dropped and partial computations cut short by crashes; its Makespan
-	// can exceed the job's (a losing speculative copy may still be
-	// computing after the last task completed).
-	Timeline *dessim.Timeline `json:"-"`
-	// Trace is the structured record of the same run: spans carry
-	// outcomes (ok/dropped/killed/wasted) and the fault instants appear
-	// as markers, so trace.Check can audit the executor's claims.
+	// Trace is the structured record of the run: every span, including
+	// dropped transfers and partial computations cut short by crashes,
+	// carries its outcome (ok/dropped/killed/wasted) and the fault
+	// instants appear as markers, so trace.Check can audit the
+	// executor's claims. Its Makespan can exceed the job's (a losing
+	// speculative copy may still be computing after the last task
+	// completed).
 	Trace *trace.Timeline `json:"-"`
 	// Makespan is the first-completion time of the last task.
 	Makespan float64 `json:"makespan"`
@@ -148,7 +147,6 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 	avail := inj.Availability()
 	tr := trace.New(p.P())
 	rep := &Report{
-		Timeline:       dessim.NewTimeline(p.P()),
 		Trace:          tr,
 		TasksPerWorker: make([]int, p.P()),
 	}
@@ -182,7 +180,6 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		}
 		a.ph, a.start, a.finish = phaseCompute, now, finish
 		a.handle = eng.Schedule(finish, func() {
-			rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Compute, Start: a.start, End: finish, Work: tasks[a.task].Work, Task: a.task})
 			cur[w] = nil
 			copies[a.task]--
 			if done[a.task] {
@@ -220,7 +217,6 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		rep.DataShipped += data
 		a.ph, a.start = phaseTransfer, now
 		a.handle = eng.Schedule(now+d, func() {
-			rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Receive, Start: a.start, End: eng.Now(), Data: data, Task: a.task})
 			if !dropped {
 				tr.Add(w, trace.Span{Kind: trace.Comm, Start: a.start, End: eng.Now(), Data: data, Task: a.task, Outcome: trace.OK})
 				startCompute(a)
@@ -333,11 +329,9 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		now := eng.Now()
 		switch a.ph {
 		case phaseTransfer:
-			rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Receive, Start: a.start, End: now, Data: tasks[a.task].Data, Task: a.task})
 			tr.Add(w, trace.Span{Kind: trace.Comm, Start: a.start, End: now, Data: tasks[a.task].Data, Task: a.task, Outcome: trace.Killed})
 			rep.ExtraComm += tasks[a.task].Data // shipment died with the worker
 		case phaseCompute:
-			rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Compute, Start: a.start, End: now, Work: 0, Task: a.task})
 			lost := avail.WorkBetween(p, w, a.start, now)
 			tr.Add(w, trace.Span{Kind: trace.Compute, Start: a.start, End: now, Work: lost, Task: a.task, Outcome: trace.Killed})
 			rep.LostWork += lost

@@ -7,6 +7,7 @@ import (
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/platform"
+	"nlfl/internal/trace"
 )
 
 func testPlatform(t *testing.T, speeds ...float64) *platform.Platform {
@@ -30,14 +31,6 @@ func uniformTasks(n int, data, work float64) []dessim.Task {
 	return tasks
 }
 
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		m = math.Max(m, x)
-	}
-	return m
-}
-
 // With no faults, the resilient executor must reproduce the plain
 // demand-driven run exactly: same makespan, no waste of any kind.
 func TestResilientFaultFreeMatchesDemandDriven(t *testing.T) {
@@ -51,7 +44,7 @@ func TestResilientFaultFreeMatchesDemandDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := maxOf(tl.FinishTimes())
+	want := tl.Makespan // the latest worker finish time
 	if math.Abs(rep.Makespan-want) > 1e-9 {
 		t.Errorf("fault-free makespan = %v, plain demand-driven = %v", rep.Makespan, want)
 	}
@@ -139,8 +132,8 @@ func TestResilientTransientRecovery(t *testing.T) {
 	}
 	// The recovered worker must have completions after its recovery time.
 	late := false
-	for _, iv := range rep.Timeline.PerWorker[1] {
-		if iv.Kind == dessim.Compute && iv.End > 6 && iv.Work > 0 {
+	for _, s := range rep.Trace.Spans[1] {
+		if s.Kind == trace.Compute && s.End > 6 && s.Outcome != trace.Killed && s.Work > 0 {
 			late = true
 		}
 	}

@@ -17,11 +17,11 @@ import (
 // quantities below make the paper's Section 1.1 robustness argument
 // measurable.
 type SingleRoundReport struct {
-	Timeline *dessim.Timeline `json:"-"`
-	// Trace records every span with its outcome — including the transfers
-	// and partial computations a crash destroyed, which the plain Timeline
-	// omits. Chunks never shipped (a dead worker's schedule tail) have no
-	// spans; their work appears only in LostWork.
+	// Trace records every span with its outcome: the surviving chunks as
+	// OK spans, and the transfers and partial computations a crash or a
+	// drop destroyed as Killed or Dropped ones. Chunks never shipped (a
+	// dead worker's schedule tail) have no spans; their work appears only
+	// in LostWork.
 	Trace *trace.Timeline `json:"-"`
 	// Completed reports whether every chunk finished.
 	Completed bool `json:"completed"`
@@ -61,7 +61,6 @@ func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc S
 	}
 	tr := trace.New(p.P())
 	rep := &SingleRoundReport{
-		Timeline:      dessim.NewTimeline(p.P()),
 		Trace:         tr,
 		PerWorkerLost: make([]float64, p.P()),
 	}
@@ -146,8 +145,6 @@ func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc S
 			continue
 		}
 		cpuFree[w] = compEnd
-		rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Receive, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx})
-		rep.Timeline.Add(w, dessim.Interval{Kind: dessim.Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx})
 		tr.Add(w, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx, Outcome: trace.OK})
 		tr.Add(w, trace.Span{Kind: trace.Compute, Start: compStart, End: compEnd, Work: ch.Work, Task: idx, Outcome: trace.OK})
 		rep.CompletedWork += ch.Work

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nlfl/internal/dessim"
 	"nlfl/internal/platform"
 )
 
@@ -31,12 +32,23 @@ type FaultResult struct {
 }
 
 // ScheduleWithFailures runs the demand-driven distribution under injected
-// worker failures. The simulation is epoch-based and deterministic:
-// between failures the pool drains demand-driven among live workers;
-// at each failure the dead worker's completed and in-flight tasks return
-// to the pool. Tasks are identical (Data/Work per TaskSpec index is used
-// only for volume/work accounting; the demand-driven dynamics assume the
-// uniform-task shape of the paper's Homogeneous Blocks).
+// worker failures on the shared dessim.Engine. The simulation is
+// deterministic:
+//
+//   - between failures the pool drains demand-driven (idle live worker →
+//     next pending task, lowest worker index first on ties);
+//   - durability (Hadoop map-phase semantics): a completed task's output
+//     lives on its worker's local disk, so it survives only if that worker
+//     stays alive until the whole job completes. A worker dying at any
+//     earlier point — even while idle, long after its last completion —
+//     sends every task it completed back to the pool as a re-execution;
+//   - at a failure instant every live in-flight execution crossing the
+//     instant also bounces back to the pool (the survivors resynchronize
+//     at the boundary), and the pool is re-sorted by task index;
+//   - an execution finishing exactly at the failure instant counts as
+//     completed (and, on the dying worker, completed-then-lost);
+//   - a second failure of an already-dead worker is a no-op, and once the
+//     job has completed, later failures are free.
 func ScheduleWithFailures(p *platform.Platform, tasks []TaskSpec, failures []Failure) (FaultResult, error) {
 	for i, t := range tasks {
 		if t.Data < 0 || t.Work < 0 {
@@ -52,117 +64,129 @@ func ScheduleWithFailures(p *platform.Platform, tasks []TaskSpec, failures []Fai
 		}
 	}
 	fs := append([]Failure(nil), failures...)
-	sort.Slice(fs, func(a, b int) bool { return fs[a].Time < fs[b].Time })
+	sort.SliceStable(fs, func(a, b int) bool { return fs[a].Time < fs[b].Time })
 
 	res := FaultResult{TasksPerWorker: make([]int, p.P())}
+	eng := dessim.NewEngine()
 	dead := make([]bool, p.P())
-	// pending holds indices of tasks still needing a surviving execution.
 	pending := make([]int, len(tasks))
 	for i := range pending {
 		pending[i] = i
 	}
-	// Per-worker state: next free time and the completions recorded so far.
-	// Durability rule (Hadoop map-phase semantics): a completed task's
-	// output lives on its worker's local disk, so it survives only if that
-	// worker stays alive until the whole job completes. A worker dying at
-	// any earlier point — even while idle, long after its last completion —
-	// sends every task it completed back to the pool. Once the job
-	// completes, outputs are consumed and later failures are free.
-	free := make([]float64, p.P())
 	type execution struct {
 		task   int
 		finish float64
 	}
-	completed := make([][]execution, p.P())
-	executions := 0
-
-	liveWorkers := func() int {
-		n := 0
-		for _, d := range dead {
-			if !d {
-				n++
-			}
-		}
-		return n
+	type inflight struct {
+		task   int
+		finish float64
+		handle *dessim.Handle
 	}
+	completed := make([][]execution, p.P())
+	cur := make([]*inflight, p.P())
+	jobFinished := false
 
-	// run drains `pending` demand-driven until `until` (or completion),
-	// returning tasks that finished strictly after `until` back to the
-	// queue unfinished.
-	run := func(until float64) {
-		queue := pending
-		pending = nil
-		for len(queue) > 0 {
-			// Earliest-free live worker.
-			w := -1
-			for cand := 0; cand < p.P(); cand++ {
-				if dead[cand] {
-					continue
-				}
-				if w == -1 || free[cand] < free[w] {
-					w = cand
-				}
-			}
-			if w == -1 || free[w] >= until {
-				break
-			}
-			task := queue[0]
-			dur := tasks[task].Work / p.Worker(w).Speed
-			finish := free[w] + dur
-			if finish > until {
-				// The failure interrupts this execution: the task stays
-				// pending, the worker is busy until the failure.
-				queue = queue[1:]
-				pending = append(pending, task)
-				free[w] = until
+	var dispatch func()
+	dispatch = func() {
+		for w := 0; w < p.P(); w++ {
+			if dead[w] || cur[w] != nil || len(pending) == 0 {
 				continue
 			}
-			queue = queue[1:]
-			free[w] = finish
-			completed[w] = append(completed[w], execution{task: task, finish: finish})
-			executions++
+			w := w
+			task := pending[0]
+			pending = pending[1:]
+			finish := eng.Now() + tasks[task].Work/p.Worker(w).Speed
+			a := &inflight{task: task, finish: finish}
+			cur[w] = a
+			a.handle = eng.Schedule(finish, func() {
+				cur[w] = nil
+				completed[w] = append(completed[w], execution{task: a.task, finish: finish})
+				dispatch()
+			})
 		}
-		pending = append(pending, queue...)
 	}
 
-	const inf = 1e300
+	// Failure events are scheduled before the initial dispatch so they win
+	// the engine's FIFO tie-break: a failure at t=0 kills its worker before
+	// any task is claimed.
 	for _, f := range fs {
-		if liveWorkers() == 0 {
-			break
+		f := f
+		eng.At(f.Time, func() {
+			if jobFinished {
+				return // outputs already consumed; the failure is free
+			}
+			now := eng.Now()
+			finished := len(pending) == 0
+			for _, a := range cur {
+				if a != nil && a.finish > now {
+					finished = false
+				}
+			}
+			if finished {
+				// Executions finishing exactly now complete right after this
+				// event; the job is done and later failures are free.
+				jobFinished = true
+				return
+			}
+			if dead[f.Worker] {
+				return // duplicate failure of a dead worker: physical no-op
+			}
+			dead[f.Worker] = true
+			for w, a := range cur {
+				if a == nil {
+					continue
+				}
+				if w == f.Worker {
+					cur[w] = nil
+					a.handle.Cancel()
+					if a.finish <= now {
+						// Completed exactly at the failure instant, then lost
+						// with the worker's disk.
+						res.Reexecutions++
+						res.LostWork += tasks[a.task].Work
+					}
+					pending = append(pending, a.task)
+					continue
+				}
+				if a.finish > now {
+					// Resynchronization: live in-flight work crossing the
+					// failure boundary restarts from the boundary.
+					cur[w] = nil
+					a.handle.Cancel()
+					pending = append(pending, a.task)
+				}
+			}
+			lost := completed[f.Worker]
+			completed[f.Worker] = nil
+			for _, ex := range lost {
+				res.LostWork += tasks[ex.task].Work
+				pending = append(pending, ex.task)
+				res.Reexecutions++
+			}
+			sort.Ints(pending)
+			dispatch()
+		})
+	}
+	eng.At(0, dispatch)
+	eng.Run()
+
+	remaining := len(pending)
+	for _, a := range cur {
+		if a != nil {
+			remaining++
 		}
-		run(f.Time)
-		if len(pending) == 0 {
-			// The job finished before this failure: map outputs have been
-			// consumed; later failures are free.
-			break
-		}
-		if dead[f.Worker] {
-			continue
-		}
-		dead[f.Worker] = true
-		// Lose the dead worker's outputs: its completed tasks re-enter
-		// the pool (re-executions), preserving task order.
-		lost := completed[f.Worker]
-		completed[f.Worker] = nil
-		for _, ex := range lost {
-			res.LostWork += tasks[ex.task].Work
-			pending = append(pending, ex.task)
-			res.Reexecutions++
-		}
-		sort.Ints(pending)
-		// Surviving workers resume from max(free, failure time).
-		for wkr := range free {
-			if !dead[wkr] && free[wkr] < f.Time {
-				free[wkr] = f.Time
+	}
+	if remaining > 0 {
+		live := 0
+		for _, d := range dead {
+			if !d {
+				live++
 			}
 		}
-	}
-	if liveWorkers() == 0 && len(pending) > 0 {
-		return res, fmt.Errorf("mapreduce: all workers dead with %d tasks pending", len(pending))
-	}
-	run(inf)
-	if len(pending) > 0 {
-		return res, fmt.Errorf("mapreduce: %d tasks never completed", len(pending))
+		if live == 0 {
+			return res, fmt.Errorf("mapreduce: all workers dead with %d tasks pending", remaining)
+		}
+		return res, fmt.Errorf("mapreduce: %d tasks never completed", remaining)
 	}
 	for w, exs := range completed {
 		res.TasksPerWorker[w] = len(exs)

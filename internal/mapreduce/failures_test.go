@@ -77,8 +77,7 @@ func TestFailureAfterCompletionIsFree(t *testing.T) {
 	}
 	tasks, _ := UniformTasks(4, 0, 1)
 	// Everything completes at t=2; a failure at t=100 changes nothing
-	// (map outputs have been consumed by then in a real job; this model
-	// only replays failures that precede completion of the epoch run).
+	// (map outputs have been consumed by then).
 	res, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 0, Time: 100}})
 	if err != nil {
 		t.Fatal(err)
@@ -187,5 +186,93 @@ func TestFailureProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The durability rule made explicit: a worker's completed map outputs are
+// lost if it dies at ANY point before the job's last task completes —
+// even while sitting idle long after its own last completion.
+func TestIdleWorkerDeathLosesCompletedOutputs(t *testing.T) {
+	pl, err := platform.FromSpeeds([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3 unit tasks on 2 unit workers: w0 runs t0 then t2 (finishes at 2),
+	// w1 runs t1 and goes idle at t=1. Killing w1 at t=1.5 — while idle,
+	// before the job ends at t=2 — must lose its completed output.
+	tasks, _ := UniformTasks(3, 0, 1)
+	res, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 1, Time: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reexecutions != 1 || res.LostWork != 1 {
+		t.Errorf("idle death should lose the completed task: %+v", res)
+	}
+	if res.TasksPerWorker[1] != 0 {
+		t.Errorf("dead worker kept credit: %+v", res)
+	}
+	if res.TasksPerWorker[0] != 3 {
+		t.Errorf("survivor should end up with every task: %+v", res)
+	}
+	// w0's in-flight t2 bounces at the boundary; it then runs the
+	// re-queued t1 and t2 back to back from 1.5.
+	if math.Abs(res.Makespan-3.5) > 1e-9 {
+		t.Errorf("makespan = %v, want 3.5", res.Makespan)
+	}
+	// The counterpart: dying after the job completed is free.
+	res, err = ScheduleWithFailures(pl, tasks, []Failure{{Worker: 1, Time: 2.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reexecutions != 0 || res.TasksPerWorker[1] != 1 || res.Makespan != 2 {
+		t.Errorf("post-completion death should be free: %+v", res)
+	}
+}
+
+func TestDESMatchesEpochOnKnownScenarios(t *testing.T) {
+	pl, err := platform.FromSpeeds([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, _ := UniformTasks(10, 0, 1)
+	res, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 1, Time: 3.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TasksPerWorker[1] != 0 || res.TasksPerWorker[0] != 10 ||
+		res.Reexecutions != 3 || res.LostWork != 3 || res.Makespan < 10 {
+		t.Errorf("diverged on the reference scenario: %+v", res)
+	}
+
+	if _, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 0, Time: 1}, {Worker: 1, Time: 1}}); err == nil {
+		t.Error("killing every worker mid-job should fail")
+	}
+	if _, err := ScheduleWithFailures(pl, []TaskSpec{{Work: -1}}, nil); err == nil {
+		t.Error("negative work accepted")
+	}
+	if _, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 9, Time: 1}}); err == nil {
+		t.Error("unknown worker accepted")
+	}
+	if _, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 0, Time: -2}}); err == nil {
+		t.Error("negative failure time accepted")
+	}
+}
+
+func TestDESDuplicateFailureIsNoop(t *testing.T) {
+	pl, err := platform.FromSpeeds([]float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, _ := UniformTasks(9, 0, 1)
+	a, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 2, Time: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ScheduleWithFailures(pl, tasks, []Failure{{Worker: 2, Time: 1.5}, {Worker: 2, Time: 2.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Makespan != b.Makespan || a.Reexecutions != b.Reexecutions || a.LostWork != b.LostWork {
+		t.Errorf("duplicate failure of a dead worker changed the outcome: %+v vs %+v", a, b)
 	}
 }

@@ -107,22 +107,21 @@ func SimulateDistributed(pl *platform.Platform, n int, cfg Config, mode dessim.C
 	if err != nil {
 		return out, err
 	}
-	if err := tl.Validate(); err != nil {
+	if err := trace.Must(trace.Check(tl, nil)); err != nil {
 		return out, err
 	}
 	commEnd := 0.0
-	for _, ivs := range tl.PerWorker {
-		for _, iv := range ivs {
-			if iv.Kind == dessim.Receive && iv.End > commEnd {
-				commEnd = iv.End
+	for _, spans := range tl.Spans {
+		for _, s := range spans {
+			if s.Kind == trace.Comm && s.End > commEnd {
+				commEnd = s.End
 			}
 		}
 	}
 	out.CommMakespan = offset + commEnd
 	out.Makespan = offset + tl.Makespan
-	tr := trace.FromDessim(tl)
-	tr.Shift(offset)
-	out.Trace = tr
+	tl.Shift(offset)
+	out.Trace = tl
 	out.Sequential = float64(n) * math.Log2(float64(n)) / pl.MaxSpeed()
 	return out, nil
 }

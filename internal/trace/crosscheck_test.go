@@ -99,11 +99,10 @@ func TestCrossCheckCommhomK(t *testing.T) {
 				chunks = append(chunks, dessim.Chunk{Worker: w, Data: blockData, Work: blockArea})
 			}
 		}
-		tl, err := dessim.RunSingleRound(pl, chunks, dessim.ParallelLinks)
+		tr, err := dessim.RunSingleRound(pl, chunks, dessim.ParallelLinks)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		tr := trace.FromDessim(tl)
 		if got := tr.CommVolume(); !within(got, r.Volume, 1e-9) {
 			t.Errorf("seed %d: traced volume %v ≠ plan volume %v", seed, got, r.Volume)
 		}

@@ -5,10 +5,10 @@
 // record into a mechanical test oracle.
 //
 // Every executor in the repository produces a *Timeline: the demand-driven
-// and static star executors of internal/dessim (via FromDessim), the
-// MapReduce scheduler (internal/mapreduce), the resilient and single-round
-// fault executors (internal/faults), linear DLT (internal/dlt), and the
-// distributed sample sort (internal/samplesort). The paper's conservation
+// and static star executors of internal/dessim, the MapReduce scheduler
+// (internal/mapreduce), the resilient and single-round fault executors
+// (internal/faults), linear DLT (internal/dlt), and the distributed
+// sample sort (internal/samplesort). The paper's conservation
 // laws — total work processed, the Comm_hom = 2N·√(Σsᵢ/s₁) volume bound,
 // the ≤1% imbalance rule for Comm_hom/k — become Check expectations; any
 // scheduler whose trace violates them is broken, in the spirit of the
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"nlfl/internal/dessim"
 )
 
 // SpanKind distinguishes what a worker was doing during a span.
@@ -395,28 +393,4 @@ func (tl *Timeline) Utilization() float64 {
 		busy += t
 	}
 	return busy / (tl.Makespan * float64(len(tl.Spans)))
-}
-
-// FromDessim converts a dessim.Timeline — the record the star executors
-// already produce — into a trace Timeline. Every interval becomes an OK
-// span (the dessim executors model no faults).
-func FromDessim(d *dessim.Timeline) *Timeline {
-	tl := New(len(d.PerWorker))
-	for w, ivs := range d.PerWorker {
-		for _, iv := range ivs {
-			kind := Comm
-			if iv.Kind == dessim.Compute {
-				kind = Compute
-			}
-			tl.Add(w, Span{
-				Kind:  kind,
-				Start: iv.Start,
-				End:   iv.End,
-				Data:  iv.Data,
-				Work:  iv.Work,
-				Task:  iv.Task,
-			})
-		}
-	}
-	return tl
 }

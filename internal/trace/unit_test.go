@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"nlfl/internal/dessim"
 )
 
 func TestStringers(t *testing.T) {
@@ -101,25 +99,6 @@ func TestImbalanceEdges(t *testing.T) {
 	}
 	if New(-3).Workers() != 0 {
 		t.Error("negative worker count should clamp to 0")
-	}
-}
-
-func TestFromDessim(t *testing.T) {
-	d := dessim.NewTimeline(2)
-	d.Add(0, dessim.Interval{Kind: dessim.Receive, Start: 0, End: 1, Data: 3, Task: 0})
-	d.Add(0, dessim.Interval{Kind: dessim.Compute, Start: 1, End: 2, Work: 5, Task: 0})
-	tl := FromDessim(d)
-	if tl.Workers() != 2 || len(tl.Spans[0]) != 2 {
-		t.Fatalf("bad conversion: %+v", tl)
-	}
-	if tl.Spans[0][0].Kind != Comm || tl.Spans[0][1].Kind != Compute {
-		t.Errorf("kinds: %+v", tl.Spans[0])
-	}
-	if tl.Spans[0][0].Outcome != OK {
-		t.Errorf("dessim intervals should convert to OK spans")
-	}
-	if tl.CommVolume() != 3 || tl.UsefulWork() != 5 {
-		t.Errorf("volumes: comm %v work %v", tl.CommVolume(), tl.UsefulWork())
 	}
 }
 
@@ -429,37 +408,5 @@ func TestChromeTrace(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Error("ChromeTrace is not deterministic")
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	eng := dessim.NewEngine()
-	rec := NewRecorder()
-	eng.SetSink(rec)
-	h := eng.Schedule(2, func() {})
-	eng.Schedule(1, func() {})
-	h.Cancel()
-	eng.Run()
-	if rec.Scheduled != 2 || rec.Fired != 1 || rec.Cancelled != 1 {
-		t.Errorf("counts: %+v", rec)
-	}
-	if vs := rec.Violations(); vs != nil {
-		t.Errorf("clean run flagged: %v", vs)
-	}
-
-	// Feed the recorder an impossible sequence directly (the engine itself
-	// panics on these, so simulate a buggy engine).
-	bad := NewRecorder()
-	bad.EventScheduled(1, 5, 3) // scheduled in the past
-	bad.EventFired(1, 5)
-	bad.EventFired(2, 4) // clock went backwards
-	vs := bad.Violations()
-	if len(vs) != 2 {
-		t.Fatalf("want 2 violations, got %v", vs)
-	}
-	for _, v := range vs {
-		if v.Kind != NonMonotone {
-			t.Errorf("kind = %v", v.Kind)
-		}
 	}
 }
