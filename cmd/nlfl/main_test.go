@@ -123,7 +123,8 @@ func TestCLISubcommands(t *testing.T) {
 // each row runs one command and compares its stdout with its golden, and
 // every testdata/*.golden is a row. The sort row's scaling table and
 // Theorem B.4 line come from routed bucket counts and must read as they
-// did when every trial was fully sorted.
+// did when every trial was fully sorted. The single-round, resilient and
+// faults rows pin the DES fault executors under each scenario kind.
 func TestCLIGoldens(t *testing.T) {
 	rows := []struct {
 		golden string
@@ -136,6 +137,19 @@ func TestCLIGoldens(t *testing.T) {
 		{"trace-sort-p4-tasks16", []string{"trace", "-executor", "sort", "-p", "4", "-tasks", "16"}},
 		{"trace-single-round-crash-p4-tasks16-seed7", []string{"trace", "-executor", "single-round",
 			"-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"trace-single-round-straggler-p4-tasks16-seed7", []string{"trace", "-executor", "single-round",
+			"-scenario", "straggler", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"trace-single-round-flaky-link-p4-tasks16-seed7", []string{"trace", "-executor", "single-round",
+			"-scenario", "flaky-link", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"trace-resilient-crash-p4-tasks16-seed7", []string{"trace", "-executor", "resilient",
+			"-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"trace-resilient-straggler-p4-tasks16-seed7", []string{"trace", "-executor", "resilient",
+			"-scenario", "straggler", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"trace-resilient-flaky-link-p4-tasks16-seed7", []string{"trace", "-executor", "resilient",
+			"-scenario", "flaky-link", "-p", "4", "-tasks", "16", "-seed", "7"}},
+		{"faults-crash", []string{"faults", "-scenario", "crash"}},
+		{"faults-straggler", []string{"faults", "-scenario", "straggler"}},
+		{"faults-flaky-link", []string{"faults", "-scenario", "flaky-link"}},
 		{"returns-trials20", []string{"returns", "-trials", "20"}},
 		{"adaptivity-p4-blocks64", []string{"adaptivity", "-p", "4", "-blocks", "64"}},
 	}

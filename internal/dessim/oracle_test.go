@@ -1,7 +1,6 @@
 package dessim
 
 import (
-	"math"
 	"testing"
 
 	"nlfl/internal/trace"
@@ -26,10 +25,6 @@ func TestExecutorsUnderOracle(t *testing.T) {
 	for i, ch := range chunks {
 		tasks[i] = Task{Data: ch.Data, Work: ch.Work}
 	}
-	slowdown := []Epoch{
-		{Until: 2, Factor: []float64{1, 1, 1}},
-		{Until: math.Inf(1), Factor: []float64{0.2, 1, 0.5}},
-	}
 	const delta = 0.5
 
 	rows := []struct {
@@ -45,8 +40,6 @@ func TestExecutorsUnderOracle(t *testing.T) {
 		}, chunks, 1},
 		{"demand-driven", func() (*trace.Timeline, error) { return RunDemandDriven(p, tasks, OnePort) }, chunks, 1},
 		{"bounded", func() (*trace.Timeline, error) { return RunSingleRoundBounded(p, chunks, 3) }, chunks, 1},
-		{"single-round-varying", func() (*trace.Timeline, error) { return RunSingleRoundVarying(p, chunks, slowdown) }, chunks, 1},
-		{"demand-driven-varying", func() (*trace.Timeline, error) { return RunDemandDrivenVarying(p, tasks, slowdown) }, chunks, 1},
 		{"returns", func() (*trace.Timeline, error) { return RunSingleRoundWithReturns(p, single, delta, LIFO) }, single, 1 + delta},
 	}
 	for _, r := range rows {

@@ -6,6 +6,7 @@ import (
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/dlt"
+	"nlfl/internal/faults"
 	"nlfl/internal/platform"
 	"nlfl/internal/plot"
 )
@@ -25,9 +26,11 @@ type AdaptivityRow struct {
 // "re-assign tasks that slow down the process" — against classical DLT's
 // static allocation. A linear load of size n is scheduled on p
 // homogeneous workers; at 30% of the nominal makespan, worker 0's speed
-// drops to `factor`. The static single-round optimal cannot react (its
-// slowed worker keeps its whole chunk); the demand-driven pool of
-// `blocks` identical tasks reroutes automatically.
+// drops to `factor` for good (a faults.Straggler window ending at +Inf).
+// The static single-round optimal, run by faults.RunSingleRoundUnderFaults,
+// cannot react (its slowed worker keeps its whole chunk); the
+// demand-driven pool of `blocks` identical tasks, run by
+// faults.RunResilientDemandDriven, reroutes automatically.
 func Adaptivity(p int, n float64, blocks int, factors []float64) ([]AdaptivityRow, error) {
 	pl, err := platform.Homogeneous(p, 1, 1)
 	if err != nil {
@@ -53,22 +56,14 @@ func Adaptivity(p int, n float64, blocks int, factors []float64) ([]AdaptivityRo
 		if f <= 0 || f > 1 || math.IsNaN(f) {
 			return nil, fmt.Errorf("experiments: invalid slowdown factor %v", f)
 		}
-		healthy := make([]float64, p)
-		slowed := make([]float64, p)
-		for i := range healthy {
-			healthy[i] = 1
-			slowed[i] = 1
-		}
-		slowed[0] = f
-		epochs := []dessim.Epoch{
-			{Until: slowAt, Factor: healthy},
-			{Until: math.Inf(1), Factor: slowed},
-		}
-		static, err := dessim.RunSingleRoundVarying(pl, chunks, epochs)
+		sc := faults.Scenario{Events: []faults.Event{
+			{Kind: faults.Straggler, Worker: 0, Time: slowAt, Until: math.Inf(1), Factor: f},
+		}}
+		static, err := faults.RunSingleRoundUnderFaults(pl, chunks, sc)
 		if err != nil {
 			return nil, err
 		}
-		demand, err := dessim.RunDemandDrivenVarying(pl, tasks, epochs)
+		demand, err := faults.RunResilientDemandDriven(pl, tasks, sc, faults.ResilientOptions{})
 		if err != nil {
 			return nil, err
 		}

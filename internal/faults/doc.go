@@ -15,9 +15,14 @@
 //     crashes, transient crash/recover cycles, straggler slowdowns (speed
 //     multipliers over time windows), link degradation, and probabilistic
 //     transfer drops.
-//   - Injector arms a scenario on a dessim.Engine, compiling it into a
-//     platform.Availability for time-varying capacity queries and firing
-//     crash/recover callbacks into whatever executor is listening.
+//   - Scenario.Compile lowers a scenario once into a Table, the one
+//     per-worker fault model every executor queries: crash instants,
+//     outages, speed and bandwidth factors and seeded drop coins, plus
+//     the work integration the DES executors need. The measured runtime
+//     and the fleet read the same Table on live seconds.
+//   - Injector arms a compiled scenario's crash and recovery instants on
+//     a dessim.Engine and fires callbacks into whatever executor is
+//     listening.
 //   - RunResilientDemandDriven executes the Homogeneous Blocks
 //     demand-driven distribution with the fault tolerance MapReduce
 //     actually implements: heartbeat-timeout crash detection,

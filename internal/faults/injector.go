@@ -4,43 +4,30 @@ import (
 	"sort"
 
 	"nlfl/internal/dessim"
-	"nlfl/internal/platform"
-	"nlfl/internal/stats"
 )
 
-// Injector binds a Scenario to a dessim.Engine: it schedules the
+// Injector binds a compiled scenario to a dessim.Engine: it schedules the
 // scenario's crash and recovery instants as engine events, maintains the
-// live/dead state of every worker, and answers capacity and transfer-drop
-// queries for whichever executor is running on the same engine.
+// live/dead state of every worker, and fires crash/recover callbacks into
+// whichever executor is running on the same engine.
 type Injector struct {
 	eng       *dessim.Engine
 	sc        Scenario
-	avail     *platform.Availability
+	tab       *Table
 	alive     []bool
-	rng       *stats.RNG
 	onCrash   []func(worker int, permanent bool)
 	onRecover []func(worker int)
 	armed     bool
 }
 
-// NewInjector validates the scenario against a p-worker platform and
-// prepares (but does not yet schedule) the injection.
-func NewInjector(eng *dessim.Engine, p int, sc Scenario) (*Injector, error) {
-	avail, err := sc.Availability(p)
-	if err != nil {
-		return nil, err
-	}
-	alive := make([]bool, p)
+// NewInjector prepares (but does not yet schedule) the injection of sc,
+// compiled into tab, on eng.
+func NewInjector(eng *dessim.Engine, sc Scenario, tab *Table) *Injector {
+	alive := make([]bool, len(tab.crashAt))
 	for i := range alive {
 		alive[i] = true
 	}
-	return &Injector{
-		eng:   eng,
-		sc:    sc,
-		avail: avail,
-		alive: alive,
-		rng:   stats.NewRNG(sc.Seed),
-	}, nil
+	return &Injector{eng: eng, sc: sc, tab: tab, alive: alive}
 }
 
 // OnCrash registers a callback fired at each crash instant (permanent or
@@ -92,7 +79,7 @@ func (in *Injector) Arm() {
 			if inst.recover {
 				// A permanent crash in the meantime wins over a scheduled
 				// recovery (the worker stays dead).
-				if in.avail.PermanentlyDownBy(inst.worker, in.eng.Now()) {
+				if in.eng.Now() >= in.tab.CrashAt(inst.worker) {
 					return
 				}
 				in.alive[inst.worker] = true
@@ -114,21 +101,3 @@ func (in *Injector) Arm() {
 
 // Alive reports whether worker w is up right now (engine time).
 func (in *Injector) Alive(w int) bool { return in.alive[w] }
-
-// Availability exposes the compiled time-varying capacity profile.
-func (in *Injector) Availability() *platform.Availability { return in.avail }
-
-// DropTransfer decides whether a transfer to worker w starting at time t
-// is lost. The decision consumes the scenario RNG only when (w, t) falls
-// inside a LinkDrop window, so runs without flaky links stay bit-identical
-// regardless of seed.
-func (in *Injector) DropTransfer(w int, t float64) bool {
-	for _, e := range in.sc.Events {
-		if e.Kind == LinkDrop && e.Worker == w && t >= e.Time && t < e.Until {
-			if in.rng.Float64() < e.DropProb {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -48,17 +48,17 @@ type ReplanReport struct {
 }
 
 // Replan recomputes the outer-product data distribution over the workers
-// that survive `avail` at time t, for an N×N computation domain: the
+// of the compiled scenario tab that survive at time t, for an N×N computation domain: the
 // Comm_hom/k block refinement (imbalance target eps, paper: 0.01) and the
 // PERI-SUM heterogeneous partition, both on the survivor platform. It
 // reports the volumes against the fault-free references; this is the
 // failure-aware re-planning step a master runs when a permanent crash is
 // detected.
-func Replan(p *platform.Platform, n float64, avail *platform.Availability, t, eps float64) (*ReplanReport, error) {
+func Replan(p *platform.Platform, n float64, tab *Table, t, eps float64) (*ReplanReport, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("faults: domain size %v must be positive", n)
 	}
-	sub, _, err := avail.SurvivorPlatform(p, t)
+	sub, _, err := tab.SurvivorPlatform(p, t)
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +101,9 @@ func ReplanAfter(p *platform.Platform, n float64, sc Scenario, eps float64) (*Re
 	if math.IsInf(last, -1) {
 		return nil, fmt.Errorf("faults: scenario has no permanent crash to re-plan around")
 	}
-	avail, err := sc.Availability(p.P())
+	tab, err := sc.Compile(p.P())
 	if err != nil {
 		return nil, err
 	}
-	return Replan(p, n, avail, last, eps)
+	return Replan(p, n, tab, last, eps)
 }

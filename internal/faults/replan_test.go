@@ -82,14 +82,14 @@ func TestReplanTransientWorkersStillCount(t *testing.T) {
 	// A transient outage that ends before the replan instant leaves the
 	// worker in the survivor set.
 	p := testPlatform(t, 2, 2, 2)
-	avail, err := Scenario{Events: []Event{
+	tab, err := Scenario{Events: []Event{
 		{Kind: Transient, Worker: 1, Time: 1, Until: 3},
 		{Kind: Crash, Worker: 2, Time: 5},
-	}}.Availability(p.P())
+	}}.Compile(p.P())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replan(p, 64, avail, 5, 0.01)
+	rep, err := Replan(p, 64, tab, 5, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,11 +140,11 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 	if opt.Sink != nil {
 		eng.SetSink(opt.Sink)
 	}
-	inj, err := NewInjector(eng, p.P(), sc)
+	tab, err := sc.Compile(p.P())
 	if err != nil {
 		return nil, err
 	}
-	avail := inj.Availability()
+	inj := NewInjector(eng, sc, tab)
 	tr := trace.New(p.P())
 	rep := &Report{
 		Trace:          tr,
@@ -170,7 +170,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 
 	startCompute := func(a *assignment) {
 		w, now := a.worker, eng.Now()
-		finish := avail.IntegrateWork(p, w, now, tasks[a.task].Work)
+		finish := tab.IntegrateWork(p, w, now, tasks[a.task].Work)
 		if math.IsInf(finish, 1) {
 			// Frozen for the rest of time: a crash event will reap this
 			// assignment; park it with no completion scheduled.
@@ -211,9 +211,9 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		data := tasks[a.task].Data
 		d := 0.0
 		if data > 0 {
-			d = p.Worker(w).CommTime(data) / avail.BandwidthFactor(w, now)
+			d = p.Worker(w).CommTime(data) / tab.LinkScale(w, now)
 		}
-		dropped := inj.DropTransfer(w, now)
+		dropped := tab.Drop(w, now)
 		rep.DataShipped += data
 		a.ph, a.start = phaseTransfer, now
 		a.handle = eng.Schedule(now+d, func() {
@@ -271,9 +271,9 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		}
 		d := 0.0
 		if data := tasks[target.task].Data; data > 0 {
-			d = p.Worker(w).CommTime(data) / avail.BandwidthFactor(w, now)
+			d = p.Worker(w).CommTime(data) / tab.LinkScale(w, now)
 		}
-		eta := avail.IntegrateWork(p, w, now+d, tasks[target.task].Work)
+		eta := tab.IntegrateWork(p, w, now+d, tasks[target.task].Work)
 		if eta >= target.finish {
 			return false
 		}
@@ -332,7 +332,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 			tr.Add(w, trace.Span{Kind: trace.Comm, Start: a.start, End: now, Data: tasks[a.task].Data, Task: a.task, Outcome: trace.Killed})
 			rep.ExtraComm += tasks[a.task].Data // shipment died with the worker
 		case phaseCompute:
-			lost := avail.WorkBetween(p, w, a.start, now)
+			lost := tab.WorkBetween(p, w, a.start, now)
 			tr.Add(w, trace.Span{Kind: trace.Compute, Start: a.start, End: now, Work: lost, Task: a.task, Outcome: trace.Killed})
 			rep.LostWork += lost
 			rep.ExtraComm += tasks[a.task].Data // its data is gone too

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"nlfl/internal/platform"
 	"nlfl/internal/stats"
 )
 
@@ -116,35 +115,6 @@ func (s Scenario) Validate(p int) error {
 		}
 	}
 	return nil
-}
-
-// Availability compiles the deterministic part of the scenario (everything
-// but LinkDrop coin flips) into a platform.Availability for time-varying
-// capacity queries.
-func (s Scenario) Availability(p int) (*platform.Availability, error) {
-	if err := s.Validate(p); err != nil {
-		return nil, err
-	}
-	a := platform.NewAvailability(p)
-	for _, e := range s.Events {
-		var err error
-		switch e.Kind {
-		case Crash:
-			err = a.AddSpeedWindow(e.Worker, platform.Window{Start: e.Time, End: math.Inf(1), Factor: 0})
-		case Transient:
-			err = a.AddSpeedWindow(e.Worker, platform.Window{Start: e.Time, End: e.Until, Factor: 0})
-		case Straggler:
-			err = a.AddSpeedWindow(e.Worker, platform.Window{Start: e.Time, End: e.Until, Factor: e.Factor})
-		case LinkSlow:
-			err = a.AddBandwidthWindow(e.Worker, platform.Window{Start: e.Time, End: e.Until, Factor: e.Factor})
-		case LinkDrop:
-			// Stochastic: resolved per transfer by the Injector.
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
 }
 
 // CrashCount returns the number of permanent crashes in the scenario

@@ -35,26 +35,28 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-func TestScenarioAvailabilityCompile(t *testing.T) {
-	sc := Scenario{Events: []Event{
+func TestScenarioCompile(t *testing.T) {
+	tab, err := Scenario{Events: []Event{
 		{Kind: Crash, Worker: 0, Time: 5},
 		{Kind: Transient, Worker: 1, Time: 1, Until: 2},
 		{Kind: Straggler, Worker: 1, Time: 3, Until: 4, Factor: 0.5},
-	}}
-	a, err := sc.Availability(2)
+	}}.Compile(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Alive(0, 5) || !a.Alive(0, 4.9) {
+	if tab.CrashAt(0) != 5 || tab.speed(0, 5) != 0 || tab.speed(0, 4.9) != 1 {
 		t.Error("crash window wrong")
 	}
-	if !a.PermanentlyDownBy(0, 10) {
-		t.Error("crash should be permanent")
+	if !math.IsInf(tab.CrashAt(1), 1) {
+		t.Error("a transient outage compiled as a crash")
 	}
-	if a.Alive(1, 1.5) || !a.Alive(1, 2) || a.PermanentlyDownBy(1, 1.5) {
+	if until, paused := tab.PausedUntil(1, 1.5); !paused || until != 2 {
+		t.Errorf("PausedUntil(1, 1.5) = %v, %v; want 2, true", until, paused)
+	}
+	if _, paused := tab.PausedUntil(1, 2); paused {
 		t.Error("transient window wrong")
 	}
-	if f := a.SpeedFactor(1, 3.5); f != 0.5 {
+	if f := tab.ComputeScale(1, 3.5); f != 0.5 {
 		t.Errorf("straggler factor = %v, want 0.5", f)
 	}
 }

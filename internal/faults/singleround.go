@@ -50,12 +50,7 @@ type SingleRoundReport struct {
 // protocol in single-round DLT). The run is deterministic under the
 // scenario seed.
 func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc Scenario) (*SingleRoundReport, error) {
-	avail, err := sc.Availability(p.P())
-	if err != nil {
-		return nil, err
-	}
-	eng := dessim.NewEngine()
-	inj, err := NewInjector(eng, p.P(), sc)
+	tab, err := sc.Compile(p.P())
 	if err != nil {
 		return nil, err
 	}
@@ -64,19 +59,18 @@ func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc S
 		Trace:         tr,
 		PerWorkerLost: make([]float64, p.P()),
 	}
-	// First crash instant per worker (+Inf when it never crashes).
+	// First crash instant per worker, permanent or transient (+Inf when
+	// it never crashes).
 	crashAt := make([]float64, p.P())
 	for w := range crashAt {
-		crashAt[w] = math.Inf(1)
+		crashAt[w] = tab.CrashAt(w)
 	}
 	for _, e := range sc.Events {
-		if (e.Kind == Crash || e.Kind == Transient) && e.Time < crashAt[e.Worker] {
-			crashAt[e.Worker] = e.Time
-		}
 		switch e.Kind {
 		case Crash:
 			tr.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: e.Worker, Time: e.Time, Note: "permanent"})
 		case Transient:
+			crashAt[e.Worker] = math.Min(crashAt[e.Worker], e.Time)
 			// Recovery does not help a single-round schedule, but the marker
 			// makes the missed opportunity visible on the Gantt chart.
 			tr.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: e.Worker, Time: e.Time, Note: "transient"})
@@ -106,12 +100,11 @@ func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc S
 		recvStart := linkFree[w]
 		d := 0.0
 		if ch.Data > 0 {
-			bwf := avail.BandwidthFactor(w, recvStart)
-			d = wk.CommTime(ch.Data) / bwf
+			d = wk.CommTime(ch.Data) / tab.LinkScale(w, recvStart)
 		}
 		recvEnd := recvStart + d
 		linkFree[w] = recvEnd
-		if inj.DropTransfer(w, recvStart) {
+		if tab.Drop(w, recvStart) {
 			// The chunk's data never arrives; single-round has no retry.
 			tr.Add(w, trace.Span{Kind: trace.Comm, Start: recvStart, End: recvEnd, Data: ch.Data, Task: idx, Outcome: trace.Dropped})
 			tr.Mark(trace.Marker{Kind: trace.MarkDrop, Worker: w, Time: recvEnd, Note: fmt.Sprintf("task %d", idx)})
@@ -121,7 +114,7 @@ func RunSingleRoundUnderFaults(p *platform.Platform, chunks []dessim.Chunk, sc S
 			continue
 		}
 		compStart := math.Max(recvEnd, cpuFree[w])
-		compEnd := avail.IntegrateWork(p, w, compStart, ch.Work)
+		compEnd := tab.IntegrateWork(p, w, compStart, ch.Work)
 		// The chunk survives only if both its transfer and its computation
 		// complete strictly before the worker's first crash.
 		if recvEnd > crashAt[w] || compEnd > crashAt[w] || math.IsInf(compEnd, 1) {

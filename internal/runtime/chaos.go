@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"nlfl/internal/faults"
 	"nlfl/internal/matmul"
 	"nlfl/internal/partition"
-	"nlfl/internal/stats"
 	"nlfl/internal/trace"
 )
 
 // Chaos configures the fault-injection layer of the measured runtime: the
-// same faults.Scenario timelines the DES simulators execute, realized on
-// real goroutines (see DESIGN.md §10 for the kind-by-kind mapping), plus
+// same faults.Scenario timelines the DES simulators execute, compiled
+// into the same faults.Table and realized on real goroutines (see
+// DESIGN.md §10 for the kind-by-kind mapping), plus
 // the survival machinery — per-chunk leases with reclamation, capped
 // exponential backoff on transfer retry, speculative re-execution with
 // first-writer-wins commit, and PERI-SUM re-planning of a dead worker's
@@ -42,11 +41,11 @@ type Chaos struct {
 	SpeculateAfter float64
 }
 
-// enabled reports whether the run needs the resilient execution path.
-func (c Chaos) enabled() bool { return len(c.Scenario.Events) > 0 || c.SpeculateAfter > 0 }
+// Enabled reports whether the run needs the resilient execution path.
+func (c Chaos) Enabled() bool { return len(c.Scenario.Events) > 0 || c.SpeculateAfter > 0 }
 
-// validate rejects malformed chaos options for a p-worker pool.
-func (c Chaos) validate(p int) error {
+// Validate rejects malformed chaos options for a p-worker pool.
+func (c Chaos) Validate(p int) error {
 	if err := c.Scenario.Validate(p); err != nil {
 		return err
 	}
@@ -64,114 +63,18 @@ func (c Chaos) validate(p int) error {
 	return nil
 }
 
-// chaosWindow is one [start,end) fault window; factor holds the
-// straggler/link multiplier or the drop probability, per kind.
-type chaosWindow struct {
-	start, end, factor float64
-}
-
-func (cw chaosWindow) covers(t float64) bool { return t >= cw.start && t < cw.end }
-
-// chaosState is the scenario compiled into per-worker query tables. The
-// deterministic parts (crash instants, slowdown and outage windows) are
-// read-only after compile; the LinkDrop coin flips share one seeded RNG
-// behind a mutex, so a run's flip *sequence* is reproducible even though
-// which transfer consumes which flip depends on goroutine arrival order
-// (see EXPERIMENTS.md on determinism).
-type chaosState struct {
-	crashAt []float64       // earliest Crash instant per worker (+Inf: none)
-	slow    [][]chaosWindow // Straggler: compute-speed factors
-	pause   [][]chaosWindow // Transient: full outages
-	lslow   [][]chaosWindow // LinkSlow: bandwidth factors
-	drop    [][]chaosWindow // LinkDrop: per-transfer loss probability
-
-	mu  sync.Mutex
-	rng *stats.RNG
-}
-
-func compileChaos(c Chaos, p int) *chaosState {
-	cs := &chaosState{
-		crashAt: make([]float64, p),
-		slow:    make([][]chaosWindow, p),
-		pause:   make([][]chaosWindow, p),
-		lslow:   make([][]chaosWindow, p),
-		drop:    make([][]chaosWindow, p),
-		rng:     stats.NewRNG(c.Scenario.Seed),
+// Backoff returns the retry backoff bounds with the defaults applied: a
+// base of 1 ms when unset, and a cap of at least the base (50 ms when
+// unset or below it).
+func (c Chaos) Backoff() (base, max float64) {
+	base, max = c.BackoffBase, c.BackoffMax
+	if base <= 0 {
+		base = 1e-3
 	}
-	for w := range cs.crashAt {
-		cs.crashAt[w] = math.Inf(1)
+	if max < base {
+		max = math.Max(base, 50e-3)
 	}
-	for _, e := range c.Scenario.Events {
-		switch e.Kind {
-		case faults.Crash:
-			if e.Time < cs.crashAt[e.Worker] {
-				cs.crashAt[e.Worker] = e.Time
-			}
-		case faults.Transient:
-			cs.pause[e.Worker] = append(cs.pause[e.Worker], chaosWindow{e.Time, e.Until, 0})
-		case faults.Straggler:
-			cs.slow[e.Worker] = append(cs.slow[e.Worker], chaosWindow{e.Time, e.Until, e.Factor})
-		case faults.LinkSlow:
-			cs.lslow[e.Worker] = append(cs.lslow[e.Worker], chaosWindow{e.Time, e.Until, e.Factor})
-		case faults.LinkDrop:
-			cs.drop[e.Worker] = append(cs.drop[e.Worker], chaosWindow{e.Time, e.Until, e.DropProb})
-		}
-	}
-	return cs
-}
-
-// computeScale returns worker w's speed multiplier at instant t (the
-// product of the straggler windows covering t). Sampled once per chunk:
-// a window boundary crossing mid-chunk does not re-rate the chunk.
-func (cs *chaosState) computeScale(w int, t float64) float64 {
-	f := 1.0
-	for _, win := range cs.slow[w] {
-		if win.covers(t) {
-			f *= win.factor
-		}
-	}
-	return f
-}
-
-// pausedUntil reports whether worker w is inside a transient outage at t
-// and, if so, when the latest covering outage ends.
-func (cs *chaosState) pausedUntil(w int, t float64) (until float64, paused bool) {
-	for _, win := range cs.pause[w] {
-		if win.covers(t) && win.end > until {
-			until, paused = win.end, true
-		}
-	}
-	return until, paused
-}
-
-// linkScale is the masterLink.slowdown hook: the bandwidth multiplier
-// for a transfer to worker w booked at instant t.
-func (cs *chaosState) linkScale(w int, t float64) float64 {
-	f := 1.0
-	for _, win := range cs.lslow[w] {
-		if win.covers(t) {
-			f *= win.factor
-		}
-	}
-	return f
-}
-
-// dropTransfer flips the seeded coin for a transfer to worker w starting
-// at instant t; true means the payload is lost (each covering LinkDrop
-// window flips independently).
-func (cs *chaosState) dropTransfer(w int, t float64) bool {
-	for _, win := range cs.drop[w] {
-		if !win.covers(t) {
-			continue
-		}
-		cs.mu.Lock()
-		u := cs.rng.Float64()
-		cs.mu.Unlock()
-		if u < win.factor {
-			return true
-		}
-	}
-	return false
+	return base, max
 }
 
 // replanOwnedChunk maps a dead worker's owned rectangle onto the
@@ -251,7 +154,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // the queue (re-planning owned rectangles onto the survivors), and fails
 // the run if a reclaimed chunk's retry budget is exhausted or nobody
 // survives to pick the work up.
-func (r *runner) die(w int, cs *chaosState, cq *chaosQueue, inflightData float64) {
+func (r *runner) die(w int, cq *chaosQueue, inflightData float64) {
 	r.live.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: r.live.Now(), Note: "permanent"})
 	replan := func(c Chunk) []Chunk {
 		if c.Owner < 0 {
@@ -291,17 +194,11 @@ func (r *runner) die(w int, cs *chaosState, cq *chaosQueue, inflightData float64
 // private scratch, and race for the first-writer-wins commit. Crash
 // instants are honored at every blocking point; a dead worker's work is
 // reclaimed by die.
-func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
+func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 	bucket := newTokenBucket(r.opts.Speeds[w]*r.rate, r.opts.Burst)
 	led := &r.ledgers[w]
-	backoffBase := r.opts.Chaos.BackoffBase
-	if backoffBase <= 0 {
-		backoffBase = 1e-3
-	}
-	backoffMax := r.opts.Chaos.BackoffMax
-	if backoffMax < backoffBase {
-		backoffMax = math.Max(backoffBase, 50e-3)
-	}
+	backoffBase, backoffMax := r.opts.Chaos.Backoff()
+	crashAt := tab.CrashAt(w)
 	// Sized once from the plan's largest chunk; replanned pieces are
 	// sub-rectangles of lost chunks, so the bound survives reclamation.
 	aBuf := make([]float64, 0, r.maxRowSpan)
@@ -313,8 +210,8 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 			return
 		}
 		now := r.live.Now()
-		if now >= cs.crashAt[w] {
-			r.die(w, cs, cq, 0)
+		if now >= crashAt {
+			r.die(w, cq, 0)
 			return
 		}
 		c, st := cq.next(w, now)
@@ -340,11 +237,11 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 		backoff := backoffBase
 		for {
 			t0 := r.live.Now()
-			if t0 >= cs.crashAt[w] {
-				r.die(w, cs, cq, 0)
+			if t0 >= crashAt {
+				r.die(w, cq, 0)
 				return
 			}
-			dropped := cs.dropTransfer(w, t0)
+			dropped := tab.Drop(w, t0)
 			var t1 float64
 			if r.net != nil && r.net.constrained(w) {
 				del, relays := r.net.book(w, data)
@@ -395,15 +292,15 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 		// passes) until the window clears — unless its crash lands first.
 		for {
 			t := r.live.Now()
-			if t >= cs.crashAt[w] {
-				r.die(w, cs, cq, data)
+			if t >= crashAt {
+				r.die(w, cq, data)
 				return
 			}
-			until, paused := cs.pausedUntil(w, t)
+			until, paused := tab.PausedUntil(w, t)
 			if !paused {
 				break
 			}
-			stall := math.Min(until, cs.crashAt[w]) - t
+			stall := math.Min(until, crashAt) - t
 			if !sleepCtx(r.ctx, time.Duration(stall*float64(time.Second))) {
 				return
 			}
@@ -417,10 +314,10 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 		// the token wait, realizing death mid-chunk.
 		cells := float64(c.Cells())
 		t0 := r.live.Now()
-		scale := cs.computeScale(w, t0)
+		scale := tab.ComputeScale(w, t0)
 		budget := time.Duration(-1)
-		if !math.IsInf(cs.crashAt[w], 1) {
-			budget = time.Duration(math.Max(0, cs.crashAt[w]-t0) * float64(time.Second))
+		if !math.IsInf(crashAt, 1) {
+			budget = time.Duration(math.Max(0, crashAt-t0) * float64(time.Second))
 		}
 		finished := bucket.acquireWithin(cells/scale, budget)
 		if finished {
@@ -431,10 +328,10 @@ func (r *runner) chaosWorker(w int, cs *chaosState, cq *chaosQueue) {
 			matmul.OuterFill(scratch, len(bBuf), aBuf, bBuf)
 		}
 		t1 := r.live.Now()
-		if !finished || t1 >= cs.crashAt[w] {
+		if !finished || t1 >= crashAt {
 			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
 			r.noteLost(cells)
-			r.die(w, cs, cq, data)
+			r.die(w, cq, data)
 			return
 		}
 		won, specWin := cq.commit(c.Task, w)

@@ -389,9 +389,9 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	if err := checkTiling(n, plan.Chunks); err != nil {
 		return nil, err
 	}
-	chaosOn := opts.Chaos.enabled()
+	chaosOn := opts.Chaos.Enabled()
 	if chaosOn {
-		if err := opts.Chaos.validate(p); err != nil {
+		if err := opts.Chaos.Validate(p); err != nil {
 			return nil, err
 		}
 		if opts.Prefetch {
@@ -447,12 +447,15 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	var cq *chaosQueue
 	if chaosOn {
 		r.ledgers = make([]chaosLedger, p)
-		cs := compileChaos(opts.Chaos, p)
+		tab, err := opts.Chaos.Scenario.Compile(p)
+		if err != nil {
+			return nil, err
+		}
 		cq = newChaosQueue(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
 		if r.net != nil {
-			r.net.slowdown = cs.linkScale
+			r.net.slowdown = tab.LinkScale
 		}
-		body = func(w int) { r.chaosWorker(w, cs, cq) }
+		body = func(w int) { r.chaosWorker(w, tab, cq) }
 	} else {
 		queue := newWorkQueue(plan.Chunks, p, shards)
 		body = func(w int) { r.fastWorker(w, queue) }

@@ -225,3 +225,68 @@ func TestChaosTraceOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestJobScopedFaultKinds runs one chaos job per remaining fault kind
+// beside a clean bystander. Every chaos job completes under the trace
+// oracle; the LinkDrop job retries and wastes shipped data, the
+// Transient job stalls without reclaiming anything, and the bystander
+// sees none of it.
+func TestJobScopedFaultKinds(t *testing.T) {
+	// every covers each fleet worker, so whichever worker ships the
+	// job's first chunk is inside the window.
+	every := func(e faults.Event) faults.Scenario {
+		var sc faults.Scenario
+		for w := 0; w < len(chaosConfig().Speeds); w++ {
+			e.Worker = w
+			sc.Events = append(sc.Events, e)
+		}
+		return sc
+	}
+	rows := []struct {
+		name  string
+		chaos ChaosSpec
+		check func(t *testing.T, rep *JobReport)
+	}{
+		{"transient", ChaosSpec{
+			Scenario:   every(faults.Event{Kind: faults.Transient, Time: 0, Until: 0.005}),
+			MaxRetries: 3,
+		}, func(t *testing.T, rep *JobReport) {
+			if rep.ReclaimedCells != 0 || rep.DegradedWorkers != 0 {
+				t.Errorf("an outage reclaimed work: reclaimed=%d degraded=%d", rep.ReclaimedCells, rep.DegradedWorkers)
+			}
+		}},
+		{"link-slow", ChaosSpec{
+			Scenario:   every(faults.Event{Kind: faults.LinkSlow, Time: 0, Until: 0.01, Factor: 0.25}),
+			MaxRetries: 3,
+		}, func(*testing.T, *JobReport) {}},
+		{"link-drop", ChaosSpec{
+			Scenario:   every(faults.Event{Kind: faults.LinkDrop, Time: 0, Until: 0.002, DropProb: 1}),
+			MaxRetries: 64,
+		}, func(t *testing.T, rep *JobReport) {
+			if rep.RetriedChunks == 0 || rep.WastedData == 0 {
+				t.Errorf("drops left no trace: retried=%d wasted=%v", rep.RetriedChunks, rep.WastedData)
+			}
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			f, err := New(chaosConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			bystander := mustSubmit(t, f, JobSpec{Tenant: "bystander", N: 64, Seed: 1})
+			rep := waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "chaos", N: 64, Strategy: "het", Seed: 2, Chaos: r.chaos}))
+			if vs := trace.Check(rep.Trace, rep.Expect(1e-9)); len(vs) != 0 {
+				for _, v := range vs {
+					t.Errorf("trace: %s", v)
+				}
+			}
+			r.check(t, rep)
+			by := waitOK(t, bystander)
+			if by.WastedData != 0 || by.RetriedChunks != 0 || by.ReclaimedCells != 0 {
+				t.Errorf("bystander degraded: waste=%v retried=%d reclaimed=%d", by.WastedData, by.RetriedChunks, by.ReclaimedCells)
+			}
+		})
+	}
+}

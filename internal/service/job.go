@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"nlfl/internal/faults"
@@ -13,31 +12,34 @@ import (
 	"nlfl/internal/trace"
 )
 
-// ChaosSpec scopes a fault scenario to one job. Worker indices in the
-// scenario are *fleet* worker ids; event times are seconds relative to
-// the job's start (its first chunk handout). The faults run only inside
-// the job: a crashed worker is dead for this job — its leases and owned
-// backlog are reclaimed and re-planned over the job's surviving slice —
-// while the same worker keeps serving every other job untouched.
-type ChaosSpec struct {
-	// Scenario is the job-scoped fault timeline.
-	Scenario faults.Scenario
-	// MaxRetries is the per-chunk-lineage recovery budget (transfer
-	// re-attempts after drops, lineage reclaims after crashes); a chunk
-	// exceeding it fails this job with ErrJobFailed. 0 means no budget.
-	MaxRetries int
-	// BackoffBase and BackoffMax bound the capped exponential backoff
-	// between transfer retries, in seconds; zeros select 1 ms and 50 ms.
-	BackoffBase float64
-	BackoffMax  float64
-	// SpeculateAfter, when positive, lets a chunk one worker has held
-	// longer than this many seconds be re-issued to a second worker of
-	// the job's slice; first commit wins, the loser is Wasted.
-	SpeculateAfter float64
-}
+// ChaosSpec scopes a fault scenario to one job: the runtime's chaos
+// options, read job-locally. Worker indices in the scenario are *fleet*
+// worker ids; event times are seconds relative to the job's start (its
+// first chunk handout). The faults run only inside the job: a crashed
+// worker is dead for this job — its leases and owned backlog are
+// reclaimed and re-planned over the job's surviving slice — while the
+// same worker keeps serving every other job untouched. A chunk exceeding
+// MaxRetries fails this job with ErrJobFailed, and speculative copies
+// run on a second worker of the job's slice. The one kind read
+// differently is LinkSlow (see jobTable).
+type ChaosSpec = nrt.Chaos
 
-func (c ChaosSpec) enabled() bool {
-	return len(c.Scenario.Events) > 0 || c.SpeculateAfter > 0
+// jobTable compiles a job's scenario over the fleet's workers. The link
+// is shared by every job, so slowing it for one job would bleed into its
+// neighbours' booked windows: a job-scoped LinkSlow instead slows the
+// shipping worker's compute for the window (a Straggler with the same
+// window and factor), the closest job-local analogue that cannot leak
+// across tenants.
+func jobTable(sc faults.Scenario, fleetP int) (*faults.Table, error) {
+	evs := make([]faults.Event, len(sc.Events))
+	for i, e := range sc.Events {
+		if e.Kind == faults.LinkSlow {
+			e.Kind = faults.Straggler
+		}
+		evs[i] = e
+	}
+	sc.Events = evs
+	return sc.Compile(fleetP)
 }
 
 // JobSpec describes one outer-product job submitted to the fleet.
@@ -77,14 +79,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	if s.Strategy == "" {
 		s.Strategy = "hom"
 	}
-	if s.Chaos.enabled() {
-		if s.Chaos.BackoffBase <= 0 {
-			s.Chaos.BackoffBase = 1e-3
-		}
-		if s.Chaos.BackoffMax <= 0 {
-			s.Chaos.BackoffMax = 50e-3
-		}
-	}
 	return s
 }
 
@@ -107,15 +101,9 @@ func (s JobSpec) validate(p int) error {
 	if s.Strategy != "wf" && s.Weights != nil {
 		return fmt.Errorf("service: Weights are only meaningful with strategy wf (got %q)", s.Strategy)
 	}
-	if s.Chaos.enabled() {
-		if err := s.Chaos.Scenario.Validate(p); err != nil {
+	if s.Chaos.Enabled() {
+		if err := s.Chaos.Validate(p); err != nil {
 			return fmt.Errorf("service: job chaos: %w", err)
-		}
-		if s.Chaos.MaxRetries < 0 {
-			return fmt.Errorf("service: negative retry budget %d", s.Chaos.MaxRetries)
-		}
-		if s.Chaos.SpeculateAfter < 0 || math.IsNaN(s.Chaos.SpeculateAfter) {
-			return fmt.Errorf("service: invalid SpeculateAfter %v", s.Chaos.SpeculateAfter)
 		}
 	}
 	return nil
@@ -140,7 +128,7 @@ type lease struct {
 }
 
 // job is one admitted job's full state. Immutable after buildJobLocked:
-// identity, slice, plan, inputs, chaos tables, ctx. Everything else is
+// identity, slice, plan, inputs, chaos table, ctx. Everything else is
 // guarded by fleet.mu; the output matrix is written only by the worker
 // holding the winning commit (disjoint rectangles).
 type job struct {
@@ -158,7 +146,7 @@ type job struct {
 	cancel   context.CancelFunc
 	done     chan struct{}
 
-	chaos      *jobChaos // nil without a ChaosSpec
+	chaos      *faults.Table // nil without a ChaosSpec
 	maxRetries int
 	backoff    [2]float64 // base, max (seconds)
 	specAfter  float64
@@ -213,7 +201,7 @@ type job struct {
 }
 
 // newJob allocates the state for an admitted job over its slice.
-func newJob(id int64, spec JobSpec, slice []int, plan *nrt.StrategyPlan, a, b []float64, fleetP int, now float64) *job {
+func newJob(id int64, spec JobSpec, slice []int, plan *nrt.StrategyPlan, a, b []float64, chaos *faults.Table, fleetP int, now float64) *job {
 	j := &job{
 		id:        id,
 		tenant:    spec.Tenant,
@@ -259,10 +247,10 @@ func newJob(id int64, spec JobSpec, slice []int, plan *nrt.StrategyPlan, a, b []
 		}
 	}
 	j.predicted = plan.Predicted
-	if spec.Chaos.enabled() {
-		j.chaos = compileJobChaos(spec.Chaos, fleetP)
+	if chaos != nil {
+		j.chaos = chaos
 		j.maxRetries = spec.Chaos.MaxRetries
-		j.backoff = [2]float64{spec.Chaos.BackoffBase, spec.Chaos.BackoffMax}
+		j.backoff[0], j.backoff[1] = spec.Chaos.Backoff()
 		j.specAfter = spec.Chaos.SpeculateAfter
 	}
 	return j

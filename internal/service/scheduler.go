@@ -64,7 +64,7 @@ func (f *Fleet) housekeepLocked(now float64) {
 			if j.terminal() {
 				break
 			}
-			if !j.deadFor[w] && j.chaos.crashDue(w, rel) {
+			if !j.deadFor[w] && rel >= j.chaos.CrashAt(w) {
 				f.jobDeathLocked(j, w)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nlfl/internal/capacity"
+	"nlfl/internal/faults"
 	"nlfl/internal/platform"
 	nrt "nlfl/internal/runtime"
 	"nlfl/internal/stats"
@@ -424,8 +425,14 @@ func (f *Fleet) buildJobLocked(spec JobSpec, slice []int) (*job, error) {
 		a = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 		b = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 	}
+	var chaos *faults.Table
+	if spec.Chaos.Enabled() {
+		if chaos, err = jobTable(spec.Chaos.Scenario, len(f.speeds)); err != nil {
+			return nil, err
+		}
+	}
 	f.seq++
-	j := newJob(f.seq, spec, slice, plan, a, b, len(f.speeds), f.now())
+	j := newJob(f.seq, spec, slice, plan, a, b, chaos, len(f.speeds), f.now())
 	jctx := f.ctx
 	if spec.Deadline > 0 {
 		j.ctx, j.cancel = context.WithTimeout(jctx, spec.Deadline)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nlfl/internal/faults"
 	nrt "nlfl/internal/runtime"
 	"nlfl/internal/trace"
 )
@@ -202,6 +203,13 @@ func TestSubmitValidation(t *testing.T) {
 		{N: 32, A: make([]float64, 8), B: make([]float64, 32)}, // wrong length
 		{N: 32, Strategy: "nope"},
 		{N: 32, MaxWorkers: -1},
+		// Chaos options are judged by the runtime's own validation.
+		{N: 32, Chaos: ChaosSpec{Scenario: faults.SingleCrash(0, 1), BackoffBase: math.NaN()}},
+		{N: 32, Chaos: ChaosSpec{Scenario: faults.SingleCrash(0, 1), BackoffBase: math.Inf(1)}},
+		{N: 32, Chaos: ChaosSpec{Scenario: faults.SingleCrash(0, 1), BackoffMax: math.NaN()}},
+		{N: 32, Chaos: ChaosSpec{Scenario: faults.SingleCrash(0, 1), BackoffMax: math.Inf(-1)}},
+		{N: 32, Chaos: ChaosSpec{SpeculateAfter: math.Inf(1)}},
+		{N: 32, Chaos: ChaosSpec{Scenario: faults.SingleCrash(9, 1)}},
 	} {
 		if _, err := f.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v): want error", spec)

@@ -66,7 +66,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	cells := float64(c.Cells())
 	crashAt := math.Inf(1)
 	if j.chaos != nil {
-		crashAt = j.chaos.crashAt[w]
+		crashAt = j.chaos.CrashAt(w)
 	}
 
 	// Ship, retrying dropped transfers. A drop still occupies the booked
@@ -80,7 +80,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			f.killServing(j, w, 0, 0, 0, 0, false)
 			return
 		}
-		dropped := j.chaos != nil && j.chaos.dropTransfer(w, rel)
+		dropped := j.chaos != nil && j.chaos.Drop(w, rel)
 		var t1 float64
 		var relays []nrt.Window
 		if f.net.Constrained(w) {
@@ -148,7 +148,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 				f.killServing(j, w, data, 0, 0, 0, false)
 				return
 			}
-			until, paused := j.chaos.pausedUntil(w, rel)
+			until, paused := j.chaos.PausedUntil(w, rel)
 			if !paused {
 				break
 			}
@@ -165,7 +165,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	budget := time.Duration(-1)
 	if j.chaos != nil {
 		rel := t0 - j.startAt
-		scale = j.chaos.computeScale(w, rel)
+		scale = j.chaos.ComputeScale(w, rel)
 		if !math.IsInf(crashAt, 1) {
 			budget = time.Duration(math.Max(0, crashAt-rel) * float64(time.Second))
 		}
