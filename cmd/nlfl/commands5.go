@@ -7,7 +7,6 @@ import (
 	"nlfl/internal/dessim"
 	"nlfl/internal/dlt"
 	"nlfl/internal/faults"
-	"nlfl/internal/mapreduce"
 	"nlfl/internal/platform"
 	"nlfl/internal/samplesort"
 	"nlfl/internal/stats"
@@ -184,26 +183,18 @@ func traceDemand(pl *platform.Platform, tasks int, scenario string) (*trace.Time
 	if err := rejectScenario(scenario, "demand"); err != nil {
 		return nil, nil, err
 	}
-	pool, err := mapreduce.UniformTasks(tasks, 1, 2)
+	pool, _, totalWork := tracePool(tasks)
+	rep, err := faults.RunResilientDemandDriven(pl, pool, faults.Scenario{}, faults.ResilientOptions{Speculate: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := mapreduce.Schedule(pl, pool, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	shipped := 0.0
-	for _, d := range res.DataPerWorker {
-		shipped += d
-	}
-	totalWork := 2 * float64(tasks)
-	return res.Trace, &trace.Expect{
+	return rep.Trace, &trace.Expect{
 		HasWork:       true,
 		TotalWork:     totalWork,
 		ProcessedWork: totalWork,
-		WastedWork:    res.WastedWork,
+		WastedWork:    rep.WastedWork,
 		HasComm:       true,
-		ShippedData:   shipped,
+		ShippedData:   rep.DataShipped,
 	}, nil
 }
 

@@ -124,7 +124,8 @@ func TestCLISubcommands(t *testing.T) {
 // every testdata/*.golden is a row. The sort row's scaling table and
 // Theorem B.4 line come from routed bucket counts and must read as they
 // did when every trial was fully sorted. The single-round, resilient and
-// faults rows pin the DES fault executors under each scenario kind.
+// faults rows pin the DES fault executors under each scenario kind. The
+// affinity row pins every policy and the bounded-cache sweep.
 func TestCLIGoldens(t *testing.T) {
 	rows := []struct {
 		golden string
@@ -152,6 +153,7 @@ func TestCLIGoldens(t *testing.T) {
 		{"faults-flaky-link", []string{"faults", "-scenario", "flaky-link"}},
 		{"returns-trials20", []string{"returns", "-trials", "20"}},
 		{"adaptivity-p4-blocks64", []string{"adaptivity", "-p", "4", "-blocks", "64"}},
+		{"affinity-p4-g10", []string{"affinity", "-p", "4", "-g", "10"}},
 	}
 	files, err := filepath.Glob("testdata/*.golden")
 	if err != nil {
@@ -353,6 +355,8 @@ func TestCLIErrors(t *testing.T) {
 		{"trace", "-executor", "dlt", "-scenario", "crash"},
 		{"trace", "-dist", "bogus"},
 		{"trace", "-p", "1"},
+		{"affinity", "-n", "inf"},
+		{"affinity", "-n", "1e308"},
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {

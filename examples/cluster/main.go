@@ -1,7 +1,7 @@
 // Cluster walks one heterogeneous platform through the paper's whole
 // story: a linear job (DLT works), a sort (works after pre-processing), a
 // quadratic job (chunking provably fails; partition instead), and a
-// MapReduce run with a straggler and a failure (why demand-driven
+// demand-driven master with a straggler and a crash (why demand-driven
 // scheduling earns its keep).
 package main
 
@@ -10,7 +10,8 @@ import (
 	"log"
 
 	"nlfl/internal/core"
-	"nlfl/internal/mapreduce"
+	"nlfl/internal/dessim"
+	"nlfl/internal/faults"
 	"nlfl/internal/platform"
 	"nlfl/internal/samplesort"
 	"nlfl/internal/stats"
@@ -52,19 +53,19 @@ func main() {
 	fmt.Print("― pairwise-interaction job (N² cost) ―\n", quad.String(), "\n")
 
 	// 4. Operations reality: a straggler appears and a node dies.
-	tasks, err := mapreduce.UniformTasks(64, 0, 1)
-	if err != nil {
-		log.Fatal(err)
+	tasks := make([]dessim.Task, 64)
+	for i := range tasks {
+		tasks[i] = dessim.Task{Work: 1}
 	}
 	straggler, err := platform.FromSpeeds([]float64{0.02, 5, 5, 5, 5, 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	plain, err := mapreduce.Schedule(straggler, tasks, false)
+	plain, err := faults.RunResilientDemandDriven(straggler, tasks, faults.Scenario{}, faults.ResilientOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := mapreduce.Schedule(straggler, tasks, true)
+	spec, err := faults.RunResilientDemandDriven(straggler, tasks, faults.Scenario{}, faults.ResilientOptions{Speculate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func main() {
 	fmt.Printf("demand-driven makespan %.3g; with speculative backups %.3g (%d backups, %.3g work wasted)\n",
 		plain.Makespan, spec.Makespan, spec.Backups, spec.WastedWork)
 
-	fail, err := mapreduce.ScheduleWithFailures(straggler, tasks, []mapreduce.Failure{{Worker: 1, Time: 0.5}})
+	fail, err := faults.RunResilientDemandDriven(straggler, tasks, faults.SingleCrash(1, 0.5), faults.ResilientOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("with worker 2 dying at t=0.5: makespan %.3g, %d map outputs re-executed\n",
+	fmt.Printf("with worker 2 dying at t=0.5: makespan %.3g, in-flight re-executions %d\n",
 		fail.Makespan, fail.Reexecutions)
 }

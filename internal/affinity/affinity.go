@@ -7,7 +7,7 @@
 // The setting is the Section 4.1 outer product cut into g×g identical
 // square blocks (the Homogeneous Blocks task shape): block (i, j) needs
 // chunk i of vector a and chunk j of vector b, each of N/g elements.
-// Three demand-driven masters are compared:
+// Three policies of one demand-driven master are compared:
 //
 //   - PolicyNoCache: plain MapReduce accounting — every block ships its
 //     full 2N/g of data (the Comm_hom/k model).
@@ -21,6 +21,7 @@
 // The experiment shows PolicyAffinity recovering most of the gap between
 // MapReduce-style distribution and the Heterogeneous Blocks layout while
 // remaining fully demand-driven (no platform knowledge in advance).
+// RunBounded gives PolicyAffinity's workers LRU caches of a fixed size.
 package affinity
 
 import (
@@ -89,89 +90,101 @@ func (r Result) String() string {
 // speed; data transfer is accounted by volume (the Figure 4 currency) and
 // does not extend the timeline.
 func Run(pl *platform.Platform, n float64, g int, policy Policy) (Result, error) {
+	switch policy {
+	case PolicyNoCache:
+		return run(pl, n, g, policy, false, 0)
+	case PolicyCache:
+		return run(pl, n, g, policy, false, 2*g)
+	case PolicyAffinity:
+		return run(pl, n, g, policy, true, 2*g)
+	}
+	return Result{}, fmt.Errorf("affinity: unknown policy %v", policy)
+}
+
+// RunBounded is Run with PolicyAffinity semantics and per-worker LRU
+// caches of `capacity` chunks (a and b chunks count alike). The Run
+// policies assume workers cache every chunk forever; bounding the cache
+// interpolates between the no-cache and unlimited-cache extremes,
+// quantifying how much RAM the conclusion's proposal actually needs.
+// capacity = 0 degenerates to the no-cache accounting; capacity ≥ 2g
+// reproduces PolicyAffinity exactly (a worker can at most ever hold 2g
+// distinct chunks).
+func RunBounded(pl *platform.Platform, n float64, g, capacity int) (Result, error) {
+	if capacity < 0 {
+		return Result{}, errors.New("affinity: negative capacity")
+	}
+	return run(pl, n, g, PolicyAffinity, true, capacity)
+}
+
+// run is the one demand-driven master behind every policy. The idle
+// worker with the earliest free time (ties: lowest index) takes either
+// the next block in scan order or, with leastMissing, the remaining block
+// whose chunks it misses fewest of (ties: scan order). Each worker keeps
+// an LRU cache of `capacity` chunks; 0 caches nothing and 2g never
+// evicts.
+func run(pl *platform.Platform, n float64, g int, policy Policy, leastMissing bool, capacity int) (Result, error) {
 	if g <= 0 {
 		return Result{}, errors.New("affinity: grid must be positive")
 	}
-	if n <= 0 || math.IsNaN(n) {
+	if n <= 0 || math.IsNaN(n) || math.IsInf(n, 0) {
 		return Result{}, fmt.Errorf("affinity: invalid size %v", n)
 	}
-	p := pl.P()
-	chunk := n / float64(g)     // one vector chunk, in elements
-	blockWork := chunk * chunk  // block compute cost
-	remaining := g * g          // unassigned blocks
-	taken := make([]bool, g*g)  // block (i,j) at i*g+j
-	aCache := make([][]bool, p) // aCache[w][i]: worker w holds a-chunk i
-	bCache := make([][]bool, p)
-	for w := 0; w < p; w++ {
-		aCache[w] = make([]bool, g)
-		bCache[w] = make([]bool, g)
+	chunk := n / float64(g)    // one vector chunk, in elements
+	blockWork := chunk * chunk // block compute cost
+	if math.IsInf(blockWork, 0) {
+		return Result{}, fmt.Errorf("affinity: block area (%v/%d)² overflows", n, g)
 	}
-	free := make([]float64, p) // next idle time per worker
-	busy := make([]float64, p)
+	p := pl.P()
+	taken := make([]bool, g*g) // block (i,j) at i*g+j
+	caches := make([]lru, p)
+	for w := range caches {
+		caches[w] = newLRU(2*g, capacity)
+	}
+	free := make([]float64, p) // next idle time = busy time so far
 	counts := make([]int, p)
 	volume := 0.0
 	scan := 0 // next unassigned block in scan order
 
-	// need returns the data volume worker w is missing for block (i,j).
-	need := func(w, i, j int) float64 {
-		d := 0.0
-		if !aCache[w][i] {
-			d += chunk
-		}
-		if !bCache[w][j] {
-			d += chunk
-		}
-		return d
-	}
-
-	for remaining > 0 {
-		// Next request: idle-earliest worker, ties by index.
+	for remaining := g * g; remaining > 0; remaining-- {
 		w := 0
 		for cand := 1; cand < p; cand++ {
 			if free[cand] < free[w] {
 				w = cand
 			}
 		}
-		// Pick a block for w.
-		var block int
-		switch policy {
-		case PolicyNoCache, PolicyCache:
+		c := &caches[w]
+		// Chunk ids: a-chunk i → i; b-chunk j → g+j.
+		block, miss := -1, 3 // 3: worse than any block's 0..2 missing chunks
+		if leastMissing {
+			for i := 0; i < g && miss > 0; i++ {
+				ma := c.missing(i)
+				if ma >= miss {
+					continue // no block of row i can beat the best
+				}
+				for j, tk := range taken[i*g : (i+1)*g] {
+					if tk {
+						continue
+					}
+					if m := ma + c.missing(g+j); m < miss {
+						block, miss = i*g+j, m
+						if m == 0 {
+							break
+						}
+					}
+				}
+			}
+		} else {
 			for taken[scan] {
 				scan++
 			}
 			block = scan
-		case PolicyAffinity:
-			best, bestNeed := -1, math.Inf(1)
-			for idx := 0; idx < g*g; idx++ {
-				if taken[idx] {
-					continue
-				}
-				d := need(w, idx/g, idx%g)
-				if d < bestNeed {
-					best, bestNeed = idx, d
-					if d == 0 {
-						break
-					}
-				}
-			}
-			block = best
-		default:
-			return Result{}, fmt.Errorf("affinity: unknown policy %v", policy)
+			miss = c.missing(block/g) + c.missing(g+block%g)
 		}
 		taken[block] = true
-		remaining--
-		i, j := block/g, block%g
-		switch policy {
-		case PolicyNoCache:
-			volume += 2 * chunk
-		default:
-			volume += need(w, i, j)
-			aCache[w][i] = true
-			bCache[w][j] = true
-		}
-		dur := blockWork / pl.Worker(w).Speed
-		free[w] += dur
-		busy[w] += dur
+		volume += float64(miss) * chunk
+		c.touch(block / g)
+		c.touch(g + block%g)
+		free[w] += blockWork / pl.Worker(w).Speed
 		counts[w]++
 	}
 
@@ -180,16 +193,61 @@ func Run(pl *platform.Platform, n float64, g int, policy Policy) (Result, error)
 		lb += math.Sqrt(x)
 	}
 	lb *= 2 * n
-	res := Result{
+	return Result{
 		Policy:          policy,
 		Grid:            g,
 		Volume:          volume,
 		LowerBound:      lb,
 		Ratio:           volume / lb,
-		Imbalance:       imbalance(busy),
+		Imbalance:       imbalance(free),
 		BlocksPerWorker: counts,
+	}, nil
+}
+
+// lru is one worker's fixed-capacity LRU set of chunk ids: stamp[id] is
+// the cache clock at id's last touch, 0 when id is absent.
+type lru struct {
+	stamp    []int64
+	clock    int64
+	size     int
+	capacity int
+}
+
+func newLRU(ids, capacity int) lru {
+	return lru{stamp: make([]int64, ids), capacity: capacity}
+}
+
+// missing is 1 when id is absent, 0 when cached; it leaves recency
+// alone.
+func (c *lru) missing(id int) int {
+	if c.stamp[id] != 0 {
+		return 0
 	}
-	return res, nil
+	return 1
+}
+
+// touch inserts/refreshes id, evicting the least recently used entry when
+// over capacity.
+func (c *lru) touch(id int) {
+	if c.capacity == 0 {
+		return
+	}
+	if c.stamp[id] == 0 {
+		c.size++
+	}
+	c.clock++
+	c.stamp[id] = c.clock
+	if c.size <= c.capacity {
+		return
+	}
+	oldest := id
+	for k, s := range c.stamp {
+		if s != 0 && s < c.stamp[oldest] {
+			oldest = k
+		}
+	}
+	c.stamp[oldest] = 0
+	c.size--
 }
 
 // imbalance is (max-min)/min over positive times (+Inf if a worker idles,

@@ -30,6 +30,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(pl, 100, 4, Policy(99)); err == nil {
 		t.Error("unknown policy should fail")
 	}
+	// Infinite n, or a finite n whose block area (n/g)² overflows, has no
+	// finite volume or imbalance to report.
+	for _, n := range []float64{math.Inf(1), 1e308} {
+		for _, pol := range []Policy{PolicyNoCache, PolicyCache, PolicyAffinity} {
+			if _, err := Run(pl, n, 4, pol); err == nil {
+				t.Errorf("%v with n=%v should fail", pol, n)
+			}
+		}
+		if _, err := RunBounded(pl, n, 4, 2); err == nil {
+			t.Errorf("bounded with n=%v should fail", n)
+		}
+	}
 }
 
 func TestAllBlocksAssignedOnce(t *testing.T) {

@@ -16,7 +16,7 @@ func TestRunBoundedExtremes(t *testing.T) {
 	}
 	const n, g = 400.0, 16
 	// capacity 0 == no-cache accounting.
-	zero, err := RunBounded(pl, n, g, 0, 1)
+	zero, err := RunBounded(pl, n, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRunBoundedExtremes(t *testing.T) {
 		t.Errorf("capacity 0 volume %v != no-cache %v", zero.Volume, noCache.Volume)
 	}
 	// capacity ≥ 2g == unlimited affinity.
-	full, err := RunBounded(pl, n, g, 2*g, 1)
+	full, err := RunBounded(pl, n, g, 2*g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunBoundedMonotoneInCapacity(t *testing.T) {
 	const n, g = 300.0, 12
 	prev := math.Inf(1)
 	for _, capVal := range []int{0, 2, 4, 8, 24} {
-		res, err := RunBounded(pl, n, g, capVal, 1)
+		res, err := RunBounded(pl, n, g, capVal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,24 +67,24 @@ func TestRunBoundedMonotoneInCapacity(t *testing.T) {
 
 func TestRunBoundedValidation(t *testing.T) {
 	pl, _ := platform.Homogeneous(2, 1, 1)
-	if _, err := RunBounded(pl, 100, 0, 4, 1); err == nil {
+	if _, err := RunBounded(pl, 100, 0, 4); err == nil {
 		t.Error("g=0 should fail")
 	}
-	if _, err := RunBounded(pl, 100, 4, -1, 1); err == nil {
+	if _, err := RunBounded(pl, 100, 4, -1); err == nil {
 		t.Error("negative capacity should fail")
 	}
-	if _, err := RunBounded(pl, -1, 4, 4, 1); err == nil {
+	if _, err := RunBounded(pl, -1, 4, 4); err == nil {
 		t.Error("negative n should fail")
 	}
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU(4, 2)
 	c.touch(1)
 	c.touch(2)
 	c.touch(1) // refresh 1; 2 is now oldest
 	c.touch(3) // evicts 2
-	if !c.has(1) || c.has(2) || !c.has(3) {
-		t.Errorf("LRU state wrong: 1=%v 2=%v 3=%v", c.has(1), c.has(2), c.has(3))
+	if got := [3]int{c.missing(1), c.missing(2), c.missing(3)}; got != [3]int{0, 1, 0} {
+		t.Errorf("LRU missing(1..3) = %v, want [0 1 0]", got)
 	}
 }

@@ -40,7 +40,8 @@ func TestAdaptivity(t *testing.T) {
 	}
 	// The demand-driven residue is exactly one block stranded on the
 	// straggler: makespan ≤ clean + blockWork/f. (That residual tail is
-	// what Hadoop's speculative backups — mapreduce.Schedule — remove.)
+	// what Hadoop's speculative backups — faults.ResilientOptions.Speculate
+	// — remove.)
 	blockWork := 800.0 / 256
 	if worst.Demand > worst.Clean+blockWork/0.02+1e-9 {
 		t.Errorf("demand-driven %v above the one-stranded-block bound %v",

@@ -75,7 +75,7 @@ type MemoryPoint struct {
 func MemorySweep(pl *platform.Platform, n float64, g int, capacities []int) ([]MemoryPoint, error) {
 	points := make([]MemoryPoint, 0, len(capacities))
 	for _, c := range capacities {
-		res, err := affinity.RunBounded(pl, n, g, c, 1)
+		res, err := affinity.RunBounded(pl, n, g, c)
 		if err != nil {
 			return nil, err
 		}

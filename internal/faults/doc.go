@@ -28,7 +28,8 @@
 //     actually implements: heartbeat-timeout crash detection,
 //     capped-exponential-backoff retry of dropped transfers, speculative
 //     re-execution of stragglers, and full lost-work / re-execution /
-//     extra-communication accounting.
+//     extra-communication accounting. It is the repository's one
+//     simulated demand-driven master with speculation and failures.
 //   - RunSingleRoundUnderFaults executes a static single-round schedule
 //     under the same scenario; having no feedback channel, it simply
 //     loses every chunk a fault touches.

@@ -123,9 +123,15 @@ type assignment struct {
 // the paper's Section 1.1 invokes: crashed workers' in-flight chunks are
 // re-queued after a heartbeat timeout, dropped transfers are retried with
 // capped exponential backoff, and (optionally) stragglers are speculated
-// against. It returns the fault accounting and an error if the fault
-// pattern made completion impossible (e.g. every worker permanently
-// dead).
+// against. A crash costs only the chunk in flight: completed results
+// stand and other workers' tasks run on. It returns the fault accounting
+// and an error if the fault pattern made completion impossible (e.g.
+// every worker permanently dead).
+//
+// This is the one simulated demand-driven master with speculation and
+// failures: the experiments, `nlfl faults`, `nlfl trace` and
+// examples/cluster all run it, with an empty Scenario when they model no
+// faults.
 func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scenario, opt ResilientOptions) (*Report, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {

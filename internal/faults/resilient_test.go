@@ -3,10 +3,13 @@ package faults
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/platform"
+	"nlfl/internal/stats"
 	"nlfl/internal/trace"
 )
 
@@ -333,5 +336,116 @@ func TestSingleRoundFaultFree(t *testing.T) {
 	}
 	if rep.Makespan <= 0 {
 		t.Errorf("makespan = %v", rep.Makespan)
+	}
+}
+
+// One crawling worker (speed 0.01) and three fast ones: without backups
+// the crawler strands its task until t=100; with backups a fast worker
+// re-executes it and the crawler's copy is wasted.
+func TestResilientSpeculationHelpsStraggler(t *testing.T) {
+	p := testPlatform(t, 0.01, 1, 1, 1)
+	tasks := uniformTasks(8, 0, 1)
+	plain, err := RunResilientDemandDriven(p, tasks, Scenario{}, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := RunResilientDemandDriven(p, tasks, Scenario{}, ResilientOptions{Speculate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Makespan != 100 || spec.Makespan != 3 {
+		t.Errorf("makespan %v → %v with speculation, want 100 → 3", plain.Makespan, spec.Makespan)
+	}
+	if spec.Backups != 1 || spec.WastedWork != 1 {
+		t.Errorf("backups %d, wasted %v; want 1 and 1", spec.Backups, spec.WastedWork)
+	}
+}
+
+func TestResilientSpeculationNoRegressOnHomogeneous(t *testing.T) {
+	p := testPlatform(t, 1, 1, 1, 1)
+	tasks := uniformTasks(16, 0.1, 1)
+	plain, err := RunResilientDemandDriven(p, tasks, Scenario{}, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := RunResilientDemandDriven(p, tasks, Scenario{}, ResilientOptions{Speculate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Makespan > plain.Makespan+1e-9 {
+		t.Errorf("speculation regressed: %v vs %v", spec.Makespan, plain.Makespan)
+	}
+}
+
+func TestResilientScheduleValidation(t *testing.T) {
+	p := testPlatform(t, 1, 1)
+	if _, err := RunResilientDemandDriven(p, []dessim.Task{{Work: -1}}, Scenario{}, ResilientOptions{}); err == nil {
+		t.Error("negative work accepted")
+	}
+	rep, err := RunResilientDemandDriven(p, nil, Scenario{}, ResilientOptions{Speculate: true})
+	if err != nil || rep.Makespan != 0 {
+		t.Errorf("empty pool: %+v %v", rep, err)
+	}
+}
+
+// Property: with or without speculation, every task completes exactly
+// once and the master ships at least the pool's data.
+func TestResilientScheduleProperty(t *testing.T) {
+	f := func(seed int64, nt uint8, speculate bool) bool {
+		r := stats.NewRNG(seed)
+		p, err := platform.Generate(1+r.Intn(6), stats.Uniform{Lo: 0.5, Hi: 8}, r)
+		if err != nil {
+			return false
+		}
+		tasks := make([]dessim.Task, int(nt%50))
+		totData := 0.0
+		for i := range tasks {
+			tasks[i] = dessim.Task{Data: r.Float64(), Work: r.Float64() * 3}
+			totData += tasks[i].Data
+		}
+		rep, err := RunResilientDemandDriven(p, tasks, Scenario{}, ResilientOptions{Speculate: speculate})
+		if err != nil {
+			return false
+		}
+		count := 0
+		for _, c := range rep.TasksPerWorker {
+			count += c
+		}
+		return count == len(tasks) && rep.DataShipped >= totData-1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A crash costs only the chunk in flight: worker 1 dies at t=3.5 with
+// three tasks done and a fourth half computed. The three completed
+// results stand; the fourth is re-queued behind the pool and worker 0
+// finishes it at t=7.
+func TestResilientCrashReexecutesOnlyInFlight(t *testing.T) {
+	p := testPlatform(t, 1, 1)
+	rep, err := RunResilientDemandDriven(p, uniformTasks(10, 0, 1), SingleCrash(1, 3.5), ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.TasksPerWorker, []int{7, 3}) {
+		t.Errorf("task counts %v, want [7 3]", rep.TasksPerWorker)
+	}
+	if rep.Reexecutions != 1 || rep.LostWork != 0.5 || rep.Makespan != 7 {
+		t.Errorf("reexecutions %d, lost work %v, makespan %v; want 1, 0.5, 7",
+			rep.Reexecutions, rep.LostWork, rep.Makespan)
+	}
+}
+
+// Everything completes at t=2; a crash at t=100 changes nothing.
+func TestResilientCrashAfterCompletionIsFree(t *testing.T) {
+	p := testPlatform(t, 1, 1)
+	rep, err := RunResilientDemandDriven(p, uniformTasks(4, 0, 1), SingleCrash(0, 100), ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan != 2 || rep.Reexecutions != 0 || rep.LostWork != 0 ||
+		!reflect.DeepEqual(rep.TasksPerWorker, []int{2, 2}) {
+		t.Errorf("late crash should be free: %+v", rep)
 	}
 }

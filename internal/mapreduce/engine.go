@@ -1,7 +1,8 @@
 // Package mapreduce is an in-memory MapReduce engine with the accounting
-// the paper needs: shuffle-volume counters, demand-driven placement of
-// homogeneous tasks on heterogeneous workers, and Hadoop-style speculative
-// re-execution.
+// the paper needs: shuffle-volume counters and the menu of matrix-product
+// data distributions. The simulated master — demand-driven placement of
+// homogeneous tasks on heterogeneous workers, Hadoop-style speculative
+// backups and crash recovery — is faults.RunResilientDemandDriven.
 //
 // The paper (Sections 1.1 and 4) treats MapReduce as the software
 // embodiment of Divisible Load Theory: a large computation broken into

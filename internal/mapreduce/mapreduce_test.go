@@ -7,7 +7,6 @@ import (
 
 	"nlfl/internal/matmul"
 	"nlfl/internal/partition"
-	"nlfl/internal/platform"
 	"nlfl/internal/stats"
 )
 
@@ -125,97 +124,6 @@ func TestVectorOuterJob(t *testing.T) {
 	}
 }
 
-func TestScheduleBasics(t *testing.T) {
-	pl, err := platform.FromSpeeds([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, err := UniformTasks(40, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Schedule(pl, tasks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TasksPerWorker[0]+res.TasksPerWorker[1] != 40 {
-		t.Fatalf("task counts %v", res.TasksPerWorker)
-	}
-	ratio := float64(res.TasksPerWorker[1]) / float64(res.TasksPerWorker[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Errorf("fast/slow ratio = %v, want ≈3", ratio)
-	}
-	for tsk, w := range res.Assignment {
-		if w < 0 {
-			t.Fatalf("task %d unassigned", tsk)
-		}
-	}
-	if res.Backups != 0 || res.WastedWork != 0 {
-		t.Error("speculation disabled but backups ran")
-	}
-}
-
-func TestScheduleSpeculationHelpsStraggler(t *testing.T) {
-	// One crawling worker (speed 0.01) and three fast ones: without
-	// backups the crawler strands the last task; with backups a fast
-	// worker re-executes it.
-	pl, err := platform.FromSpeeds([]float64{0.01, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, _ := UniformTasks(8, 0, 1)
-	plain, err := Schedule(pl, tasks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := Schedule(pl, tasks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Makespan >= plain.Makespan {
-		t.Errorf("speculation did not help: %v vs %v", spec.Makespan, plain.Makespan)
-	}
-	if spec.Backups == 0 {
-		t.Error("no backups launched")
-	}
-	if spec.WastedWork <= 0 {
-		t.Error("winning backups must strand the original copy's work")
-	}
-}
-
-func TestScheduleSpeculationNoRegressOnHomogeneous(t *testing.T) {
-	pl, err := platform.Homogeneous(4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks, _ := UniformTasks(16, 0.1, 1)
-	plain, err := Schedule(pl, tasks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := Schedule(pl, tasks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Makespan > plain.Makespan+1e-9 {
-		t.Errorf("speculation regressed: %v vs %v", spec.Makespan, plain.Makespan)
-	}
-}
-
-func TestScheduleValidation(t *testing.T) {
-	pl, _ := platform.Homogeneous(2, 1, 1)
-	if _, err := Schedule(pl, []TaskSpec{{Data: -1}}, false); err == nil {
-		t.Error("negative task should fail")
-	}
-	res, err := Schedule(pl, nil, true)
-	if err != nil || res.Makespan != 0 {
-		t.Errorf("empty schedule: %v %v", res, err)
-	}
-	if _, err := UniformTasks(-1, 0, 0); err == nil {
-		t.Error("negative count should fail")
-	}
-}
-
 func TestDistributionVolumes(t *testing.T) {
 	const n = 100
 	naive := NaivePairsVolume(n)
@@ -283,44 +191,6 @@ func TestMatMulPairsProperty(t *testing.T) {
 		return want.Equal(got, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: demand-driven scheduling completes every task exactly once and
-// credits data conservatively (total shipped ≥ total task data).
-func TestScheduleProperty(t *testing.T) {
-	f := func(seed int64, nt uint8, speculate bool) bool {
-		r := stats.NewRNG(seed)
-		p := 1 + r.Intn(6)
-		pl, err := platform.Generate(p, stats.Uniform{Lo: 0.5, Hi: 8}, r)
-		if err != nil {
-			return false
-		}
-		tasks := make([]TaskSpec, int(nt%50))
-		totData := 0.0
-		for i := range tasks {
-			tasks[i] = TaskSpec{Data: r.Float64(), Work: r.Float64() * 3}
-			totData += tasks[i].Data
-		}
-		res, err := Schedule(pl, tasks, speculate)
-		if err != nil {
-			return false
-		}
-		count := 0
-		for _, c := range res.TasksPerWorker {
-			count += c
-		}
-		if count != len(tasks) {
-			return false
-		}
-		shipped := 0.0
-		for _, d := range res.DataPerWorker {
-			shipped += d
-		}
-		return shipped >= totData-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"nlfl/internal/dessim"
-	"nlfl/internal/mapreduce"
+	"nlfl/internal/faults"
 	"nlfl/internal/outer"
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
@@ -18,7 +18,7 @@ import (
 
 // TestCrossCheckCommhomHomogeneous: on a homogeneous platform, handing
 // each of the p workers one Comm_hom block (side D = N/√p, data 2N/√p,
-// area N²/p) through the MapReduce scheduler must ship exactly
+// area N²/p) through the demand-driven master must ship exactly
 // Comm_hom = 2N·√(Σsᵢ/s₁) = 2N√p — the Section 4.1.1 closed form — within
 // 1e-9 relative.
 func TestCrossCheckCommhomHomogeneous(t *testing.T) {
@@ -30,11 +30,11 @@ func TestCrossCheckCommhomHomogeneous(t *testing.T) {
 		}
 		blockData := 2 * n / math.Sqrt(float64(p))
 		blockArea := n * n / float64(p)
-		tasks := make([]mapreduce.TaskSpec, p)
+		tasks := make([]dessim.Task, p)
 		for i := range tasks {
-			tasks[i] = mapreduce.TaskSpec{Data: blockData, Work: blockArea}
+			tasks[i] = dessim.Task{Data: blockData, Work: blockArea}
 		}
-		res, err := mapreduce.Schedule(pl, tasks, false)
+		res, err := faults.RunResilientDemandDriven(pl, tasks, faults.Scenario{}, faults.ResilientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

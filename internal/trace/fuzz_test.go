@@ -12,7 +12,6 @@ import (
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/faults"
-	"nlfl/internal/mapreduce"
 	"nlfl/internal/platform"
 	nrt "nlfl/internal/runtime"
 	"nlfl/internal/stats"
@@ -118,7 +117,7 @@ func encodeTimeline(tl *trace.Timeline) []byte {
 
 func FuzzTimelineCheck(f *testing.F) {
 	// Corpus from real runs: a crashy resilient run, a static single-round
-	// run under the same faults, and a speculative MapReduce run.
+	// run under the same faults, and a fault-free speculative run.
 	pl, err := platform.Generate(4, platform.ProfileUniform.Distribution(0), stats.NewRNG(7))
 	if err != nil {
 		f.Fatal(err)
@@ -137,10 +136,8 @@ func FuzzTimelineCheck(f *testing.F) {
 	if rep, err := faults.RunSingleRoundUnderFaults(pl, faults.LinearDLTChunks(pl, 12, 24), sc); err == nil {
 		f.Add(encodeTimeline(rep.Trace))
 	}
-	if tasks, err := mapreduce.UniformTasks(9, 1, 2); err == nil {
-		if res, err := mapreduce.Schedule(pl, tasks, true); err == nil {
-			f.Add(encodeTimeline(res.Trace))
-		}
+	if rep, err := faults.RunResilientDemandDriven(pl, pool[:9], faults.Scenario{}, faults.ResilientOptions{Speculate: true}); err == nil {
+		f.Add(encodeTimeline(rep.Trace))
 	}
 	// Topology-shaped seeds: a daisy-chain run (relay records on interior
 	// hops) and a two-source run (disjoint delivery edges).

@@ -13,7 +13,6 @@ import (
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/faults"
-	"nlfl/internal/mapreduce"
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
 	"nlfl/internal/trace"
@@ -61,21 +60,20 @@ func TestPropertyMapReduceTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 1 + rng.Intn(40)
-		tasks := make([]mapreduce.TaskSpec, n)
+		tasks := make([]dessim.Task, n)
 		totalWork, totalData := 0.0, 0.0
 		for i := range tasks {
-			tasks[i] = mapreduce.TaskSpec{Data: rng.Float64() * 4, Work: 0.1 + rng.Float64()*4}
+			tasks[i] = dessim.Task{Data: rng.Float64() * 4, Work: 0.1 + rng.Float64()*4}
 			totalData += tasks[i].Data
 			totalWork += tasks[i].Work
 		}
 		speculate := seed%2 == 0
-		res, err := mapreduce.Schedule(pl, tasks, speculate)
+		res, err := faults.RunResilientDemandDriven(pl, tasks, faults.Scenario{}, faults.ResilientOptions{Speculate: speculate})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		shipped := 0.0
-		for _, d := range res.DataPerWorker {
-			shipped += d
+		if res.DataShipped < totalData-1e-9 {
+			t.Fatalf("seed %d: shipped %v < pool data %v", seed, res.DataShipped, totalData)
 		}
 		vs := trace.Check(res.Trace, &trace.Expect{
 			HasWork:       true,
@@ -83,7 +81,7 @@ func TestPropertyMapReduceTraces(t *testing.T) {
 			ProcessedWork: totalWork,
 			WastedWork:    res.WastedWork,
 			HasComm:       true,
-			ShippedData:   shipped,
+			ShippedData:   res.DataShipped,
 		})
 		if len(vs) != 0 {
 			t.Fatalf("seed %d (p=%d n=%d speculate=%v): %v", seed, p, n, speculate, trace.Must(vs))

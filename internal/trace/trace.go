@@ -5,9 +5,9 @@
 // record into a mechanical test oracle.
 //
 // Every executor in the repository produces a *Timeline: the demand-driven
-// and static star executors of internal/dessim, the MapReduce scheduler
-// (internal/mapreduce), the resilient and single-round fault executors
-// (internal/faults), linear DLT (internal/dlt), and the distributed
+// and static star executors of internal/dessim, the resilient and
+// single-round fault executors (internal/faults, the resilient one also
+// with speculation), linear DLT (internal/dlt), and the distributed
 // sample sort (internal/samplesort). The paper's conservation
 // laws — total work processed, the Comm_hom = 2N·√(Σsᵢ/s₁) volume bound,
 // the ≤1% imbalance rule for Comm_hom/k — become Check expectations; any
