@@ -110,6 +110,17 @@ func ParallelTiled(a, b *Matrix, workers int) (*Matrix, error) {
 // docs/PERFORMANCE.md §1). Each cell is one multiply, so the result is
 // == a[i]·b[j] in any order. Bounds are the caller's responsibility,
 // like a slice expression.
+//
+// OuterFill is kept out of line so that every caller runs one machine-code
+// copy of the loop: inlined into a chunk engine, the loop's speed depends
+// on the code the compiler places around it. On runtime.Run with the
+// run-lease benchmark inputs (n = 2048, 1024 chunks of 64², 2 workers,
+// 2-vCPU x86-64 host, ten alternating runs), the lease engine took a
+// median 13.6 ms per Run with the loop inlined and 11.9 ms out of line;
+// the fast path did not move (9.1 vs 9.4 ms). CI fails if the compiler
+// reports inlining it into internal/runtime or internal/service.
+//
+//go:noinline
 func OuterFill(dst []float64, stride int, a, b []float64) {
 	for i, av := range a {
 		row := dst[i*stride:][:len(b)]

@@ -57,8 +57,8 @@ func TestFastPathPerChunkAllocations(t *testing.T) {
 // TestChaosPathPerChunkAllocations is the same differencing bound for the
 // resilient loop on a fault-free scenario (speculation armed but never
 // firing): leases churn through the queue, yet the per-chunk ledger and
-// scratch reuse must keep the steady state allocation-free apart from the
-// one committed-chunk record each commit appends.
+// staging-buffer reuse must keep the steady state allocation-free apart
+// from the one committed-chunk record each commit appends.
 func TestChaosPathPerChunkAllocations(t *testing.T) {
 	const n = 256
 	a, b := linkVectors(n)

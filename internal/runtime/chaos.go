@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nlfl/internal/faults"
-	"nlfl/internal/matmul"
 	"nlfl/internal/partition"
 	"nlfl/internal/trace"
 )
@@ -190,12 +189,12 @@ func (r *runner) die(w int, cq *chaosQueue, inflightData float64) {
 
 // chaosWorker is the resilient worker loop: poll the lease queue, ship
 // with retry/backoff under link faults, stall through transient outages,
-// compute at the (possibly straggler-scaled) throttled rate into a
-// private scratch, and race for the first-writer-wins commit. Crash
-// instants are honored at every blocking point; a dead worker's work is
-// reclaimed by die.
+// pay the (possibly straggler-scaled) throttled compute, race for the
+// first-writer-wins commit, and — only on a win — fill the output
+// rectangle. Crash instants are honored at every blocking point; a dead
+// worker's work is reclaimed by die.
 func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
-	bucket := newTokenBucket(r.opts.Speeds[w]*r.rate, r.opts.Burst)
+	bucket := r.throttle(w)
 	led := &r.ledgers[w]
 	backoffBase, backoffMax := r.opts.Chaos.Backoff()
 	crashAt := tab.CrashAt(w)
@@ -203,7 +202,6 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 	// sub-rectangles of lost chunks, so the bound survives reclamation.
 	aBuf := make([]float64, 0, r.maxRowSpan)
 	bBuf := make([]float64, 0, r.maxColSpan)
-	scratch := make([]float64, 0, r.maxCells)
 
 	for {
 		if r.ctx.Err() != nil {
@@ -306,12 +304,17 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 			}
 		}
 
-		// Compute into a private scratch buffer. Speculative duplicates
-		// run concurrently, so writing out.Data before winning the commit
-		// race would be a data race even with identical values; only the
-		// winner copies its scratch out. Straggler windows scale the
-		// token cost (sampled at chunk start); the crash instant bounds
-		// the token wait, realizing death mid-chunk.
+		// Commit, then fill. The token wait is the modeled compute:
+		// straggler windows scale its cost (sampled at chunk start) and
+		// the crash instant bounds it, realizing death mid-chunk. The
+		// first-writer-wins commit is resolved before any cell is written,
+		// so only the winner fills, straight into the output; a losing
+		// speculative copy never touches it. Exactly one copy of each task
+		// wins and committed chunks never overlap (checkTiling audits the
+		// committed set after the run), so winners write disjoint cells
+		// and need no lock. A crash instant that falls inside the real
+		// fill of a committed chunk takes effect at the next check: the
+		// chunk stays committed.
 		cells := float64(c.Cells())
 		t0 := r.live.Now()
 		scale := tab.ComputeScale(w, t0)
@@ -320,13 +323,6 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 			budget = time.Duration(math.Max(0, crashAt-t0) * float64(time.Second))
 		}
 		finished := bucket.acquireWithin(cells/scale, budget)
-		if finished {
-			if cap(scratch) < c.Cells() {
-				scratch = make([]float64, c.Cells())
-			}
-			scratch = scratch[:c.Cells()]
-			matmul.OuterFill(scratch, len(bBuf), aBuf, bBuf)
-		}
 		t1 := r.live.Now()
 		if !finished || t1 >= crashAt {
 			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
@@ -341,25 +337,13 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 			led.wastedWork += cells
 			continue
 		}
-		commitChunk(r.out, scratch, c)
-		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task})
 		r.perCells[w] += cells
 		led.committed = append(led.committed, c)
 		led.committedVolume += data
 		if specWin {
 			led.specWins++
 		}
-	}
-}
-
-// commitChunk copies a winning scratch into the output. Exactly one copy
-// of each task wins (chaosQueue.commit) and committed chunks never
-// overlap (checkTiling audits the committed set after the run), so
-// winners write disjoint cells and need no lock.
-func commitChunk(out *matmul.Matrix, scratch []float64, c Chunk) {
-	wd := c.ColHi - c.ColLo
-	for i := 0; i < c.RowHi-c.RowLo; i++ {
-		base := (c.RowLo+i)*out.Cols + c.ColLo
-		copy(out.Data[base:base+wd], scratch[i*wd:(i+1)*wd])
+		FillChunk(r.out, aBuf, bBuf, c)
+		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: r.live.Now(), Work: cells, Task: c.Task})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -259,6 +260,109 @@ func TestChaosStragglerSpeculation(t *testing.T) {
 	}
 	if rep.WastedWorkCells <= 0 {
 		t.Errorf("WastedWorkCells = %v, want > 0 (the straggler's losing copies)", rep.WastedWorkCells)
+	}
+}
+
+// TestLosingCopyNeverWrites pins commit-then-fill without timing luck.
+// Workers 0 and 2 stall on their first chunk while worker 1 drains the
+// rest of the queue and then speculates on both stalled leases. Its
+// second speculative start proves its first speculative copy has
+// committed, and only then are the stalled holders released: one of them
+// now holds a chunk that is already committed, so it must record a
+// Wasted span and leave the output alone. Under -race, a losing copy that
+// wrote before resolving the commit would race the winner's writes.
+func TestLosingCopyNeverWrites(t *testing.T) {
+	pl, err := platform.FromSpeeds([]float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 48
+	a, b := chaosVectors(t, n, 21)
+	var (
+		mu       sync.Mutex
+		first    = map[int]int{} // task → worker it was first issued to
+		arrived  = map[int]bool{}
+		allIn    = make(chan struct{})
+		release  = make(chan struct{})
+		specs    int
+		specTask int
+		loser    int
+	)
+	hook := func(w int, c Chunk) {
+		mu.Lock()
+		holder, seen := first[c.Task]
+		if !seen {
+			first[c.Task] = w
+		}
+		firstCall := !arrived[w]
+		arrived[w] = true
+		if firstCall && len(arrived) == 3 {
+			close(allIn)
+		}
+		if seen && holder != w {
+			specs++
+			switch specs {
+			case 1:
+				specTask, loser = c.Task, holder
+			case 2:
+				close(release)
+			}
+		}
+		mu.Unlock()
+		if !firstCall {
+			return
+		}
+		// Every worker leases its first chunk before any proceeds, so all
+		// three first chunks are fresh leases, not speculative copies.
+		<-allIn
+		if w == 1 {
+			return
+		}
+		select {
+		case <-release:
+		case <-time.After(30 * time.Second):
+			t.Error("worker 1 never started its second speculative copy")
+		}
+	}
+	plan := gridPlan(t, n, 4)
+	rep, err := Run(plan, a, b, Options{
+		Speeds: pl.Speeds(),
+		// ~1.4 ms of honest token time per 12×12 chunk (Burst 1 banks no
+		// credit), so the released holder and worker 1's second
+		// speculative copy are in flight together, with no lock between
+		// their fills for the race detector to order them by.
+		WorkPerSecond:      1e5,
+		Burst:              1,
+		Chaos:              Chaos{SpeculateAfter: 1e-9},
+		testHookChunkStart: hook,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditChaos(t, rep, a, b)
+	if rep.SpeculativeWins < 1 {
+		t.Errorf("SpeculativeWins = %d, want ≥ 1", rep.SpeculativeWins)
+	}
+	ok := make([]int, len(plan.Chunks))
+	wasted := false
+	for w, spans := range rep.Trace.Spans {
+		for _, s := range spans {
+			switch {
+			case s.Kind != trace.Compute:
+			case s.Outcome == trace.OK:
+				ok[s.Task]++
+			case s.Outcome == trace.Wasted && s.Task == specTask && w == loser:
+				wasted = true
+			}
+		}
+	}
+	for task, k := range ok {
+		if k != 1 {
+			t.Errorf("task %d has %d OK Compute spans, want 1", task, k)
+		}
+	}
+	if !wasted {
+		t.Errorf("no Wasted Compute span for task %d on its losing holder, worker %d", specTask, loser)
 	}
 }
 

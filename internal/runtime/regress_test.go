@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
@@ -187,6 +188,26 @@ func TestCheckTilingPaths(t *testing.T) {
 		}
 		if err := check(n, gapOnly); err == nil {
 			t.Errorf("%s accepts a partial cover", name)
+		}
+	}
+}
+
+// TestPaddedLayoutsFillLinePairs keeps the padding comments honest. Shards,
+// private lanes and chaos ledgers sit in contiguous arrays whose
+// neighbouring entries belong to different workers and are written on
+// every chunk, so each must span whole 128-byte line pairs or adjacent
+// workers false-share. chaosLedger once claimed 128 bytes and was 112.
+func TestPaddedLayoutsFillLinePairs(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding arithmetic assumes 64-bit words")
+	}
+	for name, size := range map[string]uintptr{
+		"shard":       unsafe.Sizeof(shard{}),
+		"privateLane": unsafe.Sizeof(privateLane{}),
+		"chaosLedger": unsafe.Sizeof(chaosLedger{}),
+	} {
+		if size%128 != 0 {
+			t.Errorf("%s is %d bytes, not a multiple of 128", name, size)
 		}
 	}
 }

@@ -62,6 +62,14 @@ type Options struct {
 	// Chaos enables the fault-injection layer and its survival machinery
 	// (see Chaos). The zero value selects the fault-free fast path.
 	Chaos Chaos
+	// Virtual runs the fast path on a virtual clock (see virtualClock):
+	// the workers take turns in modeled time, the token buckets and link
+	// windows advance the clock instead of sleeping, and the real copies
+	// and fills take no modeled time. The run is then bit-reproducible —
+	// the same chunk hand-out, spans and makespan on every run — and its
+	// times are the model's, not the host's. Virtual cannot be combined
+	// with Chaos, whose faults are timed on the wall clock.
+	Virtual bool
 
 	// testHookChunkStart, when set, runs on the worker goroutine right
 	// after a chunk is claimed and before its transfer starts — the
@@ -212,10 +220,21 @@ func (r *Report) Expect(relTol float64) *trace.Expect {
 }
 
 // staged is one chunk whose inputs have been shipped into worker-local
-// buffers (its Comm span is recorded by fetch at shipping time).
+// buffers (its Comm span is recorded when the transfer lands).
 type staged struct {
 	c          Chunk
 	aBuf, bBuf []float64
+}
+
+// transfer is one chunk's shipment in flight: its inputs are copied and,
+// when booked on the modeled network, its delivery window [t0, t1] and
+// relay windows are reserved; otherwise [t0, t1] is the measured memcpy.
+type transfer struct {
+	c          Chunk
+	aBuf, bBuf []float64
+	t0, t1     float64
+	booked     bool
+	relays     []bookedWindow
 }
 
 // runner is the shared state of one Run: inputs, throttles, ledgers and
@@ -229,14 +248,14 @@ type runner struct {
 
 	out      *matmul.Matrix
 	live     *trace.Live
+	vc       *virtualClock // nil on the wall clock
 	net      *netLink
 	perData  []float64 // written only by each worker's own goroutine
 	perCells []float64
 
 	// Largest chunk extents in the plan — the workers size their transfer
-	// and scratch buffers once from these, so the per-chunk loop never
-	// allocates.
-	maxRowSpan, maxColSpan, maxCells int
+	// buffers once from these, so the per-chunk loop never allocates.
+	maxRowSpan, maxColSpan int
 
 	// ledgers[w] is worker w's private recovery ledger (chaos runs only);
 	// each worker writes only its own entry and the entries are merged
@@ -268,7 +287,7 @@ type chaosLedger struct {
 	wastedData        float64
 	wastedWork        float64
 	retried, specWins int
-	_                 [48]byte // 24 + 3×8 + 2×8 = 64 → pad to 128
+	_                 [64]byte // committed(24) + 3×8 + 2×8 = 64 → pad to 128
 }
 
 // merge folds the per-worker ledgers into the mu-guarded totals. Call
@@ -295,6 +314,35 @@ func (r *runner) fail(err error) {
 	r.cancel()
 }
 
+// now reads the run's clock: virtual seconds under Options.Virtual, the
+// live recording's wall seconds otherwise.
+func (r *runner) now() float64 {
+	if r.vc != nil {
+		return r.vc.Now()
+	}
+	return r.live.Now()
+}
+
+// waitUntil parks worker w until the booked instant t has passed on the
+// run's clock; false means the run was cancelled.
+func (r *runner) waitUntil(w int, t float64) bool {
+	if r.vc != nil {
+		r.vc.sleepUntil(w, t)
+		return r.ctx.Err() == nil
+	}
+	return r.net.wait(r.ctx, t)
+}
+
+// throttle builds worker w's token bucket on the run's clock.
+func (r *runner) throttle(w int) *tokenBucket {
+	tb := newTokenBucket(r.opts.Speeds[w]*r.rate, r.opts.Burst)
+	if vc := r.vc; vc != nil {
+		tb.now, tb.last = vc.Now, vc.Now()
+		tb.sleep = func(d float64) { vc.sleepUntil(w, vc.Now()+d) }
+	}
+	return tb
+}
+
 func (r *runner) runErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -317,6 +365,10 @@ func (r *runner) noteLost(cells float64) {
 // the run.
 func (r *runner) guard(w int, body func(int)) {
 	defer r.wg.Done()
+	if r.vc != nil {
+		r.vc.enter(w)
+		defer r.vc.leave(w)
+	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.fail(fmt.Errorf("%w: worker %d panicked: %v", ErrWorkerFailed, w, rec))
@@ -397,6 +449,9 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		if opts.Prefetch {
 			return nil, fmt.Errorf("runtime: Prefetch cannot be combined with Chaos (a prefetched chunk is an untracked second lease)")
 		}
+		if opts.Virtual {
+			return nil, fmt.Errorf("runtime: Virtual cannot be combined with Chaos (faults are timed on the wall clock)")
+		}
 	}
 	rate := opts.WorkPerSecond
 	if rate <= 0 {
@@ -407,12 +462,11 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		shards = p // home-stripe affinity: worker w owns stripe w
 	}
 	planVolume := 0.0
-	maxRowSpan, maxColSpan, maxCells := 0, 0, 0
+	maxRowSpan, maxColSpan := 0, 0
 	for _, c := range plan.Chunks {
 		planVolume += float64(c.Data())
 		maxRowSpan = max(maxRowSpan, c.RowHi-c.RowLo)
 		maxColSpan = max(maxColSpan, c.ColHi-c.ColLo)
-		maxCells = max(maxCells, c.Cells())
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -430,12 +484,14 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		perCells:   make([]float64, p),
 		maxRowSpan: maxRowSpan,
 		maxColSpan: maxColSpan,
-		maxCells:   maxCells,
 		ctx:        runCtx,
 		cancel:     cancel,
 	}
+	if opts.Virtual {
+		r.vc = newVirtualClock(p)
+	}
 	if r.net != nil {
-		r.net.now = r.live.Now
+		r.net.now = r.now
 	}
 	// A clean run records exactly two spans per chunk (Comm + Compute);
 	// reserving that up front keeps span recording allocation-free on the
@@ -463,6 +519,9 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	for w := 0; w < p; w++ {
 		r.wg.Add(1)
 		go r.guard(w, body)
+	}
+	if r.vc != nil {
+		r.vc.start()
 	}
 	r.wg.Wait()
 	r.mergeLedgers()
@@ -575,58 +634,71 @@ type fetchReq struct {
 // chunk. Cancellation is honored at chunk boundaries.
 func (r *runner) fastWorker(w int, queue *workQueue) {
 	opts := r.opts
-	bucket := newTokenBucket(opts.Speeds[w]*r.rate, opts.Burst)
+	bucket := r.throttle(w)
 	var bufs [2]struct{ a, b []float64 }
 	for i := range bufs {
 		bufs[i].a = make([]float64, 0, r.maxRowSpan)
 		bufs[i].b = make([]float64, 0, r.maxColSpan)
 	}
 
-	// fetch ships the chunk's inputs into buffer slot `slot`: the only
-	// elements this worker may read are the copies it just received.
-	// Under the link model the Comm span is the booked transfer window;
-	// otherwise it is the measured memcpy. Calls for one worker are
-	// strictly sequential (double-buffering keeps at most one in
-	// flight), so the per-worker ledgers need no locking. A cancellation
-	// that lands mid-transfer abandons the booked window: no span is
-	// recorded and the caller's next ctx check exits the loop.
-	fetch := func(c Chunk, slot int) staged {
+	// ship starts the transfer of the chunk's inputs into buffer slot
+	// `slot`: the only elements this worker may read are the copies it
+	// receives. Under the link model it books the transfer windows and
+	// the Comm span is the booked delivery window; otherwise the span is
+	// the measured memcpy. land finishes the transfer: it waits out the
+	// delivery window and records the spans. Calls for one worker are
+	// strictly sequential (double-buffering keeps at most one in flight),
+	// so the per-worker ledgers need no locking. A cancellation that
+	// lands mid-transfer abandons the booked window: no span is recorded
+	// and the caller's next ctx check exits the loop.
+	ship := func(c Chunk, slot int) transfer {
 		bb := &bufs[slot]
-		var t0, t1 float64
+		t := transfer{c: c}
 		if r.net != nil && r.net.constrained(w) {
-			del, relays := r.net.book(w, float64(c.Data()))
-			t0, t1 = del.start, del.end
+			var del bookedWindow
+			del, t.relays = r.net.book(w, float64(c.Data()))
+			t.t0, t.t1, t.booked = del.start, del.end, true
 			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
 			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
-			if !r.net.wait(r.ctx, t1) {
-				return staged{c: c, aBuf: bb.a, bBuf: bb.b}
-			}
-			for _, h := range relays {
-				r.live.AddRelay(trace.Relay{Edge: h.edge, Dest: w, Start: h.start, End: h.end,
-					Data: float64(c.Data()), Task: c.Task})
-			}
 		} else {
-			t0 = r.live.Now()
+			t.t0 = r.now()
 			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
 			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
-			t1 = r.live.Now()
+			t.t1 = r.now()
 		}
-		r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t0, End: t1,
-			Data: float64(c.Data()), Task: c.Task})
-		r.perData[w] += float64(c.Data())
-		return staged{c: c, aBuf: bb.a, bBuf: bb.b}
+		t.aBuf, t.bBuf = bb.a, bb.b
+		return t
+	}
+	land := func(t transfer) staged {
+		s := staged{c: t.c, aBuf: t.aBuf, bBuf: t.bBuf}
+		if t.booked {
+			if !r.waitUntil(w, t.t1) {
+				return s
+			}
+			for _, h := range t.relays {
+				r.live.AddRelay(trace.Relay{Edge: h.edge, Dest: w, Start: h.start, End: h.end,
+					Data: float64(t.c.Data()), Task: t.c.Task})
+			}
+		}
+		r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t.t0, End: t.t1,
+			Data: float64(t.c.Data()), Task: t.c.Task})
+		r.perData[w] += float64(t.c.Data())
+		return s
 	}
 
-	// With prefetch, one persistent fetcher goroutine per worker ships
-	// chunk inputs on request. The request/result channels live for the
-	// whole run — the old per-chunk `go fetch(...)` + fresh result channel
-	// was two heap allocations per chunk. At most one request is ever in
-	// flight (the worker sends only after receiving the previous result),
-	// so the single-buffered result channel can never block the fetcher
-	// against a departed worker.
+	// With prefetch on the wall clock, one persistent fetcher goroutine
+	// per worker ships chunk inputs on request. The request/result
+	// channels live for the whole run — the old per-chunk `go fetch(...)`
+	// + fresh result channel was two heap allocations per chunk. At most
+	// one request is ever in flight (the worker sends only after
+	// receiving the previous result), so the single-buffered result
+	// channel can never block the fetcher against a departed worker. On
+	// the virtual clock the worker ships the next chunk itself and lands
+	// it after the compute: the booking happens at the same instant, and
+	// the worker stays the only goroutine that holds the clock.
 	var reqCh chan fetchReq
 	var resCh chan staged
-	if opts.Prefetch {
+	if opts.Prefetch && r.vc == nil {
 		reqCh = make(chan fetchReq)
 		resCh = make(chan staged, 1)
 		defer close(reqCh) // stops the fetcher when the worker leaves
@@ -638,7 +710,7 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 				}
 			}()
 			for req := range reqCh {
-				resCh <- fetch(req.c, req.slot)
+				resCh <- land(ship(req.c, req.slot))
 			}
 		}()
 	}
@@ -651,7 +723,7 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 		hook(w, c)
 	}
 	cur := 0
-	s := fetch(c, cur)
+	s := land(ship(c, cur))
 	for {
 		if r.ctx.Err() != nil {
 			return
@@ -660,19 +732,24 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 		// current one, so the transfer hides under the compute span.
 		var next Chunk
 		var more bool
+		var pending transfer
 		if opts.Prefetch {
 			if next, more = queue.pop(w); more {
-				reqCh <- fetchReq{c: next, slot: 1 - cur}
+				if r.vc != nil {
+					pending = ship(next, 1-cur)
+				} else {
+					reqCh <- fetchReq{c: next, slot: 1 - cur}
+				}
 			}
 		}
 
 		// Compute: the token bucket stretches the span to the duration a
 		// speed-sᵢ processor would need.
 		cells := float64(s.c.Cells())
-		t0 := r.live.Now()
+		t0 := r.now()
 		bucket.acquire(cells)
-		fillChunk(r.out, s.aBuf, s.bBuf, s.c)
-		t1 := r.live.Now()
+		FillChunk(r.out, s.aBuf, s.bBuf, s.c)
+		t1 := r.now()
 		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1,
 			Work: cells, Task: s.c.Task})
 		r.perCells[w] += cells
@@ -681,9 +758,13 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 			if !more {
 				return
 			}
-			var ok2 bool
-			if s, ok2 = <-resCh; !ok2 {
-				return // the fetcher died; the run is already failed
+			if r.vc != nil {
+				s = land(pending)
+			} else {
+				var ok2 bool
+				if s, ok2 = <-resCh; !ok2 {
+					return // the fetcher died; the run is already failed
+				}
 			}
 			cur = 1 - cur
 		} else {
@@ -693,13 +774,18 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 			if hook := opts.testHookChunkStart; hook != nil {
 				hook(w, c)
 			}
-			s = fetch(c, cur)
+			s = land(ship(c, cur))
 		}
 	}
 }
 
-// fillChunk writes the chunk's rectangle of the outer product from the
-// worker-local copies straight into the output.
-func fillChunk(out *matmul.Matrix, aBuf, bBuf []float64, c Chunk) {
+// FillChunk writes chunk c's rectangle of the outer product a̅×b̅ straight
+// into out from the worker-local copies aBuf (the chunk's row interval)
+// and bBuf (its column interval), through the one out-of-line
+// matmul.OuterFill. Every chunk engine calls it: Run's fast path, Run's
+// lease engine and the fleet's workers. A lease engine calls it only
+// after winning the chunk's first-writer-wins commit, so no two
+// goroutines ever write the same cells.
+func FillChunk(out *matmul.Matrix, aBuf, bBuf []float64, c Chunk) {
 	matmul.OuterFill(out.Data[c.RowLo*out.Cols+c.ColLo:], out.Cols, aBuf, bBuf)
 }

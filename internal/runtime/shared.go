@@ -3,16 +3,15 @@ package runtime
 import (
 	"context"
 	"time"
-
-	"nlfl/internal/matmul"
 )
 
 // This file exports the pool's building blocks — the token-bucket
-// throttle, the topology-aware network booker, the rectangle kernels
-// and the survivor re-planner — for layers that own workers across many
-// runs (internal/service's long-lived fleet) instead of spinning a pool
-// per job. One implementation serves both: a fleet worker is paced,
-// booked and re-planned by exactly the code a single Run uses.
+// throttle, the topology-aware network booker and the survivor
+// re-planner — for layers that own workers across many runs
+// (internal/service's long-lived fleet) instead of spinning a pool per
+// job; the rectangle kernel, FillChunk, sits beside the fast path. One
+// implementation serves both: a fleet worker is paced, booked and
+// re-planned by exactly the code a single Run uses.
 
 // Throttle is the exported token-bucket pacer: it stretches compute to
 // the duration a speed-s processor would need (see tokenBucket). One
@@ -182,21 +181,6 @@ func (l *SharedLink) Book(w int, elems float64) (start, end float64) {
 // cancelled — false means cancelled.
 func (l *SharedLink) Wait(ctx context.Context, end float64) bool {
 	return l.net.Wait(ctx, end)
-}
-
-// FillRect computes a chunk's rectangle of the outer product a̅×b̅ into
-// dst (row-major, width len(bBuf)) from the worker-local copies aBuf (the
-// chunk's row interval) and bBuf (its column interval), through the same
-// matmul.OuterFill the in-pool engines call.
-func FillRect(dst, aBuf, bBuf []float64) {
-	matmul.OuterFill(dst, len(bBuf), aBuf, bBuf)
-}
-
-// CommitRect copies a finished rectangle into the output matrix. Callers
-// must guarantee winning rectangles are disjoint (first-writer-wins at
-// commit time), which is what makes the copy lock-free.
-func CommitRect(out *matmul.Matrix, scratch []float64, c Chunk) {
-	commitChunk(out, scratch, c)
 }
 
 // ReplanOwned maps a dead worker's owned rectangle onto the surviving

@@ -17,8 +17,21 @@ type tokenBucket struct {
 	rate   float64 // tokens per second
 	burst  float64 // cap on accumulated idle credit
 	tokens float64
-	last   time.Time
+	last   float64 // clock reading at the last refill, in seconds
+	// now and sleep are the bucket's clock: the wall clock by default,
+	// the run's virtual clock under Options.Virtual.
+	now   func() float64
+	sleep func(seconds float64)
 }
+
+// wallEpoch zeroes wallNow; only differences of its readings matter.
+var wallEpoch = time.Now()
+
+// wallNow reads the monotonic wall clock in seconds.
+func wallNow() float64 { return time.Since(wallEpoch).Seconds() }
+
+// wallSleep sleeps for the given seconds of wall time.
+func wallSleep(seconds float64) { time.Sleep(time.Duration(seconds * float64(time.Second))) }
 
 // newTokenBucket builds a bucket refilling at rate tokens/second. A
 // non-positive burst defaults to 5 ms of credit, enough to smooth
@@ -27,7 +40,7 @@ func newTokenBucket(rate, burst float64) *tokenBucket {
 	if burst <= 0 {
 		burst = rate * 0.005
 	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: wallNow(), now: wallNow, sleep: wallSleep}
 }
 
 // acquire blocks until n tokens are available and consumes them.
@@ -40,21 +53,21 @@ func (tb *tokenBucket) acquire(n float64) { tb.acquireWithin(n, -1) }
 // realize crashes mid-compute: the worker pays tokens toward the chunk
 // until its crash instant lands, then dies with the chunk unfinished.
 func (tb *tokenBucket) acquireWithin(n float64, budget time.Duration) bool {
-	now := time.Now()
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
+	now := tb.now()
+	tb.tokens += (now - tb.last) * tb.rate
 	tb.last = now
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
 	}
 	if tb.tokens < n {
-		wait := time.Duration((n - tb.tokens) / tb.rate * float64(time.Second))
-		interrupted := budget >= 0 && wait > budget
+		wait := (n - tb.tokens) / tb.rate
+		interrupted := budget >= 0 && wait > budget.Seconds()
 		if interrupted {
-			wait = budget
+			wait = budget.Seconds()
 		}
-		time.Sleep(wait)
-		now = time.Now()
-		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
+		tb.sleep(wait)
+		now = tb.now()
+		tb.tokens += (now - tb.last) * tb.rate
 		tb.last = now
 		// The post-sleep refill must honor the burst cap too: the OS
 		// routinely oversleeps, and without this clamp the overshoot

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nlfl/internal/faults"
+	"nlfl/internal/stats"
 	"nlfl/internal/trace"
 )
 
@@ -95,11 +96,16 @@ func TestSpeculationBeatsJobScopedStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	const n = 64
+	r := stats.NewRNG(5)
+	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
+	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 	rep := waitOK(t, mustSubmit(t, f, JobSpec{
 		Tenant:   "spec",
-		N:        64,
+		N:        n,
 		Strategy: "het",
-		Seed:     5,
+		A:        a,
+		B:        b,
 		Chaos: ChaosSpec{
 			Scenario: faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Straggler, Worker: 1, Time: 0, Until: 30, Factor: 0.2},
@@ -115,6 +121,38 @@ func TestSpeculationBeatsJobScopedStraggler(t *testing.T) {
 		t.Errorf("losing straggler copy not accounted as waste")
 	}
 	checkJob(t, rep)
+	// Commit, then fill: each task has one OK Compute span, some losing
+	// copy is Wasted on another worker than its task's winner, and the
+	// output is the product cell for cell.
+	winner := map[int]int{}
+	for w, spans := range rep.Trace.Spans {
+		for _, s := range spans {
+			if s.Kind == trace.Compute && s.Outcome == trace.OK {
+				if prev, dup := winner[s.Task]; dup {
+					t.Errorf("task %d committed by workers %d and %d", s.Task, prev, w)
+				}
+				winner[s.Task] = w
+			}
+		}
+	}
+	lost := false
+	for w, spans := range rep.Trace.Spans {
+		for _, s := range spans {
+			if won, ok := winner[s.Task]; ok && s.Kind == trace.Compute && s.Outcome == trace.Wasted && won != w {
+				lost = true
+			}
+		}
+	}
+	if !lost {
+		t.Errorf("no Wasted Compute span for a losing copy")
+	}
+	for i, av := range a {
+		for k, bv := range b {
+			if got := rep.Out.At(i, k); got != av*bv {
+				t.Fatalf("cell (%d,%d) = %v, want %v", i, k, got, av*bv)
+			}
+		}
+	}
 }
 
 func TestChaosBudgetExhaustionFailsOnlyThatJob(t *testing.T) {

@@ -32,16 +32,21 @@ func (f *Fleet) worker(w int) {
 			}
 			continue
 		}
-		f.serve(w, asg.j, asg.c, th, bufs)
-		f.finishServe(asg.j)
+		filled, ok := f.serve(w, asg.j, asg.c, th, bufs)
+		f.finishServe(asg.j, w, filled, ok)
 	}
 }
 
-// finishServe settles one in-flight chunk: when the last one drains and
-// every cell is committed, the job completes. Terminal jobs (failed,
-// cancelled, fleet-closed) were finalized eagerly and just drain.
-func (f *Fleet) finishServe(j *job) {
+// finishServe settles one in-flight chunk: it records the Compute span
+// of a chunk worker w committed and filled (ok), and when the last chunk
+// drains and every cell is committed, the job completes. Terminal jobs
+// (failed, cancelled, fleet-closed) were finalized eagerly and just
+// drain; their timelines are frozen.
+func (f *Fleet) finishServe(j *job, w int, filled trace.Span, ok bool) {
 	f.mu.Lock()
+	if ok && !j.terminal() {
+		j.tl.Add(w, filled)
+	}
 	j.serving--
 	if !j.terminal() && j.cellsLeft == 0 && j.serving == 0 {
 		f.finalizeLocked(j, nil)
@@ -51,17 +56,18 @@ func (f *Fleet) finishServe(j *job) {
 
 // serveBufs are one worker's reusable staging buffers.
 type serveBufs struct {
-	a, b, scratch []float64
+	a, b []float64
 }
 
 // serve runs one leased chunk end to end: ship the inputs over the
 // shared link (retrying job-scoped drops with capped backoff), stall
-// through job-scoped transient outages, compute into a private scratch
-// at the throttled (possibly straggler-scaled) rate with the job-scoped
-// crash instant bounding the token wait, then race for the
-// first-writer-wins commit. Every fault consequence lands on job j's
-// ledgers alone.
-func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveBufs) {
+// through job-scoped transient outages, pay the throttled (possibly
+// straggler-scaled) compute with the job-scoped crash instant bounding
+// the token wait, race for the first-writer-wins commit, and — only on
+// a win — fill the output rectangle. It returns the filled chunk's
+// Compute span for finishServe to record (ok), and nothing otherwise.
+// Every fault consequence lands on job j's ledgers alone.
+func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveBufs) (filled trace.Span, ok bool) {
 	data := float64(c.Data())
 	cells := float64(c.Cells())
 	crashAt := math.Inf(1)
@@ -78,7 +84,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 		rel := t0 - j.startAt
 		if rel >= crashAt {
 			f.killServing(j, w, 0, 0, 0, 0, false)
-			return
+			return trace.Span{}, false
 		}
 		dropped := j.chaos != nil && j.chaos.Drop(w, rel)
 		var t1 float64
@@ -92,7 +98,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 				bufs.b = append(bufs.b[:0], j.b[c.ColLo:c.ColHi]...)
 			}
 			if !f.net.Wait(f.ctx, t1) {
-				return // fleet shutdown mid-transfer
+				return trace.Span{}, false // fleet shutdown mid-transfer
 			}
 		} else {
 			if !dropped {
@@ -104,7 +110,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 		f.mu.Lock()
 		if j.terminal() {
 			f.mu.Unlock()
-			return
+			return trace.Span{}, false
 		}
 		outcome := trace.OK
 		if dropped {
@@ -131,10 +137,10 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			f.mu.Lock()
 			f.finalizeLocked(j, fmt.Errorf("%w: worker %d lost chunk %d on %d consecutive transfer attempts", ErrJobFailed, w, c.Task, retries))
 			f.mu.Unlock()
-			return
+			return trace.Span{}, false
 		}
 		if !sleepSeconds(f.ctx, backoff) {
-			return
+			return trace.Span{}, false
 		}
 		backoff = math.Min(backoff*2, j.backoff[1])
 	}
@@ -146,20 +152,21 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			rel := f.now() - j.startAt
 			if rel >= crashAt {
 				f.killServing(j, w, data, 0, 0, 0, false)
-				return
+				return trace.Span{}, false
 			}
 			until, paused := j.chaos.PausedUntil(w, rel)
 			if !paused {
 				break
 			}
 			if !sleepSeconds(f.ctx, math.Min(until, crashAt)-rel) {
-				return
+				return trace.Span{}, false
 			}
 		}
 	}
 
-	// Compute into a private scratch: speculative duplicates run
-	// concurrently, so only the commit winner may touch j.out.
+	// Commit, then fill: the token wait is the modeled compute, and the
+	// first-writer-wins race is resolved before any cell is written, so
+	// a losing speculative copy never touches j.out.
 	t0 := f.now()
 	scale := 1.0
 	budget := time.Duration(-1)
@@ -171,17 +178,10 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 		}
 	}
 	finished := th.AcquireWithin(cells/scale, budget)
-	if finished {
-		if cap(bufs.scratch) < c.Cells() {
-			bufs.scratch = make([]float64, c.Cells())
-		}
-		bufs.scratch = bufs.scratch[:c.Cells()]
-		nrt.FillRect(bufs.scratch, bufs.a, bufs.b)
-	}
 	t1 := f.now()
 	if !finished || t1-j.startAt >= crashAt {
 		f.killServing(j, w, data, cells, t0, t1, true)
-		return
+		return trace.Span{}, false
 	}
 
 	f.mu.Lock()
@@ -193,13 +193,8 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			j.wastedWork += cells
 		}
 		f.mu.Unlock()
-		return
+		return trace.Span{}, false
 	}
-	// Copy the scratch out while still holding the lock: once finishServe
-	// observes the last in-flight chunk drained, finalize must already
-	// see the full output.
-	nrt.CommitRect(j.out, bufs.scratch, c)
-	j.tl.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task})
 	j.committedCells += cells
 	j.committedVol += data
 	if specWin {
@@ -207,6 +202,12 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	}
 	f.ledgerLocked(j.tenant).ServedCells += cells
 	f.mu.Unlock()
+	// Only the winner fills, straight into j.out and outside the lock:
+	// committed chunks are disjoint, and the job cannot complete (verify
+	// or hand out j.out) until finishServe drains this chunk. A crash
+	// instant inside the fill takes effect at the worker's next check.
+	nrt.FillChunk(j.out, bufs.a, bufs.b, c)
+	return trace.Span{Kind: trace.Compute, Start: t0, End: f.now(), Work: cells, Task: c.Task}, true
 }
 
 // killServing realizes worker w's job-scoped crash while it was serving
