@@ -67,7 +67,10 @@ func PlanSort(pl *platform.Platform, n int, balanced bool) (SortPlan, error) {
 	}
 	var shares []float64
 	if balanced {
-		shares = samplesort.BalancedShares(pl.Speeds(), n)
+		var err error
+		if shares, err = samplesort.BalancedShares(pl.Speeds(), n); err != nil {
+			return SortPlan{}, err
+		}
 	} else {
 		shares = pl.NormalizedSpeeds()
 	}

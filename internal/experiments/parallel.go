@@ -47,9 +47,11 @@ func parallel(n int, step func(i int) error) error {
 	return nil
 }
 
-// perTrial hands trial n generators split from root — all drawn, in trial
-// order, before any trial runs — and returns the outcomes in trial order for
-// the caller to fold sequentially: bit-identical at any GOMAXPROCS.
+// perTrial hands trial n generators split from root — their seeds all
+// drawn, in trial order, before any trial runs; each generator builds its
+// source on its own first draw, inside its trial — and returns the outcomes
+// in trial order for the caller to fold sequentially: bit-identical at any
+// GOMAXPROCS.
 func perTrial[T any](root *stats.RNG, n int, trial func(r *stats.RNG) (T, error)) ([]T, error) {
 	rngs := make([]*stats.RNG, max(n, 0))
 	for i := range rngs {

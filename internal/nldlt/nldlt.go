@@ -240,9 +240,17 @@ func solveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (
 		data := make([]float64, p.P())
 		sum := 0.0
 		offset := 0.0
+		// chunkForDeadline is pure: a worker whose (bandwidth, speed,
+		// offset) equals the previous one's reuses its chunk, so a
+		// homogeneous parallel-links step costs one inner bisection, not p.
+		var prev platform.Worker
+		prevOffset, x := math.NaN(), 0.0
 		for _, i := range idxs {
 			w := p.Worker(i)
-			x := chunkForDeadline(offset, w.Bandwidth, w.Speed, l.Alpha, t)
+			if w.Bandwidth != prev.Bandwidth || w.Speed != prev.Speed || offset != prevOffset {
+				x = chunkForDeadline(offset, w.Bandwidth, w.Speed, l.Alpha, t)
+				prev, prevOffset = w, offset
+			}
 			data[i] = x
 			sum += x
 			if onePort {

@@ -84,12 +84,21 @@ func Commhom(p *platform.Platform, n float64) Result {
 // earliest claims, ties to the lowest worker index. The computation is
 // O(p·(log + p)) via bisection on the claim-time threshold rather than a
 // heap, so the Comm_hom/k refinement loop stays cheap even for millions of
-// blocks.
+// blocks. Speeds must be positive and finite (platform speeds are); any
+// other speed would stall the bracketing loop, so it panics instead.
 func demandCounts(speeds []float64, b int) []int {
+	for i, s := range speeds {
+		if !(s > 0) || math.IsInf(s, 0) {
+			panic(fmt.Sprintf("outer: demandCounts: speed %d is %v, want positive and finite", i, s))
+		}
+	}
 	p := len(speeds)
 	counts := make([]int, p)
 	if b <= 0 {
 		return counts
+	}
+	if p == 0 {
+		panic("outer: demandCounts: no workers to claim blocks")
 	}
 	// countAt returns the number of claims with time ≤ t.
 	countAt := func(t float64) int {
@@ -105,7 +114,15 @@ func demandCounts(speeds []float64, b int) []int {
 	}
 	for i := 0; i < 100 && hi-lo > 1e-15*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		if countAt(mid) >= b {
+		c := countAt(mid)
+		if c == b {
+			// Exact hit: any later hi ≤ mid also counts b claims, and
+			// each ⌊hi·sᵢ⌋ is monotone in hi, so every per-worker count
+			// below is already final.
+			hi = mid
+			break
+		}
+		if c > b {
 			hi = mid
 		} else {
 			lo = mid

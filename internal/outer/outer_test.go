@@ -1,7 +1,9 @@
 package outer
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +121,52 @@ func TestDemandCountsEdgeCases(t *testing.T) {
 	got := demandCounts([]float64{5}, 7)
 	if got[0] != 7 {
 		t.Errorf("single worker counts = %v", got)
+	}
+}
+
+// Ties and scale: equal speeds with b not a multiple of p (every claim
+// time is shared p ways), a few speed classes, and p up to 100 with b up
+// to 10⁴, where the bisection often lands on exactly b claims and stops.
+func TestDemandCountsTiesMatchBruteForce(t *testing.T) {
+	r := stats.NewRNG(5)
+	type tc struct {
+		speeds []float64
+		b      int
+	}
+	var cases []tc
+	for _, p := range []int{3, 7, 64, 100} {
+		equal := make([]float64, p)
+		classes := make([]float64, p)
+		for i := range equal {
+			equal[i] = 2.5
+			classes[i] = []float64{1, 1.5, 2, 4}[r.Intn(4)]
+		}
+		for _, b := range []int{1, p - 1, p + 1, 3*p + 2, 1001, 9999, 10000} {
+			cases = append(cases, tc{equal, b}, tc{classes, b})
+		}
+	}
+	for _, c := range cases {
+		got, want := demandCounts(c.speeds, c.b), bruteDemandCounts(c.speeds, c.b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("p=%d b=%d speeds %v: counts %v, brute force %v", len(c.speeds), c.b, c.speeds, got, want)
+		}
+	}
+}
+
+// Speeds that are not positive and finite used to hang the bracketing
+// loop; they now panic with a named message.
+func TestDemandCountsRejectsBadSpeeds(t *testing.T) {
+	for _, speeds := range [][]float64{{0, 0}, {1, math.NaN()}, {math.Inf(1)}, {-1, 2}, {}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("demandCounts(%v, 10) did not panic", speeds)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "demandCounts") {
+					t.Errorf("demandCounts(%v, 10) panicked with %q", speeds, msg)
+				}
+			}()
+			demandCounts(speeds, 10)
+		}()
 	}
 }
 

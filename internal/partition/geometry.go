@@ -1,10 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Rect is an axis-aligned rectangle inside the unit square.
@@ -102,10 +103,19 @@ func (p *Partition) Validate() error {
 	if math.Abs(total-1) > 1e-6 {
 		return fmt.Errorf("partition: areas sum to %v, want 1", total)
 	}
-	for i := 0; i < len(p.Rects); i++ {
-		for j := i + 1; j < len(p.Rects); j++ {
-			if overlaps(p.Rects[i], p.Rects[j]) {
-				return fmt.Errorf("partition: %v overlaps %v", p.Rects[i], p.Rects[j])
+	// Sweep in X order: overlaps requires b.X < a.X+a.W-geomTol, so once
+	// a later rectangle starts at or past that edge, every one after it
+	// does too and none of them can overlap a. The verdict is the
+	// all-pairs one without its p² comparisons.
+	byX := slices.Clone(p.Rects)
+	slices.SortFunc(byX, func(a, b Rect) int { return cmp.Compare(a.X, b.X) })
+	for i, a := range byX {
+		for _, b := range byX[i+1:] {
+			if !(b.X < a.X+a.W-geomTol) {
+				break
+			}
+			if overlaps(a, b) {
+				return fmt.Errorf("partition: %v overlaps %v", a, b)
 			}
 		}
 	}
@@ -163,7 +173,7 @@ func sortAreasDescending(areas []float64) []sortedIndex {
 	for i, a := range areas {
 		out[i] = sortedIndex{area: a, idx: i}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].area > out[j].area })
+	slices.SortStableFunc(out, func(a, b sortedIndex) int { return cmp.Compare(b.area, a.area) })
 	return out
 }
 

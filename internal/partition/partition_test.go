@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -349,5 +350,31 @@ func TestColumnsIntrospection(t *testing.T) {
 	q, _ := PeriSum([]float64{5})
 	if q.Columns() != 1 {
 		t.Errorf("single-area columns = %d", q.Columns())
+	}
+}
+
+// Equal areas keep their input order (ties break by index), for a run of
+// equal areas, interleaved classes and an all-equal set.
+func TestSortAreasDescendingTiesByIndex(t *testing.T) {
+	equal := make([]float64, 100)
+	wantEqual := make([]int, 100)
+	for i := range equal {
+		equal[i], wantEqual[i] = 0.01, i
+	}
+	for _, c := range []struct {
+		areas []float64
+		want  []int
+	}{
+		{[]float64{0.2, 0.3, 0.2, 0.3, 0.2}, []int{1, 3, 0, 2, 4}},
+		{[]float64{0.1, 0.4, 0.1, 0.1, 0.3}, []int{1, 4, 0, 2, 3}},
+		{equal, wantEqual},
+	} {
+		got := make([]int, 0, len(c.areas))
+		for _, s := range sortAreasDescending(c.areas) {
+			got = append(got, s.idx)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("sortAreasDescending(%v) order = %v, want %v", c.areas, got, c.want)
+		}
 	}
 }

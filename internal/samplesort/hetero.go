@@ -2,6 +2,8 @@ package samplesort
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"math"
 
 	"nlfl/internal/platform"
@@ -55,15 +57,27 @@ func SortHeterogeneous[T cmp.Ordered](xs []T, plat *platform.Platform, cfg Confi
 // variant solves nᵢ·log₂ nᵢ = T·sᵢ with Σnᵢ = N instead, equalizing the
 // modelled sort times exactly and removing the log-factor imbalance.
 func SortHeterogeneousBalanced[T cmp.Ordered](xs []T, plat *platform.Platform, cfg Config) ([]T, HeteroTrace, error) {
-	return sortWithShares(xs, plat, BalancedShares(plat.Speeds(), len(xs)), cfg)
+	shares, err := BalancedShares(plat.Speeds(), len(xs))
+	if err != nil {
+		return nil, HeteroTrace{}, err
+	}
+	return sortWithShares(xs, plat, shares, cfg)
 }
 
 // BalancedShares returns bucket fractions fᵢ with fᵢ·N·log₂(fᵢ·N) ∝ sᵢ
 // and Σfᵢ = 1, by nested bisection. For n < 4 it falls back to
-// speed-proportional shares (logs degenerate).
-func BalancedShares(speeds []float64, n int) []float64 {
+// speed-proportional shares (logs degenerate). It rejects an empty speed
+// list and any speed that is not positive and finite, on which the
+// bracketing loop would never end.
+func BalancedShares(speeds []float64, n int) ([]float64, error) {
+	if len(speeds) == 0 {
+		return nil, errors.New("samplesort: no speeds to balance")
+	}
 	total := 0.0
-	for _, s := range speeds {
+	for i, s := range speeds {
+		if !(s > 0) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("samplesort: speed %d is %v, want positive and finite", i, s)
+		}
 		total += s
 	}
 	out := make([]float64, len(speeds))
@@ -71,7 +85,7 @@ func BalancedShares(speeds []float64, n int) []float64 {
 		for i, s := range speeds {
 			out[i] = s / total
 		}
-		return out
+		return out, nil
 	}
 	nf := float64(n)
 	// sizeFor solves x·log₂x = budget for x ≥ 1 (monotone for x ≥ 1).
@@ -120,7 +134,7 @@ func BalancedShares(speeds []float64, n int) []float64 {
 	for i := range out {
 		out[i] /= sum
 	}
-	return out
+	return out, nil
 }
 
 // sortWithShares places splitter i at the cumulative share of buckets

@@ -8,9 +8,30 @@ import (
 	"nlfl/internal/platform"
 )
 
+func mustBalancedShares(t *testing.T, speeds []float64, n int) []float64 {
+	t.Helper()
+	shares, err := BalancedShares(speeds, n)
+	if err != nil {
+		t.Fatalf("BalancedShares(%v, %d): %v", speeds, n, err)
+	}
+	return shares
+}
+
+// Speeds that are not positive and finite used to spin the bracketing
+// loop forever; they are now rejected up front.
+func TestBalancedSharesRejectsBadSpeeds(t *testing.T) {
+	for _, speeds := range [][]float64{{0, 0}, {1, 0}, {-1, 2}, {1, math.NaN()}, {math.Inf(1), 1}, {}, nil} {
+		for _, n := range []int{2, 100} {
+			if shares, err := BalancedShares(speeds, n); err == nil {
+				t.Errorf("BalancedShares(%v, %d) = %v, want an error", speeds, n, shares)
+			}
+		}
+	}
+}
+
 func TestBalancedSharesSumToOne(t *testing.T) {
 	for _, speeds := range [][]float64{{1}, {1, 1}, {1, 2, 4, 8}, {5, 0.1, 3}} {
-		shares := BalancedShares(speeds, 1_000_000)
+		shares := mustBalancedShares(t, speeds, 1_000_000)
 		sum := 0.0
 		for _, f := range shares {
 			if f <= 0 {
@@ -27,7 +48,7 @@ func TestBalancedSharesSumToOne(t *testing.T) {
 func TestBalancedSharesEqualizeModelTimes(t *testing.T) {
 	speeds := []float64{1, 2, 4, 8}
 	const n = 1 << 20
-	shares := BalancedShares(speeds, n)
+	shares := mustBalancedShares(t, speeds, n)
 	// tᵢ = (fᵢN)·log₂(fᵢN)/sᵢ must be equal across workers.
 	ref := shares[0] * float64(n) * math.Log2(shares[0]*float64(n)) / speeds[0]
 	for i := 1; i < len(speeds); i++ {
@@ -39,14 +60,14 @@ func TestBalancedSharesEqualizeModelTimes(t *testing.T) {
 }
 
 func TestBalancedSharesFallbackTinyN(t *testing.T) {
-	shares := BalancedShares([]float64{1, 3}, 2)
+	shares := mustBalancedShares(t, []float64{1, 3}, 2)
 	if math.Abs(shares[0]-0.25) > 1e-12 || math.Abs(shares[1]-0.75) > 1e-12 {
 		t.Errorf("tiny-N fallback = %v, want speed-proportional", shares)
 	}
 }
 
 func TestBalancedSharesHomogeneousEqual(t *testing.T) {
-	shares := BalancedShares([]float64{2, 2, 2, 2}, 100000)
+	shares := mustBalancedShares(t, []float64{2, 2, 2, 2}, 100000)
 	for _, f := range shares {
 		if math.Abs(f-0.25) > 1e-9 {
 			t.Errorf("homogeneous balanced shares = %v", shares)
@@ -112,7 +133,7 @@ func TestBalancedSharesSkewDirection(t *testing.T) {
 	// grows slower, so f_slow > x_slow.
 	speeds := []float64{1, 31}
 	const n = 1 << 22
-	shares := BalancedShares(speeds, n)
+	shares := mustBalancedShares(t, speeds, n)
 	proportional := 1.0 / 32.0
 	if shares[0] <= proportional {
 		t.Errorf("slow share %v should exceed proportional %v", shares[0], proportional)
