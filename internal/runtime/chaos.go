@@ -85,7 +85,7 @@ func (c Chaos) Backoff() (base, max float64) {
 // to zero cells vanish without leaving gaps. Survivor owners[Index] owns
 // each piece. Falls back to re-issuing the whole rectangle ownerless
 // when no survivor partition can be built. Replanned pieces carry
-// Task −1; chaosQueue.reclaim allocates fresh ids.
+// Task −1; LeaseTable.Reclaim allocates fresh ids.
 func replanOwnedChunk(c Chunk, owners []int, speeds []float64) []Chunk {
 	c.Task = -1
 	if len(owners) == 0 {
@@ -150,28 +150,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // die takes worker w permanently out of the pool at its crash instant:
 // marks the timeline, wastes the data shipped for whatever chunk died
 // with it, reclaims everything it was solely responsible for back into
-// the queue (re-planning owned rectangles onto the survivors), and fails
+// the table (re-planning owned rectangles onto the survivors), and fails
 // the run if a reclaimed chunk's retry budget is exhausted or nobody
 // survives to pick the work up.
-func (r *runner) die(w int, cq *chaosQueue, inflightData float64) {
+func (r *runner) die(w int, lt *LeaseTable, inflightData float64) {
 	r.live.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: r.live.Now(), Note: "permanent"})
-	replan := func(c Chunk) []Chunk {
-		if c.Owner < 0 {
-			// Ownerless chunks keep their identity: any survivor may
-			// claim them from the shared shards.
-			return []Chunk{c}
-		}
-		var owners []int
-		var speeds []float64
-		for v, dead := range cq.dead { // safe: replan runs under cq.mu
-			if !dead {
-				owners = append(owners, v)
-				speeds = append(speeds, r.opts.Speeds[v])
-			}
-		}
-		return replanOwnedChunk(c, owners, speeds)
-	}
-	cells, extra, over := cq.reclaim(w, r.opts.Chaos.MaxRetries, replan)
+	cells, extra, over := lt.Reclaim(w, r.opts.Chaos.MaxRetries, lt.Replanner(r.opts.Speeds))
 	r.mu.Lock()
 	r.degraded++
 	r.reclaimedCells += cells
@@ -182,18 +166,18 @@ func (r *runner) die(w int, cq *chaosQueue, inflightData float64) {
 		r.fail(fmt.Errorf("%w: worker %d crashed holding chunk %d with its retry budget exhausted", ErrWorkerFailed, w, over.Task))
 		return
 	}
-	if cq.allDead() {
-		r.fail(fmt.Errorf("%w: all %d workers crashed before the run completed", ErrWorkerFailed, len(cq.dead)))
+	if lt.AllDead() {
+		r.fail(fmt.Errorf("%w: all %d workers crashed before the run completed", ErrWorkerFailed, len(r.opts.Speeds)))
 	}
 }
 
-// chaosWorker is the resilient worker loop: poll the lease queue, ship
+// chaosWorker is the resilient worker loop: poll the lease table, ship
 // with retry/backoff under link faults, stall through transient outages,
 // pay the (possibly straggler-scaled) throttled compute, race for the
 // first-writer-wins commit, and — only on a win — fill the output
 // rectangle. Crash instants are honored at every blocking point; a dead
 // worker's work is reclaimed by die.
-func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
+func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 	bucket := r.throttle(w)
 	led := &r.ledgers[w]
 	backoffBase, backoffMax := r.opts.Chaos.Backoff()
@@ -209,14 +193,14 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 		}
 		now := r.live.Now()
 		if now >= crashAt {
-			r.die(w, cq, 0)
+			r.die(w, lt, 0)
 			return
 		}
-		c, st := cq.next(w, now)
-		if st == queueDone {
+		c, st := lt.Next(w, now)
+		if st == LeaseDone {
 			return
 		}
-		if st == queueWait {
+		if st == LeaseWait {
 			if !sleepCtx(r.ctx, chaosPoll) {
 				return
 			}
@@ -236,7 +220,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 		for {
 			t0 := r.live.Now()
 			if t0 >= crashAt {
-				r.die(w, cq, 0)
+				r.die(w, lt, 0)
 				return
 			}
 			dropped := tab.Drop(w, t0)
@@ -291,7 +275,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 		for {
 			t := r.live.Now()
 			if t >= crashAt {
-				r.die(w, cq, data)
+				r.die(w, lt, data)
 				return
 			}
 			until, paused := tab.PausedUntil(w, t)
@@ -327,10 +311,10 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, cq *chaosQueue) {
 		if !finished || t1 >= crashAt {
 			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
 			r.noteLost(cells)
-			r.die(w, cq, data)
+			r.die(w, lt, data)
 			return
 		}
-		won, specWin := cq.commit(c.Task, w)
+		won, specWin := lt.Commit(c.Task, w)
 		if !won {
 			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Wasted})
 			led.wastedData += data

@@ -32,7 +32,7 @@ func TestChaosQueueRevocationSpeculationRace(t *testing.T) {
 				grid[i].Owner = 0
 			}
 		}
-		cq := newChaosQueue(grid, workers, 1, 1e-9)
+		cq := NewLeaseTable(grid, workers, 1, 1e-9)
 		start := time.Now()
 		now := func() float64 { return time.Since(start).Seconds() }
 
@@ -47,7 +47,7 @@ func TestChaosQueueRevocationSpeculationRace(t *testing.T) {
 			defer wg.Done()
 			deadline := time.Now().Add(time.Millisecond)
 			for time.Now().Before(deadline) {
-				if _, st := cq.next(0, now()); st == queueDone {
+				if _, st := cq.Next(0, now()); st == LeaseDone {
 					return
 				}
 			}
@@ -57,21 +57,7 @@ func TestChaosQueueRevocationSpeculationRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			time.Sleep(300 * time.Microsecond)
-			replan := func(c Chunk) []Chunk {
-				if c.Owner < 0 {
-					return []Chunk{c}
-				}
-				var owners []int
-				var ss []float64
-				for v, dead := range cq.dead {
-					if !dead {
-						owners = append(owners, v)
-						ss = append(ss, speeds[v])
-					}
-				}
-				return replanOwnedChunk(c, owners, ss)
-			}
-			if _, _, over := cq.reclaim(0, 100, replan); over != nil {
+			if _, _, over := cq.Reclaim(0, 100, cq.Replanner(speeds)); over != nil {
 				t.Errorf("unexpected budget exhaustion on task %d", over.Task)
 			}
 		}()
@@ -82,14 +68,14 @@ func TestChaosQueueRevocationSpeculationRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					c, st := cq.next(w, now())
+					c, st := cq.Next(w, now())
 					switch st {
-					case queueDone:
+					case LeaseDone:
 						return
-					case queueWait:
+					case LeaseWait:
 						time.Sleep(20 * time.Microsecond)
-					case queueGot:
-						if won, _ := cq.commit(c.Task, w); won {
+					case LeaseGot:
+						if won, _ := cq.Commit(c.Task, w); won {
 							mu.Lock()
 							wonChunks = append(wonChunks, c)
 							mu.Unlock()

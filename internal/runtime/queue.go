@@ -47,7 +47,9 @@ func (s *shard) pop() (Chunk, bool) {
 }
 
 // privateLane is worker w's owned backlog. Only its owner advances head,
-// so the lane needs no lock — but lanes sit in one contiguous array, so
+// so the lane needs no lock (under a LeaseTable, whose reclamation also
+// appends to it, the table's mutex guards it) — but lanes sit in one
+// contiguous array, so
 // each is padded to 128 bytes to keep one worker's head bumps from
 // false-sharing a line with its neighbour's.
 type privateLane struct {

@@ -110,13 +110,13 @@ func TestChaosQueueStealDuringReclaim(t *testing.T) {
 		}
 		totalCells += chunks[i].Cells()
 	}
-	cq := newChaosQueue(chunks, workers, 4, 0)
+	cq := NewLeaseTable(chunks, workers, 4, 0)
 
 	// The dead worker drags a couple of chunks into leased state first so
 	// reclaim exercises the lease-revocation path, not just the backlog.
 	for i := 0; i < 2; i++ {
-		if _, st := cq.next(dead, 0); st != queueGot {
-			t.Fatalf("dead worker lease %d: state %v, want queueGot", i, st)
+		if _, st := cq.Next(dead, 0); st != LeaseGot {
+			t.Fatalf("dead worker lease %d: state %v, want LeaseGot", i, st)
 		}
 	}
 
@@ -131,14 +131,14 @@ func TestChaosQueueStealDuringReclaim(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for {
-				c, st := cq.next(w, 0)
+				c, st := cq.Next(w, 0)
 				switch st {
-				case queueDone:
+				case LeaseDone:
 					return
-				case queueWait:
+				case LeaseWait:
 					continue // reclaim may still repopulate the shards
 				}
-				if won, _ := cq.commit(c.Task, w); won {
+				if won, _ := cq.Commit(c.Task, w); won {
 					mu.Lock()
 					committed[c.Task]++
 					cells += c.Cells()
@@ -150,7 +150,7 @@ func TestChaosQueueStealDuringReclaim(t *testing.T) {
 	close(start)
 	// Identity replan keeping the task id: reclaimed chunks go ownerless
 	// onto the dead worker's home stripe, where only stealing finds them.
-	reclaimed, _, over := cq.reclaim(dead, 2, func(c Chunk) []Chunk {
+	reclaimed, _, over := cq.Reclaim(dead, 2, func(c Chunk) []Chunk {
 		c.Owner = -1
 		return []Chunk{c}
 	})

@@ -500,18 +500,17 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	r.live.Reserve(2*len(plan.Chunks)+4, 0)
 
 	var body func(int)
-	var cq *chaosQueue
 	if chaosOn {
 		r.ledgers = make([]chaosLedger, p)
 		tab, err := opts.Chaos.Scenario.Compile(p)
 		if err != nil {
 			return nil, err
 		}
-		cq = newChaosQueue(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
+		lt := NewLeaseTable(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
 		if r.net != nil {
 			r.net.slowdown = tab.LinkScale
 		}
-		body = func(w int) { r.chaosWorker(w, tab, cq) }
+		body = func(w int) { r.chaosWorker(w, tab, lt) }
 	} else {
 		queue := newWorkQueue(plan.Chunks, p, shards)
 		body = func(w int) { r.fastWorker(w, queue) }

@@ -6,12 +6,12 @@ import (
 )
 
 // This file exports the pool's building blocks — the token-bucket
-// throttle, the topology-aware network booker and the survivor
-// re-planner — for layers that own workers across many runs
-// (internal/service's long-lived fleet) instead of spinning a pool per
-// job; the rectangle kernel, FillChunk, sits beside the fast path. One
-// implementation serves both: a fleet worker is paced, booked and
-// re-planned by exactly the code a single Run uses.
+// throttle and the topology-aware network booker — for layers that own
+// workers across many runs (internal/service's long-lived fleet) instead
+// of spinning a pool per job; the rectangle kernel, FillChunk, sits
+// beside the fast path, and the lease table in leasetable.go. One
+// implementation serves both: a fleet worker is paced, booked, leased
+// and re-planned by exactly the code a single Run uses.
 
 // Throttle is the exported token-bucket pacer: it stretches compute to
 // the duration a speed-s processor would need (see tokenBucket). One
@@ -26,12 +26,10 @@ func NewThrottle(rate, burst float64) *Throttle {
 	return &Throttle{tb: newTokenBucket(rate, burst)}
 }
 
-// Acquire blocks until n cells of credit are available and consumes them.
-func (t *Throttle) Acquire(n float64) { t.tb.acquire(n) }
-
-// AcquireWithin is Acquire with a sleep budget: false means the budget
-// elapsed first and the payment is forfeited (the chunk was cut short).
-// A negative budget means no deadline.
+// AcquireWithin blocks until n cells of credit are available and
+// consumes them, within a sleep budget: false means the budget elapsed
+// first and the payment is forfeited (the chunk was cut short). A
+// negative budget means no deadline.
 func (t *Throttle) AcquireWithin(n float64, budget time.Duration) bool {
 	return t.tb.acquireWithin(n, budget)
 }
@@ -57,9 +55,8 @@ type Network struct {
 
 // NewNetwork builds the booking state for topo over `workers` workers;
 // now supplies the live clock in seconds. A nil topology — or one whose
-// routes have no capped edge — yields a network whose Enabled reports
-// false and whose Book windows are instant. A malformed topology is an
-// error.
+// routes have no capped edge — yields a disabled network whose Book
+// windows are instant. A malformed topology is an error.
 func NewNetwork(topo Topology, workers int, now func() float64) (*Network, error) {
 	if topo != nil {
 		if err := topo.Validate(workers); err != nil {
@@ -68,9 +65,6 @@ func NewNetwork(topo Topology, workers int, now func() float64) (*Network, error
 	}
 	return &Network{nl: newNetLink(topo, workers, now), topo: topo, clock: now}, nil
 }
-
-// Enabled reports whether any edge constraint is configured.
-func (n *Network) Enabled() bool { return n.nl != nil }
 
 // Constrained reports whether worker w's route has any capped edge —
 // false means its transfers take the memcpy path and occupy no modeled
@@ -141,53 +135,4 @@ func (n *Network) SpanRoutes() [][]int {
 		return nil
 	}
 	return n.nl.spanRoutes()
-}
-
-// SharedLink is the exported one-port master link, retained as the
-// star-shaped façade over Network for callers that only configure a
-// Link.
-type SharedLink struct {
-	net *Network
-}
-
-// NewSharedLink builds the booking state for cfg over `workers` links.
-// now supplies the live clock in seconds. An unconstrained cfg yields a
-// link whose Enabled reports false and whose Book windows are instant.
-func NewSharedLink(cfg Link, workers int, now func() float64) *SharedLink {
-	// starFromLink yields a valid Star by construction, so NewNetwork
-	// cannot fail here.
-	net, err := NewNetwork(starFromLink(cfg, workers), workers, now)
-	if err != nil {
-		panic(err)
-	}
-	return &SharedLink{net: net}
-}
-
-// Enabled reports whether any bandwidth constraint is configured.
-func (l *SharedLink) Enabled() bool { return l.net.Enabled() }
-
-// Capacity returns the aggregate shared-port rate (0 when unconstrained).
-func (l *SharedLink) Capacity() float64 { return l.net.Capacity() }
-
-// Book reserves the next window of elems elements for worker w and
-// returns it in live-clock seconds; it never sleeps. On an unconstrained
-// link the window is [now, now].
-func (l *SharedLink) Book(w int, elems float64) (start, end float64) {
-	del, _ := l.net.Book(w, elems)
-	return del.Start, del.End
-}
-
-// Wait sleeps until the booked window's end has passed, or until ctx is
-// cancelled — false means cancelled.
-func (l *SharedLink) Wait(ctx context.Context, end float64) bool {
-	return l.net.Wait(ctx, end)
-}
-
-// ReplanOwned maps a dead worker's owned rectangle onto the surviving
-// workers via the PERI-SUM partition (see replanOwnedChunk): pieces tile
-// the lost rectangle exactly, carry Task −1 for the caller to re-number,
-// and are owned by owners[i]. With no survivors the whole rectangle is
-// returned ownerless.
-func ReplanOwned(c Chunk, owners []int, speeds []float64) []Chunk {
-	return replanOwnedChunk(c, owners, speeds)
 }

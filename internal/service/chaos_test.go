@@ -242,7 +242,10 @@ func TestQuarantineAndReadmission(t *testing.T) {
 }
 
 // TestChaosTraceOracle runs the chaos job's timeline through the full
-// trace checker with the plan-floor + exactly-once expectations.
+// trace checker with the plan-floor + exactly-once expectations, and
+// checks that the chunk the crash destroyed mid-compute is recorded
+// under its own task: worker 1 owns het task 1, so a Killed span
+// labelled task 0 is wrong.
 func TestChaosTraceOracle(t *testing.T) {
 	f, err := New(chaosConfig())
 	if err != nil {
@@ -261,6 +264,21 @@ func TestChaosTraceOracle(t *testing.T) {
 		for _, v := range vs {
 			t.Errorf("trace: %s", v)
 		}
+	}
+	killed, shipped := 0, -1
+	for _, sp := range rep.Trace.Spans[1] {
+		switch {
+		case sp.Kind == trace.Comm && sp.Outcome == trace.OK:
+			shipped = sp.Task
+		case sp.Outcome == trace.Killed:
+			killed++
+			if sp.Task != shipped {
+				t.Errorf("Killed span labelled task %d, but worker 1 was computing task %d", sp.Task, shipped)
+			}
+		}
+	}
+	if killed == 0 {
+		t.Errorf("the crash at 10 ms killed no chunk mid-compute: %+v", rep.Trace.Spans[1])
 	}
 }
 

@@ -28,10 +28,11 @@
 //   - Isolation: faults are scoped to the job that carries them. A
 //     chaos-crashed worker dies *for that job only* — its leases and
 //     backlog are reclaimed and re-planned onto the job's surviving
-//     workers (PERI-SUM, as in the single-run chaos queue) while the
-//     same worker keeps serving every other job. Per-tenant fair-share
-//     ordering keeps one tenant's flood from starving the rest, and the
-//     bounded per-tenant quota keeps the flood from occupying the queue.
+//     workers by the job's runtime.LeaseTable (the one a chaos Run
+//     uses) while the same worker keeps serving every other job.
+//     Per-tenant fair-share ordering keeps one tenant's flood from
+//     starving the rest, and the bounded per-tenant quota keeps the
+//     flood from occupying the queue.
 //   - Deadlines and cancellation: every job carries a context; deadline
 //     expiry or cancellation reclaims its leases promptly and cleanly —
 //     in-flight chunks of a dead job commit to nowhere (accounted as

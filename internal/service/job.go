@@ -118,15 +118,6 @@ const (
 	jsFailed
 )
 
-// lease tracks one chunk in flight, possibly on two workers at once
-// (holder + speculative copy); first-writer-wins at commit.
-type lease struct {
-	c       nrt.Chunk
-	holders []int
-	first   int
-	since   float64
-}
-
 // job is one admitted job's full state. Immutable after buildJobLocked:
 // identity, slice, plan, inputs, chaos table, ctx. Everything else is
 // guarded by fleet.mu; the output matrix is written only by the worker
@@ -136,8 +127,8 @@ type job struct {
 	tenant   string
 	n        int
 	strategy string
-	slice    []int  // fleet worker ids, ascending
-	inSlice  []bool // fleet-indexed
+	slice    []int // fleet worker ids, ascending
+	local    []int // fleet-indexed: the worker's index in slice, -1 outside it
 	plan     *nrt.StrategyPlan
 	a, b     []float64
 	out      *matmul.Matrix
@@ -149,30 +140,23 @@ type job struct {
 	chaos      *faults.Table // nil without a ChaosSpec
 	maxRetries int
 	backoff    [2]float64 // base, max (seconds)
-	specAfter  float64
 
 	submitAt float64
 	startAt  float64 // -1 until the first chunk handout
 	doneAt   float64
 
-	// lease-queue state (the per-job analogue of runtime.chaosQueue,
-	// fleet-worker-indexed and guarded by fleet.mu).
-	backlog   [][]nrt.Chunk
-	bhead     []int
-	shared    []nrt.Chunk
-	shead     int
-	leases    map[int]*lease
-	committed map[int]bool
-	recovered map[int]int
-	nextTask  int
-	cellsLeft int
+	// leases is the job's hand-out: the same runtime.LeaseTable a chaos
+	// Run drives, indexed by slice-local worker (plan owners already
+	// are) with one shard, so the ownerless pool is a single FIFO. Its
+	// dead set is "dead for this job"; only fleet.mu-holders touch it.
+	leases *nrt.LeaseTable
+	// replan is the table's survivor re-planner over the slice's speeds.
+	replan func(nrt.Chunk) []nrt.Chunk
 	// serving counts chunks of this job currently in flight on workers.
-	// A job completes only when cellsLeft hits 0 AND serving drains to 0,
+	// A job completes only when no cell is left AND serving drains to 0,
 	// so losing speculative copies settle their waste into the ledgers
 	// before the report freezes (the fleet analogue of Run's wg.Wait).
-	serving   int
-	deadFor   []bool // fleet-indexed: worker dead *for this job*
-	aliveLeft int    // live workers remaining in the slice
+	serving int
 
 	// ledgers
 	planVolume     float64
@@ -200,67 +184,84 @@ type job struct {
 	report *JobReport
 }
 
-// newJob allocates the state for an admitted job over its slice.
-func newJob(id int64, spec JobSpec, slice []int, plan *nrt.StrategyPlan, a, b []float64, chaos *faults.Table, fleetP int, now float64) *job {
+// newJob allocates the state for an admitted job over its slice, whose
+// workers run at sliceSpeeds.
+func newJob(id int64, spec JobSpec, slice []int, sliceSpeeds []float64, plan *nrt.StrategyPlan, a, b []float64, chaos *faults.Table, fleetP int, now float64) *job {
 	j := &job{
-		id:        id,
-		tenant:    spec.Tenant,
-		n:         spec.N,
-		strategy:  spec.Strategy,
-		slice:     slice,
-		inSlice:   make([]bool, fleetP),
-		plan:      plan,
-		a:         a,
-		b:         b,
-		out:       matmul.New(spec.N, spec.N),
-		tl:        trace.New(fleetP),
-		done:      make(chan struct{}),
-		submitAt:  now,
-		startAt:   -1,
-		backlog:   make([][]nrt.Chunk, fleetP),
-		bhead:     make([]int, fleetP),
-		leases:    map[int]*lease{},
-		committed: map[int]bool{},
-		recovered: map[int]int{},
-		deadFor:   make([]bool, fleetP),
-		aliveLeft: len(slice),
+		id:         id,
+		tenant:     spec.Tenant,
+		n:          spec.N,
+		strategy:   spec.Strategy,
+		slice:      slice,
+		local:      make([]int, fleetP),
+		plan:       plan,
+		a:          a,
+		b:          b,
+		out:        matmul.New(spec.N, spec.N),
+		tl:         trace.New(fleetP),
+		done:       make(chan struct{}),
+		chaos:      chaos,
+		maxRetries: spec.Chaos.MaxRetries,
+		submitAt:   now,
+		startAt:    -1,
+		leases:     nrt.NewLeaseTable(plan.Chunks, len(slice), 1, spec.Chaos.SpeculateAfter),
+		predicted:  plan.Predicted,
 	}
-	for _, w := range slice {
-		j.inSlice[w] = true
+	j.backoff[0], j.backoff[1] = spec.Chaos.Backoff()
+	j.replan = j.leases.Replanner(sliceSpeeds)
+	for w := range j.local {
+		j.local[w] = -1
 	}
-	// Plan chunks are owned in slice-local indices; map them to fleet ids.
+	for i, w := range slice {
+		j.local[w] = i
+	}
 	// PlanVolume is the executed plan's geometric volume Σ(wᵢ+hᵢ) — what
 	// a clean run ships exactly and no faulty run can undercut; the
 	// analytic closed form stays in predicted for reporting.
 	for _, c := range plan.Chunks {
-		j.cellsLeft += c.Cells()
 		j.planVolume += float64(c.Data())
-		if c.Task >= j.nextTask {
-			j.nextTask = c.Task + 1
-		}
-		if c.Owner >= 0 && c.Owner < len(slice) {
-			c.Owner = slice[c.Owner]
-			j.backlog[c.Owner] = append(j.backlog[c.Owner], c)
-		} else {
-			c.Owner = -1
-			j.shared = append(j.shared, c)
-		}
-	}
-	j.predicted = plan.Predicted
-	if chaos != nil {
-		j.chaos = chaos
-		j.maxRetries = spec.Chaos.MaxRetries
-		j.backoff[0], j.backoff[1] = spec.Chaos.Backoff()
-		j.specAfter = spec.Chaos.SpeculateAfter
 	}
 	return j
 }
+
+// lease hands fleet worker w job j's next chunk, if any (fleet.mu held).
+func (j *job) lease(w int, now float64) (nrt.Chunk, bool) {
+	if j.local[w] < 0 {
+		return nrt.Chunk{}, false
+	}
+	c, st := j.leases.Next(j.local[w], now)
+	return c, st == nrt.LeaseGot
+}
+
+// commit resolves the first-writer-wins race for worker w's finished
+// copy of chunk c (fleet.mu held). won=false means the work is Wasted:
+// a lost speculative race, w died for the job mid-compute, or the job
+// went terminal; specWin marks a successful speculation.
+func (j *job) commit(w int, c nrt.Chunk) (won, specWin bool) {
+	if j.terminal() {
+		return false, false
+	}
+	return j.leases.Commit(c.Task, j.local[w])
+}
+
+// reclaim marks slice worker w dead for job j only and re-plans its
+// un-issued backlog and sole leases over the surviving slice (fleet.mu
+// held). A non-nil result is the chunk whose retry budget ran out.
+func (j *job) reclaim(w int) *nrt.Chunk {
+	cells, extra, over := j.leases.Reclaim(j.local[w], j.maxRetries, j.replan)
+	j.reclaimedCells += cells
+	j.replanExtra += extra
+	return over
+}
+
+// deadFor reports whether slice worker w is dead for job j.
+func (j *job) deadFor(w int) bool { return j.leases.Dead(j.local[w]) }
 
 // terminal reports whether the job has been finalized (fleet.mu held).
 func (j *job) terminal() bool { return j.state != jsActive }
 
 // remainingCells is the SRPT key input (fleet.mu held).
-func (j *job) remainingCells() float64 { return float64(j.cellsLeft) }
+func (j *job) remainingCells() float64 { return float64(j.leases.CellsLeft()) }
 
 // JobHandle is the caller's view of an admitted job.
 type JobHandle struct {
@@ -360,7 +361,7 @@ type JobReport struct {
 	// Out is the verified output matrix (nil when the job failed).
 	Out *matmul.Matrix
 	// Trace is the job's own timeline over the *fleet's* workers; rows
-	// outside the slice stay empty unless chaos speculation pulled them in.
+	// outside the slice stay empty (speculation stays inside the slice).
 	Trace *trace.Timeline
 	// Chaos records whether the job carried a fault scenario.
 	Chaos bool

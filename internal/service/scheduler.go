@@ -25,14 +25,12 @@ func (f *Fleet) next(w int) (assignment, bool) {
 	f.housekeepLocked(now)
 	disc, _ := f.cfg.Policy.order()
 	for _, j := range f.orderedLocked(disc, now) {
-		if j.inSlice[w] && !j.deadFor[w] {
-			if c, ok := f.takeLocked(j, w, now); ok {
-				if j.startAt < 0 {
-					j.startAt = now
-				}
-				j.serving++
-				return assignment{j: j, c: c}, true
+		if c, ok := j.lease(w, now); ok {
+			if j.startAt < 0 {
+				j.startAt = now
 			}
+			j.serving++
+			return assignment{j: j, c: c}, true
 		}
 		if disc == dFIFO {
 			// Head-of-line exclusivity: the oldest unfinished job owns the
@@ -64,7 +62,7 @@ func (f *Fleet) housekeepLocked(now float64) {
 			if j.terminal() {
 				break
 			}
-			if !j.deadFor[w] && rel >= j.chaos.CrashAt(w) {
+			if !j.deadFor(w) && rel >= j.chaos.CrashAt(w) {
 				f.jobDeathLocked(j, w)
 			}
 		}
@@ -110,137 +108,24 @@ func (f *Fleet) orderedLocked(disc discipline, now float64) []*job {
 	return jobs
 }
 
-// takeLocked leases job j's next chunk to worker w: w's owned backlog,
-// then the shared pool, then — with speculation enabled — the stalest
-// chunk another worker has held past the threshold.
-func (f *Fleet) takeLocked(j *job, w int, now float64) (nrt.Chunk, bool) {
-	if j.cellsLeft == 0 {
-		return nrt.Chunk{}, false
-	}
-	if j.bhead[w] < len(j.backlog[w]) {
-		c := j.backlog[w][j.bhead[w]]
-		j.bhead[w]++
-		j.leases[c.Task] = &lease{c: c, holders: []int{w}, first: w, since: now}
-		return c, true
-	}
-	if j.shead < len(j.shared) {
-		c := j.shared[j.shead]
-		j.shead++
-		j.leases[c.Task] = &lease{c: c, holders: []int{w}, first: w, since: now}
-		return c, true
-	}
-	if j.specAfter > 0 {
-		var best *lease
-		for _, l := range j.leases {
-			if len(l.holders) != 1 || l.holders[0] == w {
-				continue
-			}
-			if now-l.since < j.specAfter {
-				continue
-			}
-			if best == nil || l.since < best.since || (l.since == best.since && l.c.Task < best.c.Task) {
-				best = l
-			}
-		}
-		if best != nil {
-			best.holders = append(best.holders, w)
-			return best.c, true
-		}
-	}
-	return nrt.Chunk{}, false
-}
-
-// commitLocked resolves the first-writer-wins race for worker w's
-// finished copy of chunk c. won=false means the work is Wasted (a lost
-// speculative race, or the job went terminal mid-compute); specWin marks
-// a successful speculation.
-func (f *Fleet) commitLocked(j *job, w int, c nrt.Chunk) (won, specWin bool) {
-	if j.terminal() || j.deadFor[w] || j.committed[c.Task] {
-		return false, false
-	}
-	l := j.leases[c.Task]
-	if l == nil {
-		return false, false
-	}
-	j.committed[c.Task] = true
-	delete(j.leases, c.Task)
-	j.cellsLeft -= c.Cells()
-	return true, l.first != w
-}
-
 // jobDeathLocked kills worker w *for job j only*: reclaims the un-issued
 // remainder of its owned backlog and every lease it alone held,
-// re-plans owned rectangles onto the job's surviving slice (PERI-SUM,
-// exactly as the single-run chaos queue does), strikes the worker's
-// health record, and fails the job if a chunk's retry budget is
-// exhausted or no slice worker survives. The worker itself keeps
-// serving every other job.
+// re-plans owned rectangles onto the job's surviving slice (the lease
+// table a chaos Run uses), strikes the worker's health record, and
+// fails the job if a chunk's retry budget is exhausted or no slice
+// worker survives. The worker itself keeps serving every other job.
 func (f *Fleet) jobDeathLocked(j *job, w int) {
-	if j.terminal() || j.deadFor[w] {
+	if j.terminal() || j.deadFor(w) {
 		return
 	}
-	j.deadFor[w] = true
-	j.aliveLeft--
 	j.degraded++
 	j.tl.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: f.now(), Note: "job-scoped"})
 	f.strikeLocked(w)
-
-	lost := append([]nrt.Chunk(nil), j.backlog[w][j.bhead[w]:]...)
-	j.bhead[w] = len(j.backlog[w])
-	for task, l := range j.leases {
-		keep := l.holders[:0]
-		for _, h := range l.holders {
-			if h != w {
-				keep = append(keep, h)
-			}
-		}
-		l.holders = keep
-		if len(l.holders) == 0 {
-			delete(j.leases, task)
-			lost = append(lost, l.c)
-		}
+	if over := j.reclaim(w); over != nil {
+		f.finalizeLocked(j, fmt.Errorf("%w: worker %d crashed holding chunk %d with its retry budget exhausted", ErrJobFailed, w, over.Task))
+		return
 	}
-	sort.Slice(lost, func(a, b int) bool { return lost[a].Task < lost[b].Task })
-
-	var owners []int
-	var speeds []float64
-	for _, v := range j.slice {
-		if !j.deadFor[v] {
-			owners = append(owners, v)
-			speeds = append(speeds, f.speeds[v])
-		}
-	}
-	for _, c := range lost {
-		gen := j.recovered[c.Task] + 1
-		if gen > j.maxRetries {
-			f.finalizeLocked(j, fmt.Errorf("%w: worker %d crashed holding chunk %d with its retry budget exhausted", ErrJobFailed, w, c.Task))
-			return
-		}
-		j.reclaimedCells += c.Cells()
-		j.replanExtra -= float64(c.Data())
-		var pieces []nrt.Chunk
-		if c.Owner < 0 {
-			// Ownerless chunks keep their identity: any survivor claims them.
-			pieces = []nrt.Chunk{c}
-		} else {
-			pieces = nrt.ReplanOwned(c, owners, speeds)
-		}
-		for _, pc := range pieces {
-			if pc.Task < 0 {
-				pc.Task = j.nextTask
-				j.nextTask++
-			}
-			j.recovered[pc.Task] = gen
-			j.replanExtra += float64(pc.Data())
-			if pc.Owner >= 0 && pc.Owner < len(j.inSlice) && j.inSlice[pc.Owner] && !j.deadFor[pc.Owner] && pc.Owner != w {
-				j.backlog[pc.Owner] = append(j.backlog[pc.Owner], pc)
-			} else {
-				pc.Owner = -1
-				j.shared = append(j.shared, pc)
-			}
-		}
-	}
-	if j.aliveLeft == 0 {
+	if j.leases.AllDead() {
 		f.finalizeLocked(j, fmt.Errorf("%w: all %d workers of the job's slice crashed", ErrJobFailed, len(j.slice)))
 		return
 	}

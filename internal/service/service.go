@@ -432,7 +432,7 @@ func (f *Fleet) buildJobLocked(spec JobSpec, slice []int) (*job, error) {
 		}
 	}
 	f.seq++
-	j := newJob(f.seq, spec, slice, plan, a, b, chaos, len(f.speeds), f.now())
+	j := newJob(f.seq, spec, slice, sliceSpeeds, plan, a, b, chaos, len(f.speeds), f.now())
 	jctx := f.ctx
 	if spec.Deadline > 0 {
 		j.ctx, j.cancel = context.WithTimeout(jctx, spec.Deadline)

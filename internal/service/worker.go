@@ -48,7 +48,7 @@ func (f *Fleet) finishServe(j *job, w int, filled trace.Span, ok bool) {
 		j.tl.Add(w, filled)
 	}
 	j.serving--
-	if !j.terminal() && j.cellsLeft == 0 && j.serving == 0 {
+	if !j.terminal() && j.serving == 0 && j.leases.CellsLeft() == 0 {
 		f.finalizeLocked(j, nil)
 	}
 	f.mu.Unlock()
@@ -83,7 +83,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 		t0 := f.now()
 		rel := t0 - j.startAt
 		if rel >= crashAt {
-			f.killServing(j, w, 0, 0, 0, 0, false)
+			f.killServing(j, w, c, 0, 0, 0, false)
 			return trace.Span{}, false
 		}
 		dropped := j.chaos != nil && j.chaos.Drop(w, rel)
@@ -151,7 +151,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 		for {
 			rel := f.now() - j.startAt
 			if rel >= crashAt {
-				f.killServing(j, w, data, 0, 0, 0, false)
+				f.killServing(j, w, c, data, 0, 0, false)
 				return trace.Span{}, false
 			}
 			until, paused := j.chaos.PausedUntil(w, rel)
@@ -180,12 +180,12 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	finished := th.AcquireWithin(cells/scale, budget)
 	t1 := f.now()
 	if !finished || t1-j.startAt >= crashAt {
-		f.killServing(j, w, data, cells, t0, t1, true)
+		f.killServing(j, w, c, data, t0, t1, true)
 		return trace.Span{}, false
 	}
 
 	f.mu.Lock()
-	won, specWin := f.commitLocked(j, w, c)
+	won, specWin := j.commit(w, c)
 	if !won {
 		if !j.terminal() {
 			j.tl.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Wasted})
@@ -211,10 +211,10 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 }
 
 // killServing realizes worker w's job-scoped crash while it was serving
-// a chunk: the shipped data is wasted, a Killed compute span records the
-// destroyed work when the crash landed mid-compute, and jobDeathLocked
-// reclaims everything w held for j.
-func (f *Fleet) killServing(j *job, w int, inflightData, killedCells, t0, t1 float64, midCompute bool) {
+// chunk c: the shipped data is wasted, a Killed compute span over [t0,
+// t1] records the destroyed work when the crash landed mid-compute, and
+// jobDeathLocked reclaims everything w held for j.
+func (f *Fleet) killServing(j *job, w int, c nrt.Chunk, inflightData, t0, t1 float64, midCompute bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	// Account the in-flight loss even if a scheduling step already marked
@@ -223,8 +223,9 @@ func (f *Fleet) killServing(j *job, w int, inflightData, killedCells, t0, t1 flo
 	if !j.terminal() {
 		j.wastedData += inflightData
 		if midCompute {
-			j.tl.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: killedCells, Outcome: trace.Killed})
-			j.lostWork += killedCells
+			cells := float64(c.Cells())
+			j.tl.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
+			j.lostWork += cells
 		}
 	}
 	f.jobDeathLocked(j, w)
