@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 )
 
@@ -185,17 +184,4 @@ func partitionOf[K comparable](k K, reducers int) int {
 	h := fnv.New32a()
 	fmt.Fprintf(h, "%v", k)
 	return int(h.Sum32() % uint32(reducers))
-}
-
-// SortedKeys returns the keys of a result map in sorted printed order —
-// a test/report helper for deterministic iteration.
-func SortedKeys[K comparable, R any](m map[K]R) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return fmt.Sprintf("%v", keys[i]) < fmt.Sprintf("%v", keys[j])
-	})
-	return keys
 }

@@ -1,12 +1,6 @@
 package mapreduce
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"nlfl/internal/matmul"
-)
+import "nlfl/internal/matmul"
 
 // CellKey identifies one output cell (i, j) of a matrix product.
 type CellKey struct{ I, J int }
@@ -82,152 +76,4 @@ func RunMatMulPairs(a, b *matmul.Matrix, mappers, reducers int, combine bool) (*
 		c.Set(k.I, k.J, v)
 	}
 	return c, ctr, nil
-}
-
-// OuterRecord is one index of the outer-product input vectors.
-type OuterRecord struct {
-	I int
-	A float64
-	B []float64 // the full b vector, replicated to every mapper record
-}
-
-// RunVectorOuter computes a̅ᵀ×b̅ with a row-per-record MapReduce job: the
-// map for index i emits the whole row i of the result keyed by i. The
-// replication of b̅ into every record is exactly the data redundancy the
-// paper attributes to MapReduce outer products.
-func RunVectorOuter(a, b []float64, mappers, reducers int) (*matmul.Matrix, Counters, error) {
-	recs := make([]OuterRecord, len(a))
-	for i := range a {
-		recs[i] = OuterRecord{I: i, A: a[i], B: b}
-	}
-	job := &Job[OuterRecord, int, []float64, []float64]{
-		Name:     "vector-outer",
-		Mappers:  mappers,
-		Reducers: reducers,
-		Map: func(r OuterRecord, emit Emit[int, []float64]) {
-			row := make([]float64, len(r.B))
-			for j, bv := range r.B {
-				row[j] = r.A * bv
-			}
-			emit(r.I, row)
-		},
-		Reduce: func(_ int, vs [][]float64) []float64 { return vs[0] },
-	}
-	out, ctr, err := job.Run(recs)
-	if err != nil {
-		return nil, ctr, err
-	}
-	m := matmul.New(len(a), len(b))
-	for i, row := range out {
-		for j, v := range row {
-			m.Set(i, j, v)
-		}
-	}
-	return m, ctr, nil
-}
-
-// WordCount is the canonical linear-complexity MapReduce job ("standard
-// text processing operations", Section 1.1) — the workload class the
-// paper argues MapReduce is actually suited to.
-func WordCount(lines []string, mappers, reducers int) (map[string]int, Counters, error) {
-	job := &Job[string, string, int, int]{
-		Name:     "wordcount",
-		Mappers:  mappers,
-		Reducers: reducers,
-		Map: func(line string, emit Emit[string, int]) {
-			for _, w := range strings.Fields(line) {
-				emit(strings.ToLower(w), 1)
-			}
-		},
-		Combine: func(_ string, vs []int) int {
-			s := 0
-			for _, v := range vs {
-				s += v
-			}
-			return s
-		},
-		Reduce: func(_ string, vs []int) int {
-			s := 0
-			for _, v := range vs {
-				s += v
-			}
-			return s
-		},
-	}
-	return job.Run(lines)
-}
-
-// SortJob realizes Section 3 inside the MapReduce engine (the TeraSort
-// pattern): map routes each key to its bucket via binary search over the
-// splitters — exactly sample sort's Step 2 — and each reducer sorts one
-// bucket (Step 3). With splitters from an oversampled sample (Step 1,
-// samplesort.Sort's selection logic) the buckets are balanced with high
-// probability, making sorting "almost divisible" in MapReduce form too.
-func SortJob(keys []float64, splitters []float64, mappers int) ([]float64, Counters, error) {
-	for i := 1; i < len(splitters); i++ {
-		if splitters[i] < splitters[i-1] {
-			return nil, Counters{}, fmt.Errorf("mapreduce: splitters not sorted at %d", i)
-		}
-	}
-	reducers := len(splitters) + 1
-	job := &Job[float64, int, float64, []float64]{
-		Name:     "terasort",
-		Mappers:  mappers,
-		Reducers: reducers,
-		Map: func(k float64, emit Emit[int, float64]) {
-			emit(sort.SearchFloat64s(splitters, k), k)
-		},
-		Reduce: func(_ int, vs []float64) []float64 {
-			out := append([]float64(nil), vs...)
-			sort.Float64s(out)
-			return out
-		},
-	}
-	// Bucket b must land on reducer b for ordered concatenation: override
-	// the default hash partitioner semantics by using the bucket id as
-	// the key and reassembling in key order.
-	grouped, ctr, err := job.Run(keys)
-	if err != nil {
-		return nil, ctr, err
-	}
-	out := make([]float64, 0, len(keys))
-	for b := 0; b < reducers; b++ {
-		out = append(out, grouped[b]...)
-	}
-	return out, ctr, nil
-}
-
-// InvertedIndex builds term → sorted document ids — with WordCount, the
-// other canonical linear text-processing job of Section 1.1. Documents
-// are supplied as raw strings; their slice index is the document id.
-func InvertedIndex(docs []string, mappers, reducers int) (map[string][]int, Counters, error) {
-	type doc struct {
-		id   int
-		text string
-	}
-	records := make([]doc, len(docs))
-	for i, d := range docs {
-		records[i] = doc{id: i, text: d}
-	}
-	job := &Job[doc, string, int, []int]{
-		Name:     "inverted-index",
-		Mappers:  mappers,
-		Reducers: reducers,
-		Map: func(d doc, emit Emit[string, int]) {
-			seen := map[string]bool{}
-			for _, w := range strings.Fields(d.text) {
-				w = strings.ToLower(w)
-				if !seen[w] {
-					seen[w] = true
-					emit(w, d.id)
-				}
-			}
-		},
-		Reduce: func(_ string, ids []int) []int {
-			out := append([]int(nil), ids...)
-			sort.Ints(out)
-			return out
-		},
-	}
-	return job.Run(records)
 }

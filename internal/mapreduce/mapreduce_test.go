@@ -2,13 +2,39 @@ package mapreduce
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"nlfl/internal/matmul"
 	"nlfl/internal/partition"
-	"nlfl/internal/stats"
 )
+
+// wordCount is the canonical linear-complexity job ("standard text
+// processing operations", Section 1.1), with a combiner: the engine's
+// counters and determinism are checked on it.
+func wordCount(lines []string, mappers, reducers int) (map[string]int, Counters, error) {
+	sum := func(_ string, vs []int) int {
+		s := 0
+		for _, v := range vs {
+			s += v
+		}
+		return s
+	}
+	job := &Job[string, string, int, int]{
+		Name:     "wordcount",
+		Mappers:  mappers,
+		Reducers: reducers,
+		Map: func(line string, emit Emit[string, int]) {
+			for _, w := range strings.Fields(line) {
+				emit(strings.ToLower(w), 1)
+			}
+		},
+		Combine: sum,
+		Reduce:  sum,
+	}
+	return job.Run(lines)
+}
 
 func TestWordCount(t *testing.T) {
 	lines := []string{
@@ -16,7 +42,7 @@ func TestWordCount(t *testing.T) {
 		"the lazy dog",
 		"The DOG and the FOX",
 	}
-	out, ctr, err := WordCount(lines, 2, 3)
+	out, ctr, err := wordCount(lines, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +73,12 @@ func TestJobValidation(t *testing.T) {
 
 func TestJobDeterminism(t *testing.T) {
 	lines := []string{"a b c a", "b c d", "d d d a"}
-	_, c1, err := WordCount(lines, 4, 4)
+	_, c1, err := wordCount(lines, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		out, c2, err := WordCount(lines, 4, 4)
+		out, c2, err := wordCount(lines, 4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,22 +134,6 @@ func TestCombinerShrinksMatMulShuffle(t *testing.T) {
 	}
 }
 
-func TestVectorOuterJob(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5}
-	got, ctr, err := RunVectorOuter(a, b, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matmul.VectorOuter(a, b)
-	if !want.Equal(got, 1e-12) {
-		t.Error("outer product wrong")
-	}
-	if ctr.OutputKeys != 3 {
-		t.Errorf("output keys = %d", ctr.OutputKeys)
-	}
-}
-
 func TestDistributionVolumes(t *testing.T) {
 	const n = 100
 	naive := NaivePairsVolume(n)
@@ -165,13 +175,6 @@ func TestDistributionVolumes(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	ks := SortedKeys(map[int]string{3: "c", 1: "a", 2: "b"})
-	if ks[0] != 1 || ks[1] != 2 || ks[2] != 3 {
-		t.Errorf("keys = %v", ks)
-	}
-}
-
 // Property: MapReduce matmul equals the dense kernel for arbitrary small
 // shapes and parallelism.
 func TestMatMulPairsProperty(t *testing.T) {
@@ -192,87 +195,5 @@ func TestMatMulPairsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortJob(t *testing.T) {
-	r := stats.NewRNG(51)
-	keys := stats.SampleN(stats.Uniform{Lo: 0, Hi: 1}, r, 20000)
-	splitters := []float64{0.25, 0.5, 0.75}
-	got, ctr, err := SortJob(keys, splitters, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("length %d, want %d", len(got), len(keys))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	if ctr.ReduceTasks != 4 {
-		t.Errorf("reducers = %d, want 4 buckets", ctr.ReduceTasks)
-	}
-	// Every key crosses the shuffle exactly once (no combiner possible).
-	if ctr.ShufflePairs != len(keys) {
-		t.Errorf("shuffle = %d, want %d", ctr.ShufflePairs, len(keys))
-	}
-	// Unsorted splitters rejected.
-	if _, _, err := SortJob(keys, []float64{0.5, 0.25}, 2); err == nil {
-		t.Error("unsorted splitters should fail")
-	}
-}
-
-func TestSortJobEdgeCases(t *testing.T) {
-	// No splitters: single bucket, still sorted.
-	got, _, err := SortJob([]float64{3, 1, 2}, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("got %v", got)
-	}
-	// Empty input.
-	empty, _, err := SortJob(nil, []float64{0.5}, 2)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty sort: %v %v", empty, err)
-	}
-}
-
-func TestInvertedIndex(t *testing.T) {
-	docs := []string{
-		"the quick fox",
-		"the lazy dog",
-		"fox and dog",
-	}
-	idx, ctr, err := InvertedIndex(docs, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]int{
-		"the": {0, 1}, "fox": {0, 2}, "dog": {1, 2}, "quick": {0},
-	}
-	for term, want := range cases {
-		got := idx[term]
-		if len(got) != len(want) {
-			t.Fatalf("index[%q] = %v, want %v", term, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("index[%q] = %v, want %v", term, got, want)
-			}
-		}
-	}
-	if ctr.OutputKeys != 6 {
-		t.Errorf("terms = %d, want 6 (the, quick, fox, lazy, dog, and)", ctr.OutputKeys)
-	}
-	// Duplicate words within a document emit once.
-	idx2, _, err := InvertedIndex([]string{"a a a"}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx2["a"]) != 1 {
-		t.Errorf("duplicate suppression failed: %v", idx2["a"])
 	}
 }

@@ -22,6 +22,5 @@
 //
 // Layout abstracts "which processor owns C(i,j)"; the implementations
 // (homogeneous blocks, heterogeneous rectangles, 2.5D replication) are
-// scored by CommVolume and executed for real by MultiplyWithLayout, tying
-// the communication model of the paper to byte-identical numerics.
+// scored by CommVolume, the communication model of the paper.
 package matmul

@@ -315,56 +315,3 @@ func TestRectLayoutOwnershipProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMultiplyWithLayoutMatchesKernels(t *testing.T) {
-	const n = 24
-	a := matRandom(t, n, 21)
-	b := matRandom(t, n, 22)
-	ref, err := Naive(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := NewBlockCyclic(n, 2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MultiplyWithLayout(a, b, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Equal(got, 1e-9) {
-		t.Error("block-cyclic layout execution disagrees with kernel")
-	}
-	part, err := partition.PeriSum([]float64{1, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rect, err := NewRectLayout(n, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := MultiplyWithLayout(a, b, rect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Equal(got2, 1e-9) {
-		t.Error("rect layout execution disagrees with kernel")
-	}
-}
-
-func matRandom(t *testing.T, n int, seed int64) *Matrix {
-	t.Helper()
-	return Random(n, n, seed)
-}
-
-func TestMultiplyWithLayoutValidation(t *testing.T) {
-	a, b := Random(4, 4, 1), Random(4, 4, 2)
-	grid, _ := NewBlockCyclic(8, 2, 2, 2) // wrong dimension
-	if _, err := MultiplyWithLayout(a, b, grid); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-	bad, _ := NewBlockCyclic(4, 2, 2, 1)
-	if _, err := MultiplyWithLayout(Random(4, 3, 1), b, bad); err == nil {
-		t.Error("non-square shapes should fail")
-	}
-}

@@ -1,7 +1,8 @@
 // Allocation regression guards for the worker pool's hot path: transfer
 // buffers are sized once from the plan's largest chunk, span recording is
-// reserved up front, and prefetch runs on a persistent fetcher goroutine —
-// so the steady-state per-chunk loop must not allocate. These tests pin
+// reserved up front, and the worker ships and lands its prefetched
+// transfers itself — so the steady-state per-chunk loop must not
+// allocate. These tests pin
 // that property by differencing: two runs that differ only in chunk count
 // must cost (nearly) the same number of heap allocations.
 package runtime

@@ -90,3 +90,46 @@ func TestRunContextCancelChaosMidTransfer(t *testing.T) {
 		t.Fatal("chaos RunContext did not return within 2s of cancellation")
 	}
 }
+
+// TestRunContextCancelMidCompute is the compute-side twin of the transfer
+// test: the token bucket used to pay a chunk's debt with an
+// uninterruptible time.Sleep, so a cancelled run waited out the whole
+// chunk before returning. Each chunk here is 1024 cells at 500 cells/s —
+// ~2 s of modeled compute; cancellation at 20 ms must cut the token wait
+// short on both the fast and the resilient path.
+func TestRunContextCancelMidCompute(t *testing.T) {
+	const n = 64
+	a, b := linkVectors(n)
+	plan := gridPlan(t, n, 2) // 4 chunks × 1024 cells
+	for _, tc := range []struct {
+		name  string
+		chaos Chaos
+	}{
+		{"fast", Chaos{}},
+		{"chaos", Chaos{SpeculateAfter: 10}}, // resilient path, no faults fire
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Speeds: []float64{1, 1}, WorkPerSecond: 500, Burst: 1, Chaos: tc.chaos}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				_, err := RunContext(ctx, plan, a, b, opts)
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // mid-compute: inside each worker's first chunk
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("RunContext did not return within 5s of cancellation (token wait not interruptible)")
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("cancellation took %v, want well under the ~2s chunk debt", took)
+			}
+		})
+	}
+}

@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"nlfl/internal/faults"
 	"nlfl/internal/partition"
@@ -127,25 +125,10 @@ func replanOwnedChunk(c Chunk, owners []int, speeds []float64) []Chunk {
 	return out
 }
 
-// chaosPoll is how often an idle worker re-polls the queue while
-// uncommitted cells remain (waiting for a straggler to finish or a
+// chaosPoll is how often, in seconds, an idle worker re-polls the queue
+// while uncommitted cells remain (waiting for a straggler to finish or a
 // crash to free reclaimable work).
-const chaosPoll = 500 * time.Microsecond
-
-// sleepCtx sleeps for d or until ctx is cancelled; false means cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
+const chaosPoll = 500e-6
 
 // die takes worker w permanently out of the pool at its crash instant:
 // marks the timeline, wastes the data shipped for whatever chunk died
@@ -154,7 +137,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // the run if a reclaimed chunk's retry budget is exhausted or nobody
 // survives to pick the work up.
 func (r *runner) die(w int, lt *LeaseTable, inflightData float64) {
-	r.live.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: r.live.Now(), Note: "permanent"})
+	r.live.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: r.clk.Now(), Note: "permanent"})
 	cells, extra, over := lt.Reclaim(w, r.opts.Chaos.MaxRetries, lt.Replanner(r.opts.Speeds))
 	r.mu.Lock()
 	r.degraded++
@@ -191,7 +174,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 		if r.ctx.Err() != nil {
 			return
 		}
-		now := r.live.Now()
+		now := r.clk.Now()
 		if now >= crashAt {
 			r.die(w, lt, 0)
 			return
@@ -201,7 +184,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 			return
 		}
 		if st == LeaseWait {
-			if !sleepCtx(r.ctx, chaosPoll) {
+			if !r.clk.SleepUntil(r.ctx, w, now+chaosPoll) {
 				return
 			}
 			continue
@@ -218,7 +201,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 		retries := 0
 		backoff := backoffBase
 		for {
-			t0 := r.live.Now()
+			t0 := r.clk.Now()
 			if t0 >= crashAt {
 				r.die(w, lt, 0)
 				return
@@ -232,7 +215,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 					aBuf = append(aBuf[:0], r.a[c.RowLo:c.RowHi]...)
 					bBuf = append(bBuf[:0], r.b[c.ColLo:c.ColHi]...)
 				}
-				if !r.net.wait(r.ctx, t1) {
+				if !r.clk.SleepUntil(r.ctx, w, t1) {
 					return
 				}
 				// Relays are recorded for dropped attempts too: the payload
@@ -247,7 +230,7 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 					aBuf = append(aBuf[:0], r.a[c.RowLo:c.RowHi]...)
 					bBuf = append(bBuf[:0], r.b[c.ColLo:c.ColHi]...)
 				}
-				t1 = r.live.Now()
+				t1 = r.clk.Now()
 			}
 			if !dropped {
 				r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t0, End: t1, Data: data, Task: c.Task})
@@ -264,16 +247,16 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 				r.fail(fmt.Errorf("%w: worker %d lost chunk %d on %d consecutive transfer attempts", ErrTransferFailed, w, c.Task, retries))
 				return
 			}
-			if !sleepCtx(r.ctx, time.Duration(backoff*float64(time.Second))) {
+			if !r.clk.SleepUntil(r.ctx, w, r.clk.Now()+backoff) {
 				return
 			}
 			backoff = math.Min(backoff*2, backoffMax)
 		}
 
-		// Transient outage: the worker stalls (inputs survive, wall-clock
+		// Transient outage: the worker stalls (inputs survive, the clock
 		// passes) until the window clears — unless its crash lands first.
 		for {
-			t := r.live.Now()
+			t := r.clk.Now()
 			if t >= crashAt {
 				r.die(w, lt, data)
 				return
@@ -282,32 +265,31 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 			if !paused {
 				break
 			}
-			stall := math.Min(until, crashAt) - t
-			if !sleepCtx(r.ctx, time.Duration(stall*float64(time.Second))) {
+			if !r.clk.SleepUntil(r.ctx, w, math.Min(until, crashAt)) {
 				return
 			}
 		}
 
 		// Commit, then fill. The token wait is the modeled compute:
 		// straggler windows scale its cost (sampled at chunk start) and
-		// the crash instant bounds it, realizing death mid-chunk. The
-		// first-writer-wins commit is resolved before any cell is written,
-		// so only the winner fills, straight into the output; a losing
-		// speculative copy never touches it. Exactly one copy of each task
+		// the crash instant bounds it, realizing death mid-chunk; a token
+		// wait cut short by cancellation is no crash. The first-writer-wins
+		// commit is resolved before any cell is written, so only the
+		// winner fills, straight into the output; a losing speculative
+		// copy never touches it. Exactly one copy of each task
 		// wins and committed chunks never overlap (checkTiling audits the
 		// committed set after the run), so winners write disjoint cells
 		// and need no lock. A crash instant that falls inside the real
 		// fill of a committed chunk takes effect at the next check: the
 		// chunk stays committed.
 		cells := float64(c.Cells())
-		t0 := r.live.Now()
+		t0 := r.clk.Now()
 		scale := tab.ComputeScale(w, t0)
-		budget := time.Duration(-1)
-		if !math.IsInf(crashAt, 1) {
-			budget = time.Duration(math.Max(0, crashAt-t0) * float64(time.Second))
+		finished := bucket.acquireWithin(r.ctx, cells/scale, crashAt)
+		if r.ctx.Err() != nil {
+			return
 		}
-		finished := bucket.acquireWithin(cells/scale, budget)
-		t1 := r.live.Now()
+		t1 := r.clk.Now()
 		if !finished || t1 >= crashAt {
 			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
 			r.noteLost(cells)
@@ -328,6 +310,6 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 			led.specWins++
 		}
 		FillChunk(r.out, aBuf, bBuf, c)
-		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: r.live.Now(), Work: cells, Task: c.Task})
+		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: r.clk.Now(), Work: cells, Task: c.Task})
 	}
 }

@@ -10,8 +10,8 @@
 //   - Each worker is a goroutine whose *relative speed* is enforced by a
 //     token bucket: computing a chunk of c cells first drains c tokens
 //     from a bucket refilled at speed·WorkPerSecond tokens per second, so
-//     a 7×-faster worker really does finish 7× more area per wall-clock
-//     second, even on a single CPU.
+//     a 7×-faster worker really does finish 7× more area per second of
+//     the run's Clock, even on a single CPU.
 //   - Chunks live in a sharded work queue. Demand-driven strategies tag
 //     chunks ownerless: a worker drains its home shard and then steals
 //     from the others, reproducing the claim-when-idle process behind the

@@ -94,7 +94,9 @@ func TestLinkSerializesAcrossWorkers(t *testing.T) {
 
 // TestPrefetchOverlapsCommWithCompute balances per-chunk transfer and
 // compute times and checks that double-buffered prefetch hides most of
-// the communication — and that without prefetch nothing overlaps.
+// the communication — and that without prefetch nothing overlaps. The
+// wall-clock row holds bands; the virtual-clock row runs the same
+// prefetch path and pins its figures exactly.
 func TestPrefetchOverlapsCommWithCompute(t *testing.T) {
 	const (
 		n    = 64
@@ -134,7 +136,30 @@ func TestPrefetchOverlapsCommWithCompute(t *testing.T) {
 	if over.Makespan > 0.95*plain.Makespan {
 		t.Errorf("prefetch makespan %v not clearly below sequential %v", over.Makespan, plain.Makespan)
 	}
-	for _, rep := range []*Report{plain, over} {
+
+	// The same two runs on the virtual clock are deterministic, so their
+	// figures are exact: 15 of the 16 transfers hide under the previous
+	// chunk's compute, and only the first one is exposed.
+	virt := base
+	virt.Virtual = true
+	vPlain, err := Run(gridPlan(t, n, grid), a, b, virt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	virt.Prefetch = true
+	vOver, err := Run(gridPlan(t, n, grid), a, b, virt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vPlain.OverlapFraction != 0 || vPlain.Makespan != 0.06128 {
+		t.Errorf("virtual no-prefetch run: overlap %v, makespan %v; want 0, 0.06128",
+			vPlain.OverlapFraction, vPlain.Makespan)
+	}
+	if vOver.OverlapFraction != 0.9375 || vOver.Makespan != 0.042230000000000004 {
+		t.Errorf("virtual prefetch run: overlap %v, makespan %v; want 0.9375, 0.042230000000000004",
+			vOver.OverlapFraction, vOver.Makespan)
+	}
+	for _, rep := range []*Report{plain, over, vPlain, vOver} {
 		if vs := trace.Check(rep.Trace, rep.Expect(1e-6)); len(vs) != 0 {
 			t.Errorf("trace violations: %v", vs)
 		}

@@ -1,6 +1,6 @@
 // Concurrency tests aimed at the race detector (CI runs the whole suite
 // under `go test -race`): the sharded queue's stealing path and the
-// prefetch goroutines feeding trace.Live.
+// prefetching workers feeding trace.Live.
 package runtime
 
 import (
@@ -174,8 +174,8 @@ func TestChaosQueueStealDuringReclaim(t *testing.T) {
 
 // TestHighParallelismAffinityStealStress runs the padded affinity queue
 // at a GOMAXPROCS well above the machine's core count: twelve workers on
-// sixteen scheduler threads, one home stripe each (the default), prefetch
-// fetchers racing the compute loops into trace.Live. Fast workers drain
+// sixteen scheduler threads, one home stripe each (the default), every
+// prefetching worker racing the others into trace.Live. Fast workers drain
 // their own stripes then cross into each other's via the ring steal —
 // exactly the path the shard padding and contiguous layout rewrote.
 // Meaningful under -race.

@@ -3,6 +3,7 @@
 package runtime
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -108,9 +109,9 @@ func TestPlanHetPredictedMatchesSnapped(t *testing.T) {
 // configured burst and the worker burst ahead of its speed. After any
 // acquire the bucket may never hold more than its burst.
 func TestTokenBucketClampsOversleepCredit(t *testing.T) {
-	tb := newTokenBucket(1e9, 10) // any oversleep ≥ 10 ns banks > burst pre-fix
+	tb := newTokenBucket(NewWallClock(1), 0, 1e9, 10) // any oversleep ≥ 10 ns banks > burst pre-fix
 	for i := 0; i < 3; i++ {
-		tb.acquire(1e7) // 10 ms of work forces the sleep branch
+		tb.acquire(context.Background(), 1e7) // 10 ms of work forces the sleep branch
 		if tb.tokens > tb.burst+1e-6 {
 			t.Fatalf("acquire %d banked %v tokens, burst cap is %v — oversleep credit not clamped",
 				i, tb.tokens, tb.burst)
@@ -127,10 +128,10 @@ func TestTokenBucketLongRunRate(t *testing.T) {
 		per   = 5e5
 		calls = 20
 	)
-	tb := newTokenBucket(rate, burst)
+	tb := newTokenBucket(NewWallClock(1), 0, rate, burst)
 	start := time.Now()
 	for i := 0; i < calls; i++ {
-		tb.acquire(per)
+		tb.acquire(context.Background(), per)
 	}
 	elapsed := time.Since(start).Seconds()
 	// calls·per tokens minus the initial burst credit at `rate`/s.

@@ -52,23 +52,27 @@ type Options struct {
 	// ships at memcpy speed; setting Link is equivalent to the Star
 	// topology with Link's rates. Mutually exclusive with Link.
 	Topology Topology
-	// Prefetch enables double-buffered prefetch: while a worker computes
-	// one chunk it claims and transfers the next, overlapping the
-	// transfer with the current chunk's compute. The overlapped fraction
-	// is reported in Report.OverlapFraction. Prefetch cannot be combined
-	// with Chaos: a prefetched chunk is a second outstanding lease, which
-	// the recovery machinery does not track.
+	// Prefetch enables double-buffered prefetch: before a worker computes
+	// one chunk it claims the next and books its transfer, and it lands
+	// that transfer after the compute, so the transfer window overlaps
+	// the current chunk's compute. The worker does both itself, on either
+	// clock. The overlapped fraction is reported in
+	// Report.OverlapFraction. Prefetch cannot be combined with Chaos: a
+	// prefetched chunk is a second outstanding lease, which the recovery
+	// machinery does not track.
 	Prefetch bool
 	// Chaos enables the fault-injection layer and its survival machinery
 	// (see Chaos). The zero value selects the fault-free fast path.
 	Chaos Chaos
-	// Virtual runs the fast path on a virtual clock (see virtualClock):
-	// the workers take turns in modeled time, the token buckets and link
-	// windows advance the clock instead of sleeping, and the real copies
-	// and fills take no modeled time. The run is then bit-reproducible —
-	// the same chunk hand-out, spans and makespan on every run — and its
-	// times are the model's, not the host's. Virtual cannot be combined
-	// with Chaos, whose faults are timed on the wall clock.
+	// Virtual selects the run's Clock: the wall clock by default, the
+	// virtual clock (see virtualClock) when set. Both run the same worker
+	// code; on the virtual clock the workers take turns in modeled time,
+	// the token buckets and link windows advance the clock instead of
+	// sleeping, and the real copies and fills take no modeled time. The
+	// run is then bit-reproducible — the same chunk hand-out, spans and
+	// makespan on every run — and its times are the model's, not the
+	// host's. Virtual cannot be combined with Chaos, whose faults are
+	// timed on the wall clock.
 	Virtual bool
 
 	// testHookChunkStart, when set, runs on the worker goroutine right
@@ -95,7 +99,7 @@ type Report struct {
 	DataVolume float64
 	// WorkCells is the total output cells computed (= N² for a full run).
 	WorkCells float64
-	// Makespan is the wall-clock run time in seconds.
+	// Makespan is the run time in seconds on the run's clock.
 	Makespan float64
 	// PerWorkerData and PerWorkerCells split DataVolume and WorkCells by
 	// worker — the measured footprint behind the paper's Figure 2.
@@ -173,7 +177,7 @@ type Report struct {
 
 	// Out is the computed product.
 	Out *matmul.Matrix
-	// Trace is the run's audited timeline (wall-clock seconds).
+	// Trace is the run's audited timeline (seconds on the run's clock).
 	Trace *trace.Timeline
 }
 
@@ -219,13 +223,6 @@ func (r *Report) Expect(relTol float64) *trace.Expect {
 	return e
 }
 
-// staged is one chunk whose inputs have been shipped into worker-local
-// buffers (its Comm span is recorded when the transfer lands).
-type staged struct {
-	c          Chunk
-	aBuf, bBuf []float64
-}
-
 // transfer is one chunk's shipment in flight: its inputs are copied and,
 // when booked on the modeled network, its delivery window [t0, t1] and
 // relay windows are reserved; otherwise [t0, t1] is the measured memcpy.
@@ -248,7 +245,7 @@ type runner struct {
 
 	out      *matmul.Matrix
 	live     *trace.Live
-	vc       *virtualClock // nil on the wall clock
+	clk      Clock
 	net      *netLink
 	perData  []float64 // written only by each worker's own goroutine
 	perCells []float64
@@ -314,33 +311,9 @@ func (r *runner) fail(err error) {
 	r.cancel()
 }
 
-// now reads the run's clock: virtual seconds under Options.Virtual, the
-// live recording's wall seconds otherwise.
-func (r *runner) now() float64 {
-	if r.vc != nil {
-		return r.vc.Now()
-	}
-	return r.live.Now()
-}
-
-// waitUntil parks worker w until the booked instant t has passed on the
-// run's clock; false means the run was cancelled.
-func (r *runner) waitUntil(w int, t float64) bool {
-	if r.vc != nil {
-		r.vc.sleepUntil(w, t)
-		return r.ctx.Err() == nil
-	}
-	return r.net.wait(r.ctx, t)
-}
-
 // throttle builds worker w's token bucket on the run's clock.
 func (r *runner) throttle(w int) *tokenBucket {
-	tb := newTokenBucket(r.opts.Speeds[w]*r.rate, r.opts.Burst)
-	if vc := r.vc; vc != nil {
-		tb.now, tb.last = vc.Now, vc.Now()
-		tb.sleep = func(d float64) { vc.sleepUntil(w, vc.Now()+d) }
-	}
-	return tb
+	return newTokenBucket(r.clk, w, r.opts.Speeds[w]*r.rate, r.opts.Burst)
 }
 
 func (r *runner) runErr() error {
@@ -362,13 +335,12 @@ func (r *runner) noteLost(cells float64) {
 // used to take the whole process down (goroutine panics are fatal) or —
 // with recovery but no latch — leave wg.Wait stuck behind siblings
 // blocked on a link booking. Now it latches ErrWorkerFailed and cancels
-// the run.
+// the run. The worker joins the run's clock before its body runs and
+// leaves it after.
 func (r *runner) guard(w int, body func(int)) {
 	defer r.wg.Done()
-	if r.vc != nil {
-		r.vc.enter(w)
-		defer r.vc.leave(w)
-	}
+	r.clk.join(w)
+	defer r.clk.leave(w)
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.fail(fmt.Errorf("%w: worker %d panicked: %v", ErrWorkerFailed, w, rec))
@@ -393,8 +365,9 @@ func Run(plan *StrategyPlan, a, b []float64, opts Options) (*Report, error) {
 // current chunk computes. With Options.Chaos the pool runs the resilient
 // path instead: scenario faults are injected on the live goroutines and
 // survived via leases, retries, speculation and survivor re-planning
-// (see Chaos). Cancelling ctx stops the pool at the next chunk boundary
-// and returns ctx's error. The returned report carries the product, the
+// (see Chaos). Every wait sleeps on the run's Clock, so cancelling ctx
+// cuts it short at once — link window, backoff or token debt — and
+// returns ctx's error. The returned report carries the product, the
 // measured per-worker traffic and comm time, the comm/compute overlap
 // fraction, the recovery ledger, and the trace.Live timeline of the run.
 func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Options) (*Report, error) {
@@ -471,6 +444,10 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	clk := NewWallClock(p)
+	if opts.Virtual {
+		clk = newVirtualClock(p)
+	}
 	r := &runner{
 		opts:       opts,
 		a:          a,
@@ -479,19 +456,14 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		rate:       rate,
 		out:        matmul.New(n, n),
 		live:       trace.NewLive(p),
-		net:        newNetLink(topo, p, nil),
+		clk:        clk,
+		net:        newNetLink(topo, p, clk),
 		perData:    make([]float64, p),
 		perCells:   make([]float64, p),
 		maxRowSpan: maxRowSpan,
 		maxColSpan: maxColSpan,
 		ctx:        runCtx,
 		cancel:     cancel,
-	}
-	if opts.Virtual {
-		r.vc = newVirtualClock(p)
-	}
-	if r.net != nil {
-		r.net.now = r.now
 	}
 	// A clean run records exactly two spans per chunk (Comm + Compute);
 	// reserving that up front keeps span recording allocation-free on the
@@ -518,9 +490,6 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	for w := 0; w < p; w++ {
 		r.wg.Add(1)
 		go r.guard(w, body)
-	}
-	if r.vc != nil {
-		r.vc.start()
 	}
 	r.wg.Wait()
 	r.mergeLedgers()
@@ -618,21 +587,12 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	return rep, nil
 }
 
-// fetchReq asks the worker's fetcher goroutine to ship one chunk into
-// buffer slot `slot`.
-type fetchReq struct {
-	c    Chunk
-	slot int
-}
-
 // fastWorker is the fault-free worker loop (the original hot path — no
 // leases, no locks beyond the queue stripes). The per-chunk loop is
 // allocation-free: both transfer buffers are sized once from the plan's
-// largest chunk, and prefetch runs on one persistent fetcher goroutine
-// per worker instead of spawning a goroutine (and its result channel) per
-// chunk. Cancellation is honored at chunk boundaries.
+// largest chunk, and the worker ships and lands every transfer itself.
+// Cancellation is honored at chunk boundaries and in every timed wait.
 func (r *runner) fastWorker(w int, queue *workQueue) {
-	opts := r.opts
 	bucket := r.throttle(w)
 	var bufs [2]struct{ a, b []float64 }
 	for i := range bufs {
@@ -640,19 +600,26 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 		bufs[i].b = make([]float64, 0, r.maxColSpan)
 	}
 
-	// ship starts the transfer of the chunk's inputs into buffer slot
-	// `slot`: the only elements this worker may read are the copies it
-	// receives. Under the link model it books the transfer windows and
-	// the Comm span is the booked delivery window; otherwise the span is
-	// the measured memcpy. land finishes the transfer: it waits out the
-	// delivery window and records the spans. Calls for one worker are
-	// strictly sequential (double-buffering keeps at most one in flight),
-	// so the per-worker ledgers need no locking. A cancellation that
-	// lands mid-transfer abandons the booked window: no span is recorded
-	// and the caller's next ctx check exits the loop.
-	ship := func(c Chunk, slot int) transfer {
+	// claim pops the worker's next chunk and starts its transfer into
+	// buffer slot `slot`: the only elements this worker may read are the
+	// copies it receives. Under the link model it books the transfer
+	// windows and the Comm span is the booked delivery window; otherwise
+	// the span is the measured memcpy. land finishes the transfer: it
+	// waits out the delivery window and records the spans. At most one
+	// transfer is in flight per worker, so the per-worker ledgers need no
+	// locking. A cancellation that lands mid-transfer abandons the booked
+	// window: no span is recorded and the caller's next ctx check exits
+	// the loop.
+	claim := func(slot int) (t transfer, ok bool) {
+		c, ok := queue.pop(w)
+		if !ok {
+			return t, false
+		}
+		if hook := r.opts.testHookChunkStart; hook != nil {
+			hook(w, c)
+		}
 		bb := &bufs[slot]
-		t := transfer{c: c}
+		t.c = c
 		if r.net != nil && r.net.constrained(w) {
 			var del bookedWindow
 			del, t.relays = r.net.book(w, float64(c.Data()))
@@ -660,19 +627,18 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
 			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
 		} else {
-			t.t0 = r.now()
+			t.t0 = r.clk.Now()
 			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
 			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
-			t.t1 = r.now()
+			t.t1 = r.clk.Now()
 		}
 		t.aBuf, t.bBuf = bb.a, bb.b
-		return t
+		return t, true
 	}
-	land := func(t transfer) staged {
-		s := staged{c: t.c, aBuf: t.aBuf, bBuf: t.bBuf}
+	land := func(t transfer) {
 		if t.booked {
-			if !r.waitUntil(w, t.t1) {
-				return s
+			if !r.clk.SleepUntil(r.ctx, w, t.t1) {
+				return
 			}
 			for _, h := range t.relays {
 				r.live.AddRelay(trace.Relay{Edge: h.edge, Dest: w, Start: h.start, End: h.end,
@@ -682,99 +648,44 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 		r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t.t0, End: t.t1,
 			Data: float64(t.c.Data()), Task: t.c.Task})
 		r.perData[w] += float64(t.c.Data())
-		return s
 	}
 
-	// With prefetch on the wall clock, one persistent fetcher goroutine
-	// per worker ships chunk inputs on request. The request/result
-	// channels live for the whole run — the old per-chunk `go fetch(...)`
-	// + fresh result channel was two heap allocations per chunk. At most
-	// one request is ever in flight (the worker sends only after
-	// receiving the previous result), so the single-buffered result
-	// channel can never block the fetcher against a departed worker. On
-	// the virtual clock the worker ships the next chunk itself and lands
-	// it after the compute: the booking happens at the same instant, and
-	// the worker stays the only goroutine that holds the clock.
-	var reqCh chan fetchReq
-	var resCh chan staged
-	if opts.Prefetch && r.vc == nil {
-		reqCh = make(chan fetchReq)
-		resCh = make(chan staged, 1)
-		defer close(reqCh) // stops the fetcher when the worker leaves
-		go func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					r.fail(fmt.Errorf("%w: worker %d prefetch panicked: %v", ErrWorkerFailed, w, rec))
-					close(resCh)
-				}
-			}()
-			for req := range reqCh {
-				resCh <- land(ship(req.c, req.slot))
-			}
-		}()
-	}
-
-	c, ok := queue.pop(w)
+	cur, ok := claim(0)
 	if !ok {
 		return
 	}
-	if hook := opts.testHookChunkStart; hook != nil {
-		hook(w, c)
-	}
-	cur := 0
-	s := land(ship(c, cur))
-	for {
-		if r.ctx.Err() != nil {
-			return
-		}
-		// Claim and start shipping the next chunk before computing the
-		// current one, so the transfer hides under the compute span.
-		var next Chunk
-		var more bool
-		var pending transfer
-		if opts.Prefetch {
-			if next, more = queue.pop(w); more {
-				if r.vc != nil {
-					pending = ship(next, 1-cur)
-				} else {
-					reqCh <- fetchReq{c: next, slot: 1 - cur}
-				}
-			}
+	land(cur)
+	slot := 0
+	for r.ctx.Err() == nil {
+		// With prefetch the next chunk is claimed and its transfer booked
+		// before the current one computes, so the transfer window hides
+		// under the compute span; without it, only after.
+		var next transfer
+		more := false
+		if r.opts.Prefetch {
+			next, more = claim(1 - slot)
 		}
 
 		// Compute: the token bucket stretches the span to the duration a
 		// speed-sᵢ processor would need.
-		cells := float64(s.c.Cells())
-		t0 := r.now()
-		bucket.acquire(cells)
-		FillChunk(r.out, s.aBuf, s.bBuf, s.c)
-		t1 := r.now()
-		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1,
-			Work: cells, Task: s.c.Task})
+		cells := float64(cur.c.Cells())
+		t0 := r.clk.Now()
+		if !bucket.acquire(r.ctx, cells) {
+			return
+		}
+		FillChunk(r.out, cur.aBuf, cur.bBuf, cur.c)
+		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: r.clk.Now(),
+			Work: cells, Task: cur.c.Task})
 		r.perCells[w] += cells
 
-		if opts.Prefetch {
-			if !more {
-				return
-			}
-			if r.vc != nil {
-				s = land(pending)
-			} else {
-				var ok2 bool
-				if s, ok2 = <-resCh; !ok2 {
-					return // the fetcher died; the run is already failed
-				}
-			}
-			cur = 1 - cur
-		} else {
-			if c, ok = queue.pop(w); !ok {
-				return
-			}
-			if hook := opts.testHookChunkStart; hook != nil {
-				hook(w, c)
-			}
-			s = land(ship(c, cur))
+		if !r.opts.Prefetch {
+			next, more = claim(1 - slot)
 		}
+		if !more {
+			return
+		}
+		land(next)
+		cur, slot = next, 1-slot
 	}
 }
 

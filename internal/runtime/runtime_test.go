@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -247,8 +248,8 @@ func TestWorkQueueStealingAndOwnership(t *testing.T) {
 
 func TestTokenBucketRate(t *testing.T) {
 	start := time.Now()
-	tb := newTokenBucket(1e6, 1)
-	tb.acquire(5e4) // 50 ms of work at 1e6 tokens/s
+	tb := newTokenBucket(NewWallClock(1), 0, 1e6, 1)
+	tb.acquire(context.Background(), 5e4) // 50 ms of work at 1e6 tokens/s
 	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
 		t.Errorf("bucket admitted 50ms of work in %v", elapsed)
 	}

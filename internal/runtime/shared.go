@@ -1,17 +1,15 @@
 package runtime
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // This file exports the pool's building blocks — the token-bucket
-// throttle and the topology-aware network booker — for layers that own
-// workers across many runs (internal/service's long-lived fleet) instead
-// of spinning a pool per job; the rectangle kernel, FillChunk, sits
-// beside the fast path, and the lease table in leasetable.go. One
-// implementation serves both: a fleet worker is paced, booked, leased
-// and re-planned by exactly the code a single Run uses.
+// throttle and the topology-aware network booker, both on a Clock — for
+// layers that own workers across many runs (internal/service's
+// long-lived fleet) instead of spinning a pool per job; the rectangle
+// kernel, FillChunk, sits beside the fast path, and the lease table in
+// leasetable.go. One implementation serves both: a fleet worker is
+// paced, booked, leased and re-planned by exactly the code a single Run
+// uses.
 
 // Throttle is the exported token-bucket pacer: it stretches compute to
 // the duration a speed-s processor would need (see tokenBucket). One
@@ -20,22 +18,22 @@ type Throttle struct {
 	tb *tokenBucket
 }
 
-// NewThrottle builds a throttle refilling at rate cells/second; a
-// non-positive burst defaults to 5 ms of credit.
-func NewThrottle(rate, burst float64) *Throttle {
-	return &Throttle{tb: newTokenBucket(rate, burst)}
+// NewThrottle builds worker w's throttle on clk, refilling at rate
+// cells/second; a non-positive burst defaults to 5 ms of credit.
+func NewThrottle(clk Clock, w int, rate, burst float64) *Throttle {
+	return &Throttle{tb: newTokenBucket(clk, w, rate, burst)}
 }
 
 // AcquireWithin blocks until n cells of credit are available and
-// consumes them, within a sleep budget: false means the budget elapsed
-// first and the payment is forfeited (the chunk was cut short). A
-// negative budget means no deadline.
-func (t *Throttle) AcquireWithin(n float64, budget time.Duration) bool {
-	return t.tb.acquireWithin(n, budget)
+// consumes them, by clock instant `until` (+Inf for no deadline): false
+// means the deadline came first and the payment is forfeited (the chunk
+// was cut short), or ctx was cancelled mid-wait.
+func (t *Throttle) AcquireWithin(ctx context.Context, n, until float64) bool {
+	return t.tb.acquireWithin(ctx, n, until)
 }
 
-// Window is one booked transfer window on one topology edge, in
-// live-clock seconds.
+// Window is one booked transfer window on one topology edge, in clock
+// seconds.
 type Window struct {
 	// Edge is the topology edge id the window occupies (-1 on a
 	// disabled or unconstrained booking).
@@ -48,22 +46,22 @@ type Window struct {
 // exactly as Run's internal model does — circuit style for star and
 // two-source networks, hop-by-hop for chains.
 type Network struct {
-	nl    *netLink
-	topo  Topology
-	clock func() float64
+	nl   *netLink
+	topo Topology
+	clk  Clock
 }
 
-// NewNetwork builds the booking state for topo over `workers` workers;
-// now supplies the live clock in seconds. A nil topology — or one whose
-// routes have no capped edge — yields a disabled network whose Book
-// windows are instant. A malformed topology is an error.
-func NewNetwork(topo Topology, workers int, now func() float64) (*Network, error) {
+// NewNetwork builds the booking state for topo over `workers` workers,
+// booking on clk. A nil topology — or one whose routes have no capped
+// edge — yields a disabled network whose Book windows are instant. A
+// malformed topology is an error.
+func NewNetwork(topo Topology, workers int, clk Clock) (*Network, error) {
 	if topo != nil {
 		if err := topo.Validate(workers); err != nil {
 			return nil, err
 		}
 	}
-	return &Network{nl: newNetLink(topo, workers, now), topo: topo, clock: now}, nil
+	return &Network{nl: newNetLink(topo, workers, clk), topo: topo, clk: clk}, nil
 }
 
 // Constrained reports whether worker w's route has any capped edge —
@@ -95,11 +93,12 @@ func (n *Network) Capacity() float64 {
 
 // Book reserves the transfer windows of elems elements for worker w: the
 // delivery window plus any intermediate relay windows (hop order; empty
-// for circuit routes). It never sleeps. On a disabled network or an
+// for circuit routes). It never sleeps: the caller sleeps on the clock
+// until the delivery window's end. On a disabled network or an
 // unconstrained worker the delivery window is [now, now] on edge −1.
 func (n *Network) Book(w int, elems float64) (delivery Window, relays []Window) {
 	if n.nl == nil || !n.nl.constrained(w) {
-		t := n.clock()
+		t := n.clk.Now()
 		return Window{Edge: -1, Start: t, End: t}, nil
 	}
 	del, rel := n.nl.book(w, elems)
@@ -108,15 +107,6 @@ func (n *Network) Book(w int, elems float64) (delivery Window, relays []Window) 
 		out[i] = Window{Edge: r.edge, Start: r.start, End: r.end}
 	}
 	return Window{Edge: del.edge, Start: del.start, End: del.end}, out
-}
-
-// Wait sleeps until the booked delivery window's end has passed, or
-// until ctx is cancelled — false means cancelled.
-func (n *Network) Wait(ctx context.Context, end float64) bool {
-	if n.nl == nil {
-		return ctx.Err() == nil
-	}
-	return n.nl.wait(ctx, end)
 }
 
 // EdgeReports returns the per-edge measured traffic for a run of the

@@ -1,8 +1,8 @@
 package runtime
 
 import (
+	"context"
 	"math"
-	"time"
 )
 
 // tokenBucket throttles one worker goroutine to a configured work rate.
@@ -14,59 +14,55 @@ import (
 // negative and the next acquire pays the balance in sleep time, keeping
 // the *long-run* rate exact without splitting chunks.
 type tokenBucket struct {
+	clk    Clock
+	w      int     // the worker whose goroutine sleeps on clk
 	rate   float64 // tokens per second
 	burst  float64 // cap on accumulated idle credit
 	tokens float64
 	last   float64 // clock reading at the last refill, in seconds
-	// now and sleep are the bucket's clock: the wall clock by default,
-	// the run's virtual clock under Options.Virtual.
-	now   func() float64
-	sleep func(seconds float64)
 }
 
-// wallEpoch zeroes wallNow; only differences of its readings matter.
-var wallEpoch = time.Now()
-
-// wallNow reads the monotonic wall clock in seconds.
-func wallNow() float64 { return time.Since(wallEpoch).Seconds() }
-
-// wallSleep sleeps for the given seconds of wall time.
-func wallSleep(seconds float64) { time.Sleep(time.Duration(seconds * float64(time.Second))) }
-
-// newTokenBucket builds a bucket refilling at rate tokens/second. A
-// non-positive burst defaults to 5 ms of credit, enough to smooth
-// scheduler jitter without letting a worker run far ahead of its speed.
-func newTokenBucket(rate, burst float64) *tokenBucket {
+// newTokenBucket builds worker w's bucket on clk, refilling at rate
+// tokens/second. A non-positive burst defaults to 5 ms of credit, enough
+// to smooth scheduler jitter without letting a worker run far ahead of
+// its speed.
+func newTokenBucket(clk Clock, w int, rate, burst float64) *tokenBucket {
 	if burst <= 0 {
 		burst = rate * 0.005
 	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: wallNow(), now: wallNow, sleep: wallSleep}
+	return &tokenBucket{clk: clk, w: w, rate: rate, burst: burst, tokens: burst, last: clk.Now()}
 }
 
-// acquire blocks until n tokens are available and consumes them.
-func (tb *tokenBucket) acquire(n float64) { tb.acquireWithin(n, -1) }
+// acquire blocks until n tokens are available and consumes them; false
+// means ctx was cancelled first.
+func (tb *tokenBucket) acquire(ctx context.Context, n float64) bool {
+	return tb.acquireWithin(ctx, n, math.Inf(1))
+}
 
 // acquireWithin is acquire with a deadline: it consumes n tokens and
-// returns true if they can be paid for within `budget` of sleeping, or
-// sleeps exactly the budget and returns false — the chunk was cut short.
-// A negative budget means no deadline. The chaos layer uses the budget to
-// realize crashes mid-compute: the worker pays tokens toward the chunk
-// until its crash instant lands, then dies with the chunk unfinished.
-func (tb *tokenBucket) acquireWithin(n float64, budget time.Duration) bool {
-	now := tb.now()
+// returns true if they are paid for by clock instant `until`, or sleeps
+// until `until` and returns false — the chunk was cut short. It also
+// returns false, at once, when ctx is cancelled mid-wait. The chaos layer
+// uses the deadline to realize crashes mid-compute: the worker pays
+// tokens toward the chunk until its crash instant lands, then dies with
+// the chunk unfinished.
+func (tb *tokenBucket) acquireWithin(ctx context.Context, n, until float64) bool {
+	now := tb.clk.Now()
 	tb.tokens += (now - tb.last) * tb.rate
 	tb.last = now
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
 	}
 	if tb.tokens < n {
-		wait := (n - tb.tokens) / tb.rate
-		interrupted := budget >= 0 && wait > budget.Seconds()
+		wake := now + (n-tb.tokens)/tb.rate
+		interrupted := wake > until
 		if interrupted {
-			wait = budget.Seconds()
+			wake = until
 		}
-		tb.sleep(wait)
-		now = tb.now()
+		if !tb.clk.SleepUntil(ctx, tb.w, wake) {
+			return false
+		}
+		now = tb.clk.Now()
 		tb.tokens += (now - tb.last) * tb.rate
 		tb.last = now
 		// The post-sleep refill must honor the burst cap too: the OS

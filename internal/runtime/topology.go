@@ -1,11 +1,9 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // This file generalizes the one-port master link into a pluggable
@@ -279,12 +277,12 @@ type netLink struct {
 	capped [][]int // capped[w]: the subset of routes[w] with Capacity > 0
 
 	mu   sync.Mutex
-	free []float64 // per-edge next-free instant (live seconds)
+	free []float64 // per-edge next-free instant (clock seconds)
 	vol  []float64 // per-edge booked elements, dropped payloads included
 	busy []float64 // per-edge summed window seconds (capped edges only)
-	now  func() float64
+	clk  Clock
 	// slowdown, when set, scales the effective rate of a transfer to
-	// worker w booked at live instant t (the chaos layer's LinkSlow
+	// worker w booked at clock instant t (the chaos layer's LinkSlow
 	// realization: factor < 1 stretches the booked window). Sampled once
 	// at booking time and applied to the delivery hop; a window boundary
 	// crossing mid-transfer does not re-rate the transfer.
@@ -293,7 +291,7 @@ type netLink struct {
 
 // newNetLink builds the booking state for the topology; nil when no
 // worker's route has any capped edge (the model costs nothing).
-func newNetLink(topo Topology, workers int, now func() float64) *netLink {
+func newNetLink(topo Topology, workers int, clk Clock) *netLink {
 	if topo == nil {
 		return nil
 	}
@@ -307,7 +305,7 @@ func newNetLink(topo Topology, workers int, now func() float64) *netLink {
 		free:   make([]float64, len(edges)),
 		vol:    make([]float64, len(edges)),
 		busy:   make([]float64, len(edges)),
-		now:    now,
+		clk:    clk,
 	}
 	any := false
 	for w := 0; w < workers; w++ {
@@ -333,13 +331,13 @@ func (nl *netLink) constrained(w int) bool { return len(nl.capped[w]) > 0 }
 
 // book reserves the transfer windows of elems elements for worker w and
 // returns the delivery window plus any intermediate relay windows (in
-// hop order; empty for circuit routes). It never sleeps; pair it with
-// wait on the delivery window's end.
+// hop order; empty for circuit routes). It never sleeps; the caller
+// sleeps on the clock until the delivery window's end.
 func (nl *netLink) book(w int, elems float64) (delivery bookedWindow, relays []bookedWindow) {
 	route, capped := nl.routes[w], nl.capped[w]
 	nl.mu.Lock()
 	defer nl.mu.Unlock()
-	t := nl.now()
+	t := nl.clk.Now()
 	slow := 1.0
 	if nl.slowdown != nil {
 		if f := nl.slowdown(w, t); f > 0 && f < 1 {
@@ -394,27 +392,6 @@ func (nl *netLink) book(w int, elems float64) (delivery bookedWindow, relays []b
 		prev = end
 	}
 	return wins[len(wins)-1], wins[:len(wins)-1]
-}
-
-// wait sleeps until the booked delivery window's end has passed on the
-// live clock, or until ctx is cancelled — false means cancelled. Under a
-// constrained network a booked window can sit far in the future (every
-// earlier booking serializes ahead of it), so an uninterruptible sleep
-// here would delay RunContext cancellation by the whole backlog;
-// cancellation must instead abandon the window immediately.
-func (nl *netLink) wait(ctx context.Context, end float64) bool {
-	d := end - nl.now()
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(time.Duration(d * float64(time.Second)))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // snapshot returns copies of the per-edge volume and busy ledgers.

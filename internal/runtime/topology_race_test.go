@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"nlfl/internal/matmul"
 	"nlfl/internal/platform"
@@ -62,10 +61,9 @@ func TestTwoSourceConcurrentBookingRace(t *testing.T) {
 		rate1    = 2e6
 		overlapS = 1e-9
 	)
-	start := time.Now()
-	now := func() float64 { return time.Since(start).Seconds() }
+	clk := NewWallClock(workers)
 	topo := SplitTwoSource(workers, rate0, rate1)
-	net, err := NewNetwork(topo, workers, now)
+	net, err := NewNetwork(topo, workers, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,7 @@ func TestTwoSourceConcurrentBookingRace(t *testing.T) {
 			}
 		}
 	}
-	reports := net.EdgeReports(now())
+	reports := net.EdgeReports(clk.Now())
 	if len(reports) != 2 {
 		t.Fatalf("got %d edge reports, want 2", len(reports))
 	}

@@ -92,7 +92,7 @@ func (f *Fleet) Accounting() FleetReport {
 		Completed:     f.completed,
 		Failed:        f.failed,
 		Cancelled:     f.cancelledJobs,
-		UptimeSeconds: f.now(),
+		UptimeSeconds: f.clock.Now(),
 	}
 	for w := range f.health {
 		if f.health[w].quarantined {

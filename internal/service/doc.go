@@ -42,7 +42,9 @@
 //     after a probation of completed jobs.
 //   - Graceful degradation: Drain stops admission and finishes (or
 //     cleanly fails) the in-flight jobs; Close always leaves every
-//     waiter answered.
+//     waiter answered. Every timed wait of a worker (a booked link
+//     window, a retry backoff, a chunk's token debt) sleeps on the
+//     fleet's runtime.Clock, which Close cuts short at once.
 //
 // Scheduling policies (see Policy): naive FIFO (job-exclusive, the
 // provably bad baseline of Gallet–Robert–Vivien's multi-load analysis),

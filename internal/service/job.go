@@ -416,7 +416,7 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 	if err == nil && f.cfg.VerifyEvery > 0 {
 		err = j.verify(f.cfg.VerifyEvery)
 	}
-	now := f.now()
+	now := f.clock.Now()
 	j.doneAt = now
 	j.err = err
 	if err == nil {

@@ -21,7 +21,7 @@ type assignment struct {
 func (f *Fleet) next(w int) (assignment, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	now := f.now()
+	now := f.clock.Now()
 	f.housekeepLocked(now)
 	disc, _ := f.cfg.Policy.order()
 	for _, j := range f.orderedLocked(disc, now) {
@@ -119,7 +119,7 @@ func (f *Fleet) jobDeathLocked(j *job, w int) {
 		return
 	}
 	j.degraded++
-	j.tl.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: f.now(), Note: "job-scoped"})
+	j.tl.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: f.clock.Now(), Note: "job-scoped"})
 	f.strikeLocked(w)
 	if over := j.reclaim(w); over != nil {
 		f.finalizeLocked(j, fmt.Errorf("%w: worker %d crashed holding chunk %d with its retry budget exhausted", ErrJobFailed, w, over.Task))

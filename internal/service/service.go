@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"nlfl/internal/capacity"
 	"nlfl/internal/faults"
@@ -172,7 +171,7 @@ type Fleet struct {
 	cfg    Config
 	speeds []float64
 	rate   float64
-	start  time.Time
+	clock  nrt.Clock // every span, latency and chaos window uses this base
 	net    *nrt.Network
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -223,7 +222,7 @@ func New(cfg Config) (*Fleet, error) {
 		cfg:      d,
 		speeds:   append([]float64(nil), d.Speeds...),
 		rate:     d.WorkPerSecond,
-		start:    time.Now(),
+		clock:    nrt.NewWallClock(len(d.Speeds)),
 		ctx:      ctx,
 		cancel:   cancel,
 		health:   make([]workerHealth, len(d.Speeds)),
@@ -234,7 +233,7 @@ func New(cfg Config) (*Fleet, error) {
 	if topo == nil {
 		topo = nrt.StarFromLink(d.Link, len(d.Speeds))
 	}
-	net, err := nrt.NewNetwork(topo, len(d.Speeds), f.now)
+	net, err := nrt.NewNetwork(topo, len(d.Speeds), f.clock)
 	if err != nil {
 		cancel()
 		return nil, fmt.Errorf("service: %w", err)
@@ -247,10 +246,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// now is the fleet clock: seconds since New on the monotonic clock.
-// Every span, latency and chaos window uses this base.
-func (f *Fleet) now() float64 { return time.Since(f.start).Seconds() }
 
 // Workers returns the fleet pool size.
 func (f *Fleet) Workers() int { return len(f.speeds) }
@@ -432,7 +427,7 @@ func (f *Fleet) buildJobLocked(spec JobSpec, slice []int) (*job, error) {
 		}
 	}
 	f.seq++
-	j := newJob(f.seq, spec, slice, sliceSpeeds, plan, a, b, chaos, len(f.speeds), f.now())
+	j := newJob(f.seq, spec, slice, sliceSpeeds, plan, a, b, chaos, len(f.speeds), f.clock.Now())
 	jctx := f.ctx
 	if spec.Deadline > 0 {
 		j.ctx, j.cancel = context.WithTimeout(jctx, spec.Deadline)

@@ -265,3 +265,38 @@ func TestWaitCtxExpiry(t *testing.T) {
 	}
 	h.Cancel() // release the slow job so Close is fast
 }
+
+// TestFleetCloseMidCompute: a fleet worker paying a chunk's token debt
+// used to sleep it out uninterruptibly, so Close waited for the whole
+// chunk — here one 64×64 chunk at 500 cells/s, ~8 s. Close must cut the
+// wait short, and the cut-short wait is no crash: no Killed span, no
+// quarantine strike.
+func TestFleetCloseMidCompute(t *testing.T) {
+	f, err := New(Config{Speeds: []float64{1}, WorkPerSecond: 500, Burst: 1, MinCellsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mustSubmit(t, f, JobSpec{Tenant: "slow", N: 64, Strategy: "hom"})
+	time.Sleep(20 * time.Millisecond) // mid-compute: inside the first chunk's token wait
+	start := time.Now()
+	f.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v mid-compute, want well under the ~8s chunk debt", took)
+	}
+	rep, err := h.Wait(context.Background())
+	if !errors.Is(err, ErrFleetClosed) {
+		t.Fatalf("job in flight at Close returned %v, want ErrFleetClosed", err)
+	}
+	for w, spans := range rep.Trace.Spans {
+		for _, s := range spans {
+			if s.Outcome == trace.Killed {
+				t.Errorf("worker %d: Close left a Killed span %+v", w, s)
+			}
+		}
+	}
+	for _, ws := range f.Health() {
+		if ws.Strikes != 0 || ws.Quarantined {
+			t.Errorf("Close struck worker %d: %+v", ws.Worker, ws)
+		}
+	}
+}

@@ -19,7 +19,7 @@ const workerPoll = 2 * time.Millisecond
 // scheduler for a chunk whenever it is idle.
 func (f *Fleet) worker(w int) {
 	defer f.wg.Done()
-	th := nrt.NewThrottle(f.speeds[w]*f.rate, f.cfg.Burst)
+	th := nrt.NewThrottle(f.clock, w, f.speeds[w]*f.rate, f.cfg.Burst)
 	bufs := &serveBufs{}
 	for {
 		if f.ctx.Err() != nil {
@@ -66,7 +66,8 @@ type serveBufs struct {
 // the token wait, race for the first-writer-wins commit, and — only on
 // a win — fill the output rectangle. It returns the filled chunk's
 // Compute span for finishServe to record (ok), and nothing otherwise.
-// Every fault consequence lands on job j's ledgers alone.
+// Every fault consequence lands on job j's ledgers alone; a wait cut
+// short by the fleet's shutdown is no fault and lands nowhere.
 func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveBufs) (filled trace.Span, ok bool) {
 	data := float64(c.Data())
 	cells := float64(c.Cells())
@@ -80,7 +81,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	retries := 0
 	backoff := j.backoff[0]
 	for {
-		t0 := f.now()
+		t0 := f.clock.Now()
 		rel := t0 - j.startAt
 		if rel >= crashAt {
 			f.killServing(j, w, c, 0, 0, 0, false)
@@ -97,7 +98,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 				bufs.a = append(bufs.a[:0], j.a[c.RowLo:c.RowHi]...)
 				bufs.b = append(bufs.b[:0], j.b[c.ColLo:c.ColHi]...)
 			}
-			if !f.net.Wait(f.ctx, t1) {
+			if !f.clock.SleepUntil(f.ctx, w, t1) {
 				return trace.Span{}, false // fleet shutdown mid-transfer
 			}
 		} else {
@@ -105,7 +106,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 				bufs.a = append(bufs.a[:0], j.a[c.RowLo:c.RowHi]...)
 				bufs.b = append(bufs.b[:0], j.b[c.ColLo:c.ColHi]...)
 			}
-			t1 = f.now()
+			t1 = f.clock.Now()
 		}
 		f.mu.Lock()
 		if j.terminal() {
@@ -139,7 +140,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			f.mu.Unlock()
 			return trace.Span{}, false
 		}
-		if !sleepSeconds(f.ctx, backoff) {
+		if !f.clock.SleepUntil(f.ctx, w, f.clock.Now()+backoff) {
 			return trace.Span{}, false
 		}
 		backoff = math.Min(backoff*2, j.backoff[1])
@@ -149,7 +150,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	// the crash instant lands first.
 	if j.chaos != nil {
 		for {
-			rel := f.now() - j.startAt
+			rel := f.clock.Now() - j.startAt
 			if rel >= crashAt {
 				f.killServing(j, w, c, data, 0, 0, false)
 				return trace.Span{}, false
@@ -158,7 +159,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 			if !paused {
 				break
 			}
-			if !sleepSeconds(f.ctx, math.Min(until, crashAt)-rel) {
+			if !f.clock.SleepUntil(f.ctx, w, j.startAt+math.Min(until, crashAt)) {
 				return trace.Span{}, false
 			}
 		}
@@ -167,18 +168,16 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	// Commit, then fill: the token wait is the modeled compute, and the
 	// first-writer-wins race is resolved before any cell is written, so
 	// a losing speculative copy never touches j.out.
-	t0 := f.now()
+	t0 := f.clock.Now()
 	scale := 1.0
-	budget := time.Duration(-1)
 	if j.chaos != nil {
-		rel := t0 - j.startAt
-		scale = j.chaos.ComputeScale(w, rel)
-		if !math.IsInf(crashAt, 1) {
-			budget = time.Duration(math.Max(0, crashAt-rel) * float64(time.Second))
-		}
+		scale = j.chaos.ComputeScale(w, t0-j.startAt)
 	}
-	finished := th.AcquireWithin(cells/scale, budget)
-	t1 := f.now()
+	finished := th.AcquireWithin(f.ctx, cells/scale, j.startAt+crashAt)
+	if f.ctx.Err() != nil {
+		return trace.Span{}, false // fleet shutdown mid-compute
+	}
+	t1 := f.clock.Now()
 	if !finished || t1-j.startAt >= crashAt {
 		f.killServing(j, w, c, data, t0, t1, true)
 		return trace.Span{}, false
@@ -207,7 +206,7 @@ func (f *Fleet) serve(w int, j *job, c nrt.Chunk, th *nrt.Throttle, bufs *serveB
 	// or hand out j.out) until finishServe drains this chunk. A crash
 	// instant inside the fill takes effect at the worker's next check.
 	nrt.FillChunk(j.out, bufs.a, bufs.b, c)
-	return trace.Span{Kind: trace.Compute, Start: t0, End: f.now(), Work: cells, Task: c.Task}, true
+	return trace.Span{Kind: trace.Compute, Start: t0, End: f.clock.Now(), Work: cells, Task: c.Task}, true
 }
 
 // killServing realizes worker w's job-scoped crash while it was serving
@@ -241,21 +240,6 @@ func sleepWake(ctx context.Context, wake <-chan struct{}, d time.Duration) bool 
 		return false
 	case <-wake:
 		return true
-	case <-t.C:
-		return true
-	}
-}
-
-// sleepSeconds sleeps d seconds or until shutdown; false means shutdown.
-func sleepSeconds(ctx context.Context, d float64) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(time.Duration(d * float64(time.Second)))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
 	case <-t.C:
 		return true
 	}

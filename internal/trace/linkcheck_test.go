@@ -104,9 +104,9 @@ func TestCommAndOverlapTimes(t *testing.T) {
 }
 
 // TestLiveConcurrentPrefetchPattern hammers one Live recorder with the
-// access pattern of the runtime's prefetch goroutines — comm spans and
-// markers racing in from transfer goroutines while Now is read
-// concurrently — and is meaningful under -race (CI's race job).
+// access pattern of the runtime's prefetching workers — comm spans and
+// markers racing in from every worker goroutine at once — and is
+// meaningful under -race (CI's race job).
 func TestLiveConcurrentPrefetchPattern(t *testing.T) {
 	const workers, perWorker = 8, 50
 	l := NewLive(workers)
@@ -116,9 +116,9 @@ func TestLiveConcurrentPrefetchPattern(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				t0 := l.Now()
-				l.Add(w, Span{Kind: Comm, Start: t0, End: l.Now(), Data: 1, Task: i})
-				l.Mark(Marker{Kind: MarkDrop, Worker: w, Time: l.Now()})
+				t0, t1 := float64(i), float64(i+1)
+				l.Add(w, Span{Kind: Comm, Start: t0, End: t1, Data: 1, Task: i})
+				l.Mark(Marker{Kind: MarkDrop, Worker: w, Time: t1})
 			}
 		}(w)
 	}

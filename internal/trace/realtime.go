@@ -1,31 +1,21 @@
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// Live records a timeline from a *real* concurrent run: goroutine workers
-// call Add/Mark freely while the run executes, and Now supplies span
-// bounds as seconds on the process's monotonic clock, zeroed at NewLive.
-// The simulators build their timelines single-threaded in virtual time;
-// Live is the bridge that lets wall-clock executors (internal/runtime)
-// feed the same invariant oracle — Check audits a measured run exactly
-// like a simulated one.
+// Live is a mutex-guarded Timeline for a *real* concurrent run: goroutine
+// workers call Add/Mark freely while the run executes, with span bounds
+// read from the run's own clock (internal/runtime's Clock). The
+// simulators build their timelines single-threaded in virtual time; Live
+// is the bridge that lets concurrent executors (internal/runtime) feed
+// the same invariant oracle — Check audits a measured run exactly like a
+// simulated one.
 type Live struct {
-	mu    sync.Mutex
-	tl    *Timeline
-	start time.Time
+	mu sync.Mutex
+	tl *Timeline
 }
 
-// NewLive starts a live recording for p workers; the clock zero is now.
-func NewLive(p int) *Live {
-	return &Live{tl: New(p), start: time.Now()}
-}
-
-// Now returns the seconds elapsed since NewLive on the monotonic clock —
-// the time base every recorded span must use.
-func (l *Live) Now() float64 { return time.Since(l.start).Seconds() }
+// NewLive starts a live recording for p workers.
+func NewLive(p int) *Live { return &Live{tl: New(p)} }
 
 // Reserve grows each worker's span list to hold spansPerWorker entries
 // and the relay list to hold relays, so a run of known size records its
