@@ -30,9 +30,9 @@ func benchContext() (context.Context, context.CancelFunc) {
 // boundary without writing partial artifacts.
 func runBench(args []string) error {
 	fs := newFlagSet("bench")
-	seed := fs.Int64("seed", 42, "random seed (identical seeds reproduce identical geometry and volumes)")
+	seed := fs.Int64("seed", 42, "random seed (identical seeds reproduce the virtual-clock artifacts byte for byte)")
 	out := fs.String("out", ".", "directory for the BENCH_*.json artifacts")
-	quick := fs.Bool("quick", false, "reduced CI configuration: smaller sizes, fewer platforms")
+	quick := fs.Bool("quick", false, "reduced CI configuration of the wall-clock sweeps: smaller kernel sizes, fewer service loads and jobs")
 	rate := fs.Float64("rate", 0, "token-bucket rate scale in cells/second for a speed-1 worker (0 = default 2e6)")
 	only := fs.String("only", "", "run (or with -validate, check) only this artifact: one of "+bench.Names())
 	validate := fs.Bool("validate", false, "validate existing BENCH_*.json in -out instead of running")

@@ -13,11 +13,10 @@ import (
 // runIterate drives one closed-loop iterative job from the command line:
 // a deterministic power iteration whose rounds run on the measured pool,
 // each round's split a water-filling plan over the selected mode's rates
-// (assumed, estimated or omniscient). The output is split in two on
-// purpose: the residual trajectory is exact master-side float64
-// arithmetic — byte-identical across modes, seeds and reruns, the part
-// golden tests pin — while the makespans and control decisions below the
-// "control and timing" line are measured wall-clock and vary run to run.
+// (assumed, estimated or omniscient). The residual trajectory is exact
+// master-side float64 arithmetic, identical across modes; the rounds run
+// on the runtime's virtual clock, so the makespans and control decisions
+// are modeled time and the whole output is byte-identical across reruns.
 func runIterate(args []string) error {
 	fs := newFlagSet("iterate")
 	n := fs.Int("n", 96, "vector length (each round computes the n×n outer product)")
@@ -117,7 +116,7 @@ func runIterate(args []string) error {
 	} else {
 		fmt.Printf("did not converge in %d rounds (dominant so far %d)\n", len(res.Rounds), res.Dominant)
 	}
-	fmt.Println("control and timing (measured wall-clock — varies run to run):")
+	fmt.Println("control and timing (modeled seconds on the virtual clock):")
 	for _, r := range res.Rounds {
 		marks := ""
 		if r.Replanned {

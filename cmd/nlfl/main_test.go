@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"nlfl/internal/results"
 )
 
 // capture redirects stdout while f runs and returns what was printed.
@@ -125,7 +123,9 @@ func TestCLISubcommands(t *testing.T) {
 // Theorem B.4 line come from routed bucket counts and must read as they
 // did when every trial was fully sorted. The single-round, resilient and
 // faults rows pin the DES fault executors under each scenario kind. The
-// affinity row pins every policy and the bounded-cache sweep.
+// affinity row pins every policy and the bounded-cache sweep. The iterate
+// row pins a closed-loop job on the virtual clock: residuals, makespans
+// and control decisions.
 func TestCLIGoldens(t *testing.T) {
 	rows := []struct {
 		golden string
@@ -154,6 +154,9 @@ func TestCLIGoldens(t *testing.T) {
 		{"returns-trials20", []string{"returns", "-trials", "20"}},
 		{"adaptivity-p4-blocks64", []string{"adaptivity", "-p", "4", "-blocks", "64"}},
 		{"affinity-p4-g10", []string{"affinity", "-p", "4", "-g", "10"}},
+		{"iterate-n48-tie0.6-drift2", []string{"iterate", "-n", "48", "-tie", "0.6", "-rate", "4e5",
+			"-speeds", "1,2,3", "-rounds", "12", "-mode", "adaptive",
+			"-drift-worker", "2", "-drift-factor", "0.4", "-drift-round", "1"}},
 	}
 	files, err := filepath.Glob("testdata/*.golden")
 	if err != nil {
@@ -217,114 +220,91 @@ func TestCLIBench(t *testing.T) {
 	}
 }
 
-// TestCLIBenchChaos drives the chaos-only mode: the sweep must survive
-// every fault class (the crash-at-t=0 edge case included), emit a
-// BENCH_chaos.json that round-trips through -only chaos -validate, and keep
-// its volume ledger deterministic across reruns (wall-clock fields and
-// retry counts are free to differ — see EXPERIMENTS.md).
-func TestCLIBenchChaos(t *testing.T) {
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	var files [2]results.ChaosBenchFile
-	for i, dir := range dirs {
-		out, err := capture(t, func() error {
-			return run([]string{"bench", "-only", "chaos", "-quick", "-seed", "42", "-out", dir})
-		})
+// matchesCommitted requires dir's copy of a virtual-clock artifact to be
+// the committed root copy byte for byte, bar the goVersion line, which
+// names the toolchain that wrote it.
+func matchesCommitted(t *testing.T, dir, file string) {
+	t.Helper()
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("bench -only chaos: %v\n%s", err, out)
+			t.Fatal(err)
 		}
-		for _, want := range []string{"chaos sweep", "crash-t0", "straggler", "flaky-link", "replanned", "wrote"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("bench -only chaos output missing %q:\n%s", want, truncate(out, 1200))
+		var keep []string
+		for _, line := range strings.Split(string(b), "\n") {
+			if !strings.Contains(line, `"goVersion"`) {
+				keep = append(keep, line)
 			}
 		}
-		files[i], err = results.LoadJSON[results.ChaosBenchFile](dir + "/BENCH_chaos.json")
-		if err != nil {
-			t.Fatalf("emitted chaos artifact unreadable: %v", err)
-		}
+		return strings.Join(keep, "\n")
 	}
-	if len(files[0].Entries) != len(files[1].Entries) {
-		t.Fatalf("entry counts differ across reruns: %d vs %d", len(files[0].Entries), len(files[1].Entries))
-	}
-	for i := range files[0].Entries {
-		a, b := files[0].Entries[i], files[1].Entries[i]
-		if a.Class != b.Class || a.Platform != b.Platform || a.Strategy != b.Strategy ||
-			a.Chunks != b.Chunks || a.PlanVolume != b.PlanVolume {
-			t.Errorf("entry %d geometry not deterministic: %+v vs %+v", i, a, b)
-		}
-	}
-
-	out, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "chaos", "-validate", "-out", dirs[0]})
-	})
-	if err != nil {
-		t.Fatalf("bench -only chaos -validate on freshly emitted artifact: %v", err)
-	}
-	if !strings.Contains(out, "BENCH_chaos.json: schema ok") {
-		t.Errorf("chaos validate output missing confirmation:\n%s", truncate(out, 800))
-	}
-	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "chaos", "-validate", "-out", t.TempDir()})
-	}); err == nil {
-		t.Error("bench -only chaos -validate on an empty directory should fail")
+	if got, want := read(filepath.Join(dir, file)), read(filepath.Join("..", "..", file)); got != want {
+		t.Errorf("%s differs from the committed artifact:\n--- got ---\n%s\n--- want ---\n%s",
+			file, truncate(got, 1200), truncate(want, 1200))
 	}
 }
 
-// TestCLIBenchTopology drives the topology-only mode: the sweep must
-// hold the crossover-shift gate (star yes, chain no), emit a
-// BENCH_topology.json that round-trips through -only topology -validate, and
-// keep its volume geometry deterministic across reruns (makespans are
-// free to differ — see EXPERIMENTS.md).
-func TestCLIBenchTopology(t *testing.T) {
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	var files [2]results.TopologyBenchFile
-	for i, dir := range dirs {
-		out, err := capture(t, func() error {
-			return run([]string{"bench", "-only", "topology", "-quick", "-seed", "42", "-out", dir})
-		})
-		if err != nil {
-			t.Fatalf("bench -only topology: %v\n%s", err, out)
-		}
-		for _, want := range []string{"topology sweep", "star", "chain", "two-source",
-			"crossover star", "crossover chain", "none (het never wins", "wrote"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("bench -only topology output missing %q:\n%s", want, truncate(out, 1200))
-			}
-		}
-		files[i], err = results.LoadJSON[results.TopologyBenchFile](dir + "/BENCH_topology.json")
-		if err != nil {
-			t.Fatalf("emitted topology artifact unreadable: %v", err)
-		}
-	}
-	if len(files[0].Entries) != len(files[1].Entries) {
-		t.Fatalf("entry counts differ across reruns: %d vs %d", len(files[0].Entries), len(files[1].Entries))
-	}
-	for i := range files[0].Entries {
-		a, b := files[0].Entries[i], files[1].Entries[i]
-		if a.Topology != b.Topology || a.Strategy != b.Strategy || a.Bandwidth != b.Bandwidth ||
-			a.MeasuredVolume != b.MeasuredVolume || a.RelayVolume != b.RelayVolume {
-			t.Errorf("entry %d geometry not deterministic: %+v vs %+v", i, a, b)
-		}
-	}
-	for topo, bw := range map[string]float64{"star": 2e4, "chain": 0} {
-		if files[0].Crossovers[topo] != bw {
-			t.Errorf("crossover %s = %v, want %v", topo, files[0].Crossovers[topo], bw)
-		}
-	}
-
+// benchOnly runs `nlfl bench -only name -quick -seed 42` into a fresh
+// directory, requires the printed table to mention every want, the
+// emitted artifact to be the committed one and to round-trip through
+// -validate, and an empty directory to fail -validate.
+func benchOnly(t *testing.T, name string, want ...string) {
+	t.Helper()
+	dir := t.TempDir()
 	out, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "topology", "-validate", "-out", dirs[0]})
+		return run([]string{"bench", "-only", name, "-quick", "-seed", "42", "-out", dir})
 	})
 	if err != nil {
-		t.Fatalf("bench -only topology -validate on freshly emitted artifact: %v", err)
+		t.Fatalf("bench -only %s: %v\n%s", name, err, out)
 	}
-	if !strings.Contains(out, "BENCH_topology.json: schema ok") {
-		t.Errorf("topology validate output missing confirmation:\n%s", truncate(out, 800))
+	for _, w := range append(want, "wrote") {
+		if !strings.Contains(out, w) {
+			t.Errorf("bench -only %s output missing %q:\n%s", name, w, truncate(out, 1200))
+		}
+	}
+	file := "BENCH_" + name + ".json"
+	matchesCommitted(t, dir, file)
+	out, err = capture(t, func() error {
+		return run([]string{"bench", "-only", name, "-validate", "-out", dir})
+	})
+	if err != nil {
+		t.Fatalf("bench -only %s -validate on freshly emitted artifact: %v", name, err)
+	}
+	if !strings.Contains(out, file+": schema ok") {
+		t.Errorf("%s validate output missing confirmation:\n%s", name, truncate(out, 800))
 	}
 	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "topology", "-validate", "-out", t.TempDir()})
+		return run([]string{"bench", "-only", name, "-validate", "-out", t.TempDir()})
 	}); err == nil {
-		t.Error("bench -only topology -validate on an empty directory should fail")
+		t.Errorf("bench -only %s -validate on an empty directory should fail", name)
 	}
+}
+
+// TestCLIBenchChaos drives the chaos-only mode: the sweep must survive
+// every fault class (the crash-at-t=0 edge case included) and rewrite
+// the committed BENCH_chaos.json.
+func TestCLIBenchChaos(t *testing.T) {
+	benchOnly(t, "chaos", "chaos sweep", "crash-t0", "straggler", "flaky-link", "replanned")
+}
+
+// TestCLIBenchTopology drives the topology-only mode: the sweep must
+// hold the crossover-shift gate (star yes, chain no) and rewrite the
+// committed BENCH_topology.json.
+func TestCLIBenchTopology(t *testing.T) {
+	benchOnly(t, "topology", "topology sweep", "star", "chain", "two-source",
+		"crossover star", "crossover chain", "none (het never wins")
+}
+
+// TestCLIBenchCreatesOutDir: bench creates a missing -out directory
+// before its first sweep instead of failing after the last one.
+func TestCLIBenchCreatesOutDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "x", "y")
+	if out, err := capture(t, func() error {
+		return run([]string{"bench", "-only", "chaos", "-seed", "42", "-out", dir})
+	}); err != nil {
+		t.Fatalf("bench into a missing nested directory: %v\n%s", err, out)
+	}
+	matchesCommitted(t, dir, "BENCH_chaos.json")
 }
 
 func TestCLIErrors(t *testing.T) {
@@ -530,120 +510,12 @@ func TestCLITraceGolden(t *testing.T) {
 	}
 }
 
-// Golden determinism for `nlfl iterate`: the residual trajectory is
-// exact master-side float64 arithmetic, so the deterministic section of
-// the output (everything above "control and timing") must be
-// byte-identical across reruns AND across planning modes — only the
-// measured makespans below it may differ.
-func TestCLIIterateGolden(t *testing.T) {
-	deterministic := func(out string) string {
-		i := strings.Index(out, "control and timing")
-		if i < 0 {
-			t.Fatalf("output missing the control and timing section:\n%s", truncate(out, 800))
-		}
-		return out[:i]
-	}
-	residuals := func(out string) string {
-		s := deterministic(out)
-		i := strings.Index(s, "residuals (")
-		if i < 0 {
-			t.Fatalf("output missing the residuals section:\n%s", truncate(out, 800))
-		}
-		return s[i:]
-	}
-	args := func(mode string) []string {
-		return []string{"iterate", "-n", "48", "-tie", "0.6", "-rate", "4e5",
-			"-speeds", "1,2,3", "-rounds", "12", "-mode", mode,
-			"-drift-worker", "2", "-drift-factor", "0.4", "-drift-round", "1"}
-	}
-	var adaptive [2]string
-	for i := range adaptive {
-		out, err := capture(t, func() error { return run(args("adaptive")) })
-		if err != nil {
-			t.Fatalf("iterate adaptive: %v\n%s", err, out)
-		}
-		adaptive[i] = out
-	}
-	if deterministic(adaptive[0]) != deterministic(adaptive[1]) {
-		t.Errorf("rerun changed the deterministic section:\n--- a ---\n%s--- b ---\n%s",
-			deterministic(adaptive[0]), deterministic(adaptive[1]))
-	}
-	for _, want := range []string{"drift: worker 2 slows to 0.40x from round 1",
-		"converged in 7 rounds to dominant index 16", "replans", "total makespan"} {
-		if !strings.Contains(adaptive[0], want) {
-			t.Errorf("iterate output missing %q:\n%s", want, truncate(adaptive[0], 1200))
-		}
-	}
-	// The same trajectory under every planning mode: static and oracle
-	// must print residual-for-residual identical sections.
-	for _, mode := range []string{"static", "oracle"} {
-		out, err := capture(t, func() error { return run(args(mode)) })
-		if err != nil {
-			t.Fatalf("iterate %s: %v\n%s", mode, err, out)
-		}
-		if residuals(out) != residuals(adaptive[0]) {
-			t.Errorf("%s residuals differ from adaptive:\n--- %s ---\n%s--- adaptive ---\n%s",
-				mode, mode, residuals(out), residuals(adaptive[0]))
-		}
-	}
-}
-
 // TestCLIBenchIterative drives the iterative-only mode: the sweep must
-// pass its own acceptance gate, emit a BENCH_iterative.json that
-// round-trips through -only iterative -validate, and keep the residual
-// trajectory deterministic across reruns (makespans are free to differ —
-// see EXPERIMENTS.md).
+// pass its own acceptance gate and rewrite the committed
+// BENCH_iterative.json.
 func TestCLIBenchIterative(t *testing.T) {
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	var files [2]results.IterativeBenchFile
-	for i, dir := range dirs {
-		out, err := capture(t, func() error {
-			return run([]string{"bench", "-only", "iterative", "-quick", "-seed", "42", "-out", dir})
-		})
-		if err != nil {
-			t.Fatalf("bench -only iterative: %v\n%s", err, out)
-		}
-		for _, want := range []string{"iterative sweep", "static", "adaptive", "oracle",
-			"adaptive/oracle", "crash", "straggler", "link-slow", "wrote"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("bench -only iterative output missing %q:\n%s", want, truncate(out, 1200))
-			}
-		}
-		files[i], err = results.LoadJSON[results.IterativeBenchFile](dir + "/BENCH_iterative.json")
-		if err != nil {
-			t.Fatalf("emitted iterative artifact unreadable: %v", err)
-		}
-	}
-	if len(files[0].Policies) != len(files[1].Policies) {
-		t.Fatalf("policy counts differ across reruns: %d vs %d", len(files[0].Policies), len(files[1].Policies))
-	}
-	for i := range files[0].Policies {
-		a, b := files[0].Policies[i], files[1].Policies[i]
-		if a.Policy != b.Policy || a.Rounds != b.Rounds || a.Dominant != b.Dominant {
-			t.Errorf("policy %d identity not deterministic: %+v vs %+v", i, a, b)
-		}
-		for r := range a.Residuals {
-			if a.Residuals[r] != b.Residuals[r] {
-				t.Errorf("policy %s round %d residual differs across reruns: %v vs %v",
-					a.Policy, r, a.Residuals[r], b.Residuals[r])
-			}
-		}
-	}
-
-	out, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "iterative", "-validate", "-out", dirs[0]})
-	})
-	if err != nil {
-		t.Fatalf("bench -only iterative -validate on freshly emitted artifact: %v", err)
-	}
-	if !strings.Contains(out, "BENCH_iterative.json: schema ok") {
-		t.Errorf("iterative validate output missing confirmation:\n%s", truncate(out, 800))
-	}
-	if _, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "iterative", "-validate", "-out", t.TempDir()})
-	}); err == nil {
-		t.Error("bench -only iterative -validate on an empty directory should fail")
-	}
+	benchOnly(t, "iterative", "iterative sweep", "static", "adaptive", "oracle",
+		"adaptive/oracle", "crash", "straggler", "link-slow")
 }
 
 func TestCLIAll(t *testing.T) {

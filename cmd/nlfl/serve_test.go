@@ -400,6 +400,10 @@ func TestServeJobTableBounded(t *testing.T) {
 			t.Fatalf("job %d got id %d: the test relies on ids counting from 1", i, id)
 		}
 		body := f.finish(id)
+		// A poll can read the job done from its handle before the retire
+		// goroutine moves it into the ring; wait for that move, so the
+		// ring fills in id order and the oldest retained id is fixed.
+		f.st.waiters.Wait()
 		switch i {
 		case 500:
 			heap500 = heapAfterGC()

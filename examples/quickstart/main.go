@@ -9,6 +9,7 @@ import (
 	"nlfl/internal/core"
 	"nlfl/internal/matmul"
 	"nlfl/internal/platform"
+	"nlfl/internal/runtime"
 	"nlfl/internal/stats"
 )
 
@@ -37,21 +38,21 @@ func main() {
 	fmt.Printf("\nheterogeneity-aware layout ships %.1f× less data than MapReduce-style blocks\n",
 		plan.Savings())
 
-	// 3. And the plan actually runs: compute a small outer product with
-	// one goroutine per worker on its rectangle, verified against the
-	// dense kernel.
+	// 3. And the plan actually runs: the worker pool computes a small
+	// outer product on the plan's rectangles, snapped to the integer
+	// grid, verified against the dense kernel.
 	const n = 256
 	r := stats.NewRNG(1)
 	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
-	smallPlan, err := core.PlanOuterProduct(pl, n)
+	smallPlan, err := runtime.PlanHet(pl, n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, _, err := core.ExecuteOuterProduct(smallPlan, a, b)
+	rep, err := runtime.Run(smallPlan, a, b, runtime.Options{Speeds: pl.Speeds()})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexecuted the plan on real vectors (n=%d): correct=%v\n",
-		n, matmul.VectorOuter(a, b).Equal(got, 1e-12))
+		n, matmul.VectorOuter(a, b).Equal(rep.Out, 1e-12))
 }

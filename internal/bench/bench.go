@@ -7,17 +7,19 @@
 // machine-readable BENCH_<name>.json record per entry of its Artifacts
 // registry, seeding the repository's performance trajectory.
 //
-// Geometry — grids, chunk counts, per-strategy communication volumes — is
-// deterministic given the seed; wall-clock timings are not, which is why
-// the volume cross-checks gate on the deterministic ledger and the
-// timings are recorded as environment-stamped observations. See
-// docs/PERFORMANCE.md for how to read the output and EXPERIMENTS.md for
-// the regeneration recipe.
+// Every sweep that runs the worker pool — runtime, link, chaos, topology,
+// capacity and iterative — runs it on the virtual clock, so its artifact
+// is a function of the seed, the code and the toolchain, byte for byte.
+// Only the kernel and service sweeps time the host, and record their
+// timings as environment-stamped observations. See docs/PERFORMANCE.md
+// for how to read the output and EXPERIMENTS.md for the regeneration
+// recipe.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -30,8 +32,9 @@ type Config struct {
 	// Seed drives every random input (matrices, vectors). Identical seeds
 	// reproduce identical geometry and volumes.
 	Seed int64
-	// Quick selects the reduced CI configuration: smaller sizes, fewer
-	// repetitions, two platforms instead of four.
+	// Quick selects the reduced CI configuration of the two wall-clock
+	// sweeps: smaller kernel sizes and fewer repetitions, fewer service
+	// loads and jobs. The virtual-clock sweeps ignore it.
 	Quick bool
 	// WorkPerSecond overrides the runtime token-bucket rate scale
 	// (cells/second for a speed-1 worker); 0 selects 2e6.
@@ -109,11 +112,15 @@ func Lookup(name string) (Artifact, error) {
 	return Artifact{}, fmt.Errorf("bench: unknown artifact %q (one of %s)", name, Names())
 }
 
-// Run executes the given artifacts' sweeps in order and validates every
-// payload; only when all of them pass does it write them into dir. It
-// returns the payloads in the order given. A failed sweep, a failed gate
-// or a cancelled ctx (sweeps stop at their next boundary) writes nothing.
+// Run creates dir, executes the given artifacts' sweeps in order and
+// validates every payload; only when all of them pass does it write them
+// into dir. It returns the payloads in the order given. A failed sweep, a
+// failed gate or a cancelled ctx (sweeps stop at their next boundary)
+// writes nothing; a dir that cannot be created fails before any sweep.
 func Run(ctx context.Context, cfg Config, dir string, arts ...Artifact) ([]any, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
 	files := make([]any, len(arts))
 	for i, a := range arts {
 		f, err := a.run(ctx, cfg)

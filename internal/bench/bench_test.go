@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nlfl/internal/results"
@@ -71,9 +72,9 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		}
 	}
 	rf := payload[results.RuntimeBenchFile](t, files)
-	// Quick config: 2 platforms × 3 strategies.
-	if len(rf.Entries) != 6 {
-		t.Fatalf("runtime file has %d entries, want 6", len(rf.Entries))
+	// 4 platforms × 3 strategies: quick leaves the virtual-clock sweeps whole.
+	if len(rf.Entries) != 12 {
+		t.Fatalf("runtime file has %d entries, want 12", len(rf.Entries))
 	}
 	for _, e := range rf.Entries {
 		if e.Violations != 0 {
@@ -82,9 +83,9 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	}
 
 	lf := payload[results.LinkBenchFile](t, files)
-	// Quick config: 1 platform × 2 bandwidths × 3 strategies.
-	if len(lf.Entries) != 6 {
-		t.Fatalf("link file has %d entries, want 6", len(lf.Entries))
+	// 2 platforms × 3 bandwidths × 3 strategies.
+	if len(lf.Entries) != 18 {
+		t.Fatalf("link file has %d entries, want 18", len(lf.Entries))
 	}
 	minBW := lf.Entries[0].Bandwidth
 	makespans := map[string]float64{}
@@ -98,7 +99,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		}
 	}
 	for _, e := range lf.Entries {
-		if e.Bandwidth == minBW {
+		if e.Bandwidth == minBW && e.Platform == lf.Entries[0].Platform {
 			makespans[e.Strategy] = e.Makespan
 		}
 	}
@@ -109,9 +110,9 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	}
 
 	cf := payload[results.ChaosBenchFile](t, files)
-	// Quick config: 1 platform × 4 fault classes.
-	if len(cf.Entries) != 4 {
-		t.Fatalf("chaos file has %d entries, want 4", len(cf.Entries))
+	// 2 platforms × 4 fault classes.
+	if len(cf.Entries) != 8 {
+		t.Fatalf("chaos file has %d entries, want 8", len(cf.Entries))
 	}
 	classes := map[string]bool{}
 	for _, e := range cf.Entries {
@@ -156,9 +157,9 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	}
 
 	tf := payload[results.TopologyBenchFile](t, files)
-	// Quick config: 3 topologies × 2 bandwidths × 2 strategies.
-	if len(tf.Entries) != 12 {
-		t.Fatalf("topology file has %d entries, want 12", len(tf.Entries))
+	// 3 topologies × 2 bandwidths × 3 strategies.
+	if len(tf.Entries) != 18 {
+		t.Fatalf("topology file has %d entries, want 18", len(tf.Entries))
 	}
 	for _, e := range tf.Entries {
 		if e.Violations != 0 {
@@ -186,10 +187,10 @@ func TestRunQuickEndToEnd(t *testing.T) {
 }
 
 // TestRuntimeVolumesDeterministic regenerates the runtime sweep and checks
-// that the deterministic half of the record — geometry and communication
-// volumes — is identical across runs, while timings are free to differ.
+// that the whole record — geometry, volumes and the virtual-clock
+// makespans — is identical across runs.
 func TestRuntimeVolumesDeterministic(t *testing.T) {
-	cfg := Config{Seed: 7, Quick: true}
+	cfg := Config{Seed: 7}
 	f1, err := RunRuntime(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -198,15 +199,8 @@ func TestRuntimeVolumesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f1.Entries) != len(f2.Entries) {
-		t.Fatalf("entry counts differ: %d vs %d", len(f1.Entries), len(f2.Entries))
-	}
-	for i := range f1.Entries {
-		a, b := f1.Entries[i], f2.Entries[i]
-		if a.MeasuredVolume != b.MeasuredVolume || a.PredictedVolume != b.PredictedVolume ||
-			a.Grid != b.Grid || a.K != b.K || a.Chunks != b.Chunks {
-			t.Errorf("entry %d (%s/%s) not deterministic: %+v vs %+v", i, a.Platform, a.Strategy, a, b)
-		}
+	if !reflect.DeepEqual(f1, f2) {
+		t.Errorf("runtime sweep not deterministic:\n%+v\nvs\n%+v", f1, f2)
 	}
 }
 
@@ -313,9 +307,12 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 			}
 			return f
 		}, ValidateChaos, map[string]func(*results.ChaosBenchFile){
-			"wrong-class":         func(f *results.ChaosBenchFile) { f.Entries[0].Class = "gremlins" },
-			"replan-shrank":       func(f *results.ChaosBenchFile) { f.Entries[0].ReplannedVolume = 30 },
-			"5%-volume-gate":      func(f *results.ChaosBenchFile) { f.Entries[0].CommittedVolume = 36 },
+			"wrong-class":    func(f *results.ChaosBenchFile) { f.Entries[0].Class = "gremlins" },
+			"replan-shrank":  func(f *results.ChaosBenchFile) { f.Entries[0].ReplannedVolume = 30 },
+			"5%-volume-gate": func(f *results.ChaosBenchFile) { f.Entries[0].CommittedVolume = 36 },
+			"committed-off-by-eps": func(f *results.ChaosBenchFile) {
+				f.Entries[0].CommittedVolume, f.Entries[0].WastedData = 40.00001, 7.99999
+			},
 			"leaky-ledger":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 4 },
 			"waste-thrash":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 48; f.Entries[0].MeasuredVolume = 88 },
 			"nan-makespan":        func(f *results.ChaosBenchFile) { f.Entries[0].Makespan = nan() },
@@ -421,15 +418,17 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 			return results.CapacityBenchFile{
 				Schema: results.BenchCapacitySchema, Alpha: 2, N: 16, Speeds: []float64{2, 1, 1},
 				WorkPerSecond: 1e4, Bandwidth: 1e4, Theta: 0.05,
-				SimTolerance: 0.05, MeasuredTolerance: 0.25, Reps: 1,
+				SimTolerance: 0.05, MeasuredTolerance: 0.05,
 				Knee: 1, Best: 3, SpeedupBound: 1.5,
 				Entries: []results.CapacityBenchEntry{entry(1, 1, 0), entry(2, 1.02, 0.02), entry(3, 1.03, 0.0098)},
 			}
 		}, ValidateCapacity, map[string]func(*results.CapacityBenchFile){
-			"wrong-schema":      func(f *results.CapacityBenchFile) { f.Schema = "wrong" },
-			"missing-slice":     func(f *results.CapacityBenchFile) { f.Entries = f.Entries[:2] },
-			"knee-not-interior": func(f *results.CapacityBenchFile) { f.Knee = 3 },
-			"sim-off-model":     func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = 0.2 },
+			"wrong-schema":       func(f *results.CapacityBenchFile) { f.Schema = "wrong" },
+			"missing-slice":      func(f *results.CapacityBenchFile) { f.Entries = f.Entries[:2] },
+			"knee-not-interior":  func(f *results.CapacityBenchFile) { f.Knee = 3 },
+			"sim-off-model":      func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = 0.2 },
+			"measured-off-model": func(f *results.CapacityBenchFile) { f.Entries[1].MeasuredRelErr = 0.06 },
+			"loose-stated-gate":  func(f *results.CapacityBenchFile) { f.MeasuredTolerance = 0.25 },
 			// Speedups flattened to 1 keep every other gate satisfied.
 			"speedup-bound-1": func(f *results.CapacityBenchFile) {
 				f.SpeedupBound = 1

@@ -24,19 +24,11 @@ const (
 	capacityRate  = 3e4   // cells/s per unit speed
 	capacityBW    = 2.5e4 // master link elems/s
 	capacityTheta = 0.05  // knee threshold: stop below 5% marginal speedup
-	// capacitySimTol gates the discrete-event simulator: the model and
-	// the DES differ only by integer-grid snapping of the PERI-SUM
-	// rectangles, a ≤ 2% effect at N=96 with headroom to 5%.
+	// capacitySimTol gates both executors: the model and the DES differ
+	// only by integer-grid snapping of the PERI-SUM rectangles, a ≤ 2%
+	// effect at N=96 with headroom to 5%, and the worker pool on the
+	// virtual clock adds only its token-bucket and link-booking rounding.
 	capacitySimTol = 0.05
-	// capacityMeasTol gates the measured worker pool: wall-clock adds
-	// goroutine scheduling and timer noise on top of snapping.
-	capacityMeasTol = 0.25
-	// capacityMeasTolQuick is the quick-mode measured gate. Quick sweeps
-	// run inside `go test ./...` and CI smoke jobs where sibling test
-	// packages compete for every core, so the token-bucket sleeps that
-	// realize the modeled rates stretch well past the calm-machine noise
-	// floor; the committed full-mode artifact keeps the tight gate.
-	capacityMeasTolQuick = 0.5
 )
 
 // capacityModel is the sweep's planning question.
@@ -50,39 +42,20 @@ func capacityModel() capacity.Model {
 	}
 }
 
-// capacityReps is the best-of count for the measured makespan: noise
-// (timer warm-up in a fresh process, scheduler jitter) is strictly
-// additive over the modeled time, so the minimum estimates the model.
-func capacityReps(quick bool) int {
-	if quick {
-		return 2
-	}
-	return 3
-}
-
-// capacityMeasTolFor picks the measured-runtime gate for the mode.
-func capacityMeasTolFor(quick bool) float64 {
-	if quick {
-		return capacityMeasTolQuick
-	}
-	return capacityMeasTol
-}
-
 // RunCapacitySweep validates the capacity model at every slice size of
 // the fixed envelope against both executors: the discrete-event
-// simulator (deterministic, snapping-only disagreement) and the real
-// worker-pool runtime (wall-clock, best-of-reps). Every observation is
-// gated through capacity.CheckObservation at the stated tolerance
-// before the file is considered valid — BENCH_capacity.json is the
-// proof that `nlfl recommend` and the fleet autoscaler size slices from
-// a model that matches what actually runs. A cancelled ctx aborts
-// between slice sizes.
+// simulator and the real worker-pool runtime on the virtual clock, both
+// deterministic. Every observation is gated through
+// capacity.CheckObservation at the stated tolerance before the file is
+// considered valid — BENCH_capacity.json is the proof that `nlfl
+// recommend` and the fleet autoscaler size slices from a model that
+// matches what actually runs. A cancelled ctx aborts between slice
+// sizes.
 func RunCapacitySweep(ctx context.Context, cfg Config) (results.CapacityBenchFile, error) {
 	m := capacityModel()
 	file := results.CapacityBenchFile{
 		Schema:            results.BenchCapacitySchema,
 		Seed:              cfg.Seed,
-		Quick:             cfg.Quick,
 		Alpha:             m.Alpha,
 		N:                 m.N,
 		Speeds:            m.Speeds,
@@ -90,10 +63,8 @@ func RunCapacitySweep(ctx context.Context, cfg Config) (results.CapacityBenchFil
 		Bandwidth:         m.Bandwidth,
 		Theta:             capacityTheta,
 		SimTolerance:      capacitySimTol,
-		MeasuredTolerance: capacityMeasTolFor(cfg.Quick),
-		Reps:              capacityReps(cfg.Quick),
+		MeasuredTolerance: capacitySimTol,
 		GoVersion:         goruntime.Version(),
-		GOMAXPROCS:        maxProcs(),
 	}
 	rec, err := m.Recommend(capacityTheta)
 	if err != nil {
@@ -126,13 +97,9 @@ func RunCapacitySweep(ctx context.Context, cfg Config) (results.CapacityBenchFil
 		}
 		entry.SimMakespan = sim
 		entry.SimRelErr = math.Abs(sim-pred.Makespan) / pred.Makespan
-		meas := math.Inf(1)
-		for rep := 0; rep < file.Reps; rep++ {
-			one, err := m.MeasureMakespan(ctx, p, cfg.Seed+int64(rep))
-			if err != nil {
-				return file, fmt.Errorf("bench: capacity measure p=%d: %w", p, err)
-			}
-			meas = math.Min(meas, one)
+		meas, err := m.MeasureMakespan(ctx, p, cfg.Seed)
+		if err != nil {
+			return file, fmt.Errorf("bench: capacity measure p=%d: %w", p, err)
 		}
 		if err := m.CheckObservation(p, meas, file.MeasuredTolerance); err != nil {
 			return file, fmt.Errorf("bench: %w", err)
@@ -146,9 +113,10 @@ func RunCapacitySweep(ctx context.Context, cfg Config) (results.CapacityBenchFil
 
 // ValidateCapacity is the schema check for a BENCH_capacity payload:
 // right schema id, the full 1..P slice coverage, finite fields, both
-// observation columns inside their stated tolerances, a knee that
-// exists strictly inside the fleet and is consistent with the marginal
-// gains, a closed-form speedup ceiling above 1, and no speedup above it.
+// observation columns inside their stated tolerances, neither looser
+// than the 5% gate, a knee that exists strictly inside the fleet and is
+// consistent with the marginal gains, a closed-form speedup ceiling
+// above 1, and no speedup above it.
 func ValidateCapacity(f results.CapacityBenchFile) error {
 	if f.Schema != results.BenchCapacitySchema {
 		return invalid("schema %q, want %q", f.Schema, results.BenchCapacitySchema)
@@ -175,11 +143,14 @@ func ValidateCapacity(f results.CapacityBenchFile) error {
 			return invalid("non-positive or non-finite %s %v", v.name, v.value)
 		}
 	}
+	if f.SimTolerance > capacitySimTol || f.MeasuredTolerance > capacitySimTol {
+		return invalid("stated tolerances %v/%v looser than the %v gate", f.SimTolerance, f.MeasuredTolerance, capacitySimTol)
+	}
 	if f.SpeedupBound <= 1 {
 		return invalid("speedup bound %v: a fleet whose ceiling is 1 has nothing to plan", f.SpeedupBound)
 	}
-	if f.N <= 0 || f.Reps <= 0 {
-		return invalid("non-positive n %d or reps %d", f.N, f.Reps)
+	if f.N <= 0 {
+		return invalid("non-positive n %d", f.N)
 	}
 	if f.Knee < 1 || f.Knee >= len(f.Speeds) {
 		return invalid("knee %d not strictly inside [1, %d) — the envelope must make the planner earn its keep",

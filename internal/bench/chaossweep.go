@@ -19,16 +19,11 @@ import (
 // speculation thresholds are calibrated against this rate and size so
 // the fault lands mid-run (not after an instant drain, not after the
 // pool already finished). chaosN=128 keeps a het-1357 chunk around 50 ms
-// at chaosRate, so a 15 ms crash is reliably mid-chunk.
+// at chaosRate, so a 15 ms crash lands mid-chunk. Every instant is
+// modeled time on the virtual clock.
 const (
 	chaosN    = 128
 	chaosRate = 2e4
-	// chaosVolTolerance is the acceptance gate on the volume ledger: the
-	// committed volume must match the survivor-re-planned plan volume to
-	// within 5%. The executor actually achieves exact equality (both are
-	// integer-valued element counts), so the gate has real slack only for
-	// future executors that ship partial chunks.
-	chaosVolTolerance = 0.05
 )
 
 // chaosCase is one fault scenario the sweep injects.
@@ -87,18 +82,11 @@ func chaosCases() []chaosCase {
 	}
 }
 
-func chaosPlatforms(quick bool) []benchPlatform {
-	ps := []benchPlatform{{"het-1357-p4", []float64{1, 3, 5, 7}}}
-	if !quick {
-		ps = append(ps, benchPlatform{"het-1224-p4", []float64{1, 2, 2, 4}})
-	}
-	return ps
-}
-
 // RunChaosSweep executes one scenario per fault class through the real
-// worker pool with the chaos layer armed, audits every trace with the
-// exactly-once oracle, cross-checks the volume ledger against the
-// survivor-re-planned plan, and returns the BENCH_chaos payload. A
+// worker pool with the chaos layer armed, on the virtual clock, audits
+// every trace with the exactly-once oracle, cross-checks the volume
+// ledger against the survivor-re-planned plan, and returns the
+// BENCH_chaos payload. A
 // scenario the pool does not survive — or survives with a dirty ledger —
 // is an error, not a data point. A cancelled ctx aborts the in-flight
 // run and stops the sweep.
@@ -106,16 +94,14 @@ func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, err
 	file := results.ChaosBenchFile{
 		Schema:        results.BenchChaosSchema,
 		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
 		WorkPerSecond: chaosRate,
 		GoVersion:     goruntime.Version(),
-		GOMAXPROCS:    maxProcs(),
 	}
 	r := stats.NewRNG(cfg.Seed)
 	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, chaosN)
 	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, chaosN)
 
-	for _, bp := range chaosPlatforms(cfg.Quick) {
+	for _, bp := range hetPlatforms {
 		pl, err := platform.FromSpeeds(bp.speeds)
 		if err != nil {
 			return file, err
@@ -141,6 +127,7 @@ func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, err
 				Burst:       1,
 				VerifyEvery: 509,
 				Chaos:       cc.chaos,
+				Virtual:     true,
 			})
 			if err != nil {
 				return file, fmt.Errorf("bench: %s/%s: pool did not survive: %w", bp.name, cc.class, err)
@@ -171,7 +158,7 @@ func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, err
 
 // ValidateChaos is the schema check for a BENCH_chaos payload: right
 // schema id, at least one entry for every fault class, finite fields,
-// zero invariant violations, the committed volume within 5% of the
+// zero invariant violations, the committed volume exactly the
 // survivor-re-planned plan volume, an exact shipped = committed + wasted
 // ledger, and — per class — nonzero recovery counters proving the
 // scenario actually bit (a chaos sweep that injected nothing would pass
@@ -217,8 +204,8 @@ func ValidateChaos(f results.ChaosBenchFile) error {
 		if e.ReplannedVolume < e.PlanVolume {
 			return invalid("%s: replanned volume %v below plan volume %v", id, e.ReplannedVolume, e.PlanVolume)
 		}
-		if rel := math.Abs(e.CommittedVolume-e.ReplannedVolume) / e.ReplannedVolume; rel > chaosVolTolerance {
-			return invalid("%s: committed volume off the re-planned plan by %.4f (> %.2f)", id, rel, chaosVolTolerance)
+		if e.CommittedVolume != e.ReplannedVolume {
+			return invalid("%s: committed volume %v ≠ re-planned plan volume %v", id, e.CommittedVolume, e.ReplannedVolume)
 		}
 		if diff := math.Abs(e.MeasuredVolume - (e.CommittedVolume + e.WastedData)); diff > 1e-6*math.Max(1, e.MeasuredVolume) {
 			return invalid("%s: shipped %v ≠ committed %v + wasted %v", id, e.MeasuredVolume, e.CommittedVolume, e.WastedData)

@@ -41,14 +41,10 @@ const (
 // iterSpeeds is the policy sweep's fleet speed profile.
 func iterSpeeds() []float64 { return []float64{1, 2, 3, 4} }
 
-// iterTie selects the runner-up tie (and with it the deterministic round
-// count: entrywise squaring separates a ratio r as r^(2^t)).
-func iterTie(quick bool) float64 {
-	if quick {
-		return 0.999 // ≈ 15 rounds
-	}
-	return 0.9999 // ≈ 18 rounds
-}
+// iterTie is the runner-up tie, and with it the deterministic round
+// count: entrywise squaring separates a ratio r as r^(2^t), so 0.9999
+// takes ≈ 18 rounds.
+const iterTie = 0.9999
 
 // iterDriftChaos is the drifting-straggler scenario every policy runs
 // under: worker iterDriftWorker computes at iterDriftFactor speed from
@@ -85,8 +81,8 @@ func iterOracleRates(round int) []float64 {
 // drifting-straggler fleet, plus one adaptive run per chaos class, every
 // round audited by the exactly-once trace oracle. The iterate itself is
 // exact master arithmetic, so residuals and round counts must agree
-// across policies — only the measured makespans differ, and those are
-// what the policies are ranked on.
+// across policies — only the makespans, modeled on the virtual clock,
+// differ, and those are what the policies are ranked on.
 func RunIterativeSweep(ctx context.Context, cfg Config) (results.IterativeBenchFile, error) {
 	return runIterativeSweep(ctx, cfg, 0)
 }
@@ -99,12 +95,9 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 	file := results.IterativeBenchFile{
 		Schema:        results.BenchIterativeSchema,
 		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
 		WorkPerSecond: iterRate,
 		GoVersion:     goruntime.Version(),
-		GOMAXPROCS:    maxProcs(),
 	}
-	tie := iterTie(cfg.Quick)
 	makespans := map[iterative.Mode]float64{}
 	for _, mode := range []iterative.Mode{iterative.ModeStatic, iterative.ModeAdaptive, iterative.ModeOracle} {
 		if err := ctx.Err(); err != nil {
@@ -112,7 +105,7 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 		}
 		opts := iterative.Options{
 			N:             iterN,
-			X0:            iterative.SeedVector(iterN, tie),
+			X0:            iterative.SeedVector(iterN, iterTie),
 			MaxRounds:     30,
 			Tol:           1e-9,
 			Mode:          mode,

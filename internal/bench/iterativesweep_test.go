@@ -10,7 +10,7 @@ import (
 )
 
 func TestIterativeSweepQuickGates(t *testing.T) {
-	cfg := Config{Seed: 42, Quick: true}
+	cfg := Config{Seed: 42}
 	f, err := RunIterativeSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestIterativeSweepQuickGates(t *testing.T) {
 // the convergence-quality gates. If this sweep passed, the gates would
 // be measuring nothing.
 func TestIterativeSweepFrozenEstimatorFails(t *testing.T) {
-	cfg := Config{Seed: 42, Quick: true}
+	cfg := Config{Seed: 42}
 	f, err := runIterativeSweep(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)

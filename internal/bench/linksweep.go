@@ -12,41 +12,33 @@ import (
 	"nlfl/internal/trace"
 )
 
-// linkN is the problem size of the bandwidth sweep (shared by quick and
-// full so the bandwidth grid below keeps its meaning).
+// linkN is the problem size of the bandwidth sweep.
 const linkN = 128
 
-// linkBandwidths returns the swept master-link rates in elements/second.
+// linkBandwidths are the swept master-link rates in elements/second.
 // The grid brackets the regime change for linkN=128 at the default work
 // rate: at 2e4 the link is the clear bottleneck (hom's 1024 elements
 // take ~51 ms against sub-ms of aggregate compute), at 2e5 comm and
 // compute are comparable, at 2e6 the runs are compute-bound and the
 // strategies converge — the measured version of the paper's Figure-2
 // volume/makespan trade-off.
-func linkBandwidths(quick bool) []float64 {
-	if quick {
-		return []float64{2e4, 2e6}
-	}
-	return []float64{2e4, 2e5, 2e6}
-}
+var linkBandwidths = []float64{2e4, 2e5, 2e6}
 
-// linkPlatforms returns the swept speed profiles: heterogeneous ones,
-// because that is where Comm_het < Comm_hom and the constrained link
-// should turn the volume gap into a makespan gap.
-func linkPlatforms(quick bool) []benchPlatform {
-	ps := []benchPlatform{{"het-1357-p4", []float64{1, 3, 5, 7}}}
-	if !quick {
-		ps = append(ps, benchPlatform{"het-1224-p4", []float64{1, 2, 2, 4}})
-	}
-	return ps
+// hetPlatforms are the speed profiles of the link and chaos sweeps:
+// heterogeneous ones, because that is where Comm_het < Comm_hom, the
+// constrained link should turn the volume gap into a makespan gap, and
+// a crash makes PERI-SUM re-plan uneven rectangles.
+var hetPlatforms = []benchPlatform{
+	{"het-1357-p4", []float64{1, 3, 5, 7}},
+	{"het-1224-p4", []float64{1, 2, 2, 4}},
 }
 
 // RunLinkSweep executes the three distribution strategies under a
 // bandwidth-modeled master link (double-buffered prefetch on) across the
-// bandwidth grid, audits every trace — the link-capacity invariant
-// included — and gates the paper's headline claim: at the most
-// constrained bandwidth on a heterogeneous platform, the lower-volume
-// het plan must finish strictly faster than hom. Any violation or a
+// bandwidth grid on the virtual clock, audits every trace — the
+// link-capacity invariant included — and gates the paper's headline
+// claim: at the most constrained bandwidth on a heterogeneous platform,
+// the lower-volume het plan must finish strictly faster than hom. Any violation or a
 // het-no-faster outcome is an error, not a data point. A cancelled ctx
 // aborts the in-flight run and stops the sweep.
 func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error) {
@@ -57,22 +49,18 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 	file := results.LinkBenchFile{
 		Schema:        results.BenchLinkSchema,
 		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
 		WorkPerSecond: rate,
 		GoVersion:     goruntime.Version(),
-		GOMAXPROCS:    maxProcs(),
 	}
 	r := stats.NewRNG(cfg.Seed)
 	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, linkN)
 	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, linkN)
-	bandwidths := linkBandwidths(cfg.Quick)
-
-	for _, bp := range linkPlatforms(cfg.Quick) {
+	for _, bp := range hetPlatforms {
 		pl, err := platform.FromSpeeds(bp.speeds)
 		if err != nil {
 			return file, err
 		}
-		for _, bw := range bandwidths {
+		for _, bw := range linkBandwidths {
 			if err := ctx.Err(); err != nil {
 				return file, err
 			}
@@ -99,6 +87,7 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 					Link:        nrt.Link{ElemsPerSecond: bw},
 					Prefetch:    true,
 					VerifyEvery: 1009,
+					Virtual:     true,
 				})
 				if err != nil {
 					return file, fmt.Errorf("bench: %s/%s bw=%g: %w", bp.name, plan.Strategy, bw, err)
@@ -122,7 +111,7 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 			}
 			// The no-free-lunch gate: when the link is the bottleneck,
 			// shipping less must mean finishing sooner.
-			if bw == bandwidths[0] {
+			if bw == linkBandwidths[0] {
 				if het, hom := makespans["het"], makespans["hom"]; het >= hom {
 					return file, fmt.Errorf(
 						"bench: %s bw=%g: het makespan %.4fs does not beat hom %.4fs despite lower volume",

@@ -22,26 +22,15 @@ type benchPlatform struct {
 	speeds []float64
 }
 
-func benchPlatforms(quick bool) []benchPlatform {
-	ps := []benchPlatform{
-		{"hom-p4", []float64{1, 1, 1, 1}},      // Σs/s₁ = 4
-		{"het-1357-p4", []float64{1, 3, 5, 7}}, // Σs/s₁ = 16
-	}
-	if !quick {
-		ps = append(ps,
-			benchPlatform{"hom-p9", []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}}, // Σs/s₁ = 9
-			benchPlatform{"het-1224-p4", []float64{1, 2, 2, 4}},           // Σs/s₁ = 9
-		)
-	}
-	return ps
+var benchPlatforms = []benchPlatform{
+	{"hom-p4", []float64{1, 1, 1, 1}},                // Σs/s₁ = 4
+	{"het-1357-p4", []float64{1, 3, 5, 7}},           // Σs/s₁ = 16
+	{"hom-p9", []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}}, // Σs/s₁ = 9
+	{"het-1224-p4", []float64{1, 2, 2, 4}},           // Σs/s₁ = 9
 }
 
-func runtimeN(quick bool) int {
-	if quick {
-		return 128
-	}
-	return 512
-}
+// runtimeN is the runtime sweep's vector length.
+const runtimeN = 512
 
 // homTolerance is the acceptance gate for the demand-driven strategies:
 // measured volume within 1% of the closed form (the paper's own
@@ -55,9 +44,9 @@ const (
 )
 
 // RunRuntime executes the three distribution strategies on every bench
-// platform through the real worker pool, cross-checks the measured
-// traffic against the analytic predictions, audits every trace, and
-// returns the BENCH_runtime payload. Any hom/hom-k disagreement above 1%
+// platform through the real worker pool on the virtual clock,
+// cross-checks the measured traffic against the analytic predictions,
+// audits every trace, and returns the BENCH_runtime payload. Any hom/hom-k disagreement above 1%
 // or any invariant violation is an error, not a data point. A cancelled
 // ctx aborts the in-flight run and stops the sweep.
 func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, error) {
@@ -68,17 +57,15 @@ func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, erro
 	file := results.RuntimeBenchFile{
 		Schema:        results.BenchRuntimeSchema,
 		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
 		WorkPerSecond: rate,
 		GoVersion:     goruntime.Version(),
-		GOMAXPROCS:    maxProcs(),
 	}
-	n := runtimeN(cfg.Quick)
+	n := runtimeN
 	r := stats.NewRNG(cfg.Seed)
 	a := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 	b := stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, n)
 
-	for _, bp := range benchPlatforms(cfg.Quick) {
+	for _, bp := range benchPlatforms {
 		if err := ctx.Err(); err != nil {
 			return file, err
 		}
@@ -116,6 +103,7 @@ func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, erro
 				// the pool has even started.
 				Burst:       rate * 0.001,
 				VerifyEvery: 1009,
+				Virtual:     true,
 			})
 			if err != nil {
 				return file, fmt.Errorf("bench: %s/%s: %w", bp.name, plan.Strategy, err)

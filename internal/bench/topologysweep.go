@@ -55,13 +55,6 @@ func topoFor(kind string, workers int, bw float64) nrt.Topology {
 	panic("bench: unknown topology " + kind)
 }
 
-func topoStrategies(quick bool) []string {
-	if quick {
-		return []string{"hom", "het"}
-	}
-	return []string{"hom", "hom/k", "het"}
-}
-
 // RunTopologySweep executes the strategy set over pluggable network
 // topologies — star, uniform daisy-chain, two-source — across the
 // bandwidth grid, audits every trace with the per-edge capacity and
@@ -78,10 +71,8 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 	file := results.TopologyBenchFile{
 		Schema:             results.BenchTopologySchema,
 		Seed:               cfg.Seed,
-		Quick:              cfg.Quick,
 		WorkPerSecond:      topoRate,
 		GoVersion:          goruntime.Version(),
-		GOMAXPROCS:         maxProcs(),
 		CrossoverThreshold: topoTheta,
 		Crossovers:         map[string]float64{},
 	}
@@ -102,7 +93,7 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 				return file, err
 			}
 			makespans := map[string]float64{}
-			for _, strat := range topoStrategies(cfg.Quick) {
+			for _, strat := range []string{"hom", "hom/k", "het"} {
 				var plan *nrt.StrategyPlan
 				var err error
 				switch strat {

@@ -23,9 +23,10 @@
 // Predictions are validated against two observations, not trusted as
 // theory: SimulateMakespan replays the snapped plan in the
 // discrete-event simulator (agreement within snapping error), and
-// MeasureMakespan executes it on the real goroutine worker pool
-// (agreement within scheduler noise). CheckObservation gates both in
-// BENCH_capacity.json; a model with a mis-specified α fails it.
+// MeasureMakespan executes it on the real goroutine worker pool on the
+// runtime's virtual clock (agreement within snapping error too).
+// CheckObservation gates both at 5% in BENCH_capacity.json; a model with
+// a mis-specified α fails it.
 //
 // Consumers: `nlfl recommend` (the operator CLI), the fleet service's
 // autoscaler admission policy (service.Config.AutoscaleTheta), and the

@@ -84,9 +84,10 @@ func (m Model) SimulateMakespan(p int) (float64, error) {
 
 // MeasureMakespan executes the same plan on the real worker-pool
 // runtime — goroutine workers, token-bucket speeds, the bandwidth-
-// modeled one-port link — and returns the measured wall-clock makespan.
-// Wall-clock adds scheduler noise on top of the model, so callers
-// compare against a looser tolerance than the simulator's.
+// modeled one-port link — on its virtual clock, and returns the run's
+// makespan in modeled seconds. The run is deterministic, so one call is
+// the observation, and it differs from the model only by the snapped
+// plan and the token and link rounding, the simulator's tolerance.
 func (m Model) MeasureMakespan(ctx context.Context, p int, seed int64) (float64, error) {
 	plan, speeds, err := m.realSystem(p)
 	if err != nil {
@@ -101,7 +102,8 @@ func (m Model) MeasureMakespan(ctx context.Context, p int, seed int64) (float64,
 		Link:          nrt.Link{ElemsPerSecond: m.Bandwidth},
 		// A tight bucket (0.1 ms of credit) keeps the throttle, not the
 		// burst allowance, pacing the run — the regime the model prices.
-		Burst: m.WorkPerSecond * 1e-4,
+		Burst:   m.WorkPerSecond * 1e-4,
+		Virtual: true,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("capacity: %w", err)

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
-	"nlfl/internal/matmul"
 	"nlfl/internal/partition"
 )
 
@@ -83,40 +81,4 @@ func SnapPlan(plan *Plan, n int) ([]IntRect, error) {
 		rects[i] = ir
 	}
 	return rects, nil
-}
-
-// ExecuteOuterProduct actually computes a̅ᵀ×b̅ following the plan: one
-// goroutine per worker fills exactly the cells of its rectangle through
-// matmul.OuterInto, reading only the a- and b-intervals the plan charges
-// it for. It returns the full product and the per-worker
-// element reads (which must match the plan's DataVolume accounting up to
-// integer-grid rounding) — the end-to-end anchor tying the communication
-// model to real computation. A plan rectangle that rounds to zero cells
-// despite a positive share is rejected with a *DegenerateRectError rather
-// than silently doing no work.
-func ExecuteOuterProduct(plan *Plan, a, b []float64) (*matmul.Matrix, []int, error) {
-	n := len(a)
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("core: vector lengths %d and %d differ", n, len(b))
-	}
-	if n == 0 {
-		return nil, nil, fmt.Errorf("core: empty vectors")
-	}
-	rects, err := SnapPlan(plan, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := matmul.New(n, n)
-	reads := make([]int, len(plan.Workers))
-	var wg sync.WaitGroup
-	for idx, r := range rects {
-		reads[idx] = r.Data()
-		wg.Add(1)
-		go func(r IntRect) {
-			defer wg.Done()
-			matmul.OuterInto(out, a, b, r.RowLo, r.RowHi, r.ColLo, r.ColHi)
-		}(r)
-	}
-	wg.Wait()
-	return out, reads, nil
 }

@@ -53,7 +53,9 @@ type Options struct {
 	Mode Mode
 
 	// Speeds, WorkPerSecond, Burst, VerifyEvery and Link configure the
-	// measured pool exactly as in runtime.Options.
+	// measured pool exactly as in runtime.Options. Every round runs on
+	// the runtime's virtual clock, so a job — its makespans, rate
+	// samples and control decisions — is reproducible from its options.
 	Speeds        []float64
 	WorkPerSecond float64
 	Burst         float64
@@ -80,7 +82,7 @@ type Options struct {
 	FreezeAfter int
 
 	// Chaos, when non-nil, supplies the fault scenario for each round
-	// (times relative to the round's own start). Workers the controller
+	// (modeled seconds from the round's own start). Workers the controller
 	// knows are dead get a crash-at-0 merged into every later round, so
 	// death is persistent across rounds in every mode.
 	Chaos func(round int) nrt.Chaos
@@ -116,7 +118,7 @@ type Result struct {
 	N         int
 	Converged bool
 	Rounds    []RoundResult
-	// TotalMakespan sums the measured round makespans.
+	// TotalMakespan sums the round makespans, in modeled seconds.
 	TotalMakespan float64
 	// Replans counts adopted re-plans after round 0; Fallbacks rounds kept
 	// on the last trusted plan; Reanchors drift-detection events.
@@ -302,6 +304,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			VerifyEvery:   opts.VerifyEvery,
 			Link:          opts.Link,
 			Chaos:         roundChaos(opts.Chaos, round, dead),
+			Virtual:       true,
 		}
 		rep, rerr := nrt.RunContext(ctx, plan, x, x, ropts)
 		if rerr != nil {

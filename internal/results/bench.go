@@ -8,11 +8,12 @@ import (
 
 // Bench schema identifiers, bumped on breaking field changes so consumers
 // (`nlfl bench -validate`, the performance trajectory) can reject files they
-// do not understand.
+// do not understand. The v2 schemas are the virtual-clock sweeps: a v2
+// file is a function of the seed, the code and the toolchain alone.
 const (
 	BenchKernelsSchema = "nlfl/bench-kernels/v1"
-	BenchRuntimeSchema = "nlfl/bench-runtime/v1"
-	BenchLinkSchema    = "nlfl/bench-link/v1"
+	BenchRuntimeSchema = "nlfl/bench-runtime/v2"
+	BenchLinkSchema    = "nlfl/bench-link/v2"
 )
 
 // KernelBenchEntry is one measured kernel configuration.
@@ -71,9 +72,8 @@ type RuntimeBenchEntry struct {
 	RelError        float64 `json:"relError"`
 	// BytesMoved is MeasuredVolume in bytes (8 per float64 element).
 	BytesMoved float64 `json:"bytesMoved"`
-	// Makespan is the measured wall-clock seconds; CellsPerSec the
-	// realized N²/Makespan throughput. Both vary run to run — see the
-	// determinism caveats in EXPERIMENTS.md.
+	// Makespan is the run's modeled seconds on the virtual clock;
+	// CellsPerSec the realized N²/Makespan throughput.
 	Makespan    float64 `json:"makespan"`
 	CellsPerSec float64 `json:"cellsPerSec"`
 	// Utilization and Imbalance summarize the run's trace. Imbalance is
@@ -88,11 +88,9 @@ type RuntimeBenchEntry struct {
 type RuntimeBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// WorkPerSecond is the token-bucket rate scale of every run.
 	WorkPerSecond float64             `json:"workPerSecond"`
 	GoVersion     string              `json:"goVersion"`
-	GOMAXPROCS    int                 `json:"gomaxprocs"`
 	Entries       []RuntimeBenchEntry `json:"entries"`
 }
 
@@ -111,8 +109,8 @@ type LinkBenchEntry struct {
 	// strategy's closed form over the executed plan.
 	MeasuredVolume  float64 `json:"measuredVolume"`
 	PredictedVolume float64 `json:"predictedVolume"`
-	// Makespan is the measured wall-clock seconds; CommTime the summed
-	// modeled transfer seconds across workers.
+	// Makespan is the run's modeled seconds on the virtual clock;
+	// CommTime the summed modeled transfer seconds across workers.
 	Makespan float64 `json:"makespan"`
 	CommTime float64 `json:"commTime"`
 	// OverlapFraction is the share of comm time hidden under compute by
@@ -131,11 +129,9 @@ type LinkBenchEntry struct {
 type LinkBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// WorkPerSecond is the token-bucket rate scale of every run.
 	WorkPerSecond float64          `json:"workPerSecond"`
 	GoVersion     string           `json:"goVersion"`
-	GOMAXPROCS    int              `json:"gomaxprocs"`
 	Entries       []LinkBenchEntry `json:"entries"`
 }
 

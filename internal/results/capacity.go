@@ -3,14 +3,12 @@ package results
 // BenchCapacitySchema identifies the BENCH_capacity.json payload,
 // bumped on breaking field changes so consumers (`nlfl bench
 // -validate`) can reject files they do not understand.
-const BenchCapacitySchema = "nlfl/bench-capacity/v1"
+const BenchCapacitySchema = "nlfl/bench-capacity/v2"
 
 // CapacityBenchEntry is one slice size of the capacity-model validation
 // sweep: the model's forecast next to what the discrete-event simulator
-// and the real worker-pool runtime actually did. The predicted columns
-// and SimMakespan are deterministic given the envelope; MeasuredMakespan
-// is wall-clock (best-of-reps) and carries scheduler noise, which is why
-// its tolerance is stated separately.
+// and the real worker-pool runtime on the virtual clock actually did.
+// Every column is deterministic given the envelope.
 type CapacityBenchEntry struct {
 	// Workers is the slice size p (the p fastest of the envelope speeds).
 	Workers int `json:"workers"`
@@ -23,8 +21,8 @@ type CapacityBenchEntry struct {
 	// prediction (integer-grid snapping is the only modeled difference).
 	SimMakespan float64 `json:"simMakespan"`
 	SimRelErr   float64 `json:"simRelErr"`
-	// MeasuredMakespan is the real worker pool's wall-clock makespan
-	// (best of Reps runs); MeasuredRelErr its relative disagreement.
+	// MeasuredMakespan is the real worker pool's makespan on the virtual
+	// clock; MeasuredRelErr its relative disagreement.
 	MeasuredMakespan float64 `json:"measuredMakespan"`
 	MeasuredRelErr   float64 `json:"measuredRelErr"`
 	// Speedup is the predicted T(1)/T(p); MarginalGain the relative
@@ -43,7 +41,6 @@ type CapacityBenchEntry struct {
 type CapacityBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// Alpha, N, Speeds, WorkPerSecond and Bandwidth are the model
 	// envelope; Theta the knee threshold.
 	Alpha         float64   `json:"alpha"`
@@ -53,19 +50,16 @@ type CapacityBenchFile struct {
 	Bandwidth     float64   `json:"bandwidth"`
 	Theta         float64   `json:"theta"`
 	// SimTolerance and MeasuredTolerance are the stated agreement gates
-	// the entries were checked against (simulator: snapping error;
-	// measured: scheduler noise on top).
+	// the entries were checked against: the snapping error of the
+	// simulator and of the worker pool.
 	SimTolerance      float64 `json:"simTolerance"`
 	MeasuredTolerance float64 `json:"measuredTolerance"`
-	// Reps is the best-of count behind MeasuredMakespan.
-	Reps int `json:"reps"`
 	// Knee is the recommended slice size at Theta; Best the speedup
 	// argmax; SpeedupBound the closed-form ceiling no slice can beat.
 	Knee         int     `json:"knee"`
 	Best         int     `json:"best"`
 	SpeedupBound float64 `json:"speedupBound"`
 	GoVersion    string  `json:"goVersion"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
 	// Entries covers every slice size 1..len(Speeds).
 	Entries []CapacityBenchEntry `json:"entries"`
 }

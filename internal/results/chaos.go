@@ -3,15 +3,15 @@ package results
 // BenchChaosSchema identifies the BENCH_chaos.json payload, bumped on
 // breaking field changes so consumers (`nlfl bench -validate`) can reject
 // files they do not understand.
-const BenchChaosSchema = "nlfl/bench-chaos/v1"
+const BenchChaosSchema = "nlfl/bench-chaos/v2"
 
-// ChaosBenchEntry is one measured strategy execution under an injected
-// fault scenario. The volume ledger is the deterministic half of the
-// record: PlanVolume is the original plan's geometry, ReplannedVolume
-// adds the survivor re-plan's extra traffic, and the committed volume
-// must match it exactly — the run shipped precisely what the degraded
-// plan called for, no more, no less. Wall-clock fields and the recovery
-// counters of randomized scenarios vary run to run (see EXPERIMENTS.md).
+// ChaosBenchEntry is one strategy execution under an injected fault
+// scenario on the virtual clock, so every field — fault instants,
+// recovery counters, makespan — is reproducible from the seed. In the
+// volume ledger PlanVolume is the original plan's geometry,
+// ReplannedVolume adds the survivor re-plan's extra traffic, and the
+// committed volume must match it exactly — the run shipped precisely
+// what the degraded plan called for, no more, no less.
 type ChaosBenchEntry struct {
 	// Class names the injected fault family: "crash", "crash-t0",
 	// "straggler" or "flaky-link".
@@ -37,7 +37,7 @@ type ChaosBenchEntry struct {
 	CommittedVolume float64 `json:"committedVolume"`
 	MeasuredVolume  float64 `json:"measuredVolume"`
 	WastedData      float64 `json:"wastedData"`
-	// Makespan is the measured wall-clock seconds of the degraded run.
+	// Makespan is the degraded run's modeled seconds.
 	Makespan float64 `json:"makespan"`
 	// RetriedChunks, SpeculativeWins, DegradedWorkers and ReclaimedCells
 	// are the recovery counters — evidence the scenario actually bit.
@@ -56,10 +56,8 @@ type ChaosBenchEntry struct {
 type ChaosBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// WorkPerSecond is the token-bucket rate scale of every run.
 	WorkPerSecond float64           `json:"workPerSecond"`
 	GoVersion     string            `json:"goVersion"`
-	GOMAXPROCS    int               `json:"gomaxprocs"`
 	Entries       []ChaosBenchEntry `json:"entries"`
 }

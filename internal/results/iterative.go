@@ -3,7 +3,7 @@ package results
 // BenchIterativeSchema identifies the BENCH_iterative.json payload,
 // bumped on breaking field changes so consumers (`nlfl bench
 // -validate`) can reject files they do not understand.
-const BenchIterativeSchema = "nlfl/bench-iterative/v1"
+const BenchIterativeSchema = "nlfl/bench-iterative/v2"
 
 // IterativePolicyEntry is one full iterative job (power iteration to
 // convergence) run under one planning policy on the drifting-straggler
@@ -26,10 +26,8 @@ type IterativePolicyEntry struct {
 	Residuals []float64 `json:"residuals"`
 	// Dominant is the converged dominant-entry index (deterministic).
 	Dominant int `json:"dominant"`
-	// TotalMakespan is the summed measured wall-clock of every round;
-	// RoundMakespans the per-round breakdown. Wall-clock varies run to
-	// run (see EXPERIMENTS.md) — the gates compare policies within one
-	// file, never across files.
+	// TotalMakespan is the summed modeled seconds of every round on the
+	// virtual clock; RoundMakespans the per-round breakdown.
 	TotalMakespan  float64   `json:"totalMakespan"`
 	RoundMakespans []float64 `json:"roundMakespans"`
 	// Replans counts adopted re-plans after round 0; Fallbacks rounds
@@ -59,7 +57,7 @@ type IterativeChaosEntry struct {
 	Rounds    int  `json:"rounds"`
 	Converged bool `json:"converged"`
 	Dominant  int  `json:"dominant"`
-	// TotalMakespan is the measured wall-clock of the degraded job.
+	// TotalMakespan is the degraded job's modeled seconds.
 	TotalMakespan float64 `json:"totalMakespan"`
 	// DeadWorkers lists workers lost to permanent crashes; Replans and
 	// Reanchors count the controller's reactions; CommTime the summed
@@ -81,17 +79,15 @@ type IterativeChaosEntry struct {
 type IterativeBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// WorkPerSecond is the token-bucket rate scale of every run.
 	WorkPerSecond float64 `json:"workPerSecond"`
 	GoVersion     string  `json:"goVersion"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
 	// Policies holds the static/adaptive/oracle drifting-straggler runs.
 	Policies []IterativePolicyEntry `json:"policies"`
 	// Chaos holds the per-fault-class adaptive runs.
 	Chaos []IterativeChaosEntry `json:"chaos"`
 	// AdaptiveOverOracle is adaptive TotalMakespan / oracle
-	// TotalMakespan (≥ 1 up to noise; gated ≤ 1.10).
+	// TotalMakespan (gated ≤ 1.10).
 	// StaticOverAdaptive is static / adaptive (gated > 1: adaptation
 	// must pay for itself under drift).
 	AdaptiveOverOracle float64 `json:"adaptiveOverOracle"`

@@ -2,7 +2,7 @@ package results
 
 // BenchTopologySchema identifies the BENCH_topology.json payload; bumped
 // on breaking field changes.
-const BenchTopologySchema = "nlfl/bench-topology/v1"
+const BenchTopologySchema = "nlfl/bench-topology/v2"
 
 // TopologyEdge is one network edge's measured row within a topology
 // bench entry.
@@ -40,8 +40,8 @@ type TopologyBenchEntry struct {
 	// RelayVolume is the extra traffic hop-forwarding puts on interior
 	// edges — zero for single-hop topologies, the chain's hidden cost.
 	RelayVolume float64 `json:"relayVolume"`
-	// Makespan is the measured wall-clock seconds; CommTime the summed
-	// modeled delivery seconds across workers.
+	// Makespan is the run's modeled seconds on the virtual clock;
+	// CommTime the summed modeled delivery seconds across workers.
 	Makespan float64 `json:"makespan"`
 	CommTime float64 `json:"commTime"`
 	// OverlapFraction is the share of comm time hidden under compute.
@@ -59,11 +59,9 @@ type TopologyBenchEntry struct {
 type TopologyBenchFile struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
-	Quick  bool   `json:"quick"`
 	// WorkPerSecond is the token-bucket rate scale of every run.
 	WorkPerSecond float64 `json:"workPerSecond"`
 	GoVersion     string  `json:"goVersion"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
 	// CrossoverThreshold is the het/hom makespan ratio θ defining a win.
 	CrossoverThreshold float64 `json:"crossoverThreshold"`
 	// Crossovers maps each topology to the largest swept bandwidth where

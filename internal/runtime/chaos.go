@@ -18,7 +18,7 @@ import (
 // first-writer-wins commit, and PERI-SUM re-planning of a dead worker's
 // rectangles onto the survivors.
 type Chaos struct {
-	// Scenario is the fault timeline, in live-run seconds from Run start.
+	// Scenario is the fault timeline, in seconds on the run's clock.
 	Scenario faults.Scenario
 	// MaxRetries is the per-chunk-lineage recovery budget: how many times
 	// a chunk's transfer may be re-attempted after a link drop, and how

@@ -71,8 +71,8 @@ type Options struct {
 	// sleeping, and the real copies and fills take no modeled time. The
 	// run is then bit-reproducible — the same chunk hand-out, spans and
 	// makespan on every run — and its times are the model's, not the
-	// host's. Virtual cannot be combined with Chaos, whose faults are
-	// timed on the wall clock.
+	// host's. Chaos runs on either clock: its fault instants, backoffs
+	// and polls are instants on the run's clock.
 	Virtual bool
 
 	// testHookChunkStart, when set, runs on the worker goroutine right
@@ -421,9 +421,6 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		}
 		if opts.Prefetch {
 			return nil, fmt.Errorf("runtime: Prefetch cannot be combined with Chaos (a prefetched chunk is an untracked second lease)")
-		}
-		if opts.Virtual {
-			return nil, fmt.Errorf("runtime: Virtual cannot be combined with Chaos (faults are timed on the wall clock)")
 		}
 	}
 	rate := opts.WorkPerSecond

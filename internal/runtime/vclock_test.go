@@ -3,12 +3,14 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
-	"strings"
+	goruntime "runtime"
 	"testing"
 	"time"
 
+	"nlfl/internal/faults"
 	"nlfl/internal/matmul"
 	"nlfl/internal/platform"
 	"nlfl/internal/trace"
@@ -107,8 +109,9 @@ func TestVirtualMakespanIsModeled(t *testing.T) {
 }
 
 // TestVirtualRunFailures checks that a virtual run keeps the wall-clock
-// run's failure contract without hanging: Chaos is rejected, a worker
-// panic fails the run typed, and a cancellation stops it.
+// run's failure contract without hanging, on the fast path and on the
+// chaos path: a worker panic fails the run typed, and a cancellation
+// stops it.
 func TestVirtualRunFailures(t *testing.T) {
 	pl := snappedPlatform(t)
 	const n = 64
@@ -117,45 +120,153 @@ func TestVirtualRunFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(plan, a, b, Options{Speeds: pl.Speeds(), Virtual: true, Chaos: Chaos{SpeculateAfter: 1}})
-	if err == nil || !strings.Contains(err.Error(), "Virtual cannot be combined with Chaos") {
-		t.Errorf("Virtual+Chaos: got %v, want a rejection", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cases := []struct {
-		name string
-		hook func(w int, c Chunk)
-		want error
-	}{
-		{"panic", func(w int, c Chunk) {
-			if c.Task == 3 {
-				panic("injected test panic")
-			}
-		}, ErrWorkerFailed},
-		{"cancel", func(w int, c Chunk) {
-			if c.Task == 3 {
-				cancel()
-			}
-		}, context.Canceled},
-	}
-	for _, tc := range cases {
-		done := make(chan error, 1)
-		go func() {
-			_, err := RunContext(ctx, plan, a, b, Options{
-				Speeds: pl.Speeds(), WorkPerSecond: 2e6, Link: Link{ElemsPerSecond: 1e5},
-				Virtual: true, testHookChunkStart: tc.hook,
-			})
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, tc.want) {
-				t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: virtual run hung", tc.name)
+	for _, chaos := range []Chaos{{}, {SpeculateAfter: 0.01}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cases := []struct {
+			name string
+			hook func(w int, c Chunk)
+			want error
+		}{
+			{"panic", func(w int, c Chunk) {
+				if c.Task == 3 {
+					panic("injected test panic")
+				}
+			}, ErrWorkerFailed},
+			{"cancel", func(w int, c Chunk) {
+				if c.Task == 3 {
+					cancel()
+				}
+			}, context.Canceled},
 		}
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s chaos=%v", tc.name, chaos.Enabled())
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunContext(ctx, plan, a, b, Options{
+					Speeds: pl.Speeds(), WorkPerSecond: 2e6, Link: Link{ElemsPerSecond: 1e5},
+					Chaos: chaos, Virtual: true, testHookChunkStart: tc.hook,
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s: got %v, want %v", name, err, tc.want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s: virtual run hung", name)
+			}
+		}
+		cancel()
+	}
+}
+
+// TestVirtualChaosIsDeterministic runs one scenario per fault class on
+// the virtual clock — crash mid-chunk, crash at 0, a straggler with
+// speculation, a flaky link and a seeded coin-flip drop — twice each at
+// GOMAXPROCS 1 and 4, and requires every run of a scenario to record the
+// same timeline and recovery counters with the trace oracle clean. The
+// mid-chunk crash must cut its Killed span exactly at the crash instant.
+func TestVirtualChaosIsDeterministic(t *testing.T) {
+	const (
+		n       = 64
+		crashAt = 0.002
+	)
+	pl := snappedPlatform(t)
+	a, b := chaosVectors(t, n, 29)
+	hom, err := PlanHom(pl, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	het, err := PlanHet(pl, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// drop loses transfers to workers [0, upTo) started before until.
+	drop := func(upTo int, prob, until float64) []faults.Event {
+		var evs []faults.Event
+		for w := 0; w < upTo; w++ {
+			evs = append(evs, faults.Event{Kind: faults.LinkDrop, Worker: w, Time: 0, Until: until, DropProb: prob})
+		}
+		return evs
+	}
+	rows := []struct {
+		name  string
+		plan  *StrategyPlan
+		link  Link
+		chaos Chaos
+	}{
+		{"crash", het, Link{}, Chaos{Scenario: faults.SingleCrash(3, crashAt), MaxRetries: 4}},
+		{"crash-t0", het, Link{}, Chaos{Scenario: faults.SingleCrash(3, 0), MaxRetries: 4}},
+		{"straggler", hom, Link{}, Chaos{
+			Scenario: faults.Scenario{Events: []faults.Event{
+				{Kind: faults.Straggler, Worker: 0, Time: 0, Until: 10, Factor: 0.02},
+			}},
+			MaxRetries: 4, SpeculateAfter: 0.005,
+		}},
+		{"flaky-link", hom, Link{ElemsPerSecond: 1e6}, Chaos{
+			Scenario: faults.Scenario{Events: drop(1, 1, 0.004)}, MaxRetries: 10, BackoffBase: 1e-3, BackoffMax: 4e-3,
+		}},
+		{"coin-flip-drop", hom, Link{}, Chaos{
+			Scenario: faults.Scenario{Seed: 7, Events: drop(4, 0.5, 10)}, MaxRetries: 20, BackoffBase: 1e-4,
+		}},
+	}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var first *Report
+			for _, procs := range []int{1, 1, 4, 4} {
+				goruntime.GOMAXPROCS(procs)
+				rep, err := Run(row.plan, a, b, Options{
+					Speeds: pl.Speeds(), WorkPerSecond: 1e5, Burst: 1, VerifyEvery: 7,
+					Link: row.link, Chaos: row.chaos, Virtual: true,
+				})
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
+				auditChaos(t, rep, a, b)
+				if first == nil {
+					first = rep
+					continue
+				}
+				if !reflect.DeepEqual(rep.Trace, first.Trace) {
+					t.Fatalf("GOMAXPROCS=%d: timeline differs from the first run", procs)
+				}
+				counters := func(r *Report) [7]float64 {
+					return [7]float64{float64(r.RetriedChunks), float64(r.SpeculativeWins), float64(r.DegradedWorkers),
+						r.ReclaimedCells, r.WastedData, r.WastedWorkCells, r.DataVolume}
+				}
+				if counters(rep) != counters(first) {
+					t.Fatalf("GOMAXPROCS=%d: counters %v, first run %v", procs, counters(rep), counters(first))
+				}
+			}
+			switch row.name {
+			case "crash":
+				killed := false
+				for _, s := range first.Trace.Spans[3] {
+					if s.Outcome == trace.Killed {
+						killed = true
+						if s.End != crashAt {
+							t.Errorf("Killed span ends at %v, want the crash instant %v", s.End, crashAt)
+						}
+					}
+				}
+				if !killed {
+					t.Error("the crash landed between chunks: no Killed span to check")
+				}
+			case "straggler":
+				if first.SpeculativeWins < 1 {
+					t.Error("straggler scenario produced no speculative win")
+				}
+			case "flaky-link", "coin-flip-drop":
+				if first.RetriedChunks < 1 {
+					t.Error("drop scenario produced no retry")
+				}
+			default:
+				if first.DegradedWorkers != 1 {
+					t.Errorf("DegradedWorkers = %d, want 1", first.DegradedWorkers)
+				}
+			}
+		})
 	}
 }
