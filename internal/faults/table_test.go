@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nlfl/internal/dessim"
+	"nlfl/internal/stats"
 	"nlfl/internal/trace"
 )
 
@@ -48,6 +49,37 @@ func TestTableFactors(t *testing.T) {
 	}
 	if got := tab.ComputeScale(1, 1); got != 1 {
 		t.Errorf("a LinkSlow window slowed compute: %v", got)
+	}
+}
+
+// TestEmptyTableIsInert pins what every clean fleet job relies on when
+// it shares the table compiled from the empty scenario: no worker ever
+// crashes or pauses, no transfer drops — without a single draw from the
+// seeded RNG — and compute and link scales are exactly 1.
+func TestEmptyTableIsInert(t *testing.T) {
+	const seed = 3
+	tab := mustCompile(t, Scenario{Seed: seed}, 3)
+	for w := 0; w < 3; w++ {
+		if at := tab.CrashAt(w); !math.IsInf(at, 1) {
+			t.Errorf("worker %d crashes at %v", w, at)
+		}
+		for _, at := range []float64{0, 0.5, 1e9} {
+			if tab.Drop(w, at) {
+				t.Errorf("Drop(%d, %v) lost a transfer", w, at)
+			}
+			if until, paused := tab.PausedUntil(w, at); paused {
+				t.Errorf("PausedUntil(%d, %v) paused until %v", w, at, until)
+			}
+			if s := tab.ComputeScale(w, at); s != 1 {
+				t.Errorf("ComputeScale(%d, %v) = %v, want exactly 1", w, at, s)
+			}
+			if s := tab.LinkScale(w, at); s != 1 {
+				t.Errorf("LinkScale(%d, %v) = %v, want exactly 1", w, at, s)
+			}
+		}
+	}
+	if got, want := tab.rng.Float64(), stats.NewRNG(seed).Float64(); got != want {
+		t.Errorf("the empty table drew from its RNG: next draw %v, want the seed's first %v", got, want)
 	}
 }
 

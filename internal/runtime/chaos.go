@@ -60,20 +60,6 @@ func (c Chaos) Validate(p int) error {
 	return nil
 }
 
-// Backoff returns the retry backoff bounds with the defaults applied: a
-// base of 1 ms when unset, and a cap of at least the base (50 ms when
-// unset or below it).
-func (c Chaos) Backoff() (base, max float64) {
-	base, max = c.BackoffBase, c.BackoffMax
-	if base <= 0 {
-		base = 1e-3
-	}
-	if max < base {
-		max = math.Max(base, 50e-3)
-	}
-	return base, max
-}
-
 // replanOwnedChunk maps a dead worker's owned rectangle onto the
 // survivors: the same PERI-SUM construction PlanHet runs on the unit
 // square is re-run on the survivor speeds, its rectangles are scaled
@@ -130,56 +116,52 @@ func replanOwnedChunk(c Chunk, owners []int, speeds []float64) []Chunk {
 // crash to free reclaimable work).
 const chaosPoll = 500e-6
 
-// die takes worker w permanently out of the pool at its crash instant:
-// marks the timeline, wastes the data shipped for whatever chunk died
-// with it, reclaims everything it was solely responsible for back into
-// the table (re-planning owned rectangles onto the survivors), and fails
-// the run if a reclaimed chunk's retry budget is exhausted or nobody
-// survives to pick the work up.
-func (r *runner) die(w int, lt *LeaseTable, inflightData float64) {
+// Crashed takes worker w out of the pool at its crash instant: books the
+// in-flight loss on its ledger, marks the timeline, reclaims everything
+// it alone held (re-planning owned rectangles onto the survivors), and
+// fails the run if a reclaimed chunk's retry budget is exhausted or
+// nobody survives to pick the work up.
+func (r *runner) Crashed(w int, inflight float64, killed trace.Span) {
+	r.ledgers[w].wastedData += inflight
+	if killed.Outcome == trace.Killed {
+		r.live.Add(w, killed)
+		r.ledgers[w].lostWork += killed.Work
+	}
 	r.live.Mark(trace.Marker{Kind: trace.MarkCrash, Worker: w, Time: r.clk.Now(), Note: "permanent"})
-	cells, extra, over := lt.Reclaim(w, r.opts.Chaos.MaxRetries, lt.Replanner(r.opts.Speeds))
+	cells, extra, over := r.lt.Reclaim(w, r.opts.Chaos.MaxRetries, r.lt.Replanner(r.opts.Speeds))
 	r.mu.Lock()
 	r.degraded++
 	r.reclaimedCells += cells
 	r.replanExtra += extra
-	r.wastedData += inflightData
 	r.mu.Unlock()
 	if over != nil {
 		r.fail(fmt.Errorf("%w: worker %d crashed holding chunk %d with its retry budget exhausted", ErrWorkerFailed, w, over.Task))
 		return
 	}
-	if lt.AllDead() {
+	if r.lt.AllDead() {
 		r.fail(fmt.Errorf("%w: all %d workers crashed before the run completed", ErrWorkerFailed, len(r.opts.Speeds)))
 	}
 }
 
-// chaosWorker is the resilient worker loop: poll the lease table, ship
-// with retry/backoff under link faults, stall through transient outages,
-// pay the (possibly straggler-scaled) throttled compute, race for the
-// first-writer-wins commit, and — only on a win — fill the output
-// rectangle. Crash instants are honored at every blocking point; a dead
-// worker's work is reclaimed by die.
-func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
-	bucket := r.throttle(w)
-	led := &r.ledgers[w]
-	backoffBase, backoffMax := r.opts.Chaos.Backoff()
-	crashAt := tab.CrashAt(w)
-	// Sized once from the plan's largest chunk; replanned pieces are
-	// sub-rectangles of lost chunks, so the bound survives reclamation.
-	aBuf := make([]float64, 0, r.maxRowSpan)
-	bBuf := make([]float64, 0, r.maxColSpan)
-
-	for {
-		if r.ctx.Err() != nil {
-			return
-		}
+// chaosWorker is the lease engine's worker loop: poll the lease table
+// and run each leased chunk through the chunk step (ServeChunk) with the
+// runner as its host. A crash instant that lands between chunks takes
+// the worker out here; one that lands inside a chunk, in the step.
+func (r *runner) chaosWorker(w int) {
+	cw := &ChunkWorker{tb: r.throttle(w), nl: r.net,
+		// Sized once from the plan's largest chunk; replanned pieces are
+		// sub-rectangles of lost chunks, so the bound survives reclamation.
+		a: make([]float64, 0, r.maxRowSpan), b: make([]float64, 0, r.maxColSpan)}
+	crashAt := r.step.Faults.CrashAt(w)
+	for r.ctx.Err() == nil {
 		now := r.clk.Now()
 		if now >= crashAt {
-			r.die(w, lt, 0)
+			if !r.lt.Dead(w) { // the step may have realized the crash already
+				r.Crashed(w, 0, trace.Span{})
+			}
 			return
 		}
-		c, st := lt.Next(w, now)
+		c, st := r.lt.Next(w, now)
 		if st == LeaseDone {
 			return
 		}
@@ -192,124 +174,43 @@ func (r *runner) chaosWorker(w int, tab *faults.Table, lt *LeaseTable) {
 		if hook := r.opts.testHookChunkStart; hook != nil {
 			hook(w, c)
 		}
-		data := float64(c.Data())
-
-		// Ship the chunk's inputs, retrying dropped transfers with capped
-		// exponential backoff. A drop still occupies the booked link
-		// window before the loss is noticed (the faults.LinkDrop
-		// contract), so flaky links burn both volume and time.
-		retries := 0
-		backoff := backoffBase
-		for {
-			t0 := r.clk.Now()
-			if t0 >= crashAt {
-				r.die(w, lt, 0)
-				return
-			}
-			dropped := tab.Drop(w, t0)
-			var t1 float64
-			if r.net != nil && r.net.constrained(w) {
-				del, relays := r.net.book(w, data)
-				t0, t1 = del.start, del.end
-				if !dropped {
-					aBuf = append(aBuf[:0], r.a[c.RowLo:c.RowHi]...)
-					bBuf = append(bBuf[:0], r.b[c.ColLo:c.ColHi]...)
-				}
-				if !r.clk.SleepUntil(r.ctx, w, t1) {
-					return
-				}
-				// Relays are recorded for dropped attempts too: the payload
-				// crossed the intermediate hops and burned their bandwidth
-				// before the loss was noticed at delivery.
-				for _, h := range relays {
-					r.live.AddRelay(trace.Relay{Edge: h.edge, Dest: w, Start: h.start, End: h.end,
-						Data: data, Task: c.Task})
-				}
-			} else {
-				if !dropped {
-					aBuf = append(aBuf[:0], r.a[c.RowLo:c.RowHi]...)
-					bBuf = append(bBuf[:0], r.b[c.ColLo:c.ColHi]...)
-				}
-				t1 = r.clk.Now()
-			}
-			if !dropped {
-				r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t0, End: t1, Data: data, Task: c.Task})
-				r.perData[w] += data
-				break
-			}
-			r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t0, End: t1, Data: data, Task: c.Task, Outcome: trace.Dropped})
-			r.live.Mark(trace.Marker{Kind: trace.MarkDrop, Worker: w, Time: t1, Note: fmt.Sprintf("task %d", c.Task)})
-			r.perData[w] += data
-			led.retried++
-			led.wastedData += data
-			retries++
-			if retries > r.opts.Chaos.MaxRetries {
-				r.fail(fmt.Errorf("%w: worker %d lost chunk %d on %d consecutive transfer attempts", ErrTransferFailed, w, c.Task, retries))
-				return
-			}
-			if !r.clk.SleepUntil(r.ctx, w, r.clk.Now()+backoff) {
-				return
-			}
-			backoff = math.Min(backoff*2, backoffMax)
+		if filled, ok := cw.ServeChunk(r.ctx, &r.step, c, 0); ok {
+			r.live.Add(w, filled)
 		}
-
-		// Transient outage: the worker stalls (inputs survive, the clock
-		// passes) until the window clears — unless its crash lands first.
-		for {
-			t := r.clk.Now()
-			if t >= crashAt {
-				r.die(w, lt, data)
-				return
-			}
-			until, paused := tab.PausedUntil(w, t)
-			if !paused {
-				break
-			}
-			if !r.clk.SleepUntil(r.ctx, w, math.Min(until, crashAt)) {
-				return
-			}
-		}
-
-		// Commit, then fill. The token wait is the modeled compute:
-		// straggler windows scale its cost (sampled at chunk start) and
-		// the crash instant bounds it, realizing death mid-chunk; a token
-		// wait cut short by cancellation is no crash. The first-writer-wins
-		// commit is resolved before any cell is written, so only the
-		// winner fills, straight into the output; a losing speculative
-		// copy never touches it. Exactly one copy of each task
-		// wins and committed chunks never overlap (checkTiling audits the
-		// committed set after the run), so winners write disjoint cells
-		// and need no lock. A crash instant that falls inside the real
-		// fill of a committed chunk takes effect at the next check: the
-		// chunk stays committed.
-		cells := float64(c.Cells())
-		t0 := r.clk.Now()
-		scale := tab.ComputeScale(w, t0)
-		finished := bucket.acquireWithin(r.ctx, cells/scale, crashAt)
-		if r.ctx.Err() != nil {
-			return
-		}
-		t1 := r.clk.Now()
-		if !finished || t1 >= crashAt {
-			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Killed})
-			r.noteLost(cells)
-			r.die(w, lt, data)
-			return
-		}
-		won, specWin := lt.Commit(c.Task, w)
-		if !won {
-			r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1, Work: cells, Task: c.Task, Outcome: trace.Wasted})
-			led.wastedData += data
-			led.wastedWork += cells
-			continue
-		}
-		r.perCells[w] += cells
-		led.committed = append(led.committed, c)
-		led.committedVolume += data
-		if specWin {
-			led.specWins++
-		}
-		FillChunk(r.out, aBuf, bBuf, c)
-		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: r.clk.Now(), Work: cells, Task: c.Task})
 	}
+}
+
+// Shipped books a transfer attempt on w's lock-free ledger.
+func (r *runner) Shipped(w int, comm trace.Span, relays []trace.Relay) bool {
+	RecordShipped(r.live, w, comm, relays)
+	r.perData[w] += comm.Data
+	if comm.Outcome == trace.Dropped {
+		r.ledgers[w].retried++
+		r.ledgers[w].wastedData += comm.Data
+	}
+	return true
+}
+
+// Exhausted fails the run with ErrTransferFailed.
+func (r *runner) Exhausted(err error) { r.fail(fmt.Errorf("%w: %w", ErrTransferFailed, err)) }
+
+// Commit resolves the race in the lease table and books the outcome on
+// w's lock-free ledger.
+func (r *runner) Commit(w int, c Chunk, compute trace.Span) bool {
+	led := &r.ledgers[w]
+	won, specWin := r.lt.Commit(c.Task, w)
+	if !won {
+		compute.Outcome = trace.Wasted
+		r.live.Add(w, compute)
+		led.wastedData += float64(c.Data())
+		led.wastedWork += compute.Work
+		return false
+	}
+	r.perCells[w] += compute.Work
+	led.committed = append(led.committed, c)
+	led.committedVolume += float64(c.Data())
+	if specWin {
+		led.specWins++
+	}
+	return true
 }

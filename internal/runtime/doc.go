@@ -27,4 +27,11 @@
 //     invariant oracle that audits the simulators, and the summed Comm
 //     span data is the measured communication volume the bench harness
 //     cross-checks against the closed forms (2N·√(Σsᵢ/s₁) for Comm_hom).
+//   - Two engines run the chunks. The fault-free fast path pops the queue
+//     and forgets each chunk. The lease engine (Options.Chaos) leases
+//     chunks from a LeaseTable and runs each through ServeChunk, the one
+//     chunk step — ship with retry and backoff, stall through outages,
+//     throttled compute cut short by a crash, first-writer-wins commit,
+//     fill — which internal/service's fleet workers run too; a ChunkHost
+//     books its consequences on the run's or the job's ledgers.
 package runtime

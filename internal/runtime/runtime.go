@@ -258,6 +258,10 @@ type runner struct {
 	// each worker writes only its own entry and the entries are merged
 	// into the totals below after wg.Wait, so the hot path takes no lock.
 	ledgers []chaosLedger
+	// lt and step are the lease engine's table and chunk-step inputs
+	// (chaos runs only); the runner is the step's host.
+	lt   *LeaseTable
+	step ChunkJob
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -266,7 +270,7 @@ type runner struct {
 	mu  sync.Mutex
 	err error
 	// chaos totals (mu-guarded during the run for the cold reclamation
-	// path; the per-worker ledgers fold in after the pool stops)
+	// path in Crashed; the per-worker ledgers fold in after the pool stops)
 	committedChunks             []Chunk
 	committedVolume, wastedData float64
 	wastedWork, lostWork        float64
@@ -283,8 +287,9 @@ type chaosLedger struct {
 	committedVolume   float64
 	wastedData        float64
 	wastedWork        float64
+	lostWork          float64
 	retried, specWins int
-	_                 [64]byte // committed(24) + 3×8 + 2×8 = 64 → pad to 128
+	_                 [56]byte // committed(24) + 4×8 + 2×8 = 72 → pad to 128
 }
 
 // merge folds the per-worker ledgers into the mu-guarded totals. Call
@@ -296,6 +301,7 @@ func (r *runner) mergeLedgers() {
 		r.committedVolume += led.committedVolume
 		r.wastedData += led.wastedData
 		r.wastedWork += led.wastedWork
+		r.lostWork += led.lostWork
 		r.retried += led.retried
 		r.specWins += led.specWins
 	}
@@ -320,15 +326,6 @@ func (r *runner) runErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-// noteLost records cells destroyed mid-chunk by a crash. It stays
-// mu-guarded: it runs once per death, immediately before the (also
-// mu-guarded) reclamation in die, never on the steady-state path.
-func (r *runner) noteLost(cells float64) {
-	r.mu.Lock()
-	r.lostWork += cells
-	r.mu.Unlock()
 }
 
 // guard runs one worker body with panic containment: a panicking worker
@@ -475,11 +472,12 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		if err != nil {
 			return nil, err
 		}
-		lt := NewLeaseTable(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
+		r.lt = NewLeaseTable(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
+		r.step = ChunkJob{A: a, B: b, Out: r.out, Faults: tab, Chaos: opts.Chaos, Host: r}
 		if r.net != nil {
 			r.net.slowdown = tab.LinkScale
 		}
-		body = func(w int) { r.chaosWorker(w, tab, lt) }
+		body = r.chaosWorker
 	} else {
 		queue := newWorkQueue(plan.Chunks, p, shards)
 		body = func(w int) { r.fastWorker(w, queue) }
@@ -689,10 +687,9 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 // FillChunk writes chunk c's rectangle of the outer product a̅×b̅ straight
 // into out from the worker-local copies aBuf (the chunk's row interval)
 // and bBuf (its column interval), through the one out-of-line
-// matmul.OuterFill. Every chunk engine calls it: Run's fast path, Run's
-// lease engine and the fleet's workers. A lease engine calls it only
-// after winning the chunk's first-writer-wins commit, so no two
-// goroutines ever write the same cells.
+// matmul.OuterFill. Run's fast path and the chunk step call it; the step
+// only after winning the first-writer-wins commit, so no two goroutines
+// ever write the same cells.
 func FillChunk(out *matmul.Matrix, aBuf, bBuf []float64, c Chunk) {
 	matmul.OuterFill(out.Data[c.RowLo*out.Cols+c.ColLo:], out.Cols, aBuf, bBuf)
 }

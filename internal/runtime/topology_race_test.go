@@ -48,7 +48,7 @@ func TestChainPrefetchRelayRace(t *testing.T) {
 	}
 }
 
-// TestTwoSourceConcurrentBookingRace hammers Network.Book from one
+// TestTwoSourceConcurrentBookingRace hammers netLink.book from one
 // goroutine per worker and then replays every booked window against the
 // source capacities: windows on one edge must never overlap (each source
 // is a serial port) and the volume ledger must close.
@@ -63,10 +63,7 @@ func TestTwoSourceConcurrentBookingRace(t *testing.T) {
 	)
 	clk := NewWallClock(workers)
 	topo := SplitTwoSource(workers, rate0, rate1)
-	net, err := NewNetwork(topo, workers, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newNetLink(topo, workers, clk)
 	type win struct {
 		edge       int
 		start, end float64
@@ -78,12 +75,12 @@ func TestTwoSourceConcurrentBookingRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				del, relays := net.Book(w, elems)
+				del, relays := net.book(w, elems)
 				if len(relays) != 0 {
 					t.Errorf("worker %d: circuit booking returned relays", w)
 					return
 				}
-				wins[w] = append(wins[w], win{del.Edge, del.Start, del.End})
+				wins[w] = append(wins[w], win{del.edge, del.start, del.end})
 			}
 		}(w)
 	}
@@ -115,7 +112,7 @@ func TestTwoSourceConcurrentBookingRace(t *testing.T) {
 			}
 		}
 	}
-	reports := net.EdgeReports(clk.Now())
+	reports := net.edgeReports(clk.Now())
 	if len(reports) != 2 {
 		t.Fatalf("got %d edge reports, want 2", len(reports))
 	}

@@ -25,11 +25,12 @@
 //     deadline even the knee-sized slice cannot meet with
 //     RejectAmdahlCap — if the knee can't make it, no admissible slice
 //     can. See docs/CAPACITY.md for the operator guide.
-//   - Isolation: faults are scoped to the job that carries them. A
-//     chaos-crashed worker dies *for that job only* — its leases and
-//     backlog are reclaimed and re-planned onto the job's surviving
-//     workers by the job's runtime.LeaseTable (the one a chaos Run
-//     uses) while the same worker keeps serving every other job.
+//   - Isolation: faults are scoped to the job that carries them. Every
+//     chunk runs the runtime's chunk step (runtime.ChunkWorker.ServeChunk,
+//     the one a chaos Run uses) with its job as host. A chaos-crashed
+//     worker dies *for that job only* — its leases and backlog are
+//     reclaimed and re-planned onto the job's surviving workers by the
+//     job's runtime.LeaseTable — while it keeps serving every other job.
 //     Per-tenant fair-share ordering keeps one tenant's flood from
 //     starving the rest, and the bounded per-tenant quota keeps the
 //     flood from occupying the queue.

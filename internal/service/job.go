@@ -119,10 +119,11 @@ const (
 )
 
 // job is one admitted job's full state. Immutable after buildJobLocked:
-// identity, slice, plan, inputs, chaos table, ctx. Everything else is
+// identity, slice, plan, chunk-step inputs, ctx. Everything else is
 // guarded by fleet.mu; the output matrix is written only by the worker
 // holding the winning commit (disjoint rectangles).
 type job struct {
+	f        *Fleet
 	id       int64
 	tenant   string
 	n        int
@@ -130,16 +131,15 @@ type job struct {
 	slice    []int // fleet worker ids, ascending
 	local    []int // fleet-indexed: the worker's index in slice, -1 outside it
 	plan     *nrt.StrategyPlan
-	a, b     []float64
-	out      *matmul.Matrix
 	tl       *trace.Timeline
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
 
-	chaos      *faults.Table // nil without a ChaosSpec
-	maxRetries int
-	backoff    [2]float64 // base, max (seconds)
+	// step is what the runtime's chunk step reads of the job: inputs,
+	// output, fault table (the fleet's shared empty one without a
+	// ChaosSpec), retry budget and backoff. The job is its host.
+	step nrt.ChunkJob
 
 	submitAt float64
 	startAt  float64 // -1 until the first chunk handout
@@ -160,7 +160,6 @@ type job struct {
 
 	// ledgers
 	planVolume     float64
-	predicted      float64
 	replanExtra    float64
 	dataShipped    float64
 	committedCells float64
@@ -184,30 +183,25 @@ type job struct {
 	report *JobReport
 }
 
-// newJob allocates the state for an admitted job over its slice, whose
-// workers run at sliceSpeeds.
-func newJob(id int64, spec JobSpec, slice []int, sliceSpeeds []float64, plan *nrt.StrategyPlan, a, b []float64, chaos *faults.Table, fleetP int, now float64) *job {
+// newJob allocates the state for a job admitted to fleet f over its
+// slice, whose workers run at sliceSpeeds, with fault table tab.
+func newJob(f *Fleet, id int64, spec JobSpec, slice []int, sliceSpeeds []float64, plan *nrt.StrategyPlan, a, b []float64, tab *faults.Table) *job {
 	j := &job{
-		id:         id,
-		tenant:     spec.Tenant,
-		n:          spec.N,
-		strategy:   spec.Strategy,
-		slice:      slice,
-		local:      make([]int, fleetP),
-		plan:       plan,
-		a:          a,
-		b:          b,
-		out:        matmul.New(spec.N, spec.N),
-		tl:         trace.New(fleetP),
-		done:       make(chan struct{}),
-		chaos:      chaos,
-		maxRetries: spec.Chaos.MaxRetries,
-		submitAt:   now,
-		startAt:    -1,
-		leases:     nrt.NewLeaseTable(plan.Chunks, len(slice), 1, spec.Chaos.SpeculateAfter),
-		predicted:  plan.Predicted,
+		f:        f,
+		id:       id,
+		tenant:   spec.Tenant,
+		n:        spec.N,
+		strategy: spec.Strategy,
+		slice:    slice,
+		local:    make([]int, len(f.speeds)),
+		plan:     plan,
+		tl:       trace.New(len(f.speeds)),
+		done:     make(chan struct{}),
+		submitAt: f.clock.Now(),
+		startAt:  -1,
+		leases:   nrt.NewLeaseTable(plan.Chunks, len(slice), 1, spec.Chaos.SpeculateAfter),
 	}
-	j.backoff[0], j.backoff[1] = spec.Chaos.Backoff()
+	j.step = nrt.ChunkJob{A: a, B: b, Out: matmul.New(spec.N, spec.N), Faults: tab, Chaos: spec.Chaos, Host: j}
 	j.replan = j.leases.Replanner(sliceSpeeds)
 	for w := range j.local {
 		j.local[w] = -1
@@ -217,7 +211,7 @@ func newJob(id int64, spec JobSpec, slice []int, sliceSpeeds []float64, plan *nr
 	}
 	// PlanVolume is the executed plan's geometric volume Σ(wᵢ+hᵢ) — what
 	// a clean run ships exactly and no faulty run can undercut; the
-	// analytic closed form stays in predicted for reporting.
+	// analytic closed form stays in plan.Predicted for reporting.
 	for _, c := range plan.Chunks {
 		j.planVolume += float64(c.Data())
 	}
@@ -248,7 +242,7 @@ func (j *job) commit(w int, c nrt.Chunk) (won, specWin bool) {
 // un-issued backlog and sole leases over the surviving slice (fleet.mu
 // held). A non-nil result is the chunk whose retry budget ran out.
 func (j *job) reclaim(w int) *nrt.Chunk {
-	cells, extra, over := j.leases.Reclaim(j.local[w], j.maxRetries, j.replan)
+	cells, extra, over := j.leases.Reclaim(j.local[w], j.step.Chaos.MaxRetries, j.replan)
 	j.reclaimedCells += cells
 	j.replanExtra += extra
 	return over
@@ -437,7 +431,7 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 		Latency:    now - j.submitAt,
 
 		PlanVolume:      j.planVolume,
-		Predicted:       j.predicted,
+		Predicted:       j.plan.Predicted,
 		ReplannedVolume: j.replanExtra,
 		DataShipped:     j.dataShipped,
 		CommittedVolume: j.committedVol,
@@ -458,13 +452,13 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 
 		Failed: err != nil,
 		Trace:  j.tl,
-		Chaos:  j.chaos != nil,
+		Chaos:  j.step.Chaos.Enabled(),
 	}
 	if j.startAt >= 0 {
 		rep.Makespan = now - j.startAt
 	}
 	if err == nil {
-		rep.Out = j.out
+		rep.Out = j.step.Out
 	} else {
 		rep.Err = err.Error()
 	}
@@ -501,8 +495,8 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 func (j *job) verify(stride int) error {
 	for idx := 0; idx < j.n*j.n; idx += stride {
 		i, k := idx/j.n, idx%j.n
-		want := j.a[i] * j.b[k]
-		if got := j.out.At(i, k); got != want {
+		want := j.step.A[i] * j.step.B[k]
+		if got := j.step.Out.At(i, k); got != want {
 			return fmt.Errorf("%w: output mismatch at (%d,%d): got %v want %v", ErrJobFailed, i, k, got, want)
 		}
 	}

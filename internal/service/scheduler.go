@@ -17,7 +17,7 @@ type assignment struct {
 // next is the scheduling step: housekeeping (expired deadlines,
 // cancellations, due chaos crashes), then the policy's job order, then
 // the first job that has a chunk for worker w. Everything runs under
-// fleet.mu; transfers and compute happen outside, in serve.
+// fleet.mu; transfers and compute happen outside, in the chunk step.
 func (f *Fleet) next(w int) (assignment, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -44,7 +44,7 @@ func (f *Fleet) next(w int) (assignment, bool) {
 // housekeepLocked retires expired/cancelled jobs and fires due
 // job-scoped crashes. Crashes fire lazily at scheduling steps, so a due
 // crash takes effect at the next handout even if the doomed worker is
-// busy elsewhere (its own serve path honors the same instant).
+// busy elsewhere (its own chunk step honors the same instant).
 func (f *Fleet) housekeepLocked(now float64) {
 	for _, j := range append([]*job(nil), f.active...) {
 		if j.terminal() {
@@ -54,7 +54,7 @@ func (f *Fleet) housekeepLocked(now float64) {
 			f.finalizeLocked(j, fmt.Errorf("service: job %d (tenant %q): %w", j.id, j.tenant, err))
 			continue
 		}
-		if j.chaos == nil || j.startAt < 0 {
+		if !j.step.Chaos.Enabled() || j.startAt < 0 {
 			continue
 		}
 		rel := now - j.startAt
@@ -62,7 +62,7 @@ func (f *Fleet) housekeepLocked(now float64) {
 			if j.terminal() {
 				break
 			}
-			if !j.deadFor(w) && rel >= j.chaos.CrashAt(w) {
+			if !j.deadFor(w) && rel >= j.step.Faults.CrashAt(w) {
 				f.jobDeathLocked(j, w)
 			}
 		}

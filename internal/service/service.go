@@ -173,6 +173,7 @@ type Fleet struct {
 	rate   float64
 	clock  nrt.Clock // every span, latency and chaos window uses this base
 	net    *nrt.Network
+	clean  *faults.Table // the empty fault table every clean job shares
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -239,6 +240,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	f.net = net
+	f.clean, _ = faults.Scenario{}.Compile(len(d.Speeds)) // an empty scenario always compiles
 	for w := range f.speeds {
 		f.wake[w] = make(chan struct{}, 1)
 		f.wg.Add(1)
@@ -420,14 +422,14 @@ func (f *Fleet) buildJobLocked(spec JobSpec, slice []int) (*job, error) {
 		a = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 		b = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 	}
-	var chaos *faults.Table
+	tab := f.clean
 	if spec.Chaos.Enabled() {
-		if chaos, err = jobTable(spec.Chaos.Scenario, len(f.speeds)); err != nil {
+		if tab, err = jobTable(spec.Chaos.Scenario, len(f.speeds)); err != nil {
 			return nil, err
 		}
 	}
 	f.seq++
-	j := newJob(f.seq, spec, slice, sliceSpeeds, plan, a, b, chaos, len(f.speeds), f.clock.Now())
+	j := newJob(f, f.seq, spec, slice, sliceSpeeds, plan, a, b, tab)
 	jctx := f.ctx
 	if spec.Deadline > 0 {
 		j.ctx, j.cancel = context.WithTimeout(jctx, spec.Deadline)
