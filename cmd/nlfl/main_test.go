@@ -617,10 +617,11 @@ const allPeakRSSHelperEnv = "NLFL_TEST_ALL_PEAK_RSS_HELPER"
 // and Linux folds that space's high-water mark into the child's maxrss at
 // exec, so it would report this test binary's peak. The helper runs at
 // GOMAXPROCS=2, the benchmark host's width, because every extra core runs
-// another experiment's working set beside the others (~31 MB at 4, 40-47
-// MB at 8). At 2 it peaks at 26-29 MB; sorting the 2^20 keys of the E3
-// sweep only to read bucket sizes took it to 49-63 MB. The 40 MB gate
-// leaves 11 MB of margin.
+// another experiment's working set beside the others (19-23 MB at 4, 24-26
+// MB at 8). At 2 it peaks at 14.9-15.5 MB. Storing the E3 sweep's 2^20 keys
+// (8 MiB) took it to 26-29 MB, and sorting them only to read bucket sizes
+// to 49-63 MB. The 20 MB gate leaves 4.5 MB of margin and fails if the
+// sweep stores its keys again.
 func TestAllPeakRSS(t *testing.T) {
 	if os.Getenv(allPeakRSSHelperEnv) == "1" {
 		if _, err := capture(t, func() error { return run([]string{"all", "-outdir", t.TempDir()}) }); err != nil {
@@ -660,7 +661,7 @@ func TestAllPeakRSS(t *testing.T) {
 		t.Fatalf("helper printed no resident-set line: %v\n%s", err, out)
 	}
 	t.Logf("nlfl all peaked at %.1f MB resident", float64(kb)/1024)
-	if kb > 40<<10 {
-		t.Errorf("nlfl all peaked at %.1f MB resident, want ≤ 40 MB: is something holding a sorted copy of the 2^20 keys again?", float64(kb)/1024)
+	if kb > 20<<10 {
+		t.Errorf("nlfl all peaked at %.1f MB resident, want ≤ 20 MB: is something holding the E3 sweep's 2^20 keys again?", float64(kb)/1024)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // exportGuardPackages are the packages whose exported API must have a
 // caller outside the package's own tests. Widening the guard to another
 // package means adding its directory here.
-var exportGuardPackages = []string{"internal/runtime", "internal/service"}
+var exportGuardPackages = []string{"internal/runtime", "internal/samplesort", "internal/service", "internal/stats"}
 
 // exportAllow lists exported names that no Go code names yet that stay,
 // each with its reason: documentation cites them, or the standard library

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/samplesort"
+	"nlfl/internal/stats"
 )
 
 // smallFig4 runs a cheap panel for tests.
@@ -201,6 +204,50 @@ func TestSortScaling(t *testing.T) {
 	}
 	if SortScalingTable(rows, 8).String() == "" {
 		t.Error("empty table")
+	}
+}
+
+// TestSortScalingReplaysStoredKeys checks the replayed key streams
+// against the sweep run on stored keys: every row, the later ones whose
+// keys start after the earlier rows' keys and route seeds included, equals
+// routing a slice drawn from one generator in the same order.
+func TestSortScalingReplaysStoredKeys(t *testing.T) {
+	ns := []int{0, 1000, 1 << 12, 3000}
+	const p, seed = 8, 5
+	got, err := SortScaling(ns, p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(seed)
+	for k, n := range ns {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Float64()
+		}
+		tr, err := samplesort.Route(xs, samplesort.Config{Workers: p, Seed: r.Int63()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[k].N != n || got[k].MaxBucketRatio != tr.MaxBucketRatio() {
+			t.Errorf("row %d (N=%d): max bucket ratio %v, stored keys give %v", k, n, got[k].MaxBucketRatio, tr.MaxBucketRatio())
+		}
+	}
+}
+
+// TestSortScalingAllocation pins that the E3 sweep stores no key: on 2^20
+// keys at p = 8 it allocates the router's sample, its indices and a
+// generator per walk, not the 8 MiB a stored key array costs.
+func TestSortScalingAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SortScaling([]int{1 << 20}, 8, 42); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("SortScaling on 2^20 keys allocated %d B", allocated)
+	if allocated >= 256<<10 {
+		t.Errorf("SortScaling on 2^20 keys allocated %d B, want < 256 kB: it must not store the keys", allocated)
 	}
 }
 

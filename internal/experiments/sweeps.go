@@ -158,16 +158,29 @@ type SortScalingRow struct {
 // SortScaling reproduces the Section 3 analysis: for growing N on p
 // homogeneous workers, the non-divisible fraction and the bucket
 // concentration both improve. Only bucket sizes are read, so the keys are
-// routed and counted, not sorted.
+// routed and counted, not sorted, and never stored: row k's keys are the
+// seeded generator's draws after the earlier rows' keys and route seeds,
+// and each of the router's walks draws them again from the seed.
 func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 	r := stats.NewRNG(seed)
 	rows := make([]SortScalingRow, 0, len(ns))
-	for _, n := range ns {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()
+	for k, n := range ns {
+		keys := func(visit func(float64)) {
+			q := stats.NewRNG(seed)
+			for _, m := range ns[:k] {
+				for range m {
+					q.Float64()
+				}
+				q.Int63()
+			}
+			for range n {
+				visit(q.Float64())
+			}
 		}
-		tr, err := samplesort.Route(xs, samplesort.Config{Workers: p, Seed: r.Int63()})
+		for range n {
+			r.Float64()
+		}
+		tr, err := samplesort.RouteStream(n, keys, samplesort.Config{Workers: p, Seed: r.Int63()})
 		if err != nil {
 			return nil, err
 		}

@@ -125,18 +125,3 @@ func SimulateDistributed(pl *platform.Platform, n int, cfg Config, mode dessim.C
 	out.Sequential = float64(n) * math.Log2(float64(n)) / pl.MaxSpeed()
 	return out, nil
 }
-
-// DistributedScaling sweeps N and reports how the distributed sort's
-// speedup and pre-processing share evolve — the executable form of the
-// Section 3.1 optimality claim under a real communication model.
-func DistributedScaling(pl *platform.Platform, ns []int, mode dessim.CommMode) ([]DistributedCost, error) {
-	out := make([]DistributedCost, 0, len(ns))
-	for _, n := range ns {
-		c, err := SimulateDistributed(pl, n, Config{}, mode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

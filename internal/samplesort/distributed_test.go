@@ -72,9 +72,13 @@ func TestDistributedScalingImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := DistributedScaling(pl, []int{1 << 12, 1 << 16, 1 << 20}, dessim.ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
+	var rows []DistributedCost
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
+		c, err := SimulateDistributed(pl, n, Config{}, dessim.ParallelLinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, c)
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Speedup() <= rows[i-1].Speedup() {

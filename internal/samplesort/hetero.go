@@ -137,20 +137,11 @@ func BalancedShares(speeds []float64, n int) ([]float64, error) {
 	return out, nil
 }
 
-// sortWithShares places splitter i at the cumulative share of buckets
-// 0…i-1 of the sorted sample and otherwise runs Sort's three steps.
+// sortWithShares runs Sort's three steps with shareRank's splitters.
 func sortWithShares[T cmp.Ordered](xs []T, plat *platform.Platform, shares []float64, cfg Config) ([]T, HeteroTrace, error) {
 	p := plat.P()
 	cfg.Workers = p
-	// Summed one share at a time in bucket order: another order can round
-	// cum·m, and so a splitter, to a neighbouring rank.
-	cum := make([]float64, p-1)
-	sum := 0.0
-	for i := range cum {
-		sum += shares[i]
-		cum[i] = sum
-	}
-	splitters, tr, err := route(xs, cfg, func(i, m int) int { return int(cum[i-1] * float64(m)) })
+	splitters, tr, err := route(len(xs), sliceKeys(xs), cfg, shareRank(shares))
 	ht := HeteroTrace{Trace: tr, Speeds: plat.Speeds()}
 	if err != nil {
 		return nil, ht, err
@@ -163,4 +154,18 @@ func sortWithShares[T cmp.Ordered](xs []T, plat *platform.Platform, shares []flo
 		return nil, ht, nil
 	}
 	return scatterSort(xs, splitters, tr.BucketSizes, cfg.Sequential), ht, nil
+}
+
+// shareRank places splitter i at the cumulative share of buckets 0…i-1 of
+// the sorted m-key sample, for len(shares) buckets.
+func shareRank(shares []float64) func(i, m int) int {
+	// Summed one share at a time in bucket order: another order can round
+	// cum·m, and so a splitter, to a neighbouring rank.
+	cum := make([]float64, len(shares)-1)
+	sum := 0.0
+	for i := range cum {
+		sum += shares[i]
+		cum[i] = sum
+	}
+	return func(i, m int) int { return int(cum[i-1] * float64(m)) }
 }

@@ -3,9 +3,11 @@ package samplesort
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -146,9 +148,10 @@ func TestRouteMatchesSort(t *testing.T) {
 
 // TestRouteAndSortAllocation pins the two memory properties the Section 3
 // experiments rely on, on 2^20 float64 keys (8 MiB) and p = 8: Route
-// copies no key (it allocates the 3200-key sample, the splitters and the
-// bucket counts), and Sort allocates its one output array, not per-
-// bucket slices grown by append (6.1× the input when it did).
+// copies no key (it allocates the 3200-key sample and its indices, the
+// splitters and the bucket counts), and Sort allocates its one output
+// array, not per-bucket slices grown by append (6.1× the input when it
+// did).
 func TestRouteAndSortAllocation(t *testing.T) {
 	const n = 1 << 20
 	xs := randomFloats(1, n)
@@ -173,3 +176,203 @@ func TestRouteAndSortAllocation(t *testing.T) {
 		t.Errorf("Sort allocated %d B, want ≤ 1.6× the input (%d B): one output array plus at most a 4-byte index per key", sorted, limit)
 	}
 }
+
+// routeByIndex is Steps 1 and 2 as route ran them before it took a key
+// stream: the sample is drawn straight as xs[index], in draw order. It is
+// the reference the streamed route must reproduce.
+func routeByIndex[T cmp.Ordered](xs []T, cfg Config, rank func(i, m int) int) ([]T, Trace) {
+	p := cfg.Workers
+	tr := Trace{N: len(xs), Workers: p, Oversampling: cfg.Oversampling, BucketSizes: make([]int, p)}
+	if tr.Oversampling == 0 {
+		tr.Oversampling = DefaultOversampling(len(xs))
+	}
+	if len(xs) == 0 {
+		return nil, tr
+	}
+	var splitters []T
+	if rank != nil {
+		r := stats.NewRNG(cfg.Seed)
+		sample := make([]T, min(tr.Oversampling*p, len(xs)))
+		for i := range sample {
+			sample[i] = xs[r.Intn(len(xs))]
+		}
+		slices.Sort(sample)
+		splitters = make([]T, p-1)
+		for i := range splitters {
+			splitters[i] = sample[min(rank(i+1, len(sample)), len(sample)-1)]
+		}
+		tr.SampleSize = len(sample)
+		if len(sample) > 1 {
+			tr.ComparisonsSample = float64(len(sample)) * math.Log2(float64(len(sample)))
+		}
+	}
+	for _, x := range xs {
+		tr.BucketSizes[sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })]++
+	}
+	if p > 1 {
+		tr.ComparisonsRouting = float64(len(xs)) * math.Log2(float64(p))
+	}
+	for _, n := range tr.BucketSizes {
+		tr.MaxBucket = max(tr.MaxBucket, n)
+		tr.ComparisonsBuckets += sortWork(n)
+	}
+	return splitters, tr
+}
+
+// keyBits maps float keys to their bit patterns, so that NaN splitters
+// compare equal under reflect.DeepEqual (NaN != NaN).
+func keyBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// TestRouteStreamMatchesSlice is the property test of the streamed route:
+// on keys regenerated from a seed at every walk, route gives the Trace and
+// splitters it gives on the same keys stored in a slice, and both are the
+// reference's, which draws the sample by index. It covers n = 1,
+// n < s·p, n = s·p and 2^16; p ∈ {1, 2, 8, 100}; duplicate-heavy keys with
+// and without NaN; even and speed-weighted splitter ranks.
+func TestRouteStreamMatchesSlice(t *testing.T) {
+	// gen draws n keys over about n/4 distinct values; with nan, about one
+	// key in eight is NaN.
+	gen := func(seed int64, n int, nan bool) func(visit func(float64)) {
+		return func(visit func(float64)) {
+			r := stats.NewRNG(seed)
+			for range n {
+				x := float64(r.Intn(n/4+1)) / 8
+				if nan && r.Intn(8) == 0 {
+					x = math.NaN()
+				}
+				visit(x)
+			}
+		}
+	}
+	const s = 4
+	for _, p := range []int{1, 2, 8, 100} {
+		speeds := make([]float64, p)
+		for i := range speeds {
+			speeds[i] = float64(1 + i%5)
+		}
+		pl, err := platform.FromSpeeds(speeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks := []struct {
+			name string
+			rank func(i, m int) int
+		}{{"even", evenRank(p)}, {"hetero", shareRank(pl.NormalizedSpeeds())}}
+		sizes := []struct {
+			name string
+			n, s int
+		}{{"n=1", 1, s}, {"n<s·p", s*p - 1, s}, {"n=s·p", s * p, s}, {"n=2^16", 1 << 16, 0}}
+		for _, size := range sizes {
+			for _, nan := range []bool{false, true} {
+				for _, rk := range ranks {
+					name := fmt.Sprintf("p=%d/%s/nan=%v/%s", p, size.name, nan, rk.name)
+					seed := int64(p*1000 + size.n)
+					keys := gen(seed, size.n, nan)
+					var xs []float64
+					keys(func(x float64) { xs = append(xs, x) })
+					cfg := Config{Workers: p, Oversampling: size.s, Seed: seed + 1}
+
+					streamed, streamedTr, err := route(size.n, keys, cfg, rk.rank)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					sliced, slicedTr, err := route(len(xs), sliceKeys(xs), cfg, rk.rank)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, wantTr := routeByIndex(xs, cfg, rk.rank)
+					if !reflect.DeepEqual(streamedTr, slicedTr) || !reflect.DeepEqual(keyBits(streamed), keyBits(sliced)) {
+						t.Errorf("%s: streamed %+v %v, sliced %+v %v", name, streamedTr, streamed, slicedTr, sliced)
+					}
+					if !reflect.DeepEqual(slicedTr, wantTr) || !reflect.DeepEqual(keyBits(sliced), keyBits(want)) {
+						t.Errorf("%s: route %+v %v, by index %+v %v", name, slicedTr, sliced, wantTr, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRouteStreamRejectsMiscountedStream checks that a stream which
+// yields other than n keys is an error, not a wrong Trace.
+func TestRouteStreamRejectsMiscountedStream(t *testing.T) {
+	xs := randomFloats(2, 100)
+	for _, n := range []int{99, 101, -1} {
+		if _, err := RouteStream(n, sliceKeys(xs), Config{Workers: 4, Seed: 1}); err == nil {
+			t.Errorf("RouteStream(n=%d) of a 100-key stream: no error", n)
+		}
+	}
+	// One worker draws no sample; the count still checks the stream.
+	if _, err := RouteStream(99, sliceKeys(xs), Config{Workers: 1}); err == nil {
+		t.Error("RouteStream(n=99, p=1) of a 100-key stream: no error")
+	}
+}
+
+// TestBucketOfMatchesSearch checks the branch-free bucketOf against the
+// binary search it replaces, on random sorted splitters with duplicates
+// (NaN sorts first, -0 and +0 tie) and on keys that are NaN, ±0, ±Inf,
+// equal to a splitter, or between and beyond them.
+func TestBucketOfMatchesSearch(t *testing.T) {
+	r := stats.NewRNG(9)
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1, 0.5, 2}
+	for trial := 0; trial < 2000; trial++ {
+		splitters := make([]float64, r.Intn(130))
+		for i := range splitters {
+			if r.Intn(4) == 0 {
+				splitters[i] = special[r.Intn(len(special))]
+			} else {
+				splitters[i] = float64(r.Intn(20)) / 4
+			}
+		}
+		slices.Sort(splitters)
+		keys := slices.Clone(special)
+		for _, s := range splitters {
+			keys = append(keys, s, math.Nextafter(s, math.Inf(-1)), math.Nextafter(s, math.Inf(1)))
+		}
+		for _, x := range keys {
+			want := sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
+			if got := bucketOf(splitters, x); got != want {
+				t.Fatalf("bucketOf(%v, %v) = %d, sort.Search gives %d", splitters, x, got, want)
+			}
+		}
+	}
+	// Strings take the same code on another comparison.
+	words := []string{"", "a", "a", "b", "ba", "c", "c", "c"}
+	for _, x := range []string{"", "0", "a", "aa", "b", "bb", "c", "d"} {
+		for n := range len(words) + 1 {
+			s := words[:n]
+			want := sort.Search(len(s), func(i int) bool { return x < s[i] })
+			if got := bucketOf(s, x); got != want {
+				t.Fatalf("bucketOf(%q, %q) = %d, sort.Search gives %d", s, x, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRoute times Steps 1 and 2 on 2^20 uniform float64 keys (8 MiB)
+// for p = 8, the E3 sweep's width, and p = 100, the heterogeneous sorts'
+// platform size.
+func BenchmarkRoute(b *testing.B) {
+	xs := randomFloats(1, 1<<20)
+	for _, p := range []int{8, 100} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.SetBytes(int64(8 * len(xs)))
+			for i := 0; i < b.N; i++ {
+				tr, err := Route(xs, Config{Workers: p, Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				routed = tr
+			}
+		})
+	}
+}
+
+// routed keeps BenchmarkRoute's result live.
+var routed Trace

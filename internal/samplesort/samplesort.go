@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"nlfl/internal/stats"
@@ -72,22 +71,40 @@ func DefaultOversampling(n int) int {
 // Route runs Steps 1 and 2 only: it selects the splitters, counts the keys
 // each bucket receives and fills the whole Trace from those counts, Step
 // 3's ComparisonsBuckets included. It copies no key: beyond the Trace it
-// allocates only the s·p sample and the splitters. Its Trace equals Sort's
-// for the same xs and cfg, so callers that read bucket sizes only (the
-// Section 3 balance results) route instead of sorting.
+// allocates only the s·p sample, its indices and the splitters. Its Trace
+// equals Sort's for the same xs and cfg, so callers that read bucket sizes
+// only (the Section 3 balance results) route instead of sorting.
 func Route[T cmp.Ordered](xs []T, cfg Config) (Trace, error) {
-	_, tr, err := route(xs, cfg, evenRank(cfg.Workers))
+	return RouteStream(len(xs), sliceKeys(xs), cfg)
+}
+
+// RouteStream is Route on n keys that are never stored: keys must visit
+// the same n keys in the same order on every call, and it is called twice,
+// once to pick the sample and once to count the buckets. The Trace is
+// Route's on a slice of those keys, so a caller that can regenerate its
+// keys (from a seed, say) reads bucket sizes in O(s·p) memory.
+func RouteStream[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config) (Trace, error) {
+	_, tr, err := route(n, keys, cfg, evenRank(cfg.Workers))
 	return tr, err
 }
 
 // Sort sample-sorts xs into a new slice using cfg, returning the sorted
 // keys and the phase trace. The input is not modified.
 func Sort[T cmp.Ordered](xs []T, cfg Config) ([]T, Trace, error) {
-	splitters, tr, err := route(xs, cfg, evenRank(cfg.Workers))
+	splitters, tr, err := route(len(xs), sliceKeys(xs), cfg, evenRank(cfg.Workers))
 	if err != nil || len(xs) == 0 {
 		return nil, tr, err
 	}
 	return scatterSort(xs, splitters, tr.BucketSizes, cfg.Sequential), tr, nil
+}
+
+// sliceKeys is the key stream of a slice, for route.
+func sliceKeys[T any](xs []T) func(visit func(T)) {
+	return func(visit func(T)) {
+		for _, x := range xs {
+			visit(x)
+		}
+	}
 }
 
 // evenRank places splitter i at rank i·m/p of the sorted m-key sample, so
@@ -100,25 +117,31 @@ func evenRank(p int) func(i, m int) int {
 	return func(i, m int) int { return i * m / p }
 }
 
-// route is Steps 1 and 2 for every entry point. Step 1 draws min(s·p, N)
-// random keys, sorts them and keeps the keys of ranks rank(1, m), …,
-// rank(p-1, m) of the m-key sample as splitters (clamped to the sample;
-// non-decreasing by construction). Step 2 counts the keys of each bucket.
-// The returned Trace is complete.
-func route[T cmp.Ordered](xs []T, cfg Config, rank func(i, m int) int) ([]T, Trace, error) {
-	tr := Trace{N: len(xs), Workers: cfg.Workers, Oversampling: cfg.Oversampling}
+// route is Steps 1 and 2 for every entry point, on n keys that keys
+// visits in the same order on every call. Step 1 draws min(s·p, N) random
+// key indices, sorts them and picks their keys in one walk: the sample is
+// sorted next, so only its multiset matters, and it is the one a direct
+// draw of xs[index] would give. It keeps the keys of ranks rank(1, m), …,
+// rank(p-1, m) of the sorted m-key sample as splitters (clamped to the
+// sample; non-decreasing by construction). Step 2 counts the keys of each
+// bucket in a second walk. The returned Trace is complete.
+func route[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config, rank func(i, m int) int) ([]T, Trace, error) {
+	tr := Trace{N: n, Workers: cfg.Workers, Oversampling: cfg.Oversampling}
 	if cfg.Workers < 1 {
 		return nil, tr, errors.New("samplesort: need at least one worker")
 	}
+	if n < 0 {
+		return nil, tr, fmt.Errorf("samplesort: invalid key count %d", n)
+	}
 	if tr.Oversampling == 0 {
-		tr.Oversampling = DefaultOversampling(len(xs))
+		tr.Oversampling = DefaultOversampling(n)
 	}
 	if tr.Oversampling < 1 {
 		return nil, tr, fmt.Errorf("samplesort: invalid oversampling %d", tr.Oversampling)
 	}
 	p := cfg.Workers
 	tr.BucketSizes = make([]int, p)
-	if len(xs) == 0 {
+	if n == 0 {
 		return nil, tr, nil
 	}
 
@@ -126,9 +149,22 @@ func route[T cmp.Ordered](xs []T, cfg Config, rank func(i, m int) int) ([]T, Tra
 	var splitters []T
 	if rank != nil {
 		r := stats.NewRNG(cfg.Seed)
-		sample := make([]T, min(tr.Oversampling*p, len(xs)))
-		for i := range sample {
-			sample[i] = xs[r.Intn(len(xs))]
+		at := make([]int, min(tr.Oversampling*p, n))
+		for i := range at {
+			at[i] = r.Intn(n)
+		}
+		slices.Sort(at)
+		sample := make([]T, len(at))
+		picked, i := 0, 0
+		keys(func(x T) {
+			for picked < len(at) && at[picked] == i {
+				sample[picked] = x
+				picked++
+			}
+			i++
+		})
+		if i != n {
+			return nil, tr, fmt.Errorf("samplesort: key stream yielded %d keys, want %d", i, n)
 		}
 		slices.Sort(sample)
 		splitters = make([]T, p-1)
@@ -142,23 +178,56 @@ func route[T cmp.Ordered](xs []T, cfg Config, rank func(i, m int) int) ([]T, Tra
 	}
 
 	// Step 2: count the keys routed to each bucket.
-	for _, x := range xs {
-		tr.BucketSizes[bucketOf(splitters, x)]++
+	sizes := tr.BucketSizes
+	keys(func(x T) { sizes[bucketOf(splitters, x)]++ })
+	counted := 0
+	for _, c := range sizes {
+		counted += c
+		tr.MaxBucket = max(tr.MaxBucket, c)
+		tr.ComparisonsBuckets += sortWork(c)
+	}
+	if counted != n {
+		return nil, tr, fmt.Errorf("samplesort: key stream yielded %d keys, want %d", counted, n)
 	}
 	if p > 1 {
-		tr.ComparisonsRouting = float64(len(xs)) * math.Log2(float64(p))
-	}
-	for _, n := range tr.BucketSizes {
-		tr.MaxBucket = max(tr.MaxBucket, n)
-		tr.ComparisonsBuckets += sortWork(n)
+		tr.ComparisonsRouting = float64(n) * math.Log2(float64(p))
 	}
 	return splitters, tr, nil
 }
 
 // bucketOf is the Step 2 routing of one key: the first bucket whose upper
-// splitter exceeds x, by binary search.
+// splitter exceeds x, which is what
+// sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
+// returns. Splitters are sorted, so !(x < splitter) holds on a prefix of
+// them (NaN splitters sort first and x < NaN is false) and the answer is
+// that prefix's length. It halves the candidate range a fixed number of
+// times, about log₂ p, and each halving adds the half masked by the
+// comparison's 0 or 1, so no branch depends on the key: on random keys
+// such a branch mispredicts half the time. (A plain if would stay a
+// branch: the compiler makes no conditional move whose result feeds a
+// load address.)
 func bucketOf[T cmp.Ordered](splitters []T, x T) int {
-	return sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
+	n := len(splitters)
+	if n == 0 {
+		return 0
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half & -notBelow(x, splitters[base+half])
+		n -= half
+	}
+	return base + notBelow(x, splitters[base])
+}
+
+// notBelow is 1 if !(x < s) and 0 otherwise. The compiler sets it from the
+// comparison's flags, so bucketOf moves its base without a branch.
+func notBelow[T cmp.Ordered](x, s T) int {
+	b := 0
+	if !(x < s) {
+		b = 1
+	}
+	return b
 }
 
 // sortWork is n·log₂n, the comparisons of sorting an n-key bucket.

@@ -71,17 +71,6 @@ func (c CostModel) Speedup() float64 {
 	return c.Sequential / t
 }
 
-// PreprocessingShare returns (Step1+Step2)/Total, the fraction of time
-// spent in the non-parallel pre-processing; it must vanish as N grows for
-// the DLT framing to pay off.
-func (c CostModel) PreprocessingShare() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return (c.Step1 + c.Step2) / t
-}
-
 // Cost evaluates the model for N keys on p workers with oversampling s
 // (0 → ⌈log²N⌉), assuming the ideal largest bucket
 // (N/p)·(1+(1/log N)^(1/3)).

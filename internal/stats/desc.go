@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -16,15 +15,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Variance returns the unbiased (n-1) sample variance of xs; it returns 0
@@ -89,36 +79,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary is a five-number-plus summary of a sample.
-type Summary struct {
-	N             int
-	Mean, StdDev  float64
-	Min, Max      float64
-	Median        float64
-	P25, P75, P95 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Quantile(xs, 0.5),
-		P25:    Quantile(xs, 0.25),
-		P75:    Quantile(xs, 0.75),
-		P95:    Quantile(xs, 0.95),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P25, s.Median, s.P75, s.P95, s.Max)
 }
 
 // Welford accumulates a running mean and variance in one pass without

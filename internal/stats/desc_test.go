@@ -98,17 +98,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := Summarize(xs)
-	if s.N != 10 || s.Mean != 5.5 || s.Min != 1 || s.Max != 10 || s.Median != 5.5 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String should be non-empty")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	r := NewRNG(42)
 	xs := SampleN(Uniform{Lo: -5, Hi: 12}, r, 1000)
@@ -190,15 +179,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum(nil) != 0 {
-		t.Error("empty sum should be 0")
-	}
-	if got := Sum([]float64{1.5, -0.5, 2}); got != 3 {
-		t.Errorf("Sum = %v, want 3", got)
 	}
 }
 

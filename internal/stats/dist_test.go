@@ -186,41 +186,3 @@ func TestDistributionStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d, want 8", h.Total())
-	}
-	// Bucket widths are 2: [-1,0,1.9]→bucket0, [2]→bucket1, [5]→bucket2,
-	// [9.99,10,11]→bucket4 (clamped).
-	want := []int{3, 1, 1, 0, 3}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
-		}
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BucketBounds(1) = (%v,%v), want (2,4)", lo, hi)
-	}
-	if h.String() == "" {
-		t.Error("histogram rendering should be non-empty")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero bins", func() { NewHistogram(0, 1, 0) })
-	mustPanic("empty range", func() { NewHistogram(1, 1, 4) })
-}

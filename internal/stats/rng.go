@@ -30,13 +30,17 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
-// source returns the math/rand source, seeding it on first use.
+// source returns the math/rand source, seeding it on first use. Seeding
+// sits in its own function so that source inlines into each draw method,
+// which saves a call per draw.
 func (r *RNG) source() *rand.Rand {
 	if r.src == nil {
-		r.src = rand.New(rand.NewSource(r.seed))
+		r.seedSource()
 	}
 	return r.src
 }
+
+func (r *RNG) seedSource() { r.src = rand.New(rand.NewSource(r.seed)) }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 { return r.source().Float64() }
