@@ -125,7 +125,10 @@ func TestCLISubcommands(t *testing.T) {
 // faults rows pin the DES fault executors under each scenario kind. The
 // affinity row pins every policy and the bounded-cache sweep. The iterate
 // row pins a closed-loop job on the virtual clock: residuals, makespans
-// and control decisions.
+// and control decisions. The rows from nonlinear to help pin every other
+// deterministic command with the arguments TestCLISubcommands gives it,
+// and with them the closed forms, partitioners, kernels and planner
+// behind those tables.
 func TestCLIGoldens(t *testing.T) {
 	rows := []struct {
 		golden string
@@ -157,6 +160,26 @@ func TestCLIGoldens(t *testing.T) {
 		{"iterate-n48-tie0.6-drift2", []string{"iterate", "-n", "48", "-tie", "0.6", "-rate", "4e5",
 			"-speeds", "1,2,3", "-rounds", "12", "-mode", "adaptive",
 			"-drift-worker", "2", "-drift-factor", "0.4", "-drift-round", "1"}},
+		{"nonlinear-ps2-10", []string{"nonlinear", "-ps", "2,10"}},
+		{"analyze-power-alpha2-p100", []string{"analyze", "-kind", "power", "-alpha", "2", "-p", "100"}},
+		{"analyze-sort-n1048576-p32", []string{"analyze", "-kind", "sort", "-n", "1048576", "-p", "32"}},
+		{"rho-ks1-16", []string{"rho", "-ks", "1,16"}},
+		{"partition-trials3", []string{"partition", "-trials", "3"}},
+		{"outer-p6", []string{"outer", "-p", "6"}},
+		{"matmul-n32", []string{"matmul", "-n", "32"}},
+		{"mapreduce-demo6", []string{"mapreduce", "-demo", "6"}},
+		{"fig2-p4-w24-h8", []string{"fig2", "-p", "4", "-w", "24", "-h", "8"}},
+		{"fig4-trials3-pmax20", []string{"fig4", "-trials", "3", "-pmax", "20"}},
+		{"fig4-csv-trials2-pmax10", []string{"fig4", "-trials", "2", "-pmax", "10", "-csv"}},
+		{"bottleneck-p6", []string{"bottleneck", "-p", "6"}},
+		{"mrdlt-p4", []string{"mrdlt", "-p", "4"}},
+		{"polymul-n64", []string{"polymul", "-n", "64"}},
+		{"tree-depth2-fanout2", []string{"tree", "-depth", "2", "-fanout", "2"}},
+		{"recommend", []string{"recommend"}},
+		{"recommend-bandwidth0-nochart", []string{"recommend", "-bandwidth", "0", "-chart=false"}},
+		{"recommend-json", []string{"recommend", "-json"}},
+		{"demo", []string{"demo"}},
+		{"help", []string{"help"}},
 	}
 	files, err := filepath.Glob("testdata/*.golden")
 	if err != nil {

@@ -12,34 +12,51 @@ import (
 	"testing"
 )
 
-// exportGuardPackages are the packages whose exported API must have a
-// caller outside the package's own tests. Widening the guard to another
-// package means adding its directory here.
-var exportGuardPackages = []string{"internal/runtime", "internal/samplesort", "internal/service", "internal/stats"}
-
-// exportAllow lists exported names that no Go code names yet that stay,
-// each with its reason: documentation cites them, or the standard library
-// calls them through an interface.
+// exportAllow lists exported names of internal packages that no Go code
+// names yet that stay, each with its reason: documentation cites them, or
+// the standard library calls them through an interface.
 var exportAllow = map[string]string{
-	"internal/runtime.DeliveryFloor":         "DESIGN.md §12 documents it as the serialized-delivery makespan floor of a topology",
-	"internal/service.SubmitIterative":       "DESIGN.md §14 documents it as the service face of the closed-loop iterative controller",
-	"internal/service.AdmissionError.Unwrap": "errors.Is calls it through the Unwrap interface, so errors.Is(err, ErrAdmissionRejected) holds",
+	"internal/runtime.DeliveryFloor":              "DESIGN.md §12 documents it as the serialized-delivery makespan floor of a topology",
+	"internal/service.SubmitIterative":            "DESIGN.md §14 documents it as the service face of the closed-loop iterative controller",
+	"internal/service.AdmissionError.Unwrap":      "errors.Is calls it through the Unwrap interface, so errors.Is(err, ErrAdmissionRejected) holds",
+	"internal/core.DegenerateRectError.Unwrap":    "errors.Is calls it through the Unwrap interface, so errors.Is(err, ErrDegenerateRect) holds",
+	"internal/capacity.FromObserved":              "DESIGN.md cites it as the planner's entry for measured speeds, which calibrating the planner from a run needs",
+	"internal/experiments.Fig4MatMul":             "DESIGN.md and EXPERIMENTS.md cite it as the Figure 4 run through the real GEMM kernels",
+	"internal/nldlt.IllusorySpeedup":              "EXPERIMENTS.md cites it as the speedup an equal split seems to promise",
+	"internal/nldlt.MultiInstallmentWorkFraction": "DESIGN.md cites it as the multi-installment counterpart of the Section 2 work fraction",
+	"internal/outer.WeightedCommTime":             "DESIGN.md cites it as the link-weighted communication time of a partition",
 }
 
-// TestNoUnusedExports fails when an exported function, type, variable,
-// constant or method declared in non-test code of a guarded package is
-// referenced nowhere but in that package's own _test.go files. Every
-// other Go file of the repository counts as a caller: the package's own
-// non-test code, every other package, the root *_test.go experiments and
-// the benchmark/ module. Struct fields are not checked. A method counts
-// as used when any selector outside the package's tests names it — the
-// guard works on syntax, not types, so it errs towards "used".
+// maxExportAllow caps exportAllow: a name that stays without a caller is
+// an exception that needs its reason, not a habit.
+const maxExportAllow = 10
+
+// TestNoUnusedExports fails when a top-level function, type, variable or
+// constant, or a method, declared in non-test code has no caller:
+//
+//   - An exported name of a package under internal/ (every one found by
+//     walking the tree) must be referenced by non-test code: the
+//     package's own, another package's, the root *_test.go experiments'
+//     or the benchmark/ module's. The tests of internal/ and cmd/
+//     packages are no callers.
+//   - An unexported name of any package of the main module must be
+//     referenced by a non-test file of its own package. Code that only
+//     tests need belongs in a _test.go file.
+//
+// A reference inside the declaration itself (a recursive call, a type
+// naming itself) does not count. Struct fields are not checked. A method
+// counts as used when any selector a caller may write names it, and an
+// exported method of an unexported type is not checked — the guard works
+// on syntax, not types, so it errs towards "used".
 func TestNoUnusedExports(t *testing.T) {
+	if len(exportAllow) > maxExportAllow {
+		t.Errorf("exportAllow has %d rows, more than %d: give the names callers or delete them", len(exportAllow), maxExportAllow)
+	}
 	fset := token.NewFileSet()
 	type file struct {
-		dir  string
-		test bool
-		ast  *ast.File
+		dir         string
+		test, bench bool // a _test.go file; a file of the benchmark/ module
+		ast         *ast.File
 	}
 	var files []file
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -60,48 +77,57 @@ func TestNoUnusedExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, file{dir: filepath.ToSlash(filepath.Dir(path)), test: strings.HasSuffix(path, "_test.go"), ast: f})
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files = append(files, file{dir: dir, test: strings.HasSuffix(path, "_test.go"),
+			bench: dir == "benchmark" || strings.HasPrefix(dir, "benchmark/"), ast: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// declared[pkg][name] is the position of each exported top-level name
-	// or method ("Type.Method") of a guarded package's non-test code.
-	declared := map[string]map[string]token.Pos{}
-	used := map[string]map[string]bool{}
-	for _, pkg := range exportGuardPackages {
-		declared[pkg], used[pkg] = map[string]token.Pos{}, map[string]bool{}
+	// A declaration is guarded when its name must have a caller; span is
+	// its extent, inside which references to it do not count.
+	type decl struct {
+		name     token.Pos
+		span     [2]token.Pos
+		exported bool
+		used     bool
+	}
+	// declared[pkg][name] holds each guarded top-level name or method
+	// ("Type.Method") of a main-module package's non-test code; benchmark/
+	// is another module, so its names are not guarded.
+	declared := map[string]map[string]*decl{}
+	add := func(pkg, name string, pos token.Pos, node ast.Node) {
+		exported := ast.IsExported(name[strings.LastIndex(name, ".")+1:])
+		if exported && !strings.HasPrefix(pkg, "internal/") || name == "_" || name == "init" || name == "main" {
+			return
+		}
+		if declared[pkg] == nil {
+			declared[pkg] = map[string]*decl{}
+		}
+		declared[pkg][name] = &decl{name: pos, span: [2]token.Pos{node.Pos(), node.End()}, exported: exported}
 	}
 	for _, f := range files {
-		decl := declared[f.dir]
-		if decl == nil || f.test {
+		if f.test || f.bench {
 			continue
 		}
 		for _, d := range f.ast.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
 				if d.Recv == nil {
-					decl[d.Name.Name] = d.Name.Pos()
-				} else if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) {
-					decl[recv+"."+d.Name.Name] = d.Name.Pos()
+					add(f.dir, d.Name.Name, d.Name.Pos(), d)
+				} else if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) || !d.Name.IsExported() {
+					add(f.dir, recv+"."+d.Name.Name, d.Name.Pos(), d)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							decl[s.Name.Name] = s.Name.Pos()
-						}
+						add(f.dir, s.Name.Name, s.Name.Pos(), s)
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
-							if n.IsExported() {
-								decl[n.Name] = n.Pos()
-							}
+							add(f.dir, n.Name, n.Pos(), s)
 						}
 					}
 				}
@@ -109,78 +135,85 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 
-	// methods[m] lists the guarded packages' methods named m, as
-	// {package, "Type.m"} pairs: any selector .m outside the package's
-	// tests uses them all.
-	methods := map[string][][2]string{}
-	for pkg, decl := range declared {
-		for name := range decl {
-			if _, m, ok := strings.Cut(name, "."); ok {
-				methods[m] = append(methods[m], [2]string{pkg, name})
+	// methods[m] lists the guarded methods named m: any selector .m a
+	// caller may write uses them all.
+	type method struct{ pkg, key string }
+	methods := map[string][]method{}
+	for pkg, decls := range declared {
+		for key := range decls {
+			if _, m, ok := strings.Cut(key, "."); ok {
+				methods[m] = append(methods[m], method{pkg, key})
 			}
 		}
 	}
 	for _, f := range files {
-		if declared[f.dir] != nil && f.test {
-			continue // the package's own tests are no callers
+		// Package tests call nothing; only a package's own non-test code
+		// may call its unexported names.
+		caller := !f.test || f.dir == "." || f.bench
+		use := func(pkg, key string, pos token.Pos) {
+			d := declared[pkg][key]
+			if d == nil || !caller || !d.exported && pkg != f.dir || d.span[0] <= pos && pos < d.span[1] {
+				return
+			}
+			d.used = true
 		}
 		// Local names under which this file imports a guarded package.
 		imported := map[string]string{}
 		for _, imp := range f.ast.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			for _, pkg := range exportGuardPackages {
-				if strings.HasSuffix(path, "/"+pkg) {
-					name := filepath.Base(pkg)
-					if imp.Name != nil {
-						name = imp.Name.Name
-					}
-					imported[name] = pkg
+			if pkg, ok := strings.CutPrefix(path, "nlfl/"); ok && declared[pkg] != nil {
+				name := filepath.Base(pkg)
+				if imp.Name != nil {
+					name = imp.Name.Name
 				}
+				imported[name] = pkg
 			}
 		}
-		own := declared[f.dir]
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if pkg, ok := imported[x.Name]; ok {
-						used[pkg][n.Sel.Name] = true
+						use(pkg, n.Sel.Name, n.Pos())
 					}
 				}
 				for _, m := range methods[n.Sel.Name] {
-					used[m[0]][m[1]] = true
+					use(m.pkg, m.key, n.Pos())
 				}
 			case *ast.Ident:
-				if pos, ok := own[n.Name]; ok && pos != n.Pos() {
-					used[f.dir][n.Name] = true
-				}
+				use(f.dir, n.Name, n.Pos())
 			}
 			return true
 		})
 	}
 
 	var unused []string
-	for pkg, decl := range declared {
-		for name, pos := range decl {
+	for pkg, decls := range declared {
+		for name, d := range decls {
 			key := pkg + "." + name
 			_, allowed := exportAllow[key]
 			switch {
-			case used[pkg][name] && allowed:
+			case d.used && allowed:
 				t.Errorf("%s is on the allow-list but has a caller now: drop it from exportAllow", key)
-			case !used[pkg][name] && !allowed:
-				unused = append(unused, fset.Position(pos).String()+": "+key)
+			case !d.used && !allowed && d.exported:
+				unused = append(unused, fset.Position(d.name).String()+": "+key+" is exported but only its own package's tests use it: unexport or delete it")
+			case !d.used && !allowed:
+				unused = append(unused, fset.Position(d.name).String()+": "+key+" has no caller in its package's non-test code: delete it or move it into a _test.go file")
 			}
 		}
 	}
-	for key := range exportAllow {
+	for key, reason := range exportAllow {
 		pkg, name, _ := strings.Cut(key, ".") // package directories hold no dot
-		if _, ok := declared[pkg][name]; !ok {
-			t.Errorf("allow-listed %s is not declared any more: drop it from exportAllow", key)
+		if d := declared[pkg][name]; d == nil || !d.exported {
+			t.Errorf("allow-listed %s is not a guarded exported name: drop it from exportAllow", key)
+		}
+		if reason == "" {
+			t.Errorf("allow-listed %s gives no reason", key)
 		}
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("%s is exported but only its own package's tests use it: unexport or delete it", u)
+		t.Error(u)
 	}
 }
 
@@ -190,6 +223,8 @@ func receiverType(e ast.Expr) string {
 	case *ast.StarExpr:
 		return receiverType(e.X)
 	case *ast.IndexExpr:
+		return receiverType(e.X)
+	case *ast.IndexListExpr:
 		return receiverType(e.X)
 	case *ast.Ident:
 		return e.Name

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -210,7 +211,8 @@ func TestSortScaling(t *testing.T) {
 // TestSortScalingReplaysStoredKeys checks the replayed key streams
 // against the sweep run on stored keys: every row, the later ones whose
 // keys start after the earlier rows' keys and route seeds included, equals
-// routing a slice drawn from one generator in the same order.
+// routing a slice drawn from one generator in the same order. The N = 0
+// row's threshold ratio is finite (0), so two sweeps are deeply equal.
 func TestSortScalingReplaysStoredKeys(t *testing.T) {
 	ns := []int{0, 1000, 1 << 12, 3000}
 	const p, seed = 8, 5
@@ -231,6 +233,16 @@ func TestSortScalingReplaysStoredKeys(t *testing.T) {
 		if got[k].N != n || got[k].MaxBucketRatio != tr.MaxBucketRatio() {
 			t.Errorf("row %d (N=%d): max bucket ratio %v, stored keys give %v", k, n, got[k].MaxBucketRatio, tr.MaxBucketRatio())
 		}
+		if th := got[k].Threshold; math.IsNaN(th) || math.IsInf(th, 0) {
+			t.Errorf("row %d (N=%d): threshold ratio %v, want a finite number", k, n, th)
+		}
+	}
+	again, err := SortScaling(ns, p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, again) {
+		t.Errorf("two sweeps with the same seed differ:\n%+v\n%+v", got, again)
 	}
 }
 

@@ -184,11 +184,16 @@ func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Like MaxBucketRatio, the threshold ratio of an empty input is 0.
+		threshold := 0.0
+		if n > 0 {
+			threshold = samplesort.TheoremB4Threshold(n, p) / (float64(n) / float64(p))
+		}
 		rows = append(rows, SortScalingRow{
 			N:              n,
 			Fraction:       samplesort.NonDivisibleFraction(n, p),
 			MaxBucketRatio: tr.MaxBucketRatio(),
-			Threshold:      samplesort.TheoremB4Threshold(n, p) / (float64(n) / float64(p)),
+			Threshold:      threshold,
 			ModelSpeedup:   samplesort.Cost(float64(n), p, 0).Speedup(),
 		})
 	}
