@@ -9,7 +9,7 @@
 //     Section 2 no-free-lunch analysis (internal/nldlt);
 //   - the parallel sample sort of Section 3, real and simulated, with the
 //     Theorem B.4 concentration checks (internal/samplesort);
-//   - the PERI-SUM/PERI-MAX rectangle partitioners of Beaumont et al.
+//   - the PERI-SUM rectangle partitioners of Beaumont et al.
 //     2002 used by the Heterogeneous Blocks strategy (internal/partition);
 //   - the three outer-product data-distribution strategies and their
 //     communication accounting (internal/outer), the matrix-

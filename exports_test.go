@@ -12,19 +12,20 @@ import (
 	"testing"
 )
 
-// exportAllow lists exported names of internal packages that no Go code
-// names yet that stay, each with its reason: documentation cites them, or
-// the standard library calls them through an interface.
+// exportAllow lists the exported names of internal packages that stay
+// without a caller in non-test code, each with its reason: documentation
+// or an open ROADMAP item cites them, or the standard library calls them
+// through an interface.
 var exportAllow = map[string]string{
 	"internal/runtime.DeliveryFloor":              "DESIGN.md §12 documents it as the serialized-delivery makespan floor of a topology",
 	"internal/service.SubmitIterative":            "DESIGN.md §14 documents it as the service face of the closed-loop iterative controller",
 	"internal/service.AdmissionError.Unwrap":      "errors.Is calls it through the Unwrap interface, so errors.Is(err, ErrAdmissionRejected) holds",
 	"internal/core.DegenerateRectError.Unwrap":    "errors.Is calls it through the Unwrap interface, so errors.Is(err, ErrDegenerateRect) holds",
-	"internal/capacity.FromObserved":              "DESIGN.md cites it as the planner's entry for measured speeds, which calibrating the planner from a run needs",
-	"internal/experiments.Fig4MatMul":             "DESIGN.md and EXPERIMENTS.md cite it as the Figure 4 run through the real GEMM kernels",
-	"internal/nldlt.IllusorySpeedup":              "EXPERIMENTS.md cites it as the speedup an equal split seems to promise",
-	"internal/nldlt.MultiInstallmentWorkFraction": "DESIGN.md cites it as the multi-installment counterpart of the Section 2 work fraction",
-	"internal/outer.WeightedCommTime":             "DESIGN.md cites it as the link-weighted communication time of a partition",
+	"internal/capacity.FromObserved":              "DESIGN.md §14 cites it as the planner's model rebuilt from measured rates, and ROADMAP item 6 fits the per-chunk latency through it",
+	"internal/experiments.Fig4MatMul":             "DESIGN.md's extension table and EXPERIMENTS.md cite it as the Figure 4 sweep under the matmul volume accounting, the GEMM path ROADMAP keeps parked",
+	"internal/nldlt.IllusorySpeedup":              "EXPERIMENTS.md cites it as the speedup illusion of Section 2",
+	"internal/nldlt.MultiInstallmentWorkFraction": "DESIGN.md's extension table cites it as the multi-installment corollary of Section 2",
+	"internal/outer.WeightedCommTime":             "DESIGN.md's extension table cites it as the per-link-weighted communication time",
 }
 
 // maxExportAllow caps exportAllow: a name that stays without a caller is
@@ -37,8 +38,7 @@ const maxExportAllow = 10
 //   - An exported name of a package under internal/ (every one found by
 //     walking the tree) must be referenced by non-test code: the
 //     package's own, another package's, the root *_test.go experiments'
-//     or the benchmark/ module's. The tests of internal/ and cmd/
-//     packages are no callers.
+//     or the benchmark/ module's. No other _test.go file is a caller.
 //   - An unexported name of any package of the main module must be
 //     referenced by a non-test file of its own package. Code that only
 //     tests need belongs in a _test.go file.

@@ -164,7 +164,7 @@ func (m Model) predict(p int) (Prediction, error) {
 // Curve forecasts every slice size 1..len(Speeds). The raw per-p speedup
 // is NOT monotone — past some p the extra input shipping outweighs the
 // extra compute and the makespan worsens, which is exactly the signal
-// the knee detector reads. AchievableSpeedup is the monotone envelope.
+// the knee detector reads.
 func (m Model) Curve() ([]Prediction, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -185,19 +185,4 @@ func (m Model) Curve() ([]Prediction, error) {
 		curve[p-1] = pred
 	}
 	return curve, nil
-}
-
-// AchievableSpeedup returns max over p ≤ cap of curve[p-1].Speedup — the
-// best speedup a fleet of cap workers can reach, since a planner is
-// never forced to use workers that hurt. This envelope is monotone
-// non-decreasing in cap by construction, the shape operators reason
-// about; the raw per-p curve dips past the knee.
-func AchievableSpeedup(curve []Prediction, cap int) float64 {
-	best := 0.0
-	for i := 0; i < cap && i < len(curve); i++ {
-		if curve[i].Speedup > best {
-			best = curve[i].Speedup
-		}
-	}
-	return best
 }

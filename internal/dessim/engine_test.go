@@ -7,6 +7,8 @@ import (
 
 func TestEngineOrdersEvents(t *testing.T) {
 	e := NewEngine()
+	sink := &countingSink{}
+	e.SetSink(sink)
 	var order []int
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
@@ -20,8 +22,8 @@ func TestEngineOrdersEvents(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	if e.Steps() != 3 {
-		t.Errorf("steps = %d", e.Steps())
+	if sink.fired != 3 {
+		t.Errorf("fired %d events, want 3", sink.fired)
 	}
 }
 
@@ -50,29 +52,6 @@ func TestEngineAfterAndNesting(t *testing.T) {
 	e.Run()
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Errorf("times = %v, want [1 3]", times)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	for _, tt := range []float64{1, 2, 3, 4, 5} {
-		e.At(tt, func() { ran++ })
-	}
-	n := e.RunUntil(3)
-	if n != 3 || ran != 3 {
-		t.Errorf("RunUntil executed %d/%d events, want 3", n, ran)
-	}
-	if e.Now() != 3 {
-		t.Errorf("now = %v, want 3", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	// RunUntil past all events advances the clock.
-	e.RunUntil(10)
-	if e.Now() != 10 || e.Pending() != 0 {
-		t.Errorf("now=%v pending=%d", e.Now(), e.Pending())
 	}
 }
 
@@ -151,6 +130,8 @@ func TestEngineScheduleAtCurrentClock(t *testing.T) {
 
 func TestEngineCancelPendingEvent(t *testing.T) {
 	e := NewEngine()
+	sink := &countingSink{}
+	e.SetSink(sink)
 	var fired []int
 	e.At(1, func() { fired = append(fired, 1) })
 	h := e.Schedule(2, func() { fired = append(fired, 2) })
@@ -159,8 +140,8 @@ func TestEngineCancelPendingEvent(t *testing.T) {
 	if !h.Cancelled() {
 		t.Error("handle should report cancelled")
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2 (cancelled event excluded)", e.Pending())
+	if pending := sink.scheduled - sink.cancelled; pending != 2 {
+		t.Errorf("pending = %d, want 2 (cancelled event excluded)", pending)
 	}
 	end := e.Run()
 	if end != 3 {
@@ -169,8 +150,8 @@ func TestEngineCancelPendingEvent(t *testing.T) {
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
 		t.Errorf("fired = %v, want [1 3]", fired)
 	}
-	if e.Steps() != 2 {
-		t.Errorf("steps = %d, want 2 (cancelled events are not steps)", e.Steps())
+	if sink.fired != 2 {
+		t.Errorf("fired %d events, want 2 (cancelled events do not fire)", sink.fired)
 	}
 }
 
@@ -221,22 +202,26 @@ func TestEngineCancelledTailDoesNotAdvanceClock(t *testing.T) {
 
 func TestResourceBooking(t *testing.T) {
 	var r Resource
+	busy := 0.0
 	s, e := r.Book(0, 5)
+	busy += e - s
 	if s != 0 || e != 5 {
 		t.Errorf("first booking = [%v,%v], want [0,5]", s, e)
 	}
 	// Second booking at t=2 must wait for the resource.
 	s, e = r.Book(2, 3)
+	busy += e - s
 	if s != 5 || e != 8 {
 		t.Errorf("second booking = [%v,%v], want [5,8]", s, e)
 	}
 	// Booking after the free time starts immediately.
 	s, e = r.Book(10, 1)
+	busy += e - s
 	if s != 10 || e != 11 {
 		t.Errorf("third booking = [%v,%v], want [10,11]", s, e)
 	}
-	if r.BusyTime() != 9 {
-		t.Errorf("busy = %v, want 9", r.BusyTime())
+	if busy != 9 {
+		t.Errorf("busy = %v, want 9", busy)
 	}
 	if r.FreeAt() != 11 {
 		t.Errorf("freeAt = %v, want 11", r.FreeAt())

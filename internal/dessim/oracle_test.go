@@ -35,9 +35,6 @@ func TestExecutorsUnderOracle(t *testing.T) {
 	}{
 		{"single-round/parallel", func() (*trace.Timeline, error) { return RunSingleRound(p, chunks, ParallelLinks) }, chunks, 1},
 		{"single-round/one-port", func() (*trace.Timeline, error) { return RunSingleRound(p, chunks, OnePort) }, chunks, 1},
-		{"affine", func() (*trace.Timeline, error) {
-			return RunSingleRoundAffine(p, chunks, []float64{0.5, 0, 1}, OnePort)
-		}, chunks, 1},
 		{"demand-driven", func() (*trace.Timeline, error) { return RunDemandDriven(p, tasks, OnePort) }, chunks, 1},
 		{"bounded", func() (*trace.Timeline, error) { return RunSingleRoundBounded(p, chunks, 3) }, chunks, 1},
 		{"returns", func() (*trace.Timeline, error) { return RunSingleRoundWithReturns(p, single, delta, LIFO) }, single, 1 + delta},

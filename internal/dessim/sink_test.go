@@ -49,31 +49,3 @@ func TestEngineSinkLifecycle(t *testing.T) {
 		t.Errorf("detached sink still notified: %+v", sink)
 	}
 }
-
-func TestResourceBookingsRecord(t *testing.T) {
-	var r Resource
-	r.Book(0, 1) // not recorded: capture is off
-	r.Record(true)
-	s1, e1 := r.Book(0, 2) // queues behind the first booking
-	s2, e2 := r.Book(1, 1)
-	bs := r.Bookings()
-	if len(bs) != 2 {
-		t.Fatalf("got %d bookings, want 2 (pre-Record booking must not appear)", len(bs))
-	}
-	if bs[0] != (Booking{Start: s1, End: e1}) || bs[1] != (Booking{Start: s2, End: e2}) {
-		t.Errorf("bookings %v, want [{%v %v} {%v %v}]", bs, s1, e1, s2, e2)
-	}
-	if s1 != 1 || e1 != 3 || s2 != 3 || e2 != 4 {
-		t.Errorf("booking times: [%v,%v] [%v,%v]", s1, e1, s2, e2)
-	}
-	// Bookings returns a copy, not the internal slice.
-	bs[0].Start = -99
-	if r.Bookings()[0].Start == -99 {
-		t.Error("Bookings exposed internal state")
-	}
-	r.Record(false)
-	r.Book(10, 1)
-	if len(r.Bookings()) != 2 {
-		t.Error("booking recorded while capture was off")
-	}
-}

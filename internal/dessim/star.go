@@ -52,29 +52,6 @@ type Chunk struct {
 // its CPU processes chunks in arrival order. Each chunk's spans carry its
 // slice index as the task id.
 func RunSingleRound(p *platform.Platform, chunks []Chunk, mode CommMode) (*trace.Timeline, error) {
-	return runStatic(p, chunks, make([]float64, p.P()), mode)
-}
-
-// RunSingleRoundAffine executes a static schedule like RunSingleRound but
-// charges a fixed per-chunk latency on every transfer: receiving a chunk
-// of d units on worker i takes latency[i] + d/bwᵢ. Latencies are what
-// make multi-round scheduling a trade-off — more rounds pipeline better
-// but pay the overhead more often (the classical UMR setting).
-func RunSingleRoundAffine(p *platform.Platform, chunks []Chunk, latency []float64, mode CommMode) (*trace.Timeline, error) {
-	if len(latency) != p.P() {
-		return nil, fmt.Errorf("dessim: %d latencies for %d workers", len(latency), p.P())
-	}
-	for i, l := range latency {
-		if l < 0 {
-			return nil, fmt.Errorf("dessim: negative latency %v for worker %d", l, i)
-		}
-	}
-	return runStatic(p, chunks, latency, mode)
-}
-
-// runStatic is the one static-schedule loop behind RunSingleRound (zero
-// latencies) and RunSingleRoundAffine.
-func runStatic(p *platform.Platform, chunks []Chunk, latency []float64, mode CommMode) (*trace.Timeline, error) {
 	tl := trace.New(p.P())
 	port := &Resource{}              // master's one-port resource
 	links := make([]Resource, p.P()) // per-worker incoming links
@@ -87,7 +64,7 @@ func runStatic(p *platform.Platform, chunks []Chunk, latency []float64, mode Com
 			return nil, fmt.Errorf("dessim: chunk %d has negative size (%v data, %v work)", idx, ch.Data, ch.Work)
 		}
 		w := p.Worker(ch.Worker)
-		commDur := latency[ch.Worker] + w.CommTime(ch.Data)
+		commDur := w.CommTime(ch.Data)
 		var recvStart, recvEnd float64
 		if mode == OnePort {
 			recvStart, recvEnd = port.Book(0, commDur)

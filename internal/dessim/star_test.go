@@ -359,34 +359,3 @@ func TestDemandDrivenConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSingleRoundAffineChargesLatency(t *testing.T) {
-	p := mustPlatform(t, 1, 1)
-	chunks := []Chunk{
-		{Worker: 0, Data: 4, Work: 4},
-		{Worker: 1, Data: 4, Work: 4},
-	}
-	lat := []float64{2, 0}
-	tl, err := RunSingleRoundAffine(p, chunks, lat, ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Worker 0: recv [0, 2+4]=6, compute [6,10]; worker 1: recv [0,4],
-	// compute [4,8].
-	if tl.Makespan != 10 {
-		t.Errorf("makespan = %v, want 10", tl.Makespan)
-	}
-}
-
-func TestSingleRoundAffineValidation(t *testing.T) {
-	p := mustPlatform(t, 1)
-	if _, err := RunSingleRoundAffine(p, nil, []float64{1, 2}, OnePort); err == nil {
-		t.Error("latency length mismatch should fail")
-	}
-	if _, err := RunSingleRoundAffine(p, nil, []float64{-1}, OnePort); err == nil {
-		t.Error("negative latency should fail")
-	}
-	if _, err := RunSingleRoundAffine(p, []Chunk{{Worker: 5}}, []float64{0}, OnePort); err == nil {
-		t.Error("unknown worker should fail")
-	}
-}

@@ -44,9 +44,6 @@ type Allocation struct {
 	Order []int
 }
 
-// LoadOf returns the absolute load αᵢ·N handed to worker i.
-func (a Allocation) LoadOf(i int, n float64) float64 { return a.Fractions[i] * n }
-
 // Validate checks that fractions are non-negative and sum to 1.
 func (a Allocation) Validate() error {
 	sum := 0.0

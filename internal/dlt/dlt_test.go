@@ -56,7 +56,7 @@ func TestOptimalParallelEqualFinishTimes(t *testing.T) {
 	}
 	for i := 0; i < p.P(); i++ {
 		w := p.Worker(i)
-		load := a.LoadOf(i, n)
+		load := a.Fractions[i] * n
 		finish := w.CommTime(load) + w.LinearCompTime(load)
 		if math.Abs(finish-a.Makespan) > 1e-9*a.Makespan {
 			t.Errorf("worker %d finishes at %v, makespan %v", i, finish, a.Makespan)
@@ -118,7 +118,7 @@ func TestOptimalOnePortEqualFinishTimes(t *testing.T) {
 	elapsed := 0.0
 	for _, idx := range a.Order {
 		w := p.Worker(idx)
-		load := a.LoadOf(idx, n)
+		load := a.Fractions[idx] * n
 		elapsed += w.CommTime(load)
 		finish := elapsed + w.LinearCompTime(load)
 		if math.Abs(finish-a.Makespan) > 1e-9*a.Makespan {
@@ -236,6 +236,27 @@ func TestMultiRoundPipeliningHelps(t *testing.T) {
 	if multiMs > single+1e-9 {
 		t.Errorf("multi-round %v slower than single-round %v", multiMs, single)
 	}
+	// The same holds behind a one-port master: on four homogeneous workers
+	// 32 rounds are no worse than 4.
+	hom, err := platform.Homogeneous(4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ = OptimalParallel(hom, 200)
+	onePort := func(rounds int) float64 {
+		chunks, err := MultiRoundUniform(a, 200, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := SimulatedMakespan(hom, chunks, dessim.OnePort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	if m32, m4 := onePort(32), onePort(4); m32 > m4+1e-9 {
+		t.Errorf("one-port: 32 rounds (%v) should not lose to 4 (%v)", m32, m4)
+	}
 }
 
 func TestMultiRoundPreservesTotalLoad(t *testing.T) {
@@ -339,131 +360,5 @@ func TestOnePortClosedFormMatchesSimProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMultiRoundGeometricTotalsAndDegenerate(t *testing.T) {
-	p := randomPlatform(t, 30, 5)
-	a, _ := OptimalParallel(p, 100)
-	chunks, err := MultiRoundGeometric(a, 100, 6, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, c := range chunks {
-		total += c.Data
-	}
-	if math.Abs(total-100) > 1e-9 {
-		t.Errorf("total = %v, want 100", total)
-	}
-	// ratio = 1 must match the uniform splitter exactly.
-	geo, err := MultiRoundGeometric(a, 100, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := MultiRoundUniform(a, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(geo) != len(uni) {
-		t.Fatalf("lengths differ: %d vs %d", len(geo), len(uni))
-	}
-	for i := range geo {
-		if math.Abs(geo[i].Data-uni[i].Data) > 1e-12 {
-			t.Fatalf("chunk %d differs: %v vs %v", i, geo[i].Data, uni[i].Data)
-		}
-	}
-	if _, err := MultiRoundGeometric(a, 100, 0, 2); err == nil {
-		t.Error("zero rounds should fail")
-	}
-	if _, err := MultiRoundGeometric(a, 100, 3, 0); err == nil {
-		t.Error("zero ratio should fail")
-	}
-}
-
-func TestMultiRoundGeometricBeatsUniformOnCommHeavyPlatform(t *testing.T) {
-	// Slow links relative to compute: in the latency-free bandwidth model
-	// only the final installment's computation is un-overlappable, so a
-	// decreasing schedule (ratio < 1) shrinks exactly that term and must
-	// not lose to the uniform split.
-	ws := make([]platform.Worker, 4)
-	for i := range ws {
-		ws[i] = platform.Worker{Speed: 4, Bandwidth: 1}
-	}
-	p, err := platform.New(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200.0
-	a, _ := OptimalParallel(p, n)
-	uni, err := MultiRoundUniform(a, n, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniMs, err := SimulatedMakespan(p, uni, dessim.ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo, err := MultiRoundGeometric(a, n, 8, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geoMs, err := SimulatedMakespan(p, geo, dessim.ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geoMs > uniMs+1e-9 {
-		t.Errorf("decreasing geometric %v worse than uniform %v on comm-heavy platform", geoMs, uniMs)
-	}
-	// And the mis-shaped increasing schedule must indeed lose to the
-	// decreasing one here — the shape matters.
-	inc, err := MultiRoundGeometric(a, n, 8, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incMs, err := SimulatedMakespan(p, inc, dessim.ParallelLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incMs <= geoMs {
-		t.Errorf("increasing schedule %v unexpectedly beats decreasing %v", incMs, geoMs)
-	}
-}
-
-func TestRoundCountTradeoffUnderLatency(t *testing.T) {
-	// The classical multi-round trade-off: without per-chunk latency,
-	// more rounds only help (pipelining); with latency, every extra round
-	// pays the overhead again, so over-decomposing eventually loses.
-	p, err := platform.Homogeneous(4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200.0
-	a, _ := OptimalParallel(p, n)
-	makespan := func(rounds int, lat float64) float64 {
-		chunks, err := MultiRoundUniform(a, n, rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lats := []float64{lat, lat, lat, lat}
-		tl, err := dessim.RunSingleRoundAffine(p, chunks, lats, dessim.OnePort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tl.Makespan
-	}
-	// Latency-free: 32 rounds no worse than 4.
-	if m32, m4 := makespan(32, 0), makespan(4, 0); m32 > m4+1e-9 {
-		t.Errorf("without latency, 32 rounds (%v) should not lose to 4 (%v)", m32, m4)
-	}
-	// With heavy latency: 32 rounds pay 8× the overhead of 4 rounds and
-	// must lose.
-	if m32, m4 := makespan(32, 3), makespan(4, 3); m32 <= m4 {
-		t.Errorf("with latency, 32 rounds (%v) should lose to 4 (%v)", m32, m4)
-	}
-	// And a single round loses to a few rounds even with latency —
-	// pipelining still pays while the overhead is modest.
-	if m1, m4 := makespan(1, 3), makespan(4, 3); m4 >= m1 {
-		t.Errorf("with modest latency, 4 rounds (%v) should beat 1 round (%v)", m4, m1)
 	}
 }

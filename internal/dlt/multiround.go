@@ -31,46 +31,6 @@ func MultiRoundUniform(a Allocation, n float64, rounds int) ([]dessim.Chunk, err
 	return chunks, nil
 }
 
-// MultiRoundGeometric splits the allocation into `rounds` installments
-// whose sizes change geometrically by `ratio` per round (ratio = 1
-// recovers MultiRoundUniform). The right shape depends on the overheads:
-// with per-round latencies, classical multi-round DLT grows installments
-// (ratio > 1) to amortize them; in the pure bandwidth model simulated
-// here, a *decreasing* schedule (ratio < 1) wins instead — the final
-// installment's computation is the only work that cannot overlap
-// anything, so it should be the smallest.
-func MultiRoundGeometric(a Allocation, n float64, rounds int, ratio float64) ([]dessim.Chunk, error) {
-	if rounds <= 0 {
-		return nil, errors.New("dlt: rounds must be positive")
-	}
-	if ratio <= 0 {
-		return nil, errors.New("dlt: ratio must be positive")
-	}
-	// Round weights: 1, r, r², …, normalized.
-	weights := make([]float64, rounds)
-	total := 0.0
-	w := 1.0
-	for i := range weights {
-		weights[i] = w
-		total += w
-		w *= ratio
-	}
-	for i := range weights {
-		weights[i] /= total
-	}
-	var chunks []dessim.Chunk
-	for _, rw := range weights {
-		for i, f := range a.Fractions {
-			d := f * n * rw
-			if d == 0 {
-				continue
-			}
-			chunks = append(chunks, dessim.Chunk{Worker: i, Data: d, Work: d})
-		}
-	}
-	return chunks, nil
-}
-
 // SimulatedMakespan executes chunks on the platform under the given
 // communication model and returns the measured makespan. It is the bridge
 // from closed-form DLT results to the discrete-event simulator used for

@@ -189,15 +189,6 @@ func Fig4MatMul(cfg Fig4Config) ([]Fig4MatMulPoint, error) {
 	return points, nil
 }
 
-// Fig4MatMulTable renders the matmul variant.
-func Fig4MatMulTable(points []Fig4MatMulPoint) *plot.Table {
-	t := plot.NewTable("p", "Comm_het", "Comm_hom", "Comm_hom/k")
-	for _, pt := range points {
-		t.AddRowf(pt.P, pt.HetMean, pt.HomMean, pt.HomKMean)
-	}
-	return t
-}
-
 // Fig4Chart renders a panel as an ASCII chart with the paper's series
 // names and error bars.
 func Fig4Chart(points []Fig4Point, title string) *plot.Chart {

@@ -102,23 +102,3 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	}
 	return out, nil
 }
-
-// Headline extracts the numbers the paper leads with, for quick sanity
-// reports.
-func (s *SuiteResult) Headline() map[string]float64 {
-	h := map[string]float64{}
-	for _, r := range s.NonLinear {
-		if r.P == 100 && r.Alpha == 2 {
-			h["undone-fraction-P100-α2"] = r.ClosedForm
-		}
-	}
-	if n := len(s.Fig4Uniform); n > 0 {
-		last := s.Fig4Uniform[n-1]
-		h["fig4b-het-last"] = last.HetMean
-		h["fig4b-homk-last"] = last.HomKMean
-	}
-	if n := len(s.Rho); n > 0 {
-		h["rho-last"] = s.Rho[n-1].Measured
-	}
-	return h
-}

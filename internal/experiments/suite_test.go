@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -20,15 +21,21 @@ func TestRunSuiteQuick(t *testing.T) {
 	if len(res.Affinity) == 0 || len(res.Bottleneck) == 0 || len(res.Adaptivity) == 0 || len(res.Returns) == 0 {
 		t.Fatal("extension sections missing")
 	}
-	h := res.Headline()
-	if math.Abs(h["undone-fraction-P100-α2"]-0.99) > 1e-9 {
-		t.Errorf("headline fraction = %v, want 0.99", h["undone-fraction-P100-α2"])
+	// The numbers the paper leads with.
+	undone := math.NaN()
+	for _, r := range res.NonLinear {
+		if r.P == 100 && r.Alpha == 2 {
+			undone = r.ClosedForm
+		}
 	}
-	if h["fig4b-het-last"] < 1 || h["fig4b-het-last"] > 1.05 {
-		t.Errorf("headline het ratio = %v", h["fig4b-het-last"])
+	if math.Abs(undone-0.99) > 1e-9 {
+		t.Errorf("headline fraction = %v, want 0.99", undone)
 	}
-	if h["rho-last"] < 8 {
-		t.Errorf("headline ρ(k=100) = %v, want ≈8.5", h["rho-last"])
+	if het := res.Fig4Uniform[len(res.Fig4Uniform)-1].HetMean; het < 1 || het > 1.05 {
+		t.Errorf("headline het ratio = %v", het)
+	}
+	if rho := res.Rho[len(res.Rho)-1].Measured; rho < 8 {
+		t.Errorf("headline ρ(k=100) = %v, want ≈8.5", rho)
 	}
 }
 
@@ -41,11 +48,8 @@ func TestRunSuiteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fig4Uniform[0] != b.Fig4Uniform[0] {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("suite not deterministic")
-	}
-	if a.Headline()["rho-last"] != b.Headline()["rho-last"] {
-		t.Error("headline not deterministic")
 	}
 }
 

@@ -117,18 +117,6 @@ func (s Scenario) Validate(p int) error {
 	return nil
 }
 
-// CrashCount returns the number of permanent crashes in the scenario
-// (distinct workers; duplicate crashes of one worker count once).
-func (s Scenario) CrashCount() int {
-	seen := map[int]bool{}
-	for _, e := range s.Events {
-		if e.Kind == Crash {
-			seen[e.Worker] = true
-		}
-	}
-	return len(seen)
-}
-
 // SingleCrash builds the simplest scenario: worker w dies at time t.
 func SingleCrash(w int, t float64) Scenario {
 	return Scenario{Events: []Event{{Kind: Crash, Worker: w, Time: t}}}

@@ -80,8 +80,14 @@ func TestGeneratorsDeterministicUnderSeed(t *testing.T) {
 	if reflect.DeepEqual(a.Events, c.Events) {
 		t.Error("different seeds produced identical crash patterns")
 	}
-	if a.CrashCount() != 3 {
-		t.Errorf("crash count = %d, want 3", a.CrashCount())
+	crashed := map[int]bool{}
+	for _, e := range a.Events {
+		if e.Kind == Crash {
+			crashed[e.Worker] = true
+		}
+	}
+	if len(crashed) != 3 {
+		t.Errorf("crash count = %d, want 3 distinct workers", len(crashed))
 	}
 	for _, e := range a.Events {
 		if e.Time <= 0 || e.Time >= 100 {

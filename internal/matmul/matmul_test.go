@@ -38,7 +38,10 @@ func TestKernelAgreement(t *testing.T) {
 
 func TestIdentityMultiplication(t *testing.T) {
 	a := Random(12, 12, 3)
-	id := Identity(12)
+	id := New(12, 12)
+	for i := 0; i < 12; i++ {
+		id.Set(i, i, 1)
+	}
 	c, err := Naive(a, id)
 	if err != nil {
 		t.Fatal(err)

@@ -31,15 +31,6 @@ func Random(rows, cols int, seed int64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

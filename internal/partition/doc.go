@@ -18,9 +18,9 @@
 //
 // # API
 //
-// [PeriSum] is the column-based approximation; [PeriMax] its minimax
-// sibling, [SqrtHeuristic] and [RecursiveBisection] the baselines, and
-// [GuillotineOptimal] an exact dynamic program for small p.
+// [PeriSum] is the column-based PERI-SUM approximation, [SqrtHeuristic]
+// the baseline, and [GuillotineOptimal] an exact dynamic program for
+// small p.
 // [LowerBound] scores any of them against 2Σ√aᵢ. The resulting unit
 // [Partition] is scaled onto an N×N integer domain by
 // internal/core.SnapPlan before real execution (see docs/PERFORMANCE.md).

@@ -41,28 +41,6 @@ func FuzzPeriSum(f *testing.F) {
 	})
 }
 
-// FuzzRecursiveBisection does the same for the bisection partitioner.
-func FuzzRecursiveBisection(f *testing.F) {
-	f.Add([]byte{9, 9, 9})
-	f.Add([]byte{1, 250, 3, 77})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) == 0 || len(raw) > 48 {
-			t.Skip()
-		}
-		areas := make([]float64, len(raw))
-		for i, b := range raw {
-			areas[i] = 0.01 + float64(b)
-		}
-		part, err := RecursiveBisection(areas)
-		if err != nil {
-			t.Fatalf("rejected positive areas: %v", err)
-		}
-		if err := part.Validate(); err != nil {
-			t.Fatalf("invalid partition for %v: %v", areas, err)
-		}
-	})
-}
-
 // pairwiseOverlap is the all-pairs scan that Validate's X-ordered sweep
 // replaced: it reports whether any two rectangles overlap.
 func pairwiseOverlap(rects []Rect) bool {

@@ -47,17 +47,6 @@ func (p *Partition) SumHalfPerimeters() float64 {
 	return s
 }
 
-// MaxHalfPerimeter returns max (wᵢ + hᵢ), the PERI-MAX objective.
-func (p *Partition) MaxHalfPerimeter() float64 {
-	m := 0.0
-	for _, r := range p.Rects {
-		if hp := r.HalfPerimeter(); hp > m {
-			m = hp
-		}
-	}
-	return m
-}
-
 // HalfPerimeterOf returns the half-perimeter of the rectangle serving
 // prescribed-area index i.
 func (p *Partition) HalfPerimeterOf(i int) float64 {
@@ -175,15 +164,4 @@ func sortAreasDescending(areas []float64) []sortedIndex {
 	}
 	slices.SortStableFunc(out, func(a, b sortedIndex) int { return cmp.Compare(b.area, a.area) })
 	return out
-}
-
-// Columns returns the number of distinct column x-origins in the
-// partition — for column-based layouts, the C the DP selected (an
-// introspection hook for the ablation reports).
-func (p *Partition) Columns() int {
-	seen := map[float64]bool{}
-	for _, r := range p.Rects {
-		seen[r.X] = true
-	}
-	return len(seen)
 }

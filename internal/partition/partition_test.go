@@ -180,37 +180,6 @@ func TestSqrtHeuristicMatchesDPOnHomogeneous(t *testing.T) {
 	}
 }
 
-func TestPeriMax(t *testing.T) {
-	r := stats.NewRNG(9)
-	for _, p := range []int{1, 4, 9, 25, 60} {
-		areas := stats.SampleN(stats.Uniform{Lo: 1, Hi: 10}, r, p)
-		part, err := PeriMax(areas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := part.Validate(); err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		norm, _ := Normalize(areas)
-		// Per-rectangle lower bound: 2√aᵢ for the largest area.
-		maxA := 0.0
-		for _, a := range norm {
-			if a > maxA {
-				maxA = a
-			}
-		}
-		if part.MaxHalfPerimeter() < 2*math.Sqrt(maxA)-1e-9 {
-			t.Errorf("p=%d: max half-perimeter below per-rect bound", p)
-		}
-		// PERI-MAX should weakly beat PERI-SUM on its own objective.
-		ps, _ := PeriSum(areas)
-		if part.MaxHalfPerimeter() > ps.MaxHalfPerimeter()+1e-9 {
-			t.Errorf("p=%d: PeriMax max %v worse than PeriSum max %v",
-				p, part.MaxHalfPerimeter(), ps.MaxHalfPerimeter())
-		}
-	}
-}
-
 func TestHalfPerimeterOf(t *testing.T) {
 	part, err := PeriSum([]float64{3, 1})
 	if err != nil {
@@ -309,47 +278,6 @@ func TestPeriSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: PeriMax produces a valid tiling whose objective weakly beats
-// PeriSum's max half-perimeter.
-func TestPeriMaxProperty(t *testing.T) {
-	f := func(seed int64, np uint8) bool {
-		p := int(np%32) + 1
-		r := stats.NewRNG(seed)
-		areas := make([]float64, p)
-		for i := range areas {
-			areas[i] = 0.05 + 5*r.Float64()
-		}
-		pm, err := PeriMax(areas)
-		if err != nil || pm.Validate() != nil {
-			return false
-		}
-		ps, err := PeriSum(areas)
-		if err != nil {
-			return false
-		}
-		return pm.MaxHalfPerimeter() <= ps.MaxHalfPerimeter()+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestColumnsIntrospection(t *testing.T) {
-	// 4 equal areas tile as a 2×2 grid: 2 columns.
-	p, err := PeriSum([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Columns(); got != 2 {
-		t.Errorf("columns = %d, want 2", got)
-	}
-	// Single area: one column.
-	q, _ := PeriSum([]float64{5})
-	if q.Columns() != 1 {
-		t.Errorf("single-area columns = %d", q.Columns())
 	}
 }
 

@@ -69,41 +69,6 @@ func SqrtHeuristic(areas []float64) (*Partition, error) {
 	return buildColumns(norm, sorted, breaks), nil
 }
 
-// PeriMax computes a column-based partition minimizing the *maximum*
-// half-perimeter (the PERI-MAX objective of [41]) by the analogous O(p²)
-// dynamic program: a column holding the sorted group (j, i] has maximum
-// half-perimeter Aⱼ + a_{j+1}/Aⱼ (the group's largest area comes first in
-// sorted order), and the DP minimizes the max over columns.
-func PeriMax(areas []float64) (*Partition, error) {
-	norm, err := Normalize(areas)
-	if err != nil {
-		return nil, err
-	}
-	sorted := sortAreasDescending(norm)
-	p := len(sorted)
-	prefix := make([]float64, p+1)
-	for i, s := range sorted {
-		prefix[i+1] = prefix[i] + s.area
-	}
-	const inf = math.MaxFloat64
-	f := make([]float64, p+1)
-	choice := make([]int, p+1)
-	for i := 1; i <= p; i++ {
-		f[i] = inf
-		for j := 0; j < i; j++ {
-			colArea := prefix[i] - prefix[j]
-			colMax := colArea + sorted[j].area/colArea
-			cost := math.Max(f[j], colMax)
-			if cost < f[i] {
-				f[i] = cost
-				choice[i] = j
-			}
-		}
-	}
-	breaks := breaksFromChoice(choice, p)
-	return buildColumns(norm, sorted, breaks), nil
-}
-
 // breaksFromChoice unwinds a DP predecessor chain into ascending group
 // boundaries 0 = b₀ < b₁ < … < b_C = p.
 func breaksFromChoice(choice []int, p int) []int {

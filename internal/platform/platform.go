@@ -11,11 +11,9 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"nlfl/internal/stats"
@@ -168,24 +166,6 @@ func (p *Platform) MaxSpeed() float64 {
 	return m
 }
 
-// Heterogeneity returns max speed / min speed (1 for homogeneous).
-func (p *Platform) Heterogeneity() float64 { return p.MaxSpeed() / p.MinSpeed() }
-
-// IsHomogeneous reports whether all speeds are equal within tol
-// (relative).
-func (p *Platform) IsHomogeneous(tol float64) bool {
-	return p.Heterogeneity() <= 1+tol
-}
-
-// SortedBySpeed returns a new platform whose workers are reordered by
-// non-decreasing speed (s₁ ≤ s₂ ≤ … ≤ s_p), the convention of Section 4.1.
-// Worker IDs track the original indices.
-func (p *Platform) SortedBySpeed() *Platform {
-	ws := p.Workers()
-	sort.SliceStable(ws, func(i, j int) bool { return ws[i].Speed < ws[j].Speed })
-	return &Platform{workers: ws, totalSpeed: p.totalSpeed}
-}
-
 // String renders a short description.
 func (p *Platform) String() string {
 	var b strings.Builder
@@ -257,25 +237,4 @@ func (sp SpeedProfile) Distribution(param float64) stats.Distribution {
 	default:
 		return stats.Constant{Value: 1}
 	}
-}
-
-// MarshalJSON serializes the platform as its worker list, so experiment
-// records (internal/results) can embed the exact platform they ran on.
-func (p *Platform) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.workers)
-}
-
-// UnmarshalJSON restores a platform serialized by MarshalJSON, re-running
-// construction validation.
-func (p *Platform) UnmarshalJSON(b []byte) error {
-	var ws []Worker
-	if err := json.Unmarshal(b, &ws); err != nil {
-		return err
-	}
-	np, err := New(ws)
-	if err != nil {
-		return err
-	}
-	*p = *np
-	return nil
 }

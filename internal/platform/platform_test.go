@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,44 +85,12 @@ func TestAggregates(t *testing.T) {
 	if p.MinSpeed() != 1 || p.MaxSpeed() != 6 {
 		t.Errorf("min/max = %v/%v", p.MinSpeed(), p.MaxSpeed())
 	}
-	if p.Heterogeneity() != 6 {
-		t.Errorf("Heterogeneity = %v, want 6", p.Heterogeneity())
-	}
 	xs := p.NormalizedSpeeds()
 	want := []float64{0.1, 0.3, 0.6}
 	for i := range xs {
 		if math.Abs(xs[i]-want[i]) > 1e-12 {
 			t.Errorf("x[%d] = %v, want %v", i, xs[i], want[i])
 		}
-	}
-}
-
-func TestIsHomogeneous(t *testing.T) {
-	if !mustNew(t, 2, 2, 2).IsHomogeneous(1e-9) {
-		t.Error("equal speeds should be homogeneous")
-	}
-	if mustNew(t, 1, 2).IsHomogeneous(1e-9) {
-		t.Error("unequal speeds should not be homogeneous")
-	}
-}
-
-func TestSortedBySpeed(t *testing.T) {
-	p := mustNew(t, 5, 1, 3)
-	s := p.SortedBySpeed()
-	got := s.Speeds()
-	want := []float64{1, 3, 5}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sorted speeds = %v, want %v", got, want)
-		}
-	}
-	// IDs must track the original workers.
-	if s.Worker(0).ID != 1 || s.Worker(1).ID != 2 || s.Worker(2).ID != 0 {
-		t.Errorf("sorted IDs = %d,%d,%d", s.Worker(0).ID, s.Worker(1).ID, s.Worker(2).ID)
-	}
-	// Original must be untouched.
-	if p.Worker(0).Speed != 5 {
-		t.Error("SortedBySpeed must not mutate the receiver")
 	}
 }
 
@@ -241,33 +208,5 @@ func TestNormalizedSpeedsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	orig := mustNew(t, 1.5, 2.25, 9)
-	b, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Platform
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.P() != orig.P() || got.TotalSpeed() != orig.TotalSpeed() {
-		t.Errorf("round trip lost data: %v vs %v", got.String(), orig.String())
-	}
-	for i := 0; i < orig.P(); i++ {
-		if got.Worker(i) != orig.Worker(i) {
-			t.Errorf("worker %d differs", i)
-		}
-	}
-	// Invalid payloads are rejected by construction validation.
-	var bad Platform
-	if err := json.Unmarshal([]byte(`[{"Speed":-1,"Bandwidth":1}]`), &bad); err == nil {
-		t.Error("negative speed should fail")
-	}
-	if err := json.Unmarshal([]byte(`{not json`), &bad); err == nil {
-		t.Error("garbage should fail")
 	}
 }

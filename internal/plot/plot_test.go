@@ -183,13 +183,3 @@ func absInt(x int) int {
 	}
 	return x
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("x", "y")
-	tb.AddRow("a|b", "2")
-	md := tb.Markdown()
-	want := "| x | y |\n|---|---|\n| a\\|b | 2 |\n"
-	if md != want {
-		t.Errorf("markdown = %q, want %q", md, want)
-	}
-}

@@ -101,26 +101,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Markdown renders the table as a GitHub-flavored Markdown table — the
-// format EXPERIMENTS.md uses, so reports can be pasted verbatim.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" " + strings.ReplaceAll(c, "|", "\\|") + " |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	b.WriteString("|")
-	for range t.Headers {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}

@@ -295,7 +295,7 @@ func TestPerWorkerOnlyCapsAuditedPerEdge(t *testing.T) {
 	legacy.Edges = nil
 	legacy.Routes = nil
 	legacy.HasComm = false // duration tampering does not change volumes
-	legacy.BoundKind = trace.BoundNone
+	legacy.BoundKind = 0   // the zero BoundKind skips the bound check
 	for _, v := range trace.Check(rep.Trace, legacy) {
 		if v.Kind == trace.LinkCapacityExceeded || v.Kind == trace.EdgeCapacityExceeded {
 			t.Fatalf("legacy aggregate-only oracle unexpectedly caught the overdrive: %v (regression baseline broken)", v)
@@ -304,7 +304,7 @@ func TestPerWorkerOnlyCapsAuditedPerEdge(t *testing.T) {
 
 	exp := rep.Expect(1e-9)
 	exp.HasComm = false
-	exp.BoundKind = trace.BoundNone
+	exp.BoundKind = 0
 	found := false
 	for _, v := range trace.Check(rep.Trace, exp) {
 		if v.Kind == trace.EdgeCapacityExceeded {

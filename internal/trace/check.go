@@ -105,16 +105,15 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s:%s %s", v.Kind, loc, v.Detail)
 }
 
-// BoundKind selects how Expect.Bound constrains the measured volume.
+// BoundKind selects how Expect.Bound constrains the measured volume. The
+// zero BoundKind skips the analytic-bound check.
 type BoundKind int
 
 // Bound kinds.
 const (
-	// BoundNone skips the analytic-bound check.
-	BoundNone BoundKind = iota
 	// BoundExact requires measured == Bound within Tol (relative) — the
 	// Comm_hom closed form on homogeneous platforms.
-	BoundExact
+	BoundExact BoundKind = iota + 1
 	// BoundUpper requires measured ≤ Bound·(1+Tol).
 	BoundUpper
 	// BoundLower requires measured ≥ Bound·(1−Tol) — e.g. the survivor

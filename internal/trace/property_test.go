@@ -109,7 +109,7 @@ func TestPropertyResilientTraces(t *testing.T) {
 			t.Fatalf("seed %d baseline: %v", seed, err)
 		}
 		sc, kind := randomScenario(rng, p, base.Makespan)
-		opt := faults.ResilientOptions{Speculate: rng.Intn(2) == 0, Sink: trace.NewRecorder()}
+		opt := faults.ResilientOptions{Speculate: rng.Intn(2) == 0, Sink: &trace.Recorder{}}
 		rep, err := faults.RunResilientDemandDriven(pl, tasks, sc, opt)
 		if err != nil {
 			// A hostile-enough flaky window can exhaust the retry budget;

@@ -5,7 +5,8 @@ import "fmt"
 // Recorder is a dessim.TraceSink that tallies the engine's event
 // lifecycle and verifies the engine-level invariant the timeline cannot
 // see: fired events must come off the queue in non-decreasing time order.
-// Attach with eng.SetSink(rec) before the first event.
+// The zero Recorder is ready: attach one with eng.SetSink(rec) before the
+// first event.
 type Recorder struct {
 	// Scheduled, Fired and Cancelled count lifecycle transitions.
 	Scheduled, Fired, Cancelled int64
@@ -13,9 +14,6 @@ type Recorder struct {
 	seenFire                    bool
 	violations                  []Violation
 }
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
 
 // EventScheduled implements dessim.TraceSink.
 func (r *Recorder) EventScheduled(seq int64, now, at float64) {

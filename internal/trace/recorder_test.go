@@ -9,7 +9,7 @@ import (
 
 func TestRecorder(t *testing.T) {
 	eng := dessim.NewEngine()
-	rec := trace.NewRecorder()
+	rec := &trace.Recorder{}
 	eng.SetSink(rec)
 	h := eng.Schedule(2, func() {})
 	eng.Schedule(1, func() {})
@@ -24,7 +24,7 @@ func TestRecorder(t *testing.T) {
 
 	// Feed the recorder an impossible sequence directly (the engine itself
 	// panics on these, so simulate a buggy engine).
-	bad := trace.NewRecorder()
+	bad := &trace.Recorder{}
 	bad.EventScheduled(1, 5, 3) // scheduled in the past
 	bad.EventFired(1, 5)
 	bad.EventFired(2, 4) // clock went backwards

@@ -128,37 +128,6 @@ func assign(n *Node, load, deadline float64, out map[*Node]float64) {
 	}
 }
 
-// FinishTime returns when `node` completes its assigned load if data
-// starts flowing at time 0 from the root: used to verify the equal-finish
-// property of the optimal schedule.
-func (a *Allocation) FinishTime(root *Node) map[*Node]float64 {
-	out := make(map[*Node]float64, len(a.Loads))
-	var walk func(n *Node, start float64)
-	walk = func(n *Node, start float64) {
-		// Node computes its own share last-ditch: with linear costs the
-		// equal-finish schedule has every node computing until the common
-		// makespan; its finish is start + w·X₀ only if it computes
-		// continuously from `start`.
-		out[n] = start + a.Loads[n]/n.Speed
-		for _, c := range n.Children {
-			// The child's transfer takes cᵢ·(total subtree load).
-			sub := subtreeLoad(c, a.Loads)
-			walk(c, start+sub/c.Bandwidth)
-		}
-	}
-	walk(root, 0)
-	return out
-}
-
-// subtreeLoad sums the allocation over a subtree.
-func subtreeLoad(n *Node, loads map[*Node]float64) float64 {
-	s := loads[n]
-	for _, c := range n.Children {
-		s += subtreeLoad(c, loads)
-	}
-	return s
-}
-
 // TotalLoad sums all assigned loads (should equal the requested n).
 func (a *Allocation) TotalLoad() float64 {
 	s := 0.0

@@ -48,7 +48,7 @@ func TestStarMatchesDLTClosedForm(t *testing.T) {
 		t.Errorf("tree makespan %v vs star closed form %v", alloc.Makespan, ref.Makespan)
 	}
 	for i, c := range root.Children {
-		want := ref.LoadOf(i, n)
+		want := ref.Fractions[i] * n
 		if math.Abs(alloc.Loads[c]-want) > 1e-6*(1+want) {
 			t.Errorf("leaf %d load %v vs DLT %v", i, alloc.Loads[c], want)
 		}
@@ -84,7 +84,7 @@ func TestEqualFinishTimesThroughoutTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for node, finish := range alloc.FinishTime(root) {
+	for node, finish := range alloc.finishTime(root) {
 		if math.Abs(finish-alloc.Makespan) > 1e-6*alloc.Makespan {
 			t.Errorf("node %q finishes at %v, makespan %v", node.Name, finish, alloc.Makespan)
 		}
@@ -208,7 +208,7 @@ func TestTreeAllocationProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, finish := range alloc.FinishTime(root) {
+		for _, finish := range alloc.finishTime(root) {
 			if math.Abs(finish-alloc.Makespan) > 1e-6*alloc.Makespan {
 				return false
 			}
@@ -218,4 +218,35 @@ func TestTreeAllocationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// finishTime returns when each node completes its assigned load if data
+// starts flowing at time 0 from the root: the equal-finish property of the
+// optimal schedule is checked against it.
+func (a *Allocation) finishTime(root *Node) map[*Node]float64 {
+	out := make(map[*Node]float64, len(a.Loads))
+	var walk func(n *Node, start float64)
+	walk = func(n *Node, start float64) {
+		// Node computes its own share last-ditch: with linear costs the
+		// equal-finish schedule has every node computing until the common
+		// makespan; its finish is start + w·X₀ only if it computes
+		// continuously from `start`.
+		out[n] = start + a.Loads[n]/n.Speed
+		for _, c := range n.Children {
+			// The child's transfer takes cᵢ·(total subtree load).
+			sub := subtreeLoad(c, a.Loads)
+			walk(c, start+sub/c.Bandwidth)
+		}
+	}
+	walk(root, 0)
+	return out
+}
+
+// subtreeLoad sums the allocation over a subtree.
+func subtreeLoad(n *Node, loads map[*Node]float64) float64 {
+	s := loads[n]
+	for _, c := range n.Children {
+		s += subtreeLoad(c, loads)
+	}
+	return s
 }
