@@ -156,27 +156,22 @@ func (e *Engine) ScheduleAfter(d float64, action func()) *Handle {
 }
 
 // Run executes events until the queue drains and returns the final clock
-// value (the makespan of whatever was simulated).
+// value (the makespan of whatever was simulated). A cancelled event is
+// dropped without running its action or advancing the clock.
 func (e *Engine) Run() float64 {
 	for e.queue.Len() > 0 {
-		e.step()
+		ev := heap.Pop(&e.queue).(*event)
+		if ev.cancelled {
+			continue
+		}
+		e.now = ev.time
+		ev.fired = true
+		if e.sink != nil {
+			e.sink.EventFired(ev.seq, ev.time)
+		}
+		ev.action()
 	}
 	return e.now
-}
-
-// step pops the next event. A cancelled event is dropped without running
-// its action or advancing the clock.
-func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*event)
-	if ev.cancelled {
-		return
-	}
-	e.now = ev.time
-	ev.fired = true
-	if e.sink != nil {
-		e.sink.EventFired(ev.seq, ev.time)
-	}
-	ev.action()
 }
 
 // Resource models an exclusive serially-reusable resource (a CPU, or the
