@@ -147,12 +147,13 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 	for _, f := range files {
-		// Package tests call nothing; only a package's own non-test code
-		// may call its unexported names.
-		caller := !f.test || f.dir == "." || f.bench
+		if f.test && f.dir != "." && !f.bench {
+			continue // package tests call nothing
+		}
+		// Only a package's own non-test code may call its unexported names.
 		use := func(pkg, key string, pos token.Pos) {
 			d := declared[pkg][key]
-			if d == nil || !caller || !d.exported && pkg != f.dir || d.span[0] <= pos && pos < d.span[1] {
+			if d == nil || !d.exported && (pkg != f.dir || f.test) || d.span[0] <= pos && pos < d.span[1] {
 				return
 			}
 			d.used = true
