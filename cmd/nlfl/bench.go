@@ -12,13 +12,6 @@ import (
 	"nlfl/internal/results"
 )
 
-// benchContext is the cancellation root of every sweep: the first SIGINT
-// cancels it (sweeps stop at the next boundary with nothing written), a
-// second SIGINT kills the process the usual way.
-func benchContext() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt)
-}
-
 // runBench drives the measured-performance harness: one sweep per entry
 // of the bench.Artifacts registry (tiled kernels, the worker-pool runtime,
 // the bandwidth-modeled link, chaos, the fleet service, network topology,
@@ -82,7 +75,9 @@ func runBench(args []string) error {
 		return nil
 	}
 
-	ctx, stop := benchContext()
+	// The first SIGINT cancels every sweep (they stop at the next boundary
+	// with nothing written); a second kills the process the usual way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)

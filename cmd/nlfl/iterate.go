@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"nlfl/internal/faults"
 	"nlfl/internal/iterative"
-	nrt "nlfl/internal/runtime"
 )
 
 // runIterate drives one closed-loop iterative job from the command line:
@@ -71,30 +69,10 @@ func runIterate(args []string) error {
 		Gamma:         *gamma,
 		Estimator:     iterative.EstimatorConfig{DriftRounds: 2},
 	}
-	if *driftWorker >= 0 {
-		w, f, r0, s := *driftWorker, *driftFactor, *driftRound, *seed
-		opts.Chaos = func(round int) nrt.Chaos {
-			if round < r0 {
-				return nrt.Chaos{}
-			}
-			return nrt.Chaos{Scenario: faults.Scenario{Seed: s, Events: []faults.Event{
-				{Kind: faults.Straggler, Worker: w, Time: 0, Until: 1e9, Factor: f},
-			}}}
-		}
-	}
+	drift := iterative.Drift{Worker: *driftWorker, Factor: *driftFactor, Round: *driftRound}
+	opts.Chaos = drift.Chaos(*seed)
 	if iterative.Mode(*mode) == iterative.ModeOracle {
-		// The omniscient baseline: nominal rates, with the drift (if any)
-		// handed over the moment it starts.
-		opts.OracleRates = func(round int) []float64 {
-			rates := make([]float64, len(sp))
-			for w, s := range sp {
-				rates[w] = s * *rate
-			}
-			if *driftWorker >= 0 && round >= *driftRound {
-				rates[*driftWorker] *= *driftFactor
-			}
-			return rates
-		}
+		opts.OracleRates = drift.OracleRates(sp, *rate)
 	}
 
 	fmt.Printf("iterative power method: n=%d mode=%s tie=%.4g fleet of %d (speeds %s) rate %.3g cells/s\n",

@@ -6,30 +6,19 @@
 //
 //	nlfl <command> [flags]
 //
-// Commands:
-//
-//	fig4       Figure 4 panels: ratio-to-lower-bound vs processor count
-//	nonlinear  Section 2: unprocessed-work fractions for α-power loads
-//	sort       Section 3: sample sort scaling and bucket concentration
-//	rho        Section 4.1.3: Comm_hom/Comm_het vs heterogeneity factor
-//	partition  Section 4.1.2: PERI-SUM partitioner quality
-//	outer      Section 4.1: one platform, three strategies, full detail
-//	matmul     Section 4.2: layout communication volumes on a real product
-//	mapreduce  Sections 1.1/4: MapReduce distribution comparison + demo job
-//	faults     Section 1.1: robustness under crashes, stragglers, flaky links
-//	trace      Trace one executor run, audit invariants, render Gantt/Chrome JSON
-//	iterate    Closed-loop iterative job: measured-rate water-filling re-planning
-//	bench      Measured performance: kernels + runtime, emits BENCH_*.json
-//	recommend  Capacity planner: speedup curve, knee, recommended slice size
-//	serve      Multi-tenant fleet service behind an HTTP API
-//	analyze    The core divisibility verdict for a workload
-//	demo       Run every experiment with small settings (smoke test)
+// `nlfl help` lists every command with a one-line description, and
+// `nlfl <command> -h` lists its flags.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
+
+	"nlfl/internal/platform"
+	"nlfl/internal/stats"
 )
 
 // command wires a name to its runner and a one-line description.
@@ -107,3 +96,69 @@ func newFlagSet(name string) *flag.FlagSet {
 	fs.SetOutput(os.Stdout)
 	return fs
 }
+
+// demoRuns are the invocations `demo` runs, each under its own header.
+var demoRuns = []struct {
+	label string
+	args  []string
+}{
+	{"nonlinear", []string{"nonlinear", "-ps", "2,10,100"}},
+	{"sort", []string{"sort", "-trials", "5"}},
+	{"rho", []string{"rho"}},
+	{"partition", []string{"partition", "-trials", "10"}},
+	{"outer", []string{"outer", "-p", "8"}},
+	{"matmul", []string{"matmul", "-n", "48"}},
+	{"mapreduce", []string{"mapreduce", "-demo", "8"}},
+	{"fig2", []string{"fig2", "-p", "5", "-w", "40", "-h", "12"}},
+	{"affinity", []string{"affinity", "-p", "6", "-g", "20"}},
+	{"bottleneck", []string{"bottleneck", "-p", "10"}},
+	{"mrdlt", []string{"mrdlt", "-p", "6"}},
+	{"fig4 (reduced)", []string{"fig4", "-trials", "10", "-pmax", "50"}},
+	{"analyze", []string{"analyze"}},
+}
+
+// runDemo smoke-runs every experiment with tiny settings.
+func runDemo(args []string) error {
+	for i, d := range demoRuns {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("=== %s ===\n", d.label)
+		if err := run(d.args); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// randomPlatform draws p workers from the named speed profile with the
+// seeded RNG; k is the bimodal profile's speed factor.
+func randomPlatform(p int, dist string, seed int64, k float64) (*platform.Platform, platform.SpeedProfile, error) {
+	profile, err := platform.ParseProfile(dist)
+	if err != nil {
+		return nil, profile, err
+	}
+	pl, err := platform.Generate(p, profile.Distribution(k), stats.NewRNG(seed))
+	return pl, profile, err
+}
+
+// parseList parses a comma-separated list such as "1,2.5,3", naming kind
+// in its error.
+func parseList[T any](s, kind string, parse func(string) (T, error)) ([]T, error) {
+	parts := strings.Split(s, ",")
+	out := make([]T, 0, len(parts))
+	for _, p := range parts {
+		v, err := parse(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q: %w", kind, p, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+func parseFloats(s string) ([]float64, error) {
+	return parseList(s, "float", func(p string) (float64, error) { return strconv.ParseFloat(p, 64) })
+}
+
+func parseInts(s string) ([]int, error) { return parseList(s, "int", strconv.Atoi) }

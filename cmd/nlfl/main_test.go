@@ -41,100 +41,35 @@ func capture(t *testing.T, f func() error) (string, error) {
 	return out, runErr
 }
 
-func TestCLISubcommands(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want []string // substrings that must appear
-	}{
-		{"help", []string{"help"}, []string{"commands:", "fig4", "affinity"}},
-		{"nonlinear", []string{"nonlinear", "-ps", "2,10"}, []string{"no free lunch", "0.9"}},
-		{"analyze", []string{"analyze", "-kind", "power", "-alpha", "2", "-p", "100"},
-			[]string{"not-divisible", "0.9900"}},
-		{"analyze sort", []string{"analyze", "-kind", "sort", "-n", "1048576", "-p", "32"},
-			[]string{"almost-divisible"}},
-		{"rho", []string{"rho", "-ks", "1,16"}, []string{"measured ρ", "3.4"}},
-		{"partition", []string{"partition", "-trials", "3"}, []string{"Ĉ/LB", "uniform[1,100]"}},
-		{"outer", []string{"outer", "-p", "6"}, []string{"hom/k", "het:", "plan for"}},
-		{"matmul", []string{"matmul", "-n", "32"}, []string{"naive kernel: true", "block-cyclic", "rect"}},
-		{"mapreduce", []string{"mapreduce", "-demo", "6"}, []string{"naive-pairs", "correct=true"}},
-		{"fig2", []string{"fig2", "-p", "4", "-w", "24", "-h", "8"}, []string{"half-perimeter", "+"}},
-		{"affinity", []string{"affinity", "-p", "4", "-g", "10"},
-			[]string{"no-cache", "cache", "affinity", "granularities"}},
-		{"fig4 small", []string{"fig4", "-trials", "3", "-pmax", "20"},
-			[]string{"Comm_het", "Comm_hom/k"}},
-		{"fig4 csv", []string{"fig4", "-trials", "2", "-pmax", "10", "-csv"},
-			[]string{"x,Comm_het"}},
-		{"sort", []string{"sort", "-trials", "2"}, []string{"Theorem B.4", "log p/log N"}},
-		{"bottleneck", []string{"bottleneck", "-p", "6"}, []string{"bandwidth", "Comm_hom/k"}},
-		{"mrdlt", []string{"mrdlt", "-p", "4"}, []string{"equal split", "optimized", "speedup"}},
-		{"polymul", []string{"polymul", "-n", "64"}, []string{"schoolbook", "karatsuba", "fft", "almost-divisible"}},
-		{"adaptivity", []string{"adaptivity", "-p", "4", "-blocks", "64"},
-			[]string{"residual speed", "static DLT", "demand-driven"}},
-		{"gantt", []string{"gantt", "-p", "4", "-w", "40"}, []string{"#", "accomplishes"}},
-		{"tree", []string{"tree", "-depth", "2", "-fanout", "2"},
-			[]string{"nodes", "topology-free", "α=2"}},
-		{"returns", []string{"returns", "-trials", "20"},
-			[]string{"FIFO", "LIFO", "dominates"}},
-		{"faults crash", []string{"faults", "-scenario", "crash", "-p", "6", "-tasks", "36", "-seed", "3"},
-			[]string{"permanent crashes", "inflation", "dltLost", "vs bound", "in-flight chunks"}},
-		{"faults straggler", []string{"faults", "-scenario", "straggler", "-p", "5", "-tasks", "30", "-seed", "2"},
-			[]string{"slowed to 5%", "speculation", "backups", "no-free-lunch"}},
-		{"faults flaky-link", []string{"faults", "-scenario", "flaky-link", "-p", "4", "-tasks", "24", "-seed", "4"},
-			[]string{"drops 70%", "retries", "exponential backoff", "extraComm"}},
-		{"trace resilient", []string{"trace", "-executor", "resilient", "-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "3"},
-			[]string{"resilient executor", "P1", "invariants: ok", "useful work", "utilization"}},
-		{"trace single-round", []string{"trace", "-executor", "single-round", "-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "3"},
-			[]string{"single-round executor", "invariants: ok", "makespan"}},
-		{"trace demand", []string{"trace", "-executor", "demand", "-p", "4", "-tasks", "16"},
-			[]string{"demand executor", "invariants: ok"}},
-		{"trace dlt", []string{"trace", "-executor", "dlt", "-p", "4", "-tasks", "16"},
-			[]string{"dlt executor", "invariants: ok"}},
-		{"trace sort", []string{"trace", "-executor", "sort", "-p", "4", "-tasks", "16"},
-			[]string{"sort executor", "invariants: ok"}},
-		{"trace flaky gantt", []string{"trace", "-executor", "resilient", "-scenario", "flaky-link", "-p", "4", "-tasks", "24", "-seed", "4", "-w", "60"},
-			[]string{"%", "invariants: ok", "faults"}},
-		{"recommend", []string{"recommend"},
-			[]string{"← knee", "recommend 4 of 8 workers", "speedup 2.26×", "makespan 37.3 ms",
-				"no slice of this fleet can beat 4.53×", "75% of the work undone", "speedup vs slice size"}},
-		{"recommend unconstrained", []string{"recommend", "-bandwidth", "0", "-chart=false"},
-			[]string{"recommend 8 of 8 workers", "0.00"}},
-		{"recommend json", []string{"recommend", "-json"},
-			[]string{`"knee": 4`, `"speedupBound"`, `"curve"`, `"unprocessedIfChunked"`}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			out, err := capture(t, func() error { return run(c.args) })
-			if err != nil {
-				t.Fatalf("run(%v): %v", c.args, err)
-			}
-			for _, want := range c.want {
-				if !strings.Contains(out, want) {
-					t.Errorf("output missing %q:\n%s", want, truncate(out, 800))
-				}
-			}
-		})
-	}
+// goldenExempt names the commands TestCLIGoldens holds no row for, each
+// with the test that pins it instead.
+var goldenExempt = map[string]string{
+	"bench":   "times the host; TestCLIBench* check its sweeps and artifacts",
+	"serve":   "runs until stopped; serve_test.go drives its HTTP API",
+	"compare": "reads saved records; TestCLISaveAndCompare checks it",
+	"all":     "writes records, not a report; TestCLIAllReproducesResults pins them",
 }
 
 // TestCLIGoldens pins what the simulated stack prints, byte for byte:
 // each row runs one command and compares its stdout with its golden, and
-// every testdata/*.golden is a row. The sort row's scaling table and
+// every testdata/*.golden is a row. The sort rows' scaling table and
 // Theorem B.4 line come from routed bucket counts and must read as they
 // did when every trial was fully sorted. The single-round, resilient and
-// faults rows pin the DES fault executors under each scenario kind. The
-// affinity row pins every policy and the bounded-cache sweep. The iterate
-// row pins a closed-loop job on the virtual clock: residuals, makespans
-// and control decisions. The rows from nonlinear to help pin every other
-// deterministic command with the arguments TestCLISubcommands gives it,
+// faults rows pin the DES fault executors under each scenario kind, on
+// the default platforms and on smaller ones. The affinity row pins every
+// policy and the bounded-cache sweep. The iterate row pins a closed-loop
+// job on the virtual clock: residuals, makespans and control decisions.
+// The rows from nonlinear to help pin every other deterministic command,
 // and with them the closed forms, partitioners, kernels and planner
-// behind those tables.
+// behind those tables. Every command of commands() has a row, bar those
+// in goldenExempt.
 func TestCLIGoldens(t *testing.T) {
 	rows := []struct {
 		golden string
 		args   []string
 	}{
 		{"sort-seed7-trials30", []string{"sort", "-seed", "7", "-trials", "30"}},
+		{"sort-trials2", []string{"sort", "-trials", "2"}},
 		{"gantt-p4-w40", []string{"gantt", "-p", "4", "-w", "40"}},
 		{"trace-dlt-p4-tasks16", []string{"trace", "-executor", "dlt", "-p", "4", "-tasks", "16"}},
 		{"trace-demand-p4-tasks16", []string{"trace", "-executor", "demand", "-p", "4", "-tasks", "16"}},
@@ -154,6 +89,15 @@ func TestCLIGoldens(t *testing.T) {
 		{"faults-crash", []string{"faults", "-scenario", "crash"}},
 		{"faults-straggler", []string{"faults", "-scenario", "straggler"}},
 		{"faults-flaky-link", []string{"faults", "-scenario", "flaky-link"}},
+		{"faults-crash-p6-tasks36-seed3", []string{"faults", "-scenario", "crash", "-p", "6", "-tasks", "36", "-seed", "3"}},
+		{"faults-straggler-p5-tasks30-seed2", []string{"faults", "-scenario", "straggler", "-p", "5", "-tasks", "30", "-seed", "2"}},
+		{"faults-flaky-link-p4-tasks24-seed4", []string{"faults", "-scenario", "flaky-link", "-p", "4", "-tasks", "24", "-seed", "4"}},
+		{"trace-resilient-crash-p4-tasks16-seed3", []string{"trace", "-executor", "resilient",
+			"-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "3"}},
+		{"trace-single-round-crash-p4-tasks16-seed3", []string{"trace", "-executor", "single-round",
+			"-scenario", "crash", "-p", "4", "-tasks", "16", "-seed", "3"}},
+		{"trace-resilient-flaky-link-p4-tasks24-seed4-w60", []string{"trace", "-executor", "resilient",
+			"-scenario", "flaky-link", "-p", "4", "-tasks", "24", "-seed", "4", "-w", "60"}},
 		{"returns-trials20", []string{"returns", "-trials", "20"}},
 		{"adaptivity-p4-blocks64", []string{"adaptivity", "-p", "4", "-blocks", "64"}},
 		{"affinity-p4-g10", []string{"affinity", "-p", "4", "-g", "10"}},
@@ -187,6 +131,15 @@ func TestCLIGoldens(t *testing.T) {
 	}
 	if len(files) != len(rows) {
 		t.Errorf("testdata holds %d goldens, the table %d rows", len(files), len(rows))
+	}
+	pinned := map[string]bool{}
+	for _, r := range rows {
+		pinned[r.args[0]] = true
+	}
+	for _, c := range commands() {
+		if !pinned[c.name] && goldenExempt[c.name] == "" {
+			t.Errorf("command %q has no golden row and no goldenExempt reason", c.name)
+		}
 	}
 	for _, r := range rows {
 		t.Run(r.golden, func(t *testing.T) {
@@ -360,10 +313,27 @@ func TestCLIErrors(t *testing.T) {
 		{"trace", "-p", "1"},
 		{"affinity", "-n", "inf"},
 		{"affinity", "-n", "1e308"},
+		{"matmul", "-n", "0"},
+		{"matmul", "-n", "-3"},
+		{"mapreduce", "-demo", "0"},
+		{"mapreduce", "-demo", "-2"},
+		{"mapreduce", "-n", "0"},
+		{"partition", "-trials", "0"},
+		{"returns", "-trials", "0"},
+		{"sort", "-trials", "0"},
+		{"outer", "-n", "0"},
+		{"bottleneck", "-n", "0"},
+		{"fig4", "-pmax", "5"},
+		{"polymul", "-n", "-1"},
 	}
 	for _, args := range cases {
-		if _, err := capture(t, func() error { return run(args) }); err == nil {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+		// A rejected input fails before any table shows it as NaN.
+		if strings.Contains(out, "NaN") {
+			t.Errorf("run(%v) printed NaN before failing:\n%s", args, truncate(out, 800))
 		}
 	}
 }

@@ -2,19 +2,18 @@ package main
 
 import (
 	"fmt"
-	"strconv"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"nlfl/internal/core"
 	"nlfl/internal/experiments"
-	"nlfl/internal/mapreduce"
 	"nlfl/internal/matmul"
 	"nlfl/internal/outer"
 	"nlfl/internal/partition"
 	"nlfl/internal/platform"
 	"nlfl/internal/results"
 	"nlfl/internal/samplesort"
-	"nlfl/internal/stats"
 )
 
 // runFig4 reproduces one panel of Figure 4.
@@ -116,13 +115,13 @@ func runSort(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Section 3 — sorting as an almost-divisible load:")
-	fmt.Println()
-	fmt.Print(experiments.SortScalingTable(rows, *p).String())
 	res, err := samplesort.CheckConcentration(1<<16, *p, 0, *trials, *seed)
 	if err != nil {
 		return err
 	}
+	fmt.Println("Section 3 — sorting as an almost-divisible load:")
+	fmt.Println()
+	fmt.Print(experiments.SortScalingTable(rows, *p).String())
 	fmt.Println()
 	fmt.Printf("Theorem B.4 check (N=%d, p=%d, s=log²N=%d, %d trials):\n", res.N, res.P, res.S, res.Trials)
 	fmt.Printf("  empirical P(max bucket > threshold) = %.3f (bound: %.3f)\n",
@@ -183,32 +182,30 @@ func runOuter(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	profile, err := platform.ParseProfile(*dist)
+	pl, _, err := randomPlatform(*p, *dist, *seed, 16)
 	if err != nil {
 		return err
 	}
-	pl, err := platform.Generate(*p, profile.Distribution(16), stats.NewRNG(*seed))
+	// Everything is computed before anything prints: the planner rejects
+	// a size the closed forms would print as NaN.
+	hom := outer.Commhom(pl, *n)
+	homk, err := outer.CommhomK(pl, *n, 0.01, 0)
+	if err != nil {
+		return err
+	}
+	het, err := outer.Commhet(pl, *n)
+	if err != nil {
+		return err
+	}
+	plan, err := core.PlanOuterProduct(pl, *n)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("platform: %v\n", pl)
 	fmt.Printf("lower bound LB = 2N·Σ√xᵢ = %.4g\n\n", outer.LowerBound(pl, *n))
-	hom := outer.Commhom(pl, *n)
 	fmt.Println(hom.String())
-	homk, err := outer.CommhomK(pl, *n, 0.01, 0)
-	if err != nil {
-		return err
-	}
 	fmt.Println(homk.String())
-	het, err := outer.Commhet(pl, *n)
-	if err != nil {
-		return err
-	}
 	fmt.Println(het.String())
-	plan, err := core.PlanOuterProduct(pl, *n)
-	if err != nil {
-		return err
-	}
 	fmt.Println()
 	fmt.Print(plan.String())
 	return nil
@@ -221,6 +218,9 @@ func runMatMul(args []string) error {
 	seed := fs.Int64("seed", 5, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *n < 1 {
+		return fmt.Errorf("matmul: -n %d is not a matrix dimension", *n)
 	}
 	a := matmul.Random(*n, *n, *seed)
 	b := matmul.Random(*n, *n, *seed+1)
@@ -259,33 +259,50 @@ func runMatMul(args []string) error {
 	return nil
 }
 
-// runMapReduce compares distributions and runs the demo job.
-func runMapReduce(args []string) error {
-	fs := newFlagSet("mapreduce")
-	n := fs.Int("n", 512, "matrix dimension for the closed-form menu")
-	demo := fs.Int("demo", 12, "dimension of the real MapReduce product (n³ records!)")
+// runFig2 draws the Figure 2 footprints: the rectangle each worker gets
+// under the Heterogeneous Blocks layout.
+func runFig2(args []string) error {
+	fs := newFlagSet("fig2")
+	p := fs.Int("p", 8, "number of workers")
+	dist := fs.String("dist", "uniform", "speed profile")
+	seed := fs.Int64("seed", 9, "random seed")
+	width := fs.Int("w", 60, "drawing width")
+	height := fs.Int("h", 20, "drawing height")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	table, err := experiments.MapReduceComparison(*n, []float64{1, 1, 5, 9}, 2, 2)
+	pl, _, err := randomPlatform(*p, *dist, *seed, 16)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("matmul data-distribution menu at n=%d (speeds 1,1,5,9):\n\n", *n)
-	fmt.Print(table.String())
+	part, err := partition.PeriSum(pl.Speeds())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Figure 2 — Heterogeneous Blocks footprints for %v:\n\n", pl)
+	fmt.Print(part.ASCII(*width, *height))
+	norm, err := partition.Normalize(pl.Speeds())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nΣ half-perimeters Ĉ = %.4f, lower bound 2Σ√aᵢ = %.4f (ratio %.4f)\n",
+		part.SumHalfPerimeters(), partition.LowerBound(norm),
+		part.SumHalfPerimeters()/partition.LowerBound(norm))
 
-	a := matmul.Random(*demo, *demo, 1)
-	b := matmul.Random(*demo, *demo, 2)
-	got, ctr, err := mapreduce.RunMatMulPairs(a, b, 4, 4, true)
+	// The Figure 2(b) counterpart: the same workers under Homogeneous
+	// Blocks, demand-driven — footprints scatter across the whole domain.
+	g := *width / 2
+	if g < 4 {
+		g = 4
+	}
+	grid, err := outer.BlockAssignment(pl, g)
 	if err != nil {
 		return err
 	}
-	ref, err := matmul.Naive(a, b)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nreal MapReduce product at n=%d: correct=%v\n  %s\n",
-		*demo, ref.Equal(got, 1e-9), ctr)
+	fmt.Printf("\nsame platform under Homogeneous Blocks (%d×%d demand-driven blocks):\n\n", g, g)
+	fmt.Print(outer.RenderBlockAssignment(grid))
+	fmt.Println("\nFast workers' data is scattered — every block re-ships its vector chunks,")
+	fmt.Println("which is exactly the redundancy Comm_het eliminates.")
 	return nil
 }
 
@@ -318,84 +335,91 @@ func runAnalyze(args []string) error {
 	return nil
 }
 
-// runDemo smoke-runs every experiment with tiny settings.
-func runDemo(args []string) error {
-	fmt.Println("=== nonlinear ===")
-	if err := runNonLinear([]string{"-ps", "2,10,100"}); err != nil {
+// runAll reproduces every experiment with paper settings and saves each
+// as a JSON record under -outdir — the one-command reproduction driver.
+// Everything is computed once, by experiments.RunSuite, before anything is
+// written: a failing run leaves no record behind.
+func runAll(args []string) error {
+	fs := newFlagSet("all")
+	outdir := fs.String("outdir", "results", "directory for the JSON records")
+	trials := fs.Int("trials", 100, "Figure 4 trials per point")
+	seed := fs.Int64("seed", 42, "random seed")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Println("\n=== sort ===")
-	if err := runSort([]string{"-trials", "5"}); err != nil {
+	// The two records the suite does not hold run beside it: E12 at its
+	// own 50 trials (the suite's copy takes trials/2+1) and the robustness
+	// sweep (crashes vs demand-driven / single-round / re-planning).
+	var quality []experiments.PartitionQualityRow
+	var faultRows []experiments.FaultSweepRow
+	fcfg := experiments.DefaultFaultSweepConfig()
+	fcfg.Seed = *seed
+	suite, err := experiments.RunSuite(experiments.SuiteConfig{Trials: *trials, Seed: *seed},
+		func() (err error) {
+			quality, err = experiments.PartitionQuality([]int{10, 25, 50, 100}, 50, *seed)
+			return err
+		},
+		func() (err error) { faultRows, err = experiments.FaultSweep(fcfg); return err },
+	)
+	if err != nil {
 		return err
 	}
-	fmt.Println("\n=== rho ===")
-	if err := runRho(nil); err != nil {
+	s := float64(*seed)
+	sweep := map[string]float64{"trials": float64(*trials), "seed": s}
+	platform10 := map[string]float64{"p": 10, "seed": s}
+	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
-	fmt.Println("\n=== partition ===")
-	if err := runPartition([]string{"-trials", "10"}); err != nil {
-		return err
+	for _, rec := range []results.Record{
+		{Experiment: "e1-nonlinear", Data: suite.NonLinear},
+		{Experiment: "e3-sort-scaling", Params: map[string]float64{"p": 8, "seed": s}, Data: suite.SortScaling},
+		{Experiment: "e6-rho", Params: map[string]float64{"p": 20}, Data: suite.Rho},
+		{Experiment: "fig4-homogeneous", Params: sweep, Data: suite.Fig4Homogeneous},
+		{Experiment: "fig4-uniform", Params: sweep, Data: suite.Fig4Uniform},
+		{Experiment: "fig4-lognormal", Params: sweep, Data: suite.Fig4LogNormal},
+		{Experiment: "e12-partition-quality", Params: map[string]float64{"trials": 50, "seed": s}, Data: quality},
+		{Experiment: "ext-affinity", Params: platform10, Data: suite.Affinity},
+		{Experiment: "ext-bottleneck", Params: platform10, Data: suite.Bottleneck},
+		{Experiment: "ext-faults", Params: map[string]float64{"p": float64(fcfg.P), "seed": s}, Data: faultRows},
+		// The whole evaluation as one structured record (for `nlfl compare`).
+		{Experiment: "suite", Params: sweep, Data: suite},
+	} {
+		path := filepath.Join(*outdir, rec.Experiment+".json")
+		if err := results.Save(path, rec); err != nil {
+			return err
+		}
+		fmt.Println("wrote", path)
 	}
-	fmt.Println("\n=== outer ===")
-	if err := runOuter([]string{"-p", "8"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== matmul ===")
-	if err := runMatMul([]string{"-n", "48"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== mapreduce ===")
-	if err := runMapReduce([]string{"-demo", "8"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== fig2 ===")
-	if err := runFig2([]string{"-p", "5", "-w", "40", "-h", "12"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== affinity ===")
-	if err := runAffinity([]string{"-p", "6", "-g", "20"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== bottleneck ===")
-	if err := runBottleneck([]string{"-p", "10"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== mrdlt ===")
-	if err := runMRDLT([]string{"-p", "6"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== fig4 (reduced) ===")
-	if err := runFig4([]string{"-trials", "10", "-pmax", "50"}); err != nil {
-		return err
-	}
-	fmt.Println("\n=== analyze ===")
-	return runAnalyze(nil)
+	return nil
 }
 
-// parseFloats parses "1,2.5,3".
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q: %w", p, err)
-		}
-		out = append(out, v)
+// runCompare diffs two saved result records within a relative tolerance —
+// the regression check for reproduced experiments.
+func runCompare(args []string) error {
+	fs := newFlagSet("compare")
+	tol := fs.Float64("tol", 0.02, "relative tolerance for numeric values")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	return out, nil
-}
-
-// parseInts parses "1,2,3".
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad int %q: %w", p, err)
-		}
-		out = append(out, v)
+	rest := fs.Args()
+	if len(rest) != 2 {
+		return fmt.Errorf("usage: nlfl compare [-tol x] old.json new.json")
 	}
-	return out, nil
+	a, err := results.Load(rest[0])
+	if err != nil {
+		return err
+	}
+	b, err := results.Load(rest[1])
+	if err != nil {
+		return err
+	}
+	diffs := results.Compare(a, b, *tol)
+	if len(diffs) == 0 {
+		fmt.Printf("records agree within %.3g relative tolerance\n", *tol)
+		return nil
+	}
+	for _, d := range diffs {
+		fmt.Println(" ", d)
+	}
+	return fmt.Errorf("%d differences found", len(diffs))
 }

@@ -229,12 +229,7 @@ func (st *serveState) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		code := http.StatusBadRequest
-		if errors.Is(err, service.ErrAdmissionRejected) {
-			code = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", retryAfter(st.fleet.QueueDepth()))
-		}
-		writeJSON(w, code, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	st.track(h)

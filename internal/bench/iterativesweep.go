@@ -46,35 +46,8 @@ func iterSpeeds() []float64 { return []float64{1, 2, 3, 4} }
 // takes ≈ 18 rounds.
 const iterTie = 0.9999
 
-// iterDriftChaos is the drifting-straggler scenario every policy runs
-// under: worker iterDriftWorker computes at iterDriftFactor speed from
-// round iterDriftRound on, forever.
-func iterDriftChaos(seed int64) func(round int) nrt.Chaos {
-	return func(round int) nrt.Chaos {
-		if round < iterDriftRound {
-			return nrt.Chaos{}
-		}
-		return nrt.Chaos{Scenario: faults.Scenario{
-			Seed: seed,
-			Events: []faults.Event{
-				{Kind: faults.Straggler, Worker: iterDriftWorker, Time: 0, Until: 1e9, Factor: iterDriftFactor},
-			},
-		}}
-	}
-}
-
-// iterOracleRates is the omniscient baseline's knowledge: the true
-// drifted rates, handed over the moment the drift starts.
-func iterOracleRates(round int) []float64 {
-	rates := make([]float64, len(iterSpeeds()))
-	for w, s := range iterSpeeds() {
-		rates[w] = s * iterRate
-	}
-	if round >= iterDriftRound {
-		rates[iterDriftWorker] *= iterDriftFactor
-	}
-	return rates
-}
+// iterDrift is the drifting-straggler scenario every policy runs under.
+var iterDrift = iterative.Drift{Worker: iterDriftWorker, Factor: iterDriftFactor, Round: iterDriftRound}
 
 // RunIterativeSweep runs the closed-loop re-planning bench: the same
 // deterministic power iteration under three planning policies on a
@@ -116,10 +89,10 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 			Burst:       1,
 			VerifyEvery: 101,
 			Estimator:   iterative.EstimatorConfig{DriftRounds: 2},
-			Chaos:       iterDriftChaos(cfg.Seed),
+			Chaos:       iterDrift.Chaos(cfg.Seed),
 		}
 		if mode == iterative.ModeOracle {
-			opts.OracleRates = iterOracleRates
+			opts.OracleRates = iterDrift.OracleRates(iterSpeeds(), iterRate)
 		}
 		if mode == iterative.ModeAdaptive {
 			opts.FreezeAfter = freezeAfter
@@ -191,14 +164,7 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 				}
 			}
 		case "straggler":
-			opts.Chaos = func(round int) nrt.Chaos {
-				if round < 1 {
-					return nrt.Chaos{}
-				}
-				return nrt.Chaos{Scenario: faults.Scenario{Seed: cfg.Seed, Events: []faults.Event{
-					{Kind: faults.Straggler, Worker: 2, Time: 0, Until: 1e9, Factor: 0.3},
-				}}}
-			}
+			opts.Chaos = iterative.Drift{Worker: 2, Factor: 0.3, Round: 1}.Chaos(cfg.Seed)
 		case "link-slow":
 			opts.Link = nrt.Link{ElemsPerSecond: 4e6}
 			opts.Chaos = func(round int) nrt.Chaos {

@@ -29,6 +29,9 @@ type BottleneckPoint struct {
 // compute bound; as links slow down, Comm_hom/k's inflated footprints
 // dominate its makespan first.
 func Bottleneck(pl *platform.Platform, n float64, eps float64, bandwidths []float64) ([]BottleneckPoint, error) {
+	if n <= 0 || math.IsNaN(n) || math.IsInf(n, 0) {
+		return nil, fmt.Errorf("experiments: invalid size %v", n)
+	}
 	if eps <= 0 {
 		eps = 0.01
 	}

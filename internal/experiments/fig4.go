@@ -74,6 +74,9 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
 	}
+	if len(cfg.Ps) == 0 {
+		return nil, fmt.Errorf("experiments: no processor counts")
+	}
 	if cfg.N <= 0 {
 		cfg.N = 1000
 	}

@@ -26,6 +26,9 @@ type ReturnsRow struct {
 // set aside to isolate non-linearity. For each δ, `trials` random star
 // platforms with one chunk per worker are evaluated.
 func ReturnsSweep(deltas []float64, p, trials int, seed int64) ([]ReturnsRow, error) {
+	if trials <= 0 {
+		return nil, fmt.Errorf("experiments: trials must be positive")
+	}
 	root := stats.NewRNG(seed)
 	rows := make([]ReturnsRow, 0, len(deltas))
 	for _, delta := range deltas {

@@ -97,6 +97,9 @@ type PartitionQualityRow struct {
 // the column-based algorithm does far better in practice (≈2%) than its
 // 7/4 worst-case guarantee.
 func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, error) {
+	if trials <= 0 {
+		return nil, fmt.Errorf("experiments: trials must be positive")
+	}
 	dists := []stats.Distribution{
 		stats.Constant{Value: 1},
 		stats.Uniform{Lo: 1, Hi: 100},
@@ -214,6 +217,9 @@ func SortScalingTable(rows []SortScalingRow, p int) *plot.Table {
 // scored by total communication volume (closed forms), with the ratios to
 // the heterogeneity-aware layout.
 func MapReduceComparison(n int, speeds []float64, gridR, gridC int) (*plot.Table, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("experiments: invalid matrix dimension %d", n)
+	}
 	part, err := partition.PeriSum(speeds)
 	if err != nil {
 		return nil, err

@@ -58,17 +58,7 @@ func TestChaosIterativeProperty(t *testing.T) {
 							}
 						}
 					case "straggler":
-						opts.Chaos = func(round int) nrt.Chaos {
-							if round < 1 {
-								return nrt.Chaos{}
-							}
-							return nrt.Chaos{Scenario: faults.Scenario{
-								Seed: int64(seed),
-								Events: []faults.Event{
-									{Kind: faults.Straggler, Worker: victim, Time: 0, Until: 1e9, Factor: 0.3},
-								},
-							}}
-						}
+						opts.Chaos = Drift{Worker: victim, Factor: 0.3, Round: 1}.Chaos(int64(seed))
 					case "link-slow":
 						opts.Link = nrt.Link{ElemsPerSecond: 4e6}
 						opts.Chaos = func(round int) nrt.Chaos {

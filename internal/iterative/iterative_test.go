@@ -87,14 +87,7 @@ func TestRunAdaptiveTracksDrift(t *testing.T) {
 	opts := testOptions(ModeAdaptive)
 	opts.MaxRounds = 20
 	// Worker 2 (the fastest) runs at a third of its speed from round 2 on.
-	opts.Chaos = func(round int) nrt.Chaos {
-		if round < 2 {
-			return nrt.Chaos{}
-		}
-		return nrt.Chaos{Scenario: faults.Scenario{Events: []faults.Event{
-			{Kind: faults.Straggler, Worker: 2, Time: 0, Until: 1e9, Factor: 1. / 3},
-		}}}
-	}
+	opts.Chaos = Drift{Worker: 2, Factor: 1. / 3, Round: 2}.Chaos(0)
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +168,7 @@ func TestRunFrozenEstimatorStaysStale(t *testing.T) {
 	opts := testOptions(ModeAdaptive)
 	opts.MaxRounds = 20
 	opts.FreezeAfter = 1
-	opts.Chaos = func(round int) nrt.Chaos {
-		if round < 2 {
-			return nrt.Chaos{}
-		}
-		return nrt.Chaos{Scenario: faults.Scenario{Events: []faults.Event{
-			{Kind: faults.Straggler, Worker: 2, Time: 0, Until: 1e9, Factor: 1. / 3},
-		}}}
-	}
+	opts.Chaos = Drift{Worker: 2, Factor: 1. / 3, Round: 2}.Chaos(0)
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)

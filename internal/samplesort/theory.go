@@ -1,6 +1,7 @@
 package samplesort
 
 import (
+	"errors"
 	"math"
 
 	"nlfl/internal/stats"
@@ -127,6 +128,9 @@ func (c ConcentrationResult) EmpiricalFailureRate() float64 {
 // empirical failure rate should be at most about N^(-1/3). The theorem is
 // about Step 2's bucket sizes, so nothing is sorted.
 func CheckConcentration(n, p, s, trials int, seed int64) (ConcentrationResult, error) {
+	if trials <= 0 {
+		return ConcentrationResult{}, errors.New("samplesort: trials must be positive")
+	}
 	if s == 0 {
 		s = DefaultOversampling(n)
 	}
