@@ -41,6 +41,72 @@ func capture(t *testing.T, f func() error) (string, error) {
 	return out, runErr
 }
 
+// TestCLISubcommands checks the phrases each report must carry. Its rows
+// run the arguments of TestCLIGoldens rows, so a golden that is
+// regenerated cannot drop the heading or figure a row names.
+func TestCLISubcommands(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want []string // substrings that must appear
+	}{
+		{"help", []string{"help"}, []string{"commands:", "fig4", "affinity"}},
+		{"nonlinear", []string{"nonlinear", "-ps", "2,10"}, []string{"no free lunch", "0.9"}},
+		{"analyze", []string{"analyze", "-kind", "power", "-alpha", "2", "-p", "100"},
+			[]string{"not-divisible", "0.9900"}},
+		{"analyze sort", []string{"analyze", "-kind", "sort", "-n", "1048576", "-p", "32"},
+			[]string{"almost-divisible"}},
+		{"rho", []string{"rho", "-ks", "1,16"}, []string{"measured ρ", "3.4"}},
+		{"partition", []string{"partition", "-trials", "3"}, []string{"Ĉ/LB", "uniform[1,100]"}},
+		{"outer", []string{"outer", "-p", "6"}, []string{"hom/k", "het:", "plan for"}},
+		{"matmul", []string{"matmul", "-n", "32"}, []string{"naive kernel: true", "block-cyclic", "rect"}},
+		{"mapreduce", []string{"mapreduce", "-demo", "6"}, []string{"naive-pairs", "correct=true"}},
+		{"fig2", []string{"fig2", "-p", "4", "-w", "24", "-h", "8"}, []string{"half-perimeter", "+"}},
+		{"affinity", []string{"affinity", "-p", "4", "-g", "10"},
+			[]string{"no-cache", "cache", "affinity", "granularities"}},
+		{"fig4 small", []string{"fig4", "-trials", "3", "-pmax", "20"},
+			[]string{"Comm_het", "Comm_hom/k"}},
+		{"fig4 csv", []string{"fig4", "-trials", "2", "-pmax", "10", "-csv"},
+			[]string{"x,Comm_het"}},
+		{"bottleneck", []string{"bottleneck", "-p", "6"}, []string{"bandwidth", "Comm_hom/k"}},
+		{"mrdlt", []string{"mrdlt", "-p", "4"}, []string{"equal split", "optimized", "speedup"}},
+		{"polymul", []string{"polymul", "-n", "64"}, []string{"schoolbook", "karatsuba", "fft", "almost-divisible"}},
+		{"adaptivity", []string{"adaptivity", "-p", "4", "-blocks", "64"},
+			[]string{"residual speed", "static DLT", "demand-driven"}},
+		{"gantt", []string{"gantt", "-p", "4", "-w", "40"}, []string{"#", "accomplishes"}},
+		{"tree", []string{"tree", "-depth", "2", "-fanout", "2"},
+			[]string{"nodes", "topology-free", "α=2"}},
+		{"returns", []string{"returns", "-trials", "20"},
+			[]string{"FIFO", "LIFO", "dominates"}},
+		{"trace demand", []string{"trace", "-executor", "demand", "-p", "4", "-tasks", "16"},
+			[]string{"demand executor", "invariants: ok"}},
+		{"trace dlt", []string{"trace", "-executor", "dlt", "-p", "4", "-tasks", "16"},
+			[]string{"dlt executor", "invariants: ok"}},
+		{"trace sort", []string{"trace", "-executor", "sort", "-p", "4", "-tasks", "16"},
+			[]string{"sort executor", "invariants: ok"}},
+		{"recommend", []string{"recommend"},
+			[]string{"← knee", "recommend 4 of 8 workers", "speedup 2.26×", "makespan 37.3 ms",
+				"no slice of this fleet can beat 4.53×", "75% of the work undone", "speedup vs slice size"}},
+		{"recommend unconstrained", []string{"recommend", "-bandwidth", "0", "-chart=false"},
+			[]string{"recommend 8 of 8 workers", "0.00"}},
+		{"recommend json", []string{"recommend", "-json"},
+			[]string{`"knee": 4`, `"speedupBound"`, `"curve"`, `"unprocessedIfChunked"`}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := capture(t, func() error { return run(c.args) })
+			if err != nil {
+				t.Fatalf("run(%v): %v", c.args, err)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, truncate(out, 800))
+				}
+			}
+		})
+	}
+}
+
 // goldenExempt names the commands TestCLIGoldens holds no row for, each
 // with the test that pins it instead.
 var goldenExempt = map[string]string{
