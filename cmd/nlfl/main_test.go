@@ -381,6 +381,8 @@ func TestCLIErrors(t *testing.T) {
 		{"affinity", "-n", "1e308"},
 		{"matmul", "-n", "0"},
 		{"matmul", "-n", "-3"},
+		{"matmul", "-n", "4"},
+		{"matmul", "-n", "7"},
 		{"mapreduce", "-demo", "0"},
 		{"mapreduce", "-demo", "-2"},
 		{"mapreduce", "-n", "0"},
@@ -400,6 +402,10 @@ func TestCLIErrors(t *testing.T) {
 		// A rejected input fails before any table shows it as NaN.
 		if strings.Contains(out, "NaN") {
 			t.Errorf("run(%v) printed NaN before failing:\n%s", args, truncate(out, 800))
+		}
+		// matmul checks -n before it prints the kernel comparison.
+		if args[0] == "matmul" && out != "" {
+			t.Errorf("run(%v) printed before failing:\n%s", args, truncate(out, 800))
 		}
 	}
 }

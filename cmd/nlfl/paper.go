@@ -219,8 +219,8 @@ func runMatMul(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 1 {
-		return fmt.Errorf("matmul: -n %d is not a matrix dimension", *n)
+	if *n < 8 {
+		return fmt.Errorf("matmul: -n %d is below 8: the 2×2 block-cyclic layout needs blocks of n/8 ≥ 1 rows", *n)
 	}
 	a := matmul.Random(*n, *n, *seed)
 	b := matmul.Random(*n, *n, *seed+1)

@@ -136,6 +136,7 @@ func run(pl *platform.Platform, n float64, g int, policy Policy, leastMissing bo
 	}
 	p := pl.P()
 	taken := make([]bool, g*g) // block (i,j) at i*g+j
+	rowTaken := make([]int, g) // taken blocks of each row
 	caches := make([]lru, p)
 	for w := range caches {
 		caches[w] = newLRU(2*g, capacity)
@@ -157,6 +158,9 @@ func run(pl *platform.Platform, n float64, g int, policy Policy, leastMissing bo
 		block, miss := -1, 3 // 3: worse than any block's 0..2 missing chunks
 		if leastMissing {
 			for i := 0; i < g && miss > 0; i++ {
+				if rowTaken[i] == g {
+					continue // row i is exhausted: no candidate
+				}
 				ma := c.missing(i)
 				if ma >= miss {
 					continue // no block of row i can beat the best
@@ -181,6 +185,7 @@ func run(pl *platform.Platform, n float64, g int, policy Policy, leastMissing bo
 			miss = c.missing(block/g) + c.missing(g+block%g)
 		}
 		taken[block] = true
+		rowTaken[block/g]++
 		volume += float64(miss) * chunk
 		c.touch(block / g)
 		c.touch(g + block%g)

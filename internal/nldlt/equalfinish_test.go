@@ -10,9 +10,37 @@ import (
 	"nlfl/internal/stats"
 )
 
+// refChunkForDeadline is chunkForDeadline as it was before integer α
+// multiplied: every power is math.Pow.
+func refChunkForDeadline(offset, bw, speed, alpha, t float64) float64 {
+	if offset >= t {
+		return 0
+	}
+	budget := t - offset
+	cost := func(x float64) float64 { return x/bw + math.Pow(x, alpha)/speed }
+	hi := 1.0
+	for cost(hi) < budget {
+		hi *= 2
+		if math.IsInf(hi, 0) {
+			return hi
+		}
+	}
+	lo := 0.0
+	for i := 0; i < 200 && hi-lo > 1e-15*(1+hi); i++ {
+		mid := (lo + hi) / 2
+		if cost(mid) <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // refSolveEqualFinish is solveEqualFinish as it was before identical
-// workers shared one chunk solve: one chunkForDeadline call per worker per
-// step. The solver must reproduce it bit for bit.
+// workers shared one chunk solve and integer α multiplied: one
+// refChunkForDeadline call per worker per step. The solver must
+// reproduce it bit for bit.
 func refSolveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (Result, error) {
 	if err := l.Validate(); err != nil {
 		return Result{}, err
@@ -30,7 +58,7 @@ func refSolveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool
 		offset := 0.0
 		for _, i := range idxs {
 			w := p.Worker(i)
-			x := chunkForDeadline(offset, w.Bandwidth, w.Speed, l.Alpha, t)
+			x := refChunkForDeadline(offset, w.Bandwidth, w.Speed, l.Alpha, t)
 			data[i] = x
 			sum += x
 			if onePort {
@@ -136,6 +164,27 @@ func TestSolveEqualFinishMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPowAlphaMatchesPow checks the products that replace math.Pow for
+// α = 2 and α = 3 on random x over [2⁻⁵³, 2¹⁰²³], overflow included, and
+// at 0 and +Inf. Below that range a subnormal power could round twice in
+// Pow; chunkForDeadline never goes there: its bisection stops once
+// hi-lo ≤ 1e-15·(1+hi), so it evaluates no x below ~2⁻⁵², whose cube is
+// ~2⁻¹⁵⁶, far above the subnormals.
+func TestPowAlphaMatchesPow(t *testing.T) {
+	r := stats.NewRNG(11)
+	xs := []float64{0, math.Inf(1), math.Ldexp(1, -53), math.MaxFloat64}
+	for range 1 << 18 {
+		xs = append(xs, math.Ldexp(1+r.Float64(), -53+r.Intn(1076)))
+	}
+	for _, alpha := range []float64{2, 3} {
+		for _, x := range xs {
+			if got, want := powAlpha(x, alpha), math.Pow(x, alpha); got != want {
+				t.Fatalf("powAlpha(%v, %v) = %v, math.Pow gives %v", x, alpha, got, want)
 			}
 		}
 	}

@@ -164,7 +164,7 @@ func chunkForDeadline(offset, bw, speed, alpha, t float64) float64 {
 		return 0
 	}
 	budget := t - offset
-	cost := func(x float64) float64 { return x/bw + math.Pow(x, alpha)/speed }
+	cost := func(x float64) float64 { return x/bw + powAlpha(x, alpha)/speed }
 	hi := 1.0
 	for cost(hi) < budget {
 		hi *= 2
@@ -182,6 +182,21 @@ func chunkForDeadline(offset, bw, speed, alpha, t float64) float64 {
 		}
 	}
 	return lo
+}
+
+// powAlpha is math.Pow(x, alpha), with α = 2 and α = 3 computed as the
+// products x·x and x·(x·x). For a normal result these are the same
+// floats: the pure-Go Pow (every GOARCH but s390x) squares and multiplies
+// the Frexp mantissa in that order, rounding each product once, and
+// rescales with an exact Ldexp.
+func powAlpha(x, alpha float64) float64 {
+	switch alpha {
+	case 2:
+		return x * x
+	case 3:
+		return x * (x * x)
+	}
+	return math.Pow(x, alpha)
 }
 
 // OptimalParallel solves the non-linear single-round allocation under the

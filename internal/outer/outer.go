@@ -318,11 +318,14 @@ func Commhet(p *platform.Platform, n float64) (Result, error) {
 	if err := part.Validate(); err != nil {
 		return Result{}, fmt.Errorf("outer: invalid partition: %w", err)
 	}
+	// Validate guarantees each index exactly one rectangle.
 	per := make([]float64, p.P())
+	for _, r := range part.Rects {
+		per[r.Index] = r.HalfPerimeter() * n
+	}
 	volume := 0.0
-	for i := range per {
-		per[i] = part.HalfPerimeterOf(i) * n
-		volume += per[i]
+	for _, v := range per {
+		volume += v
 	}
 	return Result{
 		Strategy:  "het",

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nlfl/internal/partition"
 	"nlfl/internal/platform"
 	"nlfl/internal/stats"
 )
@@ -290,14 +291,24 @@ func TestCommhetWithinGuarantee(t *testing.T) {
 }
 
 func TestCommhetPerWorkerFootprints(t *testing.T) {
-	pl := speedsPlat(t, 1, 1, 2)
+	speeds := []float64{1, 1, 2}
 	const n = 10
-	res, err := Commhet(pl, n)
+	res, err := Commhet(speedsPlat(t, speeds...), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.PerWorker) != 3 {
 		t.Fatalf("per-worker length = %d", len(res.PerWorker))
+	}
+	// Worker i pays the half-perimeter of the rectangle serving index i.
+	part, err := partition.PeriSum(speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range part.Rects {
+		if got, want := res.PerWorker[r.Index], r.HalfPerimeter()*n; got != want {
+			t.Errorf("worker %d footprint %v, want (w+h)·N = %v", r.Index, got, want)
+		}
 	}
 	sum := 0.0
 	for i, v := range res.PerWorker {
@@ -308,6 +319,9 @@ func TestCommhetPerWorkerFootprints(t *testing.T) {
 	}
 	if math.Abs(sum-res.Volume) > 1e-9 {
 		t.Errorf("footprints sum %v != volume %v", sum, res.Volume)
+	}
+	if total := part.SumHalfPerimeters() * n; math.Abs(sum-total) > 1e-9 {
+		t.Errorf("footprints sum %v != Σ(w+h)·N = %v", sum, total)
 	}
 }
 

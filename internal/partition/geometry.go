@@ -47,17 +47,6 @@ func (p *Partition) SumHalfPerimeters() float64 {
 	return s
 }
 
-// HalfPerimeterOf returns the half-perimeter of the rectangle serving
-// prescribed-area index i.
-func (p *Partition) HalfPerimeterOf(i int) float64 {
-	for _, r := range p.Rects {
-		if r.Index == i {
-			return r.HalfPerimeter()
-		}
-	}
-	return math.NaN()
-}
-
 const geomTol = 1e-9
 
 // Validate checks that the partition is an exact tiling: every prescribed

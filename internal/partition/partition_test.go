@@ -180,24 +180,6 @@ func TestSqrtHeuristicMatchesDPOnHomogeneous(t *testing.T) {
 	}
 }
 
-func TestHalfPerimeterOf(t *testing.T) {
-	part, err := PeriSum([]float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp0, hp1 := part.HalfPerimeterOf(0), part.HalfPerimeterOf(1)
-	if math.IsNaN(hp0) || math.IsNaN(hp1) {
-		t.Fatal("missing half-perimeters")
-	}
-	total := part.SumHalfPerimeters()
-	if math.Abs(hp0+hp1-total) > 1e-9 {
-		t.Errorf("per-index half-perimeters %v+%v don't sum to %v", hp0, hp1, total)
-	}
-	if !math.IsNaN(part.HalfPerimeterOf(7)) {
-		t.Error("unknown index should return NaN")
-	}
-}
-
 func TestValidateCatchesDefects(t *testing.T) {
 	good, _ := PeriSum([]float64{1, 1, 1})
 	if err := good.Validate(); err != nil {
