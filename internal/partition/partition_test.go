@@ -180,6 +180,32 @@ func TestSqrtHeuristicMatchesDPOnHomogeneous(t *testing.T) {
 	}
 }
 
+func TestHalfPerimeterOf(t *testing.T) {
+	part, err := PeriSum([]float64{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each prescribed-area index is served by exactly one rectangle, whose
+	// W+H is that index's half-perimeter (what outer.Commhet charges).
+	hp := []float64{math.NaN(), math.NaN()}
+	for _, r := range part.Rects {
+		if r.Index < 0 || r.Index >= len(hp) {
+			t.Fatalf("rectangle serves unknown index %d", r.Index)
+		}
+		if !math.IsNaN(hp[r.Index]) {
+			t.Fatalf("index %d served twice", r.Index)
+		}
+		hp[r.Index] = r.HalfPerimeter()
+	}
+	if math.IsNaN(hp[0]) || math.IsNaN(hp[1]) {
+		t.Fatal("missing half-perimeters")
+	}
+	total := part.SumHalfPerimeters()
+	if math.Abs(hp[0]+hp[1]-total) > 1e-9 {
+		t.Errorf("per-index half-perimeters %v+%v don't sum to %v", hp[0], hp[1], total)
+	}
+}
+
 func TestValidateCatchesDefects(t *testing.T) {
 	good, _ := PeriSum([]float64{1, 1, 1})
 	if err := good.Validate(); err != nil {
