@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -66,4 +68,120 @@ func TestRNGSplitAllocatesOnce(t *testing.T) {
 		t.Fatalf("Split allocates %v times, want 1", allocs)
 	}
 	_ = sink
+}
+
+// sourceSeeds are the seeds TestSourceMatchesMathRand compares: the
+// edges of Seed's normalisation (0 and every multiple of 2³¹−1 map to
+// 89482311; negative seeds wrap), the int64 extremes, and n random
+// seeds of both signs.
+func sourceSeeds(n int) []int64 {
+	seeds := []int64{0, 1, -1, 89482311, -89482311, int32max, -int32max, 2 * int32max, -2 * int32max,
+		int32max - 1, int32max + 1, 1 << 62, -1 << 62, math.MinInt64, math.MaxInt64,
+		math.MinInt64 / int32max * int32max, math.MaxInt64 / int32max * int32max}
+	r := rand.New(rand.NewSource(2024))
+	for range n {
+		s := r.Int63()
+		if r.Intn(2) == 0 {
+			s = -s
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// matchMathRand draws n values from NewRNG(seed) and from
+// rand.New(rand.NewSource(seed)), cycling through every method of RNG, and
+// reports the first draw that differs.
+func matchMathRand(seed int64, n int) error {
+	got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+	xs, ys := make([]int, 9), make([]int, 9)
+	for k := range n {
+		var a, b float64
+		switch k % 8 {
+		case 0, 4:
+			a, b = got.Float64(), want.Float64()
+		case 1, 5:
+			// Compared as integers: a float64 would drop the low bits.
+			if a, b := got.Int63(), want.Int63(); a != b {
+				return fmt.Errorf("seed %d: draw %d (Int63) is %d, math/rand gives %d", seed, k, a, b)
+			}
+			continue
+		case 2:
+			m := 1 + k%1000
+			if k%3 == 0 {
+				m = 1<<40 + k // past the 31-bit fast path of Intn
+			}
+			a, b = float64(got.Intn(m)), float64(want.Intn(m))
+		case 3:
+			a, b = got.NormFloat64(), want.NormFloat64()
+		case 6:
+			a, b = got.ExpFloat64(), want.ExpFloat64()
+		case 7:
+			if k%16 == 7 {
+				if !slices.Equal(got.Perm(1+k%9), want.Perm(1+k%9)) {
+					return fmt.Errorf("seed %d: Perm at draw %d differs", seed, k)
+				}
+				continue
+			}
+			for i := range xs {
+				xs[i], ys[i] = i, i
+			}
+			got.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			want.Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
+			if !slices.Equal(xs, ys) {
+				return fmt.Errorf("seed %d: Shuffle at draw %d differs", seed, k)
+			}
+			continue
+		}
+		if a != b {
+			return fmt.Errorf("seed %d: draw %d (method %d) is %v, math/rand gives %v", seed, k, k%8, a, b)
+		}
+	}
+	return nil
+}
+
+// The jump-ahead seeding and the direct draws give math/rand's stream
+// exactly: every method, 2 000 draws per seed (several passes over the
+// 607-word state), on the normalisation's edge seeds and 3 000 random
+// ones.
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range sourceSeeds(3000) {
+		if err := matchMathRand(seed, 2000); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range sourceSeeds(0) {
+		f.Add(seed, uint16(700))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		if err := matchMathRand(seed, int(n%4096)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A generator's first rngTap draws allocate nothing beyond the generator
+// itself, through the direct methods and through rand.Rand; the next
+// draw builds the state in one allocation.
+func TestRNGStateAllocatesOnce(t *testing.T) {
+	for _, c := range []struct {
+		draws, norms, allocs int
+	}{{rngTap, 0, 1}, {0, 100, 1}, {rngTap + 1, 0, 2}, {3 * rngLen, 100, 2}} {
+		seed := int64(0)
+		if allocs := testing.AllocsPerRun(50, func() {
+			seed++
+			r := NewRNG(seed)
+			for range c.draws {
+				r.Int63()
+			}
+			for range c.norms {
+				r.NormFloat64()
+			}
+		}); allocs != float64(c.allocs) {
+			t.Errorf("%d draws and %d normal variates allocate %v times, want %d", c.draws, c.norms, allocs, c.allocs)
+		}
+	}
 }
