@@ -306,14 +306,11 @@ func runAffinity(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Conclusion's proposal — demand-driven assignment with data affinity")
-	fmt.Printf("(outer product, N=%g, %d×%d blocks, platform %v):\n\n", *n, *g, *g, pl)
+	// Every run comes before the first line, so a rejected -n or -g
+	// prints nothing.
 	rs, err := affinity.Compare(pl, *n, *g)
 	if err != nil {
 		return err
-	}
-	for _, r := range rs {
-		fmt.Printf("  %s\n", r.String())
 	}
 	// Granularity sweep: the affinity policy stays nearly flat while the
 	// no-cache volume grows linearly with the grid.
@@ -325,15 +322,19 @@ func runAffinity(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nratio-to-LB across block granularities:")
-	fmt.Println()
-	fmt.Print(experiments.AffinityTable(sweep).String())
-
 	// How much worker memory the proposal needs: LRU-bounded caches.
 	mem, err := experiments.MemorySweep(pl, *n, *g, []int{0, *g / 4, *g / 2, *g, 2 * *g})
 	if err != nil {
 		return err
 	}
+	fmt.Println("Conclusion's proposal — demand-driven assignment with data affinity")
+	fmt.Printf("(outer product, N=%g, %d×%d blocks, platform %v):\n\n", *n, *g, *g, pl)
+	for _, r := range rs {
+		fmt.Printf("  %s\n", r.String())
+	}
+	fmt.Println("\nratio-to-LB across block granularities:")
+	fmt.Println()
+	fmt.Print(experiments.AffinityTable(sweep).String())
 	fmt.Println("\nvolume vs per-worker cache capacity (LRU, chunks):")
 	fmt.Println()
 	fmt.Print(experiments.MemoryTable(mem).String())

@@ -377,6 +377,8 @@ func TestCLIErrors(t *testing.T) {
 		{"trace", "-executor", "dlt", "-scenario", "crash"},
 		{"trace", "-dist", "bogus"},
 		{"trace", "-p", "1"},
+		{"affinity", "-n", "0"},
+		{"affinity", "-n", "-1"},
 		{"affinity", "-n", "inf"},
 		{"affinity", "-n", "1e308"},
 		{"matmul", "-n", "0"},
@@ -403,8 +405,9 @@ func TestCLIErrors(t *testing.T) {
 		if strings.Contains(out, "NaN") {
 			t.Errorf("run(%v) printed NaN before failing:\n%s", args, truncate(out, 800))
 		}
-		// matmul checks -n before it prints the kernel comparison.
-		if args[0] == "matmul" && out != "" {
+		// matmul checks -n before it prints the kernel comparison, and
+		// affinity runs every sweep before its header.
+		if (args[0] == "matmul" || args[0] == "affinity") && out != "" {
 			t.Errorf("run(%v) printed before failing:\n%s", args, truncate(out, 800))
 		}
 	}

@@ -25,6 +25,7 @@ import (
 
 	"nlfl/internal/dessim"
 	"nlfl/internal/platform"
+	"nlfl/internal/solve"
 )
 
 // Load describes an α-power divisible workload: N data elements, N^α total
@@ -156,32 +157,25 @@ func EqualSplit(p *platform.Platform, l Load) (Result, error) {
 	return Result{Data: data, Makespan: ms, Load: l}, nil
 }
 
-// chunkForDeadline finds the largest X ≥ 0 such that
-// offset + X/bw + X^α/speed ≤ T, by bisection (the left side is strictly
-// increasing in X). It returns 0 when even X=0 misses the deadline.
+// chunkForDeadline returns the largest X ≥ 0 such that
+// offset + X/bw + X^α/speed ≤ T, or 0 when even X=0 misses the deadline.
+// The cost is convex and increasing in X, so solve.Largest finds X
+// exactly from the least of the two bounds the cost's terms give alone.
 func chunkForDeadline(offset, bw, speed, alpha, t float64) float64 {
 	if offset >= t {
 		return 0
 	}
 	budget := t - offset
-	cost := func(x float64) float64 { return x/bw + powAlpha(x, alpha)/speed }
-	hi := 1.0
-	for cost(hi) < budget {
-		hi *= 2
-		if math.IsInf(hi, 0) {
-			return hi
-		}
+	return solve.Largest(chunkCost(bw, speed, alpha), budget, 0, min(budget*bw, math.Pow(budget*speed, 1/alpha)))
+}
+
+// chunkCost is the time x/bw + x^α/speed to receive and process x
+// elements, with its slope 1/bw + α·x^(α-1)/speed.
+func chunkCost(bw, speed, alpha float64) func(x float64) (float64, float64) {
+	return func(x float64) (float64, float64) {
+		work := powAlpha(x, alpha) / speed
+		return x/bw + work, 1/bw + alpha*work/x
 	}
-	lo := 0.0
-	for i := 0; i < 200 && hi-lo > 1e-15*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if cost(mid) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // powAlpha is math.Pow(x, alpha), with α = 2 and α = 3 computed as the
@@ -217,7 +211,7 @@ func OptimalParallel(p *platform.Platform, l Load) (Result, error) {
 //	Σ_{j≤k} c_j X_j + w_k X_k^α = T  for every k.
 //
 // This is the optimization problem of references [31–35], solved here by
-// nested bisection.
+// bisection on T around an exact solve for each chunk.
 func OptimalOnePort(p *platform.Platform, l Load, order []int) (Result, error) {
 	if order == nil {
 		order = make([]int, p.P())
@@ -257,7 +251,7 @@ func solveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (
 		offset := 0.0
 		// chunkForDeadline is pure: a worker whose (bandwidth, speed,
 		// offset) equals the previous one's reuses its chunk, so a
-		// homogeneous parallel-links step costs one inner bisection, not p.
+		// homogeneous parallel-links step costs one inner solve, not p.
 		var prev platform.Worker
 		prevOffset, x := math.NaN(), 0.0
 		for _, i := range idxs {

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/solve"
 )
 
 // HeteroTrace extends Trace with the speed-aware balance metrics of
@@ -65,10 +66,10 @@ func SortHeterogeneousBalanced[T cmp.Ordered](xs []T, plat *platform.Platform, c
 }
 
 // BalancedShares returns bucket fractions fᵢ with fᵢ·N·log₂(fᵢ·N) ∝ sᵢ
-// and Σfᵢ = 1, by nested bisection. For n < 4 it falls back to
-// speed-proportional shares (logs degenerate). It rejects an empty speed
-// list and any speed that is not positive and finite, on which the
-// bracketing loop would never end.
+// and Σfᵢ = 1, by bisection on the common time around an exact solve for
+// each share. For n < 4 it falls back to speed-proportional shares (logs
+// degenerate). It rejects an empty speed list and any speed that is not
+// positive and finite, on which the bracketing loop would never end.
 func BalancedShares(speeds []float64, n int) ([]float64, error) {
 	if len(speeds) == 0 {
 		return nil, errors.New("samplesort: no speeds to balance")
@@ -88,29 +89,10 @@ func BalancedShares(speeds []float64, n int) ([]float64, error) {
 		return out, nil
 	}
 	nf := float64(n)
-	// sizeFor solves x·log₂x = budget for x ≥ 1 (monotone for x ≥ 1).
-	sizeFor := func(budget float64) float64 {
-		if budget <= 0 {
-			return 1
-		}
-		lo, hi := 1.0, 2.0
-		for hi*math.Log2(hi) < budget {
-			hi *= 2
-		}
-		for it := 0; it < 100 && hi-lo > 1e-12*(1+hi); it++ {
-			mid := (lo + hi) / 2
-			if mid*math.Log2(mid) < budget {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return hi
-	}
 	sumAt := func(t float64) float64 {
 		sum := 0.0
 		for _, s := range speeds {
-			sum += sizeFor(t * s)
+			sum += sortSize(t * s)
 		}
 		return sum
 	}
@@ -128,7 +110,7 @@ func BalancedShares(speeds []float64, n int) ([]float64, error) {
 	}
 	sum := 0.0
 	for i, s := range speeds {
-		out[i] = sizeFor(tHi * s)
+		out[i] = sortSize(tHi * s)
 		sum += out[i]
 	}
 	for i := range out {
@@ -168,4 +150,27 @@ func shareRank(shares []float64) func(i, m int) int {
 		cum[i] = sum
 	}
 	return func(i, m int) int { return int(cum[i-1] * float64(m)) }
+}
+
+// sortSize returns the largest x ≥ 1 with x·log₂x ≤ budget: 1 for a
+// budget that is not positive, +Inf for an infinite one. Past x = 2 the
+// cost is at least x, so the root r is at most budget, hence
+// r = budget/log₂r is at most budget/log₂(budget/log₂budget); Newton
+// starts from the lesser bound.
+func sortSize(budget float64) float64 {
+	if budget <= 0 || math.IsInf(budget, 1) {
+		return max(budget, 1)
+	}
+	start := 2.0
+	if budget > 2 {
+		start = min(budget, budget/math.Log2(budget/math.Log2(budget)))
+	}
+	return solve.Largest(sortCost, budget, 1, start)
+}
+
+// sortCost is x·log₂x, the comparisons of sorting x keys, with its slope
+// log₂x + 1/ln 2.
+func sortCost(x float64) (float64, float64) {
+	l := math.Log2(x)
+	return x * l, l + math.Log2E
 }
