@@ -267,7 +267,7 @@ func TestChunkForDeadlineEvaluations(t *testing.T) {
 			budget := d.t - d.offset
 			cost := chunkCost(d.bw, d.speed, alpha)
 			counted := func(x float64) (float64, float64) { exact++; return cost(x) }
-			got := solve.Largest(counted, budget, 0, min(budget*d.bw, math.Pow(budget*d.speed, 1/alpha)))
+			got := solve.Largest(counted, budget, 0, chunkStart(budget, d.bw, d.speed, alpha))
 			if want := chunkForDeadline(d.offset, d.bw, d.speed, alpha, d.t); got != want {
 				t.Fatalf("α=%v %+v: the counted solve gives %v, chunkForDeadline %v", alpha, d, got, want)
 			}

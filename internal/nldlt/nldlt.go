@@ -160,13 +160,19 @@ func EqualSplit(p *platform.Platform, l Load) (Result, error) {
 // chunkForDeadline returns the largest X ≥ 0 such that
 // offset + X/bw + X^α/speed ≤ T, or 0 when even X=0 misses the deadline.
 // The cost is convex and increasing in X, so solve.Largest finds X
-// exactly from the least of the two bounds the cost's terms give alone.
+// exactly from chunkStart.
 func chunkForDeadline(offset, bw, speed, alpha, t float64) float64 {
 	if offset >= t {
 		return 0
 	}
 	budget := t - offset
-	return solve.Largest(chunkCost(bw, speed, alpha), budget, 0, min(budget*bw, math.Pow(budget*speed, 1/alpha)))
+	return solve.Largest(chunkCost(bw, speed, alpha), budget, 0, chunkStart(budget, bw, speed, alpha))
+}
+
+// chunkStart is where the solve for a chunk starts: the least of the two
+// bounds the cost's terms give alone, X/bw ≤ budget and X^α/speed ≤ budget.
+func chunkStart(budget, bw, speed, alpha float64) float64 {
+	return min(budget*bw, math.Pow(budget*speed, 1/alpha))
 }
 
 // chunkCost is the time x/bw + x^α/speed to receive and process x

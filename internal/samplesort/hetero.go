@@ -153,19 +153,23 @@ func shareRank(shares []float64) func(i, m int) int {
 }
 
 // sortSize returns the largest x ≥ 1 with x·log₂x ≤ budget: 1 for a
-// budget that is not positive, +Inf for an infinite one. Past x = 2 the
-// cost is at least x, so the root r is at most budget, hence
-// r = budget/log₂r is at most budget/log₂(budget/log₂budget); Newton
-// starts from the lesser bound.
+// budget that is not positive, +Inf for an infinite one.
 func sortSize(budget float64) float64 {
 	if budget <= 0 || math.IsInf(budget, 1) {
 		return max(budget, 1)
 	}
-	start := 2.0
-	if budget > 2 {
-		start = min(budget, budget/math.Log2(budget/math.Log2(budget)))
+	return solve.Largest(sortCost, budget, 1, sortStart(budget))
+}
+
+// sortStart is where sortSize's solve starts, for a finite positive
+// budget. Past x = 2 the cost is at least x, so the root r is at most
+// budget, hence r = budget/log₂r is at most
+// budget/log₂(budget/log₂budget); Newton starts from the lesser bound.
+func sortStart(budget float64) float64 {
+	if budget <= 2 {
+		return 2
 	}
-	return solve.Largest(sortCost, budget, 1, start)
+	return min(budget, budget/math.Log2(budget/math.Log2(budget)))
 }
 
 // sortCost is x·log₂x, the comparisons of sorting x keys, with its slope

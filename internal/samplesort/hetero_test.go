@@ -188,11 +188,7 @@ func TestSortSizeExact(t *testing.T) {
 		if want := math.Float64frombits(lo); got != want {
 			t.Fatalf("sortSize(%v) = %v, bit bisection gives %v", budget, got, want)
 		}
-		start := min(budget, budget/math.Log2(budget/math.Log2(budget)))
-		if budget <= 2 {
-			start = 2
-		}
-		if x := solve.Largest(counted, budget, 1, start); x != got {
+		if x := solve.Largest(counted, budget, 1, sortStart(budget)); x != got {
 			t.Fatalf("budget %v: the counted solve gives %v, sortSize %v", budget, x, got)
 		}
 		if old := bisectSortSize(budget, &bisect); math.Abs(old-got) > 1e-12*(1+old) {

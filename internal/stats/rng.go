@@ -15,9 +15,9 @@ import "math/rand"
 // repository flows through an explicit *RNG so that every experiment and
 // test is reproducible from its seed.
 //
-// Its stream is exactly that of rand.New(rand.NewSource(seed)): it runs
-// this package's copy of math/rand's generator, so Float64 and Int63
-// step it directly, and a rand.Rand over it serves the other methods.
+// Its stream is exactly that of rand.New(rand.NewSource(seed)): a
+// rand.Rand over this package's copy of math/rand's generator serves
+// every method.
 // Each word of the generator's seeded state is a function of the seed
 // alone (seedWord), and the first rngTap = 273 draws read only words that
 // no draw has written back, so those draws compute their two words on
@@ -26,13 +26,10 @@ import "math/rand"
 // some (a homogeneous platform, a constant distribution) never draw.
 // NewRNG makes an RNG; the zero RNG is not one.
 type RNG struct {
-	x   uint64  // the seed as math/rand's Seed normalises it
-	n   int     // draws made before src was built
-	src *source // the state, from draw rngTap+1 on
-	// rnd draws from r itself. A rand.Rand keeps no state between the
-	// calls made through it here, so its draws and the direct ones form
-	// one stream.
-	rnd rand.Rand
+	x   uint64    // the seed as math/rand's Seed normalises it
+	n   int       // draws made before src was built
+	src *source   // the state, from draw rngTap+1 on
+	rnd rand.Rand // draws from r itself
 }
 
 // NewRNG returns a generator seeded with seed. Equal seeds yield identical
@@ -78,18 +75,10 @@ func (r *RNG) early() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	for {
-		// math/rand's Float64: the division can round up to 1, which is
-		// drawn again.
-		if f := float64(r.Int63()) / (1 << 63); f < 1 {
-			return f
-		}
-	}
-}
+func (r *RNG) Float64() float64 { return r.rnd.Float64() }
 
 // Int63 returns a uniform non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return (*stream)(r).Int63() }
+func (r *RNG) Int63() int64 { return r.rnd.Int63() }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.rnd.Intn(n) }
@@ -113,10 +102,8 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Int63())
 }
 
-// stream is an RNG as a rand.Source. Its Int63 is the one place a draw
-// steps the state: RNG's Int63 and Float64 call it directly and rand.Rand
-// through the interface, one call either way, with the state's step
-// inlined.
+// stream is an RNG as a rand.Source, the one place a draw steps the
+// state.
 type stream RNG
 
 func (s *stream) Int63() int64 {

@@ -35,8 +35,8 @@ func drawAll(g generator) []float64 {
 	return out
 }
 
-// The source is built on the first draw; the stream must be exactly the
-// one an eagerly seeded math/rand source gives, for NewRNG and for Split.
+// The stream must be exactly the one rand.New(rand.NewSource(seed))
+// gives, before and after the state is built, for NewRNG and for Split.
 func TestRNGStreamEqualsMathRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, 42, -3, 1 << 62} {
 		if got, want := drawAll(NewRNG(seed)), drawAll(rand.New(rand.NewSource(seed))); !slices.Equal(got, want) {
@@ -58,8 +58,7 @@ func TestRNGStreamEqualsMathRand(t *testing.T) {
 	}
 }
 
-// A split generator that never draws costs one small allocation, not a
-// seeded math/rand source.
+// A split generator that never draws costs one allocation: the RNG.
 func TestRNGSplitAllocatesOnce(t *testing.T) {
 	root := NewRNG(42)
 	root.Int63() // seed the root outside the measurement
