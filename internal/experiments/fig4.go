@@ -69,7 +69,9 @@ func (pt Fig4Point) String() string {
 
 // Fig4 runs one panel: for every processor count it draws Trials random
 // platforms, runs the three strategies, and aggregates each strategy's
-// ratio to LB_comm = 2N·Σ√xᵢ.
+// ratio to LB_comm = 2N·Σ√xᵢ. The homogeneous panel's platforms cannot
+// vary, so each of its points runs one trial and folds Trials copies of
+// it (perTrialOnce), which gives the same point.
 func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
@@ -84,24 +86,14 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 		cfg.Eps = 0.01
 	}
 	dist := cfg.Profile.Distribution(cfg.BimodalK)
+	run := perTrial[[4]float64]
+	if _, ok := dist.(stats.Constant); ok {
+		run = perTrialOnce[[4]float64] // every trial draws the same platform
+	}
 	root := stats.NewRNG(cfg.Seed)
 	points := make([]Fig4Point, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
-		trials, err := perTrial(root, cfg.Trials, func(r *stats.RNG) (t [4]float64, err error) {
-			pl, err := platform.Generate(p, dist, r)
-			if err != nil {
-				return t, err
-			}
-			h, err := outer.Commhet(pl, cfg.N)
-			if err != nil {
-				return t, err
-			}
-			hk, err := outer.CommhomK(pl, cfg.N, cfg.Eps, 0)
-			if err != nil {
-				return t, err
-			}
-			return [4]float64{h.Ratio, outer.Commhom(pl, cfg.N).Ratio, hk.Ratio, float64(hk.K)}, nil
-		})
+		trials, err := run(root, cfg.Trials, fig4Trial(p, dist, cfg.N, cfg.Eps))
 		if err != nil {
 			return nil, err
 		}
@@ -124,6 +116,27 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 		})
 	}
 	return points, nil
+}
+
+// fig4Trial returns one Figure 4 trial at p workers: a platform drawn
+// from dist, and its Comm_het, Comm_hom and Comm_hom/k ratios and
+// Comm_hom/k's k.
+func fig4Trial(p int, dist stats.Distribution, n, eps float64) func(r *stats.RNG) ([4]float64, error) {
+	return func(r *stats.RNG) (t [4]float64, err error) {
+		pl, err := platform.Generate(p, dist, r)
+		if err != nil {
+			return t, err
+		}
+		h, err := outer.Commhet(pl, n)
+		if err != nil {
+			return t, err
+		}
+		hk, err := outer.CommhomK(pl, n, eps, 0)
+		if err != nil {
+			return t, err
+		}
+		return [4]float64{h.Ratio, outer.Commhom(pl, n).Ratio, hk.Ratio, float64(hk.K)}, nil
+	}
 }
 
 // Fig4MatMulPoint is one x-position of the matmul variant of Figure 4:

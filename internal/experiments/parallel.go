@@ -48,8 +48,8 @@ func parallel(n int, step func(i int) error) error {
 }
 
 // perTrial hands trial n generators split from root — their seeds all
-// drawn, in trial order, before any trial runs; each generator builds its
-// source on its own first draw, inside its trial — and returns the outcomes
+// drawn, in trial order, before any trial runs; each generator computes
+// its draws from its own seed, inside its trial — and returns the outcomes
 // in trial order for the caller to fold sequentially: bit-identical at any
 // GOMAXPROCS.
 func perTrial[T any](root *stats.RNG, n int, trial func(r *stats.RNG) (T, error)) ([]T, error) {
@@ -63,4 +63,29 @@ func perTrial[T any](root *stats.RNG, n int, trial func(r *stats.RNG) (T, error)
 		return err
 	})
 	return out, err
+}
+
+// perTrialOnce is perTrial for trials whose outcome cannot depend on their
+// generator, such as a platform drawn from a stats.Constant, which draws
+// nothing. It draws the same n seeds from root, so the points after it see
+// the same stream, runs the trial once, on the first seed's generator, and
+// returns n copies of its outcome: stats.Welford folds n equal values into
+// the same mean, a zero deviation and the same extremes.
+func perTrialOnce[T any](root *stats.RNG, n int, trial func(r *stats.RNG) (T, error)) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	first := root.Split()
+	for range n - 1 {
+		root.Int63() // the seed Split would have drawn
+	}
+	t, err := trial(first)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = t
+	}
+	return out, nil
 }

@@ -178,3 +178,57 @@ func TestSharedPlatformIsNotMutated(t *testing.T) {
 		t.Errorf("shared platform was mutated: %+v", pl)
 	}
 }
+
+// matchTrials runs points, in order, through perTrialOnce on one root and
+// through perTrial on another, and then the point after them through
+// perTrial on both: every outcome must be equal, and so must the point
+// after, which proves the two paths left root in the same place.
+func matchTrials[T any](t *testing.T, name string, n int, points []func(*stats.RNG) (T, error), after func(*stats.RNG) (T, error)) {
+	t.Helper()
+	once, each := stats.NewRNG(42), stats.NewRNG(42)
+	for k, trial := range points {
+		got, err := perTrialOnce(once, n, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := perTrial(each, n, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s point %d: perTrialOnce %v, perTrial %v", name, k, got, want)
+		}
+	}
+	got, err := perTrial(once, n, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := perTrial(each, n, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: the point after the constant ones differs: %v, want %v", name, got, want)
+	}
+}
+
+// The points computed once — Figure 4's homogeneous panel and E12's
+// constant rows — equal the trial-by-trial ones, and the point after them
+// draws the same platforms.
+func TestConstantPointsMatchTrials(t *testing.T) {
+	fc := DefaultFig4Config(platform.ProfileHomogeneous)
+	hom := fc.Profile.Distribution(0)
+	var panel []func(*stats.RNG) ([4]float64, error)
+	for _, p := range fc.Ps {
+		panel = append(panel, fig4Trial(p, hom, fc.N, fc.Eps))
+	}
+	uniform := platform.ProfileUniform.Distribution(0)
+	matchTrials(t, "Figure 4(a)", fc.Trials, panel, fig4Trial(10, uniform, fc.N, fc.Eps))
+
+	constant := stats.Constant{Value: 1}
+	var rows []func(*stats.RNG) (float64, error)
+	for _, p := range []int{10, 25, 50, 100} {
+		rows = append(rows, qualityTrial(constant, p))
+	}
+	matchTrials(t, "E12", 26, rows, qualityTrial(stats.Uniform{Lo: 1, Hi: 100}, 10))
+}

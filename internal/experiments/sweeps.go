@@ -108,19 +108,12 @@ func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, 
 	root := stats.NewRNG(seed)
 	var rows []PartitionQualityRow
 	for _, d := range dists {
+		run := perTrial[float64]
+		if _, ok := d.(stats.Constant); ok {
+			run = perTrialOnce[float64] // every trial draws the same areas
+		}
 		for _, p := range ps {
-			ratios, err := perTrial(root, trials, func(r *stats.RNG) (float64, error) {
-				areas := stats.SampleN(d, r, p)
-				part, err := partition.PeriSum(areas)
-				if err != nil {
-					return 0, err
-				}
-				norm, err := partition.Normalize(areas)
-				if err != nil {
-					return 0, err
-				}
-				return part.SumHalfPerimeters() / partition.LowerBound(norm), nil
-			})
+			ratios, err := run(root, trials, qualityTrial(d, p))
 			if err != nil {
 				return nil, err
 			}
@@ -134,6 +127,18 @@ func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, 
 		}
 	}
 	return rows, nil
+}
+
+// qualityTrial returns one E12 trial: p areas drawn from d, and the
+// ratio Ĉ/LB of their PERI-SUM partition.
+func qualityTrial(d stats.Distribution, p int) func(r *stats.RNG) (float64, error) {
+	return func(r *stats.RNG) (float64, error) {
+		part, err := partition.PeriSum(stats.SampleN(d, r, p))
+		if err != nil {
+			return 0, err
+		}
+		return part.SumHalfPerimeters() / partition.LowerBound(part.Areas), nil
+	}
 }
 
 // PartitionQualityTable renders the E12 sweep.

@@ -41,8 +41,13 @@ func (r Result) String() string {
 // square of area xᵢ·N², paying 2·√xᵢ·N of data — no valid load-balanced
 // layout can pay less.
 func LowerBound(p *platform.Platform, n float64) float64 {
+	return lowerBound(p.NormalizedSpeeds(), n)
+}
+
+// lowerBound is LowerBound on the normalized speeds xs.
+func lowerBound(xs []float64, n float64) float64 {
 	s := 0.0
-	for _, x := range p.NormalizedSpeeds() {
+	for _, x := range xs {
 		s += math.Sqrt(x)
 	}
 	return 2 * n * s
@@ -70,7 +75,7 @@ func Commhom(p *platform.Platform, n float64) Result {
 	return Result{
 		Strategy:  "hom",
 		Volume:    volume,
-		Ratio:     volume / LowerBound(p, n),
+		Ratio:     volume / lowerBound(xs, n),
 		K:         1,
 		Blocks:    int(math.Round(blocks)),
 		PerWorker: per,
@@ -81,53 +86,34 @@ func Commhom(p *platform.Platform, n float64) Result {
 // identical blocks produces on workers with the given speeds: every worker
 // claims a new block the moment it finishes one (first claim at time 0),
 // the m-th claim of worker i landing at time m/sᵢ; blocks go to the
-// earliest claims, ties to the lowest worker index. The computation is
-// O(p·(log + p)) via bisection on the claim-time threshold rather than a
-// heap, so the Comm_hom/k refinement loop stays cheap even for millions of
-// blocks. Speeds must be positive and finite (platform speeds are); any
-// other speed would stall the bracketing loop, so it panics instead.
-func demandCounts(speeds []float64, b int) []int {
+// earliest claims, ties to the lowest worker index. It writes the counts
+// into dst when dst has room for them, and returns them. The claims up to
+// a threshold time come from a bisection (claimHorizon) rather than a
+// heap, and at most p of them are dropped again, so the Comm_hom/k
+// refinement loop stays cheap even for millions of blocks. Speeds must be
+// positive and finite (platform speeds are); any other speed would stall
+// the bisection, so it panics instead.
+func demandCounts(dst []int, speeds []float64, b int) []int {
 	for i, s := range speeds {
 		if !(s > 0) || math.IsInf(s, 0) {
 			panic(fmt.Sprintf("outer: demandCounts: speed %d is %v, want positive and finite", i, s))
 		}
 	}
 	p := len(speeds)
-	counts := make([]int, p)
+	var counts []int
+	if cap(dst) >= p {
+		counts = dst[:p]
+	} else {
+		counts = make([]int, p)
+	}
 	if b <= 0 {
+		clear(counts)
 		return counts
 	}
 	if p == 0 {
 		panic("outer: demandCounts: no workers to claim blocks")
 	}
-	// countAt returns the number of claims with time ≤ t.
-	countAt := func(t float64) int {
-		total := 0
-		for _, s := range speeds {
-			total += int(math.Floor(t*s)) + 1
-		}
-		return total
-	}
-	lo, hi := 0.0, 1.0
-	for countAt(hi) < b {
-		hi *= 2
-	}
-	for i := 0; i < 100 && hi-lo > 1e-15*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		c := countAt(mid)
-		if c == b {
-			// Exact hit: any later hi ≤ mid also counts b claims, and
-			// each ⌊hi·sᵢ⌋ is monotone in hi, so every per-worker count
-			// below is already final.
-			hi = mid
-			break
-		}
-		if c > b {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
+	hi, _ := claimHorizon(speeds, b)
 	total := 0
 	for i, s := range speeds {
 		counts[i] = int(math.Floor(hi*s)) + 1
@@ -154,6 +140,53 @@ func demandCounts(speeds []float64, b int) []int {
 	return counts
 }
 
+// claimHorizon returns a time hi by which at least b ≥ 1 claims have
+// landed on workers of the given positive, finite speeds, within
+// 1e-15·(1+hi) of the time of the b-th claim, or at a time that counts
+// exactly b; and the number of claim counts it took.
+//
+// Worker i has made ⌊t·sᵢ⌋+1 ∈ (t·sᵢ, t·sᵢ+1] claims by time t, so the p
+// workers together have made between t·S and t·S+p, S = Σsᵢ: the b-th
+// claim lands in [(b−p)/S, b/S], and the bisection starts from there.
+// Only rounding (b·p near 2⁵³) or an S that overflows can leave fewer than
+// b claims at b/S; the bracket then doubles until it holds them.
+func claimHorizon(speeds []float64, b int) (hi float64, counted int) {
+	// countAt returns the number of claims with time ≤ t.
+	countAt := func(t float64) int {
+		counted++
+		total := 0
+		for _, s := range speeds {
+			total += int(math.Floor(t*s)) + 1
+		}
+		return total
+	}
+	sum := 0.0
+	for _, s := range speeds {
+		sum += s
+	}
+	lo := max(0, float64(b-len(speeds))/sum)
+	hi = float64(b) / sum
+	for countAt(hi) < b {
+		lo, hi = hi, max(2*hi, math.SmallestNonzeroFloat64)
+	}
+	for i := 0; i < 100 && hi-lo > 1e-15*(1+hi); i++ {
+		mid := (lo + hi) / 2
+		c := countAt(mid)
+		if c == b {
+			// Exact hit: any later hi ≤ mid also counts b claims, and
+			// each ⌊hi·sᵢ⌋ is monotone in hi, so every per-worker count
+			// is already final.
+			return mid, counted
+		}
+		if c > b {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, counted
+}
+
 // imbalanceOf returns e = (t_max - t_min)/t_min for per-worker times
 // tᵢ = countsᵢ/sᵢ (block work cancels). A worker with zero blocks makes
 // the imbalance +Inf.
@@ -177,6 +210,12 @@ func imbalanceOf(speeds []float64, counts []int) float64 {
 	return (tmax - tmin) / tmin
 }
 
+// blockCount returns the number of blocks of side D/k, D = √x₁·N, that
+// cover the N×N domain: ⌈k²/x₁⌉.
+func blockCount(k int, x1 float64) int {
+	return int(math.Ceil(float64(k*k)/x1 - 1e-9))
+}
+
 // CommhomK runs the realistic Comm_hom/k strategy of Section 4.3: starting
 // from the Comm_hom block size, the block side is divided by successive
 // integers k until the demand-driven assignment's load imbalance is at
@@ -197,10 +236,10 @@ func CommhomK(p *platform.Platform, n float64, eps float64, maxK int) (Result, e
 			x1 = x
 		}
 	}
+	var counts []int
 	for k := 1; k <= maxK; k++ {
-		// Block side D/k with D = √x₁·N ⇒ ⌈k²/x₁⌉ blocks cover the domain.
-		blocks := int(math.Ceil(float64(k*k)/x1 - 1e-9))
-		counts := demandCounts(speeds, blocks)
+		blocks := blockCount(k, x1)
+		counts = demandCounts(counts, speeds, blocks)
 		e := imbalanceOf(speeds, counts)
 		if e <= eps || k == maxK {
 			if e > eps {
@@ -216,7 +255,7 @@ func CommhomK(p *platform.Platform, n float64, eps float64, maxK int) (Result, e
 			return Result{
 				Strategy:  "hom/k",
 				Volume:    volume,
-				Ratio:     volume / LowerBound(p, n),
+				Ratio:     volume / lowerBound(xs, n),
 				Imbalance: e,
 				K:         k,
 				Blocks:    blocks,
@@ -281,7 +320,7 @@ func CommhomKRounded(p *platform.Platform, n float64, eps float64, maxK int) (Re
 		}
 	}
 	for k := 1; k <= maxK; k++ {
-		blocks := int(math.Ceil(float64(k*k)/x1 - 1e-9))
+		blocks := blockCount(k, x1)
 		counts := roundedCounts(xs, blocks)
 		e := imbalanceOf(speeds, counts)
 		if e <= eps {
@@ -295,7 +334,7 @@ func CommhomKRounded(p *platform.Platform, n float64, eps float64, maxK int) (Re
 			return Result{
 				Strategy:  "hom/k-rounded",
 				Volume:    volume,
-				Ratio:     volume / LowerBound(p, n),
+				Ratio:     volume / lowerBound(xs, n),
 				Imbalance: e,
 				K:         k,
 				Blocks:    blocks,
@@ -318,6 +357,8 @@ func Commhet(p *platform.Platform, n float64) (Result, error) {
 	if err := part.Validate(); err != nil {
 		return Result{}, fmt.Errorf("outer: invalid partition: %w", err)
 	}
+	// part.Areas are the normalized speeds, bit for bit: Normalize divides
+	// each speed by the same left-to-right sum the platform keeps.
 	// Validate guarantees each index exactly one rectangle.
 	per := make([]float64, p.P())
 	for _, r := range part.Rects {
@@ -330,7 +371,7 @@ func Commhet(p *platform.Platform, n float64) (Result, error) {
 	return Result{
 		Strategy:  "het",
 		Volume:    volume,
-		Ratio:     volume / LowerBound(p, n),
+		Ratio:     volume / lowerBound(part.Areas, n),
 		K:         1,
 		Blocks:    p.P(),
 		PerWorker: per,

@@ -94,7 +94,7 @@ func TestDemandCountsMatchesBruteForce(t *testing.T) {
 			speeds[i] = 0.5 + 10*r.Float64()
 		}
 		b := r.Intn(200)
-		got := demandCounts(speeds, b)
+		got := demandCounts(nil, speeds, b)
 		want := bruteDemandCounts(speeds, b)
 		for i := range got {
 			if got[i] != want[i] {
@@ -106,7 +106,7 @@ func TestDemandCountsMatchesBruteForce(t *testing.T) {
 
 func TestDemandCountsHomogeneousTies(t *testing.T) {
 	speeds := []float64{1, 1, 1, 1}
-	got := demandCounts(speeds, 6)
+	got := demandCounts(nil, speeds, 6)
 	want := []int{2, 2, 1, 1} // ties go to the lowest index
 	for i := range got {
 		if got[i] != want[i] {
@@ -116,12 +116,18 @@ func TestDemandCountsHomogeneousTies(t *testing.T) {
 }
 
 func TestDemandCountsEdgeCases(t *testing.T) {
-	if got := demandCounts([]float64{1, 2}, 0); got[0] != 0 || got[1] != 0 {
+	if got := demandCounts(nil, []float64{1, 2}, 0); got[0] != 0 || got[1] != 0 {
 		t.Errorf("b=0 counts = %v", got)
 	}
-	got := demandCounts([]float64{5}, 7)
+	got := demandCounts(nil, []float64{5}, 7)
 	if got[0] != 7 {
 		t.Errorf("single worker counts = %v", got)
+	}
+	// Σsᵢ overflows to +Inf, so the bracket [(b−p)/S, b/S] is [0, 0] and
+	// must widen before it holds the third claim.
+	huge := []float64{1e308, 1e308}
+	if got, want := demandCounts(nil, huge, 3), bruteDemandCounts(huge, 3); !slices.Equal(got, want) {
+		t.Errorf("overflowing speeds: counts %v, brute force %v", got, want)
 	}
 }
 
@@ -147,7 +153,7 @@ func TestDemandCountsTiesMatchBruteForce(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		got, want := demandCounts(c.speeds, c.b), bruteDemandCounts(c.speeds, c.b)
+		got, want := demandCounts(nil, c.speeds, c.b), bruteDemandCounts(c.speeds, c.b)
 		if !slices.Equal(got, want) {
 			t.Fatalf("p=%d b=%d speeds %v: counts %v, brute force %v", len(c.speeds), c.b, c.speeds, got, want)
 		}
@@ -166,7 +172,7 @@ func TestDemandCountsRejectsBadSpeeds(t *testing.T) {
 					t.Errorf("demandCounts(%v, 10) panicked with %q", speeds, msg)
 				}
 			}()
-			demandCounts(speeds, 10)
+			demandCounts(nil, speeds, 10)
 		}()
 	}
 }
@@ -399,7 +405,7 @@ func TestDemandCountsProperty(t *testing.T) {
 		for i := range speeds {
 			speeds[i] = 0.25 + 8*r.Float64()
 		}
-		got := demandCounts(speeds, b)
+		got := demandCounts(nil, speeds, b)
 		want := bruteDemandCounts(speeds, b)
 		total := 0
 		for i := range got {

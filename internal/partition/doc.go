@@ -12,9 +12,11 @@
 // is worker i's normalized speed xᵢ (perfect load balance) and its
 // half-perimeter is the amount of vector data the worker must receive, so
 // PERI-SUM is exactly the total communication volume. The trivial lower
-// bound is LB = 2Σ√aᵢ (every rectangle is at best a square); the
-// column-based algorithm reproduced here guarantees Ĉ ≤ 1 + (5/4)·LB,
-// hence Ĉ ≤ (7/4)·LB since LB ≥ 2, and is asymptotically within 5/4.
+// bound is LB = 2Σ√aᵢ (every rectangle is at best a square). On the
+// paper's speed distributions the column-based algorithm reproduced here
+// is observed within Ĉ ≤ 1 + (5/4)·LB, hence Ĉ ≤ (7/4)·LB since LB ≥ 2;
+// that is observed, not guaranteed: areas spread over twelve decades and
+// more reach Ĉ = 1.94·LB (TestPeriSumSkewedCounterexamples).
 //
 // # API
 //

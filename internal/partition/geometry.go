@@ -84,9 +84,14 @@ func (p *Partition) Validate() error {
 	// Sweep in X order: overlaps requires b.X < a.X+a.W-geomTol, so once
 	// a later rectangle starts at or past that edge, every one after it
 	// does too and none of them can overlap a. The verdict is the
-	// all-pairs one without its p² comparisons.
-	byX := slices.Clone(p.Rects)
-	slices.SortFunc(byX, func(a, b Rect) int { return cmp.Compare(a.X, b.X) })
+	// all-pairs one without its p² comparisons, in any X order, so Rects
+	// that are already in X order (PeriSum's are) are swept in place.
+	byX := p.Rects
+	byXOrder := func(a, b Rect) int { return cmp.Compare(a.X, b.X) }
+	if !slices.IsSortedFunc(byX, byXOrder) {
+		byX = slices.Clone(byX)
+		slices.SortFunc(byX, byXOrder)
+	}
 	for i, a := range byX {
 		for _, b := range byX[i+1:] {
 			if !(b.X < a.X+a.W-geomTol) {
@@ -145,12 +150,23 @@ type sortedIndex struct {
 }
 
 // sortAreasDescending returns (area, original index) pairs sorted by
-// non-increasing area, breaking ties by index for determinism.
+// non-increasing area, breaking ties by index for determinism. The order
+// is total (no two pairs share an index, and Normalize admits no NaN), so
+// the unstable sort gives the one permutation a stable sort on the area
+// alone would.
 func sortAreasDescending(areas []float64) []sortedIndex {
 	out := make([]sortedIndex, len(areas))
 	for i, a := range areas {
 		out[i] = sortedIndex{area: a, idx: i}
 	}
-	slices.SortStableFunc(out, func(a, b sortedIndex) int { return cmp.Compare(b.area, a.area) })
+	slices.SortFunc(out, func(a, b sortedIndex) int {
+		switch {
+		case a.area > b.area:
+			return -1
+		case a.area < b.area:
+			return 1
+		}
+		return a.idx - b.idx
+	})
 	return out
 }

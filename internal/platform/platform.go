@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"nlfl/internal/stats"
@@ -52,11 +53,15 @@ type Platform struct {
 // New builds a platform from explicit workers. It returns an error when no
 // worker is supplied or any worker has non-positive speed or bandwidth.
 func New(workers []Worker) (*Platform, error) {
-	if len(workers) == 0 {
+	return own(slices.Clone(workers))
+}
+
+// own is New on a worker slice that the platform may keep: the
+// constructors below build theirs afresh, so they skip New's copy.
+func own(ws []Worker) (*Platform, error) {
+	if len(ws) == 0 {
 		return nil, errors.New("platform: need at least one worker")
 	}
-	ws := make([]Worker, len(workers))
-	copy(ws, workers)
 	total := 0.0
 	for i, w := range ws {
 		if w.Speed <= 0 || math.IsNaN(w.Speed) || math.IsInf(w.Speed, 0) {
@@ -79,7 +84,7 @@ func FromSpeeds(speeds []float64) (*Platform, error) {
 	for i, s := range speeds {
 		ws[i] = Worker{Speed: s, Bandwidth: 1}
 	}
-	return New(ws)
+	return own(ws)
 }
 
 // Homogeneous builds p identical workers with the given speed and bandwidth.
@@ -88,7 +93,7 @@ func Homogeneous(p int, speed, bandwidth float64) (*Platform, error) {
 	for i := range ws {
 		ws[i] = Worker{Speed: speed, Bandwidth: bandwidth}
 	}
-	return New(ws)
+	return own(ws)
 }
 
 // Generate draws p worker speeds from dist (re-drawing non-positive
@@ -106,7 +111,7 @@ func Generate(p int, dist stats.Distribution, r *stats.RNG) (*Platform, error) {
 		}
 		ws[i] = Worker{Speed: s, Bandwidth: 1}
 	}
-	return New(ws)
+	return own(ws)
 }
 
 // P returns the number of workers.
