@@ -166,7 +166,7 @@ func runPartition(args []string) error {
 		return err
 	}
 	fmt.Println("Section 4.1.2 — PERI-SUM column-based partitioner quality Ĉ/LB")
-	fmt.Println("(guarantee: ≤ 1 + (5/4)·LB, i.e. ratio ≤ 7/4; paper observes ≈1.02):")
+	fmt.Println("(bound ≤ 1 + (5/4)·LB, i.e. ratio ≤ 7/4: observed, not guaranteed; paper observes ≈1.02):")
 	fmt.Println()
 	fmt.Print(experiments.PartitionQualityTable(rows).String())
 	return nil

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"nlfl/internal/platform"
+	"nlfl/internal/solve"
 )
 
 // AffineCosts extends the bandwidth-only model with per-worker
@@ -37,7 +38,7 @@ func (a AffineCosts) Validate(p *platform.Platform) error {
 // αᵢ·n at time Lᵢ + αᵢ·n·(cᵢ + wᵢ). The optimum equalizes finish times
 // among *participating* workers at some T, with
 // αᵢ·n = max(0, (T - Lᵢ)/(cᵢ+wᵢ)); workers whose latency exceeds T drop
-// out naturally. Solved by bisection on T (the total allocated load is
+// out naturally. Solved by solve.Level on T (the total allocated load is
 // non-decreasing in T).
 func OptimalParallelAffine(p *platform.Platform, costs AffineCosts, n float64) (Allocation, error) {
 	if n < 0 {
@@ -46,43 +47,26 @@ func OptimalParallelAffine(p *platform.Platform, costs AffineCosts, n float64) (
 	if err := costs.Validate(p); err != nil {
 		return Allocation{}, err
 	}
+	// loadAt fills fr with each worker's load at makespan t and returns
+	// their sum.
+	fr := make([]float64, p.P())
 	loadAt := func(t float64) float64 {
 		sum := 0.0
-		for i := 0; i < p.P(); i++ {
-			if t <= costs.Latency[i] {
-				continue
+		for i := range fr {
+			fr[i] = 0
+			if t > costs.Latency[i] {
+				w := p.Worker(i)
+				fr[i] = (t - costs.Latency[i]) / (1/w.Bandwidth + 1/w.Speed)
 			}
-			w := p.Worker(i)
-			sum += (t - costs.Latency[i]) / (1/w.Bandwidth + 1/w.Speed)
+			sum += fr[i]
 		}
 		return sum
 	}
-	hi := 1.0
-	for loadAt(hi) < n {
-		hi *= 2
-		if math.IsInf(hi, 0) {
-			return Allocation{}, errors.New("dlt: failed to bracket the makespan")
-		}
+	_, hi, err := solve.Level(loadAt, n, func(hi float64) float64 { return 1e-14 * (1 + hi) })
+	if err != nil {
+		return Allocation{}, fmt.Errorf("dlt: failed to bracket the makespan: %w", err)
 	}
-	lo := 0.0
-	for i := 0; i < 200 && hi-lo > 1e-14*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if loadAt(mid) < n {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	fr := make([]float64, p.P())
-	total := 0.0
-	for i := 0; i < p.P(); i++ {
-		if hi <= costs.Latency[i] {
-			continue
-		}
-		w := p.Worker(i)
-		fr[i] = (hi - costs.Latency[i]) / (1/w.Bandwidth + 1/w.Speed)
-		total += fr[i]
-	}
+	total := loadAt(hi)
 	if total == 0 {
 		return Allocation{}, errors.New("dlt: no worker can participate")
 	}

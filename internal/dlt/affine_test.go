@@ -1,7 +1,9 @@
 package dlt
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,5 +136,92 @@ func TestAffineProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refOptimalParallelAffine is OptimalParallelAffine as it was before it
+// solved through solve.Level: its own doubling bracket and a bisection
+// from 0, with the κ formula written in the sum and again in the fill.
+func refOptimalParallelAffine(p *platform.Platform, costs AffineCosts, n float64) (Allocation, error) {
+	loadAt := func(t float64) float64 {
+		sum := 0.0
+		for i := 0; i < p.P(); i++ {
+			if t <= costs.Latency[i] {
+				continue
+			}
+			w := p.Worker(i)
+			sum += (t - costs.Latency[i]) / (1/w.Bandwidth + 1/w.Speed)
+		}
+		return sum
+	}
+	hi := 1.0
+	for loadAt(hi) < n {
+		hi *= 2
+		if math.IsInf(hi, 0) {
+			return Allocation{}, errors.New("dlt: failed to bracket the makespan")
+		}
+	}
+	lo := 0.0
+	for i := 0; i < 200 && hi-lo > 1e-14*(1+hi); i++ {
+		mid := (lo + hi) / 2
+		if loadAt(mid) < n {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	fr := make([]float64, p.P())
+	total := 0.0
+	for i := 0; i < p.P(); i++ {
+		if hi <= costs.Latency[i] {
+			continue
+		}
+		w := p.Worker(i)
+		fr[i] = (hi - costs.Latency[i]) / (1/w.Bandwidth + 1/w.Speed)
+		total += fr[i]
+	}
+	if total == 0 {
+		return Allocation{}, errors.New("dlt: no worker can participate")
+	}
+	for i := range fr {
+		fr[i] /= total
+	}
+	return Allocation{Fractions: fr, Makespan: hi}, nil
+}
+
+// OptimalParallelAffine returns the reference's floats, compared with ==,
+// on 10⁴ random platforms whose speeds and bandwidths spread over up to
+// nine decades, with latencies that exclude some workers and loads from
+// 0 to 10⁶.
+func TestOptimalParallelAffineMatchesReference(t *testing.T) {
+	r := stats.NewRNG(44)
+	spread := func(decades float64) float64 { return math.Pow(10, decades*r.Float64()) }
+	for trial := range 10_000 {
+		ws := make([]platform.Worker, 1+r.Intn(8))
+		lat := make([]float64, len(ws))
+		sd, bd := 9*r.Float64(), 9*r.Float64()
+		for i := range ws {
+			ws[i] = platform.Worker{Speed: spread(sd), Bandwidth: spread(bd)}
+			if r.Intn(3) > 0 {
+				lat[i] = 10 * r.Float64() * spread(3)
+			}
+		}
+		p, err := platform.New(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0.0
+		if r.Intn(50) > 0 {
+			n = math.Pow(10, 9*r.Float64()-3)
+		}
+		costs := AffineCosts{Latency: lat}
+		got, err := OptimalParallelAffine(p, costs, n)
+		want, werr := refOptimalParallelAffine(p, costs, n)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("trial %d: error %v, the reference gives %v", trial, err, werr)
+		}
+		if got.Makespan != want.Makespan || !slices.Equal(got.Fractions, want.Fractions) {
+			t.Fatalf("trial %d: %v %v, the reference gives %v %v", trial, got.Makespan, got.Fractions, want.Makespan, want.Fractions)
+		}
 	}
 }

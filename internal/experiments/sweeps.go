@@ -95,7 +95,8 @@ type PartitionQualityRow struct {
 // PartitionQuality measures Ĉ/LB for the PERI-SUM partitioner across
 // speed distributions and platform sizes — the paper's observation that
 // the column-based algorithm does far better in practice (≈2%) than its
-// 7/4 worst-case guarantee.
+// stated 7/4 bound, which is observed on the paper's distributions, not
+// guaranteed (partition.TestPeriSumSkewedCounterexamples).
 func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"nlfl/internal/solve"
 )
 
 // Typed water-filling failures.
@@ -11,8 +13,8 @@ var (
 	// ErrBadParams marks malformed solver inputs (non-positive unit
 	// times, negative overheads, invalid load).
 	ErrBadParams = errors.New("iterative: invalid water-filling parameters")
-	// ErrInfeasible marks a load no finite water level can cover — the
-	// bisection bracket could not be closed.
+	// ErrInfeasible marks a load no finite water level can cover; it
+	// wraps solve.ErrUnreachable when Σκ(θ) stays short of the load.
 	ErrInfeasible = errors.New("iterative: water-filling infeasible")
 )
 
@@ -80,10 +82,10 @@ func kappaAt(p Params, i int, theta float64) float64 {
 	return b / (2 * p.Gamma * m * m) * (x / (1 + math.Sqrt(1+x)))
 }
 
-// WaterFill solves the split by bisection on θ: Σκᵢ(θ) is continuous and
-// non-decreasing, so the θ with Σκᵢ(θ) = Load is bracketed by doubling
-// and pinned by bisection, then κ is rescaled to sum to Load exactly
-// (the bisection residual would otherwise leak into the tiling).
+// WaterFill solves the split on θ: Σκᵢ(θ) is continuous and
+// non-decreasing, so solve.Level brackets the θ with Σκᵢ(θ) = Load, θ is
+// the bracket's midpoint, and κ is rescaled to sum to Load exactly (the
+// bisection residual would otherwise leak into the tiling).
 func WaterFill(p Params) (Split, error) {
 	n := len(p.Unit)
 	if n == 0 {
@@ -112,36 +114,23 @@ func WaterFill(p Params) (Split, error) {
 			return Split{}, fmt.Errorf("%w: worker %d sigma %v", ErrBadParams, i, p.Sigma[i])
 		}
 	}
+	// total fills kappa with each worker's load at water level theta and
+	// returns their sum.
+	kappa := make([]float64, n)
 	total := func(theta float64) float64 {
 		s := 0.0
-		for i := range p.Unit {
-			s += kappaAt(p, i, theta)
+		for i := range kappa {
+			kappa[i] = kappaAt(p, i, theta)
+			s += kappa[i]
 		}
 		return s
 	}
-	lo, hi := 0.0, 1.0
-	for iter := 0; total(hi) < p.Load; iter++ {
-		if iter >= 200 {
-			return Split{}, fmt.Errorf("%w: Σκ(θ) never reaches load %v", ErrInfeasible, p.Load)
-		}
-		lo = hi
-		hi *= 2
-	}
-	for iter := 0; iter < 200 && hi-lo > 1e-14*hi; iter++ {
-		mid := 0.5 * (lo + hi)
-		if total(mid) < p.Load {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	lo, hi, err := solve.Level(total, p.Load, func(hi float64) float64 { return 1e-14 * hi })
+	if err != nil {
+		return Split{}, fmt.Errorf("%w: Σκ(θ) never reaches load %v: %w", ErrInfeasible, p.Load, err)
 	}
 	theta := 0.5 * (lo + hi)
-	kappa := make([]float64, n)
-	sum := 0.0
-	for i := range kappa {
-		kappa[i] = kappaAt(p, i, theta)
-		sum += kappa[i]
-	}
+	sum := total(theta)
 	if sum <= 0 {
 		return Split{}, fmt.Errorf("%w: water level θ=%v loads no worker", ErrInfeasible, theta)
 	}

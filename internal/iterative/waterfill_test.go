@@ -2,8 +2,13 @@ package iterative
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"nlfl/internal/solve"
+	"nlfl/internal/stats"
 )
 
 func sum(v []float64) float64 {
@@ -175,5 +180,121 @@ func TestWaterFillSingleWorker(t *testing.T) {
 	}
 	if s.Kappa[0] != 1024 {
 		t.Fatalf("single worker got %v, want the whole load", s.Kappa[0])
+	}
+}
+
+// A load past the old cap of 2²⁰⁰ on θ is still reachable: κ grows like
+// √θ, so Load = 10⁶⁰ needs θ ≈ 2.2·10¹¹⁹, and WaterFill solves it.
+func TestWaterFillReachesLoadPastOldCap(t *testing.T) {
+	const load = 1e60
+	s, err := WaterFill(Params{Unit: []float64{1, 2}, Gamma: 0.5, Load: load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(s.Kappa); math.Abs(got-load) > 1e-12*load {
+		t.Fatalf("Σκ = %v, want %v", got, load)
+	}
+	if s.Theta < 1e119 || s.Theta > 1e120 || math.IsInf(s.Theta, 0) {
+		t.Fatalf("θ = %v, want about 2.2e119", s.Theta)
+	}
+}
+
+// A load that no finite θ reaches (√θ at θ = MaxFloat64 is about 10¹⁵⁴)
+// is infeasible, and says why: the water level is unreachable.
+func TestWaterFillUnreachableLoad(t *testing.T) {
+	_, err := WaterFill(Params{Unit: []float64{1, 2}, Gamma: 0.5, Load: 1e300})
+	if !errors.Is(err, ErrInfeasible) || !errors.Is(err, solve.ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrInfeasible wrapping solve.ErrUnreachable", err)
+	}
+}
+
+// refWaterFill is WaterFill's solve as it was before it went through
+// solve.Level: at most 200 doublings of θ, then bisection to 1e-14·hi,
+// θ at the bracket's midpoint, κ evaluated again there and rescaled.
+func refWaterFill(p Params) (Split, error) {
+	total := func(theta float64) float64 {
+		s := 0.0
+		for i := range p.Unit {
+			s += kappaAt(p, i, theta)
+		}
+		return s
+	}
+	lo, hi := 0.0, 1.0
+	for iter := 0; total(hi) < p.Load; iter++ {
+		if iter >= 200 {
+			return Split{}, fmt.Errorf("%w: Σκ(θ) never reaches load %v", ErrInfeasible, p.Load)
+		}
+		lo = hi
+		hi *= 2
+	}
+	for iter := 0; iter < 200 && hi-lo > 1e-14*hi; iter++ {
+		mid := 0.5 * (lo + hi)
+		if total(mid) < p.Load {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	theta := 0.5 * (lo + hi)
+	kappa := make([]float64, len(p.Unit))
+	sum := 0.0
+	for i := range kappa {
+		kappa[i] = kappaAt(p, i, theta)
+		sum += kappa[i]
+	}
+	if sum <= 0 {
+		return Split{}, fmt.Errorf("%w: water level θ=%v loads no worker", ErrInfeasible, theta)
+	}
+	scale := p.Load / sum
+	for i := range kappa {
+		kappa[i] *= scale
+	}
+	return Split{Kappa: kappa, Theta: theta}, nil
+}
+
+// WaterFill returns the reference's floats, compared with ==, on 10⁴
+// random instances: unit times spread over up to nine decades, linear
+// and nonlinear γ, with and without overheads and jitter, and loads from
+// 10⁻³ to 10⁹. Where the reference hit its doubling cap, WaterFill must
+// either fail too or find θ past 2²⁰⁰.
+func TestWaterFillMatchesReference(t *testing.T) {
+	r := stats.NewRNG(44)
+	decades := func(d float64) float64 { return math.Pow(10, d*r.Float64()) }
+	for trial := range 10_000 {
+		n := 1 + r.Intn(8)
+		p := Params{Unit: make([]float64, n), Load: math.Pow(10, 12*r.Float64()-3)}
+		if r.Intn(3) > 0 {
+			p.Gamma = math.Pow(10, 8*r.Float64()-6)
+		}
+		spread := 9 * r.Float64()
+		if r.Intn(2) == 0 {
+			p.Comm = make([]float64, n)
+		}
+		if r.Intn(2) == 0 {
+			p.Sigma = make([]float64, n)
+		}
+		for i := range p.Unit {
+			p.Unit[i] = 1e-6 * decades(spread)
+			if p.Comm != nil {
+				p.Comm[i] = r.Float64() * decades(3)
+			}
+			if p.Sigma != nil {
+				p.Sigma[i] = 1e-6 * r.Float64() * decades(3)
+			}
+		}
+		got, err := WaterFill(p)
+		want, werr := refWaterFill(p)
+		if werr != nil {
+			if err == nil && got.Theta <= 0x1p200 {
+				t.Fatalf("trial %d: θ = %v, but the reference failed: %v", trial, got.Theta, werr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v, the reference gives θ = %v", trial, err, want.Theta)
+		}
+		if got.Theta != want.Theta || !slices.Equal(got.Kappa, want.Kappa) {
+			t.Fatalf("trial %d: θ %v κ %v, the reference gives θ %v κ %v", trial, got.Theta, got.Kappa, want.Theta, want.Kappa)
+		}
 	}
 }

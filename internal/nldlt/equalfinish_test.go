@@ -198,6 +198,41 @@ func TestSolveEqualFinishMatchesReference(t *testing.T) {
 	}
 }
 
+// solveEqualFinish returns refSolveEqualFinish's floats, compared with
+// ==, on 10⁴ random platforms whose speeds and bandwidths spread over up
+// to nine decades, one-port in random orders and parallel links, with
+// loads from 10⁻³ to 10⁶. The reference solves each chunk with
+// chunkForDeadline, which TestChunkForDeadlineMatchesBitBisection pins.
+func TestSolveEqualFinishMatchesReferenceRandom(t *testing.T) {
+	r := stats.NewRNG(44)
+	decades := func(d float64) float64 { return math.Pow(10, d*r.Float64()) }
+	for trial := range 10_000 {
+		ws := make([]platform.Worker, 1+r.Intn(6))
+		sd, bd := 9*r.Float64(), 9*r.Float64()
+		for i := range ws {
+			ws[i] = platform.Worker{Speed: decades(sd), Bandwidth: decades(bd)}
+		}
+		pl, err := platform.New(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := Load{N: math.Pow(10, 9*r.Float64()-3), Alpha: []float64{1.5, 2, 3}[r.Intn(3)]}
+		onePort := r.Intn(2) == 0
+		var order []int
+		if onePort {
+			order = r.Perm(pl.P())
+		}
+		got, err := solveEqualFinish(pl, l, order, onePort)
+		want, werr := refSolveEqualFinish(pl, l, order, onePort, chunkForDeadline)
+		if err != nil || werr != nil {
+			t.Fatalf("trial %d: errors %v / %v", trial, err, werr)
+		}
+		if !slices.Equal(got.Data, want.Data) || got.Makespan != want.Makespan || !slices.Equal(got.Order, want.Order) {
+			t.Fatalf("trial %d: %v %v, the reference gives %v %v", trial, got.Makespan, got.Data, want.Makespan, want.Data)
+		}
+	}
+}
+
 // TestPowAlphaMatchesPow checks the products that replace math.Pow for
 // α = 2 and α = 3 on random x over [2⁻⁵³, 2¹⁰²³], overflow included, and
 // at 0 and +Inf. Below that range a subnormal power could round twice in

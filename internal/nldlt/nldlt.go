@@ -19,7 +19,6 @@
 package nldlt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -238,8 +237,9 @@ func OptimalOnePort(p *platform.Platform, l Load, order []int) (Result, error) {
 	return solveEqualFinish(p, l, order, true)
 }
 
-// solveEqualFinish bisects on the common finish time T. For one-port mode
-// the per-worker communication offsets accumulate in emission order.
+// solveEqualFinish solves for the common finish time T with solve.Level.
+// For one-port mode the per-worker communication offsets accumulate in
+// emission order.
 func solveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (Result, error) {
 	if err := l.Validate(); err != nil {
 		return Result{}, err
@@ -251,8 +251,10 @@ func solveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (
 			idxs[i] = i
 		}
 	}
-	totalFor := func(t float64) ([]float64, float64) {
-		data := make([]float64, p.P())
+	// totalFor fills data with each worker's chunk at finish time t and
+	// returns their sum.
+	data := make([]float64, p.P())
+	totalFor := func(t float64) float64 {
 		sum := 0.0
 		offset := 0.0
 		// chunkForDeadline is pure: a worker whose (bandwidth, speed,
@@ -272,26 +274,13 @@ func solveEqualFinish(p *platform.Platform, l Load, order []int, onePort bool) (
 				offset += w.CommTime(x)
 			}
 		}
-		return data, sum
+		return sum
 	}
-	// Bracket T so that ΣXᵢ(T) ≥ N.
-	tHi := 1.0
-	for _, sum := totalFor(tHi); sum < l.N; _, sum = totalFor(tHi) {
-		tHi *= 2
-		if math.IsInf(tHi, 0) {
-			return Result{}, errors.New("nldlt: failed to bracket the makespan")
-		}
+	_, tHi, err := solve.Level(totalFor, l.N, func(hi float64) float64 { return 1e-14 * (1 + hi) })
+	if err != nil {
+		return Result{}, fmt.Errorf("nldlt: failed to bracket the makespan: %w", err)
 	}
-	tLo := 0.0
-	for i := 0; i < 200 && tHi-tLo > 1e-14*(1+tHi); i++ {
-		mid := (tLo + tHi) / 2
-		if _, sum := totalFor(mid); sum < l.N {
-			tLo = mid
-		} else {
-			tHi = mid
-		}
-	}
-	data, sum := totalFor(tHi)
+	sum := totalFor(tHi)
 	// Normalize the residual bisection slack onto the chunks so that the
 	// result is exactly feasible (ΣXᵢ = N).
 	if sum > 0 {

@@ -150,6 +150,10 @@ func demandCounts(dst []int, speeds []float64, b int) []int {
 // claim lands in [(b−p)/S, b/S], and the bisection starts from there.
 // Only rounding (b·p near 2⁵³) or an S that overflows can leave fewer than
 // b claims at b/S; the bracket then doubles until it holds them.
+//
+// It stays apart from solve.Level, which every real-valued equal-finish
+// split uses: it counts integer claims, starts from the analytic bracket
+// rather than from 1, and stops early on an exact hit.
 func claimHorizon(speeds []float64, b int) (hi float64, counted int) {
 	// countAt returns the number of claims with time ≤ t.
 	countAt := func(t float64) int {
@@ -440,7 +444,11 @@ func RhoLowerBound(k float64) float64 {
 }
 
 // RhoAnalytic returns the general analytic bound
-// ρ ≥ (4/7)·Σsᵢ/(√s₁·Σ√sᵢ) from Section 4.1.3.
+// ρ ≥ (4/7)·Σsᵢ/(√s₁·Σ√sᵢ) from Section 4.1.3. It is derived from
+// PERI-SUM's 7/4 bound, so like that bound it is observed on the paper's
+// distributions, not guaranteed: on the skewed platforms of
+// partition.TestPeriSumSkewedCounterexamples, Comm_hom/Comm_het falls
+// below it.
 func RhoAnalytic(p *platform.Platform) float64 {
 	speeds := p.Speeds()
 	s1 := math.Inf(1)

@@ -193,3 +193,124 @@ func TestPeriSumScanSteps(t *testing.T) {
 		}
 	}
 }
+
+// worstCase is the outcome of a seeded search for the areas that
+// maximize PeriSum's Ĉ/LB at one p.
+type worstCase struct {
+	areas []float64
+	ratio float64
+	// failSpread[k] is the smallest area spread (largest over smallest)
+	// of any evaluated instance above bound k — 1 + (5/4)·LB for k = 0,
+	// (7/4)·LB for k = 1 — or +Inf when none was.
+	failSpread [2]float64
+}
+
+// searchWorstCase hill-climbs Ĉ/LB over log-areas at p from restarts
+// seeded by r: each step moves one log-area by a normal step, keeps the
+// move when the ratio does not fall, and clamps every log-area to
+// [−maxLog, 0], so spreads stay within e^maxLog. Every evaluated instance
+// must cost at least LB.
+func searchWorstCase(t *testing.T, r *stats.RNG, p, restarts, steps int, maxLog float64) worstCase {
+	t.Helper()
+	w := worstCase{failSpread: [2]float64{math.Inf(1), math.Inf(1)}}
+	ratioOf := func(logs []float64) float64 {
+		areas := make([]float64, p)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i, x := range logs {
+			areas[i] = math.Exp(x)
+			lo, hi = min(lo, areas[i]), max(hi, areas[i])
+		}
+		part, err := PeriSum(areas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm, err := Normalize(areas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, lb := part.SumHalfPerimeters(), LowerBound(norm)
+		if cost < lb*(1-1e-12) {
+			t.Fatalf("p=%d areas %v: Ĉ = %v below LB = %v", p, areas, cost, lb)
+		}
+		for k, bound := range []float64{1 + 1.25*lb, 1.75 * lb} {
+			if cost > bound {
+				w.failSpread[k] = min(w.failSpread[k], hi/lo)
+			}
+		}
+		if ratio := cost / lb; ratio > w.ratio {
+			w.ratio, w.areas = ratio, areas
+		}
+		return cost / lb
+	}
+	logs := make([]float64, p)
+	for range restarts {
+		spread := maxLog * r.Float64()
+		for i := range logs {
+			logs[i] = -spread * r.Float64()
+		}
+		cur := ratioOf(logs)
+		for range steps {
+			i := r.Intn(p)
+			old := logs[i]
+			switch r.Intn(3) {
+			case 0: // a local step
+				logs[i] = min(0, max(-maxLog, old+2*r.NormFloat64()))
+			case 1: // a jump anywhere in range
+				logs[i] = -maxLog * r.Float64()
+			default: // join another area's level
+				logs[i] = logs[r.Intn(p)]
+			}
+			if next := ratioOf(logs); next >= cur {
+				cur = next
+			} else {
+				logs[i] = old
+			}
+		}
+	}
+	return w
+}
+
+// A seeded worst-case search for PeriSum's Ĉ/LB over spreads up to 10¹⁵.
+// For p ≤ 8 the worst instance found is checked against the guillotine
+// optimum: LB ≤ OPT ≤ Ĉ. For p up to 100 it logs the worst Ĉ/LB and the
+// smallest area spread at which 1 + (5/4)·LB and (7/4)·LB first failed;
+// those bounds are observed on the paper's distributions, not guaranteed
+// (TestPeriSumSkewedCounterexamples). The search must find both failures
+// (so it still reaches the skewed instances), and none at a spread of
+// 10⁶ or less: the paper's distributions spread far less.
+func TestPeriSumWorstCaseSearch(t *testing.T) {
+	r := stats.NewRNG(18)
+	maxLog := 15 * math.Ln10
+	failSpread := [2]float64{math.Inf(1), math.Inf(1)}
+	for _, p := range []int{2, 3, 4, 5, 6, 7, 8, 10, 20, 50, 100} {
+		w := searchWorstCase(t, r, p, 6, 2000, maxLog)
+		part, err := PeriSum(w.areas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := part.Validate(); err != nil {
+			t.Fatalf("p=%d worst areas %v: %v", p, w.areas, err)
+		}
+		msg := fmt.Sprintf("p=%3d: worst Ĉ/LB %.4f; smallest spread above 1+(5/4)·LB %.3g, above (7/4)·LB %.3g",
+			p, w.ratio, w.failSpread[0], w.failSpread[1])
+		if p <= MaxGuillotineP {
+			opt, err := GuillotineOptimal(w.areas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm, _ := Normalize(w.areas)
+			cost, lb := part.SumHalfPerimeters(), LowerBound(norm)
+			if opt < lb*(1-1e-12) || opt > cost*(1+1e-12) {
+				t.Errorf("p=%d worst areas %v: guillotine optimum %v outside [LB, Ĉ] = [%v, %v]", p, w.areas, opt, lb, cost)
+			}
+			msg += fmt.Sprintf("; Ĉ/OPT %.4f", cost/opt)
+		}
+		t.Log(msg)
+		failSpread[0], failSpread[1] = min(failSpread[0], w.failSpread[0]), min(failSpread[1], w.failSpread[1])
+	}
+	for k, bound := range []string{"1+(5/4)·LB", "(7/4)·LB"} {
+		if !(failSpread[k] > 1e6 && failSpread[k] <= 1e15) {
+			t.Errorf("the smallest spread above %s is %.3g, want one found in (10⁶, 10¹⁵]", bound, failSpread[k])
+		}
+	}
+}

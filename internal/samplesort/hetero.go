@@ -66,10 +66,11 @@ func SortHeterogeneousBalanced[T cmp.Ordered](xs []T, plat *platform.Platform, c
 }
 
 // BalancedShares returns bucket fractions fᵢ with fᵢ·N·log₂(fᵢ·N) ∝ sᵢ
-// and Σfᵢ = 1, by bisection on the common time around an exact solve for
-// each share. For n < 4 it falls back to speed-proportional shares (logs
-// degenerate). It rejects an empty speed list and any speed that is not
-// positive and finite, on which the bracketing loop would never end.
+// and Σfᵢ = 1, by solve.Level on the common time around an exact solve
+// for each share. For n < 4 it falls back to speed-proportional shares
+// (logs degenerate). It rejects an empty speed list, any speed that is not
+// positive and finite, and speeds so small that no finite time balances n
+// keys.
 func BalancedShares(speeds []float64, n int) ([]float64, error) {
 	if len(speeds) == 0 {
 		return nil, errors.New("samplesort: no speeds to balance")
@@ -88,31 +89,21 @@ func BalancedShares(speeds []float64, n int) ([]float64, error) {
 		}
 		return out, nil
 	}
-	nf := float64(n)
+	// sumAt fills out with each bucket's size at common time t and
+	// returns their sum.
 	sumAt := func(t float64) float64 {
 		sum := 0.0
-		for _, s := range speeds {
-			sum += sortSize(t * s)
+		for i, s := range speeds {
+			out[i] = sortSize(t * s)
+			sum += out[i]
 		}
 		return sum
 	}
-	tLo, tHi := 0.0, 1.0
-	for sumAt(tHi) < nf {
-		tHi *= 2
+	_, tHi, err := solve.Level(sumAt, float64(n), func(hi float64) float64 { return 1e-12 * (1 + hi) })
+	if err != nil {
+		return nil, fmt.Errorf("samplesort: no finite time balances %d keys: %w", n, err)
 	}
-	for it := 0; it < 100 && tHi-tLo > 1e-12*(1+tHi); it++ {
-		mid := (tLo + tHi) / 2
-		if sumAt(mid) < nf {
-			tLo = mid
-		} else {
-			tHi = mid
-		}
-	}
-	sum := 0.0
-	for i, s := range speeds {
-		out[i] = sortSize(tHi * s)
-		sum += out[i]
-	}
+	sum := sumAt(tHi)
 	for i := range out {
 		out[i] /= sum
 	}

@@ -20,12 +20,23 @@ func mustBalancedShares(t *testing.T, speeds []float64, n int) []float64 {
 }
 
 // Speeds that are not positive and finite used to spin the bracketing
-// loop forever; they are now rejected up front.
+// loop forever; they are now rejected up front. A subnormal speed used to
+// double the common time to +Inf and return NaN shares; no finite time
+// balances n ≥ 4 keys on it, so it is rejected too.
 func TestBalancedSharesRejectsBadSpeeds(t *testing.T) {
-	for _, speeds := range [][]float64{{0, 0}, {1, 0}, {-1, 2}, {1, math.NaN()}, {math.Inf(1), 1}, {}, nil} {
-		for _, n := range []int{2, 100} {
-			if shares, err := BalancedShares(speeds, n); err == nil {
-				t.Errorf("BalancedShares(%v, %d) = %v, want an error", speeds, n, shares)
+	bad := []int{2, 100}
+	for _, row := range []struct {
+		speeds []float64
+		ns     []int
+	}{
+		{[]float64{0, 0}, bad}, {[]float64{1, 0}, bad}, {[]float64{-1, 2}, bad},
+		{[]float64{1, math.NaN()}, bad}, {[]float64{math.Inf(1), 1}, bad},
+		{[]float64{}, bad}, {nil, bad},
+		{[]float64{5e-324}, []int{100, 1_000_000}},
+	} {
+		for _, n := range row.ns {
+			if shares, err := BalancedShares(row.speeds, n); err == nil {
+				t.Errorf("BalancedShares(%v, %d) = %v, want an error", row.speeds, n, shares)
 			}
 		}
 	}
@@ -200,5 +211,64 @@ func TestSortSizeExact(t *testing.T) {
 	t.Logf("%.2f evaluations per exact solve, %.2f per bisection", perExact, perBisect)
 	if perBisect < 4*perExact {
 		t.Errorf("%.2f evaluations per exact solve, want at most a quarter of the bisection's %.2f", perExact, perBisect)
+	}
+}
+
+// refBalancedShares is BalancedShares' solve as it was before it went
+// through solve.Level: an uncapped doubling of the common time, then at
+// most 100 bisection steps from 0 to 1e-12·(1+hi), each share solved
+// again at hi. It takes speeds that BalancedShares accepts and n ≥ 4.
+func refBalancedShares(speeds []float64, n int) []float64 {
+	nf := float64(n)
+	sumAt := func(t float64) float64 {
+		sum := 0.0
+		for _, s := range speeds {
+			sum += sortSize(t * s)
+		}
+		return sum
+	}
+	tLo, tHi := 0.0, 1.0
+	for sumAt(tHi) < nf {
+		tHi *= 2
+	}
+	for it := 0; it < 100 && tHi-tLo > 1e-12*(1+tHi); it++ {
+		mid := (tLo + tHi) / 2
+		if sumAt(mid) < nf {
+			tLo = mid
+		} else {
+			tHi = mid
+		}
+	}
+	out := make([]float64, len(speeds))
+	sum := 0.0
+	for i, s := range speeds {
+		out[i] = sortSize(tHi * s)
+		sum += out[i]
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out
+}
+
+// BalancedShares returns the reference's floats, compared with ==, on 10⁴
+// random speed vectors spread over up to nine decades, for key counts
+// from 4 to 2³⁰.
+func TestBalancedSharesMatchesReference(t *testing.T) {
+	r := stats.NewRNG(44)
+	for trial := range 10_000 {
+		speeds := make([]float64, 1+r.Intn(6))
+		spread := 9 * r.Float64()
+		for i := range speeds {
+			speeds[i] = math.Pow(10, spread*r.Float64()-3)
+		}
+		n := 4 + r.Intn(1<<(2+r.Intn(29)))
+		got, err := BalancedShares(speeds, n)
+		if err != nil {
+			t.Fatalf("trial %d: BalancedShares(%v, %d): %v", trial, speeds, n, err)
+		}
+		if want := refBalancedShares(speeds, n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: BalancedShares(%v, %d) = %v, the reference gives %v", trial, speeds, n, got, want)
+		}
 	}
 }

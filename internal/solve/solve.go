@@ -1,9 +1,46 @@
-// Package solve holds the exact inner solve that the analytic layer
-// nests inside its bisections on a common finish time: the largest
-// amount of work a convex, increasing cost fits into a budget.
+// Package solve holds both solves of an equal-finish split: Level, the
+// outer one, finds the common finish time θ at which Σκᵢ(θ) reaches the
+// load, and Largest, the inner one, finds the largest amount of work a
+// convex, increasing cost fits into a budget.
 package solve
 
-import "math"
+import (
+	"errors"
+	"math"
+)
+
+// ErrUnreachable marks a target that Level's sum does not reach at any
+// finite θ.
+var ErrUnreachable = errors.New("solve: the target is unreachable at any finite level")
+
+// Level brackets the least θ with sum(θ) ≥ target and returns the bracket
+// [lo, hi]: sum(lo) < target ≤ sum(hi), or lo = 0 when sum(1) already
+// reaches the target. sum must be non-decreasing in θ ≥ 0; a NaN sum (an
+// overflow inside it) counts as short of the target.
+//
+// It doubles θ from 1, keeping lo at the last doubling that fell short,
+// and returns ErrUnreachable when θ overflows. It then bisects while
+// hi−lo > width(hi), at most 200 times. Starting from the last short
+// doubling is exact: a bisection over [0, hi] would first test hi/2,
+// which is that doubling, and go on from the same bracket.
+func Level(sum func(theta float64) float64, target float64, width func(hi float64) float64) (lo, hi float64, err error) {
+	hi = 1
+	for !(sum(hi) >= target) {
+		lo, hi = hi, 2*hi
+		if math.IsInf(hi, 0) {
+			return 0, 0, ErrUnreachable
+		}
+	}
+	for i := 0; i < 200 && hi-lo > width(hi); i++ {
+		mid := (lo + hi) / 2
+		if sum(mid) >= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo, hi, nil
+}
 
 // walkSteps bounds the ulp walk that finishes Largest; past it the rest
 // of the bracket is bisected on the bit pattern.
