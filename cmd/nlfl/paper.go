@@ -347,18 +347,14 @@ func runAll(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The two records the suite does not hold run beside it: E12 at its
-	// own 50 trials (the suite's copy takes trials/2+1) and the robustness
-	// sweep (crashes vs demand-driven / single-round / re-planning).
-	var quality []experiments.PartitionQualityRow
+	// The suite also computes E12's own 50-trial record (QualityRecord,
+	// beside its trials/2+1 copy); the robustness sweep (crashes vs
+	// demand-driven / single-round / re-planning), the one record the
+	// suite does not hold, runs beside it.
 	var faultRows []experiments.FaultSweepRow
 	fcfg := experiments.DefaultFaultSweepConfig()
 	fcfg.Seed = *seed
 	suite, err := experiments.RunSuite(experiments.SuiteConfig{Trials: *trials, Seed: *seed},
-		func() (err error) {
-			quality, err = experiments.PartitionQuality([]int{10, 25, 50, 100}, 50, *seed)
-			return err
-		},
 		func() (err error) { faultRows, err = experiments.FaultSweep(fcfg); return err },
 	)
 	if err != nil {
@@ -377,7 +373,7 @@ func runAll(args []string) error {
 		{Experiment: "fig4-homogeneous", Params: sweep, Data: suite.Fig4Homogeneous},
 		{Experiment: "fig4-uniform", Params: sweep, Data: suite.Fig4Uniform},
 		{Experiment: "fig4-lognormal", Params: sweep, Data: suite.Fig4LogNormal},
-		{Experiment: "e12-partition-quality", Params: map[string]float64{"trials": 50, "seed": s}, Data: quality},
+		{Experiment: "e12-partition-quality", Params: map[string]float64{"trials": experiments.QualityTrials, "seed": s}, Data: suite.QualityRecord},
 		{Experiment: "ext-affinity", Params: platform10, Data: suite.Affinity},
 		{Experiment: "ext-bottleneck", Params: platform10, Data: suite.Bottleneck},
 		{Experiment: "ext-faults", Params: map[string]float64{"p": float64(fcfg.P), "seed": s}, Data: faultRows},

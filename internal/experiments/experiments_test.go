@@ -185,6 +185,78 @@ func TestPartitionQuality(t *testing.T) {
 	}
 }
 
+// refPartitionQuality is PartitionQuality as one independent run: every
+// point splits its trials' generators from the root in trial order
+// (perTrial), or runs one trial for a stats.Constant point
+// (perTrialOnce), and folds the ratios in trial order.
+func refPartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, error) {
+	root := stats.NewRNG(seed)
+	var rows []PartitionQualityRow
+	for _, d := range []stats.Distribution{stats.Constant{Value: 1}, stats.Uniform{Lo: 1, Hi: 100}, stats.LogNormal{Mu: 0, Sigma: 1}} {
+		run := perTrial[float64]
+		if _, ok := d.(stats.Constant); ok {
+			run = perTrialOnce[float64]
+		}
+		for _, p := range ps {
+			ratios, err := run(root, trials, qualityTrial(d, p))
+			if err != nil {
+				return nil, err
+			}
+			var w stats.Welford
+			for _, ratio := range ratios {
+				w.Add(ratio)
+			}
+			rows = append(rows, PartitionQualityRow{Dist: d.String(), P: p, MeanRatio: w.Mean(), MaxRatio: w.Max()})
+		}
+	}
+	return rows, nil
+}
+
+// The shared E12 step gives each run the rows an independent run gives:
+// the suite's 51 and `nlfl all`'s 50 trials on the paper's platform
+// sizes, at three seeds, through partitionQualityRuns and through
+// RunSuite's record pair (quick settings), and counts far apart, which
+// share no trial past the first point.
+func TestPartitionQualityRunsMatchIndependentRuns(t *testing.T) {
+	ps := []int{10, 25, 50, 100}
+	for _, seed := range []int64{42, 7, 43} {
+		for _, counts := range [][]int{{51, 50}, {3, 50, 1}} {
+			runs, err := partitionQualityRuns(ps, counts, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, n := range counts {
+				want, err := refPartitionQuality(ps, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(runs[k], want) {
+					t.Errorf("seed %d, counts %v: the %d-trial run gives\n%+v\nan independent run\n%+v", seed, counts, n, runs[k], want)
+				}
+			}
+		}
+	}
+	res, err := RunSuite(SuiteConfig{Trials: 9, Seed: 43, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		got    []PartitionQualityRow
+		trials int
+	}{{res.PartitionQuality, 9/2 + 1}, {res.QualityRecord, QualityTrials}} {
+		want, err := refPartitionQuality([]int{10, 25}, c.trials, 43)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.got, want) {
+			t.Errorf("RunSuite's %d-trial E12 rows differ from an independent run:\n%+v\n%+v", c.trials, c.got, want)
+		}
+	}
+	if _, err := partitionQualityRuns(ps, []int{5, 0}, 1); err == nil {
+		t.Error("a run of 0 trials: no error")
+	}
+}
+
 func TestSortScaling(t *testing.T) {
 	rows, err := SortScaling([]int{1 << 10, 1 << 14, 1 << 17}, 8, 3)
 	if err != nil {

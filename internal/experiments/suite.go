@@ -18,6 +18,10 @@ type SuiteConfig struct {
 	Quick bool
 }
 
+// QualityTrials is the trial count of SuiteResult.QualityRecord, the E12
+// record `nlfl all` writes on its own.
+const QualityTrials = 50
+
 // SuiteResult bundles every experiment's output — the programmatic
 // equivalent of `nlfl all`, so downstream code (and the regression
 // records) can consume one structured object.
@@ -33,12 +37,19 @@ type SuiteResult struct {
 	Bottleneck       []BottleneckPoint     `json:"bottleneck"`
 	Adaptivity       []AdaptivityRow       `json:"adaptivity"`
 	Returns          []ReturnsRow          `json:"returns"`
+
+	// QualityRecord is E12 at QualityTrials trials on the same platform
+	// sizes: the record `nlfl all` writes beside the suite, computed in
+	// the step that computes PartitionQuality, whose trials it mostly
+	// shares. It is not part of the suite's own record.
+	QualityRecord []PartitionQualityRow `json:"-"`
 }
 
 // RunSuite executes the whole evaluation with the given configuration,
 // its independent experiments side by side on the parallel runner; beside
-// are further steps for the same runner (`nlfl all` adds the two records
-// the suite does not hold). The result is bit-identical at any GOMAXPROCS.
+// are further steps for the same runner (`nlfl all` adds the fault sweep,
+// a record the suite does not hold). The result is bit-identical at any
+// GOMAXPROCS.
 func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
@@ -74,15 +85,18 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	// ends on short steps; each step writes its own field of out.
 	steps := append([]func() error{
 		func() (err error) { out.SortScaling, err = SortScaling(ns, 8, cfg.Seed); return },
-		func() (err error) { _, out.NonLinear, err = NonLinearTable(ps, []float64{1.5, 2, 3}, 1000); return },
 		fig4(platform.ProfileLogNormal, &out.Fig4LogNormal),
 		fig4(platform.ProfileUniform, &out.Fig4Uniform),
-		func() (err error) { out.Affinity, err = AffinitySweep(pl, 1000, gs); return },
-		fig4(platform.ProfileHomogeneous, &out.Fig4Homogeneous),
-		func() (err error) {
-			out.PartitionQuality, err = PartitionQuality(quality, cfg.Trials/2+1, cfg.Seed)
-			return
+		func() error {
+			runs, err := partitionQualityRuns(quality, []int{cfg.Trials/2 + 1, QualityTrials}, cfg.Seed)
+			if err != nil {
+				return err
+			}
+			out.PartitionQuality, out.QualityRecord = runs[0], runs[1]
+			return nil
 		},
+		func() (err error) { _, out.NonLinear, err = NonLinearTable(ps, []float64{1.5, 2, 3}, 1000); return },
+		func() (err error) { out.Affinity, err = AffinitySweep(pl, 1000, gs); return },
 		func() (err error) {
 			out.Returns, err = ReturnsSweep([]float64{0, 0.5, 1}, 6, cfg.Trials, cfg.Seed)
 			return
@@ -91,6 +105,7 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 			out.Adaptivity, err = Adaptivity(8, 800, 256, []float64{1, 0.5, 0.1, 0.02})
 			return
 		},
+		fig4(platform.ProfileHomogeneous, &out.Fig4Homogeneous),
 		func() (err error) { out.Rho, err = RhoSweep([]float64{1, 4, 16, 64, 100}, 20, 1000); return },
 		func() (err error) {
 			out.Bottleneck, err = Bottleneck(pl, 1000, 0.01, []float64{0.01, 0.1, 1, 10, 1000})

@@ -98,36 +98,81 @@ type PartitionQualityRow struct {
 // stated 7/4 bound, which is observed on the paper's distributions, not
 // guaranteed (partition.TestPeriSumSkewedCounterexamples).
 func PartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRow, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("experiments: trials must be positive")
+	runs, err := partitionQualityRuns(ps, []int{trials}, seed)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
+// partitionQualityRuns is PartitionQuality at each trial count of counts,
+// from the one seed: run k's rows are PartitionQuality(ps, counts[k],
+// seed)'s. Every run draws its per-point trial seeds from its own root
+// seeded with seed, so at the j-th point a run of n trials uses the
+// stream's seeds nj … nj+n−1, and runs of nearby counts share most of
+// them (the 51- and 50-trial runs of `nlfl all` share 50 − j). A trial's
+// outcome depends on its point and seed alone, so each distinct one runs
+// once, on the generator Split would have made from that seed, and each
+// run folds its own trials in trial order. At a stats.Constant point the
+// trials cannot differ, so one trial serves every run, as perTrialOnce's
+// one trial serves a single run.
+func partitionQualityRuns(ps []int, counts []int, seed int64) ([][]PartitionQualityRow, error) {
+	roots := make([]*stats.RNG, len(counts))
+	for k, n := range counts {
+		if n <= 0 {
+			return nil, fmt.Errorf("experiments: trials must be positive")
+		}
+		roots[k] = stats.NewRNG(seed)
 	}
 	dists := []stats.Distribution{
 		stats.Constant{Value: 1},
 		stats.Uniform{Lo: 1, Hi: 100},
 		stats.LogNormal{Mu: 0, Sigma: 1},
 	}
-	root := stats.NewRNG(seed)
-	var rows []PartitionQualityRow
+	runs := make([][]PartitionQualityRow, len(counts))
+	seeds := make([][]int64, len(counts))
 	for _, d := range dists {
-		run := perTrial[float64]
-		if _, ok := d.(stats.Constant); ok {
-			run = perTrialOnce[float64] // every trial draws the same areas
-		}
+		_, constant := d.(stats.Constant)
 		for _, p := range ps {
-			ratios, err := run(root, trials, qualityTrial(d, p))
-			if err != nil {
+			// at maps each seed of the point to its trial in distinct.
+			at := make(map[int64]int)
+			var distinct []int64
+			for k, root := range roots {
+				seeds[k] = seeds[k][:0]
+				for range counts[k] {
+					s := root.Int63()
+					seeds[k] = append(seeds[k], s)
+					if _, ok := at[s]; ok {
+						continue
+					}
+					if constant && len(distinct) == 1 {
+						at[s] = 0
+						continue
+					}
+					at[s] = len(distinct)
+					distinct = append(distinct, s)
+				}
+			}
+			trial := qualityTrial(d, p)
+			ratios := make([]float64, len(distinct))
+			if err := parallel(len(distinct), func(i int) (err error) {
+				ratios[i], err = trial(stats.NewRNG(distinct[i]))
+				return err
+			}); err != nil {
 				return nil, err
 			}
-			var w stats.Welford
-			for _, ratio := range ratios {
-				w.Add(ratio)
+			for k := range runs {
+				var w stats.Welford
+				for _, s := range seeds[k] {
+					w.Add(ratios[at[s]])
+				}
+				runs[k] = append(runs[k], PartitionQualityRow{
+					Dist: d.String(), P: p, MeanRatio: w.Mean(), MaxRatio: w.Max(),
+				})
 			}
-			rows = append(rows, PartitionQualityRow{
-				Dist: d.String(), P: p, MeanRatio: w.Mean(), MaxRatio: w.Max(),
-			})
 		}
 	}
-	return rows, nil
+	return runs, nil
 }
 
 // qualityTrial returns one E12 trial: p areas drawn from d, and the
@@ -168,27 +213,25 @@ type SortScalingRow struct {
 // homogeneous workers, the non-divisible fraction and the bucket
 // concentration both improve. Only bucket sizes are read, so the keys are
 // routed and counted, not sorted, and never stored: row k's keys are the
-// seeded generator's draws after the earlier rows' keys and route seeds,
-// and each of the router's walks draws them again from the seed.
+// seeded generator's draws after the earlier rows' keys and route seeds.
+// A clone of the generator taken at the row's start draws them again, a
+// block of sortBlock keys at a time, for each of the router's walks.
 func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 	r := stats.NewRNG(seed)
+	buf := make([]float64, sortBlock)
+	// draw passes the next n keys of g to visit, a block at a time.
+	draw := func(g *stats.RNG, n int, visit func([]float64)) {
+		for ; n > 0; n -= len(buf) {
+			block := buf[:min(n, len(buf))]
+			g.Float64s(block)
+			visit(block)
+		}
+	}
 	rows := make([]SortScalingRow, 0, len(ns))
-	for k, n := range ns {
-		keys := func(visit func(float64)) {
-			q := stats.NewRNG(seed)
-			for _, m := range ns[:k] {
-				for range m {
-					q.Float64()
-				}
-				q.Int63()
-			}
-			for range n {
-				visit(q.Float64())
-			}
-		}
-		for range n {
-			r.Float64()
-		}
+	for _, n := range ns {
+		start := r.Clone()
+		keys := func(visit func([]float64)) { draw(start.Clone(), n, visit) }
+		draw(r, n, func([]float64) {}) // on to the row's route seed
 		tr, err := samplesort.RouteStream(n, keys, samplesort.Config{Workers: p, Seed: r.Int63()})
 		if err != nil {
 			return nil, err
@@ -208,6 +251,11 @@ func SortScaling(ns []int, p int, seed int64) ([]SortScalingRow, error) {
 	}
 	return rows, nil
 }
+
+// sortBlock is the number of keys SortScaling draws into its buffer at a
+// time: 32 kB, so the per-block calls cost nothing next to the keys, and
+// a block is still in cache when the router reads it.
+const sortBlock = 4096
 
 // SortScalingTable renders the E3 sweep.
 func SortScalingTable(rows []SortScalingRow, p int) *plot.Table {

@@ -79,7 +79,20 @@ func kappaAt(p Params, i int, theta float64) float64 {
 	// −1+√(1+x) written as x/(1+√(1+x)): the direct form cancels
 	// catastrophically for small γ and would break the γ→0 continuity.
 	x := 4 * p.Gamma * m * m * d / (b * b)
+	if math.IsInf(x, 1) {
+		return kappaScaled(p.Gamma, m, b, d)
+	}
 	return b / (2 * p.Gamma * m * m) * (x / (1 + math.Sqrt(1+x)))
+}
+
+// kappaScaled is kappaAt's root where the product 4γm²d overflows
+// although b² does not, so x > 1 (for γ > 1/4 that happens while θ is
+// still finite). With r = √x = 2(m/b)·√γ·√d, whose factors stay finite,
+// the root is √d/(√γ·m) · r/(1+√(1+r²)), and dividing the last factor's
+// terms by r leaves only terms of at most √2.
+func kappaScaled(gamma, m, b, d float64) float64 {
+	q := 1 / (2 * (m / b) * math.Sqrt(gamma) * math.Sqrt(d))
+	return math.Sqrt(d) / (math.Sqrt(gamma) * m) / (q + math.Hypot(q, 1))
 }
 
 // WaterFill solves the split on θ: Σκᵢ(θ) is continuous and

@@ -199,6 +199,36 @@ func TestWaterFillReachesLoadPastOldCap(t *testing.T) {
 	}
 }
 
+// For γ > 1/4 the product inside κ overflows before θ does: at γ = 1 and
+// unit time 1, κ = 5e153 needs θ ≈ 2.5e307, where 4γθ is past
+// MaxFloat64. That water level is finite, so the load is feasible. The
+// final rescale κ·(Load/Σκ) rounds twice, so Σκ may miss the load by an
+// ulp (here it does: 4.9999999999999994e153).
+func TestWaterFillPastKappaOverflow(t *testing.T) {
+	const load = 5e153
+	s, err := WaterFill(Params{Unit: []float64{1}, Gamma: 1, Load: load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(s.Kappa); math.Abs(got-load) > load*0x1p-52 {
+		t.Fatalf("Σκ = %v, want %v", got, load)
+	}
+	if s.Theta < 2.4e307 || s.Theta > 2.6e307 {
+		t.Fatalf("θ = %v, want about 2.5e307", s.Theta)
+	}
+	// The scaled root agrees with the direct one where both are finite,
+	// to the rounding of a few operations.
+	for _, c := range []struct{ gamma, m, b, d float64 }{
+		{1, 1, 1, 1e300}, {0.3, 2, 3, 1e200}, {5, 1e-3, 1, 1e10}, {1, 1e100, 2e100, 1e100},
+	} {
+		x := 4 * c.gamma * c.m * c.m * c.d / (c.b * c.b)
+		direct := c.b / (2 * c.gamma * c.m * c.m) * (x / (1 + math.Sqrt(1+x)))
+		if got := kappaScaled(c.gamma, c.m, c.b, c.d); math.Abs(got-direct) > 1e-14*direct {
+			t.Errorf("kappaScaled%+v = %v, the direct root gives %v", c, got, direct)
+		}
+	}
+}
+
 // A load that no finite θ reaches (√θ at θ = MaxFloat64 is about 10¹⁵⁴)
 // is infeasible, and says why: the water level is unreachable.
 func TestWaterFillUnreachableLoad(t *testing.T) {

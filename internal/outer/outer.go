@@ -116,7 +116,7 @@ func demandCounts(dst []int, speeds []float64, b int) []int {
 	hi, _ := claimHorizon(speeds, b)
 	total := 0
 	for i, s := range speeds {
-		counts[i] = int(math.Floor(hi*s)) + 1
+		counts[i] = int(hi*s) + 1
 		total += counts[i]
 	}
 	// Remove the excess claims: latest claim time first, ties resolved by
@@ -155,12 +155,15 @@ func demandCounts(dst []int, speeds []float64, b int) []int {
 // split uses: it counts integer claims, starts from the analytic bracket
 // rather than from 1, and stops early on an exact hit.
 func claimHorizon(speeds []float64, b int) (hi float64, counted int) {
-	// countAt returns the number of claims with time ≤ t.
+	// countAt returns the number of claims with time ≤ t. The conversion
+	// truncates, which is ⌊t·sᵢ⌋ on a product that is never negative (and
+	// leaves a product past 2⁵² as it is, as math.Floor does); demandCounts
+	// counts the same way.
 	countAt := func(t float64) int {
 		counted++
 		total := 0
 		for _, s := range speeds {
-			total += int(math.Floor(t*s)) + 1
+			total += int(t*s) + 1
 		}
 		return total
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -286,6 +287,39 @@ func TestPeriSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortAreasDescending gives the order a comparison sort gives, on areas
+// that tie, that agree in all but their last bits (where the packed keys
+// cannot tell them apart), zeros and subnormals, and random areas, at
+// sizes on both sides of each power of two the index width changes at.
+func TestSortAreasDescendingMatchesComparisonSort(t *testing.T) {
+	r := stats.NewRNG(11)
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(300)
+		base := r.Float64()
+		areas := make([]float64, n)
+		for i := range areas {
+			switch r.Intn(5) {
+			case 0:
+				areas[i] = base
+			case 1:
+				areas[i] = math.Float64frombits(math.Float64bits(base) ^ uint64(r.Intn(1<<10)))
+			case 2:
+				areas[i] = []float64{0, 5e-324, 1e-310, 1}[r.Intn(4)]
+			default:
+				areas[i] = r.ExpFloat64()
+			}
+		}
+		want := make([]sortedIndex, n)
+		for i, a := range areas {
+			want[i] = sortedIndex{area: a, idx: i}
+		}
+		slices.SortStableFunc(want, func(a, b sortedIndex) int { return cmp.Compare(b.area, a.area) })
+		if got := sortAreasDescending(areas); !slices.Equal(got, want) {
+			t.Fatalf("sortAreasDescending(%v) = %v, want %v", areas, got, want)
+		}
 	}
 }
 

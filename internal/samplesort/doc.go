@@ -26,11 +26,13 @@
 // [Route] stops after Step 2 with the same [Trace], for callers that read
 // bucket sizes only; [SortHeterogeneous] and [SortHeterogeneousBalanced]
 // size buckets to worker speeds on the same steps. All of them route a key
-// stream that can be walked again: Step 1 sorts its random key indices and
-// picks the sample in one walk, Step 2 counts the buckets in a second. A
-// slice is such a stream, and [RouteStream] takes any other, so a caller
-// that can regenerate its keys from a seed (the E3 sweep) reads bucket
-// sizes without storing a key. [SimulateDistributed]
+// stream that can be walked again, in blocks: Step 1 sorts its random key
+// indices and picks from each block the sample keys that fall in it, in
+// one walk; Step 2 counts the buckets in a second walk, one loop over each
+// block with the routing inlined. A slice is such a stream of one block,
+// and [RouteStream] takes any other, so a caller that can regenerate its
+// keys from a seed (the E3 sweep, a 4 096-key buffer at a time) reads
+// bucket sizes without storing its keys. [SimulateDistributed]
 // replays the pipeline on a simulated star platform, and theory.go
 // ([Cost], [TheoremB4Threshold], [NonDivisibleFraction],
 // [CheckConcentration]) holds the closed forms the measurements are

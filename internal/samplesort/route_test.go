@@ -230,28 +230,47 @@ func keyBits(xs []float64) []uint64 {
 }
 
 // TestRouteStreamMatchesSlice is the property test of the streamed route:
-// on keys regenerated from a seed at every walk, route gives the Trace and
-// splitters it gives on the same keys stored in a slice, and both are the
-// reference's, which draws the sample by index. It covers n = 1,
-// n < s·p, n = s·p and 2^16; p ∈ {1, 2, 8, 100}; duplicate-heavy keys with
-// and without NaN; even and speed-weighted splitter ranks.
+// on keys regenerated from a seed at every walk, in ragged blocks that
+// refill one buffer, route gives the Trace and splitters it gives on the
+// same keys stored in a slice, and both are the reference's, which draws
+// the sample by index. It covers n = 1, n < s·p, n = s·p and 2^16;
+// p ∈ {1, 2, 8, 100}; duplicate-heavy keys with and without NaN; even and
+// speed-weighted splitter ranks; blocks of 1, 7, s·p−1 and s·p+1 keys and
+// of random sizes from 0 to 2·s·p.
 func TestRouteStreamMatchesSlice(t *testing.T) {
 	// gen draws n keys over about n/4 distinct values; with nan, about one
-	// key in eight is NaN.
-	gen := func(seed int64, n int, nan bool) func(visit func(float64)) {
-		return func(visit func(float64)) {
-			r := stats.NewRNG(seed)
-			for range n {
-				x := float64(r.Intn(n/4+1)) / 8
-				if nan && r.Intn(8) == 0 {
-					x = math.NaN()
+	// key in eight is NaN. It passes them in blocks of size(r) keys, or
+	// fewer at the end, where r is a generator of its own.
+	gen := func(seed int64, n int, nan bool, size func(r *stats.RNG) int) func(visit func([]float64)) {
+		return func(visit func([]float64)) {
+			r, sizes := stats.NewRNG(seed), stats.NewRNG(seed+2)
+			var buf []float64
+			for left := n; left > 0; {
+				buf = buf[:0]
+				for range min(size(sizes), left) {
+					x := float64(r.Intn(n/4+1)) / 8
+					if nan && r.Intn(8) == 0 {
+						x = math.NaN()
+					}
+					buf = append(buf, x)
 				}
-				visit(x)
+				visit(buf)
+				left -= len(buf)
 			}
 		}
 	}
 	const s = 4
 	for _, p := range []int{1, 2, 8, 100} {
+		blocks := []struct {
+			name string
+			size func(r *stats.RNG) int
+		}{
+			{"1", func(*stats.RNG) int { return 1 }},
+			{"7", func(*stats.RNG) int { return 7 }},
+			{"s·p-1", func(*stats.RNG) int { return max(s*p-1, 1) }},
+			{"s·p+1", func(*stats.RNG) int { return s*p + 1 }},
+			{"random", func(r *stats.RNG) int { return r.Intn(2*s*p + 1) }},
+		}
 		speeds := make([]float64, p)
 		for i := range speeds {
 			speeds[i] = float64(1 + i%5)
@@ -271,27 +290,29 @@ func TestRouteStreamMatchesSlice(t *testing.T) {
 		for _, size := range sizes {
 			for _, nan := range []bool{false, true} {
 				for _, rk := range ranks {
-					name := fmt.Sprintf("p=%d/%s/nan=%v/%s", p, size.name, nan, rk.name)
-					seed := int64(p*1000 + size.n)
-					keys := gen(seed, size.n, nan)
-					var xs []float64
-					keys(func(x float64) { xs = append(xs, x) })
-					cfg := Config{Workers: p, Oversampling: size.s, Seed: seed + 1}
+					for _, bl := range blocks {
+						name := fmt.Sprintf("p=%d/%s/nan=%v/%s/blocks=%s", p, size.name, nan, rk.name, bl.name)
+						seed := int64(p*1000 + size.n)
+						keys := gen(seed, size.n, nan, bl.size)
+						var xs []float64
+						keys(func(block []float64) { xs = append(xs, block...) })
+						cfg := Config{Workers: p, Oversampling: size.s, Seed: seed + 1}
 
-					streamed, streamedTr, err := route(size.n, keys, cfg, rk.rank)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sliced, slicedTr, err := route(len(xs), sliceKeys(xs), cfg, rk.rank)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					want, wantTr := routeByIndex(xs, cfg, rk.rank)
-					if !reflect.DeepEqual(streamedTr, slicedTr) || !reflect.DeepEqual(keyBits(streamed), keyBits(sliced)) {
-						t.Errorf("%s: streamed %+v %v, sliced %+v %v", name, streamedTr, streamed, slicedTr, sliced)
-					}
-					if !reflect.DeepEqual(slicedTr, wantTr) || !reflect.DeepEqual(keyBits(sliced), keyBits(want)) {
-						t.Errorf("%s: route %+v %v, by index %+v %v", name, slicedTr, sliced, wantTr, want)
+						streamed, streamedTr, err := route(size.n, keys, cfg, rk.rank)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						sliced, slicedTr, err := route(len(xs), sliceKeys(xs), cfg, rk.rank)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						want, wantTr := routeByIndex(xs, cfg, rk.rank)
+						if !reflect.DeepEqual(streamedTr, slicedTr) || !reflect.DeepEqual(keyBits(streamed), keyBits(sliced)) {
+							t.Errorf("%s: streamed %+v %v, sliced %+v %v", name, streamedTr, streamed, slicedTr, sliced)
+						}
+						if !reflect.DeepEqual(slicedTr, wantTr) || !reflect.DeepEqual(keyBits(sliced), keyBits(want)) {
+							t.Errorf("%s: route %+v %v, by index %+v %v", name, slicedTr, sliced, wantTr, want)
+						}
 					}
 				}
 			}
@@ -300,29 +321,51 @@ func TestRouteStreamMatchesSlice(t *testing.T) {
 }
 
 // TestRouteStreamRejectsMiscountedStream checks that a stream which
-// yields other than n keys is an error, not a wrong Trace.
+// yields other than n keys is an error, not a wrong Trace: one block of
+// 100 keys, and streams of several blocks one key short of n and one key
+// past it.
 func TestRouteStreamRejectsMiscountedStream(t *testing.T) {
-	xs := randomFloats(2, 100)
-	for _, n := range []int{99, 101, -1} {
-		if _, err := RouteStream(n, sliceKeys(xs), Config{Workers: 4, Seed: 1}); err == nil {
-			t.Errorf("RouteStream(n=%d) of a 100-key stream: no error", n)
+	xs := randomFloats(2, 101)
+	blocks := func(sizes ...int) func(visit func([]float64)) {
+		return func(visit func([]float64)) {
+			at := 0
+			for _, n := range sizes {
+				visit(xs[at : at+n])
+				at += n
+			}
 		}
 	}
-	// One worker draws no sample; the count still checks the stream.
-	if _, err := RouteStream(99, sliceKeys(xs), Config{Workers: 1}); err == nil {
-		t.Error("RouteStream(n=99, p=1) of a 100-key stream: no error")
+	for _, c := range []struct {
+		name string
+		n    int
+		keys func(visit func([]float64))
+	}{
+		{"100 keys in one block", 99, sliceKeys(xs[:100])},
+		{"100 keys in one block", 101, sliceKeys(xs[:100])},
+		{"100 keys in one block", -1, sliceKeys(xs[:100])},
+		{"99 keys in blocks of 40, 0, 59", 100, blocks(40, 0, 59)},
+		{"101 keys in blocks of 1, 60, 40", 100, blocks(1, 60, 40)},
+	} {
+		if _, err := RouteStream(c.n, c.keys, Config{Workers: 4, Seed: 1}); err == nil {
+			t.Errorf("RouteStream(n=%d) of %s: no error", c.n, c.name)
+		}
+		// One worker draws no sample; the count still checks the stream.
+		if _, err := RouteStream(c.n, c.keys, Config{Workers: 1}); err == nil {
+			t.Errorf("RouteStream(n=%d, p=1) of %s: no error", c.n, c.name)
+		}
 	}
 }
 
-// TestBucketOfMatchesSearch checks the branch-free bucketOf against the
-// binary search it replaces, on random sorted splitters with duplicates
+// TestBucketOfMatchesSearch checks the branch-free bucketOf, the routing
+// of Step 2's count loop and of Step 3's scatter, against the binary
+// search it replaces, with every splitter count from 0 to 129, on random sorted splitters with duplicates
 // (NaN sorts first, -0 and +0 tie) and on keys that are NaN, ±0, ±Inf,
 // equal to a splitter, or between and beyond them.
 func TestBucketOfMatchesSearch(t *testing.T) {
 	r := stats.NewRNG(9)
 	special := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1, 0.5, 2}
 	for trial := 0; trial < 2000; trial++ {
-		splitters := make([]float64, r.Intn(130))
+		splitters := make([]float64, trial%130)
 		for i := range splitters {
 			if r.Intn(4) == 0 {
 				splitters[i] = special[r.Intn(len(special))]

@@ -78,12 +78,14 @@ func Route[T cmp.Ordered](xs []T, cfg Config) (Trace, error) {
 	return RouteStream(len(xs), sliceKeys(xs), cfg)
 }
 
-// RouteStream is Route on n keys that are never stored: keys must visit
-// the same n keys in the same order on every call, and it is called twice,
-// once to pick the sample and once to count the buckets. The Trace is
-// Route's on a slice of those keys, so a caller that can regenerate its
-// keys (from a seed, say) reads bucket sizes in O(s·p) memory.
-func RouteStream[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config) (Trace, error) {
+// RouteStream is Route on n keys that are never stored as a whole: keys
+// must pass the same n keys in the same order to visit on every call, in
+// blocks of any sizes, and it is called twice, once to pick the sample
+// and once to count the buckets. visit does not keep a block, so a caller
+// may refill one buffer for every block. The Trace is Route's on a slice
+// of those keys, so a caller that can regenerate its keys (from a seed,
+// say) reads bucket sizes in O(s·p) memory plus its buffer.
+func RouteStream[T cmp.Ordered](n int, keys func(visit func([]T)), cfg Config) (Trace, error) {
 	_, tr, err := route(n, keys, cfg, evenRank(cfg.Workers))
 	return tr, err
 }
@@ -98,13 +100,9 @@ func Sort[T cmp.Ordered](xs []T, cfg Config) ([]T, Trace, error) {
 	return scatterSort(xs, splitters, tr.BucketSizes, cfg.Sequential), tr, nil
 }
 
-// sliceKeys is the key stream of a slice, for route.
-func sliceKeys[T any](xs []T) func(visit func(T)) {
-	return func(visit func(T)) {
-		for _, x := range xs {
-			visit(x)
-		}
-	}
+// sliceKeys is the key stream of a slice, for route: one block.
+func sliceKeys[T any](xs []T) func(visit func([]T)) {
+	return func(visit func([]T)) { visit(xs) }
 }
 
 // evenRank places splitter i at rank i·m/p of the sorted m-key sample, so
@@ -118,14 +116,16 @@ func evenRank(p int) func(i, m int) int {
 }
 
 // route is Steps 1 and 2 for every entry point, on n keys that keys
-// visits in the same order on every call. Step 1 draws min(s·p, N) random
-// key indices, sorts them and picks their keys in one walk: the sample is
+// passes in the same order, in blocks, on every call. Step 1 draws
+// min(s·p, N) random key indices, sorts them and picks their keys in one
+// walk, taking from each block the indices that fall in it: the sample is
 // sorted next, so only its multiset matters, and it is the one a direct
 // draw of xs[index] would give. It keeps the keys of ranks rank(1, m), …,
 // rank(p-1, m) of the sorted m-key sample as splitters (clamped to the
 // sample; non-decreasing by construction). Step 2 counts the keys of each
-// bucket in a second walk. The returned Trace is complete.
-func route[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config, rank func(i, m int) int) ([]T, Trace, error) {
+// bucket in a second walk, one loop over each block. The returned Trace
+// is complete.
+func route[T cmp.Ordered](n int, keys func(visit func([]T)), cfg Config, rank func(i, m int) int) ([]T, Trace, error) {
 	tr := Trace{N: n, Workers: cfg.Workers, Oversampling: cfg.Oversampling}
 	if cfg.Workers < 1 {
 		return nil, tr, errors.New("samplesort: need at least one worker")
@@ -156,12 +156,13 @@ func route[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config, rank func
 		slices.Sort(at)
 		sample := make([]T, len(at))
 		picked, i := 0, 0
-		keys(func(x T) {
-			for picked < len(at) && at[picked] == i {
-				sample[picked] = x
+		keys(func(block []T) {
+			end := i + len(block)
+			for picked < len(at) && at[picked] < end {
+				sample[picked] = block[at[picked]-i]
 				picked++
 			}
-			i++
+			i = end
 		})
 		if i != n {
 			return nil, tr, fmt.Errorf("samplesort: key stream yielded %d keys, want %d", i, n)
@@ -179,7 +180,11 @@ func route[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config, rank func
 
 	// Step 2: count the keys routed to each bucket.
 	sizes := tr.BucketSizes
-	keys(func(x T) { sizes[bucketOf(splitters, x)]++ })
+	keys(func(block []T) {
+		for _, x := range block {
+			sizes[bucketOf(splitters, x)]++
+		}
+	})
 	counted := 0
 	for _, c := range sizes {
 		counted += c
@@ -200,24 +205,23 @@ func route[T cmp.Ordered](n int, keys func(visit func(T)), cfg Config, rank func
 // sort.Search(len(splitters), func(i int) bool { return x < splitters[i] })
 // returns. Splitters are sorted, so !(x < splitter) holds on a prefix of
 // them (NaN splitters sort first and x < NaN is false) and the answer is
-// that prefix's length. It halves the candidate range a fixed number of
-// times, about log₂ p, and each halving adds the half masked by the
-// comparison's 0 or 1, so no branch depends on the key: on random keys
-// such a branch mispredicts half the time. (A plain if would stay a
-// branch: the compiler makes no conditional move whose result feeds a
-// load address.)
+// that prefix's length, one of the m = p bucket indices. The candidates
+// [base, base+m) start as all of them; each step tests the splitter
+// below candidate base+⌊m/2⌋ and either moves base past the lower half
+// or keeps it, and either way leaves ⌈m/2⌉ candidates that still hold
+// the answer. So it takes a fixed ⌈log₂ p⌉ steps, and each adds the
+// half masked by the comparison's 0 or 1: no branch depends on the key,
+// where on random keys one would mispredict half the time. (A plain if
+// would stay a branch: the compiler makes no conditional move whose
+// result feeds a load address.) It is small enough to inline, so the
+// Step 2 loop makes no call per key.
 func bucketOf[T cmp.Ordered](splitters []T, x T) int {
-	n := len(splitters)
-	if n == 0 {
-		return 0
-	}
 	base := 0
-	for n > 1 {
-		half := n >> 1
-		base += half & -notBelow(x, splitters[base+half])
-		n -= half
+	for m := len(splitters) + 1; m > 1; m -= m >> 1 {
+		half := m >> 1
+		base += half & -notBelow(x, splitters[base+half-1])
 	}
-	return base + notBelow(x, splitters[base])
+	return base
 }
 
 // notBelow is 1 if !(x < s) and 0 otherwise. The compiler sets it from the

@@ -184,3 +184,143 @@ func TestRNGStateAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// float64sMatch fills blocks of the given sizes with Float64s and checks
+// each against as many Float64 calls on a second generator of the same
+// stream, bit for bit.
+func float64sMatch(got, want *RNG, sizes []int) error {
+	for _, n := range sizes {
+		dst := make([]float64, n)
+		got.Float64s(dst)
+		for i, f := range dst {
+			if w := want.Float64(); math.Float64bits(f) != math.Float64bits(w) {
+				return fmt.Errorf("block of %d, draw %d: Float64s gives %v, Float64 gives %v", n, i, f, w)
+			}
+		}
+	}
+	return nil
+}
+
+// Float64s is len(dst) Float64 calls: in blocks that end before, at and
+// just past the rngTap draws that build no state, one that wraps the
+// state's indices, and blocks longer than the state.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	sizes := []int{0, 1, 272, 273, 274, 607, 4096}
+	for _, seed := range []int64{0, 1, 7, 42, -3} {
+		for i, n := range sizes {
+			// Each block size alone from the start of the stream, then
+			// every size in turn, so the blocks start at many offsets.
+			if err := float64sMatch(NewRNG(seed), NewRNG(seed), []int{n, n, 3 * n}); err != nil {
+				t.Fatalf("seed %d, size %d: %v", seed, n, err)
+			}
+			if err := float64sMatch(NewRNG(seed), NewRNG(seed), append(sizes[i:], sizes[:i]...)); err != nil {
+				t.Fatalf("seed %d, sizes from %d: %v", seed, n, err)
+			}
+		}
+	}
+}
+
+// plantRedraw builds r's state and sets the word that r's draw ahead
+// from now (0 for the next, ahead < rngTap) returns so that its 63 bits
+// are 2⁶³−1 − low, which Float64 rounds to 1 for low < 512, and so
+// redraws. The steps in between write no word that draw reads.
+func plantRedraw(r *RNG, ahead int, low int64) {
+	for r.src == nil {
+		r.Int63()
+	}
+	s := r.src
+	tap, feed := (s.tap-1-ahead+2*rngLen)%rngLen, (s.feed-1-ahead+2*rngLen)%rngLen
+	s.vec[feed] = math.MaxInt64 - low - s.vec[tap]
+}
+
+// A draw that rounds to 1 is drawn again by Float64, and Float64s must
+// redraw the same way, as the first, a middle or the last draw of a block
+// and at several phases of the state's indices.
+func TestFloat64sRedrawsLikeFloat64(t *testing.T) {
+	for _, low := range []int64{0, 511} {
+		for _, at := range []int{0, 1, 300, 606, 607, 1000} {
+			planted := NewRNG(42)
+			for range rngLen + at {
+				planted.Int63()
+			}
+			plantRedraw(planted, 2, low)
+			// The planted draw does redraw: Float64 returns the draw after.
+			probe := planted.Clone()
+			probe.Float64s(make([]float64, 2))
+			probe.Int63()
+			next := float64(probe.Int63()) / (1 << 63)
+			probe = planted.Clone()
+			probe.Float64s(make([]float64, 2))
+			if f := probe.Float64(); f != next {
+				t.Fatalf("low %d at %d: Float64 gives %v, not the redraw %v", low, at, f, next)
+			}
+			for _, sizes := range [][]int{{3, 700}, {5, 700}, {2, 1, 700}, {1, 1, 1, 1}, {700}} {
+				if err := float64sMatch(planted.Clone(), planted.Clone(), sizes); err != nil {
+					t.Fatalf("low %d at %d, blocks %v: %v", low, at, sizes, err)
+				}
+			}
+		}
+	}
+}
+
+// A block's draws are the stream's next draws for any seed and any
+// sequence of block sizes, whatever the stream has already drawn.
+func FuzzFloat64sMatchesFloat64(f *testing.F) {
+	f.Add(int64(42), uint16(0), uint16(273), uint16(274), uint16(4096))
+	f.Add(int64(-7), uint16(1), uint16(272), uint16(607), uint16(606))
+	f.Add(int64(0), uint16(500), uint16(500), uint16(500), uint16(500))
+	f.Fuzz(func(t *testing.T, seed int64, skip, a, b, c uint16) {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for range skip % 1500 {
+			got.Int63()
+			want.Int63()
+		}
+		if err := float64sMatch(got, want, []int{int(a % 5000), int(b % 5000), int(c % 5000)}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A clone continues its original's stream, and drawing from the original
+// first does not move the clone, before and after the state is built.
+func TestCloneContinuesStream(t *testing.T) {
+	for _, draws := range []int{0, 100, rngTap, rngTap + 1, 2000} {
+		r := NewRNG(7)
+		for range draws {
+			r.Float64()
+		}
+		c := r.Clone()
+		want := drawAll(r)
+		if got := drawAll(c); !slices.Equal(got, want) {
+			t.Fatalf("after %d draws: the clone's stream differs", draws)
+		}
+		ref := rand.New(rand.NewSource(7))
+		for range draws {
+			ref.Float64()
+		}
+		if got := drawAll(ref); !slices.Equal(got, want) {
+			t.Fatalf("after %d draws: the original's stream differs from math/rand", draws)
+		}
+	}
+}
+
+// BenchmarkFloat64s compares a block fill with one Float64 call a draw.
+func BenchmarkFloat64s(b *testing.B) {
+	dst := make([]float64, 4096)
+	b.Run("block", func(b *testing.B) {
+		r := NewRNG(42)
+		for range b.N {
+			r.Float64s(dst)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
+	})
+	b.Run("calls", func(b *testing.B) {
+		r := NewRNG(42)
+		for range b.N {
+			for i := range dst {
+				dst[i] = r.Float64()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
+	})
+}
