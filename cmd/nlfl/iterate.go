@@ -67,7 +67,6 @@ func runIterate(args []string) error {
 		VerifyEvery:   101,
 		ReplanEvery:   *replan,
 		Gamma:         *gamma,
-		Estimator:     iterative.EstimatorConfig{DriftRounds: 2},
 	}
 	drift := iterative.Drift{Worker: *driftWorker, Factor: *driftFactor, Round: *driftRound}
 	opts.Chaos = drift.Chaos(*seed)

@@ -44,10 +44,11 @@ const maxExportAllow = 10
 //     tests need belongs in a _test.go file.
 //
 // A reference inside the declaration itself (a recursive call, a type
-// naming itself) does not count. Struct fields are not checked. A method
-// counts as used when any selector a caller may write names it, and an
-// exported method of an unexported type is not checked — the guard works
-// on syntax, not types, so it errs towards "used".
+// naming itself) does not count, nor does a method's receiver naming its
+// type. Struct fields are not checked. A method counts as used when any
+// selector a caller may write names it, and an exported method of an
+// unexported type is not checked — the guard works on syntax, not types,
+// so it errs towards "used".
 func TestNoUnusedExports(t *testing.T) {
 	if len(exportAllow) > maxExportAllow {
 		t.Errorf("exportAllow has %d rows, more than %d: give the names callers or delete them", len(exportAllow), maxExportAllow)
@@ -170,6 +171,19 @@ func TestNoUnusedExports(t *testing.T) {
 				imported[name] = pkg
 			}
 		}
+		// A method's receiver names the method's own type (and declares the
+		// receiver variable): neither is a use.
+		inRecv := map[token.Pos]bool{}
+		for _, d := range f.ast.Decls {
+			if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil {
+				ast.Inspect(d.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						inRecv[id.Pos()] = true
+					}
+					return true
+				})
+			}
+		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
@@ -182,7 +196,9 @@ func TestNoUnusedExports(t *testing.T) {
 					use(m.pkg, m.key, n.Pos())
 				}
 			case *ast.Ident:
-				use(f.dir, n.Name, n.Pos())
+				if !inRecv[n.Pos()] {
+					use(f.dir, n.Name, n.Pos())
+				}
 			}
 			return true
 		})

@@ -88,7 +88,6 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 			// time and the rate samples measure the drifted reality.
 			Burst:       1,
 			VerifyEvery: 101,
-			Estimator:   iterative.EstimatorConfig{DriftRounds: 2},
 			Chaos:       iterDrift.Chaos(cfg.Seed),
 		}
 		if mode == iterative.ModeOracle {
@@ -148,7 +147,6 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 			WorkPerSecond: iterChaosRate,
 			Burst:         1,
 			VerifyEvery:   11,
-			Estimator:     iterative.EstimatorConfig{DriftRounds: 2},
 		}
 		switch class {
 		case "crash":

@@ -55,11 +55,6 @@ func (h *Handle) Cancelled() bool {
 	return h != nil && h.ev != nil && h.ev.cancelled
 }
 
-// Fired reports whether the event has already executed.
-func (h *Handle) Fired() bool {
-	return h != nil && h.ev != nil && h.ev.fired
-}
-
 // eventQueue is a min-heap on (time, seq).
 type eventQueue []*event
 

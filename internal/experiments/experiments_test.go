@@ -215,7 +215,7 @@ func refPartitionQuality(ps []int, trials int, seed int64) ([]PartitionQualityRo
 // The shared E12 step gives each run the rows an independent run gives:
 // the suite's 51 and `nlfl all`'s 50 trials on the paper's platform
 // sizes, at three seeds, through partitionQualityRuns and through
-// RunSuite's record pair (quick settings), and counts far apart, which
+// RunSuite's record pair, and counts far apart, which
 // share no trial past the first point.
 func TestPartitionQualityRunsMatchIndependentRuns(t *testing.T) {
 	ps := []int{10, 25, 50, 100}
@@ -236,7 +236,7 @@ func TestPartitionQualityRunsMatchIndependentRuns(t *testing.T) {
 			}
 		}
 	}
-	res, err := RunSuite(SuiteConfig{Trials: 9, Seed: 43, Quick: true})
+	res, err := RunSuite(SuiteConfig{Trials: 9, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPartitionQualityRunsMatchIndependentRuns(t *testing.T) {
 		got    []PartitionQualityRow
 		trials int
 	}{{res.PartitionQuality, 9/2 + 1}, {res.QualityRecord, QualityTrials}} {
-		want, err := refPartitionQuality([]int{10, 25}, c.trials, 43)
+		want, err := refPartitionQuality(ps, c.trials, 43)
 		if err != nil {
 			t.Fatal(err)
 		}

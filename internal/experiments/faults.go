@@ -19,35 +19,32 @@ type FaultSweepConfig struct {
 	// P is the worker count; Profile draws their speeds.
 	P       int
 	Profile platform.SpeedProfile
-	// Tasks, TaskData and TaskWork shape the demand-driven pool; the
-	// single-round schedule splits the same totals proportionally.
-	Tasks    int
-	TaskData float64
-	TaskWork float64
+	// Tasks is the demand-driven pool's task count, each task of one
+	// data unit and two work units; the single-round schedule splits the
+	// same totals proportionally.
+	Tasks int
 	// Crashes lists the x-axis: how many workers to kill per point (each
 	// strictly below P).
 	Crashes []int
 	// Seed drives victim choice and crash times; identical seeds reproduce
 	// identical sweeps.
 	Seed int64
-	// N and Eps parameterize the re-planner (outer-product domain side and
-	// imbalance target; the paper uses eps = 0.01).
-	N   float64
-	Eps float64
 }
+
+// The fault sweep's task shape (FaultSweepConfig.Tasks).
+const (
+	faultTaskData float64 = 1
+	faultTaskWork float64 = 2
+)
 
 // DefaultFaultSweepConfig is the configuration behind `nlfl faults`.
 func DefaultFaultSweepConfig() FaultSweepConfig {
 	return FaultSweepConfig{
-		P:        8,
-		Profile:  platform.ProfileUniform,
-		Tasks:    64,
-		TaskData: 1,
-		TaskWork: 2,
-		Crashes:  []int{0, 1, 2, 3},
-		Seed:     1,
-		N:        1000,
-		Eps:      0.01,
+		P:       8,
+		Profile: platform.ProfileUniform,
+		Tasks:   64,
+		Crashes: []int{0, 1, 2, 3},
+		Seed:    1,
 	}
 }
 
@@ -83,11 +80,8 @@ func FaultSweep(cfg FaultSweepConfig) ([]FaultSweepRow, error) {
 	if cfg.P < 2 {
 		return nil, fmt.Errorf("experiments: fault sweep needs ≥ 2 workers, got %d", cfg.P)
 	}
-	if cfg.Tasks < 1 || cfg.TaskData < 0 || cfg.TaskWork <= 0 {
+	if cfg.Tasks < 1 {
 		return nil, fmt.Errorf("experiments: invalid task pool shape")
-	}
-	if cfg.N <= 0 || cfg.Eps <= 0 {
-		return nil, fmt.Errorf("experiments: invalid replanner parameters")
 	}
 	for _, k := range cfg.Crashes {
 		if k < 0 || k >= cfg.P {
@@ -102,9 +96,9 @@ func FaultSweep(cfg FaultSweepConfig) ([]FaultSweepRow, error) {
 	tasks := make([]dessim.Task, cfg.Tasks)
 	totalData, totalWork := 0.0, 0.0
 	for i := range tasks {
-		tasks[i] = dessim.Task{Data: cfg.TaskData, Work: cfg.TaskWork}
-		totalData += cfg.TaskData
-		totalWork += cfg.TaskWork
+		tasks[i] = dessim.Task{Data: faultTaskData, Work: faultTaskWork}
+		totalData += faultTaskData
+		totalWork += faultTaskWork
 	}
 	base, err := faults.RunResilientDemandDriven(pl, tasks, faults.Scenario{}, faults.ResilientOptions{})
 	if err != nil {
@@ -174,7 +168,7 @@ func FaultSweep(cfg FaultSweepConfig) ([]FaultSweepRow, error) {
 			row.Metrics.ExtraCommFraction = dd.ExtraComm / dd.DataShipped
 		}
 		if k > 0 {
-			rp, err := faults.ReplanAfter(pl, cfg.N, sc, cfg.Eps)
+			rp, err := faults.ReplanAfter(pl, outerN, sc, outerEps)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: replanning after %d crashes: %w", k, err)
 			}

@@ -12,6 +12,16 @@ import (
 	"nlfl/internal/stats"
 )
 
+// The outer-product domain of Figure 4 and of the fault sweep's
+// re-planner.
+const (
+	// outerN is the vector length of the outer-product domain. The ratios
+	// are N-independent; N only scales the absolute volumes.
+	outerN float64 = 1000
+	// outerEps is the Comm_hom/k imbalance target (paper: 1%).
+	outerEps float64 = 0.01
+)
+
 // Fig4Config parameterizes one panel of Figure 4.
 type Fig4Config struct {
 	// Ps are the processor counts on the x axis (paper: 10..100).
@@ -22,11 +32,6 @@ type Fig4Config struct {
 	Profile platform.SpeedProfile
 	// BimodalK is the speed factor when Profile is ProfileBimodal.
 	BimodalK float64
-	// N is the vector length of the outer-product domain. The ratios are
-	// N-independent; N only scales the absolute volumes.
-	N float64
-	// Eps is the Comm_hom/k imbalance target (paper: 1%).
-	Eps float64
 	// Seed drives platform generation.
 	Seed int64
 }
@@ -41,8 +46,6 @@ func DefaultFig4Config(profile platform.SpeedProfile) Fig4Config {
 		Ps:      ps,
 		Trials:  100,
 		Profile: profile,
-		N:       1000,
-		Eps:     0.01,
 		Seed:    42,
 	}
 }
@@ -79,12 +82,6 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 	if len(cfg.Ps) == 0 {
 		return nil, fmt.Errorf("experiments: no processor counts")
 	}
-	if cfg.N <= 0 {
-		cfg.N = 1000
-	}
-	if cfg.Eps <= 0 {
-		cfg.Eps = 0.01
-	}
 	dist := cfg.Profile.Distribution(cfg.BimodalK)
 	run := perTrial[[4]float64]
 	if _, ok := dist.(stats.Constant); ok {
@@ -93,7 +90,7 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 	root := stats.NewRNG(cfg.Seed)
 	points := make([]Fig4Point, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
-		trials, err := run(root, cfg.Trials, fig4Trial(p, dist, cfg.N, cfg.Eps))
+		trials, err := run(root, cfg.Trials, fig4Trial(p, dist))
 		if err != nil {
 			return nil, err
 		}
@@ -121,21 +118,21 @@ func Fig4(cfg Fig4Config) ([]Fig4Point, error) {
 // fig4Trial returns one Figure 4 trial at p workers: a platform drawn
 // from dist, and its Comm_het, Comm_hom and Comm_hom/k ratios and
 // Comm_hom/k's k.
-func fig4Trial(p int, dist stats.Distribution, n, eps float64) func(r *stats.RNG) ([4]float64, error) {
+func fig4Trial(p int, dist stats.Distribution) func(r *stats.RNG) ([4]float64, error) {
 	return func(r *stats.RNG) (t [4]float64, err error) {
 		pl, err := platform.Generate(p, dist, r)
 		if err != nil {
 			return t, err
 		}
-		h, err := outer.Commhet(pl, n)
+		h, err := outer.Commhet(pl, outerN)
 		if err != nil {
 			return t, err
 		}
-		hk, err := outer.CommhomK(pl, n, eps, 0)
+		hk, err := outer.CommhomK(pl, outerN, outerEps, 0)
 		if err != nil {
 			return t, err
 		}
-		return [4]float64{h.Ratio, outer.Commhom(pl, n).Ratio, hk.Ratio, float64(hk.K)}, nil
+		return [4]float64{h.Ratio, outer.Commhom(pl, outerN).Ratio, hk.Ratio, float64(hk.K)}, nil
 	}
 }
 
@@ -159,9 +156,6 @@ func Fig4MatMul(cfg Fig4Config) ([]Fig4MatMulPoint, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
 	}
-	if cfg.Eps <= 0 {
-		cfg.Eps = 0.01
-	}
 	dist := cfg.Profile.Distribution(cfg.BimodalK)
 	root := stats.NewRNG(cfg.Seed)
 	points := make([]Fig4MatMulPoint, 0, len(cfg.Ps))
@@ -179,7 +173,7 @@ func Fig4MatMul(cfg Fig4Config) ([]Fig4MatMulPoint, error) {
 			if err != nil {
 				return t, err
 			}
-			hk, err := outer.CommhomK(pl, n, cfg.Eps, 0)
+			hk, err := outer.CommhomK(pl, n, outerEps, 0)
 			if err != nil {
 				return t, err
 			}

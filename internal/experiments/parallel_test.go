@@ -123,7 +123,7 @@ func TestBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		"Fig4MatMul":       func() (any, error) { return Fig4MatMul(fc) },
 		"PartitionQuality": func() (any, error) { return PartitionQuality([]int{10, 25}, 7, 42) },
 		"ReturnsSweep":     func() (any, error) { return ReturnsSweep([]float64{0, 0.5, 1}, 6, 7, 42) },
-		"RunSuite":         func() (any, error) { return RunSuite(SuiteConfig{Trials: 7, Seed: 42, Quick: true}) },
+		"RunSuite":         func() (any, error) { return RunSuite(SuiteConfig{Trials: 7, Seed: 42}) },
 	} {
 		var got [2]any
 		var enc [2][]byte
@@ -220,10 +220,10 @@ func TestConstantPointsMatchTrials(t *testing.T) {
 	hom := fc.Profile.Distribution(0)
 	var panel []func(*stats.RNG) ([4]float64, error)
 	for _, p := range fc.Ps {
-		panel = append(panel, fig4Trial(p, hom, fc.N, fc.Eps))
+		panel = append(panel, fig4Trial(p, hom))
 	}
 	uniform := platform.ProfileUniform.Distribution(0)
-	matchTrials(t, "Figure 4(a)", fc.Trials, panel, fig4Trial(10, uniform, fc.N, fc.Eps))
+	matchTrials(t, "Figure 4(a)", fc.Trials, panel, fig4Trial(10, uniform))
 
 	constant := stats.Constant{Value: 1}
 	var rows []func(*stats.RNG) (float64, error)

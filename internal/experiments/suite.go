@@ -14,8 +14,6 @@ type SuiteConfig struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed int64
-	// Quick shrinks the sweeps for smoke tests.
-	Quick bool
 }
 
 // QualityTrials is the trial count of SuiteResult.QualityRecord, the E12
@@ -54,16 +52,6 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials must be positive")
 	}
-	ps := []int{2, 4, 10, 32, 100}
-	ns := []int{1 << 10, 1 << 14, 1 << 17, 1 << 20}
-	gs := []int{10, 20, 40, 80}
-	quality := []int{10, 25, 50, 100}
-	if cfg.Quick {
-		ps = []int{2, 10, 100}
-		ns = []int{1 << 10, 1 << 14}
-		gs = []int{10, 20}
-		quality = []int{10, 25}
-	}
 	// Shared read-only by the affinity and bottleneck steps.
 	pl, err := platform.Generate(10, stats.Uniform{Lo: 1, Hi: 100}, stats.NewRNG(cfg.Seed))
 	if err != nil {
@@ -73,9 +61,6 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 		return func() (err error) {
 			fc := DefaultFig4Config(profile)
 			fc.Trials, fc.Seed = cfg.Trials, cfg.Seed
-			if cfg.Quick {
-				fc.Ps = []int{10, 30}
-			}
 			*dst, err = Fig4(fc)
 			return err
 		}
@@ -84,19 +69,25 @@ func RunSuite(cfg SuiteConfig, beside ...func() error) (*SuiteResult, error) {
 	// Longest first (measured at the paper settings), so that the runner
 	// ends on short steps; each step writes its own field of out.
 	steps := append([]func() error{
-		func() (err error) { out.SortScaling, err = SortScaling(ns, 8, cfg.Seed); return },
+		func() (err error) {
+			out.SortScaling, err = SortScaling([]int{1 << 10, 1 << 14, 1 << 17, 1 << 20}, 8, cfg.Seed)
+			return
+		},
 		fig4(platform.ProfileLogNormal, &out.Fig4LogNormal),
 		fig4(platform.ProfileUniform, &out.Fig4Uniform),
 		func() error {
-			runs, err := partitionQualityRuns(quality, []int{cfg.Trials/2 + 1, QualityTrials}, cfg.Seed)
+			runs, err := partitionQualityRuns([]int{10, 25, 50, 100}, []int{cfg.Trials/2 + 1, QualityTrials}, cfg.Seed)
 			if err != nil {
 				return err
 			}
 			out.PartitionQuality, out.QualityRecord = runs[0], runs[1]
 			return nil
 		},
-		func() (err error) { _, out.NonLinear, err = NonLinearTable(ps, []float64{1.5, 2, 3}, 1000); return },
-		func() (err error) { out.Affinity, err = AffinitySweep(pl, 1000, gs); return },
+		func() (err error) {
+			_, out.NonLinear, err = NonLinearTable([]int{2, 4, 10, 32, 100}, []float64{1.5, 2, 3}, 1000)
+			return
+		},
+		func() (err error) { out.Affinity, err = AffinitySweep(pl, 1000, []int{10, 20, 40, 80}); return },
 		func() (err error) {
 			out.Returns, err = ReturnsSweep([]float64{0, 0.5, 1}, 6, cfg.Trials, cfg.Seed)
 			return

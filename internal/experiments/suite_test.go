@@ -7,15 +7,15 @@ import (
 )
 
 func TestRunSuiteQuick(t *testing.T) {
-	res, err := RunSuite(SuiteConfig{Trials: 5, Seed: 42, Quick: true})
+	res, err := RunSuite(SuiteConfig{Trials: 5, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.NonLinear) == 0 || len(res.SortScaling) == 0 || len(res.Rho) == 0 {
 		t.Fatal("suite missing sections")
 	}
-	if len(res.Fig4Homogeneous) != 2 || len(res.Fig4Uniform) != 2 || len(res.Fig4LogNormal) != 2 {
-		t.Fatalf("quick fig4 sweeps wrong size: %d/%d/%d",
+	if len(res.Fig4Homogeneous) != 10 || len(res.Fig4Uniform) != 10 || len(res.Fig4LogNormal) != 10 {
+		t.Fatalf("fig4 sweeps wrong size: %d/%d/%d",
 			len(res.Fig4Homogeneous), len(res.Fig4Uniform), len(res.Fig4LogNormal))
 	}
 	if len(res.Affinity) == 0 || len(res.Bottleneck) == 0 || len(res.Adaptivity) == 0 || len(res.Returns) == 0 {
@@ -40,11 +40,11 @@ func TestRunSuiteQuick(t *testing.T) {
 }
 
 func TestRunSuiteDeterministic(t *testing.T) {
-	a, err := RunSuite(SuiteConfig{Trials: 3, Seed: 7, Quick: true})
+	a, err := RunSuite(SuiteConfig{Trials: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSuite(SuiteConfig{Trials: 3, Seed: 7, Quick: true})
+	b, err := RunSuite(SuiteConfig{Trials: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,51 +9,34 @@ import (
 	"nlfl/internal/trace"
 )
 
-// ResilientOptions tunes the fault tolerance of the resilient
-// demand-driven executor. The zero value selects sensible defaults.
-type ResilientOptions struct {
-	// HeartbeatTimeout is the delay between a worker's crash and the
-	// master noticing it (re-queueing the lost task). 0 models an ideal
+// The resilient executor's fixed fault-tolerance settings, in the
+// simulation's time units.
+const (
+	// heartbeatTimeout is the delay between a worker's crash and the
+	// master noticing it (re-queueing the lost task): 0 models an ideal
 	// failure detector.
-	HeartbeatTimeout float64
-	// RetryBase is the first retry backoff after a dropped transfer;
-	// successive retries double it up to RetryCap (capped exponential
-	// backoff). Defaults: 0.25 and 4 time units.
-	RetryBase float64
-	RetryCap  float64
-	// MaxAttempts bounds transfer attempts per assignment; when exhausted
-	// the task returns to the pool for any worker to claim. Default 8.
-	MaxAttempts int
+	heartbeatTimeout float64 = 0
+	// retryBase is the first retry backoff after a dropped transfer;
+	// successive retries double it up to retryCap (capped exponential
+	// backoff).
+	retryBase float64 = 0.25
+	retryCap  float64 = 4
+	// maxAttempts bounds transfer attempts per assignment; when exhausted
+	// the task returns to the pool for any worker to claim.
+	maxAttempts int = 8
+)
+
+// ResilientOptions tunes the resilient demand-driven executor. The zero
+// value runs without speculation or an event sink.
+type ResilientOptions struct {
 	// Speculate enables straggler mitigation: once the pool is empty, an
 	// idle worker may launch one backup copy of the running task with the
 	// latest projected finish, if it can beat that finish.
 	Speculate bool
 	// Sink, when non-nil, observes the engine's event lifecycle
-	// (schedule/fire/cancel) — attach a trace.Recorder to audit the run's
-	// causal order alongside the structured Trace.
+	// (schedule/fire/cancel), so a test can audit the run's causal order
+	// alongside the structured Trace.
 	Sink dessim.TraceSink
-}
-
-func (o ResilientOptions) withDefaults() (ResilientOptions, error) {
-	if o.HeartbeatTimeout < 0 || math.IsNaN(o.HeartbeatTimeout) {
-		return o, fmt.Errorf("faults: heartbeat timeout %v invalid", o.HeartbeatTimeout)
-	}
-	if o.RetryBase < 0 || o.RetryCap < 0 {
-		return o, fmt.Errorf("faults: negative retry backoff")
-	}
-	if o.RetryBase == 0 {
-		o.RetryBase = 0.25
-	}
-	if o.RetryCap == 0 {
-		o.RetryCap = 4
-	}
-	if o.RetryCap < o.RetryBase {
-		o.RetryCap = o.RetryBase
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 8
-	}
-	return o, nil
 }
 
 // Report is the full fault accounting of one resilient run.
@@ -133,10 +116,6 @@ type assignment struct {
 // examples/cluster all run it, with an empty Scenario when they model no
 // faults.
 func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scenario, opt ResilientOptions) (*Report, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	for i, t := range tasks {
 		if t.Data < 0 || t.Work < 0 {
 			return nil, fmt.Errorf("faults: task %d has negative size", i)
@@ -233,7 +212,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 			rep.DroppedTransfers++
 			rep.ExtraComm += data
 			a.attempts++
-			if a.attempts >= opt.MaxAttempts {
+			if a.attempts >= maxAttempts {
 				// Give up on this link: hand the task back to the pool and
 				// put the worker in a cooldown, so it does not immediately
 				// re-claim the same task over the same flaky link.
@@ -241,7 +220,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 				pending = append(pending, a.task)
 				cool := &assignment{task: -1, worker: w, ph: phaseBackoff}
 				cur[w] = cool
-				cool.handle = eng.ScheduleAfter(opt.RetryCap, func() {
+				cool.handle = eng.ScheduleAfter(retryCap, func() {
 					cur[w] = nil
 					dispatch()
 				})
@@ -249,7 +228,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 				return
 			}
 			rep.Retries++
-			backoff := math.Min(opt.RetryBase*math.Pow(2, float64(a.attempts-1)), opt.RetryCap)
+			backoff := math.Min(retryBase*math.Pow(2, float64(a.attempts-1)), retryCap)
 			a.ph = phaseBackoff
 			a.handle = eng.ScheduleAfter(backoff, func() { startTransfer(a) })
 		})
@@ -352,7 +331,7 @@ func RunResilientDemandDriven(p *platform.Platform, tasks []dessim.Task, sc Scen
 		rep.Reexecutions++
 		rep.Timeouts++
 		task := a.task
-		eng.ScheduleAfter(opt.HeartbeatTimeout, func() {
+		eng.ScheduleAfter(heartbeatTimeout, func() {
 			if !done[task] && copies[task] == 0 {
 				pending = append(pending, task)
 				dispatch()

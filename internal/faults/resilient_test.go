@@ -273,9 +273,6 @@ func TestResilientRejectsBadInput(t *testing.T) {
 	if _, err := RunResilientDemandDriven(p, nil, Scenario{Events: []Event{{Kind: Crash, Worker: 7, Time: 1}}}, ResilientOptions{}); err == nil {
 		t.Error("out-of-range scenario accepted")
 	}
-	if _, err := RunResilientDemandDriven(p, nil, Scenario{}, ResilientOptions{HeartbeatTimeout: -1}); err == nil {
-		t.Error("negative heartbeat accepted")
-	}
 }
 
 // The robustness contrast at the heart of the ISSUE: under the same

@@ -12,7 +12,7 @@ import (
 // the prior-rate fleet would.
 func TestEstimatorFeedsCapacityModel(t *testing.T) {
 	prior := []float64{12e4, 12e4, 9e4, 9e4, 6e4, 6e4, 3e4, 3e4}
-	e := newTestEstimator(t, EstimatorConfig{DriftRounds: 2}, prior...)
+	e := newTestEstimator(t, prior...)
 	// Every worker has quietly slowed to a quarter of its prior rate;
 	// two consecutive departing rounds re-anchor the whole fleet.
 	for round := 0; round < 2; round++ {

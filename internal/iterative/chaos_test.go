@@ -38,7 +38,6 @@ func TestChaosIterativeProperty(t *testing.T) {
 						Burst:         1,
 						VerifyEvery:   11,
 						ReplanEvery:   every,
-						Estimator:     EstimatorConfig{DriftRounds: 2},
 					}
 					victim := seed % len(opts.Speeds)
 					switch class {

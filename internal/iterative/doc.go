@@ -13,12 +13,12 @@
 //	hysteresis gate ─→ runtime.PlanWeighted (PERI-SUM) ─→ next round
 //
 // Robustness is the point: a single chaotic round cannot wreck the
-// estimate (a departure beyond DriftTol must persist DriftRounds
-// consecutive rounds before the estimator re-anchors), workers that die
-// under Options.Chaos are excluded from subsequent plans while the
-// runtime's survivor re-planning keeps the current round exactly-once,
-// re-planning is bounded by ReplanEvery and a hysteresis gain so the
-// controller cannot thrash, thin or inconsistent measurements fall back
-// to the last trusted plan, and a job that fails to converge surfaces the
-// typed ErrStalled.
+// estimate (a departure beyond 25% must persist 2 consecutive rounds
+// before the estimator re-anchors), workers that die under Options.Chaos
+// are excluded from subsequent plans while the runtime's survivor
+// re-planning keeps the current round exactly-once, re-planning is
+// bounded by ReplanEvery and a 2% hysteresis gain so the controller
+// cannot thrash, thin or inconsistent measurements fall back to the last
+// trusted plan, and a job that fails to converge surfaces the typed
+// ErrStalled.
 package iterative

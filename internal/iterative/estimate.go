@@ -7,41 +7,23 @@ import (
 	"nlfl/internal/trace"
 )
 
-// EstimatorConfig tunes the online rate estimator. The zero value selects
-// the defaults noted per field.
-type EstimatorConfig struct {
-	// Alpha is the EWMA gain for in-tolerance samples; 0 selects 0.5.
-	Alpha float64
-	// DriftTol is the relative departure |sample−estimate|/estimate beyond
+// The estimator's gains and gates.
+const (
+	// ewmaAlpha is the EWMA gain for in-tolerance samples.
+	ewmaAlpha float64 = 0.5
+	// driftTol is the relative departure |sample−estimate|/estimate beyond
 	// which a sample is *not* folded into the EWMA — it is either a
-	// one-round outlier (ignored) or the start of genuine drift; 0
-	// selects 0.25.
-	DriftTol float64
-	// DriftRounds is how many consecutive beyond-tolerance rounds promote
+	// one-round outlier (ignored) or the start of genuine drift.
+	driftTol float64 = 0.25
+	// driftRounds is how many consecutive beyond-tolerance rounds promote
 	// an outlier streak into detected drift, re-anchoring the estimate to
-	// the streak mean; 0 selects 2. A streak shorter than this leaves the
-	// estimate untouched — the "single chaotic round" protection.
-	DriftRounds int
-	// MinRounds is the per-worker sample count before the estimator is
-	// trusted for planning; 0 selects 1.
-	MinRounds int
-}
-
-func (c EstimatorConfig) withDefaults() EstimatorConfig {
-	if c.Alpha <= 0 {
-		c.Alpha = 0.5
-	}
-	if c.DriftTol <= 0 {
-		c.DriftTol = 0.25
-	}
-	if c.DriftRounds <= 0 {
-		c.DriftRounds = 2
-	}
-	if c.MinRounds <= 0 {
-		c.MinRounds = 1
-	}
-	return c
-}
+	// the streak mean. A shorter streak leaves the estimate untouched —
+	// the "single chaotic round" protection.
+	driftRounds int = 2
+	// minRounds is the per-worker sample count before the estimator is
+	// trusted for planning.
+	minRounds int = 1
+)
 
 // Estimator tracks per-worker compute rates (cells/s) and per-round
 // communication seconds from measured trace spans. It is the sensor of
@@ -50,13 +32,11 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 // streak, and explicit trust gating so a controller never plans from
 // measurements that are too thin. Not safe for concurrent use.
 type Estimator struct {
-	cfg EstimatorConfig
-
 	rate     []float64 // EWMA compute rate, cells/s
 	rateVar  []float64 // EWMA of squared rate deviation
 	commSec  []float64 // EWMA per-round comm seconds
 	samples  []int     // rounds this worker produced any sample
-	streak   []int     // consecutive beyond-DriftTol rounds
+	streak   []int     // consecutive beyond-driftTol rounds
 	streakMu []float64 // running sum of the streak's rate samples
 	dead     []bool
 	degraded []bool // drift re-anchored the rate downward at least once
@@ -68,7 +48,7 @@ type Estimator struct {
 // NewEstimator builds an estimator seeded with prior per-worker rates in
 // cells/s (typically speedᵢ·WorkPerSecond — the assumption the measured
 // loop exists to correct).
-func NewEstimator(cfg EstimatorConfig, prior []float64) (*Estimator, error) {
+func NewEstimator(prior []float64) (*Estimator, error) {
 	if len(prior) == 0 {
 		return nil, fmt.Errorf("iterative: estimator needs at least one prior rate")
 	}
@@ -79,7 +59,6 @@ func NewEstimator(cfg EstimatorConfig, prior []float64) (*Estimator, error) {
 	}
 	p := len(prior)
 	return &Estimator{
-		cfg:      cfg.withDefaults(),
 		rate:     append([]float64(nil), prior...),
 		rateVar:  make([]float64, p),
 		commSec:  make([]float64, p),
@@ -139,15 +118,14 @@ func (e *Estimator) observe(w int, rate, commSec float64) bool {
 	if e.frozen {
 		return false
 	}
-	alpha := e.cfg.Alpha
-	if d := math.Abs(rate-e.rate[w]) / e.rate[w]; d > e.cfg.DriftTol {
+	if d := math.Abs(rate-e.rate[w]) / e.rate[w]; d > driftTol {
 		// Beyond tolerance: never folded directly. One such round is an
-		// outlier and changes nothing; DriftRounds consecutive ones are
+		// outlier and changes nothing; driftRounds consecutive ones are
 		// drift, and the estimate snaps to the streak mean — the measured
 		// regime, not a blend with the stale one.
 		e.streak[w]++
 		e.streakMu[w] += rate
-		if e.streak[w] < e.cfg.DriftRounds {
+		if e.streak[w] < driftRounds {
 			return false
 		}
 		anchored := e.streakMu[w] / float64(e.streak[w])
@@ -157,15 +135,15 @@ func (e *Estimator) observe(w int, rate, commSec float64) bool {
 		e.rate[w] = anchored
 		e.rateVar[w] = 0
 		e.streak[w], e.streakMu[w] = 0, 0
-		e.commSec[w] = (1-alpha)*e.commSec[w] + alpha*commSec
+		e.commSec[w] = (1-ewmaAlpha)*e.commSec[w] + ewmaAlpha*commSec
 		e.reanchors++
 		return true
 	}
 	e.streak[w], e.streakMu[w] = 0, 0
 	dev := rate - e.rate[w]
-	e.rate[w] = (1-alpha)*e.rate[w] + alpha*rate
-	e.rateVar[w] = (1-alpha)*e.rateVar[w] + alpha*dev*dev
-	e.commSec[w] = (1-alpha)*e.commSec[w] + alpha*commSec
+	e.rate[w] = (1-ewmaAlpha)*e.rate[w] + ewmaAlpha*rate
+	e.rateVar[w] = (1-ewmaAlpha)*e.rateVar[w] + ewmaAlpha*dev*dev
+	e.commSec[w] = (1-ewmaAlpha)*e.commSec[w] + ewmaAlpha*commSec
 	return false
 }
 
@@ -192,14 +170,14 @@ func (e *Estimator) Degraded(w int) bool { return w >= 0 && w < len(e.degraded) 
 func (e *Estimator) Reanchors() int { return e.reanchors }
 
 // Trusted reports whether every listed worker has produced at least
-// MinRounds samples — the confidence gate: planning over an untrusted
+// minRounds samples — the confidence gate: planning over an untrusted
 // estimator falls back to the last trusted plan instead.
 func (e *Estimator) Trusted(workers []int) bool {
 	for _, w := range workers {
 		if w < 0 || w >= len(e.samples) {
 			return false
 		}
-		if !e.dead[w] && e.samples[w] < e.cfg.MinRounds {
+		if !e.dead[w] && e.samples[w] < minRounds {
 			return false
 		}
 	}

@@ -19,9 +19,9 @@ func roundTimeline(p int, rows map[int][3]float64) *trace.Timeline {
 	return tl
 }
 
-func newTestEstimator(t *testing.T, cfg EstimatorConfig, prior ...float64) *Estimator {
+func newTestEstimator(t *testing.T, prior ...float64) *Estimator {
 	t.Helper()
-	e, err := NewEstimator(cfg, prior)
+	e, err := NewEstimator(prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func newTestEstimator(t *testing.T, cfg EstimatorConfig, prior ...float64) *Esti
 }
 
 func TestEstimatorFoldsInToleranceSamples(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000)
-	// Steady samples at 1100 cells/s (10% off, inside DriftTol 0.25):
+	e := newTestEstimator(t, 1000)
+	// Steady samples at 1100 cells/s (10% off, inside driftTol 0.25):
 	// EWMA with α=0.5 converges geometrically onto the measurement.
 	for i := 0; i < 8; i++ {
 		e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {1100, 1, 0.001}}))
@@ -44,7 +44,7 @@ func TestEstimatorFoldsInToleranceSamples(t *testing.T) {
 }
 
 func TestEstimatorSingleOutlierIgnored(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000)
+	e := newTestEstimator(t, 1000)
 	e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {1000, 1, 0}}))
 	before := e.Rates()[0]
 	// One chaotic round at a tenth of the rate: the estimate must not move.
@@ -63,7 +63,7 @@ func TestEstimatorSingleOutlierIgnored(t *testing.T) {
 }
 
 func TestEstimatorDriftReanchors(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{DriftRounds: 2}, 1000)
+	e := newTestEstimator(t, 1000)
 	e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {500, 1, 0}}))
 	drifted := e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {480, 1, 0}}))
 	if len(drifted) != 1 || drifted[0] != 0 {
@@ -82,7 +82,7 @@ func TestEstimatorDriftReanchors(t *testing.T) {
 }
 
 func TestEstimatorUpwardDriftNotDegraded(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{DriftRounds: 2}, 1000)
+	e := newTestEstimator(t, 1000)
 	e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {2000, 1, 0}}))
 	e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {2000, 1, 0}}))
 	if r := e.Rates()[0]; math.Abs(r-2000) > 1e-9 {
@@ -94,7 +94,7 @@ func TestEstimatorUpwardDriftNotDegraded(t *testing.T) {
 }
 
 func TestEstimatorFrozenLies(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000)
+	e := newTestEstimator(t, 1000)
 	e.Freeze()
 	for i := 0; i < 4; i++ {
 		e.ObserveRound(roundTimeline(1, map[int][3]float64{0: {200, 1, 0}}))
@@ -109,17 +109,20 @@ func TestEstimatorFrozenLies(t *testing.T) {
 }
 
 func TestEstimatorTrustGate(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{MinRounds: 2}, 1000, 1000)
+	e := newTestEstimator(t, 1000, 1000)
 	if e.Trusted([]int{0, 1}) {
 		t.Fatal("trusted with zero samples")
 	}
-	e.ObserveRound(roundTimeline(2, map[int][3]float64{0: {1000, 1, 0}, 1: {1000, 1, 0}}))
+	e.ObserveRound(roundTimeline(2, map[int][3]float64{0: {1000, 1, 0}}))
 	if e.Trusted([]int{0, 1}) {
-		t.Fatal("trusted after one of two required rounds")
+		t.Fatal("trusted with worker 1 still unsampled")
 	}
-	e.ObserveRound(roundTimeline(2, map[int][3]float64{0: {1000, 1, 0}, 1: {1000, 1, 0}}))
+	if !e.Trusted([]int{0}) {
+		t.Fatal("not trusted after minRounds samples")
+	}
+	e.ObserveRound(roundTimeline(2, map[int][3]float64{1: {1000, 1, 0}}))
 	if !e.Trusted([]int{0, 1}) {
-		t.Fatal("not trusted after MinRounds samples")
+		t.Fatal("not trusted after minRounds samples")
 	}
 	if e.Trusted([]int{0, 1, 5}) {
 		t.Fatal("trusted an out-of-range worker")
@@ -127,7 +130,7 @@ func TestEstimatorTrustGate(t *testing.T) {
 }
 
 func TestEstimatorDeadWorkerExcluded(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000, 1000)
+	e := newTestEstimator(t, 1000, 1000)
 	e.MarkDead(1)
 	e.ObserveRound(roundTimeline(2, map[int][3]float64{0: {1000, 1, 0}, 1: {50, 1, 0}}))
 	if !e.Dead(1) {
@@ -143,7 +146,7 @@ func TestEstimatorDeadWorkerExcluded(t *testing.T) {
 }
 
 func TestEstimatorIgnoresNonOKSpans(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000)
+	e := newTestEstimator(t, 1000)
 	tl := trace.New(1)
 	// A wasted speculative copy and a killed span: neither is a sample.
 	tl.Add(0, trace.Span{Kind: trace.Compute, Start: 0, End: 1, Work: 10, Task: 0, Outcome: trace.Wasted})
@@ -158,7 +161,7 @@ func TestEstimatorIgnoresNonOKSpans(t *testing.T) {
 }
 
 func TestEstimatorUnitStds(t *testing.T) {
-	e := newTestEstimator(t, EstimatorConfig{}, 1000)
+	e := newTestEstimator(t, 1000)
 	for i := 0; i < 6; i++ {
 		s := 950.0
 		if i%2 == 0 {
@@ -172,10 +175,10 @@ func TestEstimatorUnitStds(t *testing.T) {
 }
 
 func TestNewEstimatorRejectsBadPriors(t *testing.T) {
-	if _, err := NewEstimator(EstimatorConfig{}, nil); err == nil {
+	if _, err := NewEstimator(nil); err == nil {
 		t.Fatal("accepted empty prior")
 	}
-	if _, err := NewEstimator(EstimatorConfig{}, []float64{1000, 0}); err == nil {
+	if _, err := NewEstimator([]float64{1000, 0}); err == nil {
 		t.Fatal("accepted zero prior rate")
 	}
 }

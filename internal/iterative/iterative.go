@@ -36,6 +36,17 @@ const (
 	ModeOracle Mode = "oracle"
 )
 
+// The controller's fixed gates.
+const (
+	// hysteresisGain is the minimum predicted relative makespan
+	// improvement before a considered split replaces the current plan —
+	// the anti-thrash gate: estimate jitter predicts tiny gains forever,
+	// and re-planning on every wiggle churns the plan for nothing.
+	hysteresisGain float64 = 0.02
+	// traceTol is the relative tolerance of the per-round trace oracle.
+	traceTol float64 = 0.05
+)
+
 // Options configures an iterative job.
 type Options struct {
 	// N is the vector length; each round computes the N×N outer product
@@ -67,16 +78,8 @@ type Options struct {
 	// detection and worker death bypass the cadence — waiting out a
 	// degraded fleet is the one thing a bounded controller must not do.
 	ReplanEvery int
-	// HysteresisGain is the minimum predicted relative makespan
-	// improvement before a considered split replaces the current plan
-	// (0 selects 0.02) — the anti-thrash gate: estimate jitter predicts
-	// tiny gains forever, and re-planning on every wiggle churns the
-	// plan for nothing.
-	HysteresisGain float64
 	// Gamma is the water-filling nonlinearity coefficient (0 = linear).
 	Gamma float64
-	// Estimator tunes the online estimator (adaptive mode).
-	Estimator EstimatorConfig
 	// FreezeAfter, when positive, freezes the estimator after that many
 	// rounds — the lying-estimates fault injection for negative tests.
 	FreezeAfter int
@@ -89,9 +92,6 @@ type Options struct {
 	// OracleRates supplies the true per-worker rates (cells/s) for
 	// ModeOracle.
 	OracleRates func(round int) []float64
-	// TraceTol is the relative tolerance of the per-round trace oracle;
-	// 0 selects 0.05.
-	TraceTol float64
 }
 
 // RoundResult is one round's record.
@@ -203,14 +203,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if replanEvery <= 0 {
 		replanEvery = 1
 	}
-	hysteresis := opts.HysteresisGain
-	if hysteresis <= 0 {
-		hysteresis = 0.02
-	}
-	traceTol := opts.TraceTol
-	if traceTol <= 0 {
-		traceTol = 0.05
-	}
 	rate := opts.WorkPerSecond
 	if rate <= 0 {
 		rate = 2e6
@@ -226,7 +218,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	for w, s := range opts.Speeds {
 		prior[w] = s * rate
 	}
-	est, err := NewEstimator(opts.Estimator, prior)
+	est, err := NewEstimator(prior)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +274,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				adopt := needPlan
 				if !adopt {
 					cur := predictMakespan(kappa, rates, comm, dead)
-					if split.Theta <= (1-hysteresis)*cur {
+					if split.Theta <= (1-hysteresisGain)*cur {
 						adopt = true
 					}
 				}

@@ -78,20 +78,27 @@ func kappaAt(p Params, i int, theta float64) float64 {
 	}
 	// −1+√(1+x) written as x/(1+√(1+x)): the direct form cancels
 	// catastrophically for small γ and would break the γ→0 continuity.
-	x := 4 * p.Gamma * m * m * d / (b * b)
-	if math.IsInf(x, 1) {
+	num, bb := 4*p.Gamma*m*m*d, b*b
+	x := num / bb
+	if math.IsInf(num, 1) || math.IsInf(bb, 1) || math.IsInf(x, 1) {
 		return kappaScaled(p.Gamma, m, b, d)
 	}
 	return b / (2 * p.Gamma * m * m) * (x / (1 + math.Sqrt(1+x)))
 }
 
-// kappaScaled is kappaAt's root where the product 4γm²d overflows
-// although b² does not, so x > 1 (for γ > 1/4 that happens while θ is
-// still finite). With r = √x = 2(m/b)·√γ·√d, whose factors stay finite,
-// the root is √d/(√γ·m) · r/(1+√(1+r²)), and dividing the last factor's
-// terms by r leaves only terms of at most √2.
+// kappaScaled is kappaAt's root where x = 4γm²d/b² cannot be formed:
+// 4γm²d overflows (for γ > 1/4 that happens while θ is still finite),
+// b² does (a unit time or σ past ~1.3e154), or their quotient does.
+// r = √x = 2(m/b)·√γ·√d has factors that stay finite. For r > 1 the root
+// is √d/(√γ·m) · r/(1+√(1+r²)), and dividing the last factor's terms by r
+// leaves only terms of at most √2; otherwise it is (d/b)·2/(1+√(1+r²)),
+// which stays right when r underflows.
 func kappaScaled(gamma, m, b, d float64) float64 {
-	q := 1 / (2 * (m / b) * math.Sqrt(gamma) * math.Sqrt(d))
+	r := 2 * (m / b) * math.Sqrt(gamma) * math.Sqrt(d)
+	if r <= 1 {
+		return d / b * (2 / (1 + math.Hypot(1, r)))
+	}
+	q := 1 / r
 	return math.Sqrt(d) / (math.Sqrt(gamma) * m) / (q + math.Hypot(q, 1))
 }
 

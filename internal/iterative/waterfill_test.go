@@ -216,10 +216,30 @@ func TestWaterFillPastKappaOverflow(t *testing.T) {
 	if s.Theta < 2.4e307 || s.Theta > 2.6e307 {
 		t.Fatalf("θ = %v, want about 2.5e307", s.Theta)
 	}
+	// Past ~1.3e154, m² overflows in 4γm²d and in b², and σ² does in b²
+	// alone: x would read NaN or 0, and every level would count as short.
+	// A worker with m = 1e-300 and σ = 1e154 has r = √x below the
+	// smallest float, so only the (d/b) form of the root sees its load.
+	for _, p := range []Params{
+		{Unit: []float64{1e155}, Gamma: 1, Load: 1e-3},
+		{Unit: []float64{1e155, 2e155}, Gamma: 1, Load: 1e-3},
+		{Unit: []float64{1}, Sigma: []float64{1e78}, Gamma: 1, Load: 1e-3},
+		{Unit: []float64{1e-300}, Sigma: []float64{1e154}, Gamma: 1, Load: 1e-3},
+	} {
+		s, err := WaterFill(p)
+		if err != nil {
+			t.Errorf("%+v: %v", p, err)
+			continue
+		}
+		if got := sum(s.Kappa); got != p.Load {
+			t.Errorf("%+v: Σκ = %v, want %v", p, got, p.Load)
+		}
+	}
 	// The scaled root agrees with the direct one where both are finite,
 	// to the rounding of a few operations.
 	for _, c := range []struct{ gamma, m, b, d float64 }{
 		{1, 1, 1, 1e300}, {0.3, 2, 3, 1e200}, {5, 1e-3, 1, 1e10}, {1, 1e100, 2e100, 1e100},
+		{1, 1, 1e10, 1}, {0.5, 1e-3, 1e5, 1e-2},
 	} {
 		x := 4 * c.gamma * c.m * c.m * c.d / (c.b * c.b)
 		direct := c.b / (2 * c.gamma * c.m * c.m) * (x / (1 + math.Sqrt(1+x)))

@@ -439,9 +439,12 @@ func RenderBlockAssignment(grid [][]int) string {
 	return string(b)
 }
 
-// RhoLowerBound returns the paper's Section 4.1.3 bound on
-// ρ = Comm_hom/Comm_het for the half-slow/half-k×-fast platform:
-// ρ ≥ (1+k)/(1+√k) ≥ √k - 1.
+// RhoLowerBound returns (1+k)/(1+√k), the value the paper's Section
+// 4.1.3 gives for ρ = Comm_hom/Comm_het on the half-slow/half-k×-fast
+// platform. On that platform it is exactly Comm_hom/LB, so, as
+// Comm_het ≥ LB, ρ is at most this value and reaches it only where
+// Comm_het = LB. It exceeds √k - 1, but ρ itself need not: on 20 workers
+// ρ < √k - 1 at k = 64 and 100 (TestRhoBimodalCounterexamples).
 func RhoLowerBound(k float64) float64 {
 	return (1 + k) / (1 + math.Sqrt(k))
 }

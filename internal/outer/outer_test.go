@@ -331,43 +331,75 @@ func TestCommhetPerWorkerFootprints(t *testing.T) {
 	}
 }
 
+// halfFastPlatform is E6's platform: 20 workers, half at speed 1 and
+// half at speed k.
+func halfFastPlatform(t *testing.T, k float64) *platform.Platform {
+	t.Helper()
+	speeds := make([]float64, 20)
+	for i := range speeds {
+		speeds[i] = 1
+		if i >= 10 {
+			speeds[i] = k
+		}
+	}
+	pl, err := platform.FromSpeeds(speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 func TestRhoBimodalMatchesAnalysis(t *testing.T) {
-	// Half the platform at speed 1, half at speed k: the paper proves
-	// ρ = Comm_hom/Comm_het ≥ (1+k)/(1+√k). Comm_het is within a few
-	// percent of LB, so the measured ratio clears the bound with a small
-	// tolerance for the partitioner's slack.
+	// Half the platform at speed 1, half at speed k: there
+	// (1+k)/(1+√k) = Comm_hom/LB, so ρ = Comm_hom/Comm_het is at most that
+	// value. Comm_het is within a few percent of LB, so the measured ratio
+	// stays within the partitioner's slack below it.
 	const n = 1000
 	for _, k := range []float64{1, 4, 16, 64, 100} {
-		speeds := make([]float64, 20)
-		for i := range speeds {
-			speeds[i] = 1
-			if i >= 10 {
-				speeds[i] = k
-			}
-		}
-		pl, err := platform.FromSpeeds(speeds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := halfFastPlatform(t, k)
 		hom := Commhom(pl, n)
 		het, err := Commhet(pl, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rho := hom.Volume / het.Volume
-		// Rigorous bound (carries the partitioner's 7/4 slack as a 4/7
-		// factor): ρ ≥ (4/7)·Σs/(√s₁·Σ√s).
+		// The analytic bound (carries the partitioner's 7/4 slack as a 4/7
+		// factor, so it holds where the 7/4 bound does, as here):
+		// ρ ≥ (4/7)·Σs/(√s₁·Σ√s).
 		if rho < RhoAnalytic(pl)-1e-9 {
 			t.Errorf("k=%v: measured ρ=%v below analytic bound %v", k, rho, RhoAnalytic(pl))
 		}
 		// Empirical shape: Comm_het lands within a few percent of LB, so ρ
-		// tracks (1+k)/(1+√k) (and hence √k-1) up to that slack.
+		// tracks (1+k)/(1+√k) up to that slack, and √k-1 within 10%.
 		bound := RhoLowerBound(k)
 		if rho < bound*0.9 {
 			t.Errorf("k=%v: measured ρ=%v far below (1+k)/(1+√k)=%v", k, rho, bound)
 		}
 		if rho < (math.Sqrt(k)-1)*0.9 {
 			t.Errorf("k=%v: measured ρ=%v far below √k-1", k, rho)
+		}
+	}
+}
+
+// On E6's platforms (20 workers, half at speed 1, half at speed k),
+// (1+k)/(1+√k) is exactly Comm_hom/LB, so ρ = Comm_hom/Comm_het never
+// exceeds it; and the "ρ ≥ √k-1" of the paper's Section 4.1.3 fails at
+// k = 64 and 100, where Comm_het's distance from LB costs more than the
+// 2/(1+√k) between the two values. Both checks carry no slack.
+func TestRhoBimodalCounterexamples(t *testing.T) {
+	const n = 1000
+	for _, k := range []float64{1, 4, 16, 64, 100} {
+		pl := halfFastPlatform(t, k)
+		het, err := Commhet(pl, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rho := Commhom(pl, n).Volume / het.Volume
+		if rho > RhoLowerBound(k) {
+			t.Errorf("k=%v: ρ = %v above Comm_hom/LB = (1+k)/(1+√k) = %v", k, rho, RhoLowerBound(k))
+		}
+		if (k == 64 || k == 100) && rho >= math.Sqrt(k)-1 {
+			t.Errorf("k=%v: ρ = %v, want below √k-1 = %v", k, rho, math.Sqrt(k)-1)
 		}
 	}
 }

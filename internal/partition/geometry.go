@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -152,53 +151,22 @@ type sortedIndex struct {
 
 // sortAreasDescending returns (area, original index) pairs sorted by
 // non-increasing area, breaking ties by index for determinism. The order
-// is total (no two pairs share an index), so any exact sort gives this one
-// permutation.
-//
-// It ends with an insertion pass in that order, which alone sorts a few
-// areas. More areas are first sorted as integers: they are non-negative
-// and not NaN (Normalize's output), and such floats order as their bit
-// patterns do, so the complement of an area's bits orders it descending.
-// Each key keeps those bits above the index's width and holds the index
-// below, so slices.Sort on the keys, with no comparison function to call,
-// orders the pairs by the areas' leading bits and then by index. Only
-// areas that agree in those bits can end up out of order, and they end up
-// next to each other, so the insertion pass then takes about one step per
-// pair.
+// is total (no two pairs share an index, and Normalize admits no NaN), so
+// the unstable sort gives the one permutation a stable sort on the area
+// alone would.
 func sortAreasDescending(areas []float64) []sortedIndex {
 	out := make([]sortedIndex, len(areas))
-	if len(areas) <= insertionMax {
-		for i, a := range areas {
-			out[i] = sortedIndex{area: a, idx: i}
-		}
-	} else {
-		width := bits.Len(uint(len(areas)))
-		low := uint64(1)<<width - 1
-		var stack [128]uint64 // the keys of up to 128 areas need no allocation
-		keys := stack[:0]
-		for i, a := range areas {
-			keys = append(keys, ^math.Float64bits(a)&^low|uint64(i))
-		}
-		slices.Sort(keys)
-		for k, key := range keys {
-			i := int(key & low)
-			out[k] = sortedIndex{area: areas[i], idx: i}
-		}
+	for i, a := range areas {
+		out[i] = sortedIndex{area: a, idx: i}
 	}
-	for k := 1; k < len(out); k++ {
-		for j := k; j > 0 && areaBefore(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	slices.SortFunc(out, func(a, b sortedIndex) int {
+		switch {
+		case a.area > b.area:
+			return -1
+		case a.area < b.area:
+			return 1
 		}
-	}
+		return a.idx - b.idx
+	})
 	return out
-}
-
-// insertionMax is the most areas sortAreasDescending sorts by insertion
-// alone, the size below which slices.Sort sorts by insertion too.
-const insertionMax = 12
-
-// areaBefore reports whether a comes before b in sortAreasDescending's
-// order: the larger area first, the smaller index among equal areas.
-func areaBefore(a, b sortedIndex) bool {
-	return a.area > b.area || a.area == b.area && a.idx < b.idx
 }

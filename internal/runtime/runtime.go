@@ -33,10 +33,6 @@ type Options struct {
 	// sub-second benches yet slow enough that the throttle (not the real
 	// CPU) sets the pace, so relative speeds are honored even on one core.
 	WorkPerSecond float64
-	// Shards is the shared-queue stripe count; 0 selects one stripe per
-	// worker, so each worker's home stripe is its own — pops are
-	// uncontended until its stripe drains and stealing begins.
-	Shards int
 	// Burst is the token-bucket capacity in cells; 0 selects 5 ms of
 	// credit at the worker's rate.
 	Burst float64
@@ -424,10 +420,6 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	if rate <= 0 {
 		rate = 2e6
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = p // home-stripe affinity: worker w owns stripe w
-	}
 	planVolume := 0.0
 	maxRowSpan, maxColSpan := 0, 0
 	for _, c := range plan.Chunks {
@@ -465,6 +457,9 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	// reservation — those appends grow the slice the usual amortized way.
 	r.live.Reserve(2*len(plan.Chunks)+4, 0)
 
+	// Both engines stripe the shared queue one stripe per worker: worker
+	// w's home stripe is its own, so its pops are uncontended until the
+	// stripe drains and stealing begins.
 	var body func(int)
 	if chaosOn {
 		r.ledgers = make([]chaosLedger, p)
@@ -472,14 +467,14 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		if err != nil {
 			return nil, err
 		}
-		r.lt = NewLeaseTable(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
+		r.lt = NewLeaseTable(plan.Chunks, p, p, opts.Chaos.SpeculateAfter)
 		r.step = ChunkJob{A: a, B: b, Out: r.out, Faults: tab, Chaos: opts.Chaos, Host: r}
 		if r.net != nil {
 			r.net.slowdown = tab.LinkScale
 		}
 		body = r.chaosWorker
 	} else {
-		queue := newWorkQueue(plan.Chunks, p, shards)
+		queue := newWorkQueue(plan.Chunks, p, p)
 		body = func(w int) { r.fastWorker(w, queue) }
 	}
 	for w := 0; w < p; w++ {

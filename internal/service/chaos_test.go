@@ -198,40 +198,52 @@ func TestAllSliceWorkersCrashedFailsJob(t *testing.T) {
 }
 
 func TestQuarantineAndReadmission(t *testing.T) {
-	cfg := chaosConfig()
-	cfg.QuarantineAfter = 1
-	cfg.ProbationJobs = 2
-	f, err := New(cfg)
+	f, err := New(chaosConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	crashJob := func(seed int64) JobSpec {
+		return JobSpec{
+			Tenant: "a", N: 64, Strategy: "het", Seed: seed,
+			Chaos: ChaosSpec{Scenario: faults.SingleCrash(2, 0.01), MaxRetries: 3},
+		}
+	}
 
-	// One crash quarantines worker 2 under the strike budget of 1.
-	waitOK(t, mustSubmit(t, f, JobSpec{
-		Tenant: "a", N: 64, Strategy: "het", Seed: 1,
-		Chaos: ChaosSpec{Scenario: faults.SingleCrash(2, 0.01), MaxRetries: 3},
-	}))
+	// The first crash is a strike; the second spends the budget of two
+	// and quarantines worker 2.
+	waitOK(t, mustSubmit(t, f, crashJob(1)))
+	if hs := f.Health(); hs[2].Quarantined || hs[2].Strikes != 1 {
+		t.Fatalf("worker 2 after one crash: %+v, want one strike", hs[2])
+	}
+	waitOK(t, mustSubmit(t, f, crashJob(2)))
 	hs := f.Health()
 	if !hs[2].Quarantined {
 		t.Fatalf("worker 2 not quarantined: %+v", hs[2])
 	}
 
 	// New jobs are sliced without the quarantined worker.
-	rep := waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 96, Seed: 2}))
+	rep := waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 96, Seed: 3}))
 	for _, w := range rep.Workers {
 		if w == 2 {
 			t.Fatalf("quarantined worker in slice %v", rep.Workers)
 		}
 	}
 
-	// Probation: after two more finished jobs it is readmitted.
-	waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 48, Seed: 3}))
+	// Probation: eight finished jobs after the quarantining strike (the
+	// crash job itself and the one above among them) readmit it.
+	for seed := int64(4); seed < 9; seed++ {
+		waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 48, Seed: seed}))
+		if hs = f.Health(); !hs[2].Quarantined {
+			t.Fatalf("worker 2 readmitted after %d of 8 probation jobs", seed-1)
+		}
+	}
+	waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 48, Seed: 9}))
 	hs = f.Health()
-	if hs[2].Quarantined {
+	if hs[2].Quarantined || hs[2].Strikes != 0 {
 		t.Fatalf("worker 2 still quarantined after probation: %+v", hs[2])
 	}
-	rep = waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 96, Seed: 4}))
+	rep = waitOK(t, mustSubmit(t, f, JobSpec{Tenant: "a", N: 96, Seed: 10}))
 	found := false
 	for _, w := range rep.Workers {
 		found = found || w == 2

@@ -15,7 +15,7 @@
 //     ErrAdmissionRejected, so errors.Is keeps working while errors.As
 //     recovers the cause. Each job is admitted with only the fleet
 //     slice it can actually use (an Amdahl-style cap — workers beyond
-//     N²/MinCellsPerWorker would cost communication without buying
+//     N²/256 would cost communication without buying
 //     compute, the no-free-lunch knee).
 //   - Capacity-model autoscaling: with Config.AutoscaleTheta > 0, the
 //     fleet additionally caps each job's slice at the capacity

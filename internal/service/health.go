@@ -1,12 +1,22 @@
 package service
 
+const (
+	// quarantineAfter is the strike budget: a worker that dies inside
+	// quarantineAfter jobs is quarantined.
+	quarantineAfter int = 2
+	// probationJobs is the quarantine length, measured in fleet-wide
+	// finished jobs; after it the worker is readmitted with a clean
+	// record.
+	probationJobs int = 8
+)
+
 // workerHealth tracks one fleet worker's reliability record
 // (fleet.mu-guarded). A worker that keeps dying inside jobs — chaos
 // crashes are attributed to the worker that carried them — accumulates
-// strikes; at QuarantineAfter strikes it is quarantined: excluded from
+// strikes; at quarantineAfter strikes it is quarantined: excluded from
 // every *new* job's slice (in-flight jobs keep their slice — mid-job
 // re-slicing would break their plans). Quarantine ends after
-// ProbationJobs fleet-wide job completions, and the record resets.
+// probationJobs fleet-wide job completions, and the record resets.
 type workerHealth struct {
 	strikes     int
 	quarantined bool
@@ -23,9 +33,9 @@ func (f *Fleet) strikeLocked(w int) bool {
 		return false
 	}
 	h.strikes++
-	if h.strikes >= f.cfg.QuarantineAfter {
+	if h.strikes >= quarantineAfter {
 		h.quarantined = true
-		h.releaseAt = f.finishedJobs + f.cfg.ProbationJobs
+		h.releaseAt = f.finishedJobs + probationJobs
 		return true
 	}
 	return false

@@ -40,8 +40,6 @@ type IterativeSpec struct {
 	RoundDeadline time.Duration
 	// MaxWorkers, when positive, caps each round's slice.
 	MaxWorkers int
-	// Estimator tunes the online rate estimator feeding the water-fill.
-	Estimator iterative.EstimatorConfig
 }
 
 // IterativeReport is the finished (or failed) iterative job's ledger.
@@ -120,7 +118,7 @@ func SubmitIterative(f *Fleet, spec IterativeSpec) (*IterativeHandle, error) {
 	for w, s := range f.speeds {
 		prior[w] = s * f.rate
 	}
-	est, err := iterative.NewEstimator(spec.Estimator, prior)
+	est, err := iterative.NewEstimator(prior)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,6 @@ func TestSubmitIterativeConverges(t *testing.T) {
 		N:         n,
 		X0:        iterative.SeedVector(n, 0.6),
 		MaxRounds: 16,
-		Estimator: iterative.EstimatorConfig{DriftRounds: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

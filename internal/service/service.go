@@ -105,27 +105,15 @@ type Config struct {
 	// max(1, MaxQueue/4), so a single tenant's flood cannot occupy the
 	// whole admission queue.
 	TenantQuota int
-	// MinCellsPerWorker is the admission slice rule: a job of N² cells is
-	// admitted with at most N²/MinCellsPerWorker workers (the fastest
-	// healthy ones), because a thinner split ships more input data than
-	// the extra workers can pay back. 0 selects 256.
-	MinCellsPerWorker int
 	// AutoscaleTheta, when positive, turns on capacity-model slice
 	// sizing: each job's slice is additionally capped at the knee of the
 	// predicted speedup curve for its size over the healthy fleet (the
 	// worker count past which marginal speedup falls below this
 	// threshold), and a job whose deadline the knee-sized slice cannot
 	// meet is rejected with RejectAmdahlCap rather than admitted to
-	// fail. 0 disables the model and keeps the static
-	// MinCellsPerWorker-only rule.
+	// fail. 0 disables the model and keeps the static rule alone (at
+	// most N²/256 workers).
 	AutoscaleTheta float64
-	// QuarantineAfter is the strike budget: a worker that dies inside
-	// QuarantineAfter jobs is quarantined. 0 selects 2.
-	QuarantineAfter int
-	// ProbationJobs is the quarantine length, measured in fleet-wide
-	// finished jobs; after it the worker is readmitted with a clean
-	// record. 0 selects 8.
-	ProbationJobs int
 	// VerifyEvery, when positive, spot-checks every VerifyEvery-th output
 	// cell of each completed job and fails the job on mismatch.
 	VerifyEvery int
@@ -144,15 +132,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if d.TenantQuota <= 0 {
 		d.TenantQuota = max(1, d.MaxQueue/4)
-	}
-	if d.MinCellsPerWorker <= 0 {
-		d.MinCellsPerWorker = 256
-	}
-	if d.QuarantineAfter <= 0 {
-		d.QuarantineAfter = 2
-	}
-	if d.ProbationJobs <= 0 {
-		d.ProbationJobs = 8
 	}
 	if d.AgingCellsPerSec <= 0 {
 		cap := 0.0
@@ -327,9 +306,15 @@ func (f *Fleet) Submit(spec JobSpec) (*JobHandle, error) {
 	return &JobHandle{f: f, j: j}, nil
 }
 
+// minCellsPerWorker is the admission slice rule: a job of N² cells is
+// admitted with at most N²/minCellsPerWorker workers (the fastest healthy
+// ones), because a thinner split ships more input data than the extra
+// workers can pay back.
+const minCellsPerWorker int = 256
+
 // sliceForLocked picks the job's fleet slice: the fastest healthy
 // workers, capped by the Amdahl-style admission rule (at most
-// N²/MinCellsPerWorker workers — beyond that the extra input shipping
+// N²/minCellsPerWorker workers — beyond that the extra input shipping
 // outweighs the extra compute), by the spec's own MaxWorkers, and —
 // when AutoscaleTheta is set — by the capacity model's knee for this
 // job size over the healthy fleet. With autoscaling on, the returned
@@ -343,7 +328,7 @@ func (f *Fleet) sliceForLocked(spec JobSpec) ([]int, *capacity.Prediction) {
 	}
 	sort.SliceStable(ids, func(a, b int) bool { return f.speeds[ids[a]] > f.speeds[ids[b]] })
 	limit := len(ids)
-	if byWork := (spec.N * spec.N) / f.cfg.MinCellsPerWorker; byWork < limit {
+	if byWork := (spec.N * spec.N) / minCellsPerWorker; byWork < limit {
 		limit = byWork
 	}
 	if spec.MaxWorkers > 0 && spec.MaxWorkers < limit {

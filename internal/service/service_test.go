@@ -227,7 +227,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestAmdahlSliceCap(t *testing.T) {
-	f, err := New(testConfig()) // MinCellsPerWorker defaults to 256
+	f, err := New(testConfig()) // minCellsPerWorker is 256
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestWaitCtxExpiry(t *testing.T) {
 // wait short, and the cut-short wait is no crash: no Killed span, no
 // quarantine strike.
 func TestFleetCloseMidCompute(t *testing.T) {
-	f, err := New(Config{Speeds: []float64{1}, WorkPerSecond: 500, Burst: 1, MinCellsPerWorker: 1})
+	f, err := New(Config{Speeds: []float64{1}, WorkPerSecond: 500, Burst: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,25 +61,11 @@ func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 func (l LogNormal) String() string { return fmt.Sprintf("lognormal(%g,%g)", l.Mu, l.Sigma) }
 
-// Exponential is the exponential distribution with the given Rate (λ).
-// Used by the discrete-event simulator's background-load extension tests.
-type Exponential struct {
-	Rate float64
-}
-
-// Sample implements Distribution.
-func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Rate }
-
-// Mean implements Distribution.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-func (e Exponential) String() string { return fmt.Sprintf("exponential(%g)", e.Rate) }
-
 // Bimodal draws Slow with probability 1-FastFraction and Slow*Factor
 // otherwise. It models the paper's Section 4.1.3 example platform whose
 // first half is slow nodes of speed s₁ and second half nodes k times
-// faster; with FastFraction = 0.5 and Factor = k it reproduces the
-// ρ ≥ (1+k)/(1+√k) analysis.
+// faster; with FastFraction = 0.5 and Factor = k it draws the platform
+// of the ρ ≤ (1+k)/(1+√k) analysis.
 type Bimodal struct {
 	Slow         float64
 	Factor       float64
@@ -102,29 +88,6 @@ func (b Bimodal) Mean() float64 {
 func (b Bimodal) String() string {
 	return fmt.Sprintf("bimodal(slow=%g,x%g,frac=%g)", b.Slow, b.Factor, b.FastFraction)
 }
-
-// Pareto is the Pareto (power-law) distribution with scale Xm and shape
-// Alpha. Used by the extension experiments for extreme heterogeneity.
-type Pareto struct {
-	Xm, Alpha float64
-}
-
-// Sample implements Distribution.
-func (p Pareto) Sample(r *RNG) float64 {
-	// Inverse-CDF: Xm / U^(1/α), with U in (0, 1].
-	u := 1 - r.Float64()
-	return p.Xm / math.Pow(u, 1/p.Alpha)
-}
-
-// Mean implements Distribution. It is infinite for Alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-func (p Pareto) String() string { return fmt.Sprintf("pareto(%g,%g)", p.Xm, p.Alpha) }
 
 // SampleN draws n variates from d into a fresh slice.
 func SampleN(d Distribution, r *RNG, n int) []float64 {

