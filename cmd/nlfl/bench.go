@@ -18,17 +18,18 @@ import (
 // the capacity model and the closed-loop iterative controller), every
 // measured volume cross-checked against the paper's closed forms and every
 // trace audited by the invariant oracle, emitting one BENCH_<name>.json
-// per artifact (see docs/PERFORMANCE.md). -only narrows the run (or the
-// -validate check) to one artifact. Ctrl-C stops the run at the next sweep
-// boundary without writing partial artifacts.
+// per artifact (see docs/PERFORMANCE.md). -validate checks existing files
+// instead: the kernel and service ones are re-judged, the six
+// virtual-clock ones must equal a regeneration at -seed. -only narrows
+// the run (or the -validate check) to one artifact. Ctrl-C stops the run
+// at the next sweep boundary without writing partial artifacts.
 func runBench(args []string) error {
 	fs := newFlagSet("bench")
 	seed := fs.Int64("seed", 42, "random seed (identical seeds reproduce the virtual-clock artifacts byte for byte)")
 	out := fs.String("out", ".", "directory for the BENCH_*.json artifacts")
 	quick := fs.Bool("quick", false, "reduced CI configuration of the wall-clock sweeps: smaller kernel sizes, fewer service loads and jobs")
-	rate := fs.Float64("rate", 0, "token-bucket rate scale in cells/second for a speed-1 worker (0 = default 2e6)")
 	only := fs.String("only", "", "run (or with -validate, check) only this artifact: one of "+bench.Names())
-	validate := fs.Bool("validate", false, "validate existing BENCH_*.json in -out instead of running")
+	validate := fs.Bool("validate", false, "check existing BENCH_*.json in -out instead of running: re-judge the wall-clock ones, require the virtual-clock ones to equal a regeneration at -seed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweeps to this file (inspect with `go tool pprof`)")
 	compare := fs.String("compare", "", "compare a baseline BENCH_kernels.json against a new one (positional arg; defaults to -out's) and print a benchstat-style table instead of running")
 	if err := fs.Parse(args); err != nil {
@@ -65,20 +66,24 @@ func runBench(args []string) error {
 		fmt.Print(bench.FormatKernelDeltas(bench.CompareKernels(before, after)))
 		return nil
 	}
-	if *validate {
-		if err := bench.ValidateFiles(*out, arts...); err != nil {
-			return err
-		}
-		for _, a := range arts {
-			fmt.Printf("%s: schema ok, %s\n", a.File(), a.Gates)
-		}
-		return nil
-	}
 
 	// The first SIGINT cancels every sweep (they stop at the next boundary
 	// with nothing written); a second kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	if *validate {
+		if err := bench.ValidateFiles(ctx, *out, *seed, arts...); err != nil {
+			return err
+		}
+		for _, a := range arts {
+			how := "schema ok"
+			if a.Regenerated() {
+				how = fmt.Sprintf("identical to the seed-%d regeneration", *seed)
+			}
+			fmt.Printf("%s: %s, %s\n", a.File(), how, a.Gates)
+		}
+		return nil
+	}
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -90,7 +95,7 @@ func runBench(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	cfg := bench.Config{Seed: *seed, Quick: *quick, WorkPerSecond: *rate}
+	cfg := bench.Config{Seed: *seed, Quick: *quick}
 	files, err := bench.Run(ctx, cfg, *out, arts...)
 	if err != nil {
 		return err

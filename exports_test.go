@@ -46,9 +46,11 @@ const maxExportAllow = 10
 // A reference inside the declaration itself (a recursive call, a type
 // naming itself) does not count, nor does a method's receiver naming its
 // type. Struct fields are not checked. A method counts as used when any
-// selector a caller may write names it, and an exported method of an
-// unexported type is not checked — the guard works on syntax, not types,
-// so it errs towards "used".
+// selector a caller may write names it, except a selector that is not
+// called and shares its name with a struct field declared in the module:
+// that one reads the field. An exported method of an unexported type is
+// not checked — the guard works on syntax, not types, so it errs towards
+// "used".
 func TestNoUnusedExports(t *testing.T) {
 	if len(exportAllow) > maxExportAllow {
 		t.Errorf("exportAllow has %d rows, more than %d: give the names callers or delete them", len(exportAllow), maxExportAllow)
@@ -136,6 +138,21 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 
+	// fields holds the name of every struct field declared in the module.
+	fields := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						fields[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
 	// methods[m] lists the guarded methods named m: any selector .m a
 	// caller may write uses them all.
 	type method struct{ pkg, key string }
@@ -184,16 +201,25 @@ func TestNoUnusedExports(t *testing.T) {
 				})
 			}
 		}
+		// Selectors in call position; the walk meets a call before its
+		// function.
+		called := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel] = true
+				}
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if pkg, ok := imported[x.Name]; ok {
 						use(pkg, n.Sel.Name, n.Pos())
 					}
 				}
-				for _, m := range methods[n.Sel.Name] {
-					use(m.pkg, m.key, n.Pos())
+				if called[n] || !fields[n.Sel.Name] {
+					for _, m := range methods[n.Sel.Name] {
+						use(m.pkg, m.key, n.Pos())
+					}
 				}
 			case *ast.Ident:
 				if !inRecv[n.Pos()] {

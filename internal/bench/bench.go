@@ -9,15 +9,20 @@
 //
 // Every sweep that runs the worker pool — runtime, link, chaos, topology,
 // capacity and iterative — runs it on the virtual clock, so its artifact
-// is a function of the seed, the code and the toolchain, byte for byte.
-// Only the kernel and service sweeps time the host, and record their
-// timings as environment-stamped observations. See docs/PERFORMANCE.md
-// for how to read the output and EXPERIMENTS.md for the regeneration
-// recipe.
+// is a function of the seed and the code, byte for byte bar the goVersion
+// line. Each of its claims is checked once, by the sweep or by the
+// artifact's judge, on the payload in memory before Run writes anything;
+// a file on disk is checked by regenerating it and comparing the bytes.
+// Only the kernel and service sweeps time the host: they record their
+// timings as environment-stamped observations, and a file on disk is
+// loaded and re-judged by its validator. See docs/PERFORMANCE.md for how
+// to read the output and EXPERIMENTS.md for the regeneration recipe.
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,61 +41,96 @@ type Config struct {
 	// sweeps: smaller kernel sizes and fewer repetitions, fewer service
 	// loads and jobs. The virtual-clock sweeps ignore it.
 	Quick bool
-	// WorkPerSecond overrides the runtime token-bucket rate scale
-	// (cells/second for a speed-1 worker); 0 selects 2e6.
-	WorkPerSecond float64
 }
+
+// workPerSecond is the token-bucket rate scale (cells/second for a
+// speed-1 worker) of the runtime and link sweeps.
+const workPerSecond = 2e6
 
 // maxProcs reports the measurement environment's parallelism.
 func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
 // Artifact is one BENCH_<Name>.json record: the sweep that measures it
-// and the validator that gates it. The payload type stays behind the
-// generic constructor, so the typed sweeps and validators register as
-// they are.
+// and how its claims are checked. The payload type stays behind the
+// generic constructors, so the typed sweeps, judges and validators
+// register as they are.
 type Artifact struct {
 	// Name is the registry key (`nlfl bench -only <Name>`) and the stem
 	// of the file name.
 	Name string
-	// Gates states what a file that passes the validator proves.
+	// Gates states what a file that passes the check proves.
 	Gates string
 
-	run      func(context.Context, Config) (any, error)
-	validate func(any) error
-	load     func(path string) (any, error)
+	run func(context.Context, Config) (any, error)
+	// judge checks a payload: a virtual-clock artifact's judge (nil when
+	// its sweep states every claim itself) or a wall-clock artifact's
+	// validator.
+	judge func(any) error
+	// load reads a wall-clock artifact's file for its validator; nil for
+	// a virtual-clock artifact, whose file is checked by regeneration.
+	load func(path string) (any, error)
 }
 
-func artifact[T any](name, gates string, run func(context.Context, Config) (T, error), validate func(T) error) Artifact {
-	return Artifact{
-		Name:     name,
-		Gates:    gates,
-		run:      func(ctx context.Context, cfg Config) (any, error) { return run(ctx, cfg) },
-		validate: func(v any) error { return validate(v.(T)) },
-		load:     func(path string) (any, error) { return results.LoadJSON[T](path) },
+// virtual registers a virtual-clock artifact: judge (or nil) checks the
+// fresh payload, and a file on disk must equal a regeneration.
+func virtual[T any](name, gates string, run func(context.Context, Config) (T, error), judge func(T) error) Artifact {
+	a := Artifact{
+		Name:  name,
+		Gates: gates,
+		run:   func(ctx context.Context, cfg Config) (any, error) { return run(ctx, cfg) },
 	}
+	if judge != nil {
+		a.judge = func(v any) error { return judge(v.(T)) }
+	}
+	return a
+}
+
+// measured registers a wall-clock artifact: validate checks the fresh
+// payload and, loaded again, the file on disk.
+func measured[T any](name, gates string, run func(context.Context, Config) (T, error), validate func(T) error) Artifact {
+	a := virtual(name, gates, run, validate)
+	a.load = func(path string) (any, error) { return results.LoadJSON[T](path) }
+	return a
 }
 
 // Artifacts is the registry, in emission order.
 var Artifacts = []Artifact{
-	artifact("kernels", "every kernel equal to naive, throughput floors hold", RunKernels, ValidateKernels),
-	artifact("runtime", "volumes within 1% of the closed forms, zero violations", RunRuntime, ValidateRuntime),
-	artifact("link", "het beats hom on the constrained link, zero violations", RunLinkSweep, ValidateLink),
-	artifact("chaos", "ledger exact, recovery counters nonzero, zero violations", RunChaosSweep, ValidateChaos),
-	artifact("service", "policy gate holds, chaos isolation exact, zero violations", RunServiceSweep, ValidateService),
-	artifact("topology", "crossover shift holds (star yes, chain no), edge ledgers exact, zero violations", RunTopologySweep, ValidateTopology),
-	artifact("capacity", "predictions within tolerance on both runtimes, knee interior", RunCapacitySweep, ValidateCapacity),
-	artifact("iterative", "residuals deterministic across policies, adaptive beats static and tracks the oracle, zero violations", RunIterativeSweep, ValidateIterative),
+	measured("kernels", "every kernel equal to naive, throughput floors hold", RunKernels, ValidateKernels),
+	virtual("runtime", "volumes within 1% of the closed forms, every trace clean", RunRuntime, nil),
+	virtual("link", "het beats hom on the constrained link, every trace clean", RunLinkSweep, nil),
+	virtual("chaos", "ledger exact, recovery counters nonzero, waste at most half, every trace clean", RunChaosSweep, judgeChaos),
+	measured("service", "policy gate holds, chaos isolation exact, zero violations", RunServiceSweep, ValidateService),
+	virtual("topology", "crossover shift holds (star yes, chain no), edge ledgers exact, every trace clean", RunTopologySweep, judgeTopology),
+	virtual("capacity", "predictions within 5% on both runtimes, knee interior", RunCapacitySweep, judgeCapacity),
+	virtual("iterative", "residuals deterministic across policies, adaptive beats static and tracks the oracle, zero violations", RunIterativeSweep, judgeIterative),
 }
 
 // File is the artifact's file name.
 func (a Artifact) File() string { return "BENCH_" + a.Name + ".json" }
 
-// check runs the validator, naming the file in the error.
+// Regenerated reports whether ValidateFiles checks the artifact's file
+// by regenerating it (a virtual-clock artifact) rather than by loading
+// and re-judging it (a wall-clock one).
+func (a Artifact) Regenerated() bool { return a.load == nil }
+
+// check runs the judge, naming the file in the error.
 func (a Artifact) check(v any) error {
-	if err := a.validate(v); err != nil {
+	if a.judge == nil {
+		return nil
+	}
+	if err := a.judge(v); err != nil {
 		return fmt.Errorf("%s: %w", a.File(), err)
 	}
 	return nil
+}
+
+// sweep runs the artifact's sweep and checks the payload.
+func (a Artifact) sweep(ctx context.Context, cfg Config) (any, error) {
+	f, err := a.run(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return f, a.check(f)
 }
 
 // Names lists the registered artifact names, comma-separated in order.
@@ -113,7 +153,7 @@ func Lookup(name string) (Artifact, error) {
 }
 
 // Run creates dir, executes the given artifacts' sweeps in order and
-// validates every payload; only when all of them pass does it write them
+// checks every payload; only when all of them pass does it write them
 // into dir. It returns the payloads in the order given. A failed sweep, a
 // failed gate or a cancelled ctx (sweeps stop at their next boundary)
 // writes nothing; a dir that cannot be created fails before any sweep.
@@ -123,11 +163,8 @@ func Run(ctx context.Context, cfg Config, dir string, arts ...Artifact) ([]any, 
 	}
 	files := make([]any, len(arts))
 	for i, a := range arts {
-		f, err := a.run(ctx, cfg)
+		f, err := a.sweep(ctx, cfg)
 		if err != nil {
-			return nil, err
-		}
-		if err := a.check(f); err != nil {
 			return nil, err
 		}
 		files[i] = f
@@ -140,17 +177,63 @@ func Run(ctx context.Context, cfg Config, dir string, arts ...Artifact) ([]any, 
 	return files, nil
 }
 
-// ValidateFiles loads the given artifacts from dir and validates each —
-// `nlfl bench -validate`, the one judge CI runs.
-func ValidateFiles(dir string, arts ...Artifact) error {
+// ValidateFiles checks the given artifacts' files in dir — `nlfl bench
+// -validate`, the one judge CI runs. A wall-clock artifact is loaded and
+// re-judged by its validator. A virtual-clock artifact is regenerated at
+// seed, its sweep and judge checking the fresh payload, and the file must
+// equal the regeneration byte for byte, bar the goVersion line, which
+// names the toolchain that wrote it.
+func ValidateFiles(ctx context.Context, dir string, seed int64, arts ...Artifact) error {
 	for _, a := range arts {
-		f, err := a.load(filepath.Join(dir, a.File()))
+		path := filepath.Join(dir, a.File())
+		if !a.Regenerated() {
+			f, err := a.load(path)
+			if err != nil {
+				return err
+			}
+			if err := a.check(f); err != nil {
+				return err
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("bench: %w", err)
+		}
+		f, err := a.sweep(ctx, Config{Seed: seed})
 		if err != nil {
 			return err
 		}
-		if err := a.check(f); err != nil {
-			return err
+		want, err := json.MarshalIndent(f, "", "  ")
+		if err != nil {
+			return fmt.Errorf("bench: %w", err)
+		}
+		if line, g, w := firstDiff(got, append(want, '\n')); line > 0 {
+			return fmt.Errorf("%s: %w: line %d is %s where the seed-%d regeneration has %s",
+				a.File(), ErrInvalidBench, line, strings.TrimSpace(g), seed, strings.TrimSpace(w))
 		}
 	}
 	return nil
+}
+
+// firstDiff returns the first line (1-based) at which got and want
+// differ, with its two texts, or 0 when they agree. The goVersion lines
+// compare equal.
+func firstDiff(got, want []byte) (line int, g, w string) {
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		g, w = lineAt(gl, i), lineAt(wl, i)
+		if g != w && !(strings.Contains(g, `"goVersion"`) && strings.Contains(w, `"goVersion"`)) {
+			return i + 1, g, w
+		}
+	}
+	return 0, "", ""
+}
+
+// lineAt is lines[i], or "" past the end.
+func lineAt(lines [][]byte, i int) string {
+	if i < len(lines) {
+		return string(lines[i])
+	}
+	return ""
 }

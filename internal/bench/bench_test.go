@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"nlfl/internal/results"
@@ -34,8 +37,8 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateFiles(dir, Artifacts...); err != nil {
-		t.Fatalf("emitted artifacts fail their own schema gate: %v", err)
+	if err := ValidateFiles(context.Background(), dir, cfg.Seed, Artifacts...); err != nil {
+		t.Fatalf("emitted artifacts fail their own check: %v", err)
 	}
 	// The returned set is the registry's, in order, and each payload is
 	// byte for byte the file written for it — nothing else lands in dir.
@@ -205,7 +208,8 @@ func TestRuntimeVolumesDeterministic(t *testing.T) {
 }
 
 // rejects runs one mutation subtest per broken variant: each mutate gets
-// a fresh well-formed file and the validator must reject what it leaves.
+// a fresh well-formed payload and validate (a validator or a judge) must
+// reject what it leaves.
 func rejects[F any](t *testing.T, fresh func() F, validate func(F) error, mutations map[string]func(*F)) {
 	t.Helper()
 	if err := validate(fresh()); err != nil {
@@ -220,6 +224,95 @@ func rejects[F any](t *testing.T, fresh func() F, validate func(F) error, mutati
 			}
 		})
 	}
+}
+
+// mustLookup returns the registered artifact called name.
+func mustLookup(t *testing.T, name string) Artifact {
+	t.Helper()
+	a, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// committedFile reads the repository's copy of a's file.
+func committedFile(t *testing.T, a Artifact) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", a.File()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// committedPayload decodes the repository's copy of a's file.
+func committedPayload[F any](t *testing.T, a Artifact) F {
+	t.Helper()
+	var f F
+	if err := json.Unmarshal(committedFile(t, a), &f); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// rejectsFile requires ValidateFiles to reject body as a's file, naming
+// the file.
+func rejectsFile(t *testing.T, a Artifact, body []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, a.File()), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateFiles(context.Background(), dir, 42, a); !errors.Is(err, ErrInvalidBench) || !strings.Contains(err.Error(), a.File()) {
+		t.Errorf("broken %s accepted, or rejected without naming it: %v", a.File(), err)
+	}
+}
+
+// marshal renders f as SaveJSON writes it.
+func marshal(t *testing.T, f any) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// rejectsCopies runs one subtest per mutation of the committed file of
+// the named artifact: ValidateFiles must reject what each leaves.
+func rejectsCopies[F any](t *testing.T, name string, mutations map[string]func(*F)) {
+	t.Helper()
+	a := mustLookup(t, name)
+	for mname, mutate := range mutations {
+		t.Run(mname, func(t *testing.T) {
+			f := committedPayload[F](t, a)
+			mutate(&f)
+			rejectsFile(t, a, marshal(t, f))
+		})
+	}
+}
+
+// setFirst rewrites the value of the first key in body whose name
+// matches the regexp key.
+func setFirst(t *testing.T, body []byte, key, value string) []byte {
+	t.Helper()
+	loc := regexp.MustCompile(`"` + key + `": ([^,\n]+)`).FindSubmatchIndex(body)
+	if loc == nil {
+		t.Fatalf("no %q key", key)
+	}
+	return slices.Concat(body[:loc[2]], []byte(value), body[loc[3]:])
+}
+
+// rejectsNaN runs a subtest requiring ValidateFiles to reject the named
+// artifact's committed file with its first key value set to NaN, which
+// encoding/json can neither write nor read.
+func rejectsNaN(t *testing.T, name, subtest, key string) {
+	t.Helper()
+	t.Run(subtest, func(t *testing.T) {
+		a := mustLookup(t, name)
+		rejectsFile(t, a, setFirst(t, committedFile(t, a), key, "NaN"))
+	})
 }
 
 func TestValidateRejectsBrokenFiles(t *testing.T) {
@@ -243,89 +336,65 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 		})
 	})
 
+	// The virtual-clock artifacts: a broken claim fails the artifact's
+	// judge, and any edit to a committed copy fails the regeneration diff.
 	t.Run("runtime", func(t *testing.T) {
-		rejects(t, func() results.RuntimeBenchFile {
-			return results.RuntimeBenchFile{
-				Schema: results.BenchRuntimeSchema, WorkPerSecond: 1e6,
-				Entries: []results.RuntimeBenchEntry{{
-					Platform: "p", Strategy: "hom", N: 8, Workers: 1, Chunks: 1,
-					Speeds:         []float64{1},
-					MeasuredVolume: 16, PredictedVolume: 16, RelError: 0,
-					BytesMoved: 128, Makespan: 0.1, CellsPerSec: 640, Utilization: 0.5,
-				}},
-			}
-		}, ValidateRuntime, map[string]func(*results.RuntimeBenchFile){
+		rejectsCopies(t, "runtime", map[string]func(*results.RuntimeBenchFile){
 			"zero-throughput":  func(f *results.RuntimeBenchFile) { f.Entries[0].CellsPerSec = 0 },
-			"nan-volume":       func(f *results.RuntimeBenchFile) { f.Entries[0].MeasuredVolume = nan() },
 			"1%-gate":          func(f *results.RuntimeBenchFile) { f.Entries[0].RelError = 0.02 },
 			"violations":       func(f *results.RuntimeBenchFile) { f.Entries[0].Violations = 3 },
 			"zero-volume":      func(f *results.RuntimeBenchFile) { f.Entries[0].MeasuredVolume = 0 },
 			"missing-identity": func(f *results.RuntimeBenchFile) { f.Entries[0].Strategy = "" },
 		})
+		rejectsNaN(t, "runtime", "nan-volume", "measuredVolume")
 	})
 
 	t.Run("link", func(t *testing.T) {
-		goodLink := func(strategy string, makespan float64) results.LinkBenchEntry {
-			return results.LinkBenchEntry{
-				Platform: "p", Speeds: []float64{1, 3}, Strategy: strategy, N: 8,
-				Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
-				Makespan: makespan, CommTime: makespan / 2, OverlapFraction: 0.4,
-				LinkUtilization: []float64{0.5, 0.5},
-			}
-		}
-		rejects(t, func() results.LinkBenchFile {
-			return results.LinkBenchFile{
-				Schema: results.BenchLinkSchema, WorkPerSecond: 1e6,
-				Entries: []results.LinkBenchEntry{goodLink("hom", 0.2), goodLink("het", 0.1)},
-			}
-		}, ValidateLink, map[string]func(*results.LinkBenchFile){
+		// Entries 0 and 2 are hom and het on the first platform at the
+		// most constrained bandwidth.
+		rejectsCopies(t, "link", map[string]func(*results.LinkBenchFile){
 			"wrong-schema":    func(f *results.LinkBenchFile) { f.Schema = "wrong" },
 			"no-entries":      func(f *results.LinkBenchFile) { f.Entries = nil },
 			"zero-bandwidth":  func(f *results.LinkBenchFile) { f.Entries[0].Bandwidth = 0 },
 			"overlap-above-1": func(f *results.LinkBenchFile) { f.Entries[0].OverlapFraction = 1.5 },
 			"util-above-1":    func(f *results.LinkBenchFile) { f.Entries[0].LinkUtilization[0] = 2 },
 			"violations":      func(f *results.LinkBenchFile) { f.Entries[0].Violations = 1 },
-			"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[1].Makespan = 0.3 },
-			"no-het-hom-pair": func(f *results.LinkBenchFile) { f.Entries[1].Strategy = "hom/k" },
+			"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[2].Makespan = 2 * f.Entries[0].Makespan },
+			"no-het-hom-pair": func(f *results.LinkBenchFile) { f.Entries[2].Strategy = "hom/k" },
 		})
 	})
 
 	t.Run("chaos", func(t *testing.T) {
-		// One entry per fault class, each with the counter proving it bit;
-		// the mutations break entry 0, the crash scenario.
+		// Entries 0–3 are the first platform's crash, crash-t0, straggler
+		// and flaky-link runs.
+		chaos := mustLookup(t, "chaos")
 		rejects(t, func() results.ChaosBenchFile {
-			f := results.ChaosBenchFile{Schema: results.BenchChaosSchema, WorkPerSecond: 2e4}
-			for _, cc := range chaosCases() {
-				e := results.ChaosBenchEntry{
-					Class: cc.class, Platform: "p", Speeds: []float64{1, 3}, Strategy: cc.strategy,
-					N: 8, Workers: 2, Chunks: 2,
-					PlanVolume: 32, ReplannedVolume: 40, CommittedVolume: 40,
-					MeasuredVolume: 48, WastedData: 8, Makespan: 0.1,
-					DegradedWorkers: 1, ReclaimedCells: 16, SpeculativeWins: 1, RetriedChunks: 1,
-				}
-				f.Entries = append(f.Entries, e)
-			}
-			return f
-		}, ValidateChaos, map[string]func(*results.ChaosBenchFile){
-			"wrong-class":    func(f *results.ChaosBenchFile) { f.Entries[0].Class = "gremlins" },
-			"replan-shrank":  func(f *results.ChaosBenchFile) { f.Entries[0].ReplannedVolume = 30 },
-			"5%-volume-gate": func(f *results.ChaosBenchFile) { f.Entries[0].CommittedVolume = 36 },
-			"committed-off-by-eps": func(f *results.ChaosBenchFile) {
-				f.Entries[0].CommittedVolume, f.Entries[0].WastedData = 40.00001, 7.99999
+			return committedPayload[results.ChaosBenchFile](t, chaos)
+		}, judgeChaos, map[string]func(*results.ChaosBenchFile){
+			"crash-no-trace": func(f *results.ChaosBenchFile) { f.Entries[0].DegradedWorkers = 0 },
+			"no-spec-win":    func(f *results.ChaosBenchFile) { f.Entries[2].SpeculativeWins = 0 },
+			"no-retry":       func(f *results.ChaosBenchFile) { f.Entries[3].RetriedChunks = 0 },
+			"waste-thrash": func(f *results.ChaosBenchFile) {
+				f.Entries[0].WastedData = 0.6 * f.Entries[0].MeasuredVolume
 			},
-			"leaky-ledger":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 4 },
-			"waste-thrash":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData = 48; f.Entries[0].MeasuredVolume = 88 },
-			"nan-makespan":        func(f *results.ChaosBenchFile) { f.Entries[0].Makespan = nan() },
+		})
+		rejectsCopies(t, "chaos", map[string]func(*results.ChaosBenchFile){
+			"wrong-class":    func(f *results.ChaosBenchFile) { f.Entries[0].Class = "gremlins" },
+			"replan-shrank":  func(f *results.ChaosBenchFile) { f.Entries[0].ReplannedVolume = 0.9 * f.Entries[0].PlanVolume },
+			"5%-volume-gate": func(f *results.ChaosBenchFile) { f.Entries[0].CommittedVolume *= 0.9 },
+			"committed-off-by-eps": func(f *results.ChaosBenchFile) {
+				f.Entries[0].CommittedVolume += 0.00001
+				f.Entries[0].WastedData -= 0.00001
+			},
+			"leaky-ledger":        func(f *results.ChaosBenchFile) { f.Entries[0].WastedData += 4 },
 			"zero-makespan":       func(f *results.ChaosBenchFile) { f.Entries[0].Makespan = 0 },
-			"crash-no-trace":      func(f *results.ChaosBenchFile) { f.Entries[0].DegradedWorkers = 0 },
-			"no-spec-win":         func(f *results.ChaosBenchFile) { f.Entries[2].SpeculativeWins = 0 },
-			"no-retry":            func(f *results.ChaosBenchFile) { f.Entries[3].RetriedChunks = 0 },
 			"violations":          func(f *results.ChaosBenchFile) { f.Entries[0].Violations = 2 },
 			"missing-class":       func(f *results.ChaosBenchFile) { f.Entries[0].Class = "" },
-			"speeds-mismatch":     func(f *results.ChaosBenchFile) { f.Entries[0].Speeds = []float64{1} },
+			"speeds-mismatch":     func(f *results.ChaosBenchFile) { f.Entries[0].Speeds = f.Entries[0].Speeds[:1] },
 			"only-crash-entries":  func(f *results.ChaosBenchFile) { f.Entries = f.Entries[:1] },
 			"fault-class-missing": func(f *results.ChaosBenchFile) { f.Entries = f.Entries[:3] },
 		})
+		rejectsNaN(t, "chaos", "nan-makespan", "makespan")
 	})
 
 	t.Run("service", func(t *testing.T) {
@@ -406,53 +475,44 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 	})
 
 	t.Run("capacity", func(t *testing.T) {
-		// Three workers, knee 1: the second worker's 2% gain is below θ.
+		capacity := mustLookup(t, "capacity")
 		rejects(t, func() results.CapacityBenchFile {
-			entry := func(p int, speedup, gain float64) results.CapacityBenchEntry {
-				return results.CapacityBenchEntry{
-					Workers: p, PredictedVolume: 10, PredictedMakespan: 1 / speedup,
-					SimMakespan: 1 / speedup, MeasuredMakespan: 1 / speedup,
-					Speedup: speedup, MarginalGain: gain,
+			return committedPayload[results.CapacityBenchFile](t, capacity)
+		}, judgeCapacity, map[string]func(*results.CapacityBenchFile){
+			// Every step clears θ, so only the interior-knee claim trips.
+			"knee-not-interior": func(f *results.CapacityBenchFile) {
+				f.Knee = len(f.Speeds)
+				for i := 1; i < len(f.Entries); i++ {
+					f.Entries[i].MarginalGain = max(f.Entries[i].MarginalGain, f.Theta)
 				}
-			}
-			return results.CapacityBenchFile{
-				Schema: results.BenchCapacitySchema, Alpha: 2, N: 16, Speeds: []float64{2, 1, 1},
-				WorkPerSecond: 1e4, Bandwidth: 1e4, Theta: 0.05,
-				SimTolerance: 0.05, MeasuredTolerance: 0.05,
-				Knee: 1, Best: 3, SpeedupBound: 1.5,
-				Entries: []results.CapacityBenchEntry{entry(1, 1, 0), entry(2, 1.02, 0.02), entry(3, 1.03, 0.0098)},
-			}
-		}, ValidateCapacity, map[string]func(*results.CapacityBenchFile){
-			"wrong-schema":       func(f *results.CapacityBenchFile) { f.Schema = "wrong" },
-			"missing-slice":      func(f *results.CapacityBenchFile) { f.Entries = f.Entries[:2] },
-			"knee-not-interior":  func(f *results.CapacityBenchFile) { f.Knee = 3 },
-			"sim-off-model":      func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = 0.2 },
-			"measured-off-model": func(f *results.CapacityBenchFile) { f.Entries[1].MeasuredRelErr = 0.06 },
-			"loose-stated-gate":  func(f *results.CapacityBenchFile) { f.MeasuredTolerance = 0.25 },
-			// Speedups flattened to 1 keep every other gate satisfied.
+			},
+			// Speedups flattened to 1 keep the knee interior.
 			"speedup-bound-1": func(f *results.CapacityBenchFile) {
 				f.SpeedupBound = 1
 				for i := range f.Entries {
 					f.Entries[i].Speedup, f.Entries[i].MarginalGain = 1, 0
 				}
 			},
+		})
+		rejectsCopies(t, "capacity", map[string]func(*results.CapacityBenchFile){
+			"wrong-schema":             func(f *results.CapacityBenchFile) { f.Schema = "wrong" },
+			"missing-slice":            func(f *results.CapacityBenchFile) { f.Entries = f.Entries[:2] },
+			"sim-off-model":            func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = 0.2 },
+			"measured-off-model":       func(f *results.CapacityBenchFile) { f.Entries[1].MeasuredRelErr = 0.06 },
+			"loose-stated-gate":        func(f *results.CapacityBenchFile) { f.MeasuredTolerance = 0.25 },
 			"negative-sim-relerr":      func(f *results.CapacityBenchFile) { f.Entries[1].SimRelErr = -0.2 },
 			"negative-measured-relerr": func(f *results.CapacityBenchFile) { f.Entries[1].MeasuredRelErr = -0.5 },
 		})
 	})
 }
 
-// TestArtifactsRejectWrongSchemaAndZeroFiles runs every registered
-// validator over the committed artifact (which must pass), the same file
-// under a wrong schema id, and a zero-value file (both must fail).
+// TestArtifactsRejectWrongSchemaAndZeroFiles runs ValidateFiles over
+// every registered artifact's committed file (which must pass), the same
+// file under a wrong schema id, and a zero-value file (both must fail).
 func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
-	dir := t.TempDir()
 	for _, a := range Artifacts {
 		t.Run(a.Name, func(t *testing.T) {
-			committed, err := os.ReadFile(filepath.Join("..", "..", a.File()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			committed := committedFile(t, a)
 			var raw map[string]any
 			if err := json.Unmarshal(committed, &raw); err != nil {
 				t.Fatal(err)
@@ -471,15 +531,11 @@ func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
 				{"wrong-schema", wrong, false},
 				{"zero-value", []byte("{}"), false},
 			} {
-				path := filepath.Join(dir, c.name+"-"+a.File())
-				if err := os.WriteFile(path, c.body, 0o644); err != nil {
+				dir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, a.File()), c.body, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				f, err := a.load(path)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				err = a.check(f)
+				err := ValidateFiles(context.Background(), dir, 42, a)
 				if c.ok && err != nil {
 					t.Errorf("%s rejected: %v", c.name, err)
 				}
@@ -487,6 +543,22 @@ func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
 					t.Errorf("%s accepted: %v", c.name, err)
 				}
 			}
+		})
+	}
+}
+
+// TestValidateFilesRejectsEditedMakespan edits one number in each
+// virtual-clock artifact's committed file — its first makespan, the
+// value a reader would quote — and requires ValidateFiles to reject the
+// copy and name the file. No judge can tell 9.5 from the real makespan;
+// only the regeneration diff can.
+func TestValidateFilesRejectsEditedMakespan(t *testing.T) {
+	for _, a := range Artifacts {
+		if !a.Regenerated() {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) {
+			rejectsFile(t, a, setFirst(t, committedFile(t, a), `\w*[mM]akespan`, "9.5"))
 		})
 	}
 }

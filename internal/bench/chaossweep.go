@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	goruntime "runtime"
 
 	"nlfl/internal/faults"
@@ -84,11 +83,10 @@ func chaosCases() []chaosCase {
 
 // RunChaosSweep executes one scenario per fault class through the real
 // worker pool with the chaos layer armed, on the virtual clock, audits
-// every trace with the exactly-once oracle, cross-checks the volume
-// ledger against the survivor-re-planned plan, and returns the
-// BENCH_chaos payload. A
-// scenario the pool does not survive — or survives with a dirty ledger —
-// is an error, not a data point. A cancelled ctx aborts the in-flight
+// every trace with the exactly-once oracle, and returns the BENCH_chaos
+// payload. A scenario the pool does not survive — or survives with a
+// dirty ledger, which RunContext reports against the survivor-re-planned
+// plan — is an error, not a data point. A cancelled ctx aborts the in-flight
 // run and stops the sweep.
 func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, error) {
 	file := results.ChaosBenchFile{
@@ -149,72 +147,23 @@ func RunChaosSweep(ctx context.Context, cfg Config) (results.ChaosBenchFile, err
 				SpeculativeWins: rep.SpeculativeWins,
 				DegradedWorkers: rep.DegradedWorkers,
 				ReclaimedCells:  rep.ReclaimedCells,
-				Violations:      0,
 			})
 		}
 	}
 	return file, nil
 }
 
-// ValidateChaos is the schema check for a BENCH_chaos payload: right
-// schema id, at least one entry for every fault class, finite fields,
-// zero invariant violations, the committed volume exactly the
-// survivor-re-planned plan volume, an exact shipped = committed + wasted
-// ledger, and — per class — nonzero recovery counters proving the
-// scenario actually bit (a chaos sweep that injected nothing would pass
-// every other gate).
-func ValidateChaos(f results.ChaosBenchFile) error {
-	if f.Schema != results.BenchChaosSchema {
-		return invalid("schema %q, want %q", f.Schema, results.BenchChaosSchema)
-	}
-	if len(f.Entries) == 0 {
-		return invalid("no entries")
-	}
-	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid("non-positive work rate %v", f.WorkPerSecond)
-	}
-	seen := map[string]bool{}
+// judgeChaos checks the claims of a BENCH_chaos payload that no run
+// checks itself: every scenario bit — a crash degraded a worker and
+// reclaimed its cells, a straggler lost a chunk to speculation, a flaky
+// link forced a retry (a chaos sweep that injected nothing would pass
+// every other gate) — and recovery never burned more than half of what
+// it shipped. RunContext already failed any run whose ledger leaks.
+func judgeChaos(f results.ChaosBenchFile) error {
 	for i, e := range f.Entries {
-		id := fmt.Sprintf("entry %d (%s %s/%s n=%d)", i, e.Class, e.Platform, e.Strategy, e.N)
-		if e.Class == "" || e.Platform == "" || e.Strategy == "" || e.N <= 0 || e.Workers <= 0 || e.Chunks <= 0 {
-			return invalid("%s: missing identity fields", id)
-		}
-		if len(e.Speeds) != e.Workers {
-			return invalid("%s: %d speeds for %d workers", id, len(e.Speeds), e.Workers)
-		}
-		for _, v := range []struct {
-			name  string
-			value float64
-		}{
-			{"planVolume", e.PlanVolume},
-			{"replannedVolume", e.ReplannedVolume},
-			{"committedVolume", e.CommittedVolume},
-			{"measuredVolume", e.MeasuredVolume},
-			{"wastedData", e.WastedData},
-			{"makespan", e.Makespan},
-			{"reclaimedCells", e.ReclaimedCells},
-		} {
-			if !finite(v.value) {
-				return invalid("%s: non-finite %s %v", id, v.name, v.value)
-			}
-		}
-		if e.PlanVolume <= 0 {
-			return invalid("%s: zero plan volume", id)
-		}
-		if e.ReplannedVolume < e.PlanVolume {
-			return invalid("%s: replanned volume %v below plan volume %v", id, e.ReplannedVolume, e.PlanVolume)
-		}
-		if e.CommittedVolume != e.ReplannedVolume {
-			return invalid("%s: committed volume %v ≠ re-planned plan volume %v", id, e.CommittedVolume, e.ReplannedVolume)
-		}
-		if diff := math.Abs(e.MeasuredVolume - (e.CommittedVolume + e.WastedData)); diff > 1e-6*math.Max(1, e.MeasuredVolume) {
-			return invalid("%s: shipped %v ≠ committed %v + wasted %v", id, e.MeasuredVolume, e.CommittedVolume, e.WastedData)
-		}
+		id := fmt.Sprintf("entry %d (%s %s/%s)", i, e.Class, e.Platform, e.Strategy)
 		if e.WastedData > 0.5*e.MeasuredVolume {
 			return invalid("%s: waste fraction %.2f above 0.5 — recovery thrashing", id, e.WastedData/e.MeasuredVolume)
-		}
-		if e.Makespan <= 0 {
-			return invalid("%s: zero makespan", id)
 		}
 		switch e.Class {
 		case "crash", "crash-t0":
@@ -230,17 +179,6 @@ func ValidateChaos(f results.ChaosBenchFile) error {
 			if e.RetriedChunks < 1 {
 				return invalid("%s: flaky-link scenario produced no retry", id)
 			}
-		default:
-			return invalid("%s: unknown fault class %q", id, e.Class)
-		}
-		if e.Violations != 0 {
-			return invalid("%s: %d invariant violations", id, e.Violations)
-		}
-		seen[e.Class] = true
-	}
-	for _, cc := range chaosCases() {
-		if !seen[cc.class] {
-			return invalid("no %q entry: that fault class went untested", cc.class)
 		}
 	}
 	return nil

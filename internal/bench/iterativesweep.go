@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	goruntime "runtime"
 
 	"nlfl/internal/faults"
@@ -195,59 +194,24 @@ func runIterativeSweep(ctx context.Context, cfg Config, freezeAfter int) (result
 	return file, nil
 }
 
-// ValidateIterative is the acceptance gate for a BENCH_iterative
-// payload: right schema, exactly the three policies, every run converged
-// with a clean trace ledger, the deterministic halves (round counts,
-// residual sequences, dominant index) bit-identical across policies —
-// and the headline ranking: adaptive strictly beats static under the
-// drifting straggler, stays within 10% of the omniscient oracle, and
-// actually adapted (re-plans after drift detection; a static run that
-// happens to be fast would pass the timing gates without them).
-func ValidateIterative(f results.IterativeBenchFile) error {
-	if f.Schema != results.BenchIterativeSchema {
-		return invalid("schema %q, want %q", f.Schema, results.BenchIterativeSchema)
-	}
-	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid("non-positive work rate %v", f.WorkPerSecond)
-	}
+// judgeIterative is the acceptance gate for a BENCH_iterative payload:
+// every run converged with a clean measured trace ledger, the
+// deterministic halves (round counts, residual sequences, dominant
+// index) bit-identical across policies — and the headline ranking:
+// adaptive strictly beats static under the drifting straggler, stays
+// within 10% of the omniscient oracle, and actually adapted (re-plans
+// after drift detection; a static run that happens to be fast would
+// pass the timing gates without them), as did every chaos run.
+func judgeIterative(f results.IterativeBenchFile) error {
 	byPolicy := map[string]results.IterativePolicyEntry{}
-	for i, e := range f.Policies {
-		id := fmt.Sprintf("policy entry %d (%s)", i, e.Policy)
-		if e.Policy == "" || e.N <= 0 || len(e.Speeds) == 0 {
-			return invalid("%s: missing identity fields", id)
-		}
+	for _, e := range f.Policies {
 		if !e.Converged {
-			return invalid("%s: did not converge", id)
-		}
-		if e.Rounds <= 0 || len(e.Residuals) != e.Rounds || len(e.RoundMakespans) != e.Rounds {
-			return invalid("%s: %d rounds with %d residuals and %d makespans",
-				id, e.Rounds, len(e.Residuals), len(e.RoundMakespans))
-		}
-		if !finite(e.TotalMakespan) || e.TotalMakespan <= 0 {
-			return invalid("%s: bad total makespan %v", id, e.TotalMakespan)
-		}
-		for _, v := range e.Residuals {
-			if !finite(v) || v < 0 {
-				return invalid("%s: bad residual %v", id, v)
-			}
-		}
-		for _, v := range e.RoundMakespans {
-			if !finite(v) || v <= 0 {
-				return invalid("%s: bad round makespan %v", id, v)
-			}
+			return invalid("%s policy did not converge", e.Policy)
 		}
 		if e.Violations != 0 {
-			return invalid("%s: %d trace violations", id, e.Violations)
+			return invalid("%s policy: %d trace violations", e.Policy, e.Violations)
 		}
 		byPolicy[e.Policy] = e
-	}
-	for _, want := range []string{"static", "adaptive", "oracle"} {
-		if _, ok := byPolicy[want]; !ok {
-			return invalid("missing %q policy entry", want)
-		}
-	}
-	if len(f.Policies) != 3 {
-		return invalid("%d policy entries, want exactly static, adaptive and oracle", len(f.Policies))
 	}
 	static, adaptive, oracle := byPolicy["static"], byPolicy["adaptive"], byPolicy["oracle"]
 
@@ -286,56 +250,30 @@ func ValidateIterative(f results.IterativeBenchFile) error {
 	if static.Replans != 0 {
 		return invalid("static policy re-planned %d times", static.Replans)
 	}
-	for _, r := range []struct {
-		name   string
-		stored float64
-		numer  float64
-		denom  float64
-	}{
-		{"adaptiveOverOracle", f.AdaptiveOverOracle, adaptive.TotalMakespan, oracle.TotalMakespan},
-		{"staticOverAdaptive", f.StaticOverAdaptive, static.TotalMakespan, adaptive.TotalMakespan},
-	} {
-		if !finite(r.stored) || math.Abs(r.stored-r.numer/r.denom) > 1e-9 {
-			return invalid("%s %v inconsistent with makespans (%v/%v)", r.name, r.stored, r.numer, r.denom)
-		}
-	}
 
 	// The chaos half: one adaptive run per fault class, each with the
 	// evidence the fault actually bit.
-	seen := map[string]bool{}
-	for i, e := range f.Chaos {
-		id := fmt.Sprintf("chaos entry %d (%s)", i, e.Class)
+	for _, e := range f.Chaos {
 		if !e.Converged {
-			return invalid("%s: did not converge", id)
+			return invalid("chaos %s did not converge", e.Class)
 		}
 		if e.Violations != 0 {
-			return invalid("%s: %d exactly-once violations", id, e.Violations)
-		}
-		if !finite(e.TotalMakespan) || e.TotalMakespan <= 0 {
-			return invalid("%s: bad total makespan %v", id, e.TotalMakespan)
+			return invalid("chaos %s: %d exactly-once violations", e.Class, e.Violations)
 		}
 		switch e.Class {
 		case "crash":
 			if len(e.DeadWorkers) < 1 {
-				return invalid("%s: crash scenario killed nobody", id)
+				return invalid("chaos crash killed nobody")
 			}
 		case "straggler":
 			if e.Reanchors < 1 || e.Replans < 1 {
-				return invalid("%s: straggler never triggered adaptation (reanchors %d, replans %d)",
-					id, e.Reanchors, e.Replans)
+				return invalid("chaos straggler never triggered adaptation (reanchors %d, replans %d)",
+					e.Reanchors, e.Replans)
 			}
 		case "link-slow":
-			if !finite(e.CommTime) || e.CommTime <= 0 {
-				return invalid("%s: throttled link left no measured comm time (%v)", id, e.CommTime)
+			if e.CommTime <= 0 {
+				return invalid("chaos link-slow: throttled link left no measured comm time (%v)", e.CommTime)
 			}
-		default:
-			return invalid("%s: unknown fault class %q", id, e.Class)
-		}
-		seen[e.Class] = true
-	}
-	for _, want := range []string{"crash", "straggler", "link-slow"} {
-		if !seen[want] {
-			return invalid("missing %q chaos entry", want)
 		}
 	}
 	return nil

@@ -15,7 +15,7 @@ func TestIterativeSweepQuickGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateIterative(f); err != nil {
+	if err := judgeIterative(f); err != nil {
 		t.Fatalf("fresh sweep fails its own gate: %v", err)
 	}
 	if f.StaticOverAdaptive <= 1 {
@@ -25,32 +25,35 @@ func TestIterativeSweepQuickGates(t *testing.T) {
 		t.Fatalf("adaptive/oracle ratio %v above the gate", f.AdaptiveOverOracle)
 	}
 
-	// Gate sensitivity: mutations of a passing payload must each be
-	// rejected, so the CI check can actually fail.
+	// Gate sensitivity: a mutation that breaks a claim must fail the
+	// judge, and one that only reshapes the file must fail -validate on a
+	// copy, so the CI check can actually fail.
+	a := mustLookup(t, "iterative")
 	mutations := []struct {
 		name   string
 		mutate func(*results.IterativeBenchFile)
-		want   string
+		file   bool   // reshapes the file: only the regeneration diff sees it
+		want   string // in the judge's error
 	}{
-		{"schema", func(f *results.IterativeBenchFile) { f.Schema = "bogus" }, "schema"},
+		{"schema", func(f *results.IterativeBenchFile) { f.Schema = "bogus" }, true, ""},
 		{"slow-adaptive", func(f *results.IterativeBenchFile) {
 			for i := range f.Policies {
 				if f.Policies[i].Policy == "adaptive" {
 					f.Policies[i].TotalMakespan = 10 * f.Policies[i].TotalMakespan
 				}
 			}
-		}, "adaptive"},
+		}, false, "adaptive"},
 		{"nondeterministic-residual", func(f *results.IterativeBenchFile) {
 			f.Policies[1].Residuals[0] *= 1.5
-		}, "residual"},
-		{"violations", func(f *results.IterativeBenchFile) { f.Chaos[0].Violations = 2 }, "violations"},
-		{"missing-chaos-class", func(f *results.IterativeBenchFile) { f.Chaos = f.Chaos[:2] }, "missing"},
-		{"stale-ratio", func(f *results.IterativeBenchFile) { f.AdaptiveOverOracle = 0.5 }, "inconsistent"},
+		}, false, "residual"},
+		{"violations", func(f *results.IterativeBenchFile) { f.Chaos[0].Violations = 2 }, false, "violations"},
+		{"missing-chaos-class", func(f *results.IterativeBenchFile) { f.Chaos = f.Chaos[:2] }, true, ""},
+		{"stale-ratio", func(f *results.IterativeBenchFile) { f.AdaptiveOverOracle = 0.5 }, true, ""},
 		{"extra-policy", func(f *results.IterativeBenchFile) {
 			extra := f.Policies[0]
 			extra.Policy = "greedy"
 			f.Policies = append(f.Policies, extra)
-		}, "exactly"},
+		}, true, ""},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -61,7 +64,14 @@ func TestIterativeSweepQuickGates(t *testing.T) {
 			}
 			bad.Chaos = append([]results.IterativeChaosEntry(nil), f.Chaos...)
 			m.mutate(&bad)
-			err := ValidateIterative(bad)
+			err := judgeIterative(bad)
+			if m.file {
+				if err != nil {
+					t.Fatalf("reshaped payload failed the judge, not only the diff: %v", err)
+				}
+				rejectsFile(t, a, marshal(t, bad))
+				return
+			}
 			if !errors.Is(err, ErrInvalidBench) {
 				t.Fatalf("mutated payload passed the gate (err = %v)", err)
 			}
@@ -83,7 +93,7 @@ func TestIterativeSweepFrozenEstimatorFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gerr := ValidateIterative(f); !errors.Is(gerr, ErrInvalidBench) {
+	if gerr := judgeIterative(f); !errors.Is(gerr, ErrInvalidBench) {
 		t.Fatalf("frozen-estimator sweep passed the gate (err = %v)", gerr)
 	}
 }

@@ -32,32 +32,24 @@ var benchPlatforms = []benchPlatform{
 // runtimeN is the runtime sweep's vector length.
 const runtimeN = 512
 
-// homTolerance is the acceptance gate for the demand-driven strategies:
-// measured volume within 1% of the closed form (the paper's own
-// imbalance target). hetTolerance used to be 5% to absorb PERI-SUM's
-// grid snapping; now that het plans recompute Predicted over the
-// snapped rectangles the measured volume matches exactly, so the het
-// gate is just as tight.
-const (
-	homTolerance = 0.01
-	hetTolerance = 0.01
-)
+// volumeTolerance is the acceptance gate for every strategy: measured
+// volume within 1% of the closed form (the paper's own imbalance
+// target). Het plans recompute Predicted over the snapped rectangles, so
+// PERI-SUM's grid snapping needs no looser gate.
+const volumeTolerance = 0.01
 
 // RunRuntime executes the three distribution strategies on every bench
 // platform through the real worker pool on the virtual clock,
 // cross-checks the measured traffic against the analytic predictions,
-// audits every trace, and returns the BENCH_runtime payload. Any hom/hom-k disagreement above 1%
-// or any invariant violation is an error, not a data point. A cancelled
-// ctx aborts the in-flight run and stops the sweep.
+// audits every trace, and returns the BENCH_runtime payload. Any
+// disagreement above 1% or any invariant violation is an error, not a
+// data point. A cancelled ctx aborts the in-flight run and stops the
+// sweep.
 func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, error) {
-	rate := cfg.WorkPerSecond
-	if rate <= 0 {
-		rate = 2e6
-	}
 	file := results.RuntimeBenchFile{
 		Schema:        results.BenchRuntimeSchema,
 		Seed:          cfg.Seed,
-		WorkPerSecond: rate,
+		WorkPerSecond: workPerSecond,
 		GoVersion:     goruntime.Version(),
 	}
 	n := runtimeN
@@ -91,28 +83,24 @@ func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, erro
 		plans = append(plans, het)
 
 		for _, plan := range plans {
-			tol := homTolerance
-			if plan.Strategy == "het" {
-				tol = hetTolerance
-			}
 			rep, err := nrt.RunContext(ctx, plan, a, b, nrt.Options{
 				Speeds:        bp.speeds,
-				WorkPerSecond: rate,
+				WorkPerSecond: workPerSecond,
 				// A small burst (1 ms of credit) keeps the first worker
 				// from draining a coarse chunk pool before the rest of
 				// the pool has even started.
-				Burst:       rate * 0.001,
+				Burst:       workPerSecond * 0.001,
 				VerifyEvery: 1009,
 				Virtual:     true,
 			})
 			if err != nil {
 				return file, fmt.Errorf("bench: %s/%s: %w", bp.name, plan.Strategy, err)
 			}
-			violations := trace.Check(rep.Trace, rep.Expect(tol))
+			violations := trace.Check(rep.Trace, rep.Expect(volumeTolerance))
 			relErr := math.Abs(rep.DataVolume-rep.Predicted) / rep.Predicted
-			if relErr > tol {
+			if relErr > volumeTolerance {
 				return file, fmt.Errorf("bench: %s/%s measured volume %v vs closed form %v (relErr %.4f > %.2f)",
-					bp.name, plan.Strategy, rep.DataVolume, rep.Predicted, relErr, tol)
+					bp.name, plan.Strategy, rep.DataVolume, rep.Predicted, relErr, volumeTolerance)
 			}
 			if len(violations) > 0 {
 				return file, fmt.Errorf("bench: %s/%s trace violations: %v", bp.name, plan.Strategy, trace.Must(violations))
@@ -134,7 +122,6 @@ func RunRuntime(ctx context.Context, cfg Config) (results.RuntimeBenchFile, erro
 				CellsPerSec:     rep.WorkCells / rep.Makespan,
 				Utilization:     m.Utilization,
 				Imbalance:       imbalance,
-				Violations:      0,
 			})
 		}
 	}

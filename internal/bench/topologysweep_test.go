@@ -7,57 +7,77 @@ import (
 	"nlfl/internal/results"
 )
 
-// goodTopologyFile builds a minimal well-formed BENCH_topology payload:
-// het beats hom by the threshold on the star, never on the chain, and
-// the second source makes two-source hom faster than star hom.
+// goodTopologyFile builds a minimal BENCH_topology payload that passes
+// the judge: relay traffic only on the chain, whose edge volumes fall
+// away from the master and sum to delivered plus relayed, and a second
+// source that makes two-source hom faster than star hom at the tightest
+// bandwidth.
 func goodTopologyFile() results.TopologyBenchFile {
+	bw := topoBandwidths()[0]
 	star := func(strat string, mk float64) results.TopologyBenchEntry {
 		return results.TopologyBenchEntry{
-			Platform: "p", Speeds: []float64{1, 3}, Topology: "star", Strategy: strat,
-			N: 8, Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
-			Makespan: mk, CommTime: mk / 2, OverlapFraction: 0.4,
-			Edges: []results.TopologyEdge{{Name: "master-port", Capacity: 1e4, Volume: 32, Utilization: 0.5}},
+			Topology: "star", Strategy: strat, Bandwidth: bw, MeasuredVolume: 32, Makespan: mk,
+			Edges: []results.TopologyEdge{{Name: "master-port", Capacity: bw, Volume: 32}},
 		}
 	}
 	chain := func(strat string, mk float64) results.TopologyBenchEntry {
 		return results.TopologyBenchEntry{
-			Platform: "p", Speeds: []float64{1, 3}, Topology: "chain", Strategy: strat,
-			N: 8, Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
-			RelayVolume: 12, Makespan: mk, CommTime: mk / 2, OverlapFraction: 0.4,
+			Topology: "chain", Strategy: strat, Bandwidth: bw, MeasuredVolume: 32,
+			RelayVolume: 12, Makespan: mk,
 			Edges: []results.TopologyEdge{
-				{Name: "hop-0", Capacity: 1e4, Volume: 32, Utilization: 0.5},
-				{Name: "hop-1", Capacity: 1e4, Volume: 12, Utilization: 0.3},
+				{Name: "hop-0", Capacity: bw, Volume: 32},
+				{Name: "hop-1", Capacity: bw, Volume: 12},
 			},
 		}
 	}
 	twoSource := func(strat string, mk float64) results.TopologyBenchEntry {
 		return results.TopologyBenchEntry{
-			Platform: "p", Speeds: []float64{1, 3}, Topology: "two-source", Strategy: strat,
-			N: 8, Bandwidth: 1e4, MeasuredVolume: 32, PredictedVolume: 32,
-			Makespan: mk, CommTime: mk / 2, OverlapFraction: 0.4,
+			Topology: "two-source", Strategy: strat, Bandwidth: bw, MeasuredVolume: 32, Makespan: mk,
 			Edges: []results.TopologyEdge{
-				{Name: "source-0", Capacity: 1e4, Volume: 20, Utilization: 0.5},
-				{Name: "source-1", Capacity: 1e4, Volume: 12, Utilization: 0.3},
+				{Name: "source-0", Capacity: bw, Volume: 20},
+				{Name: "source-1", Capacity: bw, Volume: 12},
 			},
 		}
 	}
 	return results.TopologyBenchFile{
-		Schema: results.BenchTopologySchema, WorkPerSecond: 2e5,
-		CrossoverThreshold: 0.7,
-		Crossovers:         map[string]float64{"star": 1e4, "chain": 0, "two-source": 0},
 		Entries: []results.TopologyBenchEntry{
-			star("hom", 0.2), star("het", 0.1), // 0.1 < 0.7·0.2: het wins
-			chain("hom", 0.2), chain("het", 0.19), // no win
-			twoSource("hom", 0.15), twoSource("het", 0.14), // faster than star hom, no win
+			star("hom", 0.2), star("het", 0.1),
+			chain("hom", 0.2), chain("het", 0.19),
+			twoSource("hom", 0.15), twoSource("het", 0.14),
 		},
 	}
 }
 
+// TestValidateTopologyRejectsBrokenFiles: a mutation that breaks one of
+// the judge's claims must fail judgeTopology, and any other edit to the
+// committed file — its crossovers included, which the sweep gates — must
+// fail ValidateFiles. Entries 0–2 of the committed file are star hom,
+// hom/k and het at the tightest bandwidth; entries 6–8 the same on the
+// chain.
 func TestValidateTopologyRejectsBrokenFiles(t *testing.T) {
-	if err := ValidateTopology(goodTopologyFile()); err != nil {
+	if err := judgeTopology(goodTopologyFile()); err != nil {
 		t.Fatalf("well-formed topology file rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*results.TopologyBenchFile){
+		"chain-no-relay": func(f *results.TopologyBenchFile) { f.Entries[3].RelayVolume = 0 },
+		"chain-nonmonotone": func(f *results.TopologyBenchFile) {
+			// Also keep the ledger closed so only monotonicity trips.
+			f.Entries[3].Edges[0].Volume = 12
+			f.Entries[3].Edges[1].Volume = 32
+		},
+		"chain-ledger-leak": func(f *results.TopologyBenchFile) { f.Entries[3].Edges[1].Volume = 20 },
+		"star-with-relay":   func(f *results.TopologyBenchFile) { f.Entries[0].RelayVolume = 5 },
+		"two-source-not-faster": func(f *results.TopologyBenchFile) {
+			f.Entries[4].Makespan = 0.25 // behind star hom despite two sources
+		},
+	} {
+		f := goodTopologyFile()
+		mutate(&f)
+		if err := judgeTopology(f); !errors.Is(err, ErrInvalidBench) {
+			t.Errorf("topology %s: broken payload passed the judge: %v", name, err)
+		}
+	}
+	rejectsCopies(t, "topology", map[string]func(*results.TopologyBenchFile){
 		"wrong-schema":    func(f *results.TopologyBenchFile) { f.Schema = "wrong" },
 		"no-entries":      func(f *results.TopologyBenchFile) { f.Entries = nil },
 		"bad-threshold":   func(f *results.TopologyBenchFile) { f.CrossoverThreshold = 1.2 },
@@ -66,34 +86,16 @@ func TestValidateTopologyRejectsBrokenFiles(t *testing.T) {
 		"violations":      func(f *results.TopologyBenchFile) { f.Entries[0].Violations = 1 },
 		"no-edge-rows":    func(f *results.TopologyBenchFile) { f.Entries[0].Edges = nil },
 		"util-above-1":    func(f *results.TopologyBenchFile) { f.Entries[0].Edges[0].Utilization = 2 },
-		"chain-no-relay":  func(f *results.TopologyBenchFile) { f.Entries[3].RelayVolume = 0 },
-		"chain-nonmonotone": func(f *results.TopologyBenchFile) {
-			// Also keep the ledger closed so only monotonicity trips.
-			f.Entries[3].Edges[0].Volume = 12
-			f.Entries[3].Edges[1].Volume = 32
-		},
-		"chain-ledger-leak": func(f *results.TopologyBenchFile) { f.Entries[3].Edges[1].Volume = 20 },
-		"star-with-relay":   func(f *results.TopologyBenchFile) { f.Entries[0].RelayVolume = 5 },
 		"crossover-mismatch": func(f *results.TopologyBenchFile) {
 			f.Crossovers["star"] = 0
 		},
 		"no-star-crossover": func(f *results.TopologyBenchFile) {
-			f.Entries[1].Makespan = 0.19 // het no longer wins anywhere
+			f.Entries[2].Makespan = f.Entries[0].Makespan // het no longer wins at the tightest bandwidth
 			f.Crossovers["star"] = 0
 		},
 		"chain-crossover-appears": func(f *results.TopologyBenchFile) {
-			f.Entries[3].Makespan = 0.05 // chain het suddenly wins
-			f.Crossovers["chain"] = 1e4
+			f.Entries[8].Makespan = 0.5 * f.Entries[6].Makespan // chain het suddenly wins
+			f.Crossovers["chain"] = f.Entries[6].Bandwidth
 		},
-		"two-source-not-faster": func(f *results.TopologyBenchFile) {
-			f.Entries[4].Makespan = 0.25 // behind star hom despite two sources
-			f.Entries[5].Makespan = 0.2  // keep het short of the threshold
-		},
-	} {
-		f := goodTopologyFile()
-		mutate(&f)
-		if err := ValidateTopology(f); !errors.Is(err, ErrInvalidBench) {
-			t.Errorf("topology %s: broken file accepted: %v", name, err)
-		}
-	}
+	})
 }

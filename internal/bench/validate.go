@@ -8,7 +8,8 @@ import (
 	"nlfl/internal/results"
 )
 
-// ErrInvalidBench marks a bench artifact that fails the schema gate.
+// ErrInvalidBench marks a bench artifact that fails its check: a
+// judge's or validator's gate, or the regeneration diff.
 var ErrInvalidBench = errors.New("bench: invalid artifact")
 
 // invalid builds a gate failure; Artifact.check prefixes the file name.
@@ -108,64 +109,6 @@ func ValidateKernels(f results.KernelBenchFile) error {
 	if hasNaive && p < parallelVsNaiveFloor*nv {
 		return invalid("best parallel-tiled at n=%d reaches %.3f GFLOPS, below %.1fx the naive %.3f — the packed kernel regressed",
 			gateN, p, parallelVsNaiveFloor, nv)
-	}
-	return nil
-}
-
-// ValidateRuntime is the schema check for a BENCH_runtime payload: right
-// schema id, non-empty entries, finite fields, positive throughput, zero
-// invariant violations, and the hom / hom-k measured volumes within 1% of
-// their closed forms (het within its grid-rounding tolerance).
-func ValidateRuntime(f results.RuntimeBenchFile) error {
-	if f.Schema != results.BenchRuntimeSchema {
-		return invalid("schema %q, want %q", f.Schema, results.BenchRuntimeSchema)
-	}
-	if len(f.Entries) == 0 {
-		return invalid("no entries")
-	}
-	if !finite(f.WorkPerSecond) || f.WorkPerSecond <= 0 {
-		return invalid("non-positive work rate %v", f.WorkPerSecond)
-	}
-	for i, e := range f.Entries {
-		id := fmt.Sprintf("entry %d (%s/%s n=%d)", i, e.Platform, e.Strategy, e.N)
-		if e.Platform == "" || e.Strategy == "" || e.N <= 0 || e.Workers <= 0 || e.Chunks <= 0 {
-			return invalid("%s: missing identity fields", id)
-		}
-		if len(e.Speeds) != e.Workers {
-			return invalid("%s: %d speeds for %d workers", id, len(e.Speeds), e.Workers)
-		}
-		for _, v := range []struct {
-			name  string
-			value float64
-		}{
-			{"measuredVolume", e.MeasuredVolume},
-			{"predictedVolume", e.PredictedVolume},
-			{"relError", e.RelError},
-			{"bytesMoved", e.BytesMoved},
-			{"makespan", e.Makespan},
-			{"cellsPerSec", e.CellsPerSec},
-			{"utilization", e.Utilization},
-		} {
-			if !finite(v.value) {
-				return invalid("%s: non-finite %s %v", id, v.name, v.value)
-			}
-		}
-		if e.MeasuredVolume <= 0 || e.PredictedVolume <= 0 {
-			return invalid("%s: zero communication volume", id)
-		}
-		if e.Makespan <= 0 || e.CellsPerSec <= 0 {
-			return invalid("%s: zero throughput (makespan %v, cells/s %v)", id, e.Makespan, e.CellsPerSec)
-		}
-		tol := homTolerance
-		if e.Strategy == "het" {
-			tol = hetTolerance
-		}
-		if e.RelError > tol {
-			return invalid("%s: measured volume off the closed form by %.4f (> %.2f)", id, e.RelError, tol)
-		}
-		if e.Violations != 0 {
-			return invalid("%s: %d invariant violations", id, e.Violations)
-		}
 	}
 	return nil
 }

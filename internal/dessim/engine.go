@@ -50,11 +50,6 @@ func (h *Handle) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel retracted the event before it fired.
-func (h *Handle) Cancelled() bool {
-	return h != nil && h.ev != nil && h.ev.cancelled
-}
-
 // eventQueue is a min-heap on (time, seq).
 type eventQueue []*event
 

@@ -128,6 +128,11 @@ func TestEngineScheduleAtCurrentClock(t *testing.T) {
 	}
 }
 
+// cancelled reports whether Cancel retracted h's event before it fired.
+func cancelled(h *Handle) bool {
+	return h != nil && h.ev != nil && h.ev.cancelled
+}
+
 func TestEngineCancelPendingEvent(t *testing.T) {
 	e := NewEngine()
 	sink := &countingSink{}
@@ -137,7 +142,7 @@ func TestEngineCancelPendingEvent(t *testing.T) {
 	h := e.Schedule(2, func() { fired = append(fired, 2) })
 	e.At(3, func() { fired = append(fired, 3) })
 	h.Cancel()
-	if !h.Cancelled() {
+	if !cancelled(h) {
 		t.Error("handle should report cancelled")
 	}
 	if pending := sink.scheduled - sink.cancelled; pending != 2 {
@@ -163,7 +168,7 @@ func TestEngineCancelFiredEventIsNoop(t *testing.T) {
 	h := e.Schedule(1, func() { ran++ })
 	e.At(2, func() {
 		h.Cancel() // h fired at t=1; this must do nothing
-		if h.Cancelled() {
+		if cancelled(h) {
 			t.Error("a fired event must not become cancelled")
 		}
 		if !h.ev.fired {
@@ -183,7 +188,7 @@ func TestEngineCancelNilAndZeroHandles(t *testing.T) {
 	nilH.Cancel() // must not panic
 	var zero Handle
 	zero.Cancel() // must not panic
-	if nilH.Cancelled() || zero.Cancelled() {
+	if cancelled(nilH) || cancelled(&zero) {
 		t.Error("inert handles should not report cancelled")
 	}
 }

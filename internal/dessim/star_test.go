@@ -265,7 +265,7 @@ func TestTimelineMetrics(t *testing.T) {
 	if got := tl.Imbalance(); got != 1 {
 		t.Errorf("imbalance = %v, want (4-2)/2 = 1", got)
 	}
-	if got := tl.Utilization(); got != 0.6 {
+	if got := trace.MetricsOf(tl).Utilization; got != 0.6 {
 		t.Errorf("utilization = %v, want 6/(5·2) = 0.6", got)
 	}
 }

@@ -39,7 +39,6 @@ type Estimator struct {
 	streak   []int     // consecutive beyond-driftTol rounds
 	streakMu []float64 // running sum of the streak's rate samples
 	dead     []bool
-	degraded []bool // drift re-anchored the rate downward at least once
 
 	reanchors int
 	frozen    bool
@@ -66,7 +65,6 @@ func NewEstimator(prior []float64) (*Estimator, error) {
 		streak:   make([]int, p),
 		streakMu: make([]float64, p),
 		dead:     make([]bool, p),
-		degraded: make([]bool, p),
 	}, nil
 }
 
@@ -128,11 +126,7 @@ func (e *Estimator) observe(w int, rate, commSec float64) bool {
 		if e.streak[w] < driftRounds {
 			return false
 		}
-		anchored := e.streakMu[w] / float64(e.streak[w])
-		if anchored < e.rate[w] {
-			e.degraded[w] = true
-		}
-		e.rate[w] = anchored
+		e.rate[w] = e.streakMu[w] / float64(e.streak[w])
 		e.rateVar[w] = 0
 		e.streak[w], e.streakMu[w] = 0, 0
 		e.commSec[w] = (1-ewmaAlpha)*e.commSec[w] + ewmaAlpha*commSec
@@ -161,10 +155,6 @@ func (e *Estimator) MarkDead(w int) {
 
 // Dead reports whether w has been marked dead.
 func (e *Estimator) Dead(w int) bool { return w >= 0 && w < len(e.dead) && e.dead[w] }
-
-// Degraded reports whether drift detection ever re-anchored w's rate
-// downward.
-func (e *Estimator) Degraded(w int) bool { return w >= 0 && w < len(e.degraded) && e.degraded[w] }
 
 // Reanchors returns the total drift re-anchor events.
 func (e *Estimator) Reanchors() int { return e.reanchors }

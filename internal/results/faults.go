@@ -24,10 +24,3 @@ type FaultMetrics struct {
 	// survivor bound 2N·√(Σ sᵢ/s₁); 0 when no crash occurred.
 	ReplanVolumeRatio float64 `json:"replanVolumeRatio"`
 }
-
-// Degraded reports whether the faults measurably hurt the demand-driven
-// run (any inflation, waste, or re-execution).
-func (m FaultMetrics) Degraded() bool {
-	return m.MakespanInflation > 1 || m.ExtraCommFraction > 0 ||
-		m.Reexecutions > 0 || m.LostWorkFraction > 0
-}

@@ -498,11 +498,6 @@ func (f *Fleet) SliceFor(spec JobSpec) []int {
 	return slice
 }
 
-// LinkCapacity reports the shared master port's aggregate bandwidth
-// (0 when unconstrained or when the fleet's topology is not a star) —
-// threaded into each job's trace expectations.
-func (f *Fleet) LinkCapacity() float64 { return f.net.Capacity() }
-
 // Topology reports the fleet's modeled network family ("star", "chain",
 // "two-source"; "" when transfers run at memcpy speed).
 func (f *Fleet) Topology() string {

@@ -381,16 +381,3 @@ func (tl *Timeline) Imbalance() float64 {
 	}
 	return (tmax - tmin) / tmin
 }
-
-// Utilization returns the fraction of worker-time spent computing between
-// 0 and the makespan (0 for an empty run).
-func (tl *Timeline) Utilization() float64 {
-	if tl.Makespan <= 0 || len(tl.Spans) == 0 {
-		return 0
-	}
-	busy := 0.0
-	for _, t := range tl.ComputeTimes() {
-		busy += t
-	}
-	return busy / (tl.Makespan * float64(len(tl.Spans)))
-}

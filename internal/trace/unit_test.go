@@ -75,7 +75,7 @@ func TestTimelineAccounting(t *testing.T) {
 	if got, want := tl.Imbalance(), 1.0; got != want {
 		t.Errorf("Imbalance = %v, want %v", got, want)
 	}
-	if got := tl.Utilization(); got != 6.0/16 {
+	if got := MetricsOf(tl).Utilization; got != 6.0/16 {
 		t.Errorf("Utilization = %v", got)
 	}
 
@@ -94,7 +94,7 @@ func TestImbalanceEdges(t *testing.T) {
 	if got := tl.Imbalance(); !math.IsInf(got, 1) {
 		t.Errorf("one-idle-worker imbalance = %v, want +Inf", got)
 	}
-	if got := New(0).Utilization(); got != 0 {
+	if got := MetricsOf(New(0)).Utilization; got != 0 {
 		t.Errorf("empty utilization = %v", got)
 	}
 	if New(-3).Workers() != 0 {
