@@ -20,7 +20,8 @@ import (
 // trace audited by the invariant oracle, emitting one BENCH_<name>.json
 // per artifact (see docs/PERFORMANCE.md). -validate checks existing files
 // instead: the kernel and service ones are re-judged, the six
-// virtual-clock ones must equal a regeneration at -seed. -only narrows
+// virtual-clock ones must equal a regeneration at the seed each file
+// records. -only narrows
 // the run (or the -validate check) to one artifact. Ctrl-C stops the run
 // at the next sweep boundary without writing partial artifacts.
 func runBench(args []string) error {
@@ -29,7 +30,7 @@ func runBench(args []string) error {
 	out := fs.String("out", ".", "directory for the BENCH_*.json artifacts")
 	quick := fs.Bool("quick", false, "reduced CI configuration of the wall-clock sweeps: smaller kernel sizes, fewer service loads and jobs")
 	only := fs.String("only", "", "run (or with -validate, check) only this artifact: one of "+bench.Names())
-	validate := fs.Bool("validate", false, "check existing BENCH_*.json in -out instead of running: re-judge the wall-clock ones, require the virtual-clock ones to equal a regeneration at -seed")
+	validate := fs.Bool("validate", false, "check existing BENCH_*.json in -out instead of running: re-judge the wall-clock ones, require the virtual-clock ones to equal a regeneration at the seed each file records (-seed is ignored)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweeps to this file (inspect with `go tool pprof`)")
 	compare := fs.String("compare", "", "compare a baseline BENCH_kernels.json against a new one (positional arg; defaults to -out's) and print a benchstat-style table instead of running")
 	if err := fs.Parse(args); err != nil {
@@ -72,15 +73,12 @@ func runBench(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *validate {
-		if err := bench.ValidateFiles(ctx, *out, *seed, arts...); err != nil {
+		how, err := bench.ValidateFiles(ctx, *out, arts...)
+		if err != nil {
 			return err
 		}
-		for _, a := range arts {
-			how := "schema ok"
-			if a.Regenerated() {
-				how = fmt.Sprintf("identical to the seed-%d regeneration", *seed)
-			}
-			fmt.Printf("%s: %s, %s\n", a.File(), how, a.Gates)
+		for i, a := range arts {
+			fmt.Printf("%s: %s, %s\n", a.File(), how[i], a.Gates)
 		}
 		return nil
 	}

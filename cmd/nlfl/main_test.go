@@ -319,18 +319,24 @@ func TestCLIBenchTopology(t *testing.T) {
 }
 
 // TestCLIBenchCreatesOutDir: bench creates a missing -out directory
-// before its first sweep instead of failing after the last one.
+// before its first sweep instead of failing after the last one, and
+// -validate regenerates the artifact at the seed its file records, not
+// at the default -seed.
 func TestCLIBenchCreatesOutDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "x", "y")
 	if out, err := capture(t, func() error {
-		return run([]string{"bench", "-only", "chaos", "-seed", "42", "-out", dir})
+		return run([]string{"bench", "-only", "chaos", "-seed", "7", "-out", dir})
 	}); err != nil {
 		t.Fatalf("bench into a missing nested directory: %v\n%s", err, out)
 	}
-	if _, err := capture(t, func() error {
+	out, err := capture(t, func() error {
 		return run([]string{"bench", "-only", "chaos", "-validate", "-out", dir})
-	}); err != nil {
+	})
+	if err != nil {
 		t.Errorf("bench -validate on the nested directory: %v", err)
+	}
+	if !strings.Contains(out, "BENCH_chaos.json: identical to the seed-7 regeneration") {
+		t.Errorf("validate output missing the recorded seed:\n%s", truncate(out, 800))
 	}
 }
 

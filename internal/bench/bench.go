@@ -10,9 +10,10 @@
 // Every sweep that runs the worker pool — runtime, link, chaos, topology,
 // capacity and iterative — runs it on the virtual clock, so its artifact
 // is a function of the seed and the code, byte for byte bar the goVersion
-// line. Each of its claims is checked once, by the sweep or by the
-// artifact's judge, on the payload in memory before Run writes anything;
-// a file on disk is checked by regenerating it and comparing the bytes.
+// line. Each of its claims is checked once, by the sweep's trace audit
+// or by the artifact's judge, on the payload in memory before Run writes
+// anything; a file on disk is checked by regenerating it at the seed it
+// records and comparing the bytes.
 // Only the kernel and service sweeps time the host: they record their
 // timings as environment-stamped observations, and a file on disk is
 // loaded and re-judged by its validator. See docs/PERFORMANCE.md for how
@@ -62,27 +63,23 @@ type Artifact struct {
 	Gates string
 
 	run func(context.Context, Config) (any, error)
-	// judge checks a payload: a virtual-clock artifact's judge (nil when
-	// its sweep states every claim itself) or a wall-clock artifact's
-	// validator.
+	// judge checks a payload: a virtual-clock artifact's judge or a
+	// wall-clock artifact's validator.
 	judge func(any) error
 	// load reads a wall-clock artifact's file for its validator; nil for
 	// a virtual-clock artifact, whose file is checked by regeneration.
 	load func(path string) (any, error)
 }
 
-// virtual registers a virtual-clock artifact: judge (or nil) checks the
-// fresh payload, and a file on disk must equal a regeneration.
+// virtual registers a virtual-clock artifact: judge checks the fresh
+// payload, and a file on disk must equal a regeneration.
 func virtual[T any](name, gates string, run func(context.Context, Config) (T, error), judge func(T) error) Artifact {
-	a := Artifact{
+	return Artifact{
 		Name:  name,
 		Gates: gates,
 		run:   func(ctx context.Context, cfg Config) (any, error) { return run(ctx, cfg) },
+		judge: func(v any) error { return judge(v.(T)) },
 	}
-	if judge != nil {
-		a.judge = func(v any) error { return judge(v.(T)) }
-	}
-	return a
 }
 
 // measured registers a wall-clock artifact: validate checks the fresh
@@ -96,8 +93,8 @@ func measured[T any](name, gates string, run func(context.Context, Config) (T, e
 // Artifacts is the registry, in emission order.
 var Artifacts = []Artifact{
 	measured("kernels", "every kernel equal to naive, throughput floors hold", RunKernels, ValidateKernels),
-	virtual("runtime", "volumes within 1% of the closed forms, every trace clean", RunRuntime, nil),
-	virtual("link", "het beats hom on the constrained link, every trace clean", RunLinkSweep, nil),
+	virtual("runtime", "volumes within 1% of the closed forms, every trace clean", RunRuntime, judgeRuntime),
+	virtual("link", "het beats hom on the constrained link, every trace clean", RunLinkSweep, judgeLink),
 	virtual("chaos", "ledger exact, recovery counters nonzero, waste at most half, every trace clean", RunChaosSweep, judgeChaos),
 	measured("service", "policy gate holds, chaos isolation exact, zero violations", RunServiceSweep, ValidateService),
 	virtual("topology", "crossover shift holds (star yes, chain no), edge ledgers exact, every trace clean", RunTopologySweep, judgeTopology),
@@ -108,16 +105,8 @@ var Artifacts = []Artifact{
 // File is the artifact's file name.
 func (a Artifact) File() string { return "BENCH_" + a.Name + ".json" }
 
-// Regenerated reports whether ValidateFiles checks the artifact's file
-// by regenerating it (a virtual-clock artifact) rather than by loading
-// and re-judging it (a wall-clock one).
-func (a Artifact) Regenerated() bool { return a.load == nil }
-
 // check runs the judge, naming the file in the error.
 func (a Artifact) check(v any) error {
-	if a.judge == nil {
-		return nil
-	}
 	if err := a.judge(v); err != nil {
 		return fmt.Errorf("%s: %w", a.File(), err)
 	}
@@ -178,42 +167,52 @@ func Run(ctx context.Context, cfg Config, dir string, arts ...Artifact) ([]any, 
 }
 
 // ValidateFiles checks the given artifacts' files in dir — `nlfl bench
-// -validate`, the one judge CI runs. A wall-clock artifact is loaded and
-// re-judged by its validator. A virtual-clock artifact is regenerated at
-// seed, its sweep and judge checking the fresh payload, and the file must
-// equal the regeneration byte for byte, bar the goVersion line, which
-// names the toolchain that wrote it.
-func ValidateFiles(ctx context.Context, dir string, seed int64, arts ...Artifact) error {
-	for _, a := range arts {
+// -validate`, the one judge CI runs — and returns, per artifact, how its
+// file was checked. A wall-clock artifact is loaded and re-judged by its
+// validator. A virtual-clock artifact is regenerated at the seed its file
+// records, its sweep and judge checking the fresh payload, and the file
+// must equal the regeneration byte for byte, bar the goVersion line,
+// which names the toolchain that wrote it.
+func ValidateFiles(ctx context.Context, dir string, arts ...Artifact) ([]string, error) {
+	how := make([]string, len(arts))
+	for i, a := range arts {
 		path := filepath.Join(dir, a.File())
-		if !a.Regenerated() {
+		if a.load != nil {
 			f, err := a.load(path)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := a.check(f); err != nil {
-				return err
+				return nil, err
 			}
+			how[i] = "schema ok"
 			continue
 		}
 		got, err := os.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("bench: %w", err)
+			return nil, fmt.Errorf("bench: %w", err)
 		}
-		f, err := a.sweep(ctx, Config{Seed: seed})
+		var stamp struct {
+			Seed int64 `json:"seed"`
+		}
+		if err := json.Unmarshal(got, &stamp); err != nil {
+			return nil, fmt.Errorf("%s: %w: %v", a.File(), ErrInvalidBench, err)
+		}
+		f, err := a.sweep(ctx, Config{Seed: stamp.Seed})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		want, err := json.MarshalIndent(f, "", "  ")
+		want, err := results.MarshalJSON(f)
 		if err != nil {
-			return fmt.Errorf("bench: %w", err)
+			return nil, err
 		}
-		if line, g, w := firstDiff(got, append(want, '\n')); line > 0 {
-			return fmt.Errorf("%s: %w: line %d is %s where the seed-%d regeneration has %s",
-				a.File(), ErrInvalidBench, line, strings.TrimSpace(g), seed, strings.TrimSpace(w))
+		if line, g, w := firstDiff(got, want); line > 0 {
+			return nil, fmt.Errorf("%s: %w: line %d is %s where the seed-%d regeneration has %s",
+				a.File(), ErrInvalidBench, line, strings.TrimSpace(g), stamp.Seed, strings.TrimSpace(w))
 		}
+		how[i] = fmt.Sprintf("identical to the seed-%d regeneration", stamp.Seed)
 	}
-	return nil
+	return how, nil
 }
 
 // firstDiff returns the first line (1-based) at which got and want

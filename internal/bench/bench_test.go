@@ -37,7 +37,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateFiles(context.Background(), dir, cfg.Seed, Artifacts...); err != nil {
+	if _, err := ValidateFiles(context.Background(), dir, Artifacts...); err != nil {
 		t.Fatalf("emitted artifacts fail their own check: %v", err)
 	}
 	// The returned set is the registry's, in order, and each payload is
@@ -57,11 +57,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.MarshalIndent(files[i], "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, append(want, '\n')) {
+		if !bytes.Equal(got, marshal(t, files[i])) {
 			t.Errorf("%s differs from the payload Run returned for it", a.File())
 		}
 	}
@@ -264,7 +260,7 @@ func rejectsFile(t *testing.T, a Artifact, body []byte) {
 	if err := os.WriteFile(filepath.Join(dir, a.File()), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateFiles(context.Background(), dir, 42, a); !errors.Is(err, ErrInvalidBench) || !strings.Contains(err.Error(), a.File()) {
+	if _, err := ValidateFiles(context.Background(), dir, a); !errors.Is(err, ErrInvalidBench) || !strings.Contains(err.Error(), a.File()) {
 		t.Errorf("broken %s accepted, or rejected without naming it: %v", a.File(), err)
 	}
 }
@@ -272,11 +268,11 @@ func rejectsFile(t *testing.T, a Artifact, body []byte) {
 // marshal renders f as SaveJSON writes it.
 func marshal(t *testing.T, f any) []byte {
 	t.Helper()
-	b, err := json.MarshalIndent(f, "", "  ")
+	b, err := results.MarshalJSON(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(b, '\n')
+	return b
 }
 
 // rejectsCopies runs one subtest per mutation of the committed file of
@@ -337,11 +333,17 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 	})
 
 	// The virtual-clock artifacts: a broken claim fails the artifact's
-	// judge, and any edit to a committed copy fails the regeneration diff.
+	// judge, and any other edit to a committed copy fails the
+	// regeneration diff.
 	t.Run("runtime", func(t *testing.T) {
+		runtime := mustLookup(t, "runtime")
+		rejects(t, func() results.RuntimeBenchFile {
+			return committedPayload[results.RuntimeBenchFile](t, runtime)
+		}, judgeRuntime, map[string]func(*results.RuntimeBenchFile){
+			"1%-gate": func(f *results.RuntimeBenchFile) { f.Entries[0].RelError = 0.02 },
+		})
 		rejectsCopies(t, "runtime", map[string]func(*results.RuntimeBenchFile){
 			"zero-throughput":  func(f *results.RuntimeBenchFile) { f.Entries[0].CellsPerSec = 0 },
-			"1%-gate":          func(f *results.RuntimeBenchFile) { f.Entries[0].RelError = 0.02 },
 			"violations":       func(f *results.RuntimeBenchFile) { f.Entries[0].Violations = 3 },
 			"zero-volume":      func(f *results.RuntimeBenchFile) { f.Entries[0].MeasuredVolume = 0 },
 			"missing-identity": func(f *results.RuntimeBenchFile) { f.Entries[0].Strategy = "" },
@@ -352,6 +354,13 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 	t.Run("link", func(t *testing.T) {
 		// Entries 0 and 2 are hom and het on the first platform at the
 		// most constrained bandwidth.
+		link := mustLookup(t, "link")
+		rejects(t, func() results.LinkBenchFile {
+			return committedPayload[results.LinkBenchFile](t, link)
+		}, judgeLink, map[string]func(*results.LinkBenchFile){
+			"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[2].Makespan = 2 * f.Entries[0].Makespan },
+			"no-het-hom-pair": func(f *results.LinkBenchFile) { f.Entries[2].Strategy = "hom/k" },
+		})
 		rejectsCopies(t, "link", map[string]func(*results.LinkBenchFile){
 			"wrong-schema":    func(f *results.LinkBenchFile) { f.Schema = "wrong" },
 			"no-entries":      func(f *results.LinkBenchFile) { f.Entries = nil },
@@ -359,8 +368,6 @@ func TestValidateRejectsBrokenFiles(t *testing.T) {
 			"overlap-above-1": func(f *results.LinkBenchFile) { f.Entries[0].OverlapFraction = 1.5 },
 			"util-above-1":    func(f *results.LinkBenchFile) { f.Entries[0].LinkUtilization[0] = 2 },
 			"violations":      func(f *results.LinkBenchFile) { f.Entries[0].Violations = 1 },
-			"het-not-faster":  func(f *results.LinkBenchFile) { f.Entries[2].Makespan = 2 * f.Entries[0].Makespan },
-			"no-het-hom-pair": func(f *results.LinkBenchFile) { f.Entries[2].Strategy = "hom/k" },
 		})
 	})
 
@@ -535,7 +542,7 @@ func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dir, a.File()), c.body, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				err := ValidateFiles(context.Background(), dir, 42, a)
+				_, err := ValidateFiles(context.Background(), dir, a)
 				if c.ok && err != nil {
 					t.Errorf("%s rejected: %v", c.name, err)
 				}
@@ -554,7 +561,7 @@ func TestArtifactsRejectWrongSchemaAndZeroFiles(t *testing.T) {
 // only the regeneration diff can.
 func TestValidateFilesRejectsEditedMakespan(t *testing.T) {
 	for _, a := range Artifacts {
-		if !a.Regenerated() {
+		if a.load != nil {
 			continue
 		}
 		t.Run(a.Name, func(t *testing.T) {

@@ -35,12 +35,10 @@ var hetPlatforms = []benchPlatform{
 
 // RunLinkSweep executes the three distribution strategies under a
 // bandwidth-modeled master link (double-buffered prefetch on) across the
-// bandwidth grid on the virtual clock, audits every trace — the
-// link-capacity invariant included — and gates the paper's headline
-// claim: at the most constrained bandwidth on a heterogeneous platform,
-// the lower-volume het plan must finish strictly faster than hom. Any violation or a
-// het-no-faster outcome is an error, not a data point. A cancelled ctx
-// aborts the in-flight run and stops the sweep.
+// bandwidth grid on the virtual clock and audits every trace — the
+// link-capacity invariant included; judgeLink gates the paper's
+// headline claim. Any violation is an error, not a data point. A
+// cancelled ctx aborts the in-flight run and stops the sweep.
 func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error) {
 	file := results.LinkBenchFile{
 		Schema:        results.BenchLinkSchema,
@@ -60,7 +58,6 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 			if err := ctx.Err(); err != nil {
 				return file, err
 			}
-			makespans := map[string]float64{}
 			for _, mk := range []struct {
 				name string
 				plan func() (*nrt.StrategyPlan, error)
@@ -92,7 +89,6 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 					return file, fmt.Errorf("bench: %s/%s bw=%g trace violations: %v",
 						bp.name, plan.Strategy, bw, trace.Must(vs))
 				}
-				makespans[plan.Strategy] = rep.Makespan
 				file.Entries = append(file.Entries, results.LinkBenchEntry{
 					Platform: bp.name, Speeds: bp.speeds,
 					Strategy: plan.Strategy, N: linkN, Bandwidth: bw,
@@ -104,16 +100,32 @@ func RunLinkSweep(ctx context.Context, cfg Config) (results.LinkBenchFile, error
 					LinkUtilization: rep.LinkUtilization,
 				})
 			}
-			// The no-free-lunch gate: when the link is the bottleneck,
-			// shipping less must mean finishing sooner.
-			if bw == linkBandwidths[0] {
-				if het, hom := makespans["het"], makespans["hom"]; het >= hom {
-					return file, fmt.Errorf(
-						"bench: %s bw=%g: het makespan %.4fs does not beat hom %.4fs despite lower volume",
-						bp.name, bw, het, hom)
-				}
-			}
 		}
 	}
 	return file, nil
+}
+
+// judgeLink checks BENCH_link's claim, the no-free-lunch gate: on every
+// platform at the most constrained bandwidth, where the link is the
+// bottleneck, the lower-volume het plan finishes strictly before hom.
+func judgeLink(f results.LinkBenchFile) error {
+	tightest := linkBandwidths[0]
+	for _, bp := range hetPlatforms {
+		makespans := map[string]float64{}
+		for _, e := range f.Entries {
+			if e.Platform == bp.name && e.Bandwidth == tightest {
+				makespans[e.Strategy] = e.Makespan
+			}
+		}
+		het, okHet := makespans["het"]
+		hom, okHom := makespans["hom"]
+		if !okHet || !okHom {
+			return invalid("%s bw=%g: no het/hom pair to compare", bp.name, tightest)
+		}
+		if het >= hom {
+			return invalid("%s bw=%g: het makespan %.4fs does not beat hom %.4fs despite lower volume",
+				bp.name, tightest, het, hom)
+		}
+	}
+	return nil
 }

@@ -58,10 +58,7 @@ func topoFor(kind string, workers int, bw float64) nrt.Topology {
 // bandwidth grid, audits every trace with the per-edge capacity and
 // volume invariants, and measures where the het-vs-hom crossover sits
 // per topology: the largest swept bandwidth at which het's makespan
-// stays below θ·hom. The headline gate is the shift: the star must show
-// a crossover (het wins once its aggregate port is tight) and the chain
-// must not (hop-serialized forwarding re-taxes het's compact rectangles
-// until the volume advantage stops paying). Every run is on the
+// stays below θ·hom; judgeTopology gates the shift. Every run is on the
 // runtime's virtual clock, so the sweep — makespans, relay volumes and
 // crossovers — is reproducible from the seed. A cancelled ctx aborts
 // the in-flight run and stops the sweep.
@@ -126,11 +123,6 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 					return file, fmt.Errorf("bench: %s/%s bw=%g trace violations: %v",
 						kind, plan.Strategy, bw, trace.Must(vs))
 				}
-				relErr := math.Abs(rep.DataVolume-rep.Predicted) / rep.Predicted
-				if relErr > volumeTolerance {
-					return file, fmt.Errorf("bench: %s/%s bw=%g: measured volume %v off the closed form %v by %.4f",
-						kind, plan.Strategy, bw, rep.DataVolume, rep.Predicted, relErr)
-				}
 				edges := make([]results.TopologyEdge, len(rep.Edges))
 				for i, e := range rep.Edges {
 					edges[i] = results.TopologyEdge{
@@ -144,7 +136,7 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 					Topology: kind, Strategy: plan.Strategy, N: topoN, Bandwidth: bw,
 					MeasuredVolume:  rep.DataVolume,
 					PredictedVolume: rep.Predicted,
-					RelError:        relErr,
+					RelError:        math.Abs(rep.DataVolume-rep.Predicted) / rep.Predicted,
 					RelayVolume:     rep.RelayVolume,
 					Makespan:        rep.Makespan,
 					CommTime:        rep.CommTime,
@@ -157,29 +149,37 @@ func RunTopologySweep(ctx context.Context, cfg Config) (results.TopologyBenchFil
 			}
 		}
 	}
-	// The crossover-shift gate, the sweep's reason to exist.
-	if file.Crossovers["star"] <= 0 {
-		return file, fmt.Errorf("bench: het never beat hom by %gx on the star — no crossover to shift", topoTheta)
-	}
-	if file.Crossovers["chain"] != 0 {
-		return file, fmt.Errorf("bench: het beat hom by %gx on the chain at bw=%g — hop forwarding failed to erase the volume advantage",
-			topoTheta, file.Crossovers["chain"])
-	}
 	return file, nil
 }
 
 // judgeTopology checks the claims of a BENCH_topology payload that no
-// run checks itself: relay traffic exactly where hop forwarding exists
-// (chains, nowhere else), chain edge volumes nonincreasing away from the
-// master and summing to the delivered plus the relayed volume, and — the
-// two-source sanity gate — hom at the tightest bandwidth faster with a
-// second independent source than on the star, which funnels everything
-// through one port. The crossover shift is the sweep's own gate.
+// run checks itself. The headline gate is the crossover shift: the star
+// must show a crossover (het wins once its aggregate port is tight) and
+// the chain must not (hop-serialized forwarding re-taxes het's compact
+// rectangles until the volume advantage stops paying). Every measured
+// volume lies within volumeTolerance of its closed form; relay traffic
+// flows exactly where hop forwarding exists (chains, nowhere else);
+// chain edge volumes are nonincreasing away from the master and sum to
+// the delivered plus the relayed volume; and — the two-source sanity
+// gate — hom at the tightest bandwidth is faster with a second
+// independent source than on the star, which funnels everything through
+// one port.
 func judgeTopology(f results.TopologyBenchFile) error {
+	if f.Crossovers["star"] <= 0 {
+		return invalid("het never beat hom by %gx on the star — no crossover to shift", f.CrossoverThreshold)
+	}
+	if bw := f.Crossovers["chain"]; bw != 0 {
+		return invalid("het beat hom by %gx on the chain at bw=%g — hop forwarding failed to erase the volume advantage",
+			f.CrossoverThreshold, bw)
+	}
 	tightest := topoBandwidths()[0]
 	homMakespan := map[string]float64{} // topology → hom makespan at the tightest bandwidth
 	for i, e := range f.Entries {
 		id := fmt.Sprintf("entry %d (%s/%s bw=%g)", i, e.Topology, e.Strategy, e.Bandwidth)
+		if !(e.RelError <= volumeTolerance) {
+			return invalid("%s: measured volume %v off the closed form %v by %.4f",
+				id, e.MeasuredVolume, e.PredictedVolume, e.RelError)
+		}
 		if e.Bandwidth == tightest && e.Strategy == "hom" {
 			homMakespan[e.Topology] = e.Makespan
 		}

@@ -8,10 +8,10 @@ import (
 )
 
 // goodTopologyFile builds a minimal BENCH_topology payload that passes
-// the judge: relay traffic only on the chain, whose edge volumes fall
-// away from the master and sum to delivered plus relayed, and a second
-// source that makes two-source hom faster than star hom at the tightest
-// bandwidth.
+// the judge: a crossover on the star and none on the chain, relay
+// traffic only on the chain, whose edge volumes fall away from the
+// master and sum to delivered plus relayed, and a second source that
+// makes two-source hom faster than star hom at the tightest bandwidth.
 func goodTopologyFile() results.TopologyBenchFile {
 	bw := topoBandwidths()[0]
 	star := func(strat string, mk float64) results.TopologyBenchEntry {
@@ -40,6 +40,7 @@ func goodTopologyFile() results.TopologyBenchFile {
 		}
 	}
 	return results.TopologyBenchFile{
+		Crossovers: map[string]float64{"star": bw, "chain": 0, "two-source": 0},
 		Entries: []results.TopologyBenchEntry{
 			star("hom", 0.2), star("het", 0.1),
 			chain("hom", 0.2), chain("het", 0.19),
@@ -50,10 +51,9 @@ func goodTopologyFile() results.TopologyBenchFile {
 
 // TestValidateTopologyRejectsBrokenFiles: a mutation that breaks one of
 // the judge's claims must fail judgeTopology, and any other edit to the
-// committed file — its crossovers included, which the sweep gates — must
-// fail ValidateFiles. Entries 0–2 of the committed file are star hom,
-// hom/k and het at the tightest bandwidth; entries 6–8 the same on the
-// chain.
+// committed file must fail ValidateFiles. Entries 0–2 of the committed
+// file are star hom, hom/k and het at the tightest bandwidth; entries
+// 6–8 the same on the chain.
 func TestValidateTopologyRejectsBrokenFiles(t *testing.T) {
 	if err := judgeTopology(goodTopologyFile()); err != nil {
 		t.Fatalf("well-formed topology file rejected: %v", err)
@@ -70,6 +70,7 @@ func TestValidateTopologyRejectsBrokenFiles(t *testing.T) {
 		"two-source-not-faster": func(f *results.TopologyBenchFile) {
 			f.Entries[4].Makespan = 0.25 // behind star hom despite two sources
 		},
+		"1%-gate": func(f *results.TopologyBenchFile) { f.Entries[1].RelError = 0.02 },
 	} {
 		f := goodTopologyFile()
 		mutate(&f)
@@ -87,8 +88,13 @@ func TestValidateTopologyRejectsBrokenFiles(t *testing.T) {
 		"no-edge-rows":    func(f *results.TopologyBenchFile) { f.Entries[0].Edges = nil },
 		"util-above-1":    func(f *results.TopologyBenchFile) { f.Entries[0].Edges[0].Utilization = 2 },
 		"crossover-mismatch": func(f *results.TopologyBenchFile) {
-			f.Crossovers["star"] = 0
+			f.Crossovers["star"] = 2 * f.Crossovers["star"]
 		},
+	})
+	topology := mustLookup(t, "topology")
+	rejects(t, func() results.TopologyBenchFile {
+		return committedPayload[results.TopologyBenchFile](t, topology)
+	}, judgeTopology, map[string]func(*results.TopologyBenchFile){
 		"no-star-crossover": func(f *results.TopologyBenchFile) {
 			f.Entries[2].Makespan = f.Entries[0].Makespan // het no longer wins at the tightest bandwidth
 			f.Crossovers["star"] = 0

@@ -135,14 +135,23 @@ type LinkBenchFile struct {
 	Entries       []LinkBenchEntry `json:"entries"`
 }
 
-// SaveJSON writes v as indented JSON with a trailing newline — the one
-// writer behind every bench artifact and experiment record.
-func SaveJSON(path string, v any) error {
+// MarshalJSON renders v as indented JSON with a trailing newline — the
+// one on-disk format of every bench artifact and experiment record.
+func MarshalJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("results: marshal: %w", err)
+		return nil, fmt.Errorf("results: marshal: %w", err)
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return append(b, '\n'), nil
+}
+
+// SaveJSON writes v to path as MarshalJSON renders it.
+func SaveJSON(path string, v any) error {
+	b, err := MarshalJSON(v)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
 }
 
 // LoadJSON reads a file written by SaveJSON into a T. Decoding is
