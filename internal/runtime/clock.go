@@ -9,8 +9,8 @@ import (
 // token-bucket refill, link booking, fault instant and timed wait reads
 // or sleeps on it. It has two implementations — the monotonic wall clock
 // (NewWallClock, the default) and the virtual clock of Options.Virtual
-// (see virtualClock) — and in this package only this file touches the
-// host's time.
+// (see virtualClock) — and in this package only this file and the
+// wall clock's Linux tail (clock_linux.go) touch the host's time.
 type Clock interface {
 	// Now returns the seconds since the clock's zero.
 	Now() float64
@@ -26,9 +26,14 @@ type Clock interface {
 	leave(w int)
 }
 
-// wallClock is the host's monotonic clock, zeroed at construction. Each
-// worker sleeps on its own reusable timer, so a timed wait allocates
-// nothing once the worker's first wait has built its timer.
+// wallClock is the host's monotonic clock, zeroed at construction. A
+// timed wait wakes within ~0.1 ms of its instant: Go's timers on Linux
+// wake on the next whole millisecond at best (the netpoller's epoll wait
+// takes milliseconds), so a worker sleeps on its own reusable timer
+// until tailSeconds before the instant and sleeps the tail in the
+// kernel (sleepTail, Linux only; elsewhere tailSeconds is 0 and the
+// timer sleeps the whole wait). A timed wait allocates nothing once the
+// worker's first wait has built its timer.
 type wallClock struct {
 	zero time.Time
 	// timers[w] is touched only by worker w's goroutine.
@@ -45,10 +50,26 @@ func NewWallClock(p int) Clock {
 func (c *wallClock) Now() float64 { return time.Since(c.zero).Seconds() }
 
 func (c *wallClock) SleepUntil(ctx context.Context, w int, t float64) bool {
-	d := t - c.Now()
-	if d <= 0 {
-		return ctx.Err() == nil
+	for {
+		d := t - c.Now()
+		if d <= 0 || ctx.Err() != nil {
+			return ctx.Err() == nil
+		}
+		if d > tailSeconds {
+			d -= tailSeconds
+		} else if sleepTail(d) {
+			continue // cancellation is seen at the top, within one tail
+		}
+		// The tail is not due yet, or every tail slot is taken.
+		if !c.sleepTimer(ctx, w, d) {
+			return false
+		}
 	}
+}
+
+// sleepTimer parks worker w on its timer for d seconds and reports
+// whether ctx is still live.
+func (c *wallClock) sleepTimer(ctx context.Context, w int, d float64) bool {
 	dur := time.Duration(d * float64(time.Second))
 	tm := c.timers[w]
 	if tm == nil {

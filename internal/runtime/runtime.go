@@ -1,11 +1,12 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"nlfl/internal/matmul"
@@ -496,7 +497,7 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		// committed volume equals the survivor-re-planned closed form,
 		// and every shipped element is either committed or accounted
 		// waste.
-		sort.Slice(r.committedChunks, func(i, j int) bool { return r.committedChunks[i].Task < r.committedChunks[j].Task })
+		slices.SortFunc(r.committedChunks, func(a, b Chunk) int { return cmp.Compare(a.Task, b.Task) })
 		if err := checkTiling(n, r.committedChunks); err != nil {
 			return nil, fmt.Errorf("runtime: committed chunks violate exactly-once: %w", err)
 		}

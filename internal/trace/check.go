@@ -219,12 +219,13 @@ func (e *Expect) tolerance() float64 {
 	return e.Tol
 }
 
-// approxEqual reports a ≈ b within relative tolerance tol.
+// approxEqual reports a ≈ b within relative tolerance tol: |a−b| is at
+// most tol times the larger magnitude.
 func approxEqual(a, b, tol float64) bool {
 	if a == b {
 		return true
 	}
-	return math.Abs(a-b) <= tol*(math.Abs(a)+math.Abs(b)+1)
+	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // overlapSlack is the absolute slack allowed between consecutive spans —

@@ -274,6 +274,19 @@ func TestApproxEqualAndTolerance(t *testing.T) {
 	if approxEqual(1, 1.1, 1e-9) {
 		t.Error("10% gap should fail")
 	}
+	// Tol is relative to the values compared, with no absolute floor: at
+	// 1 %, a volume 1.5 % off fails and one 0.5 % off passes, at any scale.
+	for _, v := range []float64{1e-3, 1, 4096, 3e9} {
+		if approxEqual(1.015*v, v, 0.01) {
+			t.Errorf("1.015·%v ≈ %v at Tol 0.01", v, v)
+		}
+		if !approxEqual(1.005*v, v, 0.01) {
+			t.Errorf("1.005·%v ≉ %v at Tol 0.01", v, v)
+		}
+	}
+	if approxEqual(0, 1e-12, 1e-9) {
+		t.Error("a nonzero value ≈ 0")
+	}
 	var nilExp *Expect
 	if got := nilExp.tolerance(); got != 1e-9 {
 		t.Errorf("nil tolerance = %v", got)
